@@ -126,6 +126,30 @@ def _base_report(args, results, verdict):
             "results": results, "verdict": verdict}
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _distances(text):
+    """Check a comma-separated list of distances; return the text unchanged,
+    which the report's config echoes."""
+    for item in text.split(","):
+        try:
+            d = float(item)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {item!r}") from None
+        if not (math.isfinite(d) and d > 0):
+            raise argparse.ArgumentTypeError(
+                f"distances must be finite and > 0, got {item.strip()}")
+    return text
+
+
 def _axis_pair(space, d):
     x0 = spaces.base_point(space)
     c = np.zeros((space.dim, 4))
@@ -328,11 +352,11 @@ def build_parser():
     p.add_argument("carrier",
                    choices=("hyperplane", "horosphere", "projective", "sphere"))
     p.add_argument("--field", choices=FIELDS, default="r")
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--pairs", default="0.5,1.0,2.0",
+    p.add_argument("--dim", type=_positive_int, default=2)
+    p.add_argument("--pairs", type=_distances, default="0.5,1.0,2.0",
                    help="comma-separated geodesic distances from the base point")
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--samples", type=_positive_int, default=1_000_000)
+    p.add_argument("--workers", type=_positive_int, default=1)
     common(p)
     p.set_defaults(func=cmd_crofton)
 

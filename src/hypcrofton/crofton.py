@@ -6,8 +6,13 @@ identified under (p, w) ~ (-p, -w).  Horospheres of H^n_F are forward null
 vectors xi = r (1, w) modulo right unit-scalar phase, with radial density
 r^{k(n+1)-3} dr (k = real dimension of F); the horosphere itself is the
 level set {x : |<x, xi>| = 1} and |log r| is its distance from the base
-point.  Both samplers are restricted to the carriers meeting a ball around
-the base point, which contains every carrier that can meet the segment.
+point.  The samplers draw carriers from a ball around the base point; the
+tests use them, with the scalar predicates, as the reference.
+
+The hyperbolic estimators sample only a carrier's direction and integrate
+its depth or radius in closed form (Rao-Blackwellisation of the Crofton
+integral; see estimate_m and estimate_horosphere_crofton), after an
+isometry has moved the segment's midpoint to the base point.
 
 Estimators are deterministic given an integer master seed: samples are
 drawn in fixed-size chunks with independently spawned substreams, so the
@@ -26,7 +31,6 @@ from .algebra import FIELD_DIM, REAL, form_coeffs, qconj, qmul, qnorm
 from .spaces import (
     GeodesicSegment,
     HPoint,
-    base_point,
     geodesic_between,
     hyperbolic_distance,
     projective_distance,
@@ -35,7 +39,6 @@ from .spaces import (
 )
 
 BOUNDARY_TOL = 1e-12
-RADIUS_MARGIN = 0.5
 CHUNK_SIZE = 1 << 17
 
 
@@ -64,13 +67,6 @@ def cosh_power_antiderivative(m, t):
 def cosh_power_integral(m, a, b):
     """Integral of cosh^m over [a, b]."""
     return float(cosh_power_antiderivative(m, b) - cosh_power_antiderivative(m, a))
-
-
-def power_integral(e, a, b):
-    """Integral of r^e over [a, b], a > 0 (logarithm when e = -1)."""
-    if e == -1:
-        return math.log(b / a)
-    return (b ** (e + 1) - a ** (e + 1)) / (e + 1)
 
 
 def _sample_depths(n, R, u):
@@ -178,7 +174,14 @@ class Horosphere:
 
 @dataclass(frozen=True)
 class CroftonEstimate:
-    """Monte Carlo estimate of a Crofton integral over a restricted carrier set."""
+    """Monte Carlo estimate of a Crofton integral: total_measure * mean_count.
+
+    For the hyperbolic estimators mean_count is the mean over sampled
+    directions of the measure of carriers meeting the segment, and
+    count_histogram tallies the crossing count of one such carrier per
+    direction; for the projective and sphere estimators mean_count is the
+    hit fraction.
+    """
 
     d: float
     total_measure: float
@@ -210,14 +213,6 @@ def _sample_hyperplane_normals(n, R, size, rng):
     return u
 
 
-def hyperplane_restricted_measure(n, R):
-    """Invariant measure of {hyperplanes at distance <= R from x0}.
-
-    The (p, w) chart double-covers the hyperplane space, hence the halving.
-    """
-    return sphere_area(n - 1) * cosh_power_integral(n - 1, -R, R) / 2.0
-
-
 def sample_horosphere(space, R, rng):
     """One horosphere whose distance from the base point is <= R."""
     xi = _sample_horosphere_params(space, R, 1, rng)[0]
@@ -241,23 +236,7 @@ def _sample_horosphere_params(space, R, size, rng):
     return xi
 
 
-def horosphere_restricted_measure(space, R):
-    """Invariant measure of {horospheres at distance <= R from x0}."""
-    k = FIELD_DIM[space.field]
-    e = k * (space.n + 1) - 3
-    return sphere_area(k * space.n - 1) * power_integral(e, math.exp(-R), math.exp(R))
-
-
 # -- intersection predicates ---------------------------------------------------
-
-def _endpoint_evaluations(hp_u, seg):
-    xr = seg.base[:, 0]
-    yr = seg.endpoint_coords()[:, 0]
-    fa = -xr[0] * hp_u[0] + xr[1:] @ hp_u[1:]
-    fb = -yr[0] * hp_u[0] + yr[1:] @ hp_u[1:]
-    scale = np.linalg.norm(hp_u)
-    return fa, fb, BOUNDARY_TOL * scale * max(np.linalg.norm(xr), np.linalg.norm(yr))
-
 
 def hyperplane_meets_segment(hp, seg):
     """True iff the hyperplane meets the segment (endpoint touching counts).
@@ -269,7 +248,12 @@ def hyperplane_meets_segment(hp, seg):
     """
     if seg.space.field != REAL:
         raise ValueError("hyperplanes are defined over the real field only")
-    fa, fb, tol = _endpoint_evaluations(hp.u, seg)
+    xr = seg.base[:, 0]
+    yr = seg.endpoint_coords()[:, 0]
+    fa = -xr[0] * hp.u[0] + xr[1:] @ hp.u[1:]
+    fb = -yr[0] * hp.u[0] + yr[1:] @ hp.u[1:]
+    tol = BOUNDARY_TOL * np.linalg.norm(hp.u) \
+        * max(np.linalg.norm(xr), np.linalg.norm(yr))
     a_on, b_on = abs(fa) <= tol, abs(fb) <= tol
     if a_on and b_on:
         raise SegmentInHyperplaneError("segment lies inside the hyperplane")
@@ -334,62 +318,69 @@ def count_cosh_roots(alpha, beta, gamma, interval):
     return len(inside), inside
 
 
-def _count_cosh_roots_arr(alpha, beta, gamma, s0, s1):
-    """Vectorized root count of alpha cosh t + beta sinh t = gamma on [s0, s1].
+def _level_coefficients(seg, xi):
+    """(up, down, gamma): |<p(s), xi>|^2 = (up e^{2s} + down e^{-2s}) / 2 + gamma.
 
-    Only handles |alpha| >= |beta| (always true for horosphere counts, where
-    alpha >= |beta| by Cauchy-Schwarz); the |alpha| = |beta| boundary is a
-    measure-zero event handled by the exponential branch.
+    p(s) = x cosh s + w sinh s runs along the segment and xi is a batch of
+    vectors, an (n+1, size, 4) coefficient array; each coefficient has shape
+    (size,).  With a = <x, xi> and b = <w, xi>: up = |a + b|^2 / 2,
+    down = |a - b|^2 / 2 and gamma = (|a|^2 - |b|^2) / 2, which is >= 0 for
+    a null xi (clamped against rounding).  In the basis cosh 2s, sinh 2s the
+    coefficients are alpha = (up + down) / 2 and beta = (up - down) / 2;
+    this basis keeps every term nonnegative, so evaluating G never cancels.
     """
-    counts = np.zeros(alpha.shape, dtype=np.int64)
-    etol = 1e-12 * max(abs(s0), abs(s1), 1.0)
-
-    strict = np.abs(alpha) - np.abs(beta) > 1e-14 * np.abs(alpha)
-    if np.any(strict):
-        a, b, g = alpha[strict], beta[strict], gamma[strict]
-        r = np.sqrt(a * a - b * b)
-        phi = np.arctanh(b / a)
-        c = g / (np.copysign(r, a))
-        has = c >= 1.0
-        h = np.where(has, np.arccosh(np.maximum(c, 1.0)), 0.0)
-        t1 = -phi - h
-        t2 = -phi + h
-        sub = (has & (t1 >= s0 - etol) & (t1 <= s1 + etol)).astype(np.int64)
-        two = has & (h > 0) & (t2 >= s0 - etol) & (t2 <= s1 + etol)
-        sub += two.astype(np.int64)
-        counts[strict] = sub
-
-    degen = ~strict
-    if np.any(degen):
-        a, b, g = alpha[degen], beta[degen], gamma[degen]
-        sign = np.where(a * b >= 0, 1.0, -1.0)
-        ratio = g / a
-        ok = ratio > 0
-        t = np.where(ok, sign * np.log(np.where(ok, ratio, 1.0)), np.inf)
-        counts[degen] = (ok & (t >= s0 - etol) & (t <= s1 + etol)).astype(np.int64)
-    return counts
+    a = form_coeffs(seg.base[:, None, :], xi)
+    b = form_coeffs(seg.tangent[:, None, :], xi)
+    gamma = 0.5 * (np.sum(a * a, axis=-1) - np.sum(b * b, axis=-1))
+    return (0.5 * np.sum((a + b) ** 2, axis=-1), 0.5 * np.sum((a - b) ** 2, axis=-1),
+            np.maximum(gamma, 0.0))
 
 
 def count_horosphere_intersections(h, seg):
     """Number of times the horosphere meets the segment, in {0, 1, 2}.
 
-    With a = <x, xi> and b = <w, xi> along p(s) = x cosh s + w sinh s, the
-    level condition |<p(s), xi>|^2 = 1 becomes
+    The level condition |<p(s), xi>|^2 = 1 along the segment becomes
     alpha cosh 2s + beta sinh 2s = 1 - gamma on [0, 2L].
     """
     if h.space != seg.space:
         raise ValueError("horosphere and segment live in different spaces")
-    a = form_coeffs(seg.base, h.xi)
-    b = form_coeffs(seg.tangent, h.xi)
-    na2 = float(np.sum(a ** 2))
-    nb2 = float(np.sum(b ** 2))
-    if na2 == 0.0 and nb2 == 0.0:
+    up, down, gamma = (float(c[0]) for c in
+                       _level_coefficients(seg, h.xi[:, None, :]))
+    if up == 0.0 and down == 0.0:
         raise ArithmeticError("degenerate pairing; invalid horosphere or segment")
-    alpha = 0.5 * (na2 + nb2)
-    beta = float(a @ b)
-    gamma = 0.5 * (na2 - nb2)
-    count, _ = count_cosh_roots(alpha, beta, 1.0 - gamma, (0.0, 2.0 * seg.length))
+    count, _ = count_cosh_roots(0.5 * (up + down), 0.5 * (up - down), 1.0 - gamma,
+                                (0.0, 2.0 * seg.length))
     return count
+
+
+def _radial_potential(G, e):
+    """Phi(G^{-1/2}), where Phi(r) = r^{e+1} / (e+1), or log r when e = -1."""
+    if e == -1:
+        return -0.5 * np.log(G)
+    return G ** (-0.5 * (e + 1)) / (e + 1)
+
+
+def _horosphere_values(seg, xi, e, u):
+    """Per direction xi = (1, w): the measure of crossing horospheres and a count.
+
+    The measure is the total variation of Phi(G^{-1/2}) on [0, L].  G's only
+    critical point is its minimum sqrt(up * down) + gamma, at
+    e^{4s} = down / up, which lies inside the segment when
+    1 < down / up < e^{4L}.  The count is that of one radius per direction,
+    drawn by the uniforms u from r^e dr among the horospheres meeting the
+    segment: Phi values above both endpoint values are met twice.
+    """
+    up, down, gamma = _level_coefficients(seg, xi)
+    grow = math.exp(2.0 * seg.length)
+    g0 = 0.5 * (up + down) + gamma
+    g1 = 0.5 * (up * grow + down / grow) + gamma
+    ends = np.minimum(g0, g1)
+    interior = (up < down) & (down < up * grow * grow)
+    gmin = np.where(interior, np.minimum(np.sqrt(up * down) + gamma, ends), ends)
+    f0, f1, peak = (_radial_potential(g, e) for g in (g0, g1, gmin))
+    lo, hi = np.minimum(f0, f1), np.maximum(f0, f1)
+    counts = 1 + (lo + u * (peak - lo) > hi)
+    return 2.0 * peak - f0 - f1, counts
 
 
 # -- chunked Monte Carlo driver -------------------------------------------------
@@ -430,155 +421,120 @@ def _zero_estimate(seed, samples):
                            note="coincident points")
 
 
-def _restriction_radius(x, y, margin):
-    x0 = base_point(x.space)
-    return max(hyperbolic_distance(x0, x), hyperbolic_distance(x0, y)) + margin
+def _centred_segment(x, y, d):
+    """The segment [xy] moved by an isometry so its midpoint is the base point.
 
-
-def _binomial_estimate(d, M, hits, boundary, samples, seed, note=""):
-    phat = hits / samples
-    est = M * phat
-    stderr = M * math.sqrt(max(phat * (1.0 - phat), 0.0) / samples)
-    return CroftonEstimate(d=d, total_measure=M, mean_count=phat,
-                           estimate=est, stderr=stderr, samples=samples,
-                           seed=seed, ratio=est / d if d > 0 else float("nan"),
-                           boundary_count=boundary, note=note)
-
-
-# -- estimators ----------------------------------------------------------------
-
-def estimate_m(x, y, samples, seed=0, workers=1, margin=RADIUS_MARGIN):
-    """Measure of hyperplanes meeting [xy], restricted to a covering ball.
-
-    Every hyperplane meeting the segment is at distance <= max distance of
-    the endpoints from the base point, so the restriction is exact up to
-    the margin; the estimate divided by d(x, y) is the Crofton constant in
-    this normalization.
+    The carrier measures are invariant, so the expectation is unchanged,
+    while every endpoint sits within d/2 of the base point.  Off centre, a
+    few directions would carry most of the measure: a unit segment 8 from
+    the base point gives a standard error about 100 times larger.
     """
-    if x.space.field != REAL:
-        raise ValueError("hyperplane Crofton estimates require the real field")
-    seed = _resolve_seed(seed)
-    d = hyperbolic_distance(x, y)
-    if d < 1e-12:
-        return _zero_estimate(seed, samples)
-    n = x.space.n
-    R = _restriction_radius(x, y, margin)
-    M = hyperplane_restricted_measure(n, R)
-    seg = geodesic_between(x, y)
-    xr = seg.base[:, 0]
-    yr = seg.endpoint_coords()[:, 0]
-
-    def chunk(rng, size):
-        u = _sample_hyperplane_normals(n, R, size, rng)
-        fa = -xr[0] * u[:, 0] + u[:, 1:] @ xr[1:]
-        fb = -yr[0] * u[:, 0] + u[:, 1:] @ yr[1:]
-        tol = BOUNDARY_TOL * np.linalg.norm(u, axis=1) \
-            * max(np.linalg.norm(xr), np.linalg.norm(yr))
-        a_on = np.abs(fa) <= tol
-        b_on = np.abs(fb) <= tol
-        contained = a_on & b_on
-        touch = (a_on ^ b_on)
-        cross = (fa * fb < 0) & ~a_on & ~b_on
-        hits = int(np.sum((cross | touch) & ~contained))
-        return hits, int(np.sum(a_on | b_on))
-
-    hits, boundary = _run_chunks(chunk, samples, seed, workers)
-    return _binomial_estimate(d, M, hits, boundary, samples, seed)
-
-
-def estimate_symmetric_difference(x, y, samples, seed=0, workers=1,
-                                  margin=RADIUS_MARGIN):
-    """Measure of half-spaces containing exactly one of x, y.
-
-    Uses the same hyperplane sampler (each normal u defines the half-space
-    {<., u> > 0}); per sample, the sign predicates at x and y disagree
-    exactly when the boundary hyperplane crosses the segment.
-    """
-    if x.space.field != REAL:
-        raise ValueError("half-space estimates require the real field")
-    seed = _resolve_seed(seed)
-    d = hyperbolic_distance(x, y)
-    if d < 1e-12:
-        return _zero_estimate(seed, samples)
-    n = x.space.n
-    R = _restriction_radius(x, y, margin)
-    # the half-space measure is normalized so that the double cover carries
-    # the hyperplane measure; the two estimators then agree sample-for-sample
-    M = hyperplane_restricted_measure(n, R)
-    xr = np.where(x.coords[0, 0] < 0, -x.coords[:, 0], x.coords[:, 0])
-    yr = np.where(y.coords[0, 0] < 0, -y.coords[:, 0], y.coords[:, 0])
-
-    def chunk(rng, size):
-        u = _sample_hyperplane_normals(n, R, size, rng)
-        fa = -xr[0] * u[:, 0] + u[:, 1:] @ xr[1:]
-        fb = -yr[0] * u[:, 0] + u[:, 1:] @ yr[1:]
-        tol = BOUNDARY_TOL * np.linalg.norm(u, axis=1) \
-            * max(np.linalg.norm(xr), np.linalg.norm(yr))
-        on = (np.abs(fa) <= tol) | (np.abs(fb) <= tol)
-        differ = (np.sign(fa) != np.sign(fb)) & ~on
-        return int(np.sum(differ)), int(np.sum(on))
-
-    hits, boundary = _run_chunks(chunk, samples, seed, workers)
-    return _binomial_estimate(d, M, hits, boundary, samples, seed)
-
-
-def _horosphere_quadratic_data(point_coords, tangent_coords, xi):
-    """Per-sample (alpha, beta, gamma) for the level-set crossing equation."""
-    a = qmul(qconj(point_coords)[None, :, :], xi)
-    a = a[:, 1:, :].sum(axis=1) - a[:, 0, :]
-    b = qmul(qconj(tangent_coords)[None, :, :], xi)
-    b = b[:, 1:, :].sum(axis=1) - b[:, 0, :]
-    na2 = np.sum(a ** 2, axis=1)
-    nb2 = np.sum(b ** 2, axis=1)
-    alpha = 0.5 * (na2 + nb2)
-    beta = np.sum(a * b, axis=1)
-    gamma = 0.5 * (na2 - nb2)
-    return alpha, beta, gamma
-
-
-def estimate_horosphere_crofton(x, y, samples, seed=0, workers=1,
-                                margin=RADIUS_MARGIN):
-    """Integral of the horosphere crossing count over [xy], ball-restricted.
-
-    Valid over R, C and H; the mean crossing count times the restricted
-    total measure estimates a constant multiple of d(x, y).  The segment is
-    first translated so its midpoint sits at the base point: the measure is
-    invariant, so the expectation is unchanged, while the restriction ball
-    shrinks to half the segment length plus the margin.  This keeps the hit
-    rate independent of where the pair sits (the radial density grows like
-    r^{k(n+1)-3}, so an off-center restriction ball wastes most samples on
-    far horospheres that cannot meet the segment).
-    """
-    seed = _resolve_seed(seed)
-    d = hyperbolic_distance(x, y)
-    if d < 1e-12:
-        return _zero_estimate(seed, samples)
-    space = x.space
     raw = geodesic_between(x, y)
     g = translation_to_base(raw.point(0.5 * d))
-    seg = GeodesicSegment(space, g.apply_coords(raw.base),
-                          g.apply_coords(raw.tangent), d)
-    R = 0.5 * d + margin
-    M = horosphere_restricted_measure(space, R)
-    s1 = 2.0 * seg.length
+    return GeodesicSegment(x.space, g.apply_coords(raw.base),
+                           g.apply_coords(raw.tangent), d)
+
+
+def _conditional_estimate(x, y, samples, seed, workers, measure, values):
+    """measure times the mean over sampled directions of a closed-form value.
+
+    values(seg, rng, size) draws `size` directions for the centred segment
+    and returns, per direction, the measure of the carriers of that
+    direction meeting it and crossing counts to histogram.
+    """
+    seed = _resolve_seed(seed)
+    d = hyperbolic_distance(x, y)
+    if d < 1e-12:
+        return _zero_estimate(seed, samples)
+    seg = _centred_segment(x, y, d)
 
     def chunk(rng, size):
-        xi = _sample_horosphere_params(space, R, size, rng)
-        alpha, beta, gamma = _horosphere_quadratic_data(seg.base, seg.tangent, xi)
-        counts = _count_cosh_roots_arr(alpha, beta, 1.0 - gamma, 0.0, s1)
-        hist = np.bincount(counts, minlength=3)
-        return int(counts.sum()), int(np.sum(counts ** 2)), hist
+        v, counts = values(seg, rng, size)
+        return float(v.sum()), float(v @ v), np.bincount(counts, minlength=3)
 
     total, total_sq, hist = _run_chunks(chunk, samples, seed, workers)
     mean = total / samples
     var = max(total_sq / samples - mean ** 2, 0.0)
-    est = M * mean
-    stderr = M * math.sqrt(var / samples)
-    histogram = {int(c): int(v) for c, v in enumerate(hist) if v > 0}
-    return CroftonEstimate(d=d, total_measure=M, mean_count=mean,
-                           estimate=est, stderr=stderr, samples=samples,
-                           seed=seed, ratio=est / d,
+    est = measure * mean
+    histogram = {c: int(k) for c, k in enumerate(hist) if k}
+    return CroftonEstimate(d=d, total_measure=measure, mean_count=mean,
+                           estimate=est, stderr=measure * math.sqrt(var / samples),
+                           samples=samples, seed=seed, ratio=est / d,
                            count_histogram=histogram)
+
+
+def _sign_change_estimate(x, y, d, samples, seed, workers, note):
+    """Fraction of uniform u on the sphere with (u . x)(u . y) < 0."""
+
+    def chunk(rng, size):
+        u = _uniform_sphere(x.shape[0], size, rng)
+        return (int(np.sum((u @ x) * (u @ y) < 0)),)
+
+    (hits,) = _run_chunks(chunk, samples, seed, workers)
+    phat = hits / samples
+    return CroftonEstimate(d=d, total_measure=1.0, mean_count=phat,
+                           estimate=phat,
+                           stderr=math.sqrt(max(phat * (1.0 - phat), 0.0) / samples),
+                           samples=samples, seed=seed, ratio=phat / d, note=note)
+
+
+# -- estimators ----------------------------------------------------------------
+
+def estimate_m(x, y, samples, seed=0, workers=1):
+    """Measure of hyperplanes meeting [xy].
+
+    Divided by d(x, y) it is the Crofton constant vol(S^{n-2}) / (n-1).  For
+    a direction w the hyperplane at depth p meets the segment exactly when
+    tanh p lies between x.w / x0 and y.w / y0, so that direction carries
+    |F(p_y) - F(p_x)| with F' = cosh^{n-1}.  The (p, w) chart double-covers
+    the hyperplane space, hence the halved sphere area.
+    """
+    if x.space.field != REAL:
+        raise ValueError("hyperplane Crofton estimates require the real field")
+    n = x.space.n
+
+    def values(seg, rng, size):
+        w = _uniform_sphere(n, size, rng)
+        xr, yr = seg.base[:, 0], seg.endpoint_coords()[:, 0]
+        fx = cosh_power_antiderivative(n - 1, np.arctanh(w @ (xr[1:] / xr[0])))
+        fy = cosh_power_antiderivative(n - 1, np.arctanh(w @ (yr[1:] / yr[0])))
+        # a hyperplane meets the segment at most once
+        return np.abs(fy - fx), np.ones(size, dtype=np.intp)
+
+    return _conditional_estimate(x, y, samples, seed, workers,
+                                 sphere_area(n - 1) / 2.0, values)
+
+
+def estimate_symmetric_difference(x, y, samples, seed=0, workers=1):
+    """Measure of half-spaces containing exactly one of x, y.
+
+    The half-space {<., u> > 0} contains exactly one endpoint when its
+    boundary hyperplane crosses the segment, and the half-space measure is
+    normalized so that the double cover carries the hyperplane measure, so
+    this is estimate_m, sample for sample.
+    """
+    return estimate_m(x, y, samples, seed, workers)
+
+
+def estimate_horosphere_crofton(x, y, samples, seed=0, workers=1):
+    """Horosphere crossing count of [xy], integrated over all horospheres.
+
+    Valid over R, C and H; divided by d(x, y) it is a constant of the
+    space.  Directions w are uniform on S^{kn-1}; the radius of (1, w) is
+    integrated against r^e dr, e = k(n+1) - 3, in closed form.
+    """
+    space = x.space
+    k, n = FIELD_DIM[space.field], space.n
+
+    def values(seg, rng, size):
+        xi = np.zeros((n + 1, size, 4))
+        xi[0, :, 0] = 1.0
+        xi[1:, :, :k] = np.moveaxis(
+            _uniform_sphere(k * n, size, rng).reshape(size, n, k), 0, 1)
+        return _horosphere_values(seg, xi, k * (n + 1) - 3, rng.random(size))
+
+    return _conditional_estimate(x, y, samples, seed, workers,
+                                 sphere_area(k * n - 1), values)
 
 
 def projective_crofton_estimate(x, y, samples, seed=0, workers=1):
@@ -603,13 +559,7 @@ def projective_crofton_estimate(x, y, samples, seed=0, workers=1):
                 "first-nonzero-coordinate convention")
         if yr[np.nonzero(yr)[0][0]] < 0:
             yr = -yr
-
-    def chunk(rng, size):
-        u = _uniform_sphere(x.n + 1, size, rng)
-        return (int(np.sum((u @ xr) * (u @ yr) < 0)),)
-
-    (hits,) = _run_chunks(chunk, samples, seed, workers)
-    return _binomial_estimate(d, 1.0, hits, 0, samples, seed, note=note)
+    return _sign_change_estimate(xr, yr, d, samples, seed, workers, note)
 
 
 def sphere_halfspace_crofton(x, y, samples, seed=0, workers=1):
@@ -630,10 +580,4 @@ def sphere_halfspace_crofton(x, y, samples, seed=0, workers=1):
     note = ""
     if d > math.pi - 1e-12:
         note = "antipodal pair: geodesic non-unique, fraction is maximal"
-
-    def chunk(rng, size):
-        u = _uniform_sphere(x.shape[0], size, rng)
-        return (int(np.sum((u @ x) * (u @ y) < 0)),)
-
-    (hits,) = _run_chunks(chunk, samples, seed, workers)
-    return _binomial_estimate(d, 1.0, hits, 0, samples, seed, note=note)
+    return _sign_change_estimate(x, y, d, samples, seed, workers, note)

@@ -41,6 +41,7 @@ from hypcrofton.spaces import (
     PPoint,
     base_point,
     geodesic_between,
+    hyperbolic_distance,
     random_isometry,
     random_point,
 )
@@ -130,7 +131,7 @@ def test_criterion_4_hypermetric_scan_empty_on_real_hyperbolic():
 def test_criterion_5_hyperplane_measure_linear_in_distance():
     ok = True
     details = []
-    for n in (2, 3):
+    for n in (2, 3, 5):
         space = HermitianSpace(REAL, n)
         ests = [estimate_m(base_point(space), axis_point(space, d),
                            1_000_000, seed=103 + n)
@@ -138,7 +139,7 @@ def test_criterion_5_hyperplane_measure_linear_in_distance():
         consistent = ratios_pairwise_consistent(ests)
         ok = ok and consistent
         details.append(f"n={n}: ratios {[round(e.ratio, 4) for e in ests]}")
-    report(5, "hyperplane measure proportional to d in H2_R and H3_R "
+    report(5, "hyperplane measure proportional to d in H2_R, H3_R and H5_R "
               f"({'; '.join(details)})", ok)
 
 
@@ -148,7 +149,8 @@ def test_criterion_6_halfspace_sign_matches_segment_crossing():
     x = random_point(space, 1.5, rng)
     y = random_point(space, 1.5, rng)
     seg = geodesic_between(x, y)
-    R = crofton._restriction_radius(x, y, crofton.RADIUS_MARGIN)
+    x0 = base_point(space)
+    R = max(hyperbolic_distance(x0, x), hyperbolic_distance(x0, y)) + 0.5
     u = crofton._sample_hyperplane_normals(2, R, 100_000, rng)
 
     xr = seg.base[:, 0].copy()
@@ -184,7 +186,7 @@ def test_criterion_6_halfspace_sign_matches_segment_crossing():
 def test_criterion_7_horosphere_measure_linear_in_distance():
     ok = True
     details = []
-    for field, label in ((REAL, "H2_R"), (COMPLEX, "H2_C")):
+    for field, label in ((REAL, "H2_R"), (COMPLEX, "H2_C"), (QUATERNION, "H2_H")):
         space = HermitianSpace(field, 2)
         ests = [estimate_horosphere_crofton(
             base_point(space), axis_point(space, d), 1_000_000, seed=105)

@@ -204,6 +204,22 @@ class TestCrofton:
         assert d == pytest.approx(0.5)
         assert stderr > 0
 
+    @pytest.mark.parametrize("argv,message", [
+        (("hyperplane", "--pairs", "0,1"), "--pairs: distances must be finite"),
+        (("hyperplane", "--pairs", "-1"), "--pairs: distances must be finite"),
+        (("hyperplane", "--pairs", "1,inf"), "--pairs: distances must be finite"),
+        (("hyperplane", "--samples", "0"), "--samples: must be at least 1"),
+        (("horosphere", "--workers", "0"), "--workers: must be at least 1"),
+        (("sphere", "--dim", "0"), "--dim: must be at least 1"),
+    ], ids=["pairs-zero", "pairs-negative", "pairs-inf", "samples-zero",
+            "workers-zero", "dim-zero"])
+    def test_invalid_argument_exits_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "crofton", *argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert message in err.strip().splitlines()[-1]
+
     def test_complex_hyperplane_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "crofton", "hyperplane",
                                "--field", "c", "--pairs", "1.0",
