@@ -19,6 +19,11 @@ from .algebra import FIELD_DIM, FIELDS, HermitianSpace, Quaternion
 
 POINT_KINDS = ("r", "c", "h", "p", "s")
 
+#: largest distance from the base point of the hyperbolic points the CLI
+#: builds: past about 16.46, <y, y> = -1 is lost in the rounding of
+#: cosh(d)^2 and HPoint rejects the point
+MAX_DISTANCE = 16.0
+
 
 def _read_points(path):
     """Load points from CSV: first data row is `kind,dim`, then coefficient rows.
@@ -126,13 +131,27 @@ def _base_report(args, results, verdict):
             "results": results, "verdict": verdict}
 
 
-def _positive_int(text):
+def _int_at_least(low):
+    """argparse type: an integer >= low."""
+    def check(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return check
+
+
+def _radius(text):
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and 0.0 <= value <= MAX_DISTANCE):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and in [0, {MAX_DISTANCE:g}], got {text}")
     return value
 
 
@@ -151,6 +170,9 @@ def _distances(text):
 
 
 def _axis_pair(space, d):
+    if d > MAX_DISTANCE:
+        raise ValueError(f"distance {d:g} is beyond {MAX_DISTANCE:g}, the largest "
+                         f"supported for hyperplane and horosphere pairs")
     x0 = spaces.base_point(space)
     c = np.zeros((space.dim, 4))
     c[0, 0] = math.cosh(d)
@@ -226,8 +248,7 @@ def cmd_crofton(args):
         space = HermitianSpace(args.field, args.dim)
         estimator = crofton.estimate_m if args.carrier == "hyperplane" \
             else crofton.estimate_horosphere_crofton
-        for d in pairs:
-            x, y = _axis_pair(space, d)
+        for x, y in [_axis_pair(space, d) for d in pairs]:
             results.append(_estimate_report(estimator(
                 x, y, args.samples, seed=args.seed, workers=args.workers)))
     elif args.carrier == "projective":
@@ -245,10 +266,15 @@ def cmd_crofton(args):
                 x, y, args.samples, seed=args.seed, workers=args.workers)))
     ratios = [r["ratio"] for r in results]
     ratio_errs = [r["stderr"] / r["d"] for r in results]
-    consistent = all(
+    finite = all(math.isfinite(r[key]) for r in results
+                 for key in ("estimate", "stderr", "ratio"))
+    consistent = finite and all(
         abs(ratios[i] - ratios[j]) <= 3.0 * math.hypot(ratio_errs[i], ratio_errs[j])
         for i in range(len(ratios)) for j in range(i + 1, len(ratios)))
-    verdict = "ratios consistent" if consistent else "ratios inconsistent"
+    if not finite:
+        verdict = "non-finite estimate"
+    else:
+        verdict = "ratios consistent" if consistent else "ratios inconsistent"
     _emit(_base_report(args, results, verdict), args)
     return 0 if consistent else 1
 
@@ -352,11 +378,11 @@ def build_parser():
     p.add_argument("carrier",
                    choices=("hyperplane", "horosphere", "projective", "sphere"))
     p.add_argument("--field", choices=FIELDS, default="r")
-    p.add_argument("--dim", type=_positive_int, default=2)
+    p.add_argument("--dim", type=_int_at_least(1), default=2)
     p.add_argument("--pairs", type=_distances, default="0.5,1.0,2.0",
                    help="comma-separated geodesic distances from the base point")
-    p.add_argument("--samples", type=_positive_int, default=1_000_000)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--samples", type=_int_at_least(1), default=1_000_000)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     common(p)
     p.set_defaults(func=cmd_crofton)
 
@@ -370,9 +396,9 @@ def build_parser():
                        help="randomized search for negative-type violations")
     p.add_argument("--field", choices=FIELDS, default="h")
     p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--m", type=int, default=6)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--radius", type=float, default=2.0)
+    p.add_argument("--m", type=_int_at_least(3), default=6)
+    p.add_argument("--trials", type=_int_at_least(0), default=1000)
+    p.add_argument("--radius", type=_radius, default=2.0)
     p.add_argument("--structured-seed", action="store_true",
                    help="seed the search with the 24-point quaternionic family")
     common(p)

@@ -13,14 +13,21 @@ from functools import lru_cache
 
 import numpy as np
 
+from .algebra import DimensionMismatchError, HermitianSpace
 from .spaces import (
     HPoint,
     PPoint,
-    hyperbolic_distance,
-    projective_distance,
-    random_point,
-    sphere_distance,
+    hyperbolic_distance_matrix,
+    normalized_coords,
+    projective_distance_matrix,
+    random_coords,
+    sphere_distance_matrix,
 )
+
+#: bytes of the stacked (trials, m, 4, m) Gram array of one block of
+#: violation_search; with the kernel's other stacked arrays, a block holds
+#: about 1 MB (each stacked trial of 24 points adds ~50 kB to peak RSS)
+SEARCH_BLOCK_BYTES = 1 << 18
 
 
 class NotNegativeTypeError(ValueError):
@@ -68,10 +75,7 @@ def negative_type_witness(D, tol=1e-9):
     if m < 2:
         raise ValueError("need at least two points")
     scale = max(np.abs(D).max(), 1e-300)
-    P = np.eye(m) - np.full((m, m), 1.0 / m)
-    centered = P @ D @ P
-    centered = 0.5 * (centered + centered.T)
-    eigvals, eigvecs = np.linalg.eigh(centered)
+    eigvals, eigvecs = np.linalg.eigh(_double_centered(D))
     top = eigvals[-1]
     if top <= tol * scale:
         return None
@@ -80,6 +84,14 @@ def negative_type_witness(D, tol=1e-9):
     t = t * (np.sqrt(m) / np.linalg.norm(t))
     q = quadratic_form(D, t)
     return t, q
+
+
+def _double_centered(D):
+    """P D P with P = I - J/m over the last two axes, symmetrized."""
+    m = D.shape[-1]
+    P = np.eye(m) - np.full((m, m), 1.0 / m)
+    centered = P @ D @ P
+    return 0.5 * (centered + np.swapaxes(centered, -1, -2))
 
 
 @lru_cache(maxsize=32)
@@ -192,26 +204,32 @@ def build_distance_matrix(points, metric=None):
     """Pairwise distance matrix; the metric is inferred from the point type.
 
     HPoint -> hyperbolic, PPoint -> projective, plain unit vectors ->
-    spherical.  A callable `metric` overrides the dispatch.
+    spherical, each from one batched kernel over all pairs.  A callable
+    `metric` overrides the dispatch and is called once per pair.
     """
     points = list(points)
     m = len(points)
-    if metric is None:
-        first = points[0]
-        if isinstance(first, HPoint):
-            metric = hyperbolic_distance
-        elif isinstance(first, PPoint):
-            metric = projective_distance
-        else:
-            metric = sphere_distance
-        kind = type(first)
-        if any(not isinstance(p, kind) for p in points):
-            raise ValueError("mixed point types in one configuration")
-    D = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            D[i, j] = D[j, i] = metric(points[i], points[j])
-    return D
+    if metric is not None:
+        D = np.zeros((m, m))
+        for i in range(m):
+            for j in range(i + 1, m):
+                D[i, j] = D[j, i] = metric(points[i], points[j])
+        return D
+    kind = type(points[0])
+    if any(not isinstance(p, kind) for p in points):
+        raise ValueError("mixed point types in one configuration")
+    if isinstance(points[0], HPoint):
+        if any(p.space != points[0].space for p in points):
+            raise DimensionMismatchError("points live in different spaces")
+        return hyperbolic_distance_matrix(np.stack([p.coords for p in points]))
+    if isinstance(points[0], PPoint):
+        if any(p.n != points[0].n for p in points):
+            raise DimensionMismatchError("projective points of different dimension")
+        return projective_distance_matrix(np.stack([p.coords for p in points]))
+    vectors = [np.asarray(p, dtype=float) for p in points]
+    if any(v.shape != vectors[0].shape for v in vectors):
+        raise DimensionMismatchError("sphere points of different dimension")
+    return sphere_distance_matrix(np.stack(vectors))
 
 
 @dataclass
@@ -225,17 +243,37 @@ class ViolationSearchResult:
     verified: bool = field(default=False)
 
 
-def _space_sampler(space, radius):
-    """Point sampler for a space selector: a HermitianSpace (hyperbolic) or
-    a string like 'p2' (real projective of that dimension)."""
-    from .algebra import HermitianSpace
+def _configuration_sampler(space, radius):
+    """Sampler for a space selector: a HermitianSpace (hyperbolic) or a
+    string like 'p2' (real projective of that dimension).
 
+    Returns draw(rng, trials, m) -> (D, points): the stacked (trials, m, m)
+    distance matrices of `trials` random m-point configurations, and
+    points(b), the points of configuration b.  Points are drawn in the
+    generator order of `trials * m` successive per-point samples.
+    """
     if isinstance(space, HermitianSpace):
-        return lambda rng: random_point(space, radius, rng)
+        def draw(rng, trials, m):
+            raw = random_coords(space, radius, rng, trials * m)
+            raw = raw.reshape(trials, m, space.dim, 4)
+            D = hyperbolic_distance_matrix(normalized_coords(raw))
+            return D, lambda b: [HPoint(space, c) for c in raw[b]]
+        return draw
     if isinstance(space, str) and space.startswith("p"):
         n = int(space[1:])
-        return lambda rng: PPoint(rng.standard_normal(n + 1))
+
+        def draw(rng, trials, m):
+            normals = rng.standard_normal((trials, m, n + 1))
+            D = projective_distance_matrix(
+                normals / np.linalg.norm(normals, axis=-1, keepdims=True))
+            return D, lambda b: [PPoint(v) for v in normals[b]]
+        return draw
     raise ValueError(f"unknown space selector {space!r}")
+
+
+def _block_trials(m):
+    """Trials stacked per block of violation_search for m-point configurations."""
+    return max(1, SEARCH_BLOCK_BYTES // (32 * m * m))
 
 
 def violation_search(space, m, trials, radius, rng, seed_points=None, tol=1e-9):
@@ -246,10 +284,16 @@ def violation_search(space, m, trials, radius, rng, seed_points=None, tol=1e-9):
     (optionally preceded by an explicit seed configuration) and returns the
     best Q found.  Any positive Q is re-verified by a direct quadratic-form
     evaluation before being reported as a violation.
+
+    Trials are drawn and screened in stacked blocks: one distance kernel,
+    one double centering and one eigvalsh per block.  The configurations
+    that pass the screen go through build_distance_matrix and
+    negative_type_witness one by one, in trial order, so the result is that
+    of running both on every configuration.
     """
     if m < 3 and seed_points is None:
         raise ValueError("need at least 3 points")
-    sample = _space_sampler(space, radius)
+    draw = _configuration_sampler(space, radius)
     best = ViolationSearchResult(points=[], t=None, q=-np.inf, trial=-1)
 
     def consider(points, trial):
@@ -265,9 +309,15 @@ def violation_search(space, m, trials, radius, rng, seed_points=None, tol=1e-9):
 
     if seed_points is not None:
         consider(list(seed_points), -1)
-    for trial in range(trials):
-        pts = [sample(rng) for _ in range(m)]
-        consider(pts, trial)
+    block = _block_trials(m)
+    for start in range(0, trials, block):
+        D, points = draw(rng, min(block, trials - start), m)
+        top = np.linalg.eigvalsh(_double_centered(D))[:, -1]
+        scale = np.maximum(np.abs(D).max(axis=(-2, -1)), 1e-300)
+        # half the tolerance: the stacked arithmetic may round differently
+        # from negative_type_witness, which makes the decision
+        for b in np.flatnonzero(top > 0.5 * tol * scale):
+            consider(points(b), start + int(b))
 
     if best.t is not None and best.q > 0:
         D = build_distance_matrix(best.points)

@@ -8,6 +8,7 @@ canonicalized; every public operation is phase invariant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,13 @@ from .algebra import (
 )
 
 NORMALIZATION_TOL = 1e-10
+
+#: _CONJ_MUL[p, q, c] is the e_c coefficient of conj(e_p) e_q, so that for
+#: a coefficient vector a, a @ _CONJ_MUL[:, :, c] is row c of the real 4x4
+#: matrix of b -> conj(a) b
+_CONJ_MUL = qmul(qconj(np.eye(4))[:, None, :], np.eye(4)[None, :, :])
+#: Re(u v) = sum_c _CONJ_SIGNS[c] u_c v_c, and |u|^2 = Re(u conj(u))
+_CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 class DegenerateSegmentError(ValueError):
@@ -47,10 +55,7 @@ class HPoint:
         if coords.shape[0] != space.dim:
             raise DimensionMismatchError(
                 f"expected {space.dim} coordinates, got {coords.shape[0]}")
-        q = form_coeffs(coords, coords)[0]
-        if q >= -1e-14 * float(np.sum(coords**2)):
-            raise ValueError("not a negative vector of the form")
-        coords = coords / np.sqrt(-q)
+        coords = normalized_coords(coords)
         coords.flags.writeable = False
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "coords", coords)
@@ -95,6 +100,17 @@ class PPoint:
         return f"PPoint({np.round(self.coords, 6).tolist()})"
 
 
+def normalized_coords(coords):
+    """Stacked (..., n+1, 4) coordinates of negative vectors scaled to
+    <x, x> = -1; the scaling `HPoint` applies to its coordinates."""
+    coords = np.asarray(coords, dtype=float)
+    lead = np.moveaxis(coords, -2, 0)  # form_coeffs wants coordinates first
+    q = form_coeffs(lead, lead)[..., 0]
+    if not np.all(q < -1e-14 * np.sum(coords**2, axis=(-2, -1))):  # NaN too
+        raise ValueError("not a negative vector of the form")
+    return coords / np.sqrt(-q)[..., None, None]
+
+
 def base_point(space):
     """The origin x0 = (1, 0, ..., 0)."""
     c = np.zeros((space.dim, 4))
@@ -108,33 +124,84 @@ def _check_same_space(x, y):
             f"points live in different spaces: {x.space} vs {y.space}")
 
 
+def _pairs_to_matrix(values, m):
+    """(..., m, m) matrix with the upper-triangle pair values mirrored below
+    an exact zero diagonal."""
+    D = np.zeros(values.shape[:-1] + (m, m))
+    iu = np.triu_indices(m, k=1)
+    D[..., iu[0], iu[1]] = values
+    return D + np.swapaxes(D, -1, -2)
+
+
+def hyperbolic_distance_matrix(coords):
+    """Distances between stacked points of H^n_F: (..., m, n+1, 4) normalized
+    coordinates -> (..., m, m), cosh d_ij = |<x_i, x_j>|.
+
+    Every <x_i, x_j> comes from one real matrix product: the rows of x_i are
+    the real 4x4 matrices of "conjugate, then multiply" by its coordinates,
+    with the form's signs, the columns the coefficients of x_j.
+    |<x_i, x_j>|^2 is taken as Re(<x_i, x_j> <x_j, x_i>), which is exactly
+    symmetric in i and j.
+    """
+    X = np.asarray(coords, dtype=float)
+    *batch, m, dim, _ = X.shape
+    signs = np.ones(dim)
+    signs[0] = -1.0
+    # left[..., i, c, k, q] = signs[k] * (matrix of conj(x_i^k))[c, q]
+    left = np.einsum("...ikp,k,pqc->...ickq", X, signs, _CONJ_MUL, order="C")
+    gram = left.reshape(*batch, m * 4, dim * 4) @ np.swapaxes(
+        X.reshape(*batch, m, dim * 4), -1, -2)
+    del left  # not needed past the product; freeing it lowers peak memory
+    gram = gram.reshape(*batch, m, 4, m)  # gram[..., i, :, j] = <x_i, x_j>
+    mod2 = np.einsum("...icj,c,...jci->...ij", gram, _CONJ_SIGNS, gram)
+    iu = np.triu_indices(m, k=1)
+    mod = np.sqrt(mod2[..., iu[0], iu[1]])
+    if np.any(mod < 1.0 - 1e-9):
+        raise ArithmeticError(
+            f"|<x, y>| = {mod.min()} < 1 for negative vectors; inconsistent state")
+    return _pairs_to_matrix(np.arccosh(np.maximum(mod, 1.0)), m)
+
+
+def projective_distance_matrix(coords):
+    """Distances between stacked points of P^n_R: (..., m, n+1) unit
+    representatives -> (..., m, m), cos d_ij = |(x_i, x_j)|, in [0, pi/2]."""
+    X = np.asarray(coords, dtype=float)
+    m = X.shape[-2]
+    iu = np.triu_indices(m, k=1)
+    inner = (X @ np.swapaxes(X, -1, -2))[..., iu[0], iu[1]]
+    # arctan2 form is stable near coincident and orthogonal representatives
+    perp = X[..., iu[1], :] - X[..., iu[0], :] * inner[..., None]
+    return _pairs_to_matrix(
+        np.arctan2(np.linalg.norm(perp, axis=-1), np.abs(inner)), m)
+
+
+def sphere_distance_matrix(coords):
+    """Distances between stacked vectors on the unit sphere after
+    normalization: (..., m, n+1) -> (..., m, m), arccos(x_i . x_j)."""
+    X = np.asarray(coords, dtype=float)
+    X = X / np.linalg.norm(X, axis=-1, keepdims=True)
+    m = X.shape[-2]
+    iu = np.triu_indices(m, k=1)
+    inner = (X @ np.swapaxes(X, -1, -2))[..., iu[0], iu[1]]
+    return _pairs_to_matrix(np.arccos(np.clip(inner, -1.0, 1.0)), m)
+
+
 def hyperbolic_distance(x, y):
     """Geodesic distance: cosh d = |<x, y>| for normalized representatives."""
     _check_same_space(x, y)
-    mod = float(qnorm(form_coeffs(x.coords, y.coords)))
-    if mod < 1.0 - 1e-9:
-        raise ArithmeticError(
-            f"|<x, y>| = {mod} < 1 for negative vectors; inconsistent state")
-    return float(np.arccosh(max(mod, 1.0)))
+    return float(hyperbolic_distance_matrix(np.stack([x.coords, y.coords]))[0, 1])
 
 
 def projective_distance(x, y):
     """Geodesic distance on P^n_R: cos d = |(x, y)|, in [0, pi/2]."""
     if x.n != y.n:
         raise DimensionMismatchError("projective points of different dimension")
-    inner = float(x.coords @ y.coords)
-    # arctan2 form is stable near coincident and orthogonal representatives
-    perp = y.coords - x.coords * inner
-    return float(np.arctan2(np.linalg.norm(perp), abs(inner)))
+    return float(projective_distance_matrix(np.stack([x.coords, y.coords]))[0, 1])
 
 
 def sphere_distance(x, y):
     """Geodesic distance on the unit sphere: arccos(x . y), in [0, pi]."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    x = x / np.linalg.norm(x)
-    y = y / np.linalg.norm(y)
-    return float(np.arccos(np.clip(x @ y, -1.0, 1.0)))
+    return float(sphere_distance_matrix(np.stack([x, y]))[0, 1])
 
 
 def jordan_trace_distance(x, y):
@@ -196,27 +263,45 @@ def geodesic_point(seg, s):
     return seg.point(s)
 
 
+def random_coords(space, radius, rng, count):
+    """Coordinates (count, n+1, 4) of `count` points at geodesic distance
+    <= radius from the base point, not yet normalized.
+
+    Each point takes, in order, an (n, k) normal draw for its tangent
+    direction, redrawn while its norm is below 1e-12, then one uniform
+    radius; radius 0 draws nothing.  `HPoint(space, c)` of row i is the
+    point the i-th of `count` successive `random_point` calls returns.
+    """
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    coords = np.zeros((count, space.dim, 4))
+    if radius == 0:
+        coords[:, 0, 0] = 1.0
+        return coords
+    k = FIELD_DIM[space.field]
+    normals, radii = [], []
+    for _ in range(count):
+        v = rng.standard_normal((space.n, k))
+        while math.hypot(*v.flat) < 1e-12:
+            v = rng.standard_normal((space.n, k))
+        normals.append(v)
+        radii.append(rng.uniform(0.0, radius))
+    dirs = np.zeros((count, space.n, 4))
+    dirs[:, :, :k] = normals
+    norm = np.sqrt(np.sum(dirs**2, axis=(-2, -1)))
+    s = np.array(radii)
+    coords[:, 0, 0] = np.cosh(s)
+    coords[:, 1:] = dirs / norm[:, None, None] * np.sinh(s)[:, None, None]
+    return coords
+
+
 def random_point(space, radius, rng):
     """A point at geodesic distance <= radius from the base point.
 
     Distribution: uniform tangent direction at x0 times uniform radius on
     [0, radius] (not uniform in hyperbolic volume).
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    if radius == 0:
-        return base_point(space)
-    k = FIELD_DIM[space.field]
-    v = np.zeros((space.n, 4))
-    v[:, :k] = rng.standard_normal((space.n, k))
-    norm = np.sqrt(np.sum(v**2))
-    if norm < 1e-12:
-        return random_point(space, radius, rng)
-    w = np.zeros((space.dim, 4))
-    w[1:] = v / norm
-    s = rng.uniform(0.0, radius)
-    x0 = base_point(space).coords
-    return HPoint(space, x0 * np.cosh(s) + w * np.sinh(s))
+    return HPoint(space, random_coords(space, radius, rng, 1)[0])
 
 
 class Isometry:

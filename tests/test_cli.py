@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from hypcrofton import crofton
 from hypcrofton.cli import main
 
 
@@ -205,20 +207,59 @@ class TestCrofton:
         assert stderr > 0
 
     @pytest.mark.parametrize("argv,message", [
-        (("hyperplane", "--pairs", "0,1"), "--pairs: distances must be finite"),
-        (("hyperplane", "--pairs", "-1"), "--pairs: distances must be finite"),
-        (("hyperplane", "--pairs", "1,inf"), "--pairs: distances must be finite"),
-        (("hyperplane", "--samples", "0"), "--samples: must be at least 1"),
-        (("horosphere", "--workers", "0"), "--workers: must be at least 1"),
-        (("sphere", "--dim", "0"), "--dim: must be at least 1"),
+        (("crofton", "hyperplane", "--pairs", "0,1"),
+         "--pairs: distances must be finite"),
+        (("crofton", "hyperplane", "--pairs", "-1"),
+         "--pairs: distances must be finite"),
+        (("crofton", "hyperplane", "--pairs", "1,inf"),
+         "--pairs: distances must be finite"),
+        (("crofton", "hyperplane", "--samples", "0"), "--samples: must be at least 1"),
+        (("crofton", "horosphere", "--workers", "0"), "--workers: must be at least 1"),
+        (("crofton", "sphere", "--dim", "0"), "--dim: must be at least 1"),
+        # past the domain, math.cosh raised OverflowError (exit 1, traceback)
+        (("crofton", "horosphere", "--field", "h", "--pairs", "800"),
+         "error: distance 800 is beyond 16"),
+        # past the domain, the estimate was NaN and called consistent (exit 0)
+        (("crofton", "hyperplane", "--dim", "3", "--pairs", "400"),
+         "error: distance 400 is beyond 16"),
+        (("crofton", "horosphere", "--pairs", "1,16.5", "--samples", "10"),
+         "error: distance 16.5 is beyond 16"),
+        (("search-violations", "--trials", "-3"), "--trials: must be at least 0"),
+        (("search-violations", "--m", "2"), "--m: must be at least 3"),
+        (("search-violations", "--m", "x"), "--m: not an integer"),
+        (("search-violations", "--radius", "-1"), "--radius: must be finite and in [0, 16]"),
+        (("search-violations", "--radius", "nan"), "--radius: must be finite and in [0, 16]"),
+        (("search-violations", "--radius", "17"), "--radius: must be finite and in [0, 16]"),
     ], ids=["pairs-zero", "pairs-negative", "pairs-inf", "samples-zero",
-            "workers-zero", "dim-zero"])
+            "workers-zero", "dim-zero", "horosphere-beyond-domain",
+            "hyperplane-beyond-domain", "pair-beyond-domain", "trials-negative",
+            "m-below-3", "m-not-integer", "radius-negative", "radius-nan",
+            "radius-beyond-domain"])
     def test_invalid_argument_exits_2(self, capsys, argv, message):
-        code, out, err = run_cli(capsys, "crofton", *argv)
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert "Traceback" not in err
         assert message in err.strip().splitlines()[-1]
+
+    def test_largest_supported_distance(self, capsys):
+        code, out, _ = run_cli(capsys, "crofton", "hyperplane", "--dim", "3",
+                               "--pairs", "16", "--samples", "1000", "--seed", "1")
+        assert code in (0, 1)
+        assert math.isfinite(json.loads(out)["results"][0]["ratio"])
+
+    def test_non_finite_estimate_is_not_consistent(self, capsys, monkeypatch):
+        real = crofton.estimate_m
+
+        def nan_estimate(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), estimate=math.nan,
+                                       ratio=math.nan)
+
+        monkeypatch.setattr(crofton, "estimate_m", nan_estimate)
+        code, out, _ = run_cli(capsys, "crofton", "hyperplane", "--pairs", "1",
+                               "--samples", "1000")
+        assert code == 1
+        assert json.loads(out)["verdict"] == "non-finite estimate"
 
     def test_complex_hyperplane_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "crofton", "hyperplane",
@@ -237,6 +278,13 @@ class TestSearchViolations:
         report = json.loads(out)
         assert report["verdict"] == "violation found"
         assert report["results"][0]["verified"]
+
+    def test_zero_trials_with_structured_seed(self, capsys):
+        code, out, _ = run_cli(capsys, "search-violations", "--m", "24",
+                               "--trials", "0", "--structured-seed")
+        assert code == 0
+        result = json.loads(out)["results"][0]
+        assert result["trial"] == -1 and result["verified"]
 
     def test_structured_seed_field_guard(self, capsys):
         code, _, err = run_cli(capsys, "search-violations", "--field", "r",

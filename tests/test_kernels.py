@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from hypcrofton.algebra import COMPLEX, QUATERNION, REAL, HermitianSpace
+from hypcrofton.algebra import (
+    COMPLEX,
+    QUATERNION,
+    REAL,
+    DimensionMismatchError,
+    HermitianSpace,
+)
 from hypcrofton.configurations import (
     SPLIT_COEFFICIENTS,
     cluster_sums,
@@ -10,6 +16,7 @@ from hypcrofton.configurations import (
 )
 from hypcrofton.kernels import (
     NotNegativeTypeError,
+    _block_trials,
     build_distance_matrix,
     hypermetric_scan,
     negative_type_witness,
@@ -17,7 +24,7 @@ from hypcrofton.kernels import (
     sqrt_embed,
     violation_search,
 )
-from hypcrofton.spaces import PPoint, random_point
+from hypcrofton.spaces import PPoint, jordan_trace_distance, random_point
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +213,51 @@ class TestBuildDistanceMatrix:
             build_distance_matrix(pts)
 
 
+    @pytest.mark.parametrize("points", [
+        [random_point(HermitianSpace(REAL, 2), 1.0, np.random.default_rng(9)),
+         random_point(HermitianSpace(REAL, 3), 1.0, np.random.default_rng(9))],
+        [random_point(HermitianSpace(REAL, 2), 1.0, np.random.default_rng(9)),
+         random_point(HermitianSpace(COMPLEX, 2), 1.0, np.random.default_rng(9))],
+        [PPoint([1, 0, 0]), PPoint([1, 0, 0, 1])],
+        [np.array([1.0, 0, 0]), np.array([0, 1.0, 0, 0])],
+    ], ids=["hyperbolic-dim", "hyperbolic-field", "projective", "sphere"])
+    def test_mixed_spaces_rejected(self, points):
+        with pytest.raises(DimensionMismatchError):
+            build_distance_matrix(points)
+
+    def test_metric_callable_runs_per_pair(self):
+        pts = projective_six_points()
+        D = build_distance_matrix(pts, metric=jordan_trace_distance)
+        for i, x in enumerate(pts):
+            for j, y in enumerate(pts):
+                assert D[i, j] == (jordan_trace_distance(x, y) if i != j else 0.0)
+
+
+def reference_search(space, m, trials, radius, rng, seed_points=None, tol=1e-9):
+    """violation_search one configuration at a time: (trial, q, t, verified)."""
+    if isinstance(space, str):
+        n = int(space[1:])
+
+        def sample():
+            return PPoint(rng.standard_normal(n + 1))
+    else:
+        def sample():
+            return random_point(space, radius, rng)
+    best = (-1, -np.inf, None, [])
+    configs = [] if seed_points is None else [(-1, list(seed_points))]
+    configs += [(trial, [sample() for _ in range(m)]) for trial in range(trials)]
+    for trial, points in configs:
+        witness = negative_type_witness(build_distance_matrix(points), tol=tol)
+        if witness is not None and witness[1] > best[1]:
+            best = (trial, witness[1], witness[0], points)
+    trial, q, t, points = best
+    verified = False
+    if t is not None and q > 0:
+        direct = quadratic_form(build_distance_matrix(points), t)
+        verified = abs(direct - q) <= 1e-9 * max(abs(q), 1.0)
+    return trial, q, t, verified
+
+
 class TestViolationSearch:
     def test_real_hyperbolic_plane_clean(self):
         space = HermitianSpace(REAL, 2)
@@ -232,3 +284,34 @@ class TestViolationSearch:
         with pytest.raises(ValueError):
             violation_search("x9", m=4, trials=1, radius=1.0,
                              rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("space,m,radius,seeds,structured", [
+        (HermitianSpace(QUATERNION, 2), 24, 2.0, (1,), True),
+        (HermitianSpace(COMPLEX, 3), 8, 3.0, (2,), False),
+        (HermitianSpace(REAL, 2), 8, 0.0, (3,), False),
+        ("p2", 6, 0.0, (0, 6), False),
+    ], ids=["h2-structured", "c3", "radius-0", "p2"])
+    def test_blocks_match_per_trial_search(self, space, m, radius, seeds,
+                                           structured):
+        block = _block_trials(m)
+        seed_points = quaternionic_cluster_points() if structured else None
+        for seed in seeds:
+            for trials in (0, 1, block - 1, block, block + 1, 3 * block + 2):
+                rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+                best = violation_search(space, m, trials, radius, rng,
+                                        seed_points=seed_points)
+                trial, q, t, verified = reference_search(
+                    space, m, trials, radius, ref_rng, seed_points=seed_points)
+                assert (best.trial, best.q, best.verified) == (trial, q, verified)
+                assert (best.t is None) == (t is None)
+                if t is not None:
+                    assert np.array_equal(best.t, t)
+                # the same generator calls, in the same order
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_p2_hits_in_two_blocks(self):
+        # seed 6 violates at trials 127 and 168, seed 0 at 527 (block 2)
+        for seed, trial in ((6, 168), (0, 527)):
+            best = violation_search("p2", m=6, trials=3 * _block_trials(6) + 2,
+                                    radius=0.0, rng=np.random.default_rng(seed))
+            assert best.trial == trial and best.verified

@@ -7,6 +7,8 @@ from hypcrofton.algebra import (
     REAL,
     HermitianSpace,
     Quaternion,
+    form_coeffs,
+    qnorm,
 )
 from hypcrofton.spaces import (
     DegenerateSegmentError,
@@ -16,11 +18,15 @@ from hypcrofton.spaces import (
     geodesic_between,
     geodesic_point,
     hyperbolic_distance,
+    hyperbolic_distance_matrix,
     jordan_trace_distance,
     projective_distance,
+    projective_distance_matrix,
+    random_coords,
     random_isometry,
     random_point,
     sphere_distance,
+    sphere_distance_matrix,
     translation_to_base,
 )
 
@@ -52,6 +58,11 @@ class TestHPoint:
         space = HermitianSpace(REAL, 2)
         with pytest.raises(ValueError):
             HPoint(space, [0.5, 1.0, 0.0])
+
+    @pytest.mark.parametrize("coords", [[np.nan, 0.0, 0.0], [1.0, np.nan, 0.0]])
+    def test_rejects_nan_coordinates(self, coords):
+        with pytest.raises(ValueError):
+            HPoint(HermitianSpace(REAL, 2), coords)
 
     def test_immutable(self):
         x = base_point(HermitianSpace(REAL, 2))
@@ -135,6 +146,95 @@ class TestSphereDistance:
         assert sphere_distance(e1, e1) == 0.0
         assert sphere_distance(e1, -e1) == pytest.approx(np.pi)
         assert sphere_distance(e1, [0, 1, 0]) == pytest.approx(np.pi / 2)
+
+
+class TestDistanceMatrixKernels:
+    """The batched kernels against the scalar formulas, pair by pair.
+
+    Hyperbolic distances are compared in cosh d = |<x, y>|, the sum both
+    sides compute in a different order: arccosh near 1 magnifies last-digit
+    differences, so close pairs far from the base point (d = 5e-4 at radius
+    5) disagree by 5e-10 relative in d while cosh d agrees to 1e-15 of
+    |x| |y|, the size of the terms summed.  Sphere distances are compared
+    in cos d for the same reason.
+    """
+
+    @pytest.mark.parametrize("field", ALL_FIELDS)
+    def test_hyperbolic_matches_form_pair_by_pair(self, field):
+        space = HermitianSpace(field, 2)
+        rng = np.random.default_rng(20)
+        pts = [random_point(space, r, rng) for r in np.linspace(0.0, 5.0, 12)]
+        D = hyperbolic_distance_matrix(np.stack([p.coords for p in pts]))
+        for i, x in enumerate(pts):
+            for j, y in enumerate(pts):
+                if i == j:
+                    continue
+                cosh_ref = float(qnorm(form_coeffs(x.coords, y.coords)))
+                tol = 1e-12 * np.linalg.norm(x.coords) * np.linalg.norm(y.coords)
+                assert abs(np.cosh(D[i, j]) - cosh_ref) <= tol
+                assert abs(np.cosh(hyperbolic_distance(x, y)) - cosh_ref) <= tol
+
+    def test_projective_matches_formula_pair_by_pair(self):
+        rng = np.random.default_rng(21)
+        pts = [PPoint(rng.standard_normal(3)) for _ in range(10)]
+        D = projective_distance_matrix(np.stack([p.coords for p in pts]))
+        for i, x in enumerate(pts):
+            for j, y in enumerate(pts):
+                if i == j:
+                    continue
+                inner = float(x.coords @ y.coords)
+                ref = np.arctan2(np.linalg.norm(y.coords - x.coords * inner),
+                                 abs(inner))
+                assert D[i, j] == pytest.approx(ref, rel=1e-12)
+                assert projective_distance(x, y) == pytest.approx(ref, rel=1e-12)
+
+    def test_sphere_matches_formula_pair_by_pair(self):
+        rng = np.random.default_rng(22)
+        vecs = rng.standard_normal((10, 3)) * rng.uniform(0.5, 2.0, (10, 1))
+        D = sphere_distance_matrix(vecs)
+        units = [v / np.linalg.norm(v) for v in vecs]
+        for i in range(10):
+            for j in range(10):
+                if i == j:
+                    continue
+                cos_ref = float(units[i] @ units[j])
+                assert abs(np.cos(D[i, j]) - cos_ref) <= 1e-12
+                assert abs(np.cos(sphere_distance(vecs[i], vecs[j])) - cos_ref) <= 1e-12
+
+    def test_zero_diagonal_symmetry_and_stacking(self):
+        rng = np.random.default_rng(23)
+        space = HermitianSpace(QUATERNION, 3)
+        hyper = np.array([[random_point(space, 3.0, rng).coords for _ in range(7)]
+                          for _ in range(4)])
+        proj = np.array([[PPoint(v).coords for v in rng.standard_normal((7, 3))]
+                         for _ in range(4)])
+        sphere = rng.standard_normal((4, 7, 3))
+        for kernel, coords in ((hyperbolic_distance_matrix, hyper),
+                               (projective_distance_matrix, proj),
+                               (sphere_distance_matrix, sphere)):
+            D = kernel(coords)
+            assert D.shape == (4, 7, 7)
+            assert np.all(np.diagonal(D, axis1=-2, axis2=-1) == 0.0)
+            assert np.array_equal(D, np.swapaxes(D, -1, -2))
+            assert np.all(D[:, ~np.eye(7, dtype=bool)] > 0.0)
+            for b in range(4):
+                assert np.allclose(np.cos(D[b]), np.cos(kernel(coords[b])),
+                                   rtol=0.0, atol=1e-14)
+
+    def test_inconsistent_coordinates_raise(self):
+        x0 = base_point(HermitianSpace(REAL, 2)).coords
+        with pytest.raises(ArithmeticError):
+            hyperbolic_distance_matrix(np.stack([x0, 0.5 * x0]))
+
+    @pytest.mark.parametrize("field,n", [(REAL, 3), (COMPLEX, 2), (QUATERNION, 2)])
+    def test_axis_pairs_bit_identical_to_scalar_formula(self, field, n):
+        # the Crofton estimators take d from these pairs
+        space = HermitianSpace(field, n)
+        x0 = base_point(space)
+        for d in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0):
+            y = axis_point(space, d)
+            mod = float(qnorm(form_coeffs(x0.coords, y.coords)))
+            assert hyperbolic_distance(x0, y) == float(np.arccosh(max(mod, 1.0)))
 
 
 class TestJordanTraceDistance:
@@ -245,6 +345,33 @@ class TestRandomPoint:
         a = random_point(space, 2.0, np.random.default_rng(99))
         b = random_point(space, 2.0, np.random.default_rng(99))
         assert np.array_equal(a.coords, b.coords)
+
+    @pytest.mark.parametrize("field", ALL_FIELDS)
+    def test_generator_calls_replayed_by_hand(self, field):
+        # per point: an (n, k) normal for the direction, then one uniform
+        space = HermitianSpace(field, 3)
+        k = {REAL: 1, COMPLEX: 2, QUATERNION: 4}[field]
+        rng, replay = np.random.default_rng(24), np.random.default_rng(24)
+        coords = random_coords(space, 2.5, rng, 6)
+        for c in coords:
+            v = replay.standard_normal((3, k))
+            s = replay.uniform(0.0, 2.5)
+            expected = np.zeros((4, 4))
+            expected[0, 0] = np.cosh(s)
+            expected[1:, :k] = v / np.linalg.norm(v) * np.sinh(s)
+            assert np.allclose(c, expected, rtol=1e-14, atol=0.0)
+        assert rng.bit_generator.state == replay.bit_generator.state
+        point = random_point(space, 2.5, rng)
+        assert np.array_equal(point.coords,
+                              HPoint(space, random_coords(space, 2.5, replay, 1)[0]).coords)
+
+    def test_zero_radius_draws_nothing(self):
+        space = HermitianSpace(QUATERNION, 2)
+        rng = np.random.default_rng(25)
+        state = rng.bit_generator.state
+        coords = random_coords(space, 0.0, rng, 3)
+        assert rng.bit_generator.state == state
+        assert np.array_equal(coords, np.broadcast_to(base_point(space).coords, coords.shape))
 
 
 class TestRandomIsometry:
