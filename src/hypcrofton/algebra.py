@@ -154,6 +154,14 @@ def qnorm(a):
     return np.linalg.norm(np.asarray(a, dtype=float), axis=-1)
 
 
+#: CONJ_MUL[p, q, c] is the e_c coefficient of conj(e_p) e_q, so that for
+#: a coefficient vector a, a @ CONJ_MUL[:, :, c] is row c of the real 4x4
+#: matrix of b -> conj(a) b
+CONJ_MUL = qmul(qconj(np.eye(4))[:, None, :], np.eye(4)[None, :, :])
+#: Re(u v) = sum_c CONJ_SIGNS[c] u_c v_c, and |u|^2 = Re(u conj(u))
+CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+
+
 def to_coeffs(values, field):
     """Coerce a vector over `field` to an (m, 4) float coefficient array.
 

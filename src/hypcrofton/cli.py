@@ -180,6 +180,16 @@ def _axis_pair(space, d):
     return x0, spaces.HPoint(space, c)
 
 
+def _crofton_constant(carrier, field, n):
+    """The ratio estimate / d that the carrier's Crofton formula predicts."""
+    if carrier == "hyperplane":
+        return crofton.sphere_area(n - 2) / (n - 1) if n > 1 else 1.0
+    if carrier == "horosphere":
+        m = FIELD_DIM[field] * n - 1  # 2 vol(B^m)
+        return 2.0 * math.pi ** (0.5 * m) / math.gamma(0.5 * m + 1.0)
+    return 1.0 / math.pi
+
+
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_dist(args):
@@ -268,9 +278,16 @@ def cmd_crofton(args):
     ratio_errs = [r["stderr"] / r["d"] for r in results]
     finite = all(math.isfinite(r[key]) for r in results
                  for key in ("estimate", "stderr", "ratio"))
-    consistent = finite and all(
-        abs(ratios[i] - ratios[j]) <= 3.0 * math.hypot(ratio_errs[i], ratio_errs[j])
-        for i in range(len(ratios)) for j in range(i + 1, len(ratios)))
+    if len(results) == 1:
+        # nothing to compare with but the closed form; the slack covers
+        # estimates that are exact up to rounding (hyperplanes of H^1_R)
+        constant = _crofton_constant(args.carrier, args.field, args.dim)
+        consistent = finite and abs(ratios[0] - constant) \
+            <= 3.0 * ratio_errs[0] + 1e-12 * constant
+    else:
+        consistent = finite and all(
+            abs(ratios[i] - ratios[j]) <= 3.0 * math.hypot(ratio_errs[i], ratio_errs[j])
+            for i in range(len(ratios)) for j in range(i + 1, len(ratios)))
     if not finite:
         verdict = "non-finite estimate"
     else:
@@ -364,7 +381,7 @@ def build_parser():
     p = sub.add_parser("scan-hypermetric", help="bounded integer hypermetric scan")
     p.add_argument("--points")
     p.add_argument("--matrix")
-    p.add_argument("--bound", type=int, default=2)
+    p.add_argument("--bound", type=_int_at_least(1), default=2)
     common(p, seeded=False)
     p.set_defaults(func=cmd_scan_hypermetric)
 

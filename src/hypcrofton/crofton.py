@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import FIELD_DIM, REAL, form_coeffs, qconj, qmul, qnorm
+from .algebra import CONJ_MUL, FIELD_DIM, REAL, form_coeffs, qconj, qmul, qnorm
 from .spaces import (
     GeodesicSegment,
     HPoint,
@@ -318,22 +318,38 @@ def count_cosh_roots(alpha, beta, gamma, interval):
     return len(inside), inside
 
 
-def _level_coefficients(seg, xi):
+def _level_matrix(seg):
+    """Real (n+1, 4, 8) tensor L of the segment's pairing with any xi.
+
+    [a + b | a - b] = xi.ravel() @ L.reshape(-1, 8), with a = <x, xi> and
+    b = <w, xi> for the segment's base x and tangent w, 4 coefficients
+    each.  The pairing is real-linear in xi, so L[j, q] is the image of the
+    unit coefficient e_q in slot j; it is built from CONJ_MUL and the
+    form's signs, like the rows of spaces.hyperbolic_distance_matrix.
+    """
+    signs = np.ones(seg.space.dim)
+    signs[0] = -1.0
+    ends = np.stack([seg.base + seg.tangent, seg.base - seg.tangent])
+    return np.einsum("sjp,j,pqc->jqsc", ends, signs,
+                     CONJ_MUL).reshape(seg.space.dim, 4, 8)
+
+
+def _level_coefficients(P):
     """(up, down, gamma): |<p(s), xi>|^2 = (up e^{2s} + down e^{-2s}) / 2 + gamma.
 
-    p(s) = x cosh s + w sinh s runs along the segment and xi is a batch of
-    vectors, an (n+1, size, 4) coefficient array; each coefficient has shape
-    (size,).  With a = <x, xi> and b = <w, xi>: up = |a + b|^2 / 2,
-    down = |a - b|^2 / 2 and gamma = (|a|^2 - |b|^2) / 2, which is >= 0 for
-    a null xi (clamped against rounding).  In the basis cosh 2s, sinh 2s the
-    coefficients are alpha = (up + down) / 2 and beta = (up - down) / 2;
-    this basis keeps every term nonnegative, so evaluating G never cancels.
+    p(s) = x cosh s + w sinh s runs along the segment, and each row of the
+    (size, 8) array P is [a + b | a - b] for one xi (see _level_matrix);
+    each coefficient has shape (size,).  up = |a + b|^2 / 2,
+    down = |a - b|^2 / 2 and gamma = (a + b).(a - b) / 2 = (|a|^2 - |b|^2) / 2,
+    which is >= 0 for a null xi (clamped against rounding).  In the basis
+    cosh 2s, sinh 2s the coefficients are alpha = (up + down) / 2 and
+    beta = (up - down) / 2; this basis keeps every term nonnegative, so
+    evaluating G never cancels.
     """
-    a = form_coeffs(seg.base[:, None, :], xi)
-    b = form_coeffs(seg.tangent[:, None, :], xi)
-    gamma = 0.5 * (np.sum(a * a, axis=-1) - np.sum(b * b, axis=-1))
-    return (0.5 * np.sum((a + b) ** 2, axis=-1), 0.5 * np.sum((a - b) ** 2, axis=-1),
-            np.maximum(gamma, 0.0))
+    plus, minus = P[:, :4], P[:, 4:]
+    return (0.5 * np.einsum("ij,ij->i", plus, plus),
+            0.5 * np.einsum("ij,ij->i", minus, minus),
+            np.maximum(0.5 * np.einsum("ij,ij->i", plus, minus), 0.0))
 
 
 def count_horosphere_intersections(h, seg):
@@ -344,8 +360,8 @@ def count_horosphere_intersections(h, seg):
     """
     if h.space != seg.space:
         raise ValueError("horosphere and segment live in different spaces")
-    up, down, gamma = (float(c[0]) for c in
-                       _level_coefficients(seg, h.xi[:, None, :]))
+    P = h.xi.reshape(1, -1) @ _level_matrix(seg).reshape(-1, 8)
+    up, down, gamma = (float(c[0]) for c in _level_coefficients(P))
     if up == 0.0 and down == 0.0:
         raise ArithmeticError("degenerate pairing; invalid horosphere or segment")
     count, _ = count_cosh_roots(0.5 * (up + down), 0.5 * (up - down), 1.0 - gamma,
@@ -360,17 +376,25 @@ def _radial_potential(G, e):
     return G ** (-0.5 * (e + 1)) / (e + 1)
 
 
-def _horosphere_values(seg, xi, e, u):
-    """Per direction xi = (1, w): the measure of crossing horospheres and a count.
+def _horosphere_values(seg, w, u):
+    """Per direction w: the measure of crossing horospheres and a count.
 
-    The measure is the total variation of Phi(G^{-1/2}) on [0, L].  G's only
+    w is a (size, kn) array of unit vectors of F^n, k coefficients per
+    coordinate, and the horospheres of direction w are xi = r (1, w).  The
+    measure is the total variation of Phi(G^{-1/2}) on [0, L].  G's only
     critical point is its minimum sqrt(up * down) + gamma, at
     e^{4s} = down / up, which lies inside the segment when
     1 < down / up < e^{4L}.  The count is that of one radius per direction,
     drawn by the uniforms u from r^e dr among the horospheres meeting the
     segment: Phi values above both endpoint values are met twice.
     """
-    up, down, gamma = _level_coefficients(seg, xi)
+    k, n = FIELD_DIM[seg.space.field], seg.space.n
+    e = k * (n + 1) - 3
+    L = _level_matrix(seg)
+    # xi = (1, w) in the field's first k slots, so [a + b | a - b] is affine in w
+    P = w @ L[1:, :k].reshape(k * n, 8)
+    P += L[0, 0]  # in place: a fresh (size, 8) array costs more than the product
+    up, down, gamma = _level_coefficients(P)
     grow = math.exp(2.0 * seg.length)
     g0 = 0.5 * (up + down) + gamma
     g1 = 0.5 * (up * grow + down / grow) + gamma
@@ -527,11 +551,8 @@ def estimate_horosphere_crofton(x, y, samples, seed=0, workers=1):
     k, n = FIELD_DIM[space.field], space.n
 
     def values(seg, rng, size):
-        xi = np.zeros((n + 1, size, 4))
-        xi[0, :, 0] = 1.0
-        xi[1:, :, :k] = np.moveaxis(
-            _uniform_sphere(k * n, size, rng).reshape(size, n, k), 0, 1)
-        return _horosphere_values(seg, xi, k * (n + 1) - 3, rng.random(size))
+        w = _uniform_sphere(k * n, size, rng)
+        return _horosphere_values(seg, w, rng.random(size))
 
     return _conditional_estimate(x, y, samples, seed, workers,
                                  sphere_area(k * n - 1), values)

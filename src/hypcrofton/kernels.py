@@ -69,7 +69,10 @@ def negative_type_witness(D, tol=1e-9):
     compared against tol * max|D|.  A returned witness is the corresponding
     eigenvector, automatically sum-zero, scaled to |t|^2 = m so that its Q
     is at least the Q of any +-1 split vector; Q is its quadratic form.
+    Raises ValueError for a tolerance that is negative or not finite.
     """
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
     D = validate_distance_matrix(D)
     m = D.shape[0]
     if m < 2:

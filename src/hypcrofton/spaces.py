@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    CONJ_MUL,
+    CONJ_SIGNS,
     FIELD_DIM,
     REAL,
     DimensionMismatchError,
@@ -27,13 +29,6 @@ from .algebra import (
 )
 
 NORMALIZATION_TOL = 1e-10
-
-#: _CONJ_MUL[p, q, c] is the e_c coefficient of conj(e_p) e_q, so that for
-#: a coefficient vector a, a @ _CONJ_MUL[:, :, c] is row c of the real 4x4
-#: matrix of b -> conj(a) b
-_CONJ_MUL = qmul(qconj(np.eye(4))[:, None, :], np.eye(4)[None, :, :])
-#: Re(u v) = sum_c _CONJ_SIGNS[c] u_c v_c, and |u|^2 = Re(u conj(u))
-_CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 class DegenerateSegmentError(ValueError):
@@ -148,12 +143,12 @@ def hyperbolic_distance_matrix(coords):
     signs = np.ones(dim)
     signs[0] = -1.0
     # left[..., i, c, k, q] = signs[k] * (matrix of conj(x_i^k))[c, q]
-    left = np.einsum("...ikp,k,pqc->...ickq", X, signs, _CONJ_MUL, order="C")
+    left = np.einsum("...ikp,k,pqc->...ickq", X, signs, CONJ_MUL, order="C")
     gram = left.reshape(*batch, m * 4, dim * 4) @ np.swapaxes(
         X.reshape(*batch, m, dim * 4), -1, -2)
     del left  # not needed past the product; freeing it lowers peak memory
     gram = gram.reshape(*batch, m, 4, m)  # gram[..., i, :, j] = <x_i, x_j>
-    mod2 = np.einsum("...icj,c,...jci->...ij", gram, _CONJ_SIGNS, gram)
+    mod2 = np.einsum("...icj,c,...jci->...ij", gram, CONJ_SIGNS, gram)
     iu = np.triu_indices(m, k=1)
     mod = np.sqrt(mod2[..., iu[0], iu[1]])
     if np.any(mod < 1.0 - 1e-9):

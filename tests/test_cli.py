@@ -111,6 +111,19 @@ class TestCheckNegtype:
         assert code == 0
         assert json.loads(out)["verdict"] == "negative type"
 
+    @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+    def test_invalid_tolerance_exits_2(self, capsys, tmp_path, tolerance):
+        # three points of H^1_R, a metric of negative type: -1 and nan printed
+        # "violation found" with q = 0, and inf "negative type" for any input
+        rows = ["r,1"] + [f"{math.cosh(s)},{math.sinh(s)}" for s in (0.0, 1.0, 2.5)]
+        path = tmp_path / "pts.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "check-negtype", "--points", str(path),
+                                 "--tolerance", tolerance)
+        assert code == 2
+        assert out == ""
+        assert "tolerance must be finite and >= 0" in err
+
     def test_no_input_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "check-negtype")
         assert code == 2
@@ -230,11 +243,14 @@ class TestCrofton:
         (("search-violations", "--radius", "-1"), "--radius: must be finite and in [0, 16]"),
         (("search-violations", "--radius", "nan"), "--radius: must be finite and in [0, 16]"),
         (("search-violations", "--radius", "17"), "--radius: must be finite and in [0, 16]"),
+        # the scan had no vectors to try and printed "hypermetric within bound"
+        (("scan-hypermetric", "--bound", "-1"), "--bound: must be at least 1"),
+        (("scan-hypermetric", "--bound", "0"), "--bound: must be at least 1"),
     ], ids=["pairs-zero", "pairs-negative", "pairs-inf", "samples-zero",
             "workers-zero", "dim-zero", "horosphere-beyond-domain",
             "hyperplane-beyond-domain", "pair-beyond-domain", "trials-negative",
             "m-below-3", "m-not-integer", "radius-negative", "radius-nan",
-            "radius-beyond-domain"])
+            "radius-beyond-domain", "bound-negative", "bound-zero"])
     def test_invalid_argument_exits_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -260,6 +276,44 @@ class TestCrofton:
                                "--samples", "1000")
         assert code == 1
         assert json.loads(out)["verdict"] == "non-finite estimate"
+
+    @pytest.mark.parametrize("argv", [
+        ("hyperplane", "--dim", "1"),
+        ("hyperplane", "--dim", "3"),
+        ("horosphere", "--field", "r", "--dim", "1"),
+        ("horosphere", "--field", "r", "--dim", "3"),
+        ("horosphere", "--field", "r", "--dim", "4"),
+        ("horosphere", "--field", "c", "--dim", "1"),
+        ("horosphere", "--field", "c", "--dim", "3"),
+        ("horosphere", "--field", "h", "--dim", "1"),
+        ("projective", "--dim", "2"),
+        ("sphere", "--dim", "3"),
+    ], ids=["hyperplane-R1", "hyperplane-R3", "horosphere-R1", "horosphere-R3",
+            "horosphere-R4", "horosphere-C1", "horosphere-C3", "horosphere-H1",
+            "projective", "sphere"])
+    def test_lone_pair_against_constant(self, capsys, monkeypatch, argv):
+        # a lone pair has no other ratio to agree with, so it is held to the
+        # carrier's closed-form constant; it used to be consistent whatever
+        # its ratio
+        args = ("crofton", *argv, "--pairs", "1.3", "--samples", "100000",
+                "--seed", "11")
+        code, out, _ = run_cli(capsys, *args)
+        assert (code, json.loads(out)["verdict"]) == (0, "ratios consistent")
+        estimator = {"hyperplane": "estimate_m",
+                     "horosphere": "estimate_horosphere_crofton",
+                     "projective": "projective_crofton_estimate",
+                     "sphere": "sphere_halfspace_crofton"}[argv[0]]
+        real = getattr(crofton, estimator)
+
+        def shifted(*a, **kw):
+            est = real(*a, **kw)
+            shift = 4.0 * est.stderr + 1e-11 * est.estimate
+            return dataclasses.replace(est, estimate=est.estimate + shift,
+                                       ratio=(est.estimate + shift) / est.d)
+
+        monkeypatch.setattr(crofton, estimator, shifted)
+        code, out, _ = run_cli(capsys, *args)
+        assert (code, json.loads(out)["verdict"]) == (1, "ratios inconsistent")
 
     def test_complex_hyperplane_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "crofton", "hyperplane",

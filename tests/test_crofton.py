@@ -384,6 +384,43 @@ class TestHorosphereIntersections:
             assert abs(est.count_histogram.get(c, 0) - tally[c]) <= unclear
 
 
+class TestLevelMatrix:
+    @pytest.mark.parametrize("field", [REAL, COMPLEX, QUATERNION])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_form(self, field, n):
+        # [a + b | a - b] and (up, down, gamma) from _level_matrix against
+        # a = <x, xi> and b = <w, xi> from form_coeffs, one pair at a time, on
+        # segments between random points up to 6 from the base point (d up
+        # to 12) and on the same segments moved to the base point
+        space = HermitianSpace(field, n)
+        k = {REAL: 1, COMPLEX: 2, QUATERNION: 4}[field]
+        rng = np.random.default_rng(50 + 3 * n + k)
+        with np.errstate(all="raise"):
+            for radius in (0.1, 1.0, 3.0, 6.0):
+                x, y = random_point(space, radius, rng), random_point(space, radius, rng)
+                d = hyperbolic_distance(x, y)
+                for seg in (geodesic_between(x, y), crofton._centred_segment(x, y, d)):
+                    L = crofton._level_matrix(seg).reshape(-1, 8)
+                    scale = np.linalg.norm(seg.base) + np.linalg.norm(seg.tangent)
+                    for _ in range(5):
+                        w = np.zeros((n, 4))
+                        w[:, :k] = rng.standard_normal((n, k))
+                        xi = np.vstack([[1.0, 0, 0, 0], w / np.linalg.norm(w)])
+                        xi *= math.exp(rng.uniform(-2.0, 2.0))
+                        a = form_coeffs(seg.base, xi)
+                        b = form_coeffs(seg.tangent, xi)
+                        P = xi.reshape(1, -1) @ L
+                        bound = scale * np.linalg.norm(xi)  # of |a| + |b|
+                        assert np.abs(P[0] - np.r_[a + b, a - b]).max() \
+                            <= 1e-14 * bound
+                        up, down, gamma = (float(c[0]) for c in
+                                           crofton._level_coefficients(P))
+                        for got, want in ((up, 0.5 * np.sum((a + b) ** 2)),
+                                          (down, 0.5 * np.sum((a - b) ** 2)),
+                                          (gamma, 0.5 * (a @ a - b @ b))):
+                            assert abs(got - want) <= 1e-14 * bound ** 2
+
+
 class TestEstimateM:
     def test_coincident_points(self):
         space = HermitianSpace(REAL, 2)
@@ -510,6 +547,16 @@ class TestHorosphereEstimator:
                                           100_000, seed=22)
         assert est.count_histogram.get(2, 0) > 0
 
+    def test_histogram_pinned(self):
+        # recorded before the level coefficients came from one matrix
+        # product; the estimate's float may change in its last digits, the
+        # crossing counts may not
+        space = HermitianSpace(QUATERNION, 2)
+        est = estimate_horosphere_crofton(axis_point(space, 0.0),
+                                          axis_point(space, 1.0), 300_000, seed=1)
+        assert est.count_histogram == {1: 152758, 2: 147242}
+        assert est.estimate == pytest.approx(9.475525787168191, rel=1e-14)
+
     def test_worker_count_invariance(self):
         space = HermitianSpace(COMPLEX, 2)
         x, y = axis_point(space, 0.0), axis_point(space, 1.0)
@@ -553,12 +600,10 @@ class TestHorosphereEstimator:
         d = 1.4
         seg = geodesic_between(axis_point(space, -0.5 * d),
                                axis_point(space, 0.5 * d))
-        xi = np.zeros((3, 2, 4))
-        xi[0, :, 0] = 1.0
-        xi[1, :, 0] = [1.0, -1.0]
+        w = np.array([[1.0, 0.0], [-1.0, 0.0]])
         with np.errstate(all="raise"):
             values, counts = crofton._horosphere_values(
-                seg, xi, 0, np.array([0.3, 0.9]))
+                seg, w, np.array([0.3, 0.9]))
         assert values == pytest.approx([2 * math.sinh(0.5 * d)] * 2, rel=1e-12)
         assert counts.tolist() == [1, 1]
 

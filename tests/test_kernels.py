@@ -116,6 +116,11 @@ class TestNegativeTypeWitness:
         with pytest.raises(ValueError):
             negative_type_witness(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
+    @pytest.mark.parametrize("tol", [-1e-9, float("nan"), float("inf")])
+    def test_invalid_tolerance(self, projective_D, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            negative_type_witness(projective_D, tol=tol)
+
 
 class TestHypermetricScan:
     def test_random_hyperbolic_plane_configurations_clean(self):
