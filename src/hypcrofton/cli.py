@@ -8,6 +8,7 @@ Exit codes: 0 = success / verified, 1 = property check failed,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -41,6 +42,11 @@ def _read_points(path):
             rows.append(line.split(","))
     if not rows:
         raise ValueError(f"no data rows in {path}")
+    if len(rows[0]) < 2:
+        raise ValueError(f"first data row of {path} must be `kind,dim`, "
+                         f"got {','.join(rows[0])!r}")
+    if len(rows) == 1:
+        raise ValueError(f"no point rows in {path}")
     kind = rows[0][0].strip().lower()
     if kind not in POINT_KINDS:
         raise ValueError(f"unknown point kind {kind!r}; expected one of {POINT_KINDS}")
@@ -105,22 +111,6 @@ def _print_table(report, indent=0):
                 print()
         else:
             print(f"{pad}{key}: {val}")
-
-
-def _estimate_report(est):
-    return {
-        "d": est.d,
-        "total_measure": est.total_measure,
-        "mean_count": est.mean_count,
-        "estimate": est.estimate,
-        "stderr": est.stderr,
-        "samples": est.samples,
-        "seed": est.seed,
-        "ratio": est.ratio,
-        "boundary_count": est.boundary_count,
-        "count_histogram": {str(k): v for k, v in est.count_histogram.items()},
-        "note": est.note,
-    }
 
 
 def _base_report(args, results, verdict):
@@ -253,41 +243,37 @@ def cmd_embed(args):
 
 def cmd_crofton(args):
     pairs = [float(v) for v in args.pairs.split(",")]
-    results = []
     if args.carrier in ("hyperplane", "horosphere"):
         space = HermitianSpace(args.field, args.dim)
         estimator = crofton.estimate_m if args.carrier == "hyperplane" \
             else crofton.estimate_horosphere_crofton
-        for x, y in [_axis_pair(space, d) for d in pairs]:
-            results.append(_estimate_report(estimator(
-                x, y, args.samples, seed=args.seed, workers=args.workers)))
-    elif args.carrier == "projective":
-        for d in pairs:
-            x = spaces.PPoint([1.0] + [0.0] * args.dim)
-            v = [math.cos(d), math.sin(d)] + [0.0] * (args.dim - 1)
-            y = spaces.PPoint(v)
-            results.append(_estimate_report(crofton.projective_crofton_estimate(
-                x, y, args.samples, seed=args.seed, workers=args.workers)))
+        points = [_axis_pair(space, d) for d in pairs]
     else:
-        for d in pairs:
-            x = np.array([1.0] + [0.0] * args.dim)
-            y = np.array([math.cos(d), math.sin(d)] + [0.0] * (args.dim - 1))
-            results.append(_estimate_report(crofton.sphere_halfspace_crofton(
-                x, y, args.samples, seed=args.seed, workers=args.workers)))
+        x = np.array([1.0] + [0.0] * args.dim)
+        points = [(x, np.array([math.cos(d), math.sin(d)] + [0.0] * (args.dim - 1)))
+                  for d in pairs]
+        if args.carrier == "projective":
+            estimator = crofton.projective_crofton_estimate
+            points = [(spaces.PPoint(x), spaces.PPoint(y)) for x, y in points]
+        else:
+            estimator = crofton.sphere_halfspace_crofton
+    results = [dataclasses.asdict(estimator(x, y, args.samples, seed=args.seed,
+                                            workers=args.workers))
+               for x, y in points]
     ratios = [r["ratio"] for r in results]
     ratio_errs = [r["stderr"] / r["d"] for r in results]
     finite = all(math.isfinite(r[key]) for r in results
                  for key in ("estimate", "stderr", "ratio"))
     if len(results) == 1:
-        # nothing to compare with but the closed form; the slack covers
-        # estimates that are exact up to rounding (hyperplanes of H^1_R)
-        constant = _crofton_constant(args.carrier, args.field, args.dim)
-        consistent = finite and abs(ratios[0] - constant) \
-            <= 3.0 * ratio_errs[0] + 1e-12 * constant
-    else:
-        consistent = finite and all(
-            abs(ratios[i] - ratios[j]) <= 3.0 * math.hypot(ratio_errs[i], ratio_errs[j])
-            for i in range(len(ratios)) for j in range(i + 1, len(ratios)))
+        # nothing to compare with but the closed form, exact
+        ratios.append(_crofton_constant(args.carrier, args.field, args.dim))
+        ratio_errs.append(0.0)
+    # the slack covers estimates that are exact up to rounding (R^1 carriers)
+    slack = 1e-12 * max(abs(r) for r in ratios)
+    consistent = finite and all(
+        abs(ratios[i] - ratios[j])
+        <= 3.0 * math.hypot(ratio_errs[i], ratio_errs[j]) + slack
+        for i in range(len(ratios)) for j in range(i + 1, len(ratios)))
     if not finite:
         verdict = "non-finite estimate"
     else:

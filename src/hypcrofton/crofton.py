@@ -11,8 +11,11 @@ tests use them, with the scalar predicates, as the reference.
 
 The hyperbolic estimators sample only a carrier's direction and integrate
 its depth or radius in closed form (Rao-Blackwellisation of the Crofton
-integral; see estimate_m and estimate_horosphere_crofton), after an
-isometry has moved the segment's midpoint to the base point.
+integral; see estimate_m and estimate_horosphere_crofton) on one segment:
+the carrier measures are invariant, every segment of length d is
+congruent to the axis segment from -d/2 to d/2 through the base point, and
+the base point's stabiliser (O(n), U(n), Sp(n)) keeps the uniform law of
+directions, so a direction's value depends on d and its first coordinate.
 
 Estimators are deterministic given an integer master seed: samples are
 drawn in fixed-size chunks with independently spawned substreams, so the
@@ -21,22 +24,15 @@ result does not depend on the worker count or schedule.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import CONJ_MUL, FIELD_DIM, REAL, form_coeffs, qconj, qmul, qnorm
-from .spaces import (
-    GeodesicSegment,
-    HPoint,
-    geodesic_between,
-    hyperbolic_distance,
-    projective_distance,
-    sphere_distance,
-    translation_to_base,
-)
+from .algebra import FIELD_DIM, REAL, form_coeffs, qconj, qmul, qnorm
+from .spaces import HPoint, hyperbolic_distance, projective_distance, sphere_distance
 
 BOUNDARY_TOL = 1e-12
 CHUNK_SIZE = 1 << 17
@@ -318,55 +314,41 @@ def count_cosh_roots(alpha, beta, gamma, interval):
     return len(inside), inside
 
 
-def _level_matrix(seg):
-    """Real (n+1, 4, 8) tensor L of the segment's pairing with any xi.
-
-    [a + b | a - b] = xi.ravel() @ L.reshape(-1, 8), with a = <x, xi> and
-    b = <w, xi> for the segment's base x and tangent w, 4 coefficients
-    each.  The pairing is real-linear in xi, so L[j, q] is the image of the
-    unit coefficient e_q in slot j; it is built from CONJ_MUL and the
-    form's signs, like the rows of spaces.hyperbolic_distance_matrix.
-    """
-    signs = np.ones(seg.space.dim)
-    signs[0] = -1.0
-    ends = np.stack([seg.base + seg.tangent, seg.base - seg.tangent])
-    return np.einsum("sjp,j,pqc->jqsc", ends, signs,
-                     CONJ_MUL).reshape(seg.space.dim, 4, 8)
-
-
-def _level_coefficients(P):
-    """(up, down, gamma): |<p(s), xi>|^2 = (up e^{2s} + down e^{-2s}) / 2 + gamma.
-
-    p(s) = x cosh s + w sinh s runs along the segment, and each row of the
-    (size, 8) array P is [a + b | a - b] for one xi (see _level_matrix);
-    each coefficient has shape (size,).  up = |a + b|^2 / 2,
-    down = |a - b|^2 / 2 and gamma = (a + b).(a - b) / 2 = (|a|^2 - |b|^2) / 2,
-    which is >= 0 for a null xi (clamped against rounding).  In the basis
-    cosh 2s, sinh 2s the coefficients are alpha = (up + down) / 2 and
-    beta = (up - down) / 2; this basis keeps every term nonnegative, so
-    evaluating G never cancels.
-    """
-    plus, minus = P[:, :4], P[:, 4:]
-    return (0.5 * np.einsum("ij,ij->i", plus, plus),
-            0.5 * np.einsum("ij,ij->i", minus, minus),
-            np.maximum(0.5 * np.einsum("ij,ij->i", plus, minus), 0.0))
-
-
 def count_horosphere_intersections(h, seg):
     """Number of times the horosphere meets the segment, in {0, 1, 2}.
 
-    The level condition |<p(s), xi>|^2 = 1 along the segment becomes
-    alpha cosh 2s + beta sinh 2s = 1 - gamma on [0, 2L].
+    With a = <x, xi> and b = <w, xi> for the segment's base x and tangent w,
+    the level condition |a cosh s + b sinh s|^2 = 1 along the segment
+    becomes alpha cosh 2s + beta sinh 2s = 1 - gamma on [0, 2L], where
+    alpha = (|a|^2 + |b|^2) / 2, beta = a.b and gamma = (|a|^2 - |b|^2) / 2.
     """
     if h.space != seg.space:
         raise ValueError("horosphere and segment live in different spaces")
-    P = h.xi.reshape(1, -1) @ _level_matrix(seg).reshape(-1, 8)
-    up, down, gamma = (float(c[0]) for c in _level_coefficients(P))
-    if up == 0.0 and down == 0.0:
+    a, b = form_coeffs(seg.base, h.xi), form_coeffs(seg.tangent, h.xi)
+    if not (a.any() or b.any()):
         raise ArithmeticError("degenerate pairing; invalid horosphere or segment")
-    count, _ = count_cosh_roots(0.5 * (up + down), 0.5 * (up - down), 1.0 - gamma,
-                                (0.0, 2.0 * seg.length))
+    count, _ = count_cosh_roots(0.5 * (a @ a + b @ b), a @ b,
+                                1.0 - 0.5 * (a @ a - b @ b), (0.0, 2.0 * seg.length))
     return count
+
+
+def _level_coefficients(d, w, k):
+    """(up, down, gamma): |<p(s), xi>|^2 = (up e^{2s} + down e^{-2s}) / 2 + gamma.
+
+    p(s) = x cosh s + v sinh s, s in [0, d], runs along the first axis from
+    -d/2 to d/2, and xi = (1, w) for each row of the (size, kn) array w of
+    unit vectors of F^n, k coefficients per coordinate.  Only w's first
+    coordinate w1 (k columns) pairs with the segment: a = <x, xi> and
+    b = <v, xi> give [a + b | a - b] = [e^{-d/2} (w1 - 1) | -e^{d/2} (w1 + 1)],
+    so up = |a + b|^2 / 2, down = |a - b|^2 / 2 and gamma = (a + b).(a - b) / 2
+    = (1 - |w1|^2) / 2, half the squared norm of w's other coordinates: all
+    are sums of squares, so G never cancels.
+    """
+    im, rest = w[:, 1:k], w[:, k:]
+    im2 = np.einsum("ij,ij->i", im, im)
+    return (0.5 * math.exp(-d) * ((w[:, 0] - 1.0) ** 2 + im2),
+            0.5 * math.exp(d) * ((w[:, 0] + 1.0) ** 2 + im2),
+            0.5 * np.einsum("ij,ij->i", rest, rest))
 
 
 def _radial_potential(G, e):
@@ -376,26 +358,20 @@ def _radial_potential(G, e):
     return G ** (-0.5 * (e + 1)) / (e + 1)
 
 
-def _horosphere_values(seg, w, u):
+def _horosphere_values(d, w, u, k):
     """Per direction w: the measure of crossing horospheres and a count.
 
-    w is a (size, kn) array of unit vectors of F^n, k coefficients per
-    coordinate, and the horospheres of direction w are xi = r (1, w).  The
-    measure is the total variation of Phi(G^{-1/2}) on [0, L].  G's only
-    critical point is its minimum sqrt(up * down) + gamma, at
-    e^{4s} = down / up, which lies inside the segment when
-    1 < down / up < e^{4L}.  The count is that of one radius per direction,
-    drawn by the uniforms u from r^e dr among the horospheres meeting the
-    segment: Phi values above both endpoint values are met twice.
+    The horospheres of direction w are xi = r (1, w), and their measure is
+    the total variation of Phi(G^{-1/2}) on the segment (_level_coefficients
+    gives w, k and G).  G's only critical point is its minimum
+    sqrt(up * down) + gamma, at e^{4s} = down / up, which lies inside the
+    segment when 1 < down / up < e^{4d}.  The count is that of one radius
+    per direction, drawn by the uniforms u from r^e dr among the horospheres
+    meeting the segment: Phi values above both endpoint values are met twice.
     """
-    k, n = FIELD_DIM[seg.space.field], seg.space.n
-    e = k * (n + 1) - 3
-    L = _level_matrix(seg)
-    # xi = (1, w) in the field's first k slots, so [a + b | a - b] is affine in w
-    P = w @ L[1:, :k].reshape(k * n, 8)
-    P += L[0, 0]  # in place: a fresh (size, 8) array costs more than the product
-    up, down, gamma = _level_coefficients(P)
-    grow = math.exp(2.0 * seg.length)
+    e = w.shape[1] + k - 3  # k(n + 1) - 3
+    up, down, gamma = _level_coefficients(d, w, k)
+    grow = math.exp(2.0 * d)
     g0 = 0.5 * (up + down) + gamma
     g1 = 0.5 * (up * grow + down / grow) + gamma
     ends = np.minimum(g0, g1)
@@ -418,9 +394,9 @@ def _resolve_seed(seed):
 def _run_chunks(chunk_fn, samples, seed, workers=1):
     """Run chunk_fn(rng, size) over fixed-size chunks with spawned substreams.
 
-    chunk_fn returns a tuple of per-chunk scalar accumulators; the sums are
-    independent of worker count and scheduling because chunk boundaries and
-    seeds are fixed by (seed, chunk index).
+    Returns the chunks' results in chunk order; they are independent of
+    worker count and scheduling because chunk boundaries and seeds are
+    fixed by (seed, chunk index).
     """
     sizes = [CHUNK_SIZE] * (samples // CHUNK_SIZE)
     if samples % CHUNK_SIZE:
@@ -432,10 +408,8 @@ def _run_chunks(chunk_fn, samples, seed, workers=1):
 
     if workers > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(len(sizes))))
-    else:
-        results = [run(i) for i in range(len(sizes))]
-    return [sum(parts) for parts in zip(*results)]
+            return list(pool.map(run, range(len(sizes))))
+    return [run(i) for i in range(len(sizes))]
 
 
 def _zero_estimate(seed, samples):
@@ -445,44 +419,42 @@ def _zero_estimate(seed, samples):
                            note="coincident points")
 
 
-def _centred_segment(x, y, d):
-    """The segment [xy] moved by an isometry so its midpoint is the base point.
-
-    The carrier measures are invariant, so the expectation is unchanged,
-    while every endpoint sits within d/2 of the base point.  Off centre, a
-    few directions would carry most of the measure: a unit segment 8 from
-    the base point gives a standard error about 100 times larger.
-    """
-    raw = geodesic_between(x, y)
-    g = translation_to_base(raw.point(0.5 * d))
-    return GeodesicSegment(x.space, g.apply_coords(raw.base),
-                           g.apply_coords(raw.tangent), d)
+def _merge_moments(a, b):
+    """Chan et al.'s update of (count, sum, centred sum of squares, histogram)."""
+    na, sa, ma, ha = a
+    nb, sb, mb, hb = b
+    delta = sb / nb - sa / na
+    return na + nb, sa + sb, ma + mb + delta * delta * (na * nb / (na + nb)), ha + hb
 
 
 def _conditional_estimate(x, y, samples, seed, workers, measure, values):
     """measure times the mean over sampled directions of a closed-form value.
 
-    values(seg, rng, size) draws `size` directions for the centred segment
+    Only d = d(x, y) enters: values(d, rng, size) draws `size` directions
     and returns, per direction, the measure of the carriers of that
-    direction meeting it and crossing counts to histogram.
+    direction meeting the axis segment of length d centred at the base
+    point, and crossing counts to histogram.  Each chunk's sum and centred
+    sum of squares are merged in chunk order, so the variance does not
+    cancel when the values barely vary.
     """
     seed = _resolve_seed(seed)
     d = hyperbolic_distance(x, y)
     if d < 1e-12:
         return _zero_estimate(seed, samples)
-    seg = _centred_segment(x, y, d)
 
     def chunk(rng, size):
-        v, counts = values(seg, rng, size)
-        return float(v.sum()), float(v @ v), np.bincount(counts, minlength=3)
+        v, counts = values(d, rng, size)
+        total = float(v.sum())
+        dev = v - total / size
+        return size, total, float(np.sum(dev * dev)), np.bincount(counts, minlength=3)
 
-    total, total_sq, hist = _run_chunks(chunk, samples, seed, workers)
+    _, total, m2, hist = functools.reduce(
+        _merge_moments, _run_chunks(chunk, samples, seed, workers))
     mean = total / samples
-    var = max(total_sq / samples - mean ** 2, 0.0)
     est = measure * mean
     histogram = {c: int(k) for c, k in enumerate(hist) if k}
     return CroftonEstimate(d=d, total_measure=measure, mean_count=mean,
-                           estimate=est, stderr=measure * math.sqrt(var / samples),
+                           estimate=est, stderr=measure * math.sqrt(m2) / samples,
                            samples=samples, seed=seed, ratio=est / d,
                            count_histogram=histogram)
 
@@ -492,9 +464,9 @@ def _sign_change_estimate(x, y, d, samples, seed, workers, note):
 
     def chunk(rng, size):
         u = _uniform_sphere(x.shape[0], size, rng)
-        return (int(np.sum((u @ x) * (u @ y) < 0)),)
+        return int(np.sum((u @ x) * (u @ y) < 0))
 
-    (hits,) = _run_chunks(chunk, samples, seed, workers)
+    hits = sum(_run_chunks(chunk, samples, seed, workers))
     phat = hits / samples
     return CroftonEstimate(d=d, total_measure=1.0, mean_count=phat,
                            estimate=phat,
@@ -509,21 +481,20 @@ def estimate_m(x, y, samples, seed=0, workers=1):
 
     Divided by d(x, y) it is the Crofton constant vol(S^{n-2}) / (n-1).  For
     a direction w the hyperplane at depth p meets the segment exactly when
-    tanh p lies between x.w / x0 and y.w / y0, so that direction carries
-    |F(p_y) - F(p_x)| with F' = cosh^{n-1}.  The (p, w) chart double-covers
-    the hyperplane space, hence the halved sphere area.
+    tanh p lies between x.w / x0 and y.w / y0, which on the axis segment
+    from -d/2 to d/2 are -+tanh(d/2) w1; F' = cosh^{n-1} is odd, so that
+    direction carries 2 |F(artanh(tanh(d/2) w1))|.  The (p, w) chart
+    double-covers the hyperplane space, hence the halved sphere area.
     """
     if x.space.field != REAL:
         raise ValueError("hyperplane Crofton estimates require the real field")
     n = x.space.n
 
-    def values(seg, rng, size):
-        w = _uniform_sphere(n, size, rng)
-        xr, yr = seg.base[:, 0], seg.endpoint_coords()[:, 0]
-        fx = cosh_power_antiderivative(n - 1, np.arctanh(w @ (xr[1:] / xr[0])))
-        fy = cosh_power_antiderivative(n - 1, np.arctanh(w @ (yr[1:] / yr[0])))
+    def values(d, rng, size):
+        w1 = _uniform_sphere(n, size, rng)[:, 0]
+        f = cosh_power_antiderivative(n - 1, np.arctanh(math.tanh(0.5 * d) * w1))
         # a hyperplane meets the segment at most once
-        return np.abs(fy - fx), np.ones(size, dtype=np.intp)
+        return 2.0 * np.abs(f), np.ones(size, dtype=np.intp)
 
     return _conditional_estimate(x, y, samples, seed, workers,
                                  sphere_area(n - 1) / 2.0, values)
@@ -545,14 +516,16 @@ def estimate_horosphere_crofton(x, y, samples, seed=0, workers=1):
 
     Valid over R, C and H; divided by d(x, y) it is a constant of the
     space.  Directions w are uniform on S^{kn-1}; the radius of (1, w) is
-    integrated against r^e dr, e = k(n+1) - 3, in closed form.
+    integrated against r^e dr, e = k(n+1) - 3, in closed form on the axis
+    segment of length d, where only w's first coordinate w1 and the norm
+    of the others enter (_level_coefficients).
     """
     space = x.space
     k, n = FIELD_DIM[space.field], space.n
 
-    def values(seg, rng, size):
+    def values(d, rng, size):
         w = _uniform_sphere(k * n, size, rng)
-        return _horosphere_values(seg, w, rng.random(size))
+        return _horosphere_values(d, w, rng.random(size), k)
 
     return _conditional_estimate(x, y, samples, seed, workers,
                                  sphere_area(k * n - 1), values)

@@ -212,6 +212,8 @@ def build_distance_matrix(points, metric=None):
     """
     points = list(points)
     m = len(points)
+    if m == 0:
+        raise ValueError("no points to measure")
     if metric is not None:
         D = np.zeros((m, m))
         for i in range(m):

@@ -1,12 +1,23 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hypcrofton
 from hypcrofton import crofton
 from hypcrofton.cli import main
+
+#: point files named in argv by test_invalid_argument_exits_2
+BAD_POINT_FILES = {
+    "no-dim.csv": "h\n1,0,0,0,0,0,0,0\n",
+    "no-rows.csv": "# a header and nothing else\nh,2\n",
+}
 
 
 def run_cli(capsys, *argv):
@@ -246,12 +257,23 @@ class TestCrofton:
         # the scan had no vectors to try and printed "hypermetric within bound"
         (("scan-hypermetric", "--bound", "-1"), "--bound: must be at least 1"),
         (("scan-hypermetric", "--bound", "0"), "--bound: must be at least 1"),
+        # these exited 1 through an IndexError traceback
+        (("dist", "--points", "no-dim.csv"), "must be `kind,dim`, got 'h'"),
+        (("dist", "--points", "no-rows.csv"), "error: no point rows in"),
+        (("check-negtype", "--points", "no-rows.csv"), "error: no point rows in"),
+        (("embed", "--points", "no-rows.csv"), "error: no point rows in"),
+        (("scan-hypermetric", "--points", "no-rows.csv"), "error: no point rows in"),
     ], ids=["pairs-zero", "pairs-negative", "pairs-inf", "samples-zero",
             "workers-zero", "dim-zero", "horosphere-beyond-domain",
             "hyperplane-beyond-domain", "pair-beyond-domain", "trials-negative",
             "m-below-3", "m-not-integer", "radius-negative", "radius-nan",
-            "radius-beyond-domain", "bound-negative", "bound-zero"])
-    def test_invalid_argument_exits_2(self, capsys, argv, message):
+            "radius-beyond-domain", "bound-negative", "bound-zero",
+            "points-no-dim", "points-no-rows-dist", "points-no-rows-check-negtype",
+            "points-no-rows-embed", "points-no-rows-scan-hypermetric"])
+    def test_invalid_argument_exits_2(self, capsys, tmp_path, argv, message):
+        for name, text in BAD_POINT_FILES.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        argv = [str(tmp_path / a) if a in BAD_POINT_FILES else a for a in argv]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -315,12 +337,58 @@ class TestCrofton:
         code, out, _ = run_cli(capsys, *args)
         assert (code, json.loads(out)["verdict"]) == (1, "ratios inconsistent")
 
+    @pytest.mark.parametrize("seed", ["1", "4", "8"])
+    @pytest.mark.parametrize("argv", [
+        ("horosphere", "--field", "r", "--dim", "1", "--pairs", "0.3,1.5",
+         "--samples", "300000"),
+        ("hyperplane", "--dim", "1", "--pairs", "0.5,2"),
+    ], ids=["horosphere-R1", "hyperplane-R1"])
+    def test_exact_ratios_consistent(self, capsys, argv, seed):
+        # in R^1 every direction carries the same value, so the estimates are
+        # exact up to rounding and their stderrs 0 or nearly; the ratios
+        # differ in their last bits (1.9999999999999993 and
+        # 2.0000000000000004), which the pairwise rule must forgive as the
+        # lone-pair rule does
+        code, out, _ = run_cli(capsys, "crofton", *argv, "--seed", seed)
+        assert (code, json.loads(out)["verdict"]) == (0, "ratios consistent")
+
     def test_complex_hyperplane_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "crofton", "hyperplane",
                                "--field", "c", "--pairs", "1.0",
                                "--samples", "1000")
         assert code == 2
         assert "real field" in err
+
+
+def run_cli_process(argv, openblas_threads):
+    """The CLI in a fresh interpreter with OpenBLAS held to a thread count."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(openblas_threads),
+               PYTHONPATH=str(Path(hypcrofton.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "hypcrofton.cli", *argv],
+                          capture_output=True, text=True, env=env, check=False)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("argv,exact", [
+        (("crofton", "hyperplane", "--dim", "3", "--pairs", "0.5,1,2",
+          "--samples", "300000", "--workers", "1", "--seed", "1"), False),
+        (("crofton", "horosphere", "--field", "h", "--dim", "2", "--pairs", "0.5,1,2",
+          "--samples", "300000", "--workers", "2", "--seed", "1"), False),
+        (("crofton", "horosphere", "--field", "r", "--dim", "1", "--pairs", "0.3,1.5",
+          "--samples", "300000", "--workers", "2", "--seed", "2"), True),
+    ], ids=["hyperplane", "horosphere", "horosphere-R1"])
+    def test_output_independent_of_blas_threads(self, argv, exact):
+        # the benchmark's crofton commands, shortened: the chunk path makes no
+        # BLAS call, so OpenBLAS's thread count cannot change a digit (the
+        # stderr of a one-pass variance from a BLAS dot did)
+        out = run_cli_process(argv, 1)
+        assert run_cli_process(argv, 2) == out
+        if exact:
+            # every direction of H^1_R carries the same value
+            for r in json.loads(out)["results"]:
+                assert r["stderr"] <= 1e-14 * r["estimate"]
 
 
 class TestSearchViolations:

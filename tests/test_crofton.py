@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy import integrate, stats
 from hypcrofton import crofton
 from hypcrofton.algebra import (
     COMPLEX,
+    FIELD_DIM,
     QUATERNION,
     REAL,
     HermitianSpace,
@@ -49,6 +51,24 @@ def axis_point(space, d):
     c[0, 0] = math.cosh(d)
     c[1, 0] = math.sinh(d)
     return HPoint(space, c)
+
+
+def brute_force_horosphere_measure(x, y, R, samples, rng):
+    """Measure of the horospheres crossing [xy], each counted per crossing.
+
+    The mean crossing count of horospheres drawn by sample_horosphere from
+    the ball of radius R around the base point, which must hold the
+    segment, times that ball's measure; returns (value, stderr).
+    """
+    space = x.space
+    seg = geodesic_between(x, y)
+    counts = np.array([count_horosphere_intersections(
+        sample_horosphere(space, R, rng), seg) for _ in range(samples)])
+    k = FIELD_DIM[space.field]
+    e = k * (space.n + 1) - 3
+    ball = crofton.sphere_area(k * space.n - 1) \
+        * (math.exp(R * (e + 1)) - math.exp(-R * (e + 1))) / (e + 1)
+    return ball * counts.mean(), ball * counts.std() / math.sqrt(samples)
 
 
 def combined_z(e1, e2):
@@ -388,37 +408,61 @@ class TestLevelMatrix:
     @pytest.mark.parametrize("field", [REAL, COMPLEX, QUATERNION])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_form(self, field, n):
-        # [a + b | a - b] and (up, down, gamma) from _level_matrix against
-        # a = <x, xi> and b = <w, xi> from form_coeffs, one pair at a time, on
-        # segments between random points up to 6 from the base point (d up
-        # to 12) and on the same segments moved to the base point
+        # the closed-form level rows [a + b | a - b] and the (up, down, gamma)
+        # of _level_coefficients against a = <x, xi> and b = <v, xi> from
+        # form_coeffs, one direction at a time, on the explicit axis segment
+        # from -d/2 to d/2 (base x, tangent v) for d up to 12
         space = HermitianSpace(field, n)
-        k = {REAL: 1, COMPLEX: 2, QUATERNION: 4}[field]
+        k = FIELD_DIM[field]
         rng = np.random.default_rng(50 + 3 * n + k)
+        one = np.array([1.0, 0.0, 0.0, 0.0])
         with np.errstate(all="raise"):
-            for radius in (0.1, 1.0, 3.0, 6.0):
-                x, y = random_point(space, radius, rng), random_point(space, radius, rng)
-                d = hyperbolic_distance(x, y)
-                for seg in (geodesic_between(x, y), crofton._centred_segment(x, y, d)):
-                    L = crofton._level_matrix(seg).reshape(-1, 8)
-                    scale = np.linalg.norm(seg.base) + np.linalg.norm(seg.tangent)
-                    for _ in range(5):
-                        w = np.zeros((n, 4))
-                        w[:, :k] = rng.standard_normal((n, k))
-                        xi = np.vstack([[1.0, 0, 0, 0], w / np.linalg.norm(w)])
-                        xi *= math.exp(rng.uniform(-2.0, 2.0))
-                        a = form_coeffs(seg.base, xi)
-                        b = form_coeffs(seg.tangent, xi)
-                        P = xi.reshape(1, -1) @ L
-                        bound = scale * np.linalg.norm(xi)  # of |a| + |b|
-                        assert np.abs(P[0] - np.r_[a + b, a - b]).max() \
-                            <= 1e-14 * bound
-                        up, down, gamma = (float(c[0]) for c in
-                                           crofton._level_coefficients(P))
-                        for got, want in ((up, 0.5 * np.sum((a + b) ** 2)),
-                                          (down, 0.5 * np.sum((a - b) ** 2)),
-                                          (gamma, 0.5 * (a @ a - b @ b))):
-                            assert abs(got - want) <= 1e-14 * bound ** 2
+            for d in (1e-3, 0.5, 2.0, 6.0, 12.0):
+                base, tangent = np.zeros((n + 1, 4)), np.zeros((n + 1, 4))
+                base[:2, 0] = math.cosh(0.5 * d), -math.sinh(0.5 * d)
+                tangent[:2, 0] = -math.sinh(0.5 * d), math.cosh(0.5 * d)
+                scale = np.linalg.norm(base) + np.linalg.norm(tangent)
+                w = rng.standard_normal((5, k * n))
+                w /= np.linalg.norm(w, axis=1, keepdims=True)
+                up, down, gamma = crofton._level_coefficients(d, w, k)
+                for i in range(5):
+                    xi = np.zeros((n + 1, 4))
+                    xi[0, 0] = 1.0
+                    xi[1:, :k] = w[i].reshape(n, k)
+                    a, b = form_coeffs(base, xi), form_coeffs(tangent, xi)
+                    bound = scale * np.linalg.norm(xi)  # of |a| + |b|
+                    closed = np.r_[math.exp(-0.5 * d) * (xi[1] - one),
+                                   -math.exp(0.5 * d) * (xi[1] + one)]
+                    assert np.abs(closed - np.r_[a + b, a - b]).max() \
+                        <= 1e-14 * bound
+                    for got, want in ((up[i], 0.5 * np.sum((a + b) ** 2)),
+                                      (down[i], 0.5 * np.sum((a - b) ** 2)),
+                                      (gamma[i], 0.5 * (a @ a - b @ b))):
+                        assert abs(got - want) <= 1e-14 * bound ** 2
+
+
+class TestChunkMoments:
+    def test_merge_matches_two_pass(self):
+        # chunks of unequal size and mean, merged in order, give the count,
+        # sum and centred sum of squares of the whole sample
+        rng = np.random.default_rng(60)
+        chunks = [rng.normal(mean, 0.1, size) for mean, size in
+                  ((5.0, 1000), (-3.0, 17), (1e3, 400), (0.0, 1))]
+        parts = [(c.size, c.sum(), np.sum((c - c.mean()) ** 2), np.ones(3, int))
+                 for c in chunks]
+        count, total, m2, hist = functools.reduce(crofton._merge_moments, parts)
+        values = np.concatenate(chunks)
+        assert (count, hist.tolist()) == (values.size, [4, 4, 4])
+        assert total == pytest.approx(values.sum(), rel=1e-14)
+        assert m2 == pytest.approx(np.sum((values - values.mean()) ** 2), rel=1e-12)
+
+    def test_constant_values_have_zero_spread(self):
+        # every direction of H^1_R carries d, so any spread is rounding; a
+        # one-pass total_sq / n - mean^2 cancels to 7.7e-11 here
+        space = HermitianSpace(REAL, 1)
+        est = estimate_m(base_point(space), axis_point(space, 2.0), 300_000, seed=1)
+        assert est.estimate == pytest.approx(2.0, rel=1e-14)
+        assert est.stderr <= 1e-14 * est.estimate
 
 
 class TestEstimateM:
@@ -455,6 +499,27 @@ class TestEstimateM:
                          seed=6)
         constant = crofton.sphere_area(n - 2) / (n - 1)
         assert abs(est.ratio - constant) <= 4 * est.stderr / est.d
+
+    def test_matches_brute_force_off_axis(self):
+        # a segment off the axis and off the base point: the reference
+        # draws hyperplanes from the ball of radius R = max d(x0, .), which
+        # holds the segment, and tests each against the real segment; the
+        # estimator sees only d
+        space = HermitianSpace(REAL, 3)
+        rng = np.random.default_rng(42)
+        x, y = random_point(space, 0.6, rng), random_point(space, 0.6, rng)
+        x0 = base_point(space)
+        R = max(hyperbolic_distance(x0, x), hyperbolic_distance(x0, y))
+        seg = geodesic_between(x, y)
+        samples = 20_000
+        # sample_hyperplane's draws, in one batch
+        normals = crofton._sample_hyperplane_normals(3, R, samples, rng)
+        hits = sum(hyperplane_meets_segment(Hyperplane(u), seg) for u in normals)
+        ball = crofton.sphere_area(2) / 2 * cosh_power_integral(2, -R, R)
+        p = hits / samples
+        brute, brute_err = ball * p, ball * math.sqrt(p * (1 - p) / samples)
+        est = estimate_m(x, y, 200_000, seed=43)
+        assert abs(est.estimate - brute) <= 4 * math.hypot(est.stderr, brute_err)
 
     def test_off_centre_unit_segment(self):
         # both endpoints far from the base point: neither the value nor its
@@ -571,18 +636,11 @@ class TestHorosphereEstimator:
         # base point, times that ball's measure; a short segment keeps the
         # hit rate of the r^e radial density workable over H
         space = HermitianSpace(field, 2)
-        d, samples = 0.25, 4000
+        d = 0.25
         x, y = axis_point(space, -0.5 * d), axis_point(space, 0.5 * d)
-        seg = geodesic_between(x, y)
-        rng = np.random.default_rng(40)
-        counts = np.array([count_horosphere_intersections(
-            sample_horosphere(space, 0.5 * d, rng), seg) for _ in range(samples)])
-        k = {REAL: 1, COMPLEX: 2, QUATERNION: 4}[field]
-        e = 3 * k - 3
-        ball = crofton.sphere_area(2 * k - 1) \
-            * (math.exp(0.5 * d * (e + 1)) - math.exp(-0.5 * d * (e + 1))) / (e + 1)
-        brute = ball * counts.mean()
-        brute_err = ball * counts.std() / math.sqrt(samples)
+        brute, brute_err = brute_force_horosphere_measure(
+            x, y, 0.5 * d, 4000, np.random.default_rng(40))
+        k = FIELD_DIM[field]
         with np.errstate(all="raise"):
             est = estimate_horosphere_crofton(x, y, 200_000, seed=41)
         assert abs(est.estimate - brute) <= 4 * math.hypot(est.stderr, brute_err)
@@ -592,18 +650,31 @@ class TestHorosphereEstimator:
         constant = 2 * math.pi ** (k - 0.5) / math.gamma(k + 0.5)
         assert abs(est.ratio - constant) <= 4 * est.stderr / d
 
+    @pytest.mark.parametrize("field", [REAL, COMPLEX, QUATERNION])
+    def test_matches_brute_force_off_axis(self, field):
+        # a segment off the axis and off the base point: the reference counts
+        # crossings of the real segment by horospheres from the ball of
+        # radius R = max d(x0, .); the estimator sees only d
+        space = HermitianSpace(field, 2)
+        k = FIELD_DIM[field]
+        rng = np.random.default_rng(44 + k)
+        x, y = random_point(space, 0.3, rng), random_point(space, 0.3, rng)
+        x0 = base_point(space)
+        R = max(hyperbolic_distance(x0, x), hyperbolic_distance(x0, y))
+        brute, brute_err = brute_force_horosphere_measure(x, y, R, 8000, rng)
+        with np.errstate(all="raise"):
+            est = estimate_horosphere_crofton(x, y, 200_000, seed=49 + k)
+        assert abs(est.estimate - brute) <= 4 * math.hypot(est.stderr, brute_err)
+
     def test_degenerate_directions(self):
         # xi = (1, +-1, 0) is centred at an end of the segment's geodesic, so
         # |beta| = alpha (up or down is 0); each of its horospheres crosses
         # once, and the radii met run from e^{-d/2} to e^{d/2}
-        space = HermitianSpace(REAL, 2)
         d = 1.4
-        seg = geodesic_between(axis_point(space, -0.5 * d),
-                               axis_point(space, 0.5 * d))
         w = np.array([[1.0, 0.0], [-1.0, 0.0]])
         with np.errstate(all="raise"):
             values, counts = crofton._horosphere_values(
-                seg, w, np.array([0.3, 0.9]))
+                d, w, np.array([0.3, 0.9]), 1)
         assert values == pytest.approx([2 * math.sinh(0.5 * d)] * 2, rel=1e-12)
         assert counts.tolist() == [1, 1]
 

@@ -210,6 +210,11 @@ class TestBuildDistanceMatrix:
         assert cross == pytest.approx(415.77, abs=0.02)
         assert cross == pytest.approx(144 * np.arccosh(9), rel=1e-12)
 
+    def test_empty_rejected(self):
+        # points[0] raised IndexError, which the CLI reported as a traceback
+        with pytest.raises(ValueError, match="no points"):
+            build_distance_matrix([])
+
     def test_mixed_point_types_rejected(self):
         space = HermitianSpace(REAL, 2)
         pts = [random_point(space, 1.0, np.random.default_rng(9)),
