@@ -31,6 +31,8 @@ from .crofton import (
     estimate_symmetric_difference,
     halfspace_contains,
     halfspace_side,
+    horosphere_crofton,
+    hyperplane_crofton,
     hyperplane_meets_segment,
     projective_crofton_estimate,
     sample_horosphere,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -16,13 +17,14 @@ import sys
 import numpy as np
 
 from . import configurations, crofton, kernels, spaces
-from .algebra import FIELD_DIM, FIELDS, HermitianSpace, Quaternion
+from .algebra import FIELD_DIM, FIELDS, REAL, HermitianSpace, Quaternion
 
 POINT_KINDS = ("r", "c", "h", "p", "s")
 
-#: largest distance from the base point of the hyperbolic points the CLI
-#: builds: past about 16.46, <y, y> = -1 is lost in the rounding of
-#: cosh(d)^2 and HPoint rejects the point
+#: largest hyperbolic distance the CLI takes: the search radius of
+#: search-violations, whose points past about 16.46 lose <y, y> = -1 in the
+#: rounding of cosh(d)^2, and the hyperplane and horosphere --pairs, whose
+#: estimators work with e^{+-2d}
 MAX_DISTANCE = 16.0
 
 
@@ -31,7 +33,8 @@ def _read_points(path):
 
     kind r/c/h -> hyperbolic points over that field ((dim+1) * field-width
     reals per row), p -> projective points, s -> unit sphere vectors
-    (dim+1 reals per row).  Lines starting with '#' are comments.
+    (dim+1 reals per row).  Lines starting with '#' are comments.  A row of
+    another width is rejected.
     """
     rows = []
     with open(path, encoding="utf-8") as fh:
@@ -51,15 +54,14 @@ def _read_points(path):
     if kind not in POINT_KINDS:
         raise ValueError(f"unknown point kind {kind!r}; expected one of {POINT_KINDS}")
     dim = int(rows[0][1])
+    k = FIELD_DIM.get(kind, 1)
     points = []
     for row in rows[1:]:
         vals = np.array([float(v) for v in row])
+        if vals.shape[0] != (dim + 1) * k:
+            raise ValueError(f"expected {(dim + 1) * k} reals per row for kind "
+                             f"{kind!r}, dim {dim}; got {vals.shape[0]}")
         if kind in FIELDS:
-            k = FIELD_DIM[kind]
-            if vals.shape[0] != (dim + 1) * k:
-                raise ValueError(
-                    f"expected {(dim + 1) * k} reals per row for field "
-                    f"{kind!r}, dim {dim}; got {vals.shape[0]}")
             coeffs = np.zeros((dim + 1, 4))
             coeffs[:, :k] = vals.reshape(dim + 1, k)
             points.append(spaces.HPoint(HermitianSpace(kind, dim), coeffs))
@@ -159,24 +161,13 @@ def _distances(text):
     return text
 
 
-def _axis_pair(space, d):
-    if d > MAX_DISTANCE:
-        raise ValueError(f"distance {d:g} is beyond {MAX_DISTANCE:g}, the largest "
-                         f"supported for hyperplane and horosphere pairs")
-    x0 = spaces.base_point(space)
-    c = np.zeros((space.dim, 4))
-    c[0, 0] = math.cosh(d)
-    c[1, 0] = math.sinh(d)
-    return x0, spaces.HPoint(space, c)
-
-
 def _crofton_constant(carrier, field, n):
     """The ratio estimate / d that the carrier's Crofton formula predicts."""
     if carrier == "hyperplane":
         return crofton.sphere_area(n - 2) / (n - 1) if n > 1 else 1.0
     if carrier == "horosphere":
         m = FIELD_DIM[field] * n - 1  # 2 vol(B^m)
-        return 2.0 * math.pi ** (0.5 * m) / math.gamma(0.5 * m + 1.0)
+        return 2.0 * math.exp(0.5 * m * math.log(math.pi) - math.lgamma(0.5 * m + 1.0))
     return 1.0 / math.pi
 
 
@@ -244,10 +235,22 @@ def cmd_embed(args):
 def cmd_crofton(args):
     pairs = [float(v) for v in args.pairs.split(",")]
     if args.carrier in ("hyperplane", "horosphere"):
-        space = HermitianSpace(args.field, args.dim)
-        estimator = crofton.estimate_m if args.carrier == "hyperplane" \
-            else crofton.estimate_horosphere_crofton
-        points = [_axis_pair(space, d) for d in pairs]
+        # the estimators take d itself: an estimate depends on a pair only
+        # through its distance
+        for d in pairs:
+            if d > MAX_DISTANCE:
+                raise ValueError(f"distance {d:g} is beyond {MAX_DISTANCE:g}, the "
+                                 f"largest supported for hyperplane and horosphere "
+                                 f"pairs")
+        if args.carrier == "hyperplane":
+            if args.field != REAL:
+                raise ValueError("hyperplane Crofton estimates require the real field")
+            estimate = functools.partial(crofton.hyperplane_crofton, args.dim)
+        else:
+            estimate = functools.partial(crofton.horosphere_crofton, args.field,
+                                         args.dim)
+        estimates = [estimate(d, args.samples, seed=args.seed, workers=args.workers)
+                     for d in pairs]
     else:
         x = np.array([1.0] + [0.0] * args.dim)
         points = [(x, np.array([math.cos(d), math.sin(d)] + [0.0] * (args.dim - 1)))
@@ -257,9 +260,9 @@ def cmd_crofton(args):
             points = [(spaces.PPoint(x), spaces.PPoint(y)) for x, y in points]
         else:
             estimator = crofton.sphere_halfspace_crofton
-    results = [dataclasses.asdict(estimator(x, y, args.samples, seed=args.seed,
-                                            workers=args.workers))
-               for x, y in points]
+        estimates = [estimator(x, y, args.samples, seed=args.seed,
+                               workers=args.workers) for x, y in points]
+    results = [dataclasses.asdict(e) for e in estimates]
     ratios = [r["ratio"] for r in results]
     ratio_errs = [r["stderr"] / r["d"] for r in results]
     finite = all(math.isfinite(r[key]) for r in results

@@ -11,11 +11,14 @@ tests use them, with the scalar predicates, as the reference.
 
 The hyperbolic estimators sample only a carrier's direction and integrate
 its depth or radius in closed form (Rao-Blackwellisation of the Crofton
-integral; see estimate_m and estimate_horosphere_crofton) on one segment:
+integral; see hyperplane_crofton and horosphere_crofton) on one segment:
 the carrier measures are invariant, every segment of length d is
 congruent to the axis segment from -d/2 to d/2 through the base point, and
 the base point's stabiliser (O(n), U(n), Sp(n)) keeps the uniform law of
-directions, so a direction's value depends on d and its first coordinate.
+directions, so a direction's value depends on d, its first coordinate w1
+and |w_rest|^2 alone.  These are drawn from their exact laws
+(_first_coordinate), not read off a full unit vector.  estimate_m and
+estimate_horosphere_crofton take a pair of points and pass d(x, y).
 
 Estimators are deterministic given an integer master seed: samples are
 drawn in fixed-size chunks with independently spawned substreams, so the
@@ -36,6 +39,12 @@ from .spaces import HPoint, hyperbolic_distance, projective_distance, sphere_dis
 
 BOUNDARY_TOL = 1e-12
 CHUNK_SIZE = 1 << 17
+#: largest n, and largest k n, whose carrier measure is a positive normal
+#: float: vol(S^{n-1}) / 2 for the hyperplanes of H^n_R, vol(S^{kn-1}) for
+#: the horospheres of H^n_F (k = dim F); vol(S^m) falls below 2.2e-308 past
+#: m = 437
+MAX_HYPERPLANE_DIM = 437
+MAX_HOROSPHERE_DIM = 438
 
 
 class SegmentInHyperplaneError(ValueError):
@@ -45,8 +54,12 @@ class SegmentInHyperplaneError(ValueError):
 # -- elementary integrals ------------------------------------------------------
 
 def sphere_area(m):
-    """Surface area of the unit sphere S^m in R^{m+1}."""
-    return 2.0 * math.pi ** ((m + 1) / 2.0) / math.gamma((m + 1) / 2.0)
+    """Surface area of the unit sphere S^m in R^{m+1}.
+
+    From log-gamma, so large m underflows to 0 instead of overflowing.
+    """
+    h = 0.5 * (m + 1)
+    return 2.0 * math.exp(h * math.log(math.pi) - math.lgamma(h))
 
 
 def cosh_power_antiderivative(m, t):
@@ -89,6 +102,24 @@ def _uniform_sphere(m, size, rng):
     """Uniform samples on S^{m-1} embedded in R^m, shape (size, m)."""
     v = rng.standard_normal((size, m))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _first_coordinate(k, m, size, rng):
+    """The first-coordinate statistics (x, a, b) of `size` uniform directions.
+
+    For g ~ N(0, I_{km}) on F^m (k = dim F) and w = g / |g|:
+    x = |Re g_1|, a = |Im g_1|^2 ~ chi^2_{k-1} and b = |g_rest|^2 ~
+    chi^2_{k(m-1)}, drawn as |normal| and twice a standard gamma (zeros when
+    k = 1 or m = 1).  With rho^2 = x^2 + a + b, |Re w_1| = x / rho,
+    |Im w_1|^2 = a / rho^2 and |w_rest|^2 = b / rho^2: all the hyperbolic
+    integrands read of w.  The sign of Re w_1 is dropped: w_1 -> -w_1 maps a
+    direction's value on the axis segment to its value on the reversed
+    segment, which is the same.
+    """
+    x = np.abs(rng.standard_normal(size))
+    a = 2.0 * rng.standard_gamma(0.5 * (k - 1), size) if k > 1 else np.zeros(size)
+    b = 2.0 * rng.standard_gamma(0.5 * k * (m - 1), size) if m > 1 else np.zeros(size)
+    return x, a, b
 
 
 # -- carriers ------------------------------------------------------------------
@@ -332,23 +363,26 @@ def count_horosphere_intersections(h, seg):
     return count
 
 
-def _level_coefficients(d, w, k):
+def _level_coefficients(d, x, a, b):
     """(up, down, gamma): |<p(s), xi>|^2 = (up e^{2s} + down e^{-2s}) / 2 + gamma.
 
-    p(s) = x cosh s + v sinh s, s in [0, d], runs along the first axis from
-    -d/2 to d/2, and xi = (1, w) for each row of the (size, kn) array w of
-    unit vectors of F^n, k coefficients per coordinate.  Only w's first
-    coordinate w1 (k columns) pairs with the segment: a = <x, xi> and
-    b = <v, xi> give [a + b | a - b] = [e^{-d/2} (w1 - 1) | -e^{d/2} (w1 + 1)],
-    so up = |a + b|^2 / 2, down = |a - b|^2 / 2 and gamma = (a + b).(a - b) / 2
-    = (1 - |w1|^2) / 2, half the squared norm of w's other coordinates: all
-    are sums of squares, so G never cancels.
+    p(s) = x0 cosh s + v sinh s, s in [0, d], runs along the first axis from
+    -d/2 to d/2, and xi = (1, w) for unit directions w of F^n given by their
+    first-coordinate statistics (x, a, b) (_first_coordinate).  Only w's
+    first coordinate w1 pairs with the segment: <x0, xi> +- <v, xi> are
+    e^{-d/2} (w1 - 1) and -e^{d/2} (w1 + 1), so up = e^{-d} |w1 - 1|^2 / 2,
+    down = e^{d} |w1 + 1|^2 / 2 and gamma = (1 - |w1|^2) / 2 = |w_rest|^2 / 2.
+    With rho^2 = x^2 + a + b, rho |w1 -+ 1| has real part rho -+ x and
+    squared imaginary part a; rho - x is formed as (a + b) / (rho + x), so
+    every term is a sum of squares and none cancels.
     """
-    im, rest = w[:, 1:k], w[:, k:]
-    im2 = np.einsum("ij,ij->i", im, im)
-    return (0.5 * math.exp(-d) * ((w[:, 0] - 1.0) ** 2 + im2),
-            0.5 * math.exp(d) * ((w[:, 0] + 1.0) ** 2 + im2),
-            0.5 * np.einsum("ij,ij->i", rest, rest))
+    rho2 = x * x + a + b
+    plus = np.sqrt(rho2) + x
+    minus = (a + b) / plus
+    half = 0.5 / rho2
+    return (math.exp(-d) * half * (minus * minus + a),
+            math.exp(d) * half * (plus * plus + a),
+            half * b)
 
 
 def _radial_potential(G, e):
@@ -358,19 +392,19 @@ def _radial_potential(G, e):
     return G ** (-0.5 * (e + 1)) / (e + 1)
 
 
-def _horosphere_values(d, w, u, k):
+def _horosphere_values(d, stats, u, e):
     """Per direction w: the measure of crossing horospheres and a count.
 
-    The horospheres of direction w are xi = r (1, w), and their measure is
-    the total variation of Phi(G^{-1/2}) on the segment (_level_coefficients
-    gives w, k and G).  G's only critical point is its minimum
-    sqrt(up * down) + gamma, at e^{4s} = down / up, which lies inside the
-    segment when 1 < down / up < e^{4d}.  The count is that of one radius
-    per direction, drawn by the uniforms u from r^e dr among the horospheres
-    meeting the segment: Phi values above both endpoint values are met twice.
+    The horospheres of direction w are xi = r (1, w), with radial density
+    r^e dr, and their measure is the total variation of Phi(G^{-1/2}) on the
+    segment (_level_coefficients gives G from w's statistics `stats`).  G's
+    only critical point is its minimum sqrt(up * down) + gamma, at e^{4s} =
+    down / up, which lies inside the segment when 1 < down / up < e^{4d}.
+    The count is that of one radius per direction, drawn by the uniforms u
+    from r^e dr among the horospheres meeting the segment: Phi values above
+    both endpoint values are met twice.
     """
-    e = w.shape[1] + k - 3  # k(n + 1) - 3
-    up, down, gamma = _level_coefficients(d, w, k)
+    up, down, gamma = _level_coefficients(d, *stats)
     grow = math.exp(2.0 * d)
     g0 = 0.5 * (up + down) + gamma
     g1 = 0.5 * (up * grow + down / grow) + gamma
@@ -427,23 +461,24 @@ def _merge_moments(a, b):
     return na + nb, sa + sb, ma + mb + delta * delta * (na * nb / (na + nb)), ha + hb
 
 
-def _conditional_estimate(x, y, samples, seed, workers, measure, values):
+def _conditional_estimate(d, samples, seed, workers, measure, values):
     """measure times the mean over sampled directions of a closed-form value.
 
-    Only d = d(x, y) enters: values(d, rng, size) draws `size` directions
-    and returns, per direction, the measure of the carriers of that
-    direction meeting the axis segment of length d centred at the base
-    point, and crossing counts to histogram.  Each chunk's sum and centred
-    sum of squares are merged in chunk order, so the variance does not
-    cancel when the values barely vary.
+    values(rng, size) draws `size` directions and returns, per direction,
+    the measure of the carriers of that direction meeting the axis segment
+    of length d centred at the base point, and crossing counts to
+    histogram.  Each chunk's sum and centred sum of squares are merged in
+    chunk order, so the variance does not cancel when the values barely
+    vary.
     """
     seed = _resolve_seed(seed)
-    d = hyperbolic_distance(x, y)
-    if d < 1e-12:
+    if not (math.isfinite(d) and d >= 0.0):
+        raise ValueError(f"the distance must be finite and >= 0, got {d}")
+    if d == 0.0:
         return _zero_estimate(seed, samples)
 
     def chunk(rng, size):
-        v, counts = values(d, rng, size)
+        v, counts = values(rng, size)
         total = float(v.sum())
         dev = v - total / size
         return size, total, float(np.sum(dev * dev)), np.bincount(counts, minlength=3)
@@ -476,28 +511,39 @@ def _sign_change_estimate(x, y, d, samples, seed, workers, note):
 
 # -- estimators ----------------------------------------------------------------
 
-def estimate_m(x, y, samples, seed=0, workers=1):
-    """Measure of hyperplanes meeting [xy].
+def hyperplane_crofton(n, d, samples, seed=0, workers=1):
+    """Measure of the hyperplanes of H^n_R meeting a segment of length d.
 
-    Divided by d(x, y) it is the Crofton constant vol(S^{n-2}) / (n-1).  For
-    a direction w the hyperplane at depth p meets the segment exactly when
-    tanh p lies between x.w / x0 and y.w / y0, which on the axis segment
-    from -d/2 to d/2 are -+tanh(d/2) w1; F' = cosh^{n-1} is odd, so that
-    direction carries 2 |F(artanh(tanh(d/2) w1))|.  The (p, w) chart
+    Divided by d it is the Crofton constant vol(S^{n-2}) / (n-1).  For a
+    direction w the hyperplane at depth p meets the axis segment from -d/2
+    to d/2 exactly when tanh p lies between -+tanh(d/2) w1; F' = cosh^{n-1}
+    is even, so that direction carries 2 F(artanh(tanh(d/2) w1)), with
+    w1 = |w_1| >= 0 drawn by _first_coordinate.  The (p, w) chart
     double-covers the hyperplane space, hence the halved sphere area.
+    Raises ValueError for n outside [1, MAX_HYPERPLANE_DIM].
     """
-    if x.space.field != REAL:
-        raise ValueError("hyperplane Crofton estimates require the real field")
-    n = x.space.n
+    if not 1 <= n <= MAX_HYPERPLANE_DIM:
+        raise ValueError(f"hyperplane estimates support dimensions 1 to "
+                         f"{MAX_HYPERPLANE_DIM}, where the carrier measure "
+                         f"vol(S^(n-1)) / 2 is a positive normal float; got {n}")
 
-    def values(d, rng, size):
-        w1 = _uniform_sphere(n, size, rng)[:, 0]
+    def values(rng, size):
+        x, _, b = _first_coordinate(1, n, size, rng)
+        w1 = x / np.sqrt(x * x + b)
         f = cosh_power_antiderivative(n - 1, np.arctanh(math.tanh(0.5 * d) * w1))
         # a hyperplane meets the segment at most once
-        return 2.0 * np.abs(f), np.ones(size, dtype=np.intp)
+        return 2.0 * f, np.ones(size, dtype=np.intp)
 
-    return _conditional_estimate(x, y, samples, seed, workers,
+    return _conditional_estimate(d, samples, seed, workers,
                                  sphere_area(n - 1) / 2.0, values)
+
+
+def estimate_m(x, y, samples, seed=0, workers=1):
+    """Measure of hyperplanes meeting [xy]: hyperplane_crofton at d(x, y)."""
+    if x.space.field != REAL:
+        raise ValueError("hyperplane Crofton estimates require the real field")
+    return hyperplane_crofton(x.space.n, hyperbolic_distance(x, y), samples,
+                              seed, workers)
 
 
 def estimate_symmetric_difference(x, y, samples, seed=0, workers=1):
@@ -511,24 +557,38 @@ def estimate_symmetric_difference(x, y, samples, seed=0, workers=1):
     return estimate_m(x, y, samples, seed, workers)
 
 
-def estimate_horosphere_crofton(x, y, samples, seed=0, workers=1):
-    """Horosphere crossing count of [xy], integrated over all horospheres.
+def horosphere_crofton(field, n, d, samples, seed=0, workers=1):
+    """Horosphere crossing count of a segment of length d in H^n_F.
 
-    Valid over R, C and H; divided by d(x, y) it is a constant of the
-    space.  Directions w are uniform on S^{kn-1}; the radius of (1, w) is
-    integrated against r^e dr, e = k(n+1) - 3, in closed form on the axis
-    segment of length d, where only w's first coordinate w1 and the norm
-    of the others enter (_level_coefficients).
+    Integrated over all horospheres; valid over R, C and H, and divided by
+    d it is 2 vol(B^{kn-1}), k = dim F.  Directions w are uniform on
+    S^{kn-1}; the radius of (1, w) is integrated against r^e dr,
+    e = k(n+1) - 3, in closed form on the axis segment of length d, where
+    only w's first coordinate w1 and the norm of the others enter, drawn by
+    _first_coordinate.  Raises ValueError for k n outside
+    [1, MAX_HOROSPHERE_DIM].
     """
-    space = x.space
-    k, n = FIELD_DIM[space.field], space.n
+    k = FIELD_DIM[field]
+    if not 1 <= k * n <= MAX_HOROSPHERE_DIM:
+        raise ValueError(f"horosphere estimates support k n from 1 to "
+                         f"{MAX_HOROSPHERE_DIM} (k = {k} for field {field!r}), "
+                         f"where the carrier measure vol(S^(kn-1)) is a positive "
+                         f"normal float; got k n = {k * n}")
+    e = k * (n + 1) - 3
 
-    def values(d, rng, size):
-        w = _uniform_sphere(k * n, size, rng)
-        return _horosphere_values(d, w, rng.random(size), k)
+    def values(rng, size):
+        stats = _first_coordinate(k, n, size, rng)
+        return _horosphere_values(d, stats, rng.random(size), e)
 
-    return _conditional_estimate(x, y, samples, seed, workers,
+    return _conditional_estimate(d, samples, seed, workers,
                                  sphere_area(k * n - 1), values)
+
+
+def estimate_horosphere_crofton(x, y, samples, seed=0, workers=1):
+    """Horosphere crossing count of [xy]: horosphere_crofton at d(x, y)."""
+    space = x.space
+    return horosphere_crofton(space.field, space.n, hyperbolic_distance(x, y),
+                              samples, seed, workers)
 
 
 def projective_crofton_estimate(x, y, samples, seed=0, workers=1):

@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 import hypcrofton
-from hypcrofton import crofton
+from hypcrofton import cli, crofton
 from hypcrofton.cli import main
 
 #: point files named in argv by test_invalid_argument_exits_2
 BAD_POINT_FILES = {
     "no-dim.csv": "h\n1,0,0,0,0,0,0,0\n",
     "no-rows.csv": "# a header and nothing else\nh,2\n",
+    "p-short-rows.csv": "p,5\n1,0\n0,1\n1,1\n",
+    "s-long-rows.csv": "s,1\n1,0,0\n0,1,0\n",
 }
 
 
@@ -263,13 +265,25 @@ class TestCrofton:
         (("check-negtype", "--points", "no-rows.csv"), "error: no point rows in"),
         (("embed", "--points", "no-rows.csv"), "error: no point rows in"),
         (("scan-hypermetric", "--points", "no-rows.csv"), "error: no point rows in"),
+        # these printed distances of another dimension than the header's
+        (("dist", "--points", "p-short-rows.csv"),
+         "error: expected 6 reals per row for kind 'p', dim 5; got 2"),
+        (("dist", "--points", "s-long-rows.csv"),
+         "error: expected 2 reals per row for kind 's', dim 1; got 3"),
+        # math.gamma raised OverflowError (exit 1, traceback)
+        (("crofton", "horosphere", "--field", "h", "--dim", "200"),
+         "error: horosphere estimates support k n from 1 to 438"),
+        (("crofton", "hyperplane", "--dim", "438"),
+         "error: hyperplane estimates support dimensions 1 to 437"),
     ], ids=["pairs-zero", "pairs-negative", "pairs-inf", "samples-zero",
             "workers-zero", "dim-zero", "horosphere-beyond-domain",
             "hyperplane-beyond-domain", "pair-beyond-domain", "trials-negative",
             "m-below-3", "m-not-integer", "radius-negative", "radius-nan",
             "radius-beyond-domain", "bound-negative", "bound-zero",
             "points-no-dim", "points-no-rows-dist", "points-no-rows-check-negtype",
-            "points-no-rows-embed", "points-no-rows-scan-hypermetric"])
+            "points-no-rows-embed", "points-no-rows-scan-hypermetric",
+            "points-p-wrong-width", "points-s-wrong-width",
+            "horosphere-dim-beyond-measure", "hyperplane-dim-beyond-measure"])
     def test_invalid_argument_exits_2(self, capsys, tmp_path, argv, message):
         for name, text in BAD_POINT_FILES.items():
             (tmp_path / name).write_text(text, encoding="utf-8")
@@ -286,14 +300,35 @@ class TestCrofton:
         assert code in (0, 1)
         assert math.isfinite(json.loads(out)["results"][0]["ratio"])
 
+    @pytest.mark.parametrize("argv", [
+        ("hyperplane", "--dim", "3", "--pairs", "1e-13"),
+        ("horosphere", "--field", "c", "--dim", "2", "--pairs", "1e-13"),
+        ("hyperplane", "--dim", "3", "--pairs", "12"),
+    ], ids=["hyperplane-tiny", "horosphere-tiny", "hyperplane-far"])
+    def test_distance_passed_exactly(self, capsys, argv):
+        # the estimators take the parsed d: built as axis points and measured
+        # back, 1e-13 read 0 (exit 1 through a ZeroDivisionError traceback)
+        # and 12 read 11.999999046
+        code, out, _ = run_cli(capsys, "crofton", *argv, "--samples", "100000",
+                               "--seed", "3")
+        assert (code, json.loads(out)["verdict"]) == (0, "ratios consistent")
+        assert json.loads(out)["results"][0]["d"] == float(argv[-1])
+
+    def test_large_dimension(self, capsys):
+        # vol(S^399) = 1.4e-273 is a normal float; math.gamma(200) overflowed
+        # (exit 1, traceback)
+        code, out, err = run_cli(capsys, "crofton", "hyperplane", "--dim", "400",
+                                 "--samples", "20000", "--seed", "1")
+        assert (code, json.loads(out)["verdict"], err) == (0, "ratios consistent", "")
+
     def test_non_finite_estimate_is_not_consistent(self, capsys, monkeypatch):
-        real = crofton.estimate_m
+        real = crofton.hyperplane_crofton
 
         def nan_estimate(*args, **kwargs):
             return dataclasses.replace(real(*args, **kwargs), estimate=math.nan,
                                        ratio=math.nan)
 
-        monkeypatch.setattr(crofton, "estimate_m", nan_estimate)
+        monkeypatch.setattr(crofton, "hyperplane_crofton", nan_estimate)
         code, out, _ = run_cli(capsys, "crofton", "hyperplane", "--pairs", "1",
                                "--samples", "1000")
         assert code == 1
@@ -316,22 +351,25 @@ class TestCrofton:
     def test_lone_pair_against_constant(self, capsys, monkeypatch, argv):
         # a lone pair has no other ratio to agree with, so it is held to the
         # carrier's closed-form constant; it used to be consistent whatever
-        # its ratio
+        # its ratio.  The moved estimate sits 4 sigma (plus the slack) from
+        # the constant, wherever the draw put the estimate itself
         args = ("crofton", *argv, "--pairs", "1.3", "--samples", "100000",
                 "--seed", "11")
         code, out, _ = run_cli(capsys, *args)
         assert (code, json.loads(out)["verdict"]) == (0, "ratios consistent")
-        estimator = {"hyperplane": "estimate_m",
-                     "horosphere": "estimate_horosphere_crofton",
+        estimator = {"hyperplane": "hyperplane_crofton",
+                     "horosphere": "horosphere_crofton",
                      "projective": "projective_crofton_estimate",
                      "sphere": "sphere_halfspace_crofton"}[argv[0]]
         real = getattr(crofton, estimator)
+        field = argv[argv.index("--field") + 1] if "--field" in argv else "r"
+        constant = cli._crofton_constant(argv[0], field,
+                                         int(argv[argv.index("--dim") + 1]))
 
         def shifted(*a, **kw):
             est = real(*a, **kw)
-            shift = 4.0 * est.stderr + 1e-11 * est.estimate
-            return dataclasses.replace(est, estimate=est.estimate + shift,
-                                       ratio=(est.estimate + shift) / est.d)
+            moved = constant * est.d + 4.0 * est.stderr + 1e-11 * est.estimate
+            return dataclasses.replace(est, estimate=moved, ratio=moved / est.d)
 
         monkeypatch.setattr(crofton, estimator, shifted)
         code, out, _ = run_cli(capsys, *args)

@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -84,6 +85,24 @@ class TestIntegrals:
     def test_sphere_area(self):
         assert crofton.sphere_area(1) == pytest.approx(2 * math.pi)
         assert crofton.sphere_area(2) == pytest.approx(4 * math.pi)
+
+    def test_sphere_area_large(self):
+        # vol(S^m) = vol(S^{m-2}) 2 pi / (m - 1) from S^0 and S^1, as far as
+        # it stays a normal float; math.gamma overflowed from m = 343
+        area = [2.0, 2.0 * math.pi]
+        for m in range(2, 440):
+            area.append(area[m - 2] * 2.0 * math.pi / (m - 1))
+        for m in (3, 10, 100, 342, 343, 399, 437):
+            assert crofton.sphere_area(m) == pytest.approx(area[m], rel=1e-12)
+        assert crofton.sphere_area(799) == 0.0
+
+    def test_dimension_limits(self):
+        # the largest dimensions whose carrier measures are normal floats
+        tiny = sys.float_info.min
+        n = crofton.MAX_HYPERPLANE_DIM
+        assert crofton.sphere_area(n - 1) / 2 >= tiny > crofton.sphere_area(n) / 2
+        kn = crofton.MAX_HOROSPHERE_DIM
+        assert crofton.sphere_area(kn - 1) >= tiny > crofton.sphere_area(kn)
 
 
 class TestHyperplaneSampler:
@@ -380,8 +399,11 @@ class TestHorosphereIntersections:
         seg = geodesic_between(x, y)
         est = estimate_horosphere_crofton(x, y, samples, seed=seed)
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        w = crofton._uniform_sphere(2 * k, samples, rng)
+        x1, a, b = crofton._first_coordinate(k, 2, samples, rng)
         u = rng.random(samples)
+        # a direction with these statistics: ((x, sqrt a), (sqrt b, 0)) / rho
+        w = np.column_stack([x1, np.sqrt(a), np.sqrt(b), np.zeros(samples)])
+        w /= np.sqrt(x1 * x1 + a + b)[:, None]
         s = np.linspace(0.0, d, 4001)[:, None]
         path = seg.base[:, None] * np.cosh(s) + seg.tangent[:, None] * np.sinh(s)
         tally = {1: 0, 2: 0}
@@ -408,10 +430,11 @@ class TestLevelMatrix:
     @pytest.mark.parametrize("field", [REAL, COMPLEX, QUATERNION])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_form(self, field, n):
-        # the closed-form level rows [a + b | a - b] and the (up, down, gamma)
-        # of _level_coefficients against a = <x, xi> and b = <v, xi> from
-        # form_coeffs, one direction at a time, on the explicit axis segment
-        # from -d/2 to d/2 (base x, tangent v) for d up to 12
+        # the closed-form level rows [a + b | a - b], and the (up, down, gamma)
+        # that _level_coefficients forms from a direction's statistics
+        # (x, a, b), against a = <x, xi> and b = <v, xi> from form_coeffs,
+        # one direction at a time, on the explicit axis segment from -d/2 to
+        # d/2 (base x, tangent v) for d up to 12; w = g / |g| with Re w1 >= 0
         space = HermitianSpace(field, n)
         k = FIELD_DIM[field]
         rng = np.random.default_rng(50 + 3 * n + k)
@@ -422,9 +445,12 @@ class TestLevelMatrix:
                 base[:2, 0] = math.cosh(0.5 * d), -math.sinh(0.5 * d)
                 tangent[:2, 0] = -math.sinh(0.5 * d), math.cosh(0.5 * d)
                 scale = np.linalg.norm(base) + np.linalg.norm(tangent)
-                w = rng.standard_normal((5, k * n))
-                w /= np.linalg.norm(w, axis=1, keepdims=True)
-                up, down, gamma = crofton._level_coefficients(d, w, k)
+                g = rng.standard_normal((5, k * n))
+                g *= np.sign(g[:, :1])
+                w = g / np.linalg.norm(g, axis=1, keepdims=True)
+                up, down, gamma = crofton._level_coefficients(
+                    d, g[:, 0], np.sum(g[:, 1:k] ** 2, axis=1),
+                    np.sum(g[:, k:] ** 2, axis=1))
                 for i in range(5):
                     xi = np.zeros((n + 1, 4))
                     xi[0, 0] = 1.0
@@ -439,6 +465,82 @@ class TestLevelMatrix:
                                       (down[i], 0.5 * np.sum((a - b) ** 2)),
                                       (gamma[i], 0.5 * (a @ a - b @ b))):
                         assert abs(got - want) <= 1e-14 * bound ** 2
+
+
+class TestFirstCoordinate:
+    @pytest.mark.parametrize("k,m", [(1, 1), (1, 3), (2, 2), (4, 1), (4, 2)])
+    def test_law_matches_uniform_sphere(self, k, m):
+        # the means of |Re w1|, |Im w1|^2 and |w_rest|^2 from the statistics
+        # against the same functions of uniform unit vectors of F^m; a wrong
+        # gamma shape moves them by many sigma
+        samples = 200_000
+        x, a, b = crofton._first_coordinate(k, m, samples,
+                                            np.random.default_rng(70 + k * m))
+        rho2 = x * x + a + b
+        w = crofton._uniform_sphere(k * m, samples, np.random.default_rng(80 + k * m))
+        drawn = (x / np.sqrt(rho2), a / rho2, b / rho2)
+        read = (np.abs(w[:, 0]), np.sum(w[:, 1:k] ** 2, axis=1),
+                np.sum(w[:, k:] ** 2, axis=1))
+        for got, want in zip(drawn, read):
+            sigma = math.hypot(got.std(), want.std()) / math.sqrt(samples)
+            assert abs(got.mean() - want.mean()) <= 5 * sigma + 1e-15
+
+    def test_generator_calls(self):
+        # per call: one normal draw, then a gamma draw for Im w1 when k > 1
+        # and one for w_rest when m > 1, in that order
+        size = 7
+        for k, m in ((1, 1), (1, 3), (4, 1), (4, 2)):
+            x, a, b = crofton._first_coordinate(k, m, size, np.random.default_rng(5))
+            rng = np.random.default_rng(5)
+            assert np.array_equal(x, np.abs(rng.standard_normal(size)))
+            assert np.array_equal(a, 2 * rng.standard_gamma(0.5 * (k - 1), size)
+                                  if k > 1 else np.zeros(size))
+            assert np.array_equal(b, 2 * rng.standard_gamma(0.5 * k * (m - 1), size)
+                                  if m > 1 else np.zeros(size))
+
+
+class TestDistanceEstimators:
+    @pytest.mark.parametrize("d", [1e-13, 1e-3, 2.0, 12.0, 16.0])
+    def test_no_floating_point_exceptions(self, d):
+        # both estimators over R, C and H, from d at rounding level to the
+        # CLI's largest distance
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            ests = [crofton.hyperplane_crofton(n, d, 20_000, seed=1)
+                    for n in (1, 2, 3, 5)]
+            ests += [crofton.horosphere_crofton(field, n, d, 20_000, seed=2)
+                     for field in (REAL, COMPLEX, QUATERNION) for n in (1, 2, 3)]
+        for est in ests:
+            assert est.d == d
+            assert est.estimate > 0 and math.isfinite(est.ratio)
+            assert math.isfinite(est.stderr)
+
+    def test_no_full_direction_drawn(self, monkeypatch):
+        # the hyperbolic estimators draw only the statistics their
+        # integrands read, never a full unit vector per sample
+        def refuse(*args):
+            raise AssertionError("_uniform_sphere called")
+
+        monkeypatch.setattr(crofton, "_uniform_sphere", refuse)
+        space = HermitianSpace(REAL, 3)
+        assert estimate_m(base_point(space), axis_point(space, 1.0), 1000).estimate > 0
+        for field in (REAL, COMPLEX, QUATERNION):
+            space = HermitianSpace(field, 2)
+            est = estimate_horosphere_crofton(base_point(space),
+                                              axis_point(space, 1.0), 1000)
+            assert est.estimate > 0
+
+    @pytest.mark.parametrize("call", [
+        lambda: crofton.hyperplane_crofton(3, -1.0, 10),
+        lambda: crofton.hyperplane_crofton(3, math.inf, 10),
+        lambda: crofton.horosphere_crofton(COMPLEX, 2, math.nan, 10),
+        lambda: crofton.hyperplane_crofton(0, 1.0, 10),
+        lambda: crofton.hyperplane_crofton(438, 1.0, 10),
+        lambda: crofton.horosphere_crofton(QUATERNION, 110, 1.0, 10),
+    ], ids=["d-negative", "d-inf", "d-nan", "n-zero", "n-beyond-measure",
+            "kn-beyond-measure"])
+    def test_invalid_input_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
 
 
 class TestChunkMoments:
@@ -613,14 +715,14 @@ class TestHorosphereEstimator:
         assert est.count_histogram.get(2, 0) > 0
 
     def test_histogram_pinned(self):
-        # recorded before the level coefficients came from one matrix
-        # product; the estimate's float may change in its last digits, the
-        # crossing counts may not
+        # recorded when the directions' first-coordinate statistics were
+        # first drawn from their chi-square laws; the estimate's float may
+        # change in its last digits, the crossing counts may not
         space = HermitianSpace(QUATERNION, 2)
         est = estimate_horosphere_crofton(axis_point(space, 0.0),
                                           axis_point(space, 1.0), 300_000, seed=1)
-        assert est.count_histogram == {1: 152758, 2: 147242}
-        assert est.estimate == pytest.approx(9.475525787168191, rel=1e-14)
+        assert est.count_histogram == {1: 152512, 2: 147488}
+        assert est.estimate == pytest.approx(9.461754603603042, rel=1e-14)
 
     def test_worker_count_invariance(self):
         space = HermitianSpace(COMPLEX, 2)
@@ -667,14 +769,15 @@ class TestHorosphereEstimator:
         assert abs(est.estimate - brute) <= 4 * math.hypot(est.stderr, brute_err)
 
     def test_degenerate_directions(self):
-        # xi = (1, +-1, 0) is centred at an end of the segment's geodesic, so
-        # |beta| = alpha (up or down is 0); each of its horospheres crosses
-        # once, and the radii met run from e^{-d/2} to e^{d/2}
+        # xi = (1, 1, 0), the statistics (x, a, b) = (1, 0, 0), is centred
+        # at an end of the segment's geodesic, so up = 0 (|beta| = alpha);
+        # each of its horospheres crosses once, and the radii met run from
+        # e^{-d/2} to e^{d/2}; w1 = -1 is the same on the reversed segment
         d = 1.4
-        w = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        stats = (np.ones(2), np.zeros(2), np.zeros(2))
         with np.errstate(all="raise"):
             values, counts = crofton._horosphere_values(
-                d, w, np.array([0.3, 0.9]), 1)
+                d, stats, np.array([0.3, 0.9]), 0)
         assert values == pytest.approx([2 * math.sinh(0.5 * d)] * 2, rel=1e-12)
         assert counts.tolist() == [1, 1]
 
