@@ -32,12 +32,16 @@ from .crofton import (
     halfspace_contains,
     halfspace_side,
     horosphere_crofton,
+    horosphere_crofton_many,
     hyperplane_crofton,
+    hyperplane_crofton_many,
     hyperplane_meets_segment,
     projective_crofton_estimate,
+    projective_crofton_many,
     sample_horosphere,
     sample_hyperplane,
     sphere_halfspace_crofton,
+    sphere_halfspace_crofton_many,
 )
 from .kernels import (
     EmbeddingResult,

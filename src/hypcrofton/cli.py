@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import math
 import sys
@@ -26,6 +25,16 @@ POINT_KINDS = ("r", "c", "h", "p", "s")
 #: rounding of cosh(d)^2, and the hyperplane and horosphere --pairs, whose
 #: estimators work with e^{+-2d}
 MAX_DISTANCE = 16.0
+
+#: per carrier, the largest --pairs distance, its name and the reason; past
+#: the diameters of S^n and P^n_R a pair would be measured at 2 pi - d or
+#: pi - d
+PAIR_LIMITS = {
+    **dict.fromkeys(("hyperplane", "horosphere"), (
+        MAX_DISTANCE, f"{MAX_DISTANCE:g}", "the largest supported in H^n")),
+    "sphere": (math.pi, "pi", "the diameter of S^n"),
+    "projective": (0.5 * math.pi, "pi/2", "the diameter of P^n_R"),
+}
 
 
 def _read_points(path):
@@ -234,34 +243,34 @@ def cmd_embed(args):
 
 def cmd_crofton(args):
     pairs = [float(v) for v in args.pairs.split(",")]
-    if args.carrier in ("hyperplane", "horosphere"):
-        # the estimators take d itself: an estimate depends on a pair only
-        # through its distance
-        for d in pairs:
-            if d > MAX_DISTANCE:
-                raise ValueError(f"distance {d:g} is beyond {MAX_DISTANCE:g}, the "
-                                 f"largest supported for hyperplane and horosphere "
-                                 f"pairs")
-        if args.carrier == "hyperplane":
-            if args.field != REAL:
-                raise ValueError("hyperplane Crofton estimates require the real field")
-            estimate = functools.partial(crofton.hyperplane_crofton, args.dim)
-        else:
-            estimate = functools.partial(crofton.horosphere_crofton, args.field,
-                                         args.dim)
-        estimates = [estimate(d, args.samples, seed=args.seed, workers=args.workers)
-                     for d in pairs]
+    limit, name, why = PAIR_LIMITS[args.carrier]
+    for d in pairs:
+        if d > limit:
+            raise ValueError(f"distance {d:g} is beyond {name}, {why}: "
+                             f"{args.carrier} pairs take distances in (0, {name}]")
+    # one estimator call for all pairs, so they share the seed's draws; the
+    # hyperbolic estimators take d itself, as an estimate depends on a pair
+    # only through its distance
+    if args.carrier == "hyperplane":
+        if args.field != REAL:
+            raise ValueError("hyperplane Crofton estimates require the real field")
+        estimates = crofton.hyperplane_crofton_many(
+            args.dim, pairs, args.samples, seed=args.seed, workers=args.workers)
+    elif args.carrier == "horosphere":
+        estimates = crofton.horosphere_crofton_many(
+            args.field, args.dim, pairs, args.samples, seed=args.seed,
+            workers=args.workers)
     else:
         x = np.array([1.0] + [0.0] * args.dim)
-        points = [(x, np.array([math.cos(d), math.sin(d)] + [0.0] * (args.dim - 1)))
-                  for d in pairs]
+        ys = [np.array([math.cos(d), math.sin(d)] + [0.0] * (args.dim - 1))
+              for d in pairs]
         if args.carrier == "projective":
-            estimator = crofton.projective_crofton_estimate
-            points = [(spaces.PPoint(x), spaces.PPoint(y)) for x, y in points]
+            estimates = crofton.projective_crofton_many(
+                spaces.PPoint(x), [spaces.PPoint(y) for y in ys], args.samples,
+                seed=args.seed, workers=args.workers)
         else:
-            estimator = crofton.sphere_halfspace_crofton
-        estimates = [estimator(x, y, args.samples, seed=args.seed,
-                               workers=args.workers) for x, y in points]
+            estimates = crofton.sphere_halfspace_crofton_many(
+                x, ys, args.samples, seed=args.seed, workers=args.workers)
     results = [dataclasses.asdict(e) for e in estimates]
     ratios = [r["ratio"] for r in results]
     ratio_errs = [r["stderr"] / r["d"] for r in results]

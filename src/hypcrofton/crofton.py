@@ -20,6 +20,18 @@ and |w_rest|^2 alone.  These are drawn from their exact laws
 (_first_coordinate), not read off a full unit vector.  estimate_m and
 estimate_horosphere_crofton take a pair of points and pass d(x, y).
 
+The vector entry points hyperplane_crofton_many, horosphere_crofton_many,
+projective_crofton_many and sphere_halfspace_crofton_many estimate many
+distances, or many pairs with one base point, in one pass: each chunk
+draws its directions once and every distance reads them, and one thread
+pool serves them all.  hyperplane_crofton, horosphere_crofton,
+projective_crofton_estimate and sphere_halfspace_crofton are their
+one-pair wrappers, and each estimate of a vector call equals the one its
+wrapper gives at the same seed.  So the estimates of one call use common
+random numbers: their errors are positively correlated, and comparing
+two of their ratios by the 3 sigma hypot rule of independent estimates
+is conservative.
+
 Estimators are deterministic given an integer master seed: samples are
 drawn in fixed-size chunks with independently spawned substreams, so the
 result does not depend on the worker count or schedule.
@@ -29,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -363,58 +376,102 @@ def count_horosphere_intersections(h, seg):
     return count
 
 
-def _level_coefficients(d, x, a, b):
-    """(up, down, gamma): |<p(s), xi>|^2 = (up e^{2s} + down e^{-2s}) / 2 + gamma.
+def _level_coefficients(x, a, b):
+    """(half, low, high, gamma): the part of a direction's level free of d.
 
-    p(s) = x0 cosh s + v sinh s, s in [0, d], runs along the first axis from
-    -d/2 to d/2, and xi = (1, w) for unit directions w of F^n given by their
-    first-coordinate statistics (x, a, b) (_first_coordinate).  Only w's
-    first coordinate w1 pairs with the segment: <x0, xi> +- <v, xi> are
-    e^{-d/2} (w1 - 1) and -e^{d/2} (w1 + 1), so up = e^{-d} |w1 - 1|^2 / 2,
-    down = e^{d} |w1 + 1|^2 / 2 and gamma = (1 - |w1|^2) / 2 = |w_rest|^2 / 2.
-    With rho^2 = x^2 + a + b, rho |w1 -+ 1| has real part rho -+ x and
-    squared imaginary part a; rho - x is formed as (a + b) / (rho + x), so
-    every term is a sum of squares and none cancels.
+    On the axis segment of length d, p(s) = x0 cosh s + v sinh s, s in
+    [0, d], runs along the first axis from -d/2 to d/2.  For xi = (1, w),
+    w a unit direction of F^n given by its first-coordinate statistics
+    (x, a, b) (_first_coordinate), |<p(s), xi>|^2 = (up e^{2s} + down
+    e^{-2s}) / 2 + gamma with up = e^{-d} half low and down = e^{d} half
+    high.  Only w's first coordinate w1 pairs with the segment: <x0, xi> +-
+    <v, xi> are e^{-d/2} (w1 - 1) and -e^{d/2} (w1 + 1), so up = e^{-d}
+    |w1 - 1|^2 / 2, down = e^{d} |w1 + 1|^2 / 2 and gamma = (1 - |w1|^2) / 2
+    = |w_rest|^2 / 2.  With rho^2 = x^2 + a + b, rho |w1 -+ 1| has real
+    part rho -+ x and squared imaginary part a: half = 1 / (2 rho^2), low =
+    (rho - x)^2 + a, high = (rho + x)^2 + a.  rho - x is formed as (a + b)
+    / (rho + x), so every term is a sum of squares and none cancels.  b is
+    overwritten.
     """
-    rho2 = x * x + a + b
-    plus = np.sqrt(rho2) + x
-    minus = (a + b) / plus
-    half = 0.5 / rho2
-    return (math.exp(-d) * half * (minus * minus + a),
-            math.exp(d) * half * (plus * plus + a),
-            half * b)
+    rho2 = x * x
+    rho2 += a
+    rho2 += b
+    plus = np.sqrt(rho2)
+    plus += x
+    minus = a + b
+    minus /= plus
+    half = np.divide(0.5, rho2, out=rho2)
+    minus *= minus
+    minus += a
+    plus *= plus
+    plus += a
+    b *= half
+    return half, minus, plus, b
 
 
 def _radial_potential(G, e):
-    """Phi(G^{-1/2}), where Phi(r) = r^{e+1} / (e+1), or log r when e = -1."""
+    """Phi(G^{-1/2}) in place of G, where Phi(r) = r^{e+1} / (e+1), or log r
+    when e = -1."""
     if e == -1:
-        return -0.5 * np.log(G)
-    return G ** (-0.5 * (e + 1)) / (e + 1)
+        np.log(G, out=G)
+        G *= -0.5
+    else:
+        G **= -0.5 * (e + 1)
+        G /= e + 1
+    return G
 
 
-def _horosphere_values(d, stats, u, e):
+def _horosphere_values(d, levels, u, e):
     """Per direction w: the measure of crossing horospheres and a count.
 
     The horospheres of direction w are xi = r (1, w), with radial density
     r^e dr, and their measure is the total variation of Phi(G^{-1/2}) on the
-    segment (_level_coefficients gives G from w's statistics `stats`).  G's
+    segment of length d (G from w's `levels`, _level_coefficients).  G's
     only critical point is its minimum sqrt(up * down) + gamma, at e^{4s} =
     down / up, which lies inside the segment when 1 < down / up < e^{4d}.
     The count is that of one radius per direction, drawn by the uniforms u
     from r^e dr among the horospheres meeting the segment: Phi values above
-    both endpoint values are met twice.
+    both endpoint values are met twice.  The arrays of one d are formed in
+    place, so the chunk holds few of them beside the shared levels.
     """
-    up, down, gamma = _level_coefficients(d, *stats)
+    half, low, high, gamma = levels
+    up = half * math.exp(-d)
+    up *= low
+    down = half * math.exp(d)
+    down *= high
     grow = math.exp(2.0 * d)
-    g0 = 0.5 * (up + down) + gamma
-    g1 = 0.5 * (up * grow + down / grow) + gamma
-    ends = np.minimum(g0, g1)
-    interior = (up < down) & (down < up * grow * grow)
-    gmin = np.where(interior, np.minimum(np.sqrt(up * down) + gamma, ends), ends)
-    f0, f1, peak = (_radial_potential(g, e) for g in (g0, g1, gmin))
-    lo, hi = np.minimum(f0, f1), np.maximum(f0, f1)
-    counts = 1 + (lo + u * (peak - lo) > hi)
-    return 2.0 * peak - f0 - f1, counts
+    g0 = up + down
+    g0 *= 0.5
+    g0 += gamma
+    g1 = up * grow
+    ends = down / grow
+    g1 += ends
+    g1 *= 0.5
+    g1 += gamma
+    interior = up < down
+    np.multiply(up, grow, out=ends)
+    ends *= grow
+    interior &= down < ends
+    np.minimum(g0, g1, out=ends)
+    up *= down
+    del down
+    np.sqrt(up, out=up)
+    up += gamma
+    np.minimum(up, ends, out=up)
+    np.copyto(ends, up, where=interior)  # ends becomes G's minimum
+    del up, interior
+    f0, f1, peak = (_radial_potential(g, e) for g in (g0, g1, ends))
+    lo = np.minimum(f0, f1)
+    drawn = peak - lo
+    drawn *= u
+    drawn += lo
+    del lo
+    counts = 1 + (drawn > np.maximum(f0, f1))
+    del drawn
+    peak *= 2.0
+    peak -= f0
+    peak -= f1
+    return peak, counts
 
 
 # -- chunked Monte Carlo driver -------------------------------------------------
@@ -461,64 +518,103 @@ def _merge_moments(a, b):
     return na + nb, sa + sb, ma + mb + delta * delta * (na * nb / (na + nb)), ha + hb
 
 
-def _conditional_estimate(d, samples, seed, workers, measure, values):
-    """measure times the mean over sampled directions of a closed-form value.
+def _conditional_estimate(ds, samples, seed, workers, measure, draw, values):
+    """measure times the mean over sampled directions of a closed-form value,
+    one estimate per distance d in ds.
 
-    values(rng, size) draws `size` directions and returns, per direction,
-    the measure of the carriers of that direction meeting the axis segment
-    of length d centred at the base point, and crossing counts to
-    histogram.  Each chunk's sum and centred sum of squares are merged in
-    chunk order, so the variance does not cancel when the values barely
-    vary.
+    draw(rng, size) draws `size` directions and returns what their values
+    share across distances; values(d, shared) returns, per direction, the
+    measure of the carriers of that direction meeting the axis segment of
+    length d centred at the base point, and crossing counts to histogram.
+    Each chunk draws once for every d, so the estimates of one call share
+    their directions.  Per d, each chunk's sum and centred sum of squares
+    are merged in chunk order, so the variance does not cancel when the
+    values barely vary.  Raises ValueError for a d that is not finite and
+    >= 0, and for an estimate or stderr that underflows below the smallest
+    normal float.
     """
     seed = _resolve_seed(seed)
-    if not (math.isfinite(d) and d >= 0.0):
-        raise ValueError(f"the distance must be finite and >= 0, got {d}")
-    if d == 0.0:
-        return _zero_estimate(seed, samples)
+    ds = tuple(ds)
+    for d in ds:
+        if not (math.isfinite(d) and d >= 0.0):
+            raise ValueError(f"the distance must be finite and >= 0, got {d}")
+    live = [d for d in ds if d != 0.0]
 
     def chunk(rng, size):
-        v, counts = values(rng, size)
-        total = float(v.sum())
-        dev = v - total / size
-        return size, total, float(np.sum(dev * dev)), np.bincount(counts, minlength=3)
+        shared = draw(rng, size)
+        moments = []
+        for d in live:
+            v, counts = values(d, shared)
+            total = float(v.sum())
+            v -= total / size
+            v *= v
+            moments.append((size, total, float(np.sum(v)),
+                            np.bincount(counts, minlength=3)))
+        return moments
 
-    _, total, m2, hist = functools.reduce(
-        _merge_moments, _run_chunks(chunk, samples, seed, workers))
+    chunks = _run_chunks(chunk, samples, seed, workers) if live else []
+    merged = (functools.reduce(_merge_moments, per_d) for per_d in zip(*chunks))
+    return [_zero_estimate(seed, samples) if d == 0.0
+            else _moment_estimate(d, measure, samples, seed, next(merged))
+            for d in ds]
+
+
+def _moment_estimate(d, measure, samples, seed, moments):
+    _, total, m2, hist = moments
     mean = total / samples
     est = measure * mean
+    stderr = measure * math.sqrt(m2) / samples
+    if (mean > 0.0 and est < sys.float_info.min) or \
+            (m2 > 0.0 and stderr < sys.float_info.min):
+        raise ValueError(f"the estimate at d = {d:g} underflows: {est:g} +- "
+                         f"{stderr:g} is below the smallest normal float")
     histogram = {c: int(k) for c, k in enumerate(hist) if k}
     return CroftonEstimate(d=d, total_measure=measure, mean_count=mean,
-                           estimate=est, stderr=measure * math.sqrt(m2) / samples,
-                           samples=samples, seed=seed, ratio=est / d,
-                           count_histogram=histogram)
+                           estimate=est, stderr=stderr, samples=samples,
+                           seed=seed, ratio=est / d, count_histogram=histogram)
 
 
-def _sign_change_estimate(x, y, d, samples, seed, workers, note):
-    """Fraction of uniform u on the sphere with (u . x)(u . y) < 0."""
+def _sign_change_estimates(x, targets, samples, seed, workers):
+    """Fraction of uniform u on the sphere with (u . x)(u . y) < 0, per target.
+
+    targets holds (d, y, note) per pair, or None for a coincident pair,
+    which gets the zero estimate.  Each chunk draws u and forms u . x once
+    for every pair.
+    """
+    live = [t for t in targets if t is not None]
 
     def chunk(rng, size):
         u = _uniform_sphere(x.shape[0], size, rng)
-        return int(np.sum((u @ x) * (u @ y) < 0))
+        ux = u @ x
+        return [int(np.sum(ux * (u @ y) < 0)) for _, y, _ in live]
 
-    hits = sum(_run_chunks(chunk, samples, seed, workers))
-    phat = hits / samples
-    return CroftonEstimate(d=d, total_measure=1.0, mean_count=phat,
-                           estimate=phat,
-                           stderr=math.sqrt(max(phat * (1.0 - phat), 0.0) / samples),
-                           samples=samples, seed=seed, ratio=phat / d, note=note)
+    chunks = _run_chunks(chunk, samples, seed, workers) if live else []
+    hits = map(sum, zip(*chunks))
+    estimates = []
+    for target in targets:
+        if target is None:
+            estimates.append(_zero_estimate(seed, samples))
+            continue
+        d, _, note = target
+        phat = next(hits) / samples
+        estimates.append(CroftonEstimate(
+            d=d, total_measure=1.0, mean_count=phat, estimate=phat,
+            stderr=math.sqrt(max(phat * (1.0 - phat), 0.0) / samples),
+            samples=samples, seed=seed, ratio=phat / d, note=note))
+    return estimates
 
 
 # -- estimators ----------------------------------------------------------------
 
-def hyperplane_crofton(n, d, samples, seed=0, workers=1):
-    """Measure of the hyperplanes of H^n_R meeting a segment of length d.
+def hyperplane_crofton_many(n, ds, samples, seed=0, workers=1):
+    """Measures of the hyperplanes of H^n_R meeting segments of lengths ds.
 
-    Divided by d it is the Crofton constant vol(S^{n-2}) / (n-1).  For a
-    direction w the hyperplane at depth p meets the axis segment from -d/2
-    to d/2 exactly when tanh p lies between -+tanh(d/2) w1; F' = cosh^{n-1}
-    is even, so that direction carries 2 F(artanh(tanh(d/2) w1)), with
-    w1 = |w_1| >= 0 drawn by _first_coordinate.  The (p, w) chart
+    One estimate per d; each divided by d is the Crofton constant
+    vol(S^{n-2}) / (n-1).  For a direction w the hyperplane at depth p
+    meets the axis segment from -d/2 to d/2 exactly when tanh p lies
+    between -+tanh(d/2) w1; F' = cosh^{n-1} is even, so that direction
+    carries 2 F(artanh(tanh(d/2) w1)), with w1 = |w_1| >= 0 drawn by
+    _first_coordinate once per chunk for every d.  The (p, w) chart
     double-covers the hyperplane space, hence the halved sphere area.
     Raises ValueError for n outside [1, MAX_HYPERPLANE_DIM].
     """
@@ -527,15 +623,25 @@ def hyperplane_crofton(n, d, samples, seed=0, workers=1):
                          f"{MAX_HYPERPLANE_DIM}, where the carrier measure "
                          f"vol(S^(n-1)) / 2 is a positive normal float; got {n}")
 
-    def values(rng, size):
+    def draw(rng, size):
         x, _, b = _first_coordinate(1, n, size, rng)
-        w1 = x / np.sqrt(x * x + b)
-        f = cosh_power_antiderivative(n - 1, np.arctanh(math.tanh(0.5 * d) * w1))
         # a hyperplane meets the segment at most once
-        return 2.0 * f, np.ones(size, dtype=np.intp)
+        return x / np.sqrt(x * x + b), np.ones(size, dtype=np.intp)
 
-    return _conditional_estimate(d, samples, seed, workers,
-                                 sphere_area(n - 1) / 2.0, values)
+    def values(d, shared):
+        w1, ones = shared
+        t = w1 * math.tanh(0.5 * d)
+        f = cosh_power_antiderivative(n - 1, np.arctanh(t, out=t))
+        f *= 2.0
+        return f, ones
+
+    return _conditional_estimate(ds, samples, seed, workers,
+                                 sphere_area(n - 1) / 2.0, draw, values)
+
+
+def hyperplane_crofton(n, d, samples, seed=0, workers=1):
+    """Measure of the hyperplanes of H^n_R meeting a segment of length d."""
+    return hyperplane_crofton_many(n, (d,), samples, seed, workers)[0]
 
 
 def estimate_m(x, y, samples, seed=0, workers=1):
@@ -557,16 +663,18 @@ def estimate_symmetric_difference(x, y, samples, seed=0, workers=1):
     return estimate_m(x, y, samples, seed, workers)
 
 
-def horosphere_crofton(field, n, d, samples, seed=0, workers=1):
-    """Horosphere crossing count of a segment of length d in H^n_F.
+def horosphere_crofton_many(field, n, ds, samples, seed=0, workers=1):
+    """Horosphere crossing counts of segments of lengths ds in H^n_F.
 
-    Integrated over all horospheres; valid over R, C and H, and divided by
-    d it is 2 vol(B^{kn-1}), k = dim F.  Directions w are uniform on
-    S^{kn-1}; the radius of (1, w) is integrated against r^e dr,
-    e = k(n+1) - 3, in closed form on the axis segment of length d, where
-    only w's first coordinate w1 and the norm of the others enter, drawn by
-    _first_coordinate.  Raises ValueError for k n outside
-    [1, MAX_HOROSPHERE_DIM].
+    One estimate per d, integrated over all horospheres; valid over R, C
+    and H, and divided by d it is 2 vol(B^{kn-1}), k = dim F.  Directions w
+    are uniform on S^{kn-1}; the radius of (1, w) is integrated against
+    r^e dr, e = k(n+1) - 3, in closed form on the axis segment of length d,
+    where only w's first coordinate w1 and the norm of the others enter,
+    drawn by _first_coordinate.  Each chunk draws these statistics and the
+    uniforms of the crossing counts once and forms the levels' d-free part
+    (_level_coefficients) once for every d.  Raises ValueError for k n
+    outside [1, MAX_HOROSPHERE_DIM].
     """
     k = FIELD_DIM[field]
     if not 1 <= k * n <= MAX_HOROSPHERE_DIM:
@@ -576,12 +684,20 @@ def horosphere_crofton(field, n, d, samples, seed=0, workers=1):
                          f"normal float; got k n = {k * n}")
     e = k * (n + 1) - 3
 
-    def values(rng, size):
-        stats = _first_coordinate(k, n, size, rng)
-        return _horosphere_values(d, stats, rng.random(size), e)
+    def draw(rng, size):
+        levels = _level_coefficients(*_first_coordinate(k, n, size, rng))
+        return levels, rng.random(size)
 
-    return _conditional_estimate(d, samples, seed, workers,
-                                 sphere_area(k * n - 1), values)
+    def values(d, shared):
+        return _horosphere_values(d, *shared, e)
+
+    return _conditional_estimate(ds, samples, seed, workers,
+                                 sphere_area(k * n - 1), draw, values)
+
+
+def horosphere_crofton(field, n, d, samples, seed=0, workers=1):
+    """Horosphere crossing count of a segment of length d in H^n_F."""
+    return horosphere_crofton_many(field, n, (d,), samples, seed, workers)[0]
 
 
 def estimate_horosphere_crofton(x, y, samples, seed=0, workers=1):
@@ -591,47 +707,65 @@ def estimate_horosphere_crofton(x, y, samples, seed=0, workers=1):
                               samples, seed, workers)
 
 
-def projective_crofton_estimate(x, y, samples, seed=0, workers=1):
-    """Fraction of hypersurfaces u-perp meeting the short segment in P^n_R.
+def projective_crofton_many(x, ys, samples, seed=0, workers=1):
+    """Fractions of hypersurfaces u-perp meeting the short segments [x y], y in ys.
 
-    Representatives are aligned so (x, y) >= 0; the hypersurface of a
-    uniform u on S^n meets the segment iff the sign of (., u) changes.
-    With the sampling measure normalized to 1 the expected fraction is
-    d(x, y) / pi.  No half-space decomposition exists here: a hypersurface
-    does not separate projective space, so only the meet predicate is
-    exposed.
+    In P^n_R, per pair: representatives are aligned so (x, y) >= 0, and
+    the hypersurface of a uniform u on S^n meets the segment iff the sign
+    of (., u) changes.  With the sampling measure normalized to 1 the
+    expected fraction is d(x, y) / pi.  No half-space decomposition exists
+    here: a hypersurface does not separate projective space, so only the
+    meet predicate is exposed.  The pairs share each chunk's u.
     """
     seed = _resolve_seed(seed)
-    d = projective_distance(x, y)
-    if d < 1e-12:
-        return _zero_estimate(seed, samples)
     xr = x.coords
-    yr = y.coords if xr @ y.coords >= 0 else -y.coords
-    note = ""
-    if abs(xr @ yr) <= 1e-12:
-        note = ("pair at distance pi/2: representative alignment fixed by "
-                "first-nonzero-coordinate convention")
-        if yr[np.nonzero(yr)[0][0]] < 0:
-            yr = -yr
-    return _sign_change_estimate(xr, yr, d, samples, seed, workers, note)
+    targets = []
+    for y in ys:
+        d = projective_distance(x, y)
+        if d < 1e-12:
+            targets.append(None)
+            continue
+        yr = y.coords if xr @ y.coords >= 0 else -y.coords
+        note = ""
+        if abs(xr @ yr) <= 1e-12:
+            note = ("pair at distance pi/2: representative alignment fixed by "
+                    "first-nonzero-coordinate convention")
+            if yr[np.nonzero(yr)[0][0]] < 0:
+                yr = -yr
+        targets.append((d, yr, note))
+    return _sign_change_estimates(xr, targets, samples, seed, workers)
 
 
-def sphere_halfspace_crofton(x, y, samples, seed=0, workers=1):
-    """Fraction of half-spaces of S^n containing exactly one of x, y.
+def projective_crofton_estimate(x, y, samples, seed=0, workers=1):
+    """Fraction of hypersurfaces u-perp meeting the short segment in P^n_R."""
+    return projective_crofton_many(x, (y,), samples, seed, workers)[0]
+
+
+def sphere_halfspace_crofton_many(x, ys, samples, seed=0, workers=1):
+    """Fractions of half-spaces of S^n containing exactly one of x, y, y in ys.
 
     u is uniform on S^n; the half-spaces are the hemispheres {u . z > 0}.
     Expected fraction is d(x, y) / pi; this is also ||chi_x - chi_y||^2 for
-    the hemisphere indicator feature map.
+    the hemisphere indicator feature map.  The pairs share each chunk's u.
     """
     seed = _resolve_seed(seed)
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     x = x / np.linalg.norm(x)
-    y = y / np.linalg.norm(y)
-    d = sphere_distance(x, y)
-    if d < 1e-12:
-        return _zero_estimate(seed, samples)
-    note = ""
-    if d > math.pi - 1e-12:
-        note = "antipodal pair: geodesic non-unique, fraction is maximal"
-    return _sign_change_estimate(x, y, d, samples, seed, workers, note)
+    targets = []
+    for y in ys:
+        y = np.asarray(y, dtype=float)
+        y = y / np.linalg.norm(y)
+        d = sphere_distance(x, y)
+        if d < 1e-12:
+            targets.append(None)
+            continue
+        note = ""
+        if d > math.pi - 1e-12:
+            note = "antipodal pair: geodesic non-unique, fraction is maximal"
+        targets.append((d, y, note))
+    return _sign_change_estimates(x, targets, samples, seed, workers)
+
+
+def sphere_halfspace_crofton(x, y, samples, seed=0, workers=1):
+    """Fraction of half-spaces of S^n containing exactly one of x, y."""
+    return sphere_halfspace_crofton_many(x, (y,), samples, seed, workers)[0]

@@ -275,6 +275,17 @@ class TestCrofton:
          "error: horosphere estimates support k n from 1 to 438"),
         (("crofton", "hyperplane", "--dim", "438"),
          "error: hyperplane estimates support dimensions 1 to 437"),
+        # printed estimate 5.04e-322 with stderr 0.0 and exit 1
+        (("crofton", "hyperplane", "--dim", "437", "--pairs", "1e-13",
+          "--samples", "100000", "--seed", "3"),
+         "error: the estimate at d = 1e-13 underflows"),
+        # measured 2 pi - 4 and pi - 2 under the echoed 4 and 2
+        (("crofton", "sphere", "--pairs", "1,4"),
+         "error: distance 4 is beyond pi, the diameter of S^n: sphere pairs "
+         "take distances in (0, pi]"),
+        (("crofton", "projective", "--pairs", "2"),
+         "error: distance 2 is beyond pi/2, the diameter of P^n_R: projective "
+         "pairs take distances in (0, pi/2]"),
     ], ids=["pairs-zero", "pairs-negative", "pairs-inf", "samples-zero",
             "workers-zero", "dim-zero", "horosphere-beyond-domain",
             "hyperplane-beyond-domain", "pair-beyond-domain", "trials-negative",
@@ -283,7 +294,9 @@ class TestCrofton:
             "points-no-dim", "points-no-rows-dist", "points-no-rows-check-negtype",
             "points-no-rows-embed", "points-no-rows-scan-hypermetric",
             "points-p-wrong-width", "points-s-wrong-width",
-            "horosphere-dim-beyond-measure", "hyperplane-dim-beyond-measure"])
+            "horosphere-dim-beyond-measure", "hyperplane-dim-beyond-measure",
+            "hyperplane-estimate-underflow", "sphere-beyond-diameter",
+            "projective-beyond-diameter"])
     def test_invalid_argument_exits_2(self, capsys, tmp_path, argv, message):
         for name, text in BAD_POINT_FILES.items():
             (tmp_path / name).write_text(text, encoding="utf-8")
@@ -293,6 +306,34 @@ class TestCrofton:
         assert out == ""
         assert "Traceback" not in err
         assert message in err.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize("argv", [
+        ("sphere", "--pairs", "3.141592653589793"),
+        ("projective", "--pairs", "1.5707963267948966"),
+    ], ids=["sphere", "projective"])
+    def test_diameter_supported(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "crofton", *argv, "--samples", "1000")
+        assert code in (0, 1)
+        assert json.loads(out)["results"][0]["note"] != ""
+
+    @pytest.mark.parametrize("argv,pairs", [
+        (("hyperplane", "--dim", "3"), "0.5,1e-13,12"),
+        (("horosphere", "--field", "h", "--dim", "2"), "2,0.5,1"),
+        (("horosphere", "--field", "r", "--dim", "1"), "0.3,1.5"),
+        (("projective", "--dim", "2"), "0.5,1.5707963267948966,1"),
+        (("sphere", "--dim", "3"), "3.141592653589793,0.5,2"),
+    ], ids=["hyperplane", "horosphere-H2", "horosphere-R1", "projective",
+            "sphere"])
+    def test_pairs_match_single_runs(self, capsys, argv, pairs):
+        # the pairs of one run share the seed's draws, and each pair's
+        # result is the one a run of that pair alone prints
+        common = ("--samples", "300000", "--seed", "12", "--workers", "2")
+        _, out, _ = run_cli(capsys, "crofton", *argv, "--pairs", pairs, *common)
+        results = json.loads(out)["results"]
+        assert len(results) == len(pairs.split(","))
+        for d, result in zip(pairs.split(","), results):
+            _, out, _ = run_cli(capsys, "crofton", *argv, "--pairs", d, *common)
+            assert json.loads(out)["results"] == [result]
 
     def test_largest_supported_distance(self, capsys):
         code, out, _ = run_cli(capsys, "crofton", "hyperplane", "--dim", "3",
@@ -322,13 +363,13 @@ class TestCrofton:
         assert (code, json.loads(out)["verdict"], err) == (0, "ratios consistent", "")
 
     def test_non_finite_estimate_is_not_consistent(self, capsys, monkeypatch):
-        real = crofton.hyperplane_crofton
+        real = crofton.hyperplane_crofton_many
 
         def nan_estimate(*args, **kwargs):
-            return dataclasses.replace(real(*args, **kwargs), estimate=math.nan,
-                                       ratio=math.nan)
+            return [dataclasses.replace(e, estimate=math.nan, ratio=math.nan)
+                    for e in real(*args, **kwargs)]
 
-        monkeypatch.setattr(crofton, "hyperplane_crofton", nan_estimate)
+        monkeypatch.setattr(crofton, "hyperplane_crofton_many", nan_estimate)
         code, out, _ = run_cli(capsys, "crofton", "hyperplane", "--pairs", "1",
                                "--samples", "1000")
         assert code == 1
@@ -357,19 +398,19 @@ class TestCrofton:
                 "--seed", "11")
         code, out, _ = run_cli(capsys, *args)
         assert (code, json.loads(out)["verdict"]) == (0, "ratios consistent")
-        estimator = {"hyperplane": "hyperplane_crofton",
-                     "horosphere": "horosphere_crofton",
-                     "projective": "projective_crofton_estimate",
-                     "sphere": "sphere_halfspace_crofton"}[argv[0]]
+        estimator = {"hyperplane": "hyperplane_crofton_many",
+                     "horosphere": "horosphere_crofton_many",
+                     "projective": "projective_crofton_many",
+                     "sphere": "sphere_halfspace_crofton_many"}[argv[0]]
         real = getattr(crofton, estimator)
         field = argv[argv.index("--field") + 1] if "--field" in argv else "r"
         constant = cli._crofton_constant(argv[0], field,
                                          int(argv[argv.index("--dim") + 1]))
 
         def shifted(*a, **kw):
-            est = real(*a, **kw)
+            (est,) = real(*a, **kw)
             moved = constant * est.d + 4.0 * est.stderr + 1e-11 * est.estimate
-            return dataclasses.replace(est, estimate=moved, ratio=moved / est.d)
+            return [dataclasses.replace(est, estimate=moved, ratio=moved / est.d)]
 
         monkeypatch.setattr(crofton, estimator, shifted)
         code, out, _ = run_cli(capsys, *args)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import sys
@@ -430,9 +431,10 @@ class TestLevelMatrix:
     @pytest.mark.parametrize("field", [REAL, COMPLEX, QUATERNION])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_form(self, field, n):
-        # the closed-form level rows [a + b | a - b], and the (up, down, gamma)
-        # that _level_coefficients forms from a direction's statistics
-        # (x, a, b), against a = <x, xi> and b = <v, xi> from form_coeffs,
+        # the closed-form level rows [a + b | a - b], and (up, down, gamma)
+        # formed at d, as _horosphere_values does, from the d-free part that
+        # _level_coefficients takes from a direction's statistics (x, a, b),
+        # against a = <x, xi> and b = <v, xi> from form_coeffs,
         # one direction at a time, on the explicit axis segment from -d/2 to
         # d/2 (base x, tangent v) for d up to 12; w = g / |g| with Re w1 >= 0
         space = HermitianSpace(field, n)
@@ -448,9 +450,10 @@ class TestLevelMatrix:
                 g = rng.standard_normal((5, k * n))
                 g *= np.sign(g[:, :1])
                 w = g / np.linalg.norm(g, axis=1, keepdims=True)
-                up, down, gamma = crofton._level_coefficients(
-                    d, g[:, 0], np.sum(g[:, 1:k] ** 2, axis=1),
+                half, low, high, gamma = crofton._level_coefficients(
+                    g[:, 0], np.sum(g[:, 1:k] ** 2, axis=1),
                     np.sum(g[:, k:] ** 2, axis=1))
+                up, down = math.exp(-d) * half * low, math.exp(d) * half * high
                 for i in range(5):
                     xi = np.zeros((n + 1, 4))
                     xi[0, 0] = 1.0
@@ -565,6 +568,124 @@ class TestChunkMoments:
         est = estimate_m(base_point(space), axis_point(space, 2.0), 300_000, seed=1)
         assert est.estimate == pytest.approx(2.0, rel=1e-14)
         assert est.stderr <= 1e-14 * est.estimate
+
+
+#: more than two chunks, the last one short
+SHARED_SAMPLES = 2 * crofton.CHUNK_SIZE + 1001
+SHARED_DS = (0.5, 1e-13, 12.0, 0.0, 2.0)
+
+
+def fields(estimates):
+    """The estimates' fields; the NaN ratio of coincident points as a string."""
+    return [[v if v == v else "nan" for v in dataclasses.astuple(e)]
+            for e in estimates]
+
+
+def sign_change_pairs(carrier, ds):
+    """(x, ys) for the projective or sphere estimator, as the CLI builds them."""
+    x = np.array([1.0, 0.0, 0.0])
+    ys = [np.array([math.cos(d), math.sin(d), 0.0]) for d in ds]
+    if carrier == "projective":
+        return PPoint(x), [PPoint(y) for y in ys]
+    return x, ys
+
+
+class TestSharedDraws:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("carrier,args", [
+        ("hyperplane", (1,)), ("hyperplane", (3,)),
+        ("horosphere", (REAL, 1)), ("horosphere", (REAL, 3)),
+        ("horosphere", (COMPLEX, 3)), ("horosphere", (QUATERNION, 2)),
+    ], ids=["hyperplane-R1", "hyperplane-R3", "horosphere-R1", "horosphere-R3",
+            "horosphere-C3", "horosphere-H2"])
+    def test_vector_equals_scalar(self, carrier, args, workers):
+        # the estimates of one call share their draws, and each is the one
+        # a call for its d alone makes, field for field; d = 0 is the
+        # coincident-points estimate wherever it sits
+        many = getattr(crofton, f"{carrier}_crofton_many")
+        one = getattr(crofton, f"{carrier}_crofton")
+        got = many(*args, SHARED_DS, SHARED_SAMPLES, seed=7, workers=workers)
+        assert fields(got) == fields(one(*args, d, SHARED_SAMPLES, seed=7)
+                                     for d in SHARED_DS)
+        assert got[3].note == "coincident points"
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("carrier", ["projective", "sphere_halfspace"])
+    def test_sign_change_vector_equals_scalar(self, carrier, workers):
+        # includes a coincident pair and the pair at the diameter, whose
+        # representative alignment and note are per pair
+        ds = (0.3, 0.0, 1.2, math.pi / 2, 3.0, math.pi)
+        if carrier == "projective":
+            ds = ds[:4]
+        many = getattr(crofton, f"{carrier}_crofton_many")
+        one = {"projective": projective_crofton_estimate,
+               "sphere_halfspace": sphere_halfspace_crofton}[carrier]
+        x, ys = sign_change_pairs(carrier, ds)
+        got = many(x, ys, SHARED_SAMPLES, seed=9, workers=workers)
+        assert fields(got) == fields(one(x, y, SHARED_SAMPLES, seed=9) for y in ys)
+        assert got[1].note == "coincident points"
+        assert got[-1].note != ""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("carrier,args,sampler", [
+        ("hyperplane", (3,), "_first_coordinate"),
+        ("horosphere", (QUATERNION, 2), "_first_coordinate"),
+        ("projective", (), "_uniform_sphere"),
+        ("sphere_halfspace", (), "_uniform_sphere"),
+    ], ids=["hyperplane", "horosphere", "projective", "sphere"])
+    def test_one_draw_per_chunk(self, monkeypatch, carrier, args, sampler,
+                                workers):
+        # the directions are drawn once per chunk, however many distances
+        # read them
+        calls = []
+        real = getattr(crofton, sampler)
+
+        def counted(*a):
+            calls.append(a)
+            return real(*a)
+
+        monkeypatch.setattr(crofton, sampler, counted)
+        many = getattr(crofton, f"{carrier}_crofton_many")
+        for ds in ((0.5,), (0.5, 1.0, 1.5, 0.25)):
+            calls.clear()
+            if args:
+                many(*args, ds, SHARED_SAMPLES, seed=3, workers=workers)
+            else:
+                many(*sign_change_pairs(carrier, ds), SHARED_SAMPLES, seed=3,
+                     workers=workers)
+            assert len(calls) == 3
+
+    def test_no_draw_without_a_positive_distance(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("drew directions for coincident points")
+
+        monkeypatch.setattr(crofton, "_first_coordinate", refuse)
+        monkeypatch.setattr(crofton, "_uniform_sphere", refuse)
+        ests = crofton.horosphere_crofton_many(REAL, 2, (0.0, 0.0), 100)
+        ests += crofton.sphere_halfspace_crofton_many([1, 0], [[2, 0]], 100)
+        assert [e.estimate for e in ests] == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("call", [
+        # estimate 5.04e-322 with stderr 0: a subnormal ratio passed on as
+        # a number
+        lambda: crofton.hyperplane_crofton(437, 1e-13, 100_000, seed=3),
+        lambda: crofton.hyperplane_crofton_many(437, (1.0, 1e-13), 20_000, seed=3),
+        lambda: crofton.horosphere_crofton(REAL, 438, 1e-13, 20_000, seed=3),
+        # estimate 4.2e-308 is normal, its stderr 2.5e-310 is not
+        lambda: crofton.hyperplane_crofton(436, 1.0, 20_000, seed=3),
+        # a positive mean whose estimate rounds to 0: 0 +- 0
+        lambda: crofton.hyperplane_crofton(437, 1e-300, 1000, seed=3),
+    ], ids=["hyperplane", "hyperplane-second-pair", "horosphere",
+            "hyperplane-stderr", "hyperplane-zero"])
+    def test_underflow_rejected(self, call):
+        with pytest.raises(ValueError, match="underflows"):
+            call()
+
+    def test_normal_estimates_near_the_limit(self):
+        # a little below the limit, d = 1 has a normal estimate and stderr
+        est = crofton.hyperplane_crofton(430, 1.0, 20_000, seed=3)
+        assert est.estimate >= sys.float_info.min
+        assert est.stderr >= sys.float_info.min
 
 
 class TestEstimateM:
@@ -777,7 +898,7 @@ class TestHorosphereEstimator:
         stats = (np.ones(2), np.zeros(2), np.zeros(2))
         with np.errstate(all="raise"):
             values, counts = crofton._horosphere_values(
-                d, stats, np.array([0.3, 0.9]), 0)
+                d, crofton._level_coefficients(*stats), np.array([0.3, 0.9]), 0)
         assert values == pytest.approx([2 * math.sinh(0.5 * d)] * 2, rel=1e-12)
         assert counts.tolist() == [1, 1]
 
