@@ -34,7 +34,13 @@ is conservative.
 
 Estimators are deterministic given an integer master seed: samples are
 drawn in fixed-size chunks with independently spawned substreams, so the
-result does not depend on the worker count or schedule.
+result does not depend on the worker count or schedule.  A hyperbolic
+chunk holds CHUNK_SIZE = 2^14 directions, so each of its arrays is 128
+KiB and a worker's working set, about ten of them for horospheres and six
+for hyperplanes, stays in a 2 MiB L2 cache.  Chunk boundaries fix the
+draws: at a fixed seed these outputs differ from those of the earlier
+2^17-direction chunks, and are equal to them in law.  The projective and
+sphere estimators keep chunks of SIGN_CHANGE_CHUNK_SIZE = 2^17.
 """
 
 from __future__ import annotations
@@ -51,7 +57,13 @@ from .algebra import FIELD_DIM, REAL, form_coeffs, qconj, qmul, qnorm
 from .spaces import HPoint, hyperbolic_distance, projective_distance, sphere_distance
 
 BOUNDARY_TOL = 1e-12
-CHUNK_SIZE = 1 << 17
+#: directions per chunk of the hyperbolic estimators: 2^14 float64 values
+#: are a 128 KiB array, so a worker's working set, about ten such arrays
+#: for a horosphere chunk, stays in a 2 MiB L2 cache
+CHUNK_SIZE = 1 << 14
+#: directions per chunk of the projective and sphere estimators; another
+#: size would change their outputs at a fixed seed
+SIGN_CHANGE_CHUNK_SIZE = 1 << 17
 #: largest n, and largest k n, whose carrier measure is a positive normal
 #: float: vol(S^{n-1}) / 2 for the hyperplanes of H^n_R, vol(S^{kn-1}) for
 #: the horospheres of H^n_F (k = dim F); vol(S^m) falls below 2.2e-308 past
@@ -421,57 +433,68 @@ def _radial_potential(G, e):
     return G
 
 
+def _horosphere_levels(x, a, b, e):
+    """(low, high, gamma, peak): the part of a direction's values free of d.
+
+    low = |w1 - 1|^2 / 2 and high = |w1 + 1|^2 / 2 are _level_coefficients'
+    half times its low and high, so up = e^{-d} low and down = e^{d} high on
+    the segment of length d.  G's critical value sqrt(up * down) + gamma =
+    sqrt(low * high) + gamma does not depend on d, and peak is Phi there
+    (_radial_potential).  That value is 0 only when low = gamma = 0 (w1 =
+    1), whose minimum never lies inside a segment; peak reads Phi(1) there
+    instead of the pole Phi(0).
+    """
+    half, low, high, gamma = _level_coefficients(x, a, b)
+    low *= half
+    high *= half
+    peak = np.multiply(low, high)
+    np.sqrt(peak, out=peak)
+    peak += gamma
+    np.copyto(peak, 1.0, where=peak == 0.0)
+    return low, high, gamma, _radial_potential(peak, e)
+
+
 def _horosphere_values(d, levels, u, e):
-    """Per direction w: the measure of crossing horospheres and a count.
+    """Per direction w: the measure of crossing horospheres, and whether the
+    one drawn is met twice.
 
     The horospheres of direction w are xi = r (1, w), with radial density
     r^e dr, and their measure is the total variation of Phi(G^{-1/2}) on the
-    segment of length d (G from w's `levels`, _level_coefficients).  G's
-    only critical point is its minimum sqrt(up * down) + gamma, at e^{4s} =
-    down / up, which lies inside the segment when 1 < down / up < e^{4d}.
-    The count is that of one radius per direction, drawn by the uniforms u
-    from r^e dr among the horospheres meeting the segment: Phi values above
-    both endpoint values are met twice.  The arrays of one d are formed in
-    place, so the chunk holds few of them beside the shared levels.
+    segment of length d, G(s) = (up e^{2s} + down e^{-2s}) / 2 + gamma for s
+    in [0, d] (_horosphere_levels).  G's only critical point is its minimum,
+    where Phi is `peak`, at e^{4s} = down / up, inside the segment when 1 <
+    down / up < e^{4d}.  Re w1 >= 0 makes high >= low, so the first bound
+    holds at every d > 0 and the second reads high < low e^{2d}.  Elsewhere
+    Phi peaks at an end, and inside the interior peak is kept at least the
+    larger end value against rounding.  One radius per direction is drawn
+    by the uniforms u from r^e dr among the horospheres meeting the
+    segment: Phi values above both end values are met twice.  Each d makes
+    two _radial_potential calls, on G at the ends, in place.
     """
-    half, low, high, gamma = levels
-    up = half * math.exp(-d)
-    up *= low
-    down = half * math.exp(d)
-    down *= high
-    grow = math.exp(2.0 * d)
-    g0 = up + down
-    g0 *= 0.5
-    g0 += gamma
-    g1 = up * grow
-    ends = down / grow
-    g1 += ends
-    g1 *= 0.5
-    g1 += gamma
-    interior = up < down
-    np.multiply(up, grow, out=ends)
-    ends *= grow
-    interior &= down < ends
-    np.minimum(g0, g1, out=ends)
-    up *= down
-    del down
-    np.sqrt(up, out=up)
-    up += gamma
-    np.minimum(up, ends, out=up)
-    np.copyto(ends, up, where=interior)  # ends becomes G's minimum
-    del up, interior
-    f0, f1, peak = (_radial_potential(g, e) for g in (g0, g1, ends))
-    lo = np.minimum(f0, f1)
-    drawn = peak - lo
-    drawn *= u
-    drawn += lo
-    del lo
-    counts = 1 + (drawn > np.maximum(f0, f1))
-    del drawn
-    peak *= 2.0
-    peak -= f0
-    peak -= f1
-    return peak, counts
+    low, high, gamma, peak = levels
+    near, far = 0.5 * math.exp(-d), 0.5 * math.exp(d)
+    f0 = low * near
+    t = high * far
+    f0 += t
+    f0 += gamma
+    f1 = low * far
+    np.multiply(high, near, out=t)
+    f1 += t
+    f1 += gamma
+    np.multiply(low, math.exp(2.0 * d), out=t)
+    outside = high >= t
+    _radial_potential(f0, e)
+    _radial_potential(f1, e)
+    hi = np.maximum(f0, f1, out=t)
+    top = np.maximum(peak, hi)
+    np.copyto(top, hi, where=outside)
+    lo = np.minimum(f0, f1, out=f0)
+    span = np.subtract(top, lo, out=f1)
+    top -= hi
+    top += span
+    span *= u
+    span += lo
+    return top, np.greater(span, hi, out=outside)
 
 
 # -- chunked Monte Carlo driver -------------------------------------------------
@@ -482,16 +505,16 @@ def _resolve_seed(seed):
     return int(seed)
 
 
-def _run_chunks(chunk_fn, samples, seed, workers=1):
-    """Run chunk_fn(rng, size) over fixed-size chunks with spawned substreams.
+def _run_chunks(chunk_fn, samples, seed, workers=1, chunk_size=CHUNK_SIZE):
+    """Run chunk_fn(rng, size) over chunks of chunk_size with spawned substreams.
 
     Returns the chunks' results in chunk order; they are independent of
     worker count and scheduling because chunk boundaries and seeds are
     fixed by (seed, chunk index).
     """
-    sizes = [CHUNK_SIZE] * (samples // CHUNK_SIZE)
-    if samples % CHUNK_SIZE:
-        sizes.append(samples % CHUNK_SIZE)
+    sizes = [chunk_size] * (samples // chunk_size)
+    if samples % chunk_size:
+        sizes.append(samples % chunk_size)
     seeds = np.random.SeedSequence(seed).spawn(len(sizes))
 
     def run(i):
@@ -525,7 +548,9 @@ def _conditional_estimate(ds, samples, seed, workers, measure, draw, values):
     draw(rng, size) draws `size` directions and returns what their values
     share across distances; values(d, shared) returns, per direction, the
     measure of the carriers of that direction meeting the axis segment of
-    length d centred at the base point, and crossing counts to histogram.
+    length d centred at the base point, and whether the one carrier drawn
+    among them crosses it twice (a boolean array, or False when no carrier
+    can): the histogram tallies crossings of 1 and 2.
     Each chunk draws once for every d, so the estimates of one call share
     their directions.  Per d, each chunk's sum and centred sum of squares
     are merged in chunk order, so the variance does not cancel when the
@@ -544,12 +569,13 @@ def _conditional_estimate(ds, samples, seed, workers, measure, draw, values):
         shared = draw(rng, size)
         moments = []
         for d in live:
-            v, counts = values(d, shared)
+            v, twice = values(d, shared)
+            doubles = int(np.count_nonzero(twice))
             total = float(v.sum())
             v -= total / size
             v *= v
             moments.append((size, total, float(np.sum(v)),
-                            np.bincount(counts, minlength=3)))
+                            np.array([0, size - doubles, doubles])))
         return moments
 
     chunks = _run_chunks(chunk, samples, seed, workers) if live else []
@@ -588,7 +614,8 @@ def _sign_change_estimates(x, targets, samples, seed, workers):
         ux = u @ x
         return [int(np.sum(ux * (u @ y) < 0)) for _, y, _ in live]
 
-    chunks = _run_chunks(chunk, samples, seed, workers) if live else []
+    chunks = (_run_chunks(chunk, samples, seed, workers, SIGN_CHANGE_CHUNK_SIZE)
+              if live else [])
     hits = map(sum, zip(*chunks))
     estimates = []
     for target in targets:
@@ -625,15 +652,13 @@ def hyperplane_crofton_many(n, ds, samples, seed=0, workers=1):
 
     def draw(rng, size):
         x, _, b = _first_coordinate(1, n, size, rng)
-        # a hyperplane meets the segment at most once
-        return x / np.sqrt(x * x + b), np.ones(size, dtype=np.intp)
+        return x / np.sqrt(x * x + b)
 
-    def values(d, shared):
-        w1, ones = shared
+    def values(d, w1):
         t = w1 * math.tanh(0.5 * d)
         f = cosh_power_antiderivative(n - 1, np.arctanh(t, out=t))
         f *= 2.0
-        return f, ones
+        return f, False  # a hyperplane meets the segment at most once
 
     return _conditional_estimate(ds, samples, seed, workers,
                                  sphere_area(n - 1) / 2.0, draw, values)
@@ -672,9 +697,9 @@ def horosphere_crofton_many(field, n, ds, samples, seed=0, workers=1):
     r^e dr, e = k(n+1) - 3, in closed form on the axis segment of length d,
     where only w's first coordinate w1 and the norm of the others enter,
     drawn by _first_coordinate.  Each chunk draws these statistics and the
-    uniforms of the crossing counts once and forms the levels' d-free part
-    (_level_coefficients) once for every d.  Raises ValueError for k n
-    outside [1, MAX_HOROSPHERE_DIM].
+    uniforms of the crossing counts once and forms the levels' d-free part,
+    with Phi at G's interior minimum (_horosphere_levels), once for every d.
+    Raises ValueError for k n outside [1, MAX_HOROSPHERE_DIM].
     """
     k = FIELD_DIM[field]
     if not 1 <= k * n <= MAX_HOROSPHERE_DIM:
@@ -685,7 +710,7 @@ def horosphere_crofton_many(field, n, ds, samples, seed=0, workers=1):
     e = k * (n + 1) - 3
 
     def draw(rng, size):
-        levels = _level_coefficients(*_first_coordinate(k, n, size, rng))
+        levels = _horosphere_levels(*_first_coordinate(k, n, size, rng), e)
         return levels, rng.random(size)
 
     def values(d, shared):

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -427,6 +428,38 @@ class TestHorosphereIntersections:
             assert abs(est.count_histogram.get(c, 0) - tally[c]) <= unclear
 
 
+def radial_potential(G, e):
+    """Phi(G^{-1/2}), Phi(r) = r^{e+1} / (e+1), or log r when e = -1."""
+    return -0.5 * np.log(G) if e == -1 else G ** (-0.5 * (e + 1)) / (e + 1)
+
+
+def reference_horosphere_values(d, levels, u, e):
+    """The horosphere kernel with G's minimum formed at every d: (values,
+    counts, scale) from _level_coefficients' levels.
+
+    G's interior minimum sqrt(up * down) + gamma, kept at most the smaller
+    end value against rounding, where up < down < up e^{4d}; Phi at the
+    minimum, the two ends and one radius drawn by u as in the estimator.
+    scale is the size of the Phi values that the value 2 peak - f0 - f1
+    differences, or 1 for Phi = log, whose rounding is absolute.
+    """
+    half, low, high, gamma = levels
+    up = half * math.exp(-d) * low
+    down = half * math.exp(d) * high
+    grow = math.exp(2.0 * d)
+    g0 = (up + down) * 0.5 + gamma
+    g1 = (up * grow + down / grow) * 0.5 + gamma
+    interior = (up < down) & (down < up * grow * grow)
+    ends = np.minimum(g0, g1)
+    lowest = np.where(interior, np.minimum(np.sqrt(up * down) + gamma, ends), ends)
+    f0, f1, peak = (radial_potential(g, e) for g in (g0, g1, lowest))
+    lo = np.minimum(f0, f1)
+    drawn = (peak - lo) * u + lo
+    counts = 1 + (drawn > np.maximum(f0, f1))
+    scale = 2.0 * np.abs(peak) + np.abs(f0) + np.abs(f1) if e != -1 else 1.0
+    return 2.0 * peak - f0 - f1, counts, scale
+
+
 class TestLevelMatrix:
     @pytest.mark.parametrize("field", [REAL, COMPLEX, QUATERNION])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -468,6 +501,32 @@ class TestLevelMatrix:
                                       (down[i], 0.5 * np.sum((a - b) ** 2)),
                                       (gamma[i], 0.5 * (a @ a - b @ b))):
                         assert abs(got - want) <= 1e-14 * bound ** 2
+
+
+class TestHorosphereKernel:
+    @pytest.mark.parametrize("field", [REAL, COMPLEX, QUATERNION])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_reference(self, field, n):
+        # the same (x, a, b, u) through the reference, which forms G's
+        # minimum at every d, and through the kernel, which takes Phi at it
+        # from the chunk's d-free levels; the drawn directions plus w1 = 1,
+        # (x, a, b) = (1, 0, 0), where low = gamma = 0 and G's critical
+        # value is 0 (every direction of H^1_R is this one)
+        k = FIELD_DIM[field]
+        e = k * (n + 1) - 3
+        rng = np.random.default_rng(90 + 3 * n + k)
+        x, a, b = (np.append(s, v) for s, v in
+                   zip(crofton._first_coordinate(k, n, 2000, rng), (1.0, 0.0, 0.0)))
+        u = rng.random(x.size)
+        with np.errstate(all="raise"):
+            levels = crofton._horosphere_levels(x.copy(), a.copy(), b.copy(), e)
+            for d in (1e-13, 1e-3, 0.5, 2.0, 12.0, 16.0):
+                want, counts, scale = reference_horosphere_values(
+                    d, crofton._level_coefficients(x.copy(), a.copy(), b.copy()),
+                    u, e)
+                got, twice = crofton._horosphere_values(d, levels, u, e)
+                assert np.all(np.abs(got - want) <= 1e-14 * scale)
+                assert np.array_equal(1 + twice, counts)
 
 
 class TestFirstCoordinate:
@@ -570,8 +629,34 @@ class TestChunkMoments:
         assert est.stderr <= 1e-14 * est.estimate
 
 
+class TestChunkMemory:
+    @pytest.mark.parametrize("call", [
+        lambda samples: crofton.horosphere_crofton_many(
+            QUATERNION, 2, (0.5, 1.0, 2.0), samples),
+        lambda samples: crofton.hyperplane_crofton_many(3, (0.5, 1.0, 2.0), samples),
+    ], ids=["horosphere", "hyperplane"])
+    def test_peak_is_one_chunk(self, call):
+        # numpy reports its buffers to tracemalloc: the traced peak of a
+        # one-worker call holds one chunk's arrays, at most 12 arrays of
+        # 2^14 floats (1.5 MiB), whatever the chunk count; past the first
+        # chunk only the chunks' moments accumulate, under 1 KiB a chunk
+        array = 8 * crofton.CHUNK_SIZE
+        call(crofton.CHUNK_SIZE)
+        peaks = []
+        for chunks in (2, 8):
+            tracemalloc.start()
+            try:
+                call(chunks * crofton.CHUNK_SIZE)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 12 * array
+        assert abs(peaks[1] - peaks[0]) <= array / 8
+
+
 #: more than two chunks, the last one short
 SHARED_SAMPLES = 2 * crofton.CHUNK_SIZE + 1001
+SIGN_CHANGE_SAMPLES = 2 * crofton.SIGN_CHANGE_CHUNK_SIZE + 1001
 SHARED_DS = (0.5, 1e-13, 12.0, 0.0, 2.0)
 
 
@@ -621,8 +706,9 @@ class TestSharedDraws:
         one = {"projective": projective_crofton_estimate,
                "sphere_halfspace": sphere_halfspace_crofton}[carrier]
         x, ys = sign_change_pairs(carrier, ds)
-        got = many(x, ys, SHARED_SAMPLES, seed=9, workers=workers)
-        assert fields(got) == fields(one(x, y, SHARED_SAMPLES, seed=9) for y in ys)
+        got = many(x, ys, SIGN_CHANGE_SAMPLES, seed=9, workers=workers)
+        assert fields(got) == fields(one(x, y, SIGN_CHANGE_SAMPLES, seed=9)
+                                     for y in ys)
         assert got[1].note == "coincident points"
         assert got[-1].note != ""
 
@@ -651,8 +737,8 @@ class TestSharedDraws:
             if args:
                 many(*args, ds, SHARED_SAMPLES, seed=3, workers=workers)
             else:
-                many(*sign_change_pairs(carrier, ds), SHARED_SAMPLES, seed=3,
-                     workers=workers)
+                many(*sign_change_pairs(carrier, ds), SIGN_CHANGE_SAMPLES,
+                     seed=3, workers=workers)
             assert len(calls) == 3
 
     def test_no_draw_without_a_positive_distance(self, monkeypatch):
@@ -763,6 +849,12 @@ class TestEstimateM:
         assert e1.estimate == e4.estimate
         assert e1.stderr == e4.stderr
 
+    def test_histogram_is_one_crossing_each(self):
+        # a hyperplane meets a segment at most once: every direction's
+        # carrier crosses once, over several chunks and distances
+        ests = crofton.hyperplane_crofton_many(3, (0.5, 2.0), SHARED_SAMPLES, seed=4)
+        assert [e.count_histogram for e in ests] == [{1: SHARED_SAMPLES}] * 2
+
     def test_complex_field_rejected(self):
         space = HermitianSpace(COMPLEX, 2)
         rng = np.random.default_rng(17)
@@ -836,14 +928,16 @@ class TestHorosphereEstimator:
         assert est.count_histogram.get(2, 0) > 0
 
     def test_histogram_pinned(self):
-        # recorded when the directions' first-coordinate statistics were
-        # first drawn from their chi-square laws; the estimate's float may
-        # change in its last digits, the crossing counts may not
+        # recorded when chunks shrank to 2^14 directions: the chunk
+        # boundaries, and so the stream, moved, while the law did not (the
+        # value 9.4227 +- 0.0239 is within 1.2 sigma of 2 vol(B^7) = 9.4495);
+        # the estimate's float may change in its last digits, the crossing
+        # counts may not
         space = HermitianSpace(QUATERNION, 2)
         est = estimate_horosphere_crofton(axis_point(space, 0.0),
                                           axis_point(space, 1.0), 300_000, seed=1)
-        assert est.count_histogram == {1: 152512, 2: 147488}
-        assert est.estimate == pytest.approx(9.461754603603042, rel=1e-14)
+        assert est.count_histogram == {1: 152573, 2: 147427}
+        assert est.estimate == pytest.approx(9.422742051308571, rel=1e-14)
 
     def test_worker_count_invariance(self):
         space = HermitianSpace(COMPLEX, 2)
@@ -897,10 +991,10 @@ class TestHorosphereEstimator:
         d = 1.4
         stats = (np.ones(2), np.zeros(2), np.zeros(2))
         with np.errstate(all="raise"):
-            values, counts = crofton._horosphere_values(
-                d, crofton._level_coefficients(*stats), np.array([0.3, 0.9]), 0)
+            values, twice = crofton._horosphere_values(
+                d, crofton._horosphere_levels(*stats, 0), np.array([0.3, 0.9]), 0)
         assert values == pytest.approx([2 * math.sinh(0.5 * d)] * 2, rel=1e-12)
-        assert counts.tolist() == [1, 1]
+        assert (1 + twice).tolist() == [1, 1]
 
 
 class TestProjectiveEstimator:
