@@ -28,7 +28,6 @@ from .crofton import (
     count_horosphere_intersections,
     estimate_horosphere_crofton,
     estimate_m,
-    estimate_symmetric_difference,
     halfspace_contains,
     halfspace_side,
     horosphere_crofton,
@@ -60,14 +59,12 @@ from .spaces import (
     PPoint,
     base_point,
     geodesic_between,
-    geodesic_point,
     hyperbolic_distance,
     jordan_trace_distance,
     projective_distance,
     random_isometry,
     random_point,
     sphere_distance,
-    translation_to_base,
 )
 
 __version__ = "0.1.0"

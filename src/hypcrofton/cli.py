@@ -175,8 +175,8 @@ def _crofton_constant(carrier, field, n):
     if carrier == "hyperplane":
         return crofton.sphere_area(n - 2) / (n - 1) if n > 1 else 1.0
     if carrier == "horosphere":
-        m = FIELD_DIM[field] * n - 1  # 2 vol(B^m)
-        return 2.0 * math.exp(0.5 * m * math.log(math.pi) - math.lgamma(0.5 * m + 1.0))
+        # 2 vol(B^m) = vol(S^{m+1}) / pi, m = k n - 1
+        return crofton.sphere_area(FIELD_DIM[field] * n) / math.pi
     return 1.0 / math.pi
 
 

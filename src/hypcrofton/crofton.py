@@ -18,7 +18,11 @@ the base point's stabiliser (O(n), U(n), Sp(n)) keeps the uniform law of
 directions, so a direction's value depends on d, its first coordinate w1
 and |w_rest|^2 alone.  These are drawn from their exact laws
 (_first_coordinate), not read off a full unit vector.  estimate_m and
-estimate_horosphere_crofton take a pair of points and pass d(x, y).
+estimate_horosphere_crofton take a pair of points and pass d(x, y).  The
+projective and sphere estimators do the same on the canonical arc from e1
+to (cos d, sin d, 0, ...): O(n+1) is transitive on arcs of length d, and a
+hypersurface u-perp meets that arc according to u's two coordinates in the
+arc's plane alone (_arc_plane_coordinates).
 
 The vector entry points hyperplane_crofton_many, horosphere_crofton_many,
 projective_crofton_many and sphere_halfspace_crofton_many estimate many
@@ -34,13 +38,10 @@ is conservative.
 
 Estimators are deterministic given an integer master seed: samples are
 drawn in fixed-size chunks with independently spawned substreams, so the
-result does not depend on the worker count or schedule.  A hyperbolic
-chunk holds CHUNK_SIZE = 2^14 directions, so each of its arrays is 128
-KiB and a worker's working set, about ten of them for horospheres and six
-for hyperplanes, stays in a 2 MiB L2 cache.  Chunk boundaries fix the
-draws: at a fixed seed these outputs differ from those of the earlier
-2^17-direction chunks, and are equal to them in law.  The projective and
-sphere estimators keep chunks of SIGN_CHANGE_CHUNK_SIZE = 2^17.
+result does not depend on the worker count or schedule.  A chunk holds
+CHUNK_SIZE = 2^14 directions, so each of its arrays is 128 KiB and a
+worker's working set, about ten of them for horospheres and six for
+hyperplanes, stays in a 2 MiB L2 cache.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import functools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -57,13 +58,10 @@ from .algebra import FIELD_DIM, REAL, form_coeffs, qconj, qmul, qnorm
 from .spaces import HPoint, hyperbolic_distance, projective_distance, sphere_distance
 
 BOUNDARY_TOL = 1e-12
-#: directions per chunk of the hyperbolic estimators: 2^14 float64 values
-#: are a 128 KiB array, so a worker's working set, about ten such arrays
-#: for a horosphere chunk, stays in a 2 MiB L2 cache
+#: directions per chunk: 2^14 float64 values are a 128 KiB array, so a
+#: worker's working set, about ten such arrays for a horosphere chunk,
+#: stays in a 2 MiB L2 cache
 CHUNK_SIZE = 1 << 14
-#: directions per chunk of the projective and sphere estimators; another
-#: size would change their outputs at a fixed seed
-SIGN_CHANGE_CHUNK_SIZE = 1 << 17
 #: largest n, and largest k n, whose carrier measure is a positive normal
 #: float: vol(S^{n-1}) / 2 for the hyperplanes of H^n_R, vol(S^{kn-1}) for
 #: the horospheres of H^n_F (k = dim F); vol(S^m) falls below 2.2e-308 past
@@ -145,6 +143,16 @@ def _first_coordinate(k, m, size, rng):
     a = 2.0 * rng.standard_gamma(0.5 * (k - 1), size) if k > 1 else np.zeros(size)
     b = 2.0 * rng.standard_gamma(0.5 * k * (m - 1), size) if m > 1 else np.zeros(size)
     return x, a, b
+
+
+def _arc_plane_coordinates(size, rng):
+    """(g1, g2), shape (2, size): the first two coordinates of `size`
+    normal vectors g ~ N(0, I), whose directions are uniform on the sphere.
+
+    These are g's coordinates in the plane of the canonical arc from e1 to
+    (cos d, sin d, 0, ...), all that decides whether g-perp meets the arc.
+    """
+    return rng.standard_normal((2, size))
 
 
 # -- carriers ------------------------------------------------------------------
@@ -231,8 +239,9 @@ class CroftonEstimate:
     For the hyperbolic estimators mean_count is the mean over sampled
     directions of the measure of carriers meeting the segment, and
     count_histogram tallies the crossing count of one such carrier per
-    direction; for the projective and sphere estimators mean_count is the
-    hit fraction.
+    direction (1 or 2); for the projective and sphere estimators
+    mean_count is the hit fraction, and count_histogram tallies the
+    directions whose hypersurface crosses the segment 0 and 1 times.
     """
 
     d: float
@@ -505,16 +514,16 @@ def _resolve_seed(seed):
     return int(seed)
 
 
-def _run_chunks(chunk_fn, samples, seed, workers=1, chunk_size=CHUNK_SIZE):
-    """Run chunk_fn(rng, size) over chunks of chunk_size with spawned substreams.
+def _run_chunks(chunk_fn, samples, seed, workers=1):
+    """Run chunk_fn(rng, size) over chunks of CHUNK_SIZE with spawned substreams.
 
     Returns the chunks' results in chunk order; they are independent of
     worker count and scheduling because chunk boundaries and seeds are
     fixed by (seed, chunk index).
     """
-    sizes = [chunk_size] * (samples // chunk_size)
-    if samples % chunk_size:
-        sizes.append(samples % chunk_size)
+    sizes = [CHUNK_SIZE] * (samples // CHUNK_SIZE)
+    if samples % CHUNK_SIZE:
+        sizes.append(samples % CHUNK_SIZE)
     seeds = np.random.SeedSequence(seed).spawn(len(sizes))
 
     def run(i):
@@ -547,10 +556,9 @@ def _conditional_estimate(ds, samples, seed, workers, measure, draw, values):
 
     draw(rng, size) draws `size` directions and returns what their values
     share across distances; values(d, shared) returns, per direction, the
-    measure of the carriers of that direction meeting the axis segment of
-    length d centred at the base point, and whether the one carrier drawn
-    among them crosses it twice (a boolean array, or False when no carrier
-    can): the histogram tallies crossings of 1 and 2.
+    measure of the carriers of that direction meeting the canonical segment
+    of length d, and the counts (zeros, ones, twos) of directions whose
+    drawn carrier crosses it 0, 1 and 2 times, which the histogram tallies.
     Each chunk draws once for every d, so the estimates of one call share
     their directions.  Per d, each chunk's sum and centred sum of squares
     are merged in chunk order, so the variance does not cancel when the
@@ -569,13 +577,11 @@ def _conditional_estimate(ds, samples, seed, workers, measure, draw, values):
         shared = draw(rng, size)
         moments = []
         for d in live:
-            v, twice = values(d, shared)
-            doubles = int(np.count_nonzero(twice))
+            v, counts = values(d, shared)
             total = float(v.sum())
             v -= total / size
             v *= v
-            moments.append((size, total, float(np.sum(v)),
-                            np.array([0, size - doubles, doubles])))
+            moments.append((size, total, float(np.sum(v)), np.array(counts)))
         return moments
 
     chunks = _run_chunks(chunk, samples, seed, workers) if live else []
@@ -598,37 +604,6 @@ def _moment_estimate(d, measure, samples, seed, moments):
     return CroftonEstimate(d=d, total_measure=measure, mean_count=mean,
                            estimate=est, stderr=stderr, samples=samples,
                            seed=seed, ratio=est / d, count_histogram=histogram)
-
-
-def _sign_change_estimates(x, targets, samples, seed, workers):
-    """Fraction of uniform u on the sphere with (u . x)(u . y) < 0, per target.
-
-    targets holds (d, y, note) per pair, or None for a coincident pair,
-    which gets the zero estimate.  Each chunk draws u and forms u . x once
-    for every pair.
-    """
-    live = [t for t in targets if t is not None]
-
-    def chunk(rng, size):
-        u = _uniform_sphere(x.shape[0], size, rng)
-        ux = u @ x
-        return [int(np.sum(ux * (u @ y) < 0)) for _, y, _ in live]
-
-    chunks = (_run_chunks(chunk, samples, seed, workers, SIGN_CHANGE_CHUNK_SIZE)
-              if live else [])
-    hits = map(sum, zip(*chunks))
-    estimates = []
-    for target in targets:
-        if target is None:
-            estimates.append(_zero_estimate(seed, samples))
-            continue
-        d, _, note = target
-        phat = next(hits) / samples
-        estimates.append(CroftonEstimate(
-            d=d, total_measure=1.0, mean_count=phat, estimate=phat,
-            stderr=math.sqrt(max(phat * (1.0 - phat), 0.0) / samples),
-            samples=samples, seed=seed, ratio=phat / d, note=note))
-    return estimates
 
 
 # -- estimators ----------------------------------------------------------------
@@ -658,7 +633,7 @@ def hyperplane_crofton_many(n, ds, samples, seed=0, workers=1):
         t = w1 * math.tanh(0.5 * d)
         f = cosh_power_antiderivative(n - 1, np.arctanh(t, out=t))
         f *= 2.0
-        return f, False  # a hyperplane meets the segment at most once
+        return f, (0, f.size, 0)  # a hyperplane meets the segment once
 
     return _conditional_estimate(ds, samples, seed, workers,
                                  sphere_area(n - 1) / 2.0, draw, values)
@@ -675,17 +650,6 @@ def estimate_m(x, y, samples, seed=0, workers=1):
         raise ValueError("hyperplane Crofton estimates require the real field")
     return hyperplane_crofton(x.space.n, hyperbolic_distance(x, y), samples,
                               seed, workers)
-
-
-def estimate_symmetric_difference(x, y, samples, seed=0, workers=1):
-    """Measure of half-spaces containing exactly one of x, y.
-
-    The half-space {<., u> > 0} contains exactly one endpoint when its
-    boundary hyperplane crosses the segment, and the half-space measure is
-    normalized so that the double cover carries the hyperplane measure, so
-    this is estimate_m, sample for sample.
-    """
-    return estimate_m(x, y, samples, seed, workers)
 
 
 def horosphere_crofton_many(field, n, ds, samples, seed=0, workers=1):
@@ -714,7 +678,9 @@ def horosphere_crofton_many(field, n, ds, samples, seed=0, workers=1):
         return levels, rng.random(size)
 
     def values(d, shared):
-        return _horosphere_values(d, *shared, e)
+        v, twice = _horosphere_values(d, *shared, e)
+        doubles = int(np.count_nonzero(twice))
+        return v, (0, v.size - doubles, doubles)
 
     return _conditional_estimate(ds, samples, seed, workers,
                                  sphere_area(k * n - 1), draw, values)
@@ -732,33 +698,51 @@ def estimate_horosphere_crofton(x, y, samples, seed=0, workers=1):
                               samples, seed, workers)
 
 
+def _arc_crofton_many(ds, samples, seed, workers, diameter, note):
+    """Fractions of the hypersurfaces u-perp, u uniform on S^n, meeting arcs
+    of lengths ds; the expected fraction is d / pi.
+
+    Each d is held by the canonical arc from e1 to (cos d, sin d, 0, ...),
+    which u-perp meets exactly when (u . e1)(u . y) < 0, that is when g1 (g1
+    cos d + g2 sin d) < 0 for u's coordinates (g1, g2) in the arc's plane
+    (_arc_plane_coordinates).  A d below 1e-12 is a coincident pair, and an
+    estimate within 1e-12 of the diameter carries the note.
+    """
+    ds = [0.0 if d < 1e-12 else d for d in ds]
+
+    def draw(rng, size):
+        g1, g2 = _arc_plane_coordinates(size, rng)
+        g2 *= g1
+        g1 *= g1
+        return g1, g2
+
+    def values(d, shared):
+        g11, g12 = shared
+        v = g11 * math.cos(d)
+        v += g12 * math.sin(d)
+        np.less(v, 0.0, out=v)
+        hits = int(np.count_nonzero(v))
+        return v, (v.size - hits, hits, 0)
+
+    estimates = _conditional_estimate(ds, samples, seed, workers, 1.0, draw, values)
+    return [replace(e, note=note) if e.d > diameter - 1e-12 else e
+            for e in estimates]
+
+
 def projective_crofton_many(x, ys, samples, seed=0, workers=1):
     """Fractions of hypersurfaces u-perp meeting the short segments [x y], y in ys.
 
-    In P^n_R, per pair: representatives are aligned so (x, y) >= 0, and
-    the hypersurface of a uniform u on S^n meets the segment iff the sign
-    of (., u) changes.  With the sampling measure normalized to 1 the
-    expected fraction is d(x, y) / pi.  No half-space decomposition exists
-    here: a hypersurface does not separate projective space, so only the
-    meet predicate is exposed.  The pairs share each chunk's u.
+    In P^n_R the hypersurface of a uniform u on S^n meets a short segment
+    iff the sign of (., u) changes along a lift of it to S^n, an arc of
+    length d(x, y); with the sampling measure normalized to 1 the expected
+    fraction is d(x, y) / pi.  No half-space decomposition exists here: a
+    hypersurface does not separate projective space, so only the meet
+    predicate is exposed.  The pairs share each chunk's u.
     """
-    seed = _resolve_seed(seed)
-    xr = x.coords
-    targets = []
-    for y in ys:
-        d = projective_distance(x, y)
-        if d < 1e-12:
-            targets.append(None)
-            continue
-        yr = y.coords if xr @ y.coords >= 0 else -y.coords
-        note = ""
-        if abs(xr @ yr) <= 1e-12:
-            note = ("pair at distance pi/2: representative alignment fixed by "
-                    "first-nonzero-coordinate convention")
-            if yr[np.nonzero(yr)[0][0]] < 0:
-                yr = -yr
-        targets.append((d, yr, note))
-    return _sign_change_estimates(xr, targets, samples, seed, workers)
+    return _arc_crofton_many(
+        [projective_distance(x, y) for y in ys], samples, seed, workers,
+        0.5 * math.pi, "pair at distance pi/2, the diameter: both short "
+        "segments give the same fraction")
 
 
 def projective_crofton_estimate(x, y, samples, seed=0, workers=1):
@@ -773,22 +757,9 @@ def sphere_halfspace_crofton_many(x, ys, samples, seed=0, workers=1):
     Expected fraction is d(x, y) / pi; this is also ||chi_x - chi_y||^2 for
     the hemisphere indicator feature map.  The pairs share each chunk's u.
     """
-    seed = _resolve_seed(seed)
-    x = np.asarray(x, dtype=float)
-    x = x / np.linalg.norm(x)
-    targets = []
-    for y in ys:
-        y = np.asarray(y, dtype=float)
-        y = y / np.linalg.norm(y)
-        d = sphere_distance(x, y)
-        if d < 1e-12:
-            targets.append(None)
-            continue
-        note = ""
-        if d > math.pi - 1e-12:
-            note = "antipodal pair: geodesic non-unique, fraction is maximal"
-        targets.append((d, y, note))
-    return _sign_change_estimates(x, targets, samples, seed, workers)
+    return _arc_crofton_many(
+        [sphere_distance(x, y) for y in ys], samples, seed, workers, math.pi,
+        "antipodal pair: geodesic non-unique, fraction is maximal")
 
 
 def sphere_halfspace_crofton(x, y, samples, seed=0, workers=1):

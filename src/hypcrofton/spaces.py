@@ -21,7 +21,6 @@ from .algebra import (
     DimensionMismatchError,
     HermitianSpace,
     form_coeffs,
-    from_coeffs,
     qconj,
     qmul,
     qnorm,
@@ -61,11 +60,6 @@ class HPoint:
     def phase_shifted(self, lam):
         """The same projective point represented by x * lam, |lam| = 1."""
         return HPoint(self.space, _rmul(self.coords, lam))
-
-    def form_with(self, other):
-        _check_same_space(self, other)
-        return from_coeffs(form_coeffs(self.coords, other.coords),
-                           self.space.field)
 
     def __repr__(self):
         return f"HPoint({self.space.field!r}, n={self.space.n})"
@@ -253,11 +247,6 @@ def geodesic_between(x, y):
     return GeodesicSegment(x.space, x.coords, w, d)
 
 
-def geodesic_point(seg, s):
-    """The point at arclength s along the full geodesic through seg."""
-    return seg.point(s)
-
-
 def random_coords(space, radius, rng, count):
     """Coordinates (count, n+1, 4) of `count` points at geodesic distance
     <= radius from the base point, not yet normalized.
@@ -363,38 +352,6 @@ def _form_gram_schmidt(space, columns):
             return None
         cols[j] = c / np.sqrt(abs(q))
     return np.stack(cols, axis=1)
-
-
-def _form_inverse(space, matrix):
-    """Inverse of a form-preserving matrix: conjugate-transpose with signs."""
-    d = space.dim
-    signs = np.ones(d)
-    signs[0] = -1.0
-    out = qconj(np.swapaxes(matrix, 0, 1))
-    return out * (signs[:, None] * signs[None, :])[:, :, None]
-
-
-def translation_to_base(x, max_retries=20):
-    """An isometry carrying the point x to the base point x0.
-
-    Built as the form-inverse of a form-orthonormal frame whose first
-    column is x; deterministic for a given x.
-    """
-    space = x.space
-    d = space.dim
-    k = FIELD_DIM[space.field]
-    for attempt in range(max_retries):
-        m = np.zeros((d, d, 4))
-        m[:, 0, :] = x.coords
-        for j in range(1, d):
-            m[j, j, 0] = 1.0
-        if attempt:
-            noise = np.random.default_rng(attempt).standard_normal((d, d - 1, k))
-            m[:, 1:, :k] += 1e-3 * attempt * noise
-        frame = _form_gram_schmidt(space, m)
-        if frame is not None:
-            return Isometry(space, _form_inverse(space, frame))
-    raise RuntimeError("failed to build a frame through the point")
 
 
 def random_isometry(space, rng, scale=0.4, max_retries=20):

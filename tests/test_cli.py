@@ -416,6 +416,18 @@ class TestCrofton:
         code, out, _ = run_cli(capsys, *args)
         assert (code, json.loads(out)["verdict"]) == (1, "ratios inconsistent")
 
+    def test_horosphere_constant_is_twice_ball_volume(self):
+        # 2 vol(B^m) = 2 pi^(m/2) / Gamma(m/2 + 1), m = k n - 1, for every k n
+        # the horosphere estimator takes, well inside the verdict's 1e-12
+        # slack
+        for field, k in (("r", 1), ("c", 2), ("h", 4)):
+            for n in range(1, crofton.MAX_HOROSPHERE_DIM // k + 1):
+                m = k * n - 1
+                ball = 2.0 * math.exp(0.5 * m * math.log(math.pi)
+                                      - math.lgamma(0.5 * m + 1.0))
+                assert cli._crofton_constant("horosphere", field, n) == \
+                    pytest.approx(ball, rel=1e-12)
+
     @pytest.mark.parametrize("seed", ["1", "4", "8"])
     @pytest.mark.parametrize("argv", [
         ("horosphere", "--field", "r", "--dim", "1", "--pairs", "0.3,1.5",

@@ -29,7 +29,6 @@ from hypcrofton.crofton import (
     count_horosphere_intersections,
     estimate_horosphere_crofton,
     estimate_m,
-    estimate_symmetric_difference,
     halfspace_contains,
     halfspace_side,
     hyperplane_meets_segment,
@@ -656,7 +655,6 @@ class TestChunkMemory:
 
 #: more than two chunks, the last one short
 SHARED_SAMPLES = 2 * crofton.CHUNK_SIZE + 1001
-SIGN_CHANGE_SAMPLES = 2 * crofton.SIGN_CHANGE_CHUNK_SIZE + 1001
 SHARED_DS = (0.5, 1e-13, 12.0, 0.0, 2.0)
 
 
@@ -706,8 +704,8 @@ class TestSharedDraws:
         one = {"projective": projective_crofton_estimate,
                "sphere_halfspace": sphere_halfspace_crofton}[carrier]
         x, ys = sign_change_pairs(carrier, ds)
-        got = many(x, ys, SIGN_CHANGE_SAMPLES, seed=9, workers=workers)
-        assert fields(got) == fields(one(x, y, SIGN_CHANGE_SAMPLES, seed=9)
+        got = many(x, ys, SHARED_SAMPLES, seed=9, workers=workers)
+        assert fields(got) == fields(one(x, y, SHARED_SAMPLES, seed=9)
                                      for y in ys)
         assert got[1].note == "coincident points"
         assert got[-1].note != ""
@@ -716,8 +714,8 @@ class TestSharedDraws:
     @pytest.mark.parametrize("carrier,args,sampler", [
         ("hyperplane", (3,), "_first_coordinate"),
         ("horosphere", (QUATERNION, 2), "_first_coordinate"),
-        ("projective", (), "_uniform_sphere"),
-        ("sphere_halfspace", (), "_uniform_sphere"),
+        ("projective", (), "_arc_plane_coordinates"),
+        ("sphere_halfspace", (), "_arc_plane_coordinates"),
     ], ids=["hyperplane", "horosphere", "projective", "sphere"])
     def test_one_draw_per_chunk(self, monkeypatch, carrier, args, sampler,
                                 workers):
@@ -737,7 +735,7 @@ class TestSharedDraws:
             if args:
                 many(*args, ds, SHARED_SAMPLES, seed=3, workers=workers)
             else:
-                many(*sign_change_pairs(carrier, ds), SIGN_CHANGE_SAMPLES,
+                many(*sign_change_pairs(carrier, ds), SHARED_SAMPLES,
                      seed=3, workers=workers)
             assert len(calls) == 3
 
@@ -746,7 +744,7 @@ class TestSharedDraws:
             raise AssertionError("drew directions for coincident points")
 
         monkeypatch.setattr(crofton, "_first_coordinate", refuse)
-        monkeypatch.setattr(crofton, "_uniform_sphere", refuse)
+        monkeypatch.setattr(crofton, "_arc_plane_coordinates", refuse)
         ests = crofton.horosphere_crofton_many(REAL, 2, (0.0, 0.0), 100)
         ests += crofton.sphere_halfspace_crofton_many([1, 0], [[2, 0]], 100)
         assert [e.estimate for e in ests] == [0.0, 0.0, 0.0]
@@ -772,6 +770,34 @@ class TestSharedDraws:
         est = crofton.hyperplane_crofton(430, 1.0, 20_000, seed=3)
         assert est.estimate >= sys.float_info.min
         assert est.stderr >= sys.float_info.min
+
+
+class TestSignChangeEstimates:
+    @pytest.mark.parametrize("carrier", ["projective", "sphere_halfspace"])
+    def test_binomial_histogram_and_stderr(self, carrier):
+        # a hypersurface crosses an arc 0 or 1 times: the histogram counts
+        # the misses and hits, the hit fraction is hits / N, and the
+        # stderr is the binomial sqrt(p (1 - p) / N)
+        ds = (0.3, 1.2, math.pi / 2, 3.0)[:3 if carrier == "projective" else 4]
+        many = getattr(crofton, f"{carrier}_crofton_many")
+        for est in many(*sign_change_pairs(carrier, ds), SHARED_SAMPLES, seed=5):
+            hits = est.count_histogram[1]
+            assert est.count_histogram == {0: SHARED_SAMPLES - hits, 1: hits}
+            assert est.mean_count == hits / SHARED_SAMPLES
+            p = est.mean_count
+            assert est.stderr == pytest.approx(
+                math.sqrt(p * (1.0 - p) / SHARED_SAMPLES), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [0.3, 1.2, math.pi / 2])
+    def test_projective_equals_sphere(self, d):
+        # both estimate on the canonical arc of length d from the same draws
+        px, (py,) = sign_change_pairs("projective", (d,))
+        sx, (sy,) = sign_change_pairs("sphere_halfspace", (d,))
+        p = projective_crofton_estimate(px, py, SHARED_SAMPLES, seed=6)
+        s = sphere_halfspace_crofton(sx, sy, SHARED_SAMPLES, seed=6)
+        assert p.d == pytest.approx(s.d, rel=1e-15)
+        assert (p.estimate, p.stderr, p.count_histogram) == \
+            (s.estimate, s.stderr, s.count_histogram)
 
 
 class TestEstimateM:
@@ -864,15 +890,6 @@ class TestEstimateM:
 
 
 class TestSymmetricDifference:
-    def test_matches_segment_estimate(self):
-        space = HermitianSpace(REAL, 2)
-        rng = np.random.default_rng(18)
-        x = random_point(space, 1.5, rng)
-        y = random_point(space, 1.5, rng)
-        em = estimate_m(x, y, 100_000, seed=9)
-        es = estimate_symmetric_difference(x, y, 100_000, seed=9)
-        assert es.estimate == em.estimate
-
     def test_per_sample_identity(self):
         # half-space sign disagreement == transversal segment crossing
         space = HermitianSpace(REAL, 2)
@@ -1029,6 +1046,10 @@ class TestProjectiveEstimator:
     def test_coincident(self):
         x = PPoint([1, 2, 3])
         assert projective_crofton_estimate(x, x, 100, seed=0).estimate == 0.0
+        # a pair closer than 1e-12 counts as coincident too
+        x, (y,) = sign_change_pairs("projective", (1e-13,))
+        est = projective_crofton_estimate(x, y, 100, seed=0)
+        assert (est.d, est.estimate, est.note) == (0.0, 0.0, "coincident points")
 
     def test_cut_locus_note(self):
         est = projective_crofton_estimate(PPoint([1, 0, 0]), PPoint([0, 1, 0]),

@@ -16,7 +16,6 @@ from hypcrofton.spaces import (
     PPoint,
     base_point,
     geodesic_between,
-    geodesic_point,
     hyperbolic_distance,
     hyperbolic_distance_matrix,
     jordan_trace_distance,
@@ -27,7 +26,6 @@ from hypcrofton.spaces import (
     random_point,
     sphere_distance,
     sphere_distance_matrix,
-    translation_to_base,
 )
 
 ALL_FIELDS = [REAL, COMPLEX, QUATERNION]
@@ -304,7 +302,7 @@ class TestGeodesics:
         y = random_point(space, 1.5, rng)
         seg = geodesic_between(x, y)
         for s in rng.uniform(0, 3, 5):
-            p = geodesic_point(seg, s).coords
+            p = seg.point(s).coords
             assert qnorm(form_coeffs(p, seg.base)) == pytest.approx(
                 np.cosh(s), rel=1e-10)
 
@@ -407,26 +405,6 @@ class TestRandomIsometry:
             y = random_point(space, 2.0, rng)
             assert abs(hyperbolic_distance(g @ x, g @ y)
                        - hyperbolic_distance(x, y)) <= 1e-8
-
-    @pytest.mark.parametrize("field", ALL_FIELDS)
-    def test_translation_to_base(self, field):
-        space = HermitianSpace(field, 2)
-        rng = np.random.default_rng(22)
-        x0 = base_point(space)
-        for _ in range(20):
-            x = random_point(space, 2.5, rng)
-            y = random_point(space, 2.5, rng)
-            g = translation_to_base(x)
-            assert hyperbolic_distance(g @ x, x0) <= 1e-9
-            assert abs(hyperbolic_distance(g @ x, g @ y)
-                       - hyperbolic_distance(x, y)) <= 1e-8
-
-    def test_translation_deterministic(self):
-        space = HermitianSpace(COMPLEX, 2)
-        x = random_point(space, 2.0, np.random.default_rng(23))
-        g1 = translation_to_base(x)
-        g2 = translation_to_base(x)
-        assert np.array_equal(g1.matrix, g2.matrix)
 
     def test_moves_base_point(self):
         space = HermitianSpace(REAL, 2)
