@@ -1,70 +1,63 @@
 """Distance kernels, Crofton Monte Carlo estimators and negative-type
-analysis on hyperbolic, projective and spherical spaces."""
+analysis on hyperbolic, projective and spherical spaces.
 
-from .algebra import (
-    COMPLEX,
-    FIELD_DIM,
-    FIELDS,
-    QUATERNION,
-    REAL,
-    HermitianSpace,
-    Quaternion,
-    hermitian_form,
-    quat_mul,
-    scalar_modulus,
-)
-from .configurations import (
-    SPLIT_COEFFICIENTS,
-    cluster_sums,
-    projective_six_points,
-    quaternionic_cluster_points,
-)
-from .crofton import (
-    CroftonEstimate,
-    Horosphere,
-    Hyperplane,
-    OrientedHalfSpace,
-    count_cosh_roots,
-    count_horosphere_intersections,
-    estimate_horosphere_crofton,
-    estimate_m,
-    halfspace_contains,
-    halfspace_side,
-    horosphere_crofton,
-    horosphere_crofton_many,
-    hyperplane_crofton,
-    hyperplane_crofton_many,
-    hyperplane_meets_segment,
-    projective_crofton_estimate,
-    projective_crofton_many,
-    sample_horosphere,
-    sample_hyperplane,
-    sphere_halfspace_crofton,
-    sphere_halfspace_crofton_many,
-)
-from .kernels import (
-    EmbeddingResult,
-    NotNegativeTypeError,
-    build_distance_matrix,
-    hypermetric_scan,
-    negative_type_witness,
-    quadratic_form,
-    sqrt_embed,
-    violation_search,
-)
-from .spaces import (
-    GeodesicSegment,
-    HPoint,
-    Isometry,
-    PPoint,
-    base_point,
-    geodesic_between,
-    hyperbolic_distance,
-    jordan_trace_distance,
-    projective_distance,
-    random_isometry,
-    random_point,
-    sphere_distance,
-)
+The package namespace is lazy (PEP 562): `import hypcrofton` loads none of
+the submodules, and the first lookup of an exported name, such as
+`hypcrofton.hyperplane_crofton_many` or `from hypcrofton import HPoint`,
+imports the one submodule that defines it.  Each name resolves to the
+submodule's own attribute at lookup time.  The submodules that export
+names (`hypcrofton.crofton`, ...) load the same way.  A short CLI command thus
+pays only for the modules its subcommand runs, not for the whole package.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
+
+#: submodule -> the names the package exports from it
+_EXPORTS = {
+    "algebra": (
+        "COMPLEX", "FIELD_DIM", "FIELDS", "QUATERNION", "REAL", "HermitianSpace",
+        "Quaternion", "hermitian_form", "quat_mul", "scalar_modulus",
+    ),
+    "configurations": (
+        "SPLIT_COEFFICIENTS", "cluster_sums", "projective_six_points",
+        "quaternionic_cluster_points",
+    ),
+    "crofton": (
+        "CroftonEstimate", "Horosphere", "Hyperplane", "OrientedHalfSpace",
+        "count_cosh_roots", "count_horosphere_intersections",
+        "estimate_horosphere_crofton", "estimate_m", "halfspace_contains",
+        "halfspace_side", "horosphere_crofton", "horosphere_crofton_many",
+        "hyperplane_crofton", "hyperplane_crofton_many", "hyperplane_meets_segment",
+        "projective_crofton_estimate", "projective_crofton_many",
+        "sample_horosphere", "sample_hyperplane", "sphere_halfspace_crofton",
+        "sphere_halfspace_crofton_many",
+    ),
+    "kernels": (
+        "EmbeddingResult", "NotNegativeTypeError", "build_distance_matrix",
+        "hypermetric_scan", "negative_type_witness", "quadratic_form", "sqrt_embed",
+        "violation_search",
+    ),
+    "spaces": (
+        "GeodesicSegment", "HPoint", "Isometry", "PPoint", "base_point",
+        "geodesic_between", "hyperbolic_distance", "jordan_trace_distance",
+        "projective_distance", "random_isometry", "random_point", "sphere_distance",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -15,8 +15,7 @@ import sys
 
 import numpy as np
 
-from . import configurations, crofton, kernels, spaces
-from .algebra import FIELD_DIM, FIELDS, REAL, HermitianSpace, Quaternion
+from .algebra import FIELD_DIM, FIELDS, REAL, HermitianSpace
 
 POINT_KINDS = ("r", "c", "h", "p", "s")
 
@@ -45,6 +44,8 @@ def _read_points(path):
     (dim+1 reals per row).  Lines starting with '#' are comments.  A row of
     another width is rejected.
     """
+    from . import spaces
+
     rows = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -82,6 +83,8 @@ def _read_points(path):
 
 
 def _read_matrix(path):
+    from . import kernels
+
     D = np.loadtxt(path, delimiter=",", comments="#")
     return kernels.validate_distance_matrix(np.atleast_2d(D))
 
@@ -172,6 +175,8 @@ def _distances(text):
 
 def _crofton_constant(carrier, field, n):
     """The ratio estimate / d that the carrier's Crofton formula predicts."""
+    from . import crofton
+
     if carrier == "hyperplane":
         return crofton.sphere_area(n - 2) / (n - 1) if n > 1 else 1.0
     if carrier == "horosphere":
@@ -182,7 +187,14 @@ def _crofton_constant(carrier, field, n):
 
 # -- subcommands ----------------------------------------------------------------
 
+# Each command imports the modules it runs, so a process loads only those:
+# the Crofton commands never load kernels or configurations, the others
+# never load crofton.  Call through the module (crofton.f(...)) so that a
+# rebinding of the module attribute applies.
+
 def cmd_dist(args):
+    from . import kernels
+
     kind, dim, points = _read_points(args.points)
     D = kernels.build_distance_matrix(points)
     report = _base_report(args, [{"kind": kind, "dim": dim,
@@ -192,6 +204,8 @@ def cmd_dist(args):
 
 
 def _load_matrix_arg(args):
+    from . import kernels
+
     if args.matrix:
         return _read_matrix(args.matrix)
     if args.points:
@@ -201,6 +215,8 @@ def _load_matrix_arg(args):
 
 
 def cmd_check_negtype(args):
+    from . import kernels
+
     D = _load_matrix_arg(args)
     witness = kernels.negative_type_witness(D, tol=args.tolerance)
     if witness is None:
@@ -215,6 +231,8 @@ def cmd_check_negtype(args):
 
 
 def cmd_scan_hypermetric(args):
+    from . import kernels
+
     D = _load_matrix_arg(args)
     violations = kernels.hypermetric_scan(D, bound=args.bound)
     results = [{"t": t.tolist(), "q": q} for t, q in violations[:50]]
@@ -225,6 +243,8 @@ def cmd_scan_hypermetric(args):
 
 
 def cmd_embed(args):
+    from . import kernels
+
     D = _load_matrix_arg(args)
     emb = kernels.sqrt_embed(D)
     result = {
@@ -242,12 +262,22 @@ def cmd_embed(args):
 
 
 def cmd_crofton(args):
+    from . import crofton, spaces
+
     pairs = [float(v) for v in args.pairs.split(",")]
     limit, name, why = PAIR_LIMITS[args.carrier]
+    # the arc carriers' estimators take a shorter pair as coincident
+    low = (crofton.MIN_ARC_DISTANCE if args.carrier in ("projective", "sphere")
+           else 0.0)
     for d in pairs:
         if d > limit:
             raise ValueError(f"distance {d:g} is beyond {name}, {why}: "
                              f"{args.carrier} pairs take distances in (0, {name}]")
+        if d < low:
+            raise ValueError(
+                f"distance {d:g} is below {low:g}, where the {args.carrier} "
+                f"estimator takes a pair as coincident: {args.carrier} pairs "
+                f"take distances in [{low:g}, {name}]")
     # one estimator call for all pairs, so they share the seed's draws; the
     # hyperbolic estimators take d itself, as an estimate depends on a pair
     # only through its distance
@@ -295,6 +325,8 @@ def cmd_crofton(args):
 
 
 def cmd_reproduce(args):
+    from . import configurations, kernels
+
     if args.case == "projective":
         points = configurations.projective_six_points()
         D = kernels.build_distance_matrix(points)
@@ -328,6 +360,8 @@ def cmd_reproduce(args):
 
 
 def cmd_search_violations(args):
+    from . import configurations, kernels
+
     space = HermitianSpace(args.field, args.dim)
     rng = np.random.default_rng(args.seed)
     seed_points = None

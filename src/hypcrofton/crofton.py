@@ -49,7 +49,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -68,6 +67,9 @@ CHUNK_SIZE = 1 << 14
 #: m = 437
 MAX_HYPERPLANE_DIM = 437
 MAX_HOROSPHERE_DIM = 438
+#: the projective and sphere estimators take a pair at a shorter distance as
+#: coincident, with estimate 0
+MIN_ARC_DISTANCE = 1e-12
 
 
 class SegmentInHyperplaneError(ValueError):
@@ -530,6 +532,9 @@ def _run_chunks(chunk_fn, samples, seed, workers=1):
         return chunk_fn(np.random.default_rng(seeds[i]), sizes[i])
 
     if workers > 1 and len(sizes) > 1:
+        # imported here: a one-worker run never loads concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run, range(len(sizes))))
     return [run(i) for i in range(len(sizes))]
@@ -705,10 +710,10 @@ def _arc_crofton_many(ds, samples, seed, workers, diameter, note):
     Each d is held by the canonical arc from e1 to (cos d, sin d, 0, ...),
     which u-perp meets exactly when (u . e1)(u . y) < 0, that is when g1 (g1
     cos d + g2 sin d) < 0 for u's coordinates (g1, g2) in the arc's plane
-    (_arc_plane_coordinates).  A d below 1e-12 is a coincident pair, and an
-    estimate within 1e-12 of the diameter carries the note.
+    (_arc_plane_coordinates).  A d below MIN_ARC_DISTANCE is a coincident
+    pair, and an estimate within 1e-12 of the diameter carries the note.
     """
-    ds = [0.0 if d < 1e-12 else d for d in ds]
+    ds = [0.0 if d < MIN_ARC_DISTANCE else d for d in ds]
 
     def draw(rng, size):
         g1, g2 = _arc_plane_coordinates(size, rng)

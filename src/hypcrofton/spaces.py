@@ -151,28 +151,34 @@ def hyperbolic_distance_matrix(coords):
     return _pairs_to_matrix(np.arccosh(np.maximum(mod, 1.0)), m)
 
 
+def _pair_angle_parts(X):
+    """For the pairs i < j of stacked unit vectors X, (..., m, n+1): the norm
+    of x_j's component orthogonal to x_i, |sin| of their angle, and x_i . x_j,
+    its cosine.  arctan2 of the two is stable near coincident, orthogonal
+    and antipodal vectors, where arccos of the cosine loses small angles."""
+    m = X.shape[-2]
+    iu = np.triu_indices(m, k=1)
+    inner = (X @ np.swapaxes(X, -1, -2))[..., iu[0], iu[1]]
+    perp = X[..., iu[1], :] - X[..., iu[0], :] * inner[..., None]
+    return np.linalg.norm(perp, axis=-1), inner
+
+
 def projective_distance_matrix(coords):
     """Distances between stacked points of P^n_R: (..., m, n+1) unit
     representatives -> (..., m, m), cos d_ij = |(x_i, x_j)|, in [0, pi/2]."""
     X = np.asarray(coords, dtype=float)
-    m = X.shape[-2]
-    iu = np.triu_indices(m, k=1)
-    inner = (X @ np.swapaxes(X, -1, -2))[..., iu[0], iu[1]]
-    # arctan2 form is stable near coincident and orthogonal representatives
-    perp = X[..., iu[1], :] - X[..., iu[0], :] * inner[..., None]
-    return _pairs_to_matrix(
-        np.arctan2(np.linalg.norm(perp, axis=-1), np.abs(inner)), m)
+    sin, cos = _pair_angle_parts(X)
+    return _pairs_to_matrix(np.arctan2(sin, np.abs(cos)), X.shape[-2])
 
 
 def sphere_distance_matrix(coords):
     """Distances between stacked vectors on the unit sphere after
-    normalization: (..., m, n+1) -> (..., m, m), arccos(x_i . x_j)."""
+    normalization: (..., m, n+1) -> (..., m, m), cos d_ij = x_i . x_j, in
+    [0, pi]."""
     X = np.asarray(coords, dtype=float)
     X = X / np.linalg.norm(X, axis=-1, keepdims=True)
-    m = X.shape[-2]
-    iu = np.triu_indices(m, k=1)
-    inner = (X @ np.swapaxes(X, -1, -2))[..., iu[0], iu[1]]
-    return _pairs_to_matrix(np.arccos(np.clip(inner, -1.0, 1.0)), m)
+    sin, cos = _pair_angle_parts(X)
+    return _pairs_to_matrix(np.arctan2(sin, cos), X.shape[-2])
 
 
 def hyperbolic_distance(x, y):
@@ -189,7 +195,7 @@ def projective_distance(x, y):
 
 
 def sphere_distance(x, y):
-    """Geodesic distance on the unit sphere: arccos(x . y), in [0, pi]."""
+    """Geodesic distance on the unit sphere: cos d = x . y, in [0, pi]."""
     return float(sphere_distance_matrix(np.stack([x, y]))[0, 1])
 
 

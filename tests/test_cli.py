@@ -286,6 +286,14 @@ class TestCrofton:
         (("crofton", "projective", "--pairs", "2"),
          "error: distance 2 is beyond pi/2, the diameter of P^n_R: projective "
          "pairs take distances in (0, pi/2]"),
+        # exited 1 through a ZeroDivisionError traceback (stderr / d at d = 0)
+        (("crofton", "sphere", "--pairs", "0.5,1e-13"),
+         "error: distance 1e-13 is below 1e-12, where the sphere estimator takes "
+         "a pair as coincident: sphere pairs take distances in [1e-12, pi]"),
+        (("crofton", "projective", "--pairs", "1e-13"),
+         "error: distance 1e-13 is below 1e-12, where the projective estimator "
+         "takes a pair as coincident: projective pairs take distances in "
+         "[1e-12, pi/2]"),
     ], ids=["pairs-zero", "pairs-negative", "pairs-inf", "samples-zero",
             "workers-zero", "dim-zero", "horosphere-beyond-domain",
             "hyperplane-beyond-domain", "pair-beyond-domain", "trials-negative",
@@ -296,7 +304,8 @@ class TestCrofton:
             "points-p-wrong-width", "points-s-wrong-width",
             "horosphere-dim-beyond-measure", "hyperplane-dim-beyond-measure",
             "hyperplane-estimate-underflow", "sphere-beyond-diameter",
-            "projective-beyond-diameter"])
+            "projective-beyond-diameter", "sphere-below-coincidence",
+            "projective-below-coincidence"])
     def test_invalid_argument_exits_2(self, capsys, tmp_path, argv, message):
         for name, text in BAD_POINT_FILES.items():
             (tmp_path / name).write_text(text, encoding="utf-8")
@@ -354,6 +363,18 @@ class TestCrofton:
                                "--seed", "3")
         assert (code, json.loads(out)["verdict"]) == (0, "ratios consistent")
         assert json.loads(out)["results"][0]["d"] == float(argv[-1])
+
+    @pytest.mark.parametrize("carrier", ["sphere", "projective"])
+    @pytest.mark.parametrize("d", ["1e-12", "1e-9", "1e-7"])
+    def test_short_arc_measured_exactly(self, capsys, carrier, d):
+        # the pair is built as points of S^n and measured back; arccos(x . y)
+        # measured the sphere's 1e-9 as 0 (exit 1 through a ZeroDivisionError
+        # traceback) and 1e-7 as 9.996e-8
+        code, out, _ = run_cli(capsys, "crofton", carrier, "--dim", "2",
+                               "--pairs", d, "--samples", "1000", "--seed", "1")
+        assert code in (0, 1)
+        assert json.loads(out)["results"][0]["d"] == pytest.approx(
+            float(d), rel=1e-12)
 
     def test_large_dimension(self, capsys):
         # vol(S^399) = 1.4e-273 is a normal float; math.gamma(200) overflowed

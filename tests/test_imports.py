@@ -1,0 +1,192 @@
+"""What each CLI subcommand loads, and the package's lazy namespace."""
+
+import importlib
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hypcrofton
+
+#: the names `hypcrofton` exported when its __init__ imported every
+#: submodule eagerly, by submodule
+EXPORTED = {
+    "algebra": [
+        "COMPLEX", "FIELD_DIM", "FIELDS", "QUATERNION", "REAL", "HermitianSpace",
+        "Quaternion", "hermitian_form", "quat_mul", "scalar_modulus",
+    ],
+    "configurations": [
+        "SPLIT_COEFFICIENTS", "cluster_sums", "projective_six_points",
+        "quaternionic_cluster_points",
+    ],
+    "crofton": [
+        "CroftonEstimate", "Horosphere", "Hyperplane", "OrientedHalfSpace",
+        "count_cosh_roots", "count_horosphere_intersections",
+        "estimate_horosphere_crofton", "estimate_m", "halfspace_contains",
+        "halfspace_side", "horosphere_crofton", "horosphere_crofton_many",
+        "hyperplane_crofton", "hyperplane_crofton_many", "hyperplane_meets_segment",
+        "projective_crofton_estimate", "projective_crofton_many",
+        "sample_horosphere", "sample_hyperplane", "sphere_halfspace_crofton",
+        "sphere_halfspace_crofton_many",
+    ],
+    "kernels": [
+        "EmbeddingResult", "NotNegativeTypeError", "build_distance_matrix",
+        "hypermetric_scan", "negative_type_witness", "quadratic_form",
+        "sqrt_embed", "violation_search",
+    ],
+    "spaces": [
+        "GeodesicSegment", "HPoint", "Isometry", "PPoint", "base_point",
+        "geodesic_between", "hyperbolic_distance", "jordan_trace_distance",
+        "projective_distance", "random_isometry", "random_point",
+        "sphere_distance",
+    ],
+}
+EXPORTED_NAMES = [(module, name) for module, names in EXPORTED.items()
+                  for name in names]
+
+#: runs the CLI as `python -m hypcrofton.cli` does, then prints the loaded
+#: modules as the last line of standard output
+DRIVER = """\
+import json, runpy, sys
+try:
+    runpy.run_module("hypcrofton.cli", run_name="__main__", alter_sys=True)
+finally:
+    print(json.dumps(sorted(sys.modules)))
+"""
+
+POINTS = "\n".join([
+    "r,2",
+    "1,0,0",
+    f"{math.cosh(1)},{math.sinh(1)},0",
+    f"{math.cosh(0.5)},0,{math.sinh(0.5)}",
+    f"{math.cosh(0.8)},{-math.sinh(0.8)},0",
+]) + "\n"
+
+#: chunks of crofton.CHUNK_SIZE = 2^14 directions: 40000 samples are three
+#: chunks, which a pool runs at --workers 2; 1000 samples are one, which
+#: runs without a pool at any worker count
+CROFTON_ARGS = {
+    "hyperplane": ("--dim", "3"),
+    "horosphere": ("--field", "h", "--dim", "2"),
+    "projective": ("--dim", "2"),
+    "sphere": ("--dim", "2"),
+}
+
+
+def fresh_env():
+    """A child interpreter's environment: this package's sources, and no
+    bytecode files, so each process compiles every module it loads."""
+    return dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                PYTHONPATH=str(Path(hypcrofton.__file__).parents[1]))
+
+
+def loaded_modules(argv, cwd):
+    """Exit code and sys.modules of one CLI run in a fresh interpreter."""
+    done = subprocess.run([sys.executable, "-c", DRIVER, *argv], cwd=cwd,
+                          capture_output=True, text=True, env=fresh_env(),
+                          check=False)
+    assert "Traceback" not in done.stderr, done.stderr
+    return done.returncode, set(json.loads(done.stdout.splitlines()[-1]))
+
+
+@pytest.fixture(scope="module")
+def points_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("points") / "points.csv"
+    path.write_text(POINTS, encoding="utf-8")
+    return path
+
+
+class TestSubcommandImports:
+    @pytest.mark.parametrize("argv", [
+        ("dist", "--points", "points.csv"),
+        ("check-negtype", "--points", "points.csv"),
+        ("scan-hypermetric", "--points", "points.csv", "--bound", "1"),
+        ("embed", "--points", "points.csv"),
+        ("reproduce", "addendum"),
+        ("reproduce", "projective"),
+        ("search-violations", "--m", "4", "--trials", "2", "--seed", "1"),
+    ], ids=["dist", "check-negtype", "scan-hypermetric", "embed",
+            "reproduce-addendum", "reproduce-projective", "search-violations"])
+    def test_geometry_commands_load_no_estimator(self, points_file, argv):
+        code, modules = loaded_modules(argv, points_file.parent)
+        assert code == 0
+        assert "hypcrofton.kernels" in modules
+        assert "hypcrofton.crofton" not in modules
+        assert "concurrent.futures" not in modules
+
+    @pytest.mark.parametrize("workers,samples,pool", [
+        ("1", "40000", False), ("2", "40000", True), ("2", "1000", False),
+    ], ids=["workers-1", "workers-2", "workers-2-one-chunk"])
+    @pytest.mark.parametrize("carrier", list(CROFTON_ARGS))
+    def test_crofton_loads_no_kernels(self, tmp_path, carrier, workers, samples,
+                                      pool):
+        argv = ("crofton", carrier, *CROFTON_ARGS[carrier], "--pairs", "0.5,1",
+                "--samples", samples, "--workers", workers, "--seed", "1")
+        code, modules = loaded_modules(argv, tmp_path)
+        assert code in (0, 1)
+        assert "hypcrofton.crofton" in modules
+        assert "hypcrofton.kernels" not in modules
+        assert "hypcrofton.configurations" not in modules
+        # concurrent.futures loads when, and only when, a pool runs
+        assert ("concurrent.futures" in modules) == pool
+
+    def test_package_loads_a_submodule_on_first_lookup(self, tmp_path):
+        script = ("import json, sys, hypcrofton\n"
+                  "def loaded():\n"
+                  "    print(json.dumps(sorted(m for m in sys.modules\n"
+                  "                            if m.startswith('hypcrofton.'))))\n"
+                  "loaded()\n"
+                  "hypcrofton.HPoint\n"
+                  "loaded()\n"
+                  "hypcrofton.kernels\n"
+                  "loaded()\n")
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              capture_output=True, text=True, env=fresh_env(),
+                              check=True)
+        assert [json.loads(line) for line in done.stdout.splitlines()] == [
+            [],
+            ["hypcrofton.algebra", "hypcrofton.spaces"],
+            ["hypcrofton.algebra", "hypcrofton.kernels", "hypcrofton.spaces"],
+        ]
+
+
+class TestLazyNamespace:
+    @pytest.mark.parametrize("module,name", EXPORTED_NAMES,
+                             ids=[name for _, name in EXPORTED_NAMES])
+    def test_name_is_the_submodule_attribute(self, module, name):
+        submodule = importlib.import_module(f"hypcrofton.{module}")
+        assert getattr(hypcrofton, name) is getattr(submodule, name)
+        namespace = {}
+        exec(f"from hypcrofton import {name}", namespace)
+        assert namespace[name] is getattr(submodule, name)
+
+    def test_dir_and_all_list_every_name(self):
+        names = {name for _, name in EXPORTED_NAMES}
+        assert names <= set(dir(hypcrofton))
+        assert set(hypcrofton.__all__) == names
+        assert len(hypcrofton.__all__) == len(names)
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from hypcrofton import *", namespace)
+        for module, name in EXPORTED_NAMES:
+            submodule = importlib.import_module(f"hypcrofton.{module}")
+            assert namespace[name] is getattr(submodule, name)
+
+    def test_submodules_and_version(self):
+        for module in EXPORTED:
+            assert getattr(hypcrofton, module) is \
+                importlib.import_module(f"hypcrofton.{module}")
+        assert hypcrofton.__version__ == "0.1.0"
+
+    # translation_to_base was exported once and is deleted
+    @pytest.mark.parametrize("name", ["no_such_name", "translation_to_base"])
+    def test_unknown_name_raises(self, name):
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(hypcrofton, name)
+        with pytest.raises(ImportError):
+            exec(f"from hypcrofton import {name}", {})

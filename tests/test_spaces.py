@@ -199,6 +199,14 @@ class TestDistanceMatrixKernels:
                 assert abs(np.cos(D[i, j]) - cos_ref) <= 1e-12
                 assert abs(np.cos(sphere_distance(vecs[i], vecs[j])) - cos_ref) <= 1e-12
 
+    @pytest.mark.parametrize("d", [1e-12, 1e-9, 1e-7, 1.0, np.pi - 1e-7, np.pi])
+    def test_sphere_short_and_near_antipodal_arcs(self, d):
+        # arccos(x . y) read 1e-9 as 0 and 1e-7 as 9.996e-8
+        x = np.array([1.0, 0.0, 0.0])
+        y = np.array([np.cos(d), np.sin(d), 0.0])
+        assert sphere_distance(x, y) == pytest.approx(d, rel=1e-12)
+        assert sphere_distance(3.0 * x, 0.5 * y) == pytest.approx(d, rel=1e-12)
+
     def test_zero_diagonal_symmetry_and_stacking(self):
         rng = np.random.default_rng(23)
         space = HermitianSpace(QUATERNION, 3)
