@@ -36,13 +36,17 @@ PAIR_LIMITS = {
 }
 
 
-def _read_points(path):
-    """Load points from CSV: first data row is `kind,dim`, then coefficient rows.
+def _read_distances(path):
+    """Load a CSV point file and measure its points: (kind, dim, distance matrix).
 
+    The first data row is `kind,dim`, then one coefficient row per point:
     kind r/c/h -> hyperbolic points over that field ((dim+1) * field-width
     reals per row), p -> projective points, s -> unit sphere vectors
     (dim+1 reals per row).  Lines starting with '#' are comments.  A row of
-    another width is rejected.
+    another width is rejected.  The rows are stacked, normalized and
+    measured by one batched distance kernel of spaces; the matrix is the
+    one kernels.build_distance_matrix gives for the points built one by
+    one, exactly for hyperbolic points and to rounding for p and s.
     """
     from . import spaces
 
@@ -65,21 +69,27 @@ def _read_points(path):
         raise ValueError(f"unknown point kind {kind!r}; expected one of {POINT_KINDS}")
     dim = int(rows[0][1])
     k = FIELD_DIM.get(kind, 1)
-    points = []
+    width = (dim + 1) * k
     for row in rows[1:]:
-        vals = np.array([float(v) for v in row])
-        if vals.shape[0] != (dim + 1) * k:
-            raise ValueError(f"expected {(dim + 1) * k} reals per row for kind "
-                             f"{kind!r}, dim {dim}; got {vals.shape[0]}")
-        if kind in FIELDS:
-            coeffs = np.zeros((dim + 1, 4))
-            coeffs[:, :k] = vals.reshape(dim + 1, k)
-            points.append(spaces.HPoint(HermitianSpace(kind, dim), coeffs))
-        elif kind == "p":
-            points.append(spaces.PPoint(vals))
-        else:
-            points.append(vals / np.linalg.norm(vals))
-    return kind, dim, points
+        if len(row) != width:
+            raise ValueError(f"expected {width} reals per row for kind "
+                             f"{kind!r}, dim {dim}; got {len(row)}")
+    vals = np.array(rows[1:], dtype=float)  # parses as float() does
+    if kind in FIELDS:
+        HermitianSpace(kind, dim)  # checks the dimension
+        coeffs = np.zeros((len(vals), dim + 1, 4))
+        coeffs[..., :k] = vals.reshape(len(vals), dim + 1, k)
+        return kind, dim, spaces.hyperbolic_distance_matrix(
+            spaces.normalized_coords(coeffs))
+    if kind == "p" and width < 2:
+        raise ValueError("expected a real vector of length >= 2")
+    # unit rows, as PPoint keeps them and as sphere points were kept
+    norms = np.linalg.norm(vals, axis=1, keepdims=True)
+    if kind == "p":
+        if np.any(norms == 0.0):
+            raise ValueError("zero vector does not define a projective point")
+        return kind, dim, spaces.projective_distance_matrix(vals / norms)
+    return kind, dim, spaces.sphere_distance_matrix(vals / norms)
 
 
 def _read_matrix(path):
@@ -193,10 +203,7 @@ def _crofton_constant(carrier, field, n):
 # rebinding of the module attribute applies.
 
 def cmd_dist(args):
-    from . import kernels
-
-    kind, dim, points = _read_points(args.points)
-    D = kernels.build_distance_matrix(points)
+    kind, dim, D = _read_distances(args.points)
     report = _base_report(args, [{"kind": kind, "dim": dim,
                                   "matrix": D.tolist()}], "ok")
     _emit(report, args)
@@ -204,13 +211,10 @@ def cmd_dist(args):
 
 
 def _load_matrix_arg(args):
-    from . import kernels
-
     if args.matrix:
         return _read_matrix(args.matrix)
     if args.points:
-        _, _, points = _read_points(args.points)
-        return kernels.build_distance_matrix(points)
+        return _read_distances(args.points)[2]
     raise ValueError("provide --points or --matrix")
 
 
@@ -262,7 +266,7 @@ def cmd_embed(args):
 
 
 def cmd_crofton(args):
-    from . import crofton, spaces
+    from . import crofton
 
     pairs = [float(v) for v in args.pairs.split(",")]
     limit, name, why = PAIR_LIMITS[args.carrier]
@@ -291,6 +295,8 @@ def cmd_crofton(args):
             args.field, args.dim, pairs, args.samples, seed=args.seed,
             workers=args.workers)
     else:
+        from . import spaces
+
         x = np.array([1.0] + [0.0] * args.dim)
         ys = [np.array([math.cos(d), math.sin(d)] + [0.0] * (args.dim - 1))
               for d in pairs]

@@ -40,8 +40,9 @@ Estimators are deterministic given an integer master seed: samples are
 drawn in fixed-size chunks with independently spawned substreams, so the
 result does not depend on the worker count or schedule.  A chunk holds
 CHUNK_SIZE = 2^14 directions, so each of its arrays is 128 KiB and a
-worker's working set, about ten of them for horospheres and six for
-hyperplanes, stays in a 2 MiB L2 cache.
+worker's working set, about ten of them for horospheres and four for
+hyperplanes, stays in a 2 MiB L2 cache.  The hyperplane chunks that one
+thread runs in one call reuse the same four arrays (_thread_arrays).
 """
 
 from __future__ import annotations
@@ -49,12 +50,16 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .algebra import FIELD_DIM, REAL, form_coeffs, qconj, qmul, qnorm
-from .spaces import HPoint, hyperbolic_distance, projective_distance, sphere_distance
+
+# The geometry layer (spaces) is imported inside the functions that take
+# points, so a run that takes distances, such as the CLI's hyperplane and
+# horosphere estimates, never loads it.
 
 BOUNDARY_TOL = 1e-12
 #: directions per chunk: 2^14 float64 values are a 128 KiB array, so a
@@ -98,6 +103,40 @@ def cosh_power_antiderivative(m, t):
             + (m - 1) * cosh_power_antiderivative(m - 2, t)) / m
 
 
+def _doubled_antiderivative_at_artanh(m, s, c2, f):
+    """2 F_m(artanh s), F_m = cosh_power_antiderivative(m, .), for s in [0, 1),
+    written into f; s and c2 are overwritten.
+
+    At t = artanh s, cosh t = c with c^2 = 1 / ((1 - s)(1 + s)), formed as
+    that product so that nothing cancels near s = 1, and sinh t = s c, so
+    cosh^{j-1} t sinh t = s c^j and F_j = (s c^j + (j - 1) F_{j-2}) / j from
+    F_0 = artanh s or F_1 = s c: one arctanh (m even) or one sqrt (m odd),
+    and no cosh, sinh or power.  The doubling is folded into the last step.
+    """
+    np.subtract(1.0, s, out=c2)
+    np.add(1.0, s, out=f)
+    c2 *= f
+    np.reciprocal(c2, out=c2)
+    if m % 2:
+        np.sqrt(c2, out=f)
+        s *= f
+        np.copyto(f, s)
+    else:
+        np.arctanh(s, out=f)
+    for j in range(m % 2 + 2, m + 1, 2):
+        s *= c2
+        if j > 2:
+            f *= j - 1
+        f += s
+        if j < m:
+            f /= j
+    # 2 / m at the last step (exactly 1 at m = 2), 2 when there is none
+    last = 0.5 * max(m, 1)
+    if last != 1.0:
+        f /= last
+    return f
+
+
 def cosh_power_integral(m, a, b):
     """Integral of cosh^m over [a, b]."""
     return float(cosh_power_antiderivative(m, b) - cosh_power_antiderivative(m, a))
@@ -129,7 +168,7 @@ def _uniform_sphere(m, size, rng):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _first_coordinate(k, m, size, rng):
+def _first_coordinate(k, m, size, rng, out=None):
     """The first-coordinate statistics (x, a, b) of `size` uniform directions.
 
     For g ~ N(0, I_{km}) on F^m (k = dim F) and w = g / |g|:
@@ -139,12 +178,41 @@ def _first_coordinate(k, m, size, rng):
     |Im w_1|^2 = a / rho^2 and |w_rest|^2 = b / rho^2: all the hyperbolic
     integrands read of w.  The sign of Re w_1 is dropped: w_1 -> -w_1 maps a
     direction's value on the axis segment to its value on the reversed
-    segment, which is the same.
+    segment, which is the same.  The draws fill the three arrays of `out`,
+    or fresh ones.
     """
-    x = np.abs(rng.standard_normal(size))
-    a = 2.0 * rng.standard_gamma(0.5 * (k - 1), size) if k > 1 else np.zeros(size)
-    b = 2.0 * rng.standard_gamma(0.5 * k * (m - 1), size) if m > 1 else np.zeros(size)
+    x, a, b = out if out is not None else (np.empty(size) for _ in range(3))
+    rng.standard_normal(out=x)
+    np.abs(x, out=x)
+    for chi2, dof in ((a, k - 1), (b, k * (m - 1))):
+        if dof:
+            rng.standard_gamma(0.5 * dof, out=chi2)
+            chi2 *= 2.0
+        else:
+            chi2.fill(0.0)
     return x, a, b
+
+
+def _thread_arrays(count):
+    """arrays(size) -> `count` float arrays of `size` <= CHUNK_SIZE entries,
+    the calling thread's own, which every chunk the thread runs reuses.
+
+    A chunk's fresh 128 KiB arrays cost a minor page fault per 4 KiB page
+    whenever malloc has handed the freed top of the heap back to the system
+    since the previous chunk, which the heap's layout decides; reused
+    arrays cost none.  They are separate arrays rather than one block, so
+    that malloc can place each in heap pages already resident.  They hold
+    one chunk's data at a time, so nothing may keep them past the chunk.
+    """
+    local = threading.local()
+
+    def arrays(size):
+        held = getattr(local, "arrays", None)
+        if held is None:
+            held = local.arrays = [np.empty(CHUNK_SIZE) for _ in range(count)]
+        return [a[:size] for a in held]
+
+    return arrays
 
 
 def _arc_plane_coordinates(size, rng):
@@ -330,6 +398,8 @@ def halfspace_side(u, x):
 
     The representative sign of x is fixed by a positive leading coordinate.
     """
+    from .spaces import HPoint
+
     u = np.asarray(u, dtype=float)
     xr = x.coords[:, 0] if isinstance(x, HPoint) else np.asarray(x, dtype=float)
     if xr[0] < 0:
@@ -620,7 +690,8 @@ def hyperplane_crofton_many(n, ds, samples, seed=0, workers=1):
     vol(S^{n-2}) / (n-1).  For a direction w the hyperplane at depth p
     meets the axis segment from -d/2 to d/2 exactly when tanh p lies
     between -+tanh(d/2) w1; F' = cosh^{n-1} is even, so that direction
-    carries 2 F(artanh(tanh(d/2) w1)), with w1 = |w_1| >= 0 drawn by
+    carries 2 F(artanh(tanh(d/2) w1)), in closed form in tanh(d/2) w1
+    (_doubled_antiderivative_at_artanh), with w1 = |w_1| >= 0 drawn by
     _first_coordinate once per chunk for every d.  The (p, w) chart
     double-covers the hyperplane space, hence the halved sphere area.
     Raises ValueError for n outside [1, MAX_HYPERPLANE_DIM].
@@ -630,14 +701,22 @@ def hyperplane_crofton_many(n, ds, samples, seed=0, workers=1):
                          f"{MAX_HYPERPLANE_DIM}, where the carrier measure "
                          f"vol(S^(n-1)) / 2 is a positive normal float; got {n}")
 
+    arrays = _thread_arrays(4)
+
     def draw(rng, size):
-        x, _, b = _first_coordinate(1, n, size, rng)
-        return x / np.sqrt(x * x + b)
+        # w1 = x / sqrt(x^2 + b), in x; the zeros of k = 1 hold x^2 + b
+        x, rho, b, _ = arrays(size)
+        _first_coordinate(1, n, size, rng, (x, rho, b))
+        np.multiply(x, x, out=rho)
+        rho += b
+        np.sqrt(rho, out=rho)
+        x /= rho
+        return x
 
     def values(d, w1):
-        t = w1 * math.tanh(0.5 * d)
-        f = cosh_power_antiderivative(n - 1, np.arctanh(t, out=t))
-        f *= 2.0
+        _, s, c2, f = arrays(w1.size)
+        np.multiply(w1, math.tanh(0.5 * d), out=s)
+        _doubled_antiderivative_at_artanh(n - 1, s, c2, f)
         return f, (0, f.size, 0)  # a hyperplane meets the segment once
 
     return _conditional_estimate(ds, samples, seed, workers,
@@ -651,6 +730,8 @@ def hyperplane_crofton(n, d, samples, seed=0, workers=1):
 
 def estimate_m(x, y, samples, seed=0, workers=1):
     """Measure of hyperplanes meeting [xy]: hyperplane_crofton at d(x, y)."""
+    from .spaces import hyperbolic_distance
+
     if x.space.field != REAL:
         raise ValueError("hyperplane Crofton estimates require the real field")
     return hyperplane_crofton(x.space.n, hyperbolic_distance(x, y), samples,
@@ -698,6 +779,8 @@ def horosphere_crofton(field, n, d, samples, seed=0, workers=1):
 
 def estimate_horosphere_crofton(x, y, samples, seed=0, workers=1):
     """Horosphere crossing count of [xy]: horosphere_crofton at d(x, y)."""
+    from .spaces import hyperbolic_distance
+
     space = x.space
     return horosphere_crofton(space.field, space.n, hyperbolic_distance(x, y),
                               samples, seed, workers)
@@ -744,6 +827,8 @@ def projective_crofton_many(x, ys, samples, seed=0, workers=1):
     hypersurface does not separate projective space, so only the meet
     predicate is exposed.  The pairs share each chunk's u.
     """
+    from .spaces import projective_distance
+
     return _arc_crofton_many(
         [projective_distance(x, y) for y in ys], samples, seed, workers,
         0.5 * math.pi, "pair at distance pi/2, the diameter: both short "
@@ -762,6 +847,8 @@ def sphere_halfspace_crofton_many(x, ys, samples, seed=0, workers=1):
     Expected fraction is d(x, y) / pi; this is also ||chi_x - chi_y||^2 for
     the hemisphere indicator feature map.  The pairs share each chunk's u.
     """
+    from .spaces import sphere_distance
+
     return _arc_crofton_many(
         [sphere_distance(x, y) for y in ys], samples, seed, workers, math.pi,
         "antipodal pair: geodesic non-unique, fraction is maximal")

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import hypcrofton
-from hypcrofton import cli, crofton
+from hypcrofton import cli, crofton, kernels, spaces
+from hypcrofton.algebra import FIELD_DIM, HermitianSpace
 from hypcrofton.cli import main
 
 #: point files named in argv by test_invalid_argument_exits_2
@@ -91,6 +92,50 @@ class TestDist:
         D = np.array(json.loads(out)["results"][0]["matrix"])
         assert D[0, 1] == pytest.approx(1.0, abs=1e-12)
         assert D[0, 2] == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["r", "c", "h", "p", "s"])
+    def test_stacked_read_matches_points_one_by_one(self, tmp_path, kind):
+        # the file's rows are measured in one batch; the matrix is the one
+        # of the points built and measured one by one, exactly for
+        # hyperbolic points and to rounding for the unit rows of p and s
+        rng = np.random.default_rng(len(kind) + ord(kind))
+        n, m = 3, 9
+        k = FIELD_DIM.get(kind, 1)
+        rows = rng.standard_normal((m, (n + 1) * k))
+        if kind in FIELD_DIM:
+            rows[:, 0] = 3.0 + np.sum(rows[:, 1:] ** 2, axis=1)  # negative
+        path = tmp_path / "pts.csv"
+        path.write_text(f"{kind},{n}\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in rows),
+            encoding="utf-8")
+        if kind in FIELD_DIM:
+            coeffs = np.zeros((m, n + 1, 4))
+            coeffs[..., :k] = rows.reshape(m, n + 1, k)
+            points = [spaces.HPoint(HermitianSpace(kind, n), c) for c in coeffs]
+        elif kind == "p":
+            points = [spaces.PPoint(row) for row in rows]
+        else:
+            points = [row / np.linalg.norm(row) for row in rows]
+        got_kind, dim, D = cli._read_distances(str(path))
+        want = kernels.build_distance_matrix(points)
+        assert (got_kind, dim) == (kind, n)
+        if kind in FIELD_DIM:
+            assert np.array_equal(D, want)
+        else:
+            assert np.allclose(D, want, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("text,message", [
+        ("r,1\n1,0\n0,1\n", "not a negative vector of the form"),
+        ("p,2\n1,0,0\n0,0,0\n", "zero vector does not define a projective point"),
+        ("p,0\n1\n2\n", "expected a real vector of length >= 2"),
+        ("h,0\n1,0,0,0\n", "dimension must be at least 1"),
+    ], ids=["not-negative", "projective-zero", "projective-dim-0", "dim-0"])
+    def test_bad_point_rows_exit_2(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "dist", "--points", str(path))
+        assert (code, out) == (2, "")
+        assert err.strip() == f"error: {message}"
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "dist", "--points",

@@ -83,6 +83,19 @@ class TestIntegrals:
         val, _ = integrate.quad(lambda t: math.cosh(t) ** m, -1.3, 2.1)
         assert cosh_power_integral(m, -1.3, 2.1) == pytest.approx(val, rel=1e-10)
 
+    @pytest.mark.parametrize("m", range(10))
+    def test_doubled_antiderivative_at_artanh(self, m):
+        # the hyperplane estimator's closed form in s = tanh t against the
+        # recurrence in t, up to s = tanh(8) of the longest segment, d = 16
+        s = np.concatenate([[0.0, 1e-12, 0.3, 0.9, math.tanh(8.0)],
+                            np.random.default_rng(m).random(1000)])
+        want = 2.0 * crofton.cosh_power_antiderivative(m, np.arctanh(s))
+        c2, f = np.empty_like(s), np.empty_like(s)
+        with np.errstate(all="raise"):
+            got = crofton._doubled_antiderivative_at_artanh(m, s.copy(), c2, f)
+        assert got is f
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
     def test_sphere_area(self):
         assert crofton.sphere_area(1) == pytest.approx(2 * math.pi)
         assert crofton.sphere_area(2) == pytest.approx(4 * math.pi)
@@ -651,6 +664,22 @@ class TestChunkMemory:
                 tracemalloc.stop()
         assert max(peaks) <= 12 * array
         assert abs(peaks[1] - peaks[0]) <= array / 8
+
+    def test_hyperplane_chunks_reuse_their_arrays(self, monkeypatch):
+        # every chunk and distance of a one-worker call evaluates in the
+        # same arrays, so past the first chunk none waits on fresh pages
+        seen = set()
+        real = crofton._doubled_antiderivative_at_artanh
+
+        def recorded(m, *arrays):
+            seen.add(tuple(a.__array_interface__["data"][0] for a in arrays))
+            return real(m, *arrays)
+
+        monkeypatch.setattr(crofton, "_doubled_antiderivative_at_artanh",
+                            recorded)
+        crofton.hyperplane_crofton_many(3, (0.5, 1.0, 2.0),
+                                        4 * crofton.CHUNK_SIZE + 5)
+        assert len(seen) == 1
 
 
 #: more than two chunks, the last one short

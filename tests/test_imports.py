@@ -114,7 +114,9 @@ class TestSubcommandImports:
     def test_geometry_commands_load_no_estimator(self, points_file, argv):
         code, modules = loaded_modules(argv, points_file.parent)
         assert code == 0
-        assert "hypcrofton.kernels" in modules
+        assert "hypcrofton.spaces" in modules
+        # dist measures its point file with the distance kernels of spaces
+        assert ("hypcrofton.kernels" in modules) == (argv[0] != "dist")
         assert "hypcrofton.crofton" not in modules
         assert "concurrent.futures" not in modules
 
@@ -131,6 +133,10 @@ class TestSubcommandImports:
         assert "hypcrofton.crofton" in modules
         assert "hypcrofton.kernels" not in modules
         assert "hypcrofton.configurations" not in modules
+        # the hyperbolic estimators take distances, not points, so their
+        # runs never load the geometry layer
+        assert ("hypcrofton.spaces" in modules) == (
+            carrier in ("projective", "sphere"))
         # concurrent.futures loads when, and only when, a pool runs
         assert ("concurrent.futures" in modules) == pool
 
