@@ -24,6 +24,12 @@ FIELD_DIM = {REAL: 1, COMPLEX: 2, QUATERNION: 4}
 
 SCALAR_TOL = 1e-12
 
+#: largest hyperbolic distance the CLI takes: the search radius of
+#: search-violations, whose points past about 16.46 lose <y, y> = -1 in the
+#: rounding of cosh(d)^2, and the hyperplane and horosphere --pairs, whose
+#: estimators work with e^{+-2d}
+MAX_DISTANCE = 16.0
+
 
 class DimensionMismatchError(ValueError):
     """Operands live in different spaces (length or field disagree)."""

@@ -15,25 +15,9 @@ import sys
 
 import numpy as np
 
-from .algebra import FIELD_DIM, FIELDS, REAL, HermitianSpace
+from .algebra import FIELD_DIM, FIELDS, MAX_DISTANCE, HermitianSpace
 
 POINT_KINDS = ("r", "c", "h", "p", "s")
-
-#: largest hyperbolic distance the CLI takes: the search radius of
-#: search-violations, whose points past about 16.46 lose <y, y> = -1 in the
-#: rounding of cosh(d)^2, and the hyperplane and horosphere --pairs, whose
-#: estimators work with e^{+-2d}
-MAX_DISTANCE = 16.0
-
-#: per carrier, the largest --pairs distance, its name and the reason; past
-#: the diameters of S^n and P^n_R a pair would be measured at 2 pi - d or
-#: pi - d
-PAIR_LIMITS = {
-    **dict.fromkeys(("hyperplane", "horosphere"), (
-        MAX_DISTANCE, f"{MAX_DISTANCE:g}", "the largest supported in H^n")),
-    "sphere": (math.pi, "pi", "the diameter of S^n"),
-    "projective": (0.5 * math.pi, "pi/2", "the diameter of P^n_R"),
-}
 
 
 def _read_distances(path):
@@ -43,10 +27,11 @@ def _read_distances(path):
     kind r/c/h -> hyperbolic points over that field ((dim+1) * field-width
     reals per row), p -> projective points, s -> unit sphere vectors
     (dim+1 reals per row).  Lines starting with '#' are comments.  A row of
-    another width is rejected.  The rows are stacked, normalized and
-    measured by one batched distance kernel of spaces; the matrix is the
-    one kernels.build_distance_matrix gives for the points built one by
-    one, exactly for hyperbolic points and to rounding for p and s.
+    another width, a non-finite coordinate and a zero p or s row are
+    rejected.  The rows are stacked, normalized and measured by one batched
+    distance kernel of spaces; the matrix is the one
+    kernels.build_distance_matrix gives for the points built one by one,
+    exactly for hyperbolic points and to rounding for p and s.
     """
     from . import spaces
 
@@ -75,6 +60,8 @@ def _read_distances(path):
             raise ValueError(f"expected {width} reals per row for kind "
                              f"{kind!r}, dim {dim}; got {len(row)}")
     vals = np.array(rows[1:], dtype=float)  # parses as float() does
+    if not np.isfinite(vals).all():
+        raise ValueError("point coordinates must be finite")
     if kind in FIELDS:
         HermitianSpace(kind, dim)  # checks the dimension
         coeffs = np.zeros((len(vals), dim + 1, 4))
@@ -85,9 +72,10 @@ def _read_distances(path):
         raise ValueError("expected a real vector of length >= 2")
     # unit rows, as PPoint keeps them and as sphere points were kept
     norms = np.linalg.norm(vals, axis=1, keepdims=True)
+    if np.any(norms == 0.0):
+        raise ValueError("zero vector does not define a "
+                         f"{'projective' if kind == 'p' else 'sphere'} point")
     if kind == "p":
-        if np.any(norms == 0.0):
-            raise ValueError("zero vector does not define a projective point")
         return kind, dim, spaces.projective_distance_matrix(vals / norms)
     return kind, dim, spaces.sphere_distance_matrix(vals / norms)
 
@@ -183,18 +171,6 @@ def _distances(text):
     return text
 
 
-def _crofton_constant(carrier, field, n):
-    """The ratio estimate / d that the carrier's Crofton formula predicts."""
-    from . import crofton
-
-    if carrier == "hyperplane":
-        return crofton.sphere_area(n - 2) / (n - 1) if n > 1 else 1.0
-    if carrier == "horosphere":
-        # 2 vol(B^m) = vol(S^{m+1}) / pi, m = k n - 1
-        return crofton.sphere_area(FIELD_DIM[field] * n) / math.pi
-    return 1.0 / math.pi
-
-
 # -- subcommands ----------------------------------------------------------------
 
 # Each command imports the modules it runs, so a process loads only those:
@@ -268,45 +244,23 @@ def cmd_embed(args):
 def cmd_crofton(args):
     from . import crofton
 
+    carrier = crofton.CARRIERS[args.carrier]
     pairs = [float(v) for v in args.pairs.split(",")]
-    limit, name, why = PAIR_LIMITS[args.carrier]
-    # the arc carriers' estimators take a shorter pair as coincident
-    low = (crofton.MIN_ARC_DISTANCE if args.carrier in ("projective", "sphere")
-           else 0.0)
+    low, name = carrier.low, carrier.high_name
     for d in pairs:
-        if d > limit:
-            raise ValueError(f"distance {d:g} is beyond {name}, {why}: "
+        if d > carrier.high:
+            raise ValueError(f"distance {d:g} is beyond {name}, {carrier.why}: "
                              f"{args.carrier} pairs take distances in (0, {name}]")
         if d < low:
             raise ValueError(
                 f"distance {d:g} is below {low:g}, where the {args.carrier} "
                 f"estimator takes a pair as coincident: {args.carrier} pairs "
                 f"take distances in [{low:g}, {name}]")
-    # one estimator call for all pairs, so they share the seed's draws; the
-    # hyperbolic estimators take d itself, as an estimate depends on a pair
-    # only through its distance
-    if args.carrier == "hyperplane":
-        if args.field != REAL:
-            raise ValueError("hyperplane Crofton estimates require the real field")
-        estimates = crofton.hyperplane_crofton_many(
-            args.dim, pairs, args.samples, seed=args.seed, workers=args.workers)
-    elif args.carrier == "horosphere":
-        estimates = crofton.horosphere_crofton_many(
-            args.field, args.dim, pairs, args.samples, seed=args.seed,
-            workers=args.workers)
-    else:
-        from . import spaces
-
-        x = np.array([1.0] + [0.0] * args.dim)
-        ys = [np.array([math.cos(d), math.sin(d)] + [0.0] * (args.dim - 1))
-              for d in pairs]
-        if args.carrier == "projective":
-            estimates = crofton.projective_crofton_many(
-                spaces.PPoint(x), [spaces.PPoint(y) for y in ys], args.samples,
-                seed=args.seed, workers=args.workers)
-        else:
-            estimates = crofton.sphere_halfspace_crofton_many(
-                x, ys, args.samples, seed=args.seed, workers=args.workers)
+    if args.field not in carrier.fields:  # only hyperplanes restrict it, to R
+        raise ValueError(f"{args.carrier} Crofton estimates require the real field")
+    # one call for all pairs, so they share the seed's draws
+    estimates = carrier.estimate(args.field, args.dim, pairs, args.samples,
+                                 args.seed, args.workers)
     results = [dataclasses.asdict(e) for e in estimates]
     ratios = [r["ratio"] for r in results]
     ratio_errs = [r["stderr"] / r["d"] for r in results]
@@ -314,7 +268,7 @@ def cmd_crofton(args):
                  for key in ("estimate", "stderr", "ratio"))
     if len(results) == 1:
         # nothing to compare with but the closed form, exact
-        ratios.append(_crofton_constant(args.carrier, args.field, args.dim))
+        ratios.append(carrier.constant(FIELD_DIM[args.field], args.dim))
         ratio_errs.append(0.0)
     # the slack covers estimates that are exact up to rounding (R^1 carriers)
     slack = 1e-12 * max(abs(r) for r in ratios)
@@ -430,6 +384,7 @@ def build_parser():
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("crofton", help="Monte Carlo Crofton estimates")
+    # crofton.CARRIERS's keys, spelled out so that parsing loads no estimator
     p.add_argument("carrier",
                    choices=("hyperplane", "horosphere", "projective", "sphere"))
     p.add_argument("--field", choices=FIELDS, default="r")

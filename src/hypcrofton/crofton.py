@@ -43,6 +43,11 @@ CHUNK_SIZE = 2^14 directions, so each of its arrays is 128 KiB and a
 worker's working set, about ten of them for horospheres and four for
 hyperplanes, stays in a 2 MiB L2 cache.  The hyperplane chunks that one
 thread runs in one call reuse the same four arrays (_thread_arrays).
+
+CARRIERS holds one Carrier per family, keyed by the CLI's carrier names:
+its estimator of distances, the fields and distances it takes, and its
+ratio estimate / d.  The geometry layer (spaces) is imported only inside
+the functions that take points, so no run through the table loads it.
 """
 
 from __future__ import annotations
@@ -52,14 +57,12 @@ import math
 import sys
 import threading
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
-from .algebra import FIELD_DIM, REAL, form_coeffs, qconj, qmul, qnorm
-
-# The geometry layer (spaces) is imported inside the functions that take
-# points, so a run that takes distances, such as the CLI's hyperplane and
-# horosphere estimates, never loads it.
+from .algebra import (
+    FIELD_DIM, FIELDS, MAX_DISTANCE, REAL, form_coeffs, qconj, qmul, qnorm)
 
 BOUNDARY_TOL = 1e-12
 #: directions per chunk: 2^14 float64 values are a 128 KiB array, so a
@@ -829,10 +832,8 @@ def projective_crofton_many(x, ys, samples, seed=0, workers=1):
     """
     from .spaces import projective_distance
 
-    return _arc_crofton_many(
-        [projective_distance(x, y) for y in ys], samples, seed, workers,
-        0.5 * math.pi, "pair at distance pi/2, the diameter: both short "
-        "segments give the same fraction")
+    return CARRIERS["projective"].estimate(
+        None, None, [projective_distance(x, y) for y in ys], samples, seed, workers)
 
 
 def projective_crofton_estimate(x, y, samples, seed=0, workers=1):
@@ -849,11 +850,52 @@ def sphere_halfspace_crofton_many(x, ys, samples, seed=0, workers=1):
     """
     from .spaces import sphere_distance
 
-    return _arc_crofton_many(
-        [sphere_distance(x, y) for y in ys], samples, seed, workers, math.pi,
-        "antipodal pair: geodesic non-unique, fraction is maximal")
+    return CARRIERS["sphere"].estimate(
+        None, None, [sphere_distance(x, y) for y in ys], samples, seed, workers)
 
 
 def sphere_halfspace_crofton(x, y, samples, seed=0, workers=1):
     """Fraction of half-spaces of S^n containing exactly one of x, y."""
     return sphere_halfspace_crofton_many(x, (y,), samples, seed, workers)[0]
+
+
+# -- carrier table -------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Carrier:
+    """A family's Crofton formula: estimate(field, n, ds, samples, seed,
+    workers) -> a CroftonEstimate per d in ds, for low <= d <= high (high_name,
+    bounded for the reason why); constant(k, n) = estimate / d, k = dim F."""
+
+    estimate: Callable
+    fields: tuple
+    low: float
+    high: float
+    high_name: str
+    why: str
+    constant: Callable
+
+
+def _arc_carrier(diameter, name, space, note):
+    """An arc family: past its diameter d reads 2 pi - d (S^n) or pi - d (P^n_R)."""
+    return Carrier(lambda field, n, *rest: _arc_crofton_many(*rest, diameter, note),
+                   FIELDS, MIN_ARC_DISTANCE, diameter, name,
+                   f"the diameter of {space}", lambda k, n: 1.0 / math.pi)
+
+
+_H_RANGE = (0.0, MAX_DISTANCE, f"{MAX_DISTANCE:g}", "the largest supported in H^n")
+# The hyperbolic entries look their estimators up among the module's globals
+# when called, so a rebinding of the module attribute applies to them.
+CARRIERS = {
+    "hyperplane": Carrier(lambda field, *rest: hyperplane_crofton_many(*rest),
+                          (REAL,), *_H_RANGE,
+                          lambda k, n: sphere_area(n - 2) / (n - 1) if n > 1 else 1.0),
+    # 2 vol(B^m) = vol(S^{m+1}) / pi, m = k n - 1
+    "horosphere": Carrier(lambda *args: horosphere_crofton_many(*args), FIELDS,
+                          *_H_RANGE, lambda k, n: sphere_area(k * n) / math.pi),
+    "projective": _arc_carrier(
+        0.5 * math.pi, "pi/2", "P^n_R", "pair at distance pi/2, the diameter: "
+        "both short segments give the same fraction"),
+    "sphere": _arc_carrier(math.pi, "pi", "S^n", "antipodal pair: geodesic "
+                           "non-unique, fraction is maximal"),
+}

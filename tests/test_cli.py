@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -129,7 +130,14 @@ class TestDist:
         ("p,2\n1,0,0\n0,0,0\n", "zero vector does not define a projective point"),
         ("p,0\n1\n2\n", "expected a real vector of length >= 2"),
         ("h,0\n1,0,0,0\n", "dimension must be at least 1"),
-    ], ids=["not-negative", "projective-zero", "projective-dim-0", "dim-0"])
+        # printed a NaN matrix with exit 0
+        ("s,1\n1,0\n0,0\n", "zero vector does not define a sphere point"),
+        ("p,1\nnan,0\n0,1\n", "point coordinates must be finite"),
+        # exited 2 only after numpy RuntimeWarnings
+        ("r,1\ninf,0\n1,0\n", "point coordinates must be finite"),
+    ], ids=["not-negative", "projective-zero", "projective-dim-0", "dim-0",
+            "sphere-zero", "projective-nan", "hyperbolic-inf"])
+    @pytest.mark.filterwarnings("error")
     def test_bad_point_rows_exit_2(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.csv"
         path.write_text(text, encoding="utf-8")
@@ -410,16 +418,16 @@ class TestCrofton:
         assert json.loads(out)["results"][0]["d"] == float(argv[-1])
 
     @pytest.mark.parametrize("carrier", ["sphere", "projective"])
-    @pytest.mark.parametrize("d", ["1e-12", "1e-9", "1e-7"])
+    @pytest.mark.parametrize("d", ["1e-12", "1e-9", "1e-7", "0.006"])
     def test_short_arc_measured_exactly(self, capsys, carrier, d):
-        # the pair is built as points of S^n and measured back; arccos(x . y)
-        # measured the sphere's 1e-9 as 0 (exit 1 through a ZeroDivisionError
-        # traceback) and 1e-7 as 9.996e-8
+        # the estimators take the parsed d; built as points of S^n and
+        # measured back, arccos(x . y) read the sphere's 1e-9 as 0 (exit 1
+        # through a ZeroDivisionError traceback) and 1e-7 as 9.996e-8, and
+        # the arctan2 form still read 0.006 as 0.005999999999999999
         code, out, _ = run_cli(capsys, "crofton", carrier, "--dim", "2",
                                "--pairs", d, "--samples", "1000", "--seed", "1")
         assert code in (0, 1)
-        assert json.loads(out)["results"][0]["d"] == pytest.approx(
-            float(d), rel=1e-12)
+        assert json.loads(out)["results"][0]["d"] == float(d)
 
     def test_large_dimension(self, capsys):
         # vol(S^399) = 1.4e-273 is a normal float; math.gamma(200) overflowed
@@ -464,21 +472,18 @@ class TestCrofton:
                 "--seed", "11")
         code, out, _ = run_cli(capsys, *args)
         assert (code, json.loads(out)["verdict"]) == (0, "ratios consistent")
-        estimator = {"hyperplane": "hyperplane_crofton_many",
-                     "horosphere": "horosphere_crofton_many",
-                     "projective": "projective_crofton_many",
-                     "sphere": "sphere_halfspace_crofton_many"}[argv[0]]
-        real = getattr(crofton, estimator)
+        carrier = crofton.CARRIERS[argv[0]]
         field = argv[argv.index("--field") + 1] if "--field" in argv else "r"
-        constant = cli._crofton_constant(argv[0], field,
-                                         int(argv[argv.index("--dim") + 1]))
+        constant = carrier.constant(FIELD_DIM[field],
+                                    int(argv[argv.index("--dim") + 1]))
 
         def shifted(*a, **kw):
-            (est,) = real(*a, **kw)
+            (est,) = carrier.estimate(*a, **kw)
             moved = constant * est.d + 4.0 * est.stderr + 1e-11 * est.estimate
             return [dataclasses.replace(est, estimate=moved, ratio=moved / est.d)]
 
-        monkeypatch.setattr(crofton, estimator, shifted)
+        monkeypatch.setitem(crofton.CARRIERS, argv[0],
+                            dataclasses.replace(carrier, estimate=shifted))
         code, out, _ = run_cli(capsys, *args)
         assert (code, json.loads(out)["verdict"]) == (1, "ratios inconsistent")
 
@@ -486,13 +491,21 @@ class TestCrofton:
         # 2 vol(B^m) = 2 pi^(m/2) / Gamma(m/2 + 1), m = k n - 1, for every k n
         # the horosphere estimator takes, well inside the verdict's 1e-12
         # slack
-        for field, k in (("r", 1), ("c", 2), ("h", 4)):
+        constant = crofton.CARRIERS["horosphere"].constant
+        for k in (1, 2, 4):
             for n in range(1, crofton.MAX_HOROSPHERE_DIM // k + 1):
                 m = k * n - 1
                 ball = 2.0 * math.exp(0.5 * m * math.log(math.pi)
                                       - math.lgamma(0.5 * m + 1.0))
-                assert cli._crofton_constant("horosphere", field, n) == \
-                    pytest.approx(ball, rel=1e-12)
+                assert constant(k, n) == pytest.approx(ball, rel=1e-12)
+
+    def test_carrier_choices_are_the_table(self):
+        # the parser spells the names out, so that parsing loads no estimator
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        carrier = next(a for a in sub.choices["crofton"]._actions
+                       if a.dest == "carrier")
+        assert set(carrier.choices) == set(crofton.CARRIERS)
 
     @pytest.mark.parametrize("seed", ["1", "4", "8"])
     @pytest.mark.parametrize("argv", [

@@ -133,10 +133,9 @@ class TestSubcommandImports:
         assert "hypcrofton.crofton" in modules
         assert "hypcrofton.kernels" not in modules
         assert "hypcrofton.configurations" not in modules
-        # the hyperbolic estimators take distances, not points, so their
-        # runs never load the geometry layer
-        assert ("hypcrofton.spaces" in modules) == (
-            carrier in ("projective", "sphere"))
+        # every carrier's estimator takes distances, not points, so no run
+        # loads the geometry layer
+        assert "hypcrofton.spaces" not in modules
         # concurrent.futures loads when, and only when, a pool runs
         assert ("concurrent.futures" in modules) == pool
 
