@@ -2,7 +2,7 @@
 
 Exit codes: 0 = success / verified, 1 = property check failed,
 2 = usage error.  Output is JSON (stable key order) or an aligned table;
-`--emit-csv` additionally writes (d, estimate, stderr) rows.
+`crofton --emit-csv` additionally writes its (d, estimate, stderr) rows.
 """
 
 from __future__ import annotations
@@ -27,11 +27,12 @@ def _read_distances(path):
     kind r/c/h -> hyperbolic points over that field ((dim+1) * field-width
     reals per row), p -> projective points, s -> unit sphere vectors
     (dim+1 reals per row).  Lines starting with '#' are comments.  A row of
-    another width, a non-finite coordinate and a zero p or s row are
-    rejected.  The rows are stacked, normalized and measured by one batched
-    distance kernel of spaces; the matrix is the one
-    kernels.build_distance_matrix gives for the points built one by one,
-    exactly for hyperbolic points and to rounding for p and s.
+    another width, a non-finite coordinate, a zero p or s row and a
+    hyperbolic row whose form overflows are rejected.  The rows are
+    stacked, normalized and measured by one batched distance kernel of
+    spaces; the matrix is the one kernels.build_distance_matrix gives for
+    the points built one by one, exactly for hyperbolic points and to
+    rounding for p and s.
     """
     from . import spaces
 
@@ -66,18 +67,28 @@ def _read_distances(path):
         HermitianSpace(kind, dim)  # checks the dimension
         coeffs = np.zeros((len(vals), dim + 1, 4))
         coeffs[..., :k] = vals.reshape(len(vals), dim + 1, k)
-        return kind, dim, spaces.hyperbolic_distance_matrix(
-            spaces.normalized_coords(coeffs))
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return kind, dim, spaces.hyperbolic_distance_matrix(
+                    spaces.normalized_coords(coeffs))
+        except FloatingPointError:
+            raise ValueError("point coordinates overflow the Hermitian form") from None
     if kind == "p" and width < 2:
         raise ValueError("expected a real vector of length >= 2")
-    # unit rows, as PPoint keeps them and as sphere points were kept
-    norms = np.linalg.norm(vals, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
+    # unit rows, as PPoint keeps them and as sphere points were kept.  The
+    # rows are scale-free: scaled first by the power of two that puts their
+    # largest entry in [0.5, 1), exactly, their norms neither overflow nor
+    # underflow, and the unit vector is the x / |x| of every row whose norm
+    # is a normal float
+    top = np.abs(vals).max(axis=1, keepdims=True)
+    if np.any(top == 0.0):
         raise ValueError("zero vector does not define a "
                          f"{'projective' if kind == 'p' else 'sphere'} point")
+    vals = np.ldexp(vals, -np.frexp(top)[1])
+    vals /= np.linalg.norm(vals, axis=1, keepdims=True)
     if kind == "p":
-        return kind, dim, spaces.projective_distance_matrix(vals / norms)
-    return kind, dim, spaces.sphere_distance_matrix(vals / norms)
+        return kind, dim, spaces.projective_distance_matrix(vals)
+    return kind, dim, spaces.sphere_distance_matrix(vals)
 
 
 def _read_matrix(path):
@@ -88,18 +99,16 @@ def _read_matrix(path):
 
 
 def _emit(report, args):
-    if getattr(args, "output", "json") == "table":
+    if args.output == "table":
         _print_table(report)
     else:
         json.dump(report, sys.stdout, indent=2, default=_jsonify)
         print()
-    path = getattr(args, "emit_csv", None)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
+    if getattr(args, "emit_csv", None):  # only crofton has estimate rows
+        with open(args.emit_csv, "w", encoding="utf-8") as fh:
             fh.write("d,estimate,stderr\n")
-            for r in report.get("results", []):
-                if isinstance(r, dict) and "estimate" in r:
-                    fh.write(f"{r.get('d', '')},{r['estimate']},{r['stderr']}\n")
+            for r in report["results"]:
+                fh.write(f"{r['d']},{r['estimate']},{r['stderr']}\n")
 
 
 def _jsonify(obj):
@@ -262,20 +271,15 @@ def cmd_crofton(args):
     estimates = carrier.estimate(args.field, args.dim, pairs, args.samples,
                                  args.seed, args.workers)
     results = [dataclasses.asdict(e) for e in estimates]
-    ratios = [r["ratio"] for r in results]
-    ratio_errs = [r["stderr"] / r["d"] for r in results]
+    c = carrier.constant(FIELD_DIM[args.field], args.dim)
     finite = all(math.isfinite(r[key]) for r in results
                  for key in ("estimate", "stderr", "ratio"))
-    if len(results) == 1:
-        # nothing to compare with but the closed form, exact
-        ratios.append(carrier.constant(FIELD_DIM[args.field], args.dim))
-        ratio_errs.append(0.0)
-    # the slack covers estimates that are exact up to rounding (R^1 carriers)
-    slack = 1e-12 * max(abs(r) for r in ratios)
+    # every ratio is held to the closed form; the slack forgives estimates
+    # that are exact up to rounding
     consistent = finite and all(
-        abs(ratios[i] - ratios[j])
-        <= 3.0 * math.hypot(ratio_errs[i], ratio_errs[j]) + slack
-        for i in range(len(ratios)) for j in range(i + 1, len(ratios)))
+        abs(r["ratio"] - c)
+        <= 3.0 * r["stderr"] / r["d"] + 1e-12 * max(abs(r["ratio"]), c)
+        for r in results)
     if not finite:
         verdict = "non-finite estimate"
     else:
@@ -353,8 +357,6 @@ def build_parser():
 
     def common(p, seeded=True):
         p.add_argument("--output", choices=("json", "table"), default="json")
-        p.add_argument("--emit-csv", dest="emit_csv", default=None,
-                       help="write (d, estimate, stderr) rows to PATH")
         if seeded:
             p.add_argument("--seed", type=int, default=0)
 
@@ -393,6 +395,8 @@ def build_parser():
                    help="comma-separated geodesic distances from the base point")
     p.add_argument("--samples", type=_int_at_least(1), default=1_000_000)
     p.add_argument("--workers", type=_int_at_least(1), default=1)
+    p.add_argument("--emit-csv", dest="emit_csv", default=None,
+                   help="write (d, estimate, stderr) rows to PATH")
     common(p)
     p.set_defaults(func=cmd_crofton)
 

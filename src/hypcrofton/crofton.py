@@ -32,9 +32,7 @@ pool serves them all.  hyperplane_crofton, horosphere_crofton,
 projective_crofton_estimate and sphere_halfspace_crofton are their
 one-pair wrappers, and each estimate of a vector call equals the one its
 wrapper gives at the same seed.  So the estimates of one call use common
-random numbers: their errors are positively correlated, and comparing
-two of their ratios by the 3 sigma hypot rule of independent estimates
-is conservative.
+random numbers.
 
 Estimators are deterministic given an integer master seed: samples are
 drawn in fixed-size chunks with independently spawned substreams, so the
@@ -752,6 +750,7 @@ def horosphere_crofton_many(field, n, ds, samples, seed=0, workers=1):
     drawn by _first_coordinate.  Each chunk draws these statistics and the
     uniforms of the crossing counts once and forms the levels' d-free part,
     with Phi at G's interior minimum (_horosphere_levels), once for every d.
+    At k n = 1 every direction carries exactly d, and nothing is drawn.
     Raises ValueError for k n outside [1, MAX_HOROSPHERE_DIM].
     """
     k = FIELD_DIM[field]
@@ -760,6 +759,12 @@ def horosphere_crofton_many(field, n, ds, samples, seed=0, workers=1):
                          f"{MAX_HOROSPHERE_DIM} (k = {k} for field {field!r}), "
                          f"where the carrier measure vol(S^(kn-1)) is a positive "
                          f"normal float; got k n = {k * n}")
+    if k * n == 1:
+        # S^0's two directions, w1 = 1 once its sign is dropped, carry the
+        # points of H^1_R with log r on the segment: measure d, each met once
+        return _conditional_estimate(
+            ds, samples, seed, workers, 2.0, lambda rng, size: size,
+            lambda d, size: (np.full(size, d, dtype=float), (0, size, 0)))
     e = k * (n + 1) - 3
 
     def draw(rng, size):

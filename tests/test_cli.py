@@ -135,8 +135,12 @@ class TestDist:
         ("p,1\nnan,0\n0,1\n", "point coordinates must be finite"),
         # exited 2 only after numpy RuntimeWarnings
         ("r,1\ninf,0\n1,0\n", "point coordinates must be finite"),
+        ("r,1\n1e200,1e200\n1,0\n", "point coordinates overflow the Hermitian form"),
+        ("h,1\n1e200,0,0,0,0,0,0,1e100\n1,0,0,0,0,0,0,0\n",
+         "point coordinates overflow the Hermitian form"),
     ], ids=["not-negative", "projective-zero", "projective-dim-0", "dim-0",
-            "sphere-zero", "projective-nan", "hyperbolic-inf"])
+            "sphere-zero", "projective-nan", "hyperbolic-inf", "hyperbolic-overflow",
+            "quaternionic-overflow"])
     @pytest.mark.filterwarnings("error")
     def test_bad_point_rows_exit_2(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.csv"
@@ -144,6 +148,22 @@ class TestDist:
         code, out, err = run_cli(capsys, "dist", "--points", str(path))
         assert (code, out) == (2, "")
         assert err.strip() == f"error: {message}"
+
+    @pytest.mark.parametrize("kind", ["p", "s"])
+    @pytest.mark.parametrize("row", ["1e308,1e308", "1e-320,1e-320"],
+                             ids=["huge", "subnormal"])
+    @pytest.mark.filterwarnings("error")
+    def test_rows_are_scale_free(self, capsys, tmp_path, kind, row):
+        # p and s rows are scaled by a power of two to a largest entry in
+        # [0.5, 1) before the norm: the norm of the huge row overflowed (p
+        # printed pi/2 and s NaN, with exit 0), and that of the subnormal row
+        # underflowed to 0 (exit 2, a "zero vector")
+        path = tmp_path / "scaled.csv"
+        path.write_text(f"{kind},1\n{row}\n0,1\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "dist", "--points", str(path))
+        assert (code, err) == (0, "")
+        D = json.loads(out)["results"][0]["matrix"]
+        assert D[0][1] == pytest.approx(math.pi / 4, rel=1e-15)
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "dist", "--points",
@@ -284,6 +304,23 @@ class TestCrofton:
         d, est, stderr = (float(v) for v in lines[1].split(","))
         assert d == pytest.approx(0.5)
         assert stderr > 0
+
+    @pytest.mark.parametrize("argv", [
+        ("dist", "--points"),
+        ("check-negtype", "--points"),
+        ("scan-hypermetric", "--points"),
+        ("embed", "--points"),
+        ("reproduce", "projective"),
+        ("search-violations", "--trials", "0"),
+    ], ids=lambda argv: argv[0])
+    def test_emit_csv_only_on_crofton(self, capsys, tmp_path, argv):
+        # these commands have no estimate rows, and wrote only the header
+        if argv[-1] == "--points":
+            argv += (write_projective_csv(tmp_path / "p.csv"),)
+        out_path = tmp_path / "out.csv"
+        code, out, err = run_cli(capsys, *argv, "--emit-csv", str(out_path))
+        assert (code, out, out_path.exists()) == (2, "", False)
+        assert "unrecognized arguments: --emit-csv" in err
 
     @pytest.mark.parametrize("argv,message", [
         (("crofton", "hyperplane", "--pairs", "0,1"),
@@ -460,16 +497,24 @@ class TestCrofton:
         ("horosphere", "--field", "h", "--dim", "1"),
         ("projective", "--dim", "2"),
         ("sphere", "--dim", "3"),
+        ("hyperplane", "--dim", "3", "--pairs", "0.5,1,2"),
+        ("horosphere", "--field", "r", "--dim", "1", "--pairs", "1e-13,0.3,1.5"),
+        ("horosphere", "--field", "c", "--dim", "2", "--pairs", "0.5,1"),
+        ("projective", "--dim", "2", "--pairs", "0.5,1"),
+        ("sphere", "--dim", "3", "--pairs", "0.5,2"),
     ], ids=["hyperplane-R1", "hyperplane-R3", "horosphere-R1", "horosphere-R3",
             "horosphere-R4", "horosphere-C1", "horosphere-C3", "horosphere-H1",
-            "projective", "sphere"])
+            "projective", "sphere", "hyperplane-R3-pairs", "horosphere-R1-pairs",
+            "horosphere-C2-pairs", "projective-pairs", "sphere-pairs"])
     def test_lone_pair_against_constant(self, capsys, monkeypatch, argv):
-        # a lone pair has no other ratio to agree with, so it is held to the
-        # carrier's closed-form constant; it used to be consistent whatever
-        # its ratio.  The moved estimate sits 4 sigma (plus the slack) from
-        # the constant, wherever the draw put the estimate itself
-        args = ("crofton", *argv, "--pairs", "1.3", "--samples", "100000",
-                "--seed", "11")
+        # every ratio, a lone pair's as each of many pairs', is held to the
+        # carrier's closed-form constant: a lone pair used to be consistent
+        # whatever its ratio, and many pairs were only compared with each
+        # other, so a shift of all of them passed.  Each moved estimate sits
+        # 4 sigma (plus the slack) from the constant, wherever the draw put
+        # the estimate itself
+        pairs = () if "--pairs" in argv else ("--pairs", "1.3")
+        args = ("crofton", *argv, *pairs, "--samples", "100000", "--seed", "11")
         code, out, _ = run_cli(capsys, *args)
         assert (code, json.loads(out)["verdict"]) == (0, "ratios consistent")
         carrier = crofton.CARRIERS[argv[0]]
@@ -477,15 +522,37 @@ class TestCrofton:
         constant = carrier.constant(FIELD_DIM[field],
                                     int(argv[argv.index("--dim") + 1]))
 
-        def shifted(*a, **kw):
-            (est,) = carrier.estimate(*a, **kw)
+        def move(est):
             moved = constant * est.d + 4.0 * est.stderr + 1e-11 * est.estimate
-            return [dataclasses.replace(est, estimate=moved, ratio=moved / est.d)]
+            return dataclasses.replace(est, estimate=moved, ratio=moved / est.d)
+
+        def shifted(*a, **kw):
+            return [move(est) for est in carrier.estimate(*a, **kw)]
 
         monkeypatch.setitem(crofton.CARRIERS, argv[0],
                             dataclasses.replace(carrier, estimate=shifted))
         code, out, _ = run_cli(capsys, *args)
         assert (code, json.loads(out)["verdict"]) == (1, "ratios inconsistent")
+
+    def test_hyperplane_constant_is_sphere_volume_ratio(self):
+        # vol(S^(n-2)) / (n-1) = 2 pi^((n-1)/2) / ((n-1) Gamma((n-1)/2)), for
+        # every n up to 343, the last where math.gamma does not overflow
+        constant = crofton.CARRIERS["hyperplane"].constant
+        for n in range(2, 344):
+            h = 0.5 * (n - 1)
+            want = 2.0 * math.pi ** h / ((n - 1) * math.gamma(h))
+            assert constant(1, n) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("d", ["1e-13", "1e-9", "1e-6", "0.3"])
+    def test_real_line_horospheres_exact(self, capsys, d):
+        # every direction of H^1_R carries exactly d; formed as a
+        # difference of logarithms of numbers near 1 the ratio read 1.99936
+        # at 1e-13 (exit 1) and 2.0000000391 at 1e-9
+        code, out, _ = run_cli(capsys, "crofton", "horosphere", "--field", "r",
+                               "--dim", "1", "--pairs", d, "--samples", "400000",
+                               "--seed", "2")
+        assert (code, json.loads(out)["verdict"]) == (0, "ratios consistent")
+        assert json.loads(out)["results"][0]["ratio"] == pytest.approx(2.0, rel=1e-12)
 
     def test_horosphere_constant_is_twice_ball_volume(self):
         # 2 vol(B^m) = 2 pi^(m/2) / Gamma(m/2 + 1), m = k n - 1, for every k n
@@ -516,9 +583,9 @@ class TestCrofton:
     def test_exact_ratios_consistent(self, capsys, argv, seed):
         # in R^1 every direction carries the same value, so the estimates are
         # exact up to rounding and their stderrs 0 or nearly; the ratios
-        # differ in their last bits (1.9999999999999993 and
-        # 2.0000000000000004), which the pairwise rule must forgive as the
-        # lone-pair rule does
+        # differ from the constant in their last bits (1.9999999999999984
+        # against 2, 0.9999999999999996 against 1), which the slack of 1e-12
+        # times the ratio forgives
         code, out, _ = run_cli(capsys, "crofton", *argv, "--seed", seed)
         assert (code, json.loads(out)["verdict"]) == (0, "ratios consistent")
 
