@@ -38,9 +38,10 @@ Estimators are deterministic given an integer master seed: samples are
 drawn in fixed-size chunks with independently spawned substreams, so the
 result does not depend on the worker count or schedule.  A chunk holds
 CHUNK_SIZE = 2^14 directions, so each of its arrays is 128 KiB and a
-worker's working set, about ten of them for horospheres and four for
-hyperplanes, stays in a 2 MiB L2 cache.  The hyperplane chunks that one
-thread runs in one call reuse the same four arrays (_thread_arrays).
+worker's working set, eight of them and a bool mask for horospheres and
+four for hyperplanes, stays in a 2 MiB L2 cache.  The chunks that one
+thread runs in one call reuse the same arrays (_thread_arrays), and the
+kernels work in them in place.
 
 CARRIERS holds one Carrier per family, keyed by the CLI's carrier names:
 its estimator of distances, the fields and distances it takes, and its
@@ -64,8 +65,8 @@ from .algebra import (
 
 BOUNDARY_TOL = 1e-12
 #: directions per chunk: 2^14 float64 values are a 128 KiB array, so a
-#: worker's working set, about ten such arrays for a horosphere chunk,
-#: stays in a 2 MiB L2 cache
+#: worker's working set, the eight such arrays and a bool mask that every
+#: horosphere chunk of a thread reuses, stays in a 2 MiB L2 cache
 CHUNK_SIZE = 1 << 14
 #: largest n, and largest k n, whose carrier measure is a positive normal
 #: float: vol(S^{n-1}) / 2 for the hyperplanes of H^n_R, vol(S^{kn-1}) for
@@ -194,9 +195,10 @@ def _first_coordinate(k, m, size, rng, out=None):
     return x, a, b
 
 
-def _thread_arrays(count):
-    """arrays(size) -> `count` float arrays of `size` <= CHUNK_SIZE entries,
-    the calling thread's own, which every chunk the thread runs reuses.
+def _thread_arrays(count, masks=0):
+    """arrays(size) -> `count` float arrays, then `masks` bool arrays, of
+    `size` <= CHUNK_SIZE entries, the calling thread's own, which every
+    chunk the thread runs reuses.
 
     A chunk's fresh 128 KiB arrays cost a minor page fault per 4 KiB page
     whenever malloc has handed the freed top of the heap back to the system
@@ -210,7 +212,8 @@ def _thread_arrays(count):
     def arrays(size):
         held = getattr(local, "arrays", None)
         if held is None:
-            held = local.arrays = [np.empty(CHUNK_SIZE) for _ in range(count)]
+            held = local.arrays = [np.empty(CHUNK_SIZE, dtype) for dtype in
+                                   [float] * count + [bool] * masks]
         return [a[:size] for a in held]
 
     return arrays
@@ -470,7 +473,7 @@ def count_horosphere_intersections(h, seg):
     return count
 
 
-def _level_coefficients(x, a, b):
+def _level_coefficients(x, a, b, rho2, plus):
     """(half, low, high, gamma): the part of a direction's level free of d.
 
     On the axis segment of length d, p(s) = x0 cosh s + v sinh s, s in
@@ -484,15 +487,16 @@ def _level_coefficients(x, a, b):
     = |w_rest|^2 / 2.  With rho^2 = x^2 + a + b, rho |w1 -+ 1| has real
     part rho -+ x and squared imaginary part a: half = 1 / (2 rho^2), low =
     (rho - x)^2 + a, high = (rho + x)^2 + a.  rho - x is formed as (a + b)
-    / (rho + x), so every term is a sum of squares and none cancels.  b is
-    overwritten.
+    / (rho + x), so every term is a sum of squares and none cancels.  They
+    are written in place: half in rho2, low in x, high in plus and gamma in
+    b; a is only read.
     """
-    rho2 = x * x
+    np.multiply(x, x, out=rho2)
     rho2 += a
     rho2 += b
-    plus = np.sqrt(rho2)
+    np.sqrt(rho2, out=plus)
     plus += x
-    minus = a + b
+    minus = np.add(a, b, out=x)
     minus /= plus
     half = np.divide(0.5, rho2, out=rho2)
     minus *= minus
@@ -503,20 +507,45 @@ def _level_coefficients(x, a, b):
     return half, minus, plus, b
 
 
-def _radial_potential(G, e):
+def _radial_potential(G, e, spare):
     """Phi(G^{-1/2}) in place of G, where Phi(r) = r^{e+1} / (e+1), or log r
-    when e = -1."""
+    when e = -1; spare may be overwritten.
+
+    For q = e + 1 >= 1, Phi = y^m / q with y = 1 / G and m = q / 2 when q is
+    even, y = 1 / sqrt(G) and m = q when q is odd.  y^m is formed by binary
+    exponentiation from the left, so every partial power lies between y and
+    y^m and none overflows or underflows where y^m does not: one reciprocal
+    (and square root), then a squaring per further bit of m and a multiply
+    by y per further set bit, each one pass of a plain ufunc, where
+    np.power costs a pow() call per entry whatever the exponent.  At m = 1
+    y is formed in G itself and spare is not touched.
+    """
     if e == -1:
         np.log(G, out=G)
         G *= -0.5
+        return G
+    q = e + 1
+    m = q if q % 2 else q // 2
+    y = G if m == 1 else spare
+    if q % 2:
+        np.sqrt(G, out=y)
+        np.reciprocal(y, out=y)
     else:
-        G **= -0.5 * (e + 1)
-        G /= e + 1
+        np.reciprocal(G, out=y)
+    power = y
+    for bit in bin(m)[3:]:
+        np.square(power, out=G)
+        power = G
+        if bit == "1":
+            G *= y
+    if q > 1:
+        G *= 1.0 / q
     return G
 
 
-def _horosphere_levels(x, a, b, e):
-    """(low, high, gamma, peak): the part of a direction's values free of d.
+def _horosphere_levels(x, a, b, rho2, plus, e):
+    """(low, high, gamma, peak): the part of a direction's values free of d,
+    in x, plus, b and rho2; a is overwritten.
 
     low = |w1 - 1|^2 / 2 and high = |w1 + 1|^2 / 2 are _level_coefficients'
     half times its low and high, so up = e^{-d} low and down = e^{d} high on
@@ -526,57 +555,69 @@ def _horosphere_levels(x, a, b, e):
     1), whose minimum never lies inside a segment; peak reads Phi(1) there
     instead of the pole Phi(0).
     """
-    half, low, high, gamma = _level_coefficients(x, a, b)
+    half, low, high, gamma = _level_coefficients(x, a, b, rho2, plus)
     low *= half
     high *= half
-    peak = np.multiply(low, high)
+    peak = np.multiply(low, high, out=half)
     np.sqrt(peak, out=peak)
     peak += gamma
-    np.copyto(peak, 1.0, where=peak == 0.0)
-    return low, high, gamma, _radial_potential(peak, e)
+    peak += np.equal(peak, 0.0, out=a)
+    return low, high, gamma, _radial_potential(peak, e, a)
 
 
-def _horosphere_values(d, levels, u, e):
+def _horosphere_values(d, levels, u, e, out):
     """Per direction w: the measure of crossing horospheres, and whether the
-    one drawn is met twice.
+    one drawn is met twice, in the second float array and the bool array of
+    out (three float arrays and a bool one).
 
     The horospheres of direction w are xi = r (1, w), with radial density
     r^e dr, and their measure is the total variation of Phi(G^{-1/2}) on the
     segment of length d, G(s) = (up e^{2s} + down e^{-2s}) / 2 + gamma for s
-    in [0, d] (_horosphere_levels).  G's only critical point is its minimum,
-    where Phi is `peak`, at e^{4s} = down / up, inside the segment when 1 <
-    down / up < e^{4d}.  Re w1 >= 0 makes high >= low, so the first bound
-    holds at every d > 0 and the second reads high < low e^{2d}.  Elsewhere
-    Phi peaks at an end, and inside the interior peak is kept at least the
-    larger end value against rounding.  One radius per direction is drawn
-    by the uniforms u from r^e dr among the horospheres meeting the
-    segment: Phi values above both end values are met twice.  Each d makes
-    two _radial_potential calls, on G at the ends, in place.
+    in [0, d] (_horosphere_levels): G(0) = e^{-d} (low + high e^{2d}) / 2 +
+    gamma and G(d) = e^{-d} (low e^{2d} + high) / 2 + gamma, sums of
+    nonnegative terms.  G's only critical point is its minimum, where Phi is
+    `peak`, at e^{4s} = down / up, inside the segment when 1 < down / up <
+    e^{4d}.  Re w1 >= 0 makes high >= low, so the first bound holds at every
+    d > 0 and the second reads high < low e^{2d}.  With hi and lo the larger
+    and smaller end value of Phi, the value is hi - lo plus, inside, twice
+    the excess max(peak, hi) - hi, which the max keeps >= 0 against
+    rounding; the mask multiplies it away outside.  Neither end is taken to
+    be hi: in floats G(0) >= G(d) can fail by an ulp.  hi - lo is formed as
+    |Phi(G(d)) - Phi(G(0))|, the same float.  One radius per direction is
+    drawn by the uniforms u from r^e dr among the horospheres meeting the
+    segment: Phi values above both end values, u (top - lo) > hi - lo with
+    top = hi + excess, are met twice, so no direction outside is.  Each d
+    makes two _radial_potential calls, on G at the ends; most other steps
+    write into one of their operands, which numpy runs faster than into a
+    third array.
     """
     low, high, gamma, peak = levels
-    near, far = 0.5 * math.exp(-d), 0.5 * math.exp(d)
-    f0 = low * near
-    t = high * far
-    f0 += t
-    f0 += gamma
-    f1 = low * far
-    np.multiply(high, near, out=t)
-    f1 += t
+    f0, f1, t, mask = out
+    near, grow = 0.5 * math.exp(-d), math.exp(2.0 * d)
+    np.multiply(low, grow, out=f1)
+    inside = np.less(high, f1, out=mask)
+    f1 += high
+    f1 *= near
     f1 += gamma
-    np.multiply(low, math.exp(2.0 * d), out=t)
-    outside = high >= t
-    _radial_potential(f0, e)
-    _radial_potential(f1, e)
+    np.multiply(high, grow, out=f0)
+    f0 += low
+    f0 *= near
+    f0 += gamma
+    _radial_potential(f0, e, t)
+    _radial_potential(f1, e, t)
     hi = np.maximum(f0, f1, out=t)
-    top = np.maximum(peak, hi)
-    np.copyto(top, hi, where=outside)
-    lo = np.minimum(f0, f1, out=f0)
-    span = np.subtract(top, lo, out=f1)
-    top -= hi
-    top += span
+    ends = np.subtract(f1, f0, out=f1)
+    np.absolute(ends, out=ends)
+    excess = np.maximum(peak, hi, out=f0)
+    excess -= hi
+    np.copyto(t, inside)  # 0.0 and 1.0: a float product is cheaper
+    excess *= t
+    span = np.add(ends, excess, out=t)  # top - lo
     span *= u
-    span += lo
-    return top, np.greater(span, hi, out=outside)
+    twice = np.greater(span, ends, out=mask)
+    ends += excess
+    ends += excess
+    return ends, twice
 
 
 # -- chunked Monte Carlo driver -------------------------------------------------
@@ -682,6 +723,15 @@ def _moment_estimate(d, measure, samples, seed, moments):
                            seed=seed, ratio=est / d, count_histogram=histogram)
 
 
+def _line_estimates(ds, samples, seed, workers, measure):
+    """The estimates of H^1_R, where every direction carries exactly d and
+    its carrier meets the segment once: nothing is drawn, and the values do
+    not lose bits to a closed form that is d only in exact arithmetic."""
+    return _conditional_estimate(
+        ds, samples, seed, workers, measure, lambda rng, size: size,
+        lambda d, size: (np.full(size, d, dtype=float), (0, size, 0)))
+
+
 # -- estimators ----------------------------------------------------------------
 
 def hyperplane_crofton_many(n, ds, samples, seed=0, workers=1):
@@ -694,14 +744,18 @@ def hyperplane_crofton_many(n, ds, samples, seed=0, workers=1):
     carries 2 F(artanh(tanh(d/2) w1)), in closed form in tanh(d/2) w1
     (_doubled_antiderivative_at_artanh), with w1 = |w_1| >= 0 drawn by
     _first_coordinate once per chunk for every d.  The (p, w) chart
-    double-covers the hyperplane space, hence the halved sphere area.
+    double-covers the hyperplane space, hence the halved sphere area.  At
+    n = 1 every direction carries exactly d, and nothing is drawn.
     Raises ValueError for n outside [1, MAX_HYPERPLANE_DIM].
     """
     if not 1 <= n <= MAX_HYPERPLANE_DIM:
         raise ValueError(f"hyperplane estimates support dimensions 1 to "
                          f"{MAX_HYPERPLANE_DIM}, where the carrier measure "
                          f"vol(S^(n-1)) / 2 is a positive normal float; got {n}")
-
+    if n == 1:
+        # the hyperplanes of H^1_R are its points, of measure dp (S^0's
+        # area 2, halved): those on the segment, measure d, each met once
+        return _line_estimates(ds, samples, seed, workers, 1.0)
     arrays = _thread_arrays(4)
 
     def draw(rng, size):
@@ -762,17 +816,19 @@ def horosphere_crofton_many(field, n, ds, samples, seed=0, workers=1):
     if k * n == 1:
         # S^0's two directions, w1 = 1 once its sign is dropped, carry the
         # points of H^1_R with log r on the segment: measure d, each met once
-        return _conditional_estimate(
-            ds, samples, seed, workers, 2.0, lambda rng, size: size,
-            lambda d, size: (np.full(size, d, dtype=float), (0, size, 0)))
+        return _line_estimates(ds, samples, seed, workers, 2.0)
     e = k * (n + 1) - 3
+    arrays = _thread_arrays(8, masks=1)
 
     def draw(rng, size):
-        levels = _horosphere_levels(*_first_coordinate(k, n, size, rng), e)
-        return levels, rng.random(size)
+        x, a, b, rho2, plus, *out = arrays(size)
+        _first_coordinate(k, n, size, rng, (x, a, b))
+        levels = _horosphere_levels(x, a, b, rho2, plus, e)
+        return levels, rng.random(out=a), out
 
     def values(d, shared):
-        v, twice = _horosphere_values(d, *shared, e)
+        levels, u, out = shared
+        v, twice = _horosphere_values(d, levels, u, e, out)
         doubles = int(np.count_nonzero(twice))
         return v, (0, v.size - doubles, doubles)
 

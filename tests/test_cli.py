@@ -554,6 +554,19 @@ class TestCrofton:
         assert (code, json.loads(out)["verdict"]) == (0, "ratios consistent")
         assert json.loads(out)["results"][0]["ratio"] == pytest.approx(2.0, rel=1e-12)
 
+    @pytest.mark.parametrize("d", ["1e-13", "0.3", "16"])
+    def test_real_line_hyperplanes_exact(self, capsys, d):
+        # the hyperplanes of H^1_R are its points: every direction carries
+        # exactly d, and their measure is exactly 1; formed as 2
+        # artanh(tanh(d/2)) the ratio read 0.999999999987348 at 16 (exit 1),
+        # and the measure vol(S^0) / 2 from log-gamma 1 - 3.3e-16
+        code, out, _ = run_cli(capsys, "crofton", "hyperplane", "--dim", "1",
+                               "--pairs", d, "--samples", "20000", "--seed", "2")
+        report = json.loads(out)
+        assert (code, report["verdict"]) == (0, "ratios consistent")
+        assert report["results"][0]["total_measure"] == 1.0
+        assert report["results"][0]["ratio"] == pytest.approx(1.0, rel=1e-12)
+
     def test_horosphere_constant_is_twice_ball_volume(self):
         # 2 vol(B^m) = 2 pi^(m/2) / Gamma(m/2 + 1), m = k n - 1, for every k n
         # the horosphere estimator takes, well inside the verdict's 1e-12

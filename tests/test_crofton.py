@@ -440,6 +440,16 @@ class TestHorosphereIntersections:
             assert abs(est.count_histogram.get(c, 0) - tally[c]) <= unclear
 
 
+def spare(size, count):
+    """`count` arrays of `size` floats for the kernels to write into."""
+    return [np.empty(size) for _ in range(count)]
+
+
+def values_out(size):
+    """The arrays _horosphere_values writes into: three float, one bool."""
+    return (*spare(size, 3), np.empty(size, bool))
+
+
 def radial_potential(G, e):
     """Phi(G^{-1/2}), Phi(r) = r^{e+1} / (e+1), or log r when e = -1."""
     return -0.5 * np.log(G) if e == -1 else G ** (-0.5 * (e + 1)) / (e + 1)
@@ -496,8 +506,8 @@ class TestLevelMatrix:
                 g *= np.sign(g[:, :1])
                 w = g / np.linalg.norm(g, axis=1, keepdims=True)
                 half, low, high, gamma = crofton._level_coefficients(
-                    g[:, 0], np.sum(g[:, 1:k] ** 2, axis=1),
-                    np.sum(g[:, k:] ** 2, axis=1))
+                    g[:, 0].copy(), np.sum(g[:, 1:k] ** 2, axis=1),
+                    np.sum(g[:, k:] ** 2, axis=1), *spare(5, 2))
                 up, down = math.exp(-d) * half * low, math.exp(d) * half * high
                 for i in range(5):
                     xi = np.zeros((n + 1, 4))
@@ -523,20 +533,28 @@ class TestHorosphereKernel:
         # minimum at every d, and through the kernel, which takes Phi at it
         # from the chunk's d-free levels; the drawn directions plus w1 = 1,
         # (x, a, b) = (1, 0, 0), where low = gamma = 0 and G's critical
-        # value is 0 (every direction of H^1_R is this one)
+        # value is 0 (every direction of H^1_R is this one), and, where k >= 2
+        # or n >= 2, Re w1 = 0, (x, a, b) = (0, k - 1, k (n - 1)), where low
+        # = high and f0 = f1 up to rounding, in either order
         k = FIELD_DIM[field]
         e = k * (n + 1) - 3
         rng = np.random.default_rng(90 + 3 * n + k)
+        edges = [(1.0, 0.0, 0.0)]
+        if k * n > 1:
+            edges.append((0.0, k - 1.0, k * (n - 1.0)))
         x, a, b = (np.append(s, v) for s, v in
-                   zip(crofton._first_coordinate(k, n, 2000, rng), (1.0, 0.0, 0.0)))
+                   zip(crofton._first_coordinate(k, n, 2000, rng), zip(*edges)))
         u = rng.random(x.size)
         with np.errstate(all="raise"):
-            levels = crofton._horosphere_levels(x.copy(), a.copy(), b.copy(), e)
+            levels = crofton._horosphere_levels(x.copy(), a.copy(), b.copy(),
+                                                *spare(x.size, 2), e)
             for d in (1e-13, 1e-3, 0.5, 2.0, 12.0, 16.0):
                 want, counts, scale = reference_horosphere_values(
-                    d, crofton._level_coefficients(x.copy(), a.copy(), b.copy()),
+                    d, crofton._level_coefficients(x.copy(), a.copy(), b.copy(),
+                                                   *spare(x.size, 2)),
                     u, e)
-                got, twice = crofton._horosphere_values(d, levels, u, e)
+                got, twice = crofton._horosphere_values(d, levels, u, e,
+                                                        values_out(x.size))
                 assert np.all(np.abs(got - want) <= 1e-14 * scale)
                 assert np.array_equal(1 + twice, counts)
 
@@ -665,21 +683,39 @@ class TestChunkMemory:
         assert max(peaks) <= 12 * array
         assert abs(peaks[1] - peaks[0]) <= array / 8
 
+    @staticmethod
+    def pointer_sets(monkeypatch, name):
+        """The set of the data pointers crofton.<name> is given per call,
+        of the arrays among its arguments and in its tuple or list ones."""
+        seen = set()
+        real = getattr(crofton, name)
+
+        def recorded(*args):
+            arrays = [a for arg in args
+                      for a in (arg if isinstance(arg, (tuple, list)) else [arg])
+                      if isinstance(a, np.ndarray)]
+            seen.add(tuple(a.__array_interface__["data"][0] for a in arrays))
+            return real(*args)
+
+        monkeypatch.setattr(crofton, name, recorded)
+        return seen
+
     def test_hyperplane_chunks_reuse_their_arrays(self, monkeypatch):
         # every chunk and distance of a one-worker call evaluates in the
         # same arrays, so past the first chunk none waits on fresh pages
-        seen = set()
-        real = crofton._doubled_antiderivative_at_artanh
-
-        def recorded(m, *arrays):
-            seen.add(tuple(a.__array_interface__["data"][0] for a in arrays))
-            return real(m, *arrays)
-
-        monkeypatch.setattr(crofton, "_doubled_antiderivative_at_artanh",
-                            recorded)
+        seen = self.pointer_sets(monkeypatch, "_doubled_antiderivative_at_artanh")
         crofton.hyperplane_crofton_many(3, (0.5, 1.0, 2.0),
                                         4 * crofton.CHUNK_SIZE + 5)
         assert len(seen) == 1
+
+    def test_horosphere_chunks_reuse_their_arrays(self, monkeypatch):
+        # the same for the arrays the horosphere kernel writes its levels
+        # (once per chunk) and its values (once per distance) into
+        seen = [self.pointer_sets(monkeypatch, name)
+                for name in ("_horosphere_levels", "_horosphere_values")]
+        crofton.horosphere_crofton_many(QUATERNION, 2, (0.5, 1.0, 2.0),
+                                        4 * crofton.CHUNK_SIZE + 5)
+        assert [len(s) for s in seen] == [1, 1]
 
 
 #: more than two chunks, the last one short
@@ -1038,7 +1074,8 @@ class TestHorosphereEstimator:
         stats = (np.ones(2), np.zeros(2), np.zeros(2))
         with np.errstate(all="raise"):
             values, twice = crofton._horosphere_values(
-                d, crofton._horosphere_levels(*stats, 0), np.array([0.3, 0.9]), 0)
+                d, crofton._horosphere_levels(*stats, *spare(2, 2), 0),
+                np.array([0.3, 0.9]), 0, values_out(2))
         assert values == pytest.approx([2 * math.sinh(0.5 * d)] * 2, rel=1e-12)
         assert (1 + twice).tolist() == [1, 1]
 
