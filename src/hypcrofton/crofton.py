@@ -16,32 +16,42 @@ the carrier measures are invariant, every segment of length d is
 congruent to the axis segment from -d/2 to d/2 through the base point, and
 the base point's stabiliser (O(n), U(n), Sp(n)) keeps the uniform law of
 directions, so a direction's value depends on d, its first coordinate w1
-and |w_rest|^2 alone.  These are drawn from their exact laws
-(_first_coordinate), not read off a full unit vector.  estimate_m and
-estimate_horosphere_crofton take a pair of points and pass d(x, y).  The
+and |w_rest|^2 alone: on the angles theta, with |w1| = cos theta, and phi,
+with |Re w1| = |w1| cos phi, whose laws each Carrier records.  The points
+are not uniform directions but graded lattice points in these angles
+(_graded_lattice): a randomly shifted rank-1 lattice whose coordinates t
+stand for the angles at tan(angle/2) = t^GRADE, which crowds them towards
+w1 = 1, where long segments concentrate their values, and each point
+carries its angle law's density times the derivative of the angle in t
+as its weight.  All of it is formed without a trigonometric call.  The
 projective and sphere estimators do the same on the canonical arc from e1
 to (cos d, sin d, 0, ...): O(n+1) is transitive on arcs of length d, and a
-hypersurface u-perp meets that arc according to u's two coordinates in the
-arc's plane alone (_arc_plane_coordinates).
+hypersurface u-perp meets that arc according to the angle of u's
+projection onto the arc's plane alone, which is uniform, so their points
+are a shifted grid in that angle, of equal weight.  estimate_m and
+estimate_horosphere_crofton take a pair of points and pass d(x, y).
 
 The vector entry points hyperplane_crofton_many, horosphere_crofton_many,
 projective_crofton_many and sphere_halfspace_crofton_many estimate many
 distances, or many pairs with one base point, in one pass: each chunk
-draws its directions once and every distance reads them, and one thread
-pool serves them all.  hyperplane_crofton, horosphere_crofton,
+draws its points once and every distance reads them, and one pool of
+threads serves them all.  hyperplane_crofton, horosphere_crofton,
 projective_crofton_estimate and sphere_halfspace_crofton are their
 one-pair wrappers, and each estimate of a vector call equals the one its
 wrapper gives at the same seed.  So the estimates of one call use common
 random numbers.
 
-Estimators are deterministic given an integer master seed: samples are
-drawn in fixed-size chunks with independently spawned substreams, so the
-result does not depend on the worker count or schedule.  A chunk holds
-CHUNK_SIZE = 2^14 directions, so each of its arrays is 128 KiB and a
-worker's working set, eight of them and a bool mask for horospheres and
-four for hyperplanes, stays in a 2 MiB L2 cache.  The chunks that one
-thread runs in one call reuse the same arrays (_thread_arrays), and the
-kernels work in them in place.
+Estimators are deterministic given an integer master seed: the samples are
+split into at least MIN_REPLICATES chunks of near-equal size
+(_chunk_sizes), each with an independently spawned substream that draws
+its lattice shift, so the result does not depend on the worker count or
+schedule.  Each chunk is an unbiased replicate, and an estimate's stderr
+is the spread of the chunk means over the square root of their count.  A
+chunk holds at most CHUNK_SIZE = 2^14 points, so each of its arrays is at
+most 128 KiB and a worker's working set, nine of them and a bool mask for
+horospheres and five for hyperplanes, stays in a 2 MiB L2 cache.  The
+chunks that one thread runs in one call reuse the same arrays
+(_thread_arrays), and the kernels work in them in place.
 
 CARRIERS holds one Carrier per family, keyed by the CLI's carrier names:
 its estimator of distances, the fields and distances it takes, and its
@@ -64,8 +74,8 @@ from .algebra import (
     FIELD_DIM, FIELDS, MAX_DISTANCE, REAL, form_coeffs, qconj, qmul, qnorm)
 
 BOUNDARY_TOL = 1e-12
-#: directions per chunk: 2^14 float64 values are a 128 KiB array, so a
-#: worker's working set, the eight such arrays and a bool mask that every
+#: the most points per chunk: 2^14 float64 values are a 128 KiB array, so a
+#: worker's working set, the nine such arrays and a bool mask that every
 #: horosphere chunk of a thread reuses, stays in a 2 MiB L2 cache
 CHUNK_SIZE = 1 << 14
 #: largest n, and largest k n, whose carrier measure is a positive normal
@@ -170,31 +180,6 @@ def _uniform_sphere(m, size, rng):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _first_coordinate(k, m, size, rng, out=None):
-    """The first-coordinate statistics (x, a, b) of `size` uniform directions.
-
-    For g ~ N(0, I_{km}) on F^m (k = dim F) and w = g / |g|:
-    x = |Re g_1|, a = |Im g_1|^2 ~ chi^2_{k-1} and b = |g_rest|^2 ~
-    chi^2_{k(m-1)}, drawn as |normal| and twice a standard gamma (zeros when
-    k = 1 or m = 1).  With rho^2 = x^2 + a + b, |Re w_1| = x / rho,
-    |Im w_1|^2 = a / rho^2 and |w_rest|^2 = b / rho^2: all the hyperbolic
-    integrands read of w.  The sign of Re w_1 is dropped: w_1 -> -w_1 maps a
-    direction's value on the axis segment to its value on the reversed
-    segment, which is the same.  The draws fill the three arrays of `out`,
-    or fresh ones.
-    """
-    x, a, b = out if out is not None else (np.empty(size) for _ in range(3))
-    rng.standard_normal(out=x)
-    np.abs(x, out=x)
-    for chi2, dof in ((a, k - 1), (b, k * (m - 1))):
-        if dof:
-            rng.standard_gamma(0.5 * dof, out=chi2)
-            chi2 *= 2.0
-        else:
-            chi2.fill(0.0)
-    return x, a, b
-
-
 def _thread_arrays(count, masks=0):
     """arrays(size) -> `count` float arrays, then `masks` bool arrays, of
     `size` <= CHUNK_SIZE entries, the calling thread's own, which every
@@ -219,14 +204,198 @@ def _thread_arrays(count, masks=0):
     return arrays
 
 
-def _arc_plane_coordinates(size, rng):
-    """(g1, g2), shape (2, size): the first two coordinates of `size`
-    normal vectors g ~ N(0, I), whose directions are uniform on the sphere.
+# -- graded lattice directions --------------------------------------------------
 
-    These are g's coordinates in the plane of the canonical arc from e1 to
-    (cos d, sin d, 0, ...), all that decides whether g-perp meets the arc.
+#: the lattice's grading: a lattice coordinate t in [0, 1) stands for the
+#: angle a in [0, pi/2] with tan(a/2) = t^GRADE, which crowds the points
+#: towards a = 0, where long segments concentrate their values
+GRADE = 4
+#: the fewest replicates, chunks with their own lattice shift, that an
+#: estimate's stderr is taken from
+MIN_REPLICATES = 16
+#: the golden ratio's fractional part, which sets the lattice generator
+_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
+#: the lattice index i as a float, shared read-only by every chunk
+_INDEX = np.arange(CHUNK_SIZE, dtype=float)
+_INDEX.flags.writeable = False
+
+
+def _chunk_sizes(samples):
+    """The sizes of the replicates that `samples` points are split into.
+
+    There are at least MIN_REPLICATES of them (one point each when there
+    are fewer samples), none holds more than CHUNK_SIZE points, and their
+    sizes differ by at most one, so that every replicate's mean weighs
+    alike in their spread.
     """
-    return rng.standard_normal((2, size))
+    count = min(samples, max(MIN_REPLICATES, -(-samples // CHUNK_SIZE)))
+    size, extra = divmod(samples, count)
+    return [size + 1] * extra + [size] * (count - extra)
+
+
+@functools.lru_cache(maxsize=64)
+def _lattice_steps(size):
+    """(1 / size, g / size): the steps of the rank-1 lattice of the points
+    (i, i g) / size mod 1, i < size.
+
+    The generator g is the integer prime to size nearest size times the
+    golden ratio's fractional part, so the lattice is a Fibonacci lattice
+    when size is a Fibonacci number, and close to one otherwise.
+    """
+    g = round(_GOLDEN * size)
+    for step in range(size):
+        for candidate in (g - step, g + step):
+            if candidate >= 1 and math.gcd(candidate, size) == 1:
+                return 1.0 / size, candidate / size
+    raise AssertionError("1 is prime to every size")
+
+
+def _shifted(step, shift, t, spare):
+    """frac(i step + shift) for i < t.size, written into t; spare is
+    overwritten."""
+    np.multiply(_INDEX[:t.size], step, out=t)
+    t += shift
+    np.floor(t, out=spare)
+    t -= spare
+    return t
+
+
+def _power(y, m, spare):
+    """y^m for an integer m >= 1: y itself when m = 1, else in spare.
+
+    Binary exponentiation from the left: a squaring per further bit of m
+    and a multiply by y per further set bit, so every partial power lies
+    between y and y^m and none overflows or underflows where y^m does not.
+    """
+    power = y
+    for bit in bin(m)[3:]:
+        np.multiply(power, power, out=spare)
+        power = spare
+        if bit == "1":
+            spare *= y
+    return power
+
+
+def _law_constant(law):
+    """2 GRADE / Z for law = (alpha, beta): Z = B(alpha/2, beta/2) / 2 is the
+    integral of cos^(alpha-1) a sin^(beta-1) a over [0, pi/2], from
+    log-gamma."""
+    alpha, beta = law
+    return 4.0 * GRADE * math.exp(math.lgamma(0.5 * (alpha + beta))
+                                  - math.lgamma(0.5 * alpha)
+                                  - math.lgamma(0.5 * beta))
+
+
+def _graded_angle(law, t, cos, sin, weight):
+    """cos a and sin a of the angles a that the lattice coordinates t stand
+    for, written into cos and sin, and weight multiplied by each point's
+    weight under the law cos^(alpha-1) a sin^(beta-1) a da on [0, pi/2],
+    law = (alpha, beta), short of the constant _law_constant(law); t is
+    overwritten.
+
+    With tau = tan(a/2) = t^GRADE and h = 1 / (1 + tau^2): cos a = (1 -
+    tau^2) h, sin a = 2 tau h and da/dt = 2 h GRADE t^(GRADE-1), so nothing
+    calls a trigonometric function.  The weight is the density times da/dt
+    over the density's integral Z: cos^(alpha-1) a sin^(beta-1) a h
+    t^(GRADE-1) times 2 GRADE / Z.
+    """
+    alpha, beta = law
+    power = _power(t, GRADE - 1, sin)
+    weight *= power
+    t *= power  # tau
+    np.multiply(t, t, out=sin)
+    np.subtract(1.0, sin, out=cos)
+    sin += 1.0
+    h = np.reciprocal(sin, out=sin)
+    cos *= h
+    weight *= h
+    t *= h
+    np.add(t, t, out=sin)
+    for y, m in ((cos, alpha - 1), (sin, beta - 1)):
+        if m:
+            weight *= _power(y, m, t)
+    return cos, sin
+
+
+def _graded_lattice(angles, rng, weight, spare):
+    """One chunk's points of a randomly shifted rank-1 lattice, one
+    coordinate per graded angle, and their weights, written into arrays.
+
+    angles holds a (law, (t, cos, sin), fold) per angle: its law
+    (_graded_angle), the arrays its coordinate, cosine and sine are written
+    into, and whether its coordinate is folded by the tent map t -> 1 -
+    |2t - 1|, which keeps it uniform and makes an integrand that differs
+    at t = 0 and t = 1 continuous where the lattice wraps.  The chunk's
+    generator draws one uniform shift per angle, its first and only call
+    here; the weights, the product of the angles' weights with their
+    constants, are written into weight, and spare is overwritten.  Every
+    point's weighted value has the law's mean as its expectation, so each
+    chunk is an independent, unbiased replicate.
+    """
+    shifts = rng.random(len(angles))
+    steps = _lattice_steps(weight.size)
+    weight.fill(math.prod(_law_constant(law) for law, *_ in angles))
+    for (law, (t, cos, sin), fold), step, shift in zip(angles, steps, shifts):
+        _shifted(step, shift, t, spare)
+        if fold:
+            t *= 2.0
+            t -= 1.0
+            np.absolute(t, out=t)
+            np.subtract(1.0, t, out=t)
+        _graded_angle(law, t, cos, sin, weight)
+
+
+def _sphere_law(k, n):
+    """(theta, phi): the laws of a uniform direction w of F^n, k = dim F, as
+    angles in [0, pi/2], or None for an angle fixed at 0.
+
+    |w1| = cos theta, with density cos^(k-1) theta sin^(k(n-1)-1) theta
+    (fixed when n = 1), and |Re w1| = |w1| cos phi, with density
+    sin^(k-2) phi (fixed when k = 1); the sign of Re w1 is dropped: w1 ->
+    -w1 maps a direction's value on the axis segment to its value on the
+    reversed segment, which is the same.
+    """
+    return ((k, k * (n - 1)) if n > 1 else None,
+            (1, k - 1) if k > 1 else None)
+
+
+def _lattice_statistics(law, rng, arrays):
+    """(x, a, b, w): one chunk's graded lattice points as the statistics x =
+    |Re w1|, a = |Im w1|^2 and b = |w_rest|^2 of unit directions w, with
+    their weights w.
+
+    law = (theta, phi) as _sphere_law gives it; arrays are nine float
+    arrays of the chunk's size, in the order (x, a, b, rho2, plus, w, and
+    three spares); the statistics land in the first three and the weights
+    in the sixth.  With theta and phi, x = cos theta cos phi, a = cos^2
+    theta sin^2 phi and b = sin^2 theta, so x^2 + a + b = 1; without
+    either, every point is w1 = 1.  phi's coordinate is folded
+    (_graded_lattice): its weight vanishes at phi = 0 but not at pi/2,
+    where Re w1 = 0 and a horosphere direction's value is not 0.  theta's
+    weight vanishes at both ends when k > 1.
+    """
+    x, a, b, rho2, plus, weight, t_theta, t_phi, spare = arrays
+    theta, phi = law
+    angles = []
+    if theta:
+        angles.append((theta, (t_theta, plus if phi else x, rho2), False))
+    if phi:
+        angles.append((phi, (t_phi, x, a), True))
+    _graded_lattice(angles, rng, weight, spare)
+    if not angles:
+        x.fill(1.0)
+    if theta and phi:
+        x *= plus
+        a *= plus
+    if phi:
+        a *= a
+    else:
+        a.fill(0.0)
+    if theta:
+        np.multiply(rho2, rho2, out=b)
+    else:
+        b.fill(0.0)
+    return x, a, b, weight
 
 
 # -- carriers ------------------------------------------------------------------
@@ -310,12 +479,13 @@ class Horosphere:
 class CroftonEstimate:
     """Monte Carlo estimate of a Crofton integral: total_measure * mean_count.
 
-    For the hyperbolic estimators mean_count is the mean over sampled
-    directions of the measure of carriers meeting the segment, and
+    For the hyperbolic estimators mean_count is the weighted mean over the
+    lattice points of the measure of carriers meeting the segment, and
     count_histogram tallies the crossing count of one such carrier per
-    direction (1 or 2); for the projective and sphere estimators
-    mean_count is the hit fraction, and count_histogram tallies the
-    directions whose hypersurface crosses the segment 0 and 1 times.
+    point (1 or 2); for the projective and sphere estimators mean_count is
+    the hit fraction, and count_histogram tallies the points whose
+    hypersurface crosses the segment 0 and 1 times.  stderr is the spread
+    of the chunks' means (_moment_estimate).
     """
 
     d: float
@@ -479,7 +649,7 @@ def _level_coefficients(x, a, b, rho2, plus):
     On the axis segment of length d, p(s) = x0 cosh s + v sinh s, s in
     [0, d], runs along the first axis from -d/2 to d/2.  For xi = (1, w),
     w a unit direction of F^n given by its first-coordinate statistics
-    (x, a, b) (_first_coordinate), |<p(s), xi>|^2 = (up e^{2s} + down
+    (x, a, b) (_lattice_statistics), |<p(s), xi>|^2 = (up e^{2s} + down
     e^{-2s}) / 2 + gamma with up = e^{-d} half low and down = e^{d} half
     high.  Only w's first coordinate w1 pairs with the segment: <x0, xi> +-
     <v, xi> are e^{-d/2} (w1 - 1) and -e^{d/2} (w1 + 1), so up = e^{-d}
@@ -532,12 +702,7 @@ def _radial_potential(G, e, spare):
         np.reciprocal(y, out=y)
     else:
         np.reciprocal(G, out=y)
-    power = y
-    for bit in bin(m)[3:]:
-        np.square(power, out=G)
-        power = G
-        if bit == "1":
-            G *= y
+    G = _power(y, m, G)
     if q > 1:
         G *= 1.0 / q
     return G
@@ -622,6 +787,16 @@ def _horosphere_values(d, levels, u, e, out):
 
 # -- chunked Monte Carlo driver -------------------------------------------------
 
+#: below this d (e + 1) a horosphere direction's value is its d -> 0 limit
+#: d |Re w1|: off by O(d^2 (e + 1)^3) relative, under 1e-8 here, where the
+#: kernel's difference of two Phi values loses 2e-16 / d relative
+SHORT_SEGMENT = 1e-5
+#: the largest natural log of one direction's value that the hyperbolic
+#: estimators take: a value below e^600 whose weight underflows to 0 loses
+#: less than 1e-47, and none overflows
+LOG_VALUE_LIMIT = 600.0
+
+
 def _resolve_seed(seed):
     if isinstance(seed, np.random.Generator):
         return int(seed.integers(0, 2 ** 63 - 1))
@@ -629,27 +804,44 @@ def _resolve_seed(seed):
 
 
 def _run_chunks(chunk_fn, samples, seed, workers=1):
-    """Run chunk_fn(rng, size) over chunks of CHUNK_SIZE with spawned substreams.
+    """Run chunk_fn(rng, size) over the chunks of _chunk_sizes(samples), each
+    with its own substream spawned from seed.
 
     Returns the chunks' results in chunk order; they are independent of
-    worker count and scheduling because chunk boundaries and seeds are
-    fixed by (seed, chunk index).
+    worker count and scheduling because chunk sizes and seeds are fixed by
+    (samples, seed, chunk index).  With workers > 1, workers - 1 threads
+    and the calling thread take chunk indices from one shared counter and
+    store each result at its index; the first exception that any of them
+    raises is re-raised here once all have stopped.
     """
-    sizes = [CHUNK_SIZE] * (samples // CHUNK_SIZE)
-    if samples % CHUNK_SIZE:
-        sizes.append(samples % CHUNK_SIZE)
+    sizes = _chunk_sizes(samples)
     seeds = np.random.SeedSequence(seed).spawn(len(sizes))
+    results = [None] * len(sizes)
+    errors = []
+    lock = threading.Lock()
+    indices = iter(range(len(sizes)))
 
-    def run(i):
-        return chunk_fn(np.random.default_rng(seeds[i]), sizes[i])
+    def work():
+        while not errors:
+            with lock:
+                i = next(indices, None)
+            if i is None:
+                return
+            try:
+                results[i] = chunk_fn(np.random.default_rng(seeds[i]), sizes[i])
+            except BaseException as exc:  # re-raised by the calling thread
+                errors.append(exc)
 
-    if workers > 1 and len(sizes) > 1:
-        # imported here: a one-worker run never loads concurrent.futures
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, range(len(sizes))))
-    return [run(i) for i in range(len(sizes))]
+    threads = [threading.Thread(target=work, daemon=True)
+               for _ in range(min(workers, len(sizes)) - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def _zero_estimate(seed, samples):
@@ -667,52 +859,74 @@ def _merge_moments(a, b):
     return na + nb, sa + sb, ma + mb + delta * delta * (na * nb / (na + nb)), ha + hb
 
 
-def _conditional_estimate(ds, samples, seed, workers, measure, draw, values):
-    """measure times the mean over sampled directions of a closed-form value,
-    one estimate per distance d in ds.
+def _conditional_estimate(ds, samples, seed, workers, measure, draw, values,
+                          log_value_bound=None, resolution=0.0):
+    """measure times the weighted mean over the chunks' points of a
+    closed-form value, one estimate per distance d in ds.
 
-    draw(rng, size) draws `size` directions and returns what their values
-    share across distances; values(d, shared) returns, per direction, the
-    measure of the carriers of that direction meeting the canonical segment
-    of length d, and the counts (zeros, ones, twos) of directions whose
-    drawn carrier crosses it 0, 1 and 2 times, which the histogram tallies.
-    Each chunk draws once for every d, so the estimates of one call share
-    their directions.  Per d, each chunk's sum and centred sum of squares
-    are merged in chunk order, so the variance does not cancel when the
-    values barely vary.  Raises ValueError for a d that is not finite and
-    >= 0, and for an estimate or stderr that underflows below the smallest
-    normal float.
+    draw(rng, size) draws a chunk of `size` points and returns what their
+    values share across distances; values(d, shared) returns the sum over
+    the chunk of the measure of the carriers meeting the canonical segment
+    of length d, each point's value times its weight, and the counts
+    (zeros, ones, twos) of points whose drawn carrier crosses it 0, 1 and 2
+    times, which the histogram tallies.  Each chunk draws once for every d,
+    so the estimates of one call share their points.  Each chunk is one
+    replicate: per d, the chunks' sums are merged in chunk order with
+    Chan's update, each chunk counted as its size with no spread of its
+    own, so the merged centred sum of squares is the spread of the chunk
+    means, and the stderr is that spread over the square root of the chunk
+    count (_moment_estimate), or the bound that `resolution` sets, whichever
+    is larger.  Raises ValueError for a d that is not finite
+    and >= 0, for one whose log_value_bound(d), the log of the largest
+    value one direction can carry, exceeds LOG_VALUE_LIMIT, and for an
+    estimate or stderr that underflows below the smallest normal float.
     """
     seed = _resolve_seed(seed)
     ds = tuple(ds)
     for d in ds:
         if not (math.isfinite(d) and d >= 0.0):
             raise ValueError(f"the distance must be finite and >= 0, got {d}")
+        if d and log_value_bound and log_value_bound(d) > LOG_VALUE_LIMIT:
+            raise ValueError(
+                f"at d = {d:g} one direction's value can reach "
+                f"e^{log_value_bound(d):.0f}, past e^{LOG_VALUE_LIMIT:g}, where "
+                f"its lattice weight underflows beside it: take a shorter "
+                f"segment or a lower dimension")
     live = [d for d in ds if d != 0.0]
 
     def chunk(rng, size):
         shared = draw(rng, size)
-        moments = []
-        for d in live:
-            v, counts = values(d, shared)
-            total = float(v.sum())
-            v -= total / size
-            v *= v
-            moments.append((size, total, float(np.sum(v)), np.array(counts)))
-        return moments
+        # a chunk's own spread does not enter: it is one replicate
+        return [(size, total, 0.0, counts)
+                for total, counts in (values(d, shared) for d in live)]
 
     chunks = _run_chunks(chunk, samples, seed, workers) if live else []
     merged = (functools.reduce(_merge_moments, per_d) for per_d in zip(*chunks))
     return [_zero_estimate(seed, samples) if d == 0.0
-            else _moment_estimate(d, measure, samples, seed, next(merged))
+            else _moment_estimate(d, measure, samples, seed, len(chunks),
+                                  next(merged), resolution)
             for d in ds]
 
 
-def _moment_estimate(d, measure, samples, seed, moments):
+def _moment_estimate(d, measure, samples, seed, replicates, moments,
+                     resolution=0.0):
+    """The estimate at d from the merged chunk moments.
+
+    stderr^2 is the spread of the chunk means, sum_i n_i (m_i - m)^2 /
+    (samples (replicates - 1)), about s^2 / replicates for their sample
+    variance s^2 since the sizes n_i differ by at most one; one replicate
+    has no spread, and its stderr is infinite.  When each chunk's mean
+    takes one of two values `resolution` / n apart (n the smaller chunk
+    size), its variance is at most (resolution / 2n)^2, and the stderr is
+    at least that bound's over the square root of the chunk count.
+    """
     _, total, m2, hist = moments
     mean = total / samples
     est = measure * mean
-    stderr = measure * math.sqrt(m2) / samples
+    stderr = measure * math.sqrt(m2 / (samples * (replicates - 1))) \
+        if replicates > 1 else math.inf
+    stderr = max(stderr, measure * resolution
+                 / (2.0 * (samples // replicates) * math.sqrt(replicates)))
     if (mean > 0.0 and est < sys.float_info.min) or \
             (m2 > 0.0 and stderr < sys.float_info.min):
         raise ValueError(f"the estimate at d = {d:g} underflows: {est:g} +- "
@@ -729,7 +943,7 @@ def _line_estimates(ds, samples, seed, workers, measure):
     not lose bits to a closed form that is d only in exact arithmetic."""
     return _conditional_estimate(
         ds, samples, seed, workers, measure, lambda rng, size: size,
-        lambda d, size: (np.full(size, d, dtype=float), (0, size, 0)))
+        lambda d, size: (d * size, np.array((0, size, 0))))
 
 
 # -- estimators ----------------------------------------------------------------
@@ -742,11 +956,14 @@ def hyperplane_crofton_many(n, ds, samples, seed=0, workers=1):
     meets the axis segment from -d/2 to d/2 exactly when tanh p lies
     between -+tanh(d/2) w1; F' = cosh^{n-1} is even, so that direction
     carries 2 F(artanh(tanh(d/2) w1)), in closed form in tanh(d/2) w1
-    (_doubled_antiderivative_at_artanh), with w1 = |w_1| >= 0 drawn by
-    _first_coordinate once per chunk for every d.  The (p, w) chart
-    double-covers the hyperplane space, hence the halved sphere area.  At
-    n = 1 every direction carries exactly d, and nothing is drawn.
-    Raises ValueError for n outside [1, MAX_HYPERPLANE_DIM].
+    (_doubled_antiderivative_at_artanh), with w1 = |w_1| = cos theta.  Each
+    chunk's points are graded lattice points in theta, with the law of the
+    carrier table (_graded_lattice), shared by every d; each value is
+    multiplied by its point's weight.  The (p, w) chart double-covers the
+    hyperplane space, hence the halved sphere area.  At n = 1 every
+    direction carries exactly d, and nothing is drawn.  Raises ValueError
+    for n outside [1, MAX_HYPERPLANE_DIM], and for a d where a direction's
+    value 2 F(d/2) <= d cosh^{n-1}(d/2) can pass e^LOG_VALUE_LIMIT.
     """
     if not 1 <= n <= MAX_HYPERPLANE_DIM:
         raise ValueError(f"hyperplane estimates support dimensions 1 to "
@@ -756,26 +973,26 @@ def hyperplane_crofton_many(n, ds, samples, seed=0, workers=1):
         # the hyperplanes of H^1_R are its points, of measure dp (S^0's
         # area 2, halved): those on the segment, measure d, each met once
         return _line_estimates(ds, samples, seed, workers, 1.0)
-    arrays = _thread_arrays(4)
+    arrays = _thread_arrays(5)
+    theta, _ = CARRIERS["hyperplane"].law(1, n)
 
     def draw(rng, size):
-        # w1 = x / sqrt(x^2 + b), in x; the zeros of k = 1 hold x^2 + b
-        x, rho, b, _ = arrays(size)
-        _first_coordinate(1, n, size, rng, (x, rho, b))
-        np.multiply(x, x, out=rho)
-        rho += b
-        np.sqrt(rho, out=rho)
-        x /= rho
-        return x
+        w1, weight, s, c2, f = arrays(size)
+        _graded_lattice([(theta, (s, w1, c2), False)], rng, weight, f)
+        return w1, weight
 
-    def values(d, w1):
-        _, s, c2, f = arrays(w1.size)
+    def values(d, shared):
+        w1, weight = shared
+        _, _, s, c2, f = arrays(w1.size)
         np.multiply(w1, math.tanh(0.5 * d), out=s)
         _doubled_antiderivative_at_artanh(n - 1, s, c2, f)
-        return f, (0, f.size, 0)  # a hyperplane meets the segment once
+        f *= weight
+        # a hyperplane meets the segment once
+        return float(f.sum()), np.array((0, f.size, 0))
 
-    return _conditional_estimate(ds, samples, seed, workers,
-                                 sphere_area(n - 1) / 2.0, draw, values)
+    return _conditional_estimate(
+        ds, samples, seed, workers, sphere_area(n - 1) / 2.0, draw, values,
+        lambda d: math.log(d) + (n - 1) * math.log(math.cosh(0.5 * d)))
 
 
 def hyperplane_crofton(n, d, samples, seed=0, workers=1):
@@ -798,14 +1015,19 @@ def horosphere_crofton_many(field, n, ds, samples, seed=0, workers=1):
 
     One estimate per d, integrated over all horospheres; valid over R, C
     and H, and divided by d it is 2 vol(B^{kn-1}), k = dim F.  Directions w
-    are uniform on S^{kn-1}; the radius of (1, w) is integrated against
-    r^e dr, e = k(n+1) - 3, in closed form on the axis segment of length d,
-    where only w's first coordinate w1 and the norm of the others enter,
-    drawn by _first_coordinate.  Each chunk draws these statistics and the
-    uniforms of the crossing counts once and forms the levels' d-free part,
-    with Phi at G's interior minimum (_horosphere_levels), once for every d.
-    At k n = 1 every direction carries exactly d, and nothing is drawn.
-    Raises ValueError for k n outside [1, MAX_HOROSPHERE_DIM].
+    range over S^{kn-1}; the radius of (1, w) is integrated against r^e
+    dr, e = k(n+1) - 3, in closed form on the axis segment of length d,
+    where only w's first coordinate w1 and the norm of the others enter.
+    Each chunk's points are graded lattice points in the angles of |w1| and
+    Re w1, with the law of the carrier table, read as those statistics
+    (_lattice_statistics); it draws them and the uniforms of the crossing
+    counts once and forms the levels' d-free part, with Phi at G's interior
+    minimum (_horosphere_levels), once for every d, and each value is
+    multiplied by its point's weight.  At k n = 1 every direction carries
+    exactly d, and nothing is drawn.  Raises ValueError for k n outside [1,
+    MAX_HOROSPHERE_DIM], and for a d where a direction's value, at most
+    twice Phi(e^{d/2}) = 2 e^{d(e+1)/2} / (e+1) since G >= e^{-d} on the
+    segment, can pass e^LOG_VALUE_LIMIT.
     """
     k = FIELD_DIM[field]
     if not 1 <= k * n <= MAX_HOROSPHERE_DIM:
@@ -818,22 +1040,37 @@ def horosphere_crofton_many(field, n, ds, samples, seed=0, workers=1):
         # points of H^1_R with log r on the segment: measure d, each met once
         return _line_estimates(ds, samples, seed, workers, 2.0)
     e = k * (n + 1) - 3
-    arrays = _thread_arrays(8, masks=1)
+    arrays = _thread_arrays(9, masks=1)
+    law = CARRIERS["horosphere"].law(k, n)
 
     def draw(rng, size):
-        x, a, b, rho2, plus, *out = arrays(size)
-        _first_coordinate(k, n, size, rng, (x, a, b))
-        levels = _horosphere_levels(x, a, b, rho2, plus, e)
-        return levels, rng.random(out=a), out
+        x, a, b, rho2, plus, weight, *out = arrays(size)
+        _lattice_statistics(law, rng, (x, a, b, rho2, plus, weight, *out[:3]))
+        # Phi at G's minimum overflows for points near w1 = 1, whose
+        # minimum lies outside every segment the value bound admits (there
+        # G >= e^{-d} and Phi <= e^LOG_VALUE_LIMIT): capped, their masked
+        # excess is a finite 0
+        with np.errstate(over="ignore"):
+            levels = _horosphere_levels(x, a, b, rho2, plus, e)
+        np.minimum(levels[3], math.exp(LOG_VALUE_LIMIT), out=levels[3])
+        return levels, rng.random(out=a), weight, out
 
     def values(d, shared):
-        levels, u, out = shared
+        levels, u, weight, out = shared
         v, twice = _horosphere_values(d, levels, u, e, out)
         doubles = int(np.count_nonzero(twice))
-        return v, (0, v.size - doubles, doubles)
+        if d * (e + 1) <= SHORT_SEGMENT:
+            # the d -> 0 limit d |Re w1| = d (high - low) / 2, free of the
+            # kernel's difference of two Phi values that agree up to d
+            low, high = levels[:2]
+            np.subtract(high, low, out=v)
+            v *= 0.5 * d
+        v *= weight
+        return float(v.sum()), np.array((0, v.size - doubles, doubles))
 
-    return _conditional_estimate(ds, samples, seed, workers,
-                                 sphere_area(k * n - 1), draw, values)
+    return _conditional_estimate(
+        ds, samples, seed, workers, sphere_area(k * n - 1), draw, values,
+        lambda d: 0.5 * d * (e + 1) + math.log(2.0 / (e + 1)))
 
 
 def horosphere_crofton(field, n, d, samples, seed=0, workers=1):
@@ -855,28 +1092,32 @@ def _arc_crofton_many(ds, samples, seed, workers, diameter, note):
     of lengths ds; the expected fraction is d / pi.
 
     Each d is held by the canonical arc from e1 to (cos d, sin d, 0, ...),
-    which u-perp meets exactly when (u . e1)(u . y) < 0, that is when g1 (g1
-    cos d + g2 sin d) < 0 for u's coordinates (g1, g2) in the arc's plane
-    (_arc_plane_coordinates).  A d below MIN_ARC_DISTANCE is a coincident
-    pair, and an estimate within 1e-12 of the diameter carries the note.
+    which u-perp meets exactly when (u . e1)(u . y) < 0, that is when cos
+    phi cos(phi - d) < 0 for the angle phi of u's projection onto the arc's
+    plane.  phi is uniform, and the test does not change under phi -> phi +
+    pi, so each chunk's points are the shifted grid t = frac(i / N +
+    shift), i < N, at phi = pi (t + 1/2): there cos phi cos(phi - d) =
+    sin(pi t) sin(pi t - d), which is negative exactly when 0 < t < d / pi.
+    Every point weighs alike, and a chunk's hit fraction is m / N or (m +
+    1) / N, m = floor(N d / pi): two values, whose spread over the chunks
+    can read 0, so the stderr is at least the largest spread such chunks
+    can have (resolution 1 in _moment_estimate).  A d below
+    MIN_ARC_DISTANCE is a coincident pair, and an estimate within 1e-12 of
+    the diameter carries the note.
     """
     ds = [0.0 if d < MIN_ARC_DISTANCE else d for d in ds]
+    arrays = _thread_arrays(2, masks=1)
 
     def draw(rng, size):
-        g1, g2 = _arc_plane_coordinates(size, rng)
-        g2 *= g1
-        g1 *= g1
-        return g1, g2
+        t, spare, _ = arrays(size)
+        return _shifted(_lattice_steps(size)[0], rng.random(), t, spare)
 
-    def values(d, shared):
-        g11, g12 = shared
-        v = g11 * math.cos(d)
-        v += g12 * math.sin(d)
-        np.less(v, 0.0, out=v)
-        hits = int(np.count_nonzero(v))
-        return v, (v.size - hits, hits, 0)
+    def values(d, t):
+        hits = int(np.count_nonzero(np.less(t, d / math.pi, out=arrays(t.size)[2])))
+        return float(hits), np.array((t.size - hits, hits, 0))
 
-    estimates = _conditional_estimate(ds, samples, seed, workers, 1.0, draw, values)
+    estimates = _conditional_estimate(ds, samples, seed, workers, 1.0, draw,
+                                      values, resolution=1.0)
     return [replace(e, note=note) if e.d > diameter - 1e-12 else e
             for e in estimates]
 
@@ -926,7 +1167,14 @@ def sphere_halfspace_crofton(x, y, samples, seed=0, workers=1):
 class Carrier:
     """A family's Crofton formula: estimate(field, n, ds, samples, seed,
     workers) -> a CroftonEstimate per d in ds, for low <= d <= high (high_name,
-    bounded for the reason why); constant(k, n) = estimate / d, k = dim F."""
+    bounded for the reason why); constant(k, n) = estimate / d, k = dim F.
+
+    law(k, n) -> (theta, phi) is the law of the angles that a direction's
+    value depends on, each as the exponents (alpha, beta) of the density
+    cos^(alpha-1) a sin^(beta-1) a on [0, pi/2], or None for an angle that
+    is fixed or not graded (_sphere_law): the estimator's lattice points
+    are graded in these angles and weighted by their density.  An arc's
+    angle is uniform and needs neither grading nor weights."""
 
     estimate: Callable
     fields: tuple
@@ -935,13 +1183,15 @@ class Carrier:
     high_name: str
     why: str
     constant: Callable
+    law: Callable
 
 
 def _arc_carrier(diameter, name, space, note):
     """An arc family: past its diameter d reads 2 pi - d (S^n) or pi - d (P^n_R)."""
     return Carrier(lambda field, n, *rest: _arc_crofton_many(*rest, diameter, note),
                    FIELDS, MIN_ARC_DISTANCE, diameter, name,
-                   f"the diameter of {space}", lambda k, n: 1.0 / math.pi)
+                   f"the diameter of {space}", lambda k, n: 1.0 / math.pi,
+                   lambda k, n: (None, None))
 
 
 _H_RANGE = (0.0, MAX_DISTANCE, f"{MAX_DISTANCE:g}", "the largest supported in H^n")
@@ -950,10 +1200,12 @@ _H_RANGE = (0.0, MAX_DISTANCE, f"{MAX_DISTANCE:g}", "the largest supported in H^
 CARRIERS = {
     "hyperplane": Carrier(lambda field, *rest: hyperplane_crofton_many(*rest),
                           (REAL,), *_H_RANGE,
-                          lambda k, n: sphere_area(n - 2) / (n - 1) if n > 1 else 1.0),
+                          lambda k, n: sphere_area(n - 2) / (n - 1) if n > 1 else 1.0,
+                          _sphere_law),
     # 2 vol(B^m) = vol(S^{m+1}) / pi, m = k n - 1
     "horosphere": Carrier(lambda *args: horosphere_crofton_many(*args), FIELDS,
-                          *_H_RANGE, lambda k, n: sphere_area(k * n) / math.pi),
+                          *_H_RANGE, lambda k, n: sphere_area(k * n) / math.pi,
+                          _sphere_law),
     "projective": _arc_carrier(
         0.5 * math.pi, "pi/2", "P^n_R", "pair at distance pi/2, the diameter: "
         "both short segments give the same fraction"),

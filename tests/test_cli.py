@@ -466,6 +466,34 @@ class TestCrofton:
         assert code in (0, 1)
         assert json.loads(out)["results"][0]["d"] == float(d)
 
+    @pytest.mark.parametrize("argv", [
+        ("hyperplane", "--dim", "5", "--pairs", "12", "--seed", "5"),
+        ("horosphere", "--field", "h", "--dim", "2", "--pairs", "12", "--seed", "5"),
+        ("horosphere", "--field", "r", "--dim", "300", "--pairs", "0.5",
+         "--samples", "400000", "--seed", "3"),
+    ], ids=["hyperplane-H5", "horosphere-H2", "horosphere-R300"])
+    def test_long_segments_and_high_dimension(self, capsys, argv):
+        # on i.i.d. directions these read 3.57 +- 0.29 against 4.935, 4.28 +-
+        # 1.50 against 9.4495 and 8.23e-188 +- 2.2e-189 against 9.05e-188,
+        # all "ratios inconsistent" (exit 1)
+        code, out, err = run_cli(capsys, "crofton", *argv)
+        assert (code, json.loads(out)["verdict"], err) == (0, "ratios consistent", "")
+
+    def test_value_past_float_range_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "crofton", "horosphere", "--field", "r",
+                                 "--dim", "300", "--pairs", "16", "--samples", "1000")
+        assert (code, out) == (2, "")
+        assert "past e^600" in err and "Traceback" not in err
+
+    def test_short_arc_has_a_stderr(self, capsys):
+        # no grid point of a chunk falls on an arc of 1e-9: the estimate is
+        # 0, with the stderr of the two-valued chunk fractions, not 0 +- 0
+        code, out, _ = run_cli(capsys, "crofton", "projective", "--dim", "2",
+                               "--pairs", "1e-9", "--samples", "100000", "--seed", "1")
+        result = json.loads(out)["results"][0]
+        assert (code, result["estimate"]) == (0, 0.0)
+        assert result["stderr"] == 0.5 / (6250 * 4)
+
     def test_large_dimension(self, capsys):
         # vol(S^399) = 1.4e-273 is a normal float; math.gamma(200) overflowed
         # (exit 1, traceback)

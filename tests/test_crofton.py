@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -402,19 +403,24 @@ class TestHorosphereIntersections:
                 count_horosphere_intersections(h, seg)
 
     def test_histogram_counts_match_scalar(self):
-        # replay the estimator's draws for one chunk: per direction w, a
-        # uniform u picks the radius r with Phi(r) = lo + u (peak - lo), where
-        # Phi(r) = r^{e+1} / (e+1) over the radii 1 / |<p(s), (1, w)>| met
-        # along the segment, found here by a dense scan.  The scalar count
-        # of that horosphere is the one the estimator histogrammed.
+        # replay the estimator's draws for every chunk: per lattice point w,
+        # a uniform u picks the radius r with Phi(r) = lo + u (peak - lo),
+        # where Phi(r) = r^{e+1} / (e+1) over the radii 1 / |<p(s), (1, w)>|
+        # met along the segment, found here by a dense scan.  The scalar
+        # count of that horosphere is the one the estimator histogrammed.
         space = HermitianSpace(COMPLEX, 2)
         k, e, samples, seed, d = 2, 3, 400, 16, 1.2
         x, y = axis_point(space, -0.5 * d), axis_point(space, 0.5 * d)
         seg = geodesic_between(x, y)
         est = estimate_horosphere_crofton(x, y, samples, seed=seed)
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        x1, a, b = crofton._first_coordinate(k, 2, samples, rng)
-        u = rng.random(samples)
+        sizes = crofton._chunk_sizes(samples)
+        draws = []
+        for size, sub in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
+            rng = np.random.default_rng(sub)
+            stats = crofton._lattice_statistics(crofton._sphere_law(k, 2), rng,
+                                                spare(size, 9))
+            draws.append([s.copy() for s in stats[:3]] + [rng.random(size)])
+        x1, a, b, u = (np.concatenate(c) for c in zip(*draws))
         # a direction with these statistics: ((x, sqrt a), (sqrt b, 0)) / rho
         w = np.column_stack([x1, np.sqrt(a), np.sqrt(b), np.zeros(samples)])
         w /= np.sqrt(x1 * x1 + a + b)[:, None]
@@ -531,7 +537,8 @@ class TestHorosphereKernel:
     def test_matches_reference(self, field, n):
         # the same (x, a, b, u) through the reference, which forms G's
         # minimum at every d, and through the kernel, which takes Phi at it
-        # from the chunk's d-free levels; the drawn directions plus w1 = 1,
+        # from the chunk's d-free levels; one chunk's graded lattice points,
+        # on the unit sphere (x^2 + a + b = 1), plus w1 = 1,
         # (x, a, b) = (1, 0, 0), where low = gamma = 0 and G's critical
         # value is 0 (every direction of H^1_R is this one), and, where k >= 2
         # or n >= 2, Re w1 = 0, (x, a, b) = (0, k - 1, k (n - 1)), where low
@@ -542,8 +549,9 @@ class TestHorosphereKernel:
         edges = [(1.0, 0.0, 0.0)]
         if k * n > 1:
             edges.append((0.0, k - 1.0, k * (n - 1.0)))
-        x, a, b = (np.append(s, v) for s, v in
-                   zip(crofton._first_coordinate(k, n, 2000, rng), zip(*edges)))
+        drawn = crofton._lattice_statistics(crofton._sphere_law(k, n), rng,
+                                            spare(2000, 9))
+        x, a, b = (np.append(s, v) for s, v in zip(drawn, zip(*edges)))
         u = rng.random(x.size)
         with np.errstate(all="raise"):
             levels = crofton._horosphere_levels(x.copy(), a.copy(), b.copy(),
@@ -562,33 +570,65 @@ class TestHorosphereKernel:
 class TestFirstCoordinate:
     @pytest.mark.parametrize("k,m", [(1, 1), (1, 3), (2, 2), (4, 1), (4, 2)])
     def test_law_matches_uniform_sphere(self, k, m):
-        # the means of |Re w1|, |Im w1|^2 and |w_rest|^2 from the statistics
-        # against the same functions of uniform unit vectors of F^m; a wrong
-        # gamma shape moves them by many sigma
-        samples = 200_000
-        x, a, b = crofton._first_coordinate(k, m, samples,
-                                            np.random.default_rng(70 + k * m))
-        rho2 = x * x + a + b
-        w = crofton._uniform_sphere(k * m, samples, np.random.default_rng(80 + k * m))
-        drawn = (x / np.sqrt(rho2), a / rho2, b / rho2)
-        read = (np.abs(w[:, 0]), np.sum(w[:, 1:k] ** 2, axis=1),
-                np.sum(w[:, k:] ** 2, axis=1))
-        for got, want in zip(drawn, read):
-            sigma = math.hypot(got.std(), want.std()) / math.sqrt(samples)
-            assert abs(got.mean() - want.mean()) <= 5 * sigma + 1e-15
+        # the weighted means of |Re w1|, |Im w1|^2 and |w_rest|^2 over the
+        # graded lattice points of an estimator's chunks against their
+        # values for uniform unit vectors of F^m, N = k m real coordinates:
+        # Gamma(N/2) / (sqrt(pi) Gamma((N+1)/2)), (k-1)/N and k(m-1)/N; a
+        # wrong weight exponent or normaliser moves them by many sigma
+        samples, big = 200_000, k * m
+        sizes = crofton._chunk_sizes(samples)
+        means = []
+        for size, sub in zip(sizes, np.random.SeedSequence(70 + big).spawn(len(sizes))):
+            x, a, b, w = crofton._lattice_statistics(
+                crofton._sphere_law(k, m), np.random.default_rng(sub),
+                spare(size, 9))
+            means.append([np.mean(w * s) for s in (x, a, b)])
+        means = np.array(means)
+        want = (math.exp(math.lgamma(0.5 * big) - math.lgamma(0.5 * (big + 1)))
+                / math.sqrt(math.pi), (k - 1) / big, k * (m - 1) / big)
+        for got, value in zip(means.T, want):
+            sigma = got.std(ddof=1) / math.sqrt(got.size)
+            assert abs(got.mean() - value) <= 5 * sigma + 1e-15
 
     def test_generator_calls(self):
-        # per call: one normal draw, then a gamma draw for Im w1 when k > 1
-        # and one for w_rest when m > 1, in that order
+        # per chunk: one uniform shift per graded angle, theta's then phi's,
+        # and no other draw; the points are the shifted rank-1 lattice (i,
+        # i g) / size with phi's coordinate folded, at tan(angle / 2) =
+        # t^GRADE, and each weighs its law's density times the angle's
+        # derivative in t, over the density's integral
         size = 7
+        step = crofton._lattice_steps(size)
+        t = np.arange(size)
+        grade = crofton.GRADE
         for k, m in ((1, 1), (1, 3), (4, 1), (4, 2)):
-            x, a, b = crofton._first_coordinate(k, m, size, np.random.default_rng(5))
+            law = crofton._sphere_law(k, m)
             rng = np.random.default_rng(5)
-            assert np.array_equal(x, np.abs(rng.standard_normal(size)))
-            assert np.array_equal(a, 2 * rng.standard_gamma(0.5 * (k - 1), size)
-                                  if k > 1 else np.zeros(size))
-            assert np.array_equal(b, 2 * rng.standard_gamma(0.5 * k * (m - 1), size)
-                                  if m > 1 else np.zeros(size))
+            x, a, b, w = crofton._lattice_statistics(law, rng, spare(size, 9))
+            replay = np.random.default_rng(5)
+            laws = [angle for angle in law if angle]
+            shifts = replay.random(len(laws))
+            assert rng.random() == replay.random()
+            cos = {0: np.ones(size), 1: np.ones(size)}
+            sin = {0: np.zeros(size), 1: np.zeros(size)}
+            weight = np.ones(size)
+            for j, (which, angle) in enumerate((i, angle) for i, angle in enumerate(law)
+                                               if angle):
+                coordinate = (t * step[j] + shifts[j]) % 1.0
+                if which == 1:
+                    coordinate = 1.0 - np.abs(2.0 * coordinate - 1.0)
+                angle_of = 2.0 * np.arctan(coordinate ** grade)
+                slope = 2.0 * grade * coordinate ** (grade - 1) \
+                    / (1.0 + coordinate ** (2 * grade))
+                alpha, beta = angle
+                total = 0.5 * math.gamma(0.5 * alpha) * math.gamma(0.5 * beta) \
+                    / math.gamma(0.5 * (alpha + beta))
+                cos[which], sin[which] = np.cos(angle_of), np.sin(angle_of)
+                weight *= cos[which] ** (alpha - 1) * sin[which] ** (beta - 1) \
+                    * slope / total
+            want = (cos[0] * cos[1], (cos[0] * sin[1]) ** 2, sin[0] ** 2)
+            for got, value in zip((x, a, b), want):
+                assert np.allclose(got, value, rtol=0.0, atol=1e-15)
+            assert np.allclose(w, weight, rtol=1e-13, atol=0.0)
 
 
 class TestDistanceEstimators:
@@ -633,6 +673,129 @@ class TestDistanceEstimators:
     def test_invalid_input_rejected(self, call):
         with pytest.raises(ValueError):
             call()
+
+
+class TestGradedLattice:
+    @pytest.mark.parametrize("samples", [1, 15, 16, 1000, 20_000,
+                                         16 * crofton.CHUNK_SIZE + 1, 1_000_000])
+    def test_chunk_sizes(self, samples):
+        # the replicates hold every sample, at least MIN_REPLICATES of them
+        # (one point each below that), none over CHUNK_SIZE points, and
+        # their sizes differ by at most one
+        sizes = crofton._chunk_sizes(samples)
+        assert sum(sizes) == samples
+        assert len(sizes) == min(samples, max(crofton.MIN_REPLICATES,
+                                              -(-samples // crofton.CHUNK_SIZE)))
+        assert max(sizes) <= crofton.CHUNK_SIZE
+        assert max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("size", [1, 2, 6, 987, 1250, 16129, 16384])
+    def test_lattice_generator(self, size):
+        # g prime to size, so the second coordinates are a permutation of
+        # i / size; g = F_{k-1} for size = F_k (the Fibonacci lattice)
+        first, second = crofton._lattice_steps(size)
+        g = round(second * size)
+        assert first == 1.0 / size and math.gcd(g, size) == 1
+        points = np.sort(np.round((np.arange(size) * g) % size))
+        assert np.array_equal(points, np.arange(size))
+        if size == 987:
+            assert g == 610
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_pool_reraises_and_keeps_order(self, workers):
+        # results come back by chunk index whatever thread ran them, and an
+        # exception in any chunk reaches the caller
+        sizes = crofton._chunk_sizes(40_000)
+        got = crofton._run_chunks(lambda rng, size: (size, rng.random()),
+                                  40_000, 7, workers)
+        want = [(size, np.random.default_rng(sub).random()) for size, sub in
+                zip(sizes, np.random.SeedSequence(7).spawn(len(sizes)))]
+        assert got == want
+
+        def fail(rng, size):
+            if rng.random() == want[-1][1]:  # the last chunk only
+                raise ArithmeticError("chunk failed")
+            return size
+
+        with pytest.raises(ArithmeticError, match="chunk failed"):
+            crofton._run_chunks(fail, 40_000, 7, workers)
+
+    def test_pool_runs_each_chunk_once_under_contention(self):
+        # more threads than cores and a short switch interval: every chunk
+        # index is taken exactly once, and its result lands at its index
+        samples = 300 * crofton.CHUNK_SIZE
+        runs = []
+
+        def chunk(rng, size):
+            runs.append(size)
+            return rng.random()
+
+        interval = sys.getswitchinterval()
+        done = []
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=lambda: done.append(
+                crofton._run_chunks(chunk, samples, 11, workers=8)))
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert len(runs) == 300
+        assert done == [[np.random.default_rng(sub).random() for sub in
+                         np.random.SeedSequence(11).spawn(300)]]
+
+    @pytest.mark.parametrize("field,n", [(REAL, 2), (REAL, 3), (COMPLEX, 2),
+                                         (COMPLEX, 3), (QUATERNION, 2),
+                                         (QUATERNION, 3)])
+    def test_long_segments_match_constant(self, field, n):
+        # i.i.d. directions read long segments low with a too-small stderr
+        # (H^2_H at d = 12 read 4.28 +- 1.50 against 9.4495): on the graded
+        # lattice every ratio is within 3 sigma of 2 vol(B^{kn-1})
+        k = FIELD_DIM[field]
+        constant = crofton.CARRIERS["horosphere"].constant(k, n)
+        for est in crofton.horosphere_crofton_many(field, n, (0.5, 2.0, 12.0, 16.0),
+                                                   1_000_000, seed=5):
+            assert abs(est.ratio - constant) <= 3 * est.stderr / est.d
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_long_segments_match_constant_hyperplanes(self, n):
+        # H^5_R at d = 12 read 3.57 +- 0.29 against 4.935 on i.i.d.
+        # directions
+        constant = crofton.CARRIERS["hyperplane"].constant(1, n)
+        for est in crofton.hyperplane_crofton_many(n, (0.5, 2.0, 12.0, 16.0),
+                                                   1_000_000, seed=5):
+            assert abs(est.ratio - constant) <= 3 * est.stderr / est.d
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX, QUATERNION])
+    def test_short_segments_match_constant(self, field):
+        # below SHORT_SEGMENT / (e + 1) a value is its d -> 0 limit; the
+        # kernel's difference of two Phi values read C^2 at d = 1e-13 7.3e-4
+        # high, 77 sigma at 100,000 samples
+        k = FIELD_DIM[field]
+        constant = crofton.CARRIERS["horosphere"].constant(k, 2)
+        for est in crofton.horosphere_crofton_many(field, 2, (1e-13, 1e-9, 1e-6, 1e-3),
+                                                   300_000, seed=3):
+            assert abs(est.ratio - constant) <= 3 * est.stderr / est.d
+
+    @pytest.mark.parametrize("call", [
+        lambda: crofton.hyperplane_crofton(100, 16.0, 1000),
+        lambda: crofton.horosphere_crofton(REAL, 300, 16.0, 1000),
+    ], ids=["hyperplane", "horosphere"])
+    def test_value_past_float_range_rejected(self, call):
+        # a direction's value would reach e^726 and e^2387, where its
+        # lattice weight underflows to 0 beside it
+        with pytest.raises(ValueError, match="past e\\^600"):
+            call()
+
+    def test_high_dimension_without_overflow(self):
+        # R^300: Phi at G's minimum overflows near w1 = 1, outside every
+        # admitted segment; capped, no warning and no NaN reaches the value.
+        # i.i.d. directions read 8.23e-188 +- 2.2e-189 against 9.05e-188
+        constant = crofton.CARRIERS["horosphere"].constant(1, 300)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            est = crofton.horosphere_crofton(REAL, 300, 0.5, 400_000, seed=3)
+        assert abs(est.ratio - constant) <= 3 * est.stderr / est.d
 
 
 class TestChunkMoments:
@@ -777,15 +940,15 @@ class TestSharedDraws:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("carrier,args,sampler", [
-        ("hyperplane", (3,), "_first_coordinate"),
-        ("horosphere", (QUATERNION, 2), "_first_coordinate"),
-        ("projective", (), "_arc_plane_coordinates"),
-        ("sphere_halfspace", (), "_arc_plane_coordinates"),
+        ("hyperplane", (3,), "_graded_lattice"),
+        ("horosphere", (QUATERNION, 2), "_graded_lattice"),
+        ("projective", (), "_shifted"),
+        ("sphere_halfspace", (), "_shifted"),
     ], ids=["hyperplane", "horosphere", "projective", "sphere"])
     def test_one_draw_per_chunk(self, monkeypatch, carrier, args, sampler,
                                 workers):
-        # the directions are drawn once per chunk, however many distances
-        # read them
+        # the lattice points are drawn once per chunk, however many
+        # distances read them
         calls = []
         real = getattr(crofton, sampler)
 
@@ -802,14 +965,14 @@ class TestSharedDraws:
             else:
                 many(*sign_change_pairs(carrier, ds), SHARED_SAMPLES,
                      seed=3, workers=workers)
-            assert len(calls) == 3
+            assert len(calls) == len(crofton._chunk_sizes(SHARED_SAMPLES))
 
     def test_no_draw_without_a_positive_distance(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("drew directions for coincident points")
 
-        monkeypatch.setattr(crofton, "_first_coordinate", refuse)
-        monkeypatch.setattr(crofton, "_arc_plane_coordinates", refuse)
+        monkeypatch.setattr(crofton, "_graded_lattice", refuse)
+        monkeypatch.setattr(crofton, "_shifted", refuse)
         ests = crofton.horosphere_crofton_many(REAL, 2, (0.0, 0.0), 100)
         ests += crofton.sphere_halfspace_crofton_many([1, 0], [[2, 0]], 100)
         assert [e.estimate for e in ests] == [0.0, 0.0, 0.0]
@@ -841,17 +1004,27 @@ class TestSignChangeEstimates:
     @pytest.mark.parametrize("carrier", ["projective", "sphere_halfspace"])
     def test_binomial_histogram_and_stderr(self, carrier):
         # a hypersurface crosses an arc 0 or 1 times: the histogram counts
-        # the misses and hits, the hit fraction is hits / N, and the
-        # stderr is the binomial sqrt(p (1 - p) / N)
+        # the misses and hits, the hit fraction is hits / N, and the stderr
+        # is the spread of the chunks' hit fractions, replayed here from
+        # their shifted grids, or at least the largest spread of two-valued
+        # fractions 1 / n apart, n the smaller chunk size
         ds = (0.3, 1.2, math.pi / 2, 3.0)[:3 if carrier == "projective" else 4]
         many = getattr(crofton, f"{carrier}_crofton_many")
+        sizes = crofton._chunk_sizes(SHARED_SAMPLES)
+        shifts = [np.random.default_rng(sub).random() for sub in
+                  np.random.SeedSequence(5).spawn(len(sizes))]
         for est in many(*sign_change_pairs(carrier, ds), SHARED_SAMPLES, seed=5):
             hits = est.count_histogram[1]
             assert est.count_histogram == {0: SHARED_SAMPLES - hits, 1: hits}
             assert est.mean_count == hits / SHARED_SAMPLES
-            p = est.mean_count
-            assert est.stderr == pytest.approx(
-                math.sqrt(p * (1.0 - p) / SHARED_SAMPLES), rel=1e-12)
+            fractions = np.array([np.mean((np.arange(n) / n + shift) % 1.0
+                                          < est.d / math.pi)
+                                  for n, shift in zip(sizes, shifts)])
+            assert round(fractions @ sizes) == hits
+            spread = np.sum(sizes * (fractions - hits / SHARED_SAMPLES) ** 2)
+            stderr = max(math.sqrt(spread / (SHARED_SAMPLES * (len(sizes) - 1))),
+                         0.5 / (min(sizes) * math.sqrt(len(sizes))))
+            assert est.stderr == pytest.approx(stderr, rel=1e-12)
 
     @pytest.mark.parametrize("d", [0.3, 1.2, math.pi / 2])
     def test_projective_equals_sphere(self, d):
@@ -1010,16 +1183,17 @@ class TestHorosphereEstimator:
         assert est.count_histogram.get(2, 0) > 0
 
     def test_histogram_pinned(self):
-        # recorded when chunks shrank to 2^14 directions: the chunk
-        # boundaries, and so the stream, moved, while the law did not (the
-        # value 9.4227 +- 0.0239 is within 1.2 sigma of 2 vol(B^7) = 9.4495);
-        # the estimate's float may change in its last digits, the crossing
-        # counts may not
+        # recorded when the chunks became graded lattices (19 replicates of
+        # 15789 or 15790 points): the value 9.4495277 +- 8.5e-6 is within 0.5
+        # sigma of 2 vol(B^7) = 9.4495319, and the histogram tallies the
+        # lattice points, crowded towards w1 = 1, where a horosphere is met
+        # twice less often than over uniform directions; the estimate's
+        # float may change in its last digits, the crossing counts may not
         space = HermitianSpace(QUATERNION, 2)
         est = estimate_horosphere_crofton(axis_point(space, 0.0),
                                           axis_point(space, 1.0), 300_000, seed=1)
-        assert est.count_histogram == {1: 152573, 2: 147427}
-        assert est.estimate == pytest.approx(9.422742051308571, rel=1e-14)
+        assert est.count_histogram == {1: 255836, 2: 44164}
+        assert est.estimate == pytest.approx(9.449527678292084, rel=1e-14)
 
     def test_worker_count_invariance(self):
         space = HermitianSpace(COMPLEX, 2)

@@ -66,9 +66,8 @@ POINTS = "\n".join([
     f"{math.cosh(0.8)},{-math.sinh(0.8)},0",
 ]) + "\n"
 
-#: chunks of crofton.CHUNK_SIZE = 2^14 directions: 40000 samples are three
-#: chunks, which a pool runs at --workers 2; 1000 samples are one, which
-#: runs without a pool at any worker count
+#: 40000 and 1000 samples are each 16 replicate chunks (crofton.MIN_REPLICATES),
+#: which --workers 2 runs on the calling thread and one more
 CROFTON_ARGS = {
     "hyperplane": ("--dim", "3"),
     "horosphere": ("--field", "h", "--dim", "2"),
@@ -120,12 +119,11 @@ class TestSubcommandImports:
         assert "hypcrofton.crofton" not in modules
         assert "concurrent.futures" not in modules
 
-    @pytest.mark.parametrize("workers,samples,pool", [
-        ("1", "40000", False), ("2", "40000", True), ("2", "1000", False),
+    @pytest.mark.parametrize("workers,samples", [
+        ("1", "40000"), ("2", "40000"), ("2", "1000"),
     ], ids=["workers-1", "workers-2", "workers-2-one-chunk"])
     @pytest.mark.parametrize("carrier", list(CROFTON_ARGS))
-    def test_crofton_loads_no_kernels(self, tmp_path, carrier, workers, samples,
-                                      pool):
+    def test_crofton_loads_no_kernels(self, tmp_path, carrier, workers, samples):
         argv = ("crofton", carrier, *CROFTON_ARGS[carrier], "--pairs", "0.5,1",
                 "--samples", samples, "--workers", workers, "--seed", "1")
         code, modules = loaded_modules(argv, tmp_path)
@@ -136,8 +134,8 @@ class TestSubcommandImports:
         # every carrier's estimator takes distances, not points, so no run
         # loads the geometry layer
         assert "hypcrofton.spaces" not in modules
-        # concurrent.futures loads when, and only when, a pool runs
-        assert ("concurrent.futures" in modules) == pool
+        # the chunk pool is plain threads: no run loads concurrent.futures
+        assert "concurrent.futures" not in modules
 
     def test_package_loads_a_submodule_on_first_lookup(self, tmp_path):
         script = ("import json, sys, hypcrofton\n"
