@@ -23,7 +23,9 @@ are not uniform directions but graded lattice points in these angles
 stand for the angles at tan(angle/2) = t^GRADE, which crowds them towards
 w1 = 1, where long segments concentrate their values, and each point
 carries its angle law's density times the derivative of the angle in t
-as its weight.  All of it is formed without a trigonometric call.  The
+as its weight.  All of it is formed without a trigonometric call, and
+the horosphere levels come from the angles' half-angle forms (1 - cos)/2
+and sin/2, so that nothing cancels near w1 = 1.  The
 projective and sphere estimators do the same on the canonical arc from e1
 to (cos d, sin d, 0, ...): O(n+1) is transitive on arcs of length d, and a
 hypersurface u-perp meets that arc according to the angle of u's
@@ -41,17 +43,18 @@ one-pair wrappers, and each estimate of a vector call equals the one its
 wrapper gives at the same seed.  So the estimates of one call use common
 random numbers.
 
-Estimators are deterministic given an integer master seed: the samples are
-split into at least MIN_REPLICATES chunks of near-equal size
-(_chunk_sizes), each with an independently spawned substream that draws
-its lattice shift, so the result does not depend on the worker count or
-schedule.  Each chunk is an unbiased replicate, and an estimate's stderr
-is the spread of the chunk means over the square root of their count.  A
-chunk holds at most CHUNK_SIZE = 2^14 points, so each of its arrays is at
-most 128 KiB and a worker's working set, nine of them and a bool mask for
-horospheres and five for hyperplanes, stays in a 2 MiB L2 cache.  The
-chunks that one thread runs in one call reuse the same arrays
-(_thread_arrays), and the kernels work in them in place.
+Estimators are deterministic given a non-negative integer master seed:
+the samples are split into at least MIN_REPLICATES chunks of near-equal
+size (_chunk_sizes), and one random.Random(seed) stream draws every
+chunk's lattice shifts, in chunk order and before any chunk runs, so the
+result does not depend on the worker count or schedule; no estimator
+loads numpy.random.  Each chunk is an unbiased replicate, and an
+estimate's stderr is the spread of the chunk means over the square root
+of their count.  A chunk holds at most CHUNK_SIZE = 2^14 points, so each
+of its arrays is at most 128 KiB and a worker's working set, nine of
+them and a bool mask for horospheres and five for hyperplanes, stays in
+a 2 MiB L2 cache.  The chunks that one thread runs in one call reuse the
+same arrays (_thread_arrays), and the kernels work in them in place.
 
 CARRIERS holds one Carrier per family, keyed by the CLI's carrier names:
 its estimator of distances, the fields and distances it takes, and its
@@ -63,6 +66,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 import sys
 import threading
 from dataclasses import dataclass, field, replace
@@ -213,8 +217,11 @@ GRADE = 4
 #: the fewest replicates, chunks with their own lattice shift, that an
 #: estimate's stderr is taken from
 MIN_REPLICATES = 16
-#: the golden ratio's fractional part, which sets the lattice generator
+#: the golden ratio's fractional part, which sets the lattice generator of
+#: the angles' second coordinate, and sqrt(2)'s, which sets that of the
+#: horospheres' crossing coordinate
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
+_SILVER = math.sqrt(2.0) - 1.0
 #: the lattice index i as a float, shared read-only by every chunk
 _INDEX = np.arange(CHUNK_SIZE, dtype=float)
 _INDEX.flags.writeable = False
@@ -233,7 +240,17 @@ def _chunk_sizes(samples):
     return [size + 1] * extra + [size] * (count - extra)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=128)
+def _generator(size, fraction):
+    """The integer prime to size nearest size * fraction, at least 1."""
+    g = max(1, round(fraction * size))
+    for step in range(size):
+        for candidate in (g - step, g + step):
+            if candidate >= 1 and math.gcd(candidate, size) == 1:
+                return candidate
+    raise AssertionError("1 is prime to every size")
+
+
 def _lattice_steps(size):
     """(1 / size, g / size): the steps of the rank-1 lattice of the points
     (i, i g) / size mod 1, i < size.
@@ -242,12 +259,20 @@ def _lattice_steps(size):
     golden ratio's fractional part, so the lattice is a Fibonacci lattice
     when size is a Fibonacci number, and close to one otherwise.
     """
-    g = round(_GOLDEN * size)
-    for step in range(size):
-        for candidate in (g - step, g + step):
-            if candidate >= 1 and math.gcd(candidate, size) == 1:
-                return 1.0 / size, candidate / size
-    raise AssertionError("1 is prime to every size")
+    return 1.0 / size, _generator(size, _GOLDEN) / size
+
+
+def _crossing_step(size):
+    """g2 / size: the step of the horospheres' third lattice coordinate,
+    i g2 / size mod 1, with g2 the integer prime to size nearest size
+    times sqrt(2)'s fractional part.
+
+    Its own shift keeps each point's coordinate uniform and independent of
+    its angles, which is all the crossing tally needs; g2 is not g, nor
+    g^2 mod size, which is +-1 for a Fibonacci size and would repeat the
+    first coordinate.
+    """
+    return _generator(size, _SILVER) / size
 
 
 def _shifted(step, shift, t, spare):
@@ -277,72 +302,71 @@ def _power(y, m, spare):
 
 
 def _law_constant(law):
-    """2 GRADE / Z for law = (alpha, beta): Z = B(alpha/2, beta/2) / 2 is the
-    integral of cos^(alpha-1) a sin^(beta-1) a over [0, pi/2], from
-    log-gamma."""
+    """2^beta GRADE / Z for law = (alpha, beta): Z = B(alpha/2, beta/2) / 2
+    is the integral of cos^(alpha-1) a sin^(beta-1) a over [0, pi/2], from
+    log-gamma, and 2^(beta-1) turns (sin(a)/2)^(beta-1) into sin^(beta-1)
+    a."""
     alpha, beta = law
     return 4.0 * GRADE * math.exp(math.lgamma(0.5 * (alpha + beta))
                                   - math.lgamma(0.5 * alpha)
-                                  - math.lgamma(0.5 * beta))
+                                  - math.lgamma(0.5 * beta)
+                                  + (beta - 1) * math.log(2.0))
 
 
-def _graded_angle(law, t, cos, sin, weight):
-    """cos a and sin a of the angles a that the lattice coordinates t stand
-    for, written into cos and sin, and weight multiplied by each point's
-    weight under the law cos^(alpha-1) a sin^(beta-1) a da on [0, pi/2],
-    law = (alpha, beta), short of the constant _law_constant(law); t is
-    overwritten.
+def _graded_angle(law, t, hav, cos, weight, spare):
+    """(1 - cos a) / 2, sin(a) / 2 and cos a of the angles a that the
+    lattice coordinates t stand for, written into hav, t and cos, and
+    weight multiplied by each point's weight under the law cos^(alpha-1) a
+    sin^(beta-1) a da on [0, pi/2], law = (alpha, beta), short of the
+    constant _law_constant(law); spare is overwritten.
 
-    With tau = tan(a/2) = t^GRADE and h = 1 / (1 + tau^2): cos a = (1 -
-    tau^2) h, sin a = 2 tau h and da/dt = 2 h GRADE t^(GRADE-1), so nothing
-    calls a trigonometric function.  The weight is the density times da/dt
-    over the density's integral Z: cos^(alpha-1) a sin^(beta-1) a h
-    t^(GRADE-1) times 2 GRADE / Z.
+    With tau = tan(a/2) = t^GRADE and h = 1 / (1 + tau^2): (1 - cos a) / 2 =
+    tau^2 h, sin(a) / 2 = tau h, cos a = h - tau^2 h and da/dt = 2 h GRADE
+    t^(GRADE-1), so nothing calls a trigonometric function.  The weight is
+    the density times da/dt over the density's integral Z: cos^(alpha-1) a
+    (sin(a)/2)^(beta-1) h t^(GRADE-1) times 2^beta GRADE / Z.
     """
     alpha, beta = law
-    power = _power(t, GRADE - 1, sin)
+    power = _power(t, GRADE - 1, spare)
     weight *= power
     t *= power  # tau
-    np.multiply(t, t, out=sin)
-    np.subtract(1.0, sin, out=cos)
-    sin += 1.0
-    h = np.reciprocal(sin, out=sin)
-    cos *= h
+    np.multiply(t, t, out=hav)
+    np.add(hav, 1.0, out=cos)
+    h = np.reciprocal(cos, out=cos)
     weight *= h
     t *= h
-    np.add(t, t, out=sin)
-    for y, m in ((cos, alpha - 1), (sin, beta - 1)):
+    hav *= h
+    np.subtract(h, hav, out=cos)
+    for y, m in ((cos, alpha - 1), (t, beta - 1)):
         if m:
-            weight *= _power(y, m, t)
-    return cos, sin
+            weight *= _power(y, m, spare)
+    return hav, t, cos
 
 
-def _graded_lattice(angles, rng, weight, spare):
+def _graded_lattice(angles, shifts, weight, spare):
     """One chunk's points of a randomly shifted rank-1 lattice, one
     coordinate per graded angle, and their weights, written into arrays.
 
-    angles holds a (law, (t, cos, sin), fold) per angle: its law
-    (_graded_angle), the arrays its coordinate, cosine and sine are written
-    into, and whether its coordinate is folded by the tent map t -> 1 -
-    |2t - 1|, which keeps it uniform and makes an integrand that differs
-    at t = 0 and t = 1 continuous where the lattice wraps.  The chunk's
-    generator draws one uniform shift per angle, its first and only call
-    here; the weights, the product of the angles' weights with their
-    constants, are written into weight, and spare is overwritten.  Every
-    point's weighted value has the law's mean as its expectation, so each
-    chunk is an independent, unbiased replicate.
+    angles holds a (law, (t, hav, cos), fold) per angle: its law and the
+    arrays its coordinate, (1 - cos)/2 and cosine are written into, sin/2
+    in t (_graded_angle), and whether its coordinate is folded by the tent
+    map t -> 1 - |2t - 1| = 2 min(t, 1 - t), which keeps it uniform and
+    makes an integrand that differs at t = 0 and t = 1 continuous where
+    the lattice wraps.  shifts holds the chunk's uniform shift of each
+    angle's coordinate; the weights, the product of the angles' weights
+    with their constants, are written into weight, and spare is
+    overwritten.  Every point's weighted value has the law's mean as its
+    expectation, so each chunk is an independent, unbiased replicate.
     """
-    shifts = rng.random(len(angles))
     steps = _lattice_steps(weight.size)
     weight.fill(math.prod(_law_constant(law) for law, *_ in angles))
-    for (law, (t, cos, sin), fold), step, shift in zip(angles, steps, shifts):
+    for (law, (t, hav, cos), fold), step, shift in zip(angles, steps, shifts):
         _shifted(step, shift, t, spare)
         if fold:
+            np.subtract(1.0, t, out=spare)
+            np.minimum(t, spare, out=t)
             t *= 2.0
-            t -= 1.0
-            np.absolute(t, out=t)
-            np.subtract(1.0, t, out=t)
-        _graded_angle(law, t, cos, sin, weight)
+        _graded_angle(law, t, hav, cos, weight, spare)
 
 
 def _sphere_law(k, n):
@@ -359,43 +383,38 @@ def _sphere_law(k, n):
             (1, k - 1) if k > 1 else None)
 
 
-def _lattice_statistics(law, rng, arrays):
-    """(x, a, b, w): one chunk's graded lattice points as the statistics x =
-    |Re w1|, a = |Im w1|^2 and b = |w_rest|^2 of unit directions w, with
-    their weights w.
+def _lattice_statistics(law, shifts, arrays):
+    """(hav_theta, sin_theta, cos_theta, hav_phi, w): one chunk's graded
+    lattice points as the angles theta, with |w1| = cos theta, and phi,
+    with |Re w1| = |w1| cos phi, of unit directions w, in the half-angle
+    forms (1 - cos theta) / 2, sin(theta) / 2, cos theta and (1 - cos phi)
+    / 2, with their weights w.
 
-    law = (theta, phi) as _sphere_law gives it; arrays are nine float
-    arrays of the chunk's size, in the order (x, a, b, rho2, plus, w, and
-    three spares); the statistics land in the first three and the weights
-    in the sixth.  With theta and phi, x = cos theta cos phi, a = cos^2
-    theta sin^2 phi and b = sin^2 theta, so x^2 + a + b = 1; without
-    either, every point is w1 = 1.  phi's coordinate is folded
+    law = (theta, phi) as _sphere_law gives it and shifts the chunk's shift
+    of each of its angles, theta's first; arrays are eight float arrays of
+    the chunk's size, in the order (hav_theta, cos_theta, hav_phi, spare,
+    w, sin_theta and two more spares).  An angle the law fixes at 0 reads
+    hav = sin = 0 and cos = 1.  phi's coordinate is folded
     (_graded_lattice): its weight vanishes at phi = 0 but not at pi/2,
     where Re w1 = 0 and a horosphere direction's value is not 0.  theta's
     weight vanishes at both ends when k > 1.
     """
-    x, a, b, rho2, plus, weight, t_theta, t_phi, spare = arrays
+    (hav_theta, cos_theta, hav_phi, spare, weight,
+     sin_theta, t_phi, cos_phi) = arrays
     theta, phi = law
     angles = []
     if theta:
-        angles.append((theta, (t_theta, plus if phi else x, rho2), False))
-    if phi:
-        angles.append((phi, (t_phi, x, a), True))
-    _graded_lattice(angles, rng, weight, spare)
-    if not angles:
-        x.fill(1.0)
-    if theta and phi:
-        x *= plus
-        a *= plus
-    if phi:
-        a *= a
+        angles.append((theta, (sin_theta, hav_theta, cos_theta), False))
     else:
-        a.fill(0.0)
-    if theta:
-        np.multiply(rho2, rho2, out=b)
+        hav_theta.fill(0.0)
+        sin_theta.fill(0.0)
+        cos_theta.fill(1.0)
+    if phi:
+        angles.append((phi, (t_phi, hav_phi, cos_phi), True))
     else:
-        b.fill(0.0)
-    return x, a, b, weight
+        hav_phi.fill(0.0)
+    _graded_lattice(angles, shifts, weight, spare)
+    return hav_theta, sin_theta, cos_theta, hav_phi, weight
 
 
 # -- carriers ------------------------------------------------------------------
@@ -643,46 +662,13 @@ def count_horosphere_intersections(h, seg):
     return count
 
 
-def _level_coefficients(x, a, b, rho2, plus):
-    """(half, low, high, gamma): the part of a direction's level free of d.
-
-    On the axis segment of length d, p(s) = x0 cosh s + v sinh s, s in
-    [0, d], runs along the first axis from -d/2 to d/2.  For xi = (1, w),
-    w a unit direction of F^n given by its first-coordinate statistics
-    (x, a, b) (_lattice_statistics), |<p(s), xi>|^2 = (up e^{2s} + down
-    e^{-2s}) / 2 + gamma with up = e^{-d} half low and down = e^{d} half
-    high.  Only w's first coordinate w1 pairs with the segment: <x0, xi> +-
-    <v, xi> are e^{-d/2} (w1 - 1) and -e^{d/2} (w1 + 1), so up = e^{-d}
-    |w1 - 1|^2 / 2, down = e^{d} |w1 + 1|^2 / 2 and gamma = (1 - |w1|^2) / 2
-    = |w_rest|^2 / 2.  With rho^2 = x^2 + a + b, rho |w1 -+ 1| has real
-    part rho -+ x and squared imaginary part a: half = 1 / (2 rho^2), low =
-    (rho - x)^2 + a, high = (rho + x)^2 + a.  rho - x is formed as (a + b)
-    / (rho + x), so every term is a sum of squares and none cancels.  They
-    are written in place: half in rho2, low in x, high in plus and gamma in
-    b; a is only read.
-    """
-    np.multiply(x, x, out=rho2)
-    rho2 += a
-    rho2 += b
-    np.sqrt(rho2, out=plus)
-    plus += x
-    minus = np.add(a, b, out=x)
-    minus /= plus
-    half = np.divide(0.5, rho2, out=rho2)
-    minus *= minus
-    minus += a
-    plus *= plus
-    plus += a
-    b *= half
-    return half, minus, plus, b
-
-
 def _radial_potential(G, e, spare):
-    """Phi(G^{-1/2}) in place of G, where Phi(r) = r^{e+1} / (e+1), or log r
-    when e = -1; spare may be overwritten.
+    """q Phi(G^{-1/2}) = G^{-q/2} in place of G, where Phi(r) = r^q / q and
+    q = e + 1, or Phi(G^{-1/2}) = -log(G) / 2 when e = -1; spare may be
+    overwritten.  The estimator scales a chunk's sum by 1 / q once.
 
-    For q = e + 1 >= 1, Phi = y^m / q with y = 1 / G and m = q / 2 when q is
-    even, y = 1 / sqrt(G) and m = q when q is odd.  y^m is formed by binary
+    For q >= 1, G^{-q/2} = y^m with y = 1 / G and m = q / 2 when q is even,
+    y = 1 / sqrt(G) and m = q when q is odd.  y^m is formed by binary
     exponentiation from the left, so every partial power lies between y and
     y^m and none overflows or underflows where y^m does not: one reciprocal
     (and square root), then a squaring per further bit of m and a multiply
@@ -702,59 +688,74 @@ def _radial_potential(G, e, spare):
         np.reciprocal(y, out=y)
     else:
         np.reciprocal(G, out=y)
-    G = _power(y, m, G)
-    if q > 1:
-        G *= 1.0 / q
-    return G
+    return _power(y, m, G)
 
 
-def _horosphere_levels(x, a, b, rho2, plus, e):
+def _horosphere_levels(hav_theta, sin_theta, cos_theta, hav_phi, cross, e):
     """(low, high, gamma, peak): the part of a direction's values free of d,
-    in x, plus, b and rho2; a is overwritten.
+    in hav_theta, cos_theta, hav_phi and cross, from the direction's
+    half-angle statistics (_lattice_statistics); sin_theta is overwritten.
 
-    low = |w1 - 1|^2 / 2 and high = |w1 + 1|^2 / 2 are _level_coefficients'
-    half times its low and high, so up = e^{-d} low and down = e^{d} high on
-    the segment of length d.  G's critical value sqrt(up * down) + gamma =
-    sqrt(low * high) + gamma does not depend on d, and peak is Phi there
-    (_radial_potential).  That value is 0 only when low = gamma = 0 (w1 =
-    1), whose minimum never lies inside a segment; peak reads Phi(1) there
-    instead of the pole Phi(0).
+    On the axis segment of length d, p(s) = x0 cosh s + v sinh s, s in
+    [0, d], runs along the first axis from -d/2 to d/2.  For xi = (1, w),
+    w a unit direction of F^n, |<p(s), xi>|^2 = (up e^{2s} + down e^{-2s})
+    / 2 + gamma with up = e^{-d} low and down = e^{d} high.  Only w's first
+    coordinate w1 pairs with the segment: <x0, xi> +- <v, xi> are e^{-d/2}
+    (w1 - 1) and -e^{d/2} (w1 + 1), so low = |w1 - 1|^2 / 2, high = |w1 +
+    1|^2 / 2 and gamma = (1 - |w1|^2) / 2 = sin^2(theta) / 2.  With c = cos
+    theta, |w1 - 1|^2 = (1 - c)^2 + 2 c (1 - cos phi), so low = 2
+    hav_theta^2 + 2 c hav_phi, a sum of nonnegative terms, which nothing
+    cancels near w1 = 1; high = low + 2 Re w1 with Re w1 = c - 2 c hav_phi,
+    so high = low exactly where Re w1 = 0; gamma = 2 sin_theta^2.  G's
+    critical value sqrt(up * down) + gamma = sqrt(low * high) + gamma does
+    not depend on d, and peak is q Phi there (_radial_potential).  That value is 0 only when low = gamma = 0 (w1 =
+    1), whose minimum never lies inside a segment; peak reads q Phi(1)
+    there instead of the pole.
     """
-    half, low, high, gamma = _level_coefficients(x, a, b, rho2, plus)
-    low *= half
-    high *= half
-    peak = np.multiply(low, high, out=half)
+    np.multiply(cos_theta, hav_phi, out=cross)
+    gamma = np.multiply(sin_theta, sin_theta, out=hav_phi)
+    gamma += gamma
+    low = np.multiply(hav_theta, hav_theta, out=hav_theta)
+    low += cross
+    low += low
+    cross *= -2.0
+    high = np.add(cos_theta, cross, out=cos_theta)  # Re w1
+    high += high
+    high += low
+    peak = np.multiply(low, high, out=cross)
     np.sqrt(peak, out=peak)
     peak += gamma
-    peak += np.equal(peak, 0.0, out=a)
-    return low, high, gamma, _radial_potential(peak, e, a)
+    peak += np.equal(peak, 0.0, out=sin_theta)
+    return low, high, gamma, _radial_potential(peak, e, sin_theta)
 
 
 def _horosphere_values(d, levels, u, e, out):
-    """Per direction w: the measure of crossing horospheres, and whether the
-    one drawn is met twice, in the second float array and the bool array of
-    out (three float arrays and a bool one).
+    """Per direction w: q = e + 1 times the measure of crossing horospheres
+    (the measure itself when e = -1), and whether the one drawn is met
+    twice, in the first float array and the bool array of out (three
+    float arrays and a bool one).
 
     The horospheres of direction w are xi = r (1, w), with radial density
     r^e dr, and their measure is the total variation of Phi(G^{-1/2}) on the
     segment of length d, G(s) = (up e^{2s} + down e^{-2s}) / 2 + gamma for s
     in [0, d] (_horosphere_levels): G(0) = e^{-d} (low + high e^{2d}) / 2 +
     gamma and G(d) = e^{-d} (low e^{2d} + high) / 2 + gamma, sums of
-    nonnegative terms.  G's only critical point is its minimum, where Phi is
-    `peak`, at e^{4s} = down / up, inside the segment when 1 < down / up <
-    e^{4d}.  Re w1 >= 0 makes high >= low, so the first bound holds at every
-    d > 0 and the second reads high < low e^{2d}.  With hi and lo the larger
-    and smaller end value of Phi, the value is hi - lo plus, inside, twice
+    nonnegative terms.  Every Phi value here is q Phi (_radial_potential).
+    G's only critical point is its minimum, where Phi is `peak`, at e^{4s}
+    = down / up, inside the segment when 1 < down / up < e^{4d}.  Re w1 >=
+    0 makes high >= low, so the first bound holds at every d > 0 and the
+    second reads high < low e^{2d}.  With hi and lo the larger and smaller
+    end value of Phi, the value is hi - lo plus, inside, twice
     the excess max(peak, hi) - hi, which the max keeps >= 0 against
     rounding; the mask multiplies it away outside.  Neither end is taken to
     be hi: in floats G(0) >= G(d) can fail by an ulp.  hi - lo is formed as
     |Phi(G(d)) - Phi(G(0))|, the same float.  One radius per direction is
-    drawn by the uniforms u from r^e dr among the horospheres meeting the
-    segment: Phi values above both end values, u (top - lo) > hi - lo with
-    top = hi + excess, are met twice, so no direction outside is.  Each d
-    makes two _radial_potential calls, on G at the ends; most other steps
-    write into one of their operands, which numpy runs faster than into a
-    third array.
+    drawn by its lattice coordinate u from r^e dr among the horospheres
+    meeting the segment: Phi values above both end values, u (top - lo) >
+    hi - lo with top = hi + excess, are met twice, so no direction outside
+    is.  Each d makes two _radial_potential calls, on G at the ends; most
+    other steps write into one of their operands, which numpy runs faster
+    than into a third array.
     """
     low, high, gamma, peak = levels
     f0, f1, t, mask = out
@@ -778,11 +779,9 @@ def _horosphere_values(d, levels, u, e, out):
     np.copyto(t, inside)  # 0.0 and 1.0: a float product is cheaper
     excess *= t
     span = np.add(ends, excess, out=t)  # top - lo
+    value = np.add(span, excess, out=f0)
     span *= u
-    twice = np.greater(span, ends, out=mask)
-    ends += excess
-    ends += excess
-    return ends, twice
+    return value, np.greater(span, ends, out=mask)
 
 
 # -- chunked Monte Carlo driver -------------------------------------------------
@@ -798,24 +797,40 @@ LOG_VALUE_LIMIT = 600.0
 
 
 def _resolve_seed(seed):
-    if isinstance(seed, np.random.Generator):
+    """The master seed as an int: seed itself, or one that a numpy
+    Generator passed in its place draws.
+
+    numpy.random is looked up in sys.modules, not imported: a Generator
+    exists only once it is loaded, so an integer seed never loads it.
+    Raises ValueError for a negative seed, which random.Random would take
+    as its absolute value.
+    """
+    numpy_random = sys.modules.get("numpy.random")
+    if numpy_random is not None and isinstance(seed, numpy_random.Generator):
         return int(seed.integers(0, 2 ** 63 - 1))
-    return int(seed)
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"expected non-negative integer seed, got {seed}")
+    return seed
 
 
-def _run_chunks(chunk_fn, samples, seed, workers=1):
-    """Run chunk_fn(rng, size) over the chunks of _chunk_sizes(samples), each
-    with its own substream spawned from seed.
+def _run_chunks(chunk_fn, samples, seed, workers=1, dims=1):
+    """Run chunk_fn(shifts, size) over the chunks of _chunk_sizes(samples),
+    shifts being the chunk's `dims` uniform lattice shifts.
 
-    Returns the chunks' results in chunk order; they are independent of
-    worker count and scheduling because chunk sizes and seeds are fixed by
-    (samples, seed, chunk index).  With workers > 1, workers - 1 threads
+    One random.Random(seed) stream draws every chunk's shifts with
+    random(), whose sequence for an integer seed Python keeps across
+    versions, in chunk order and in the calling thread before any chunk
+    runs.  Returns the chunks' results in chunk order; they are independent
+    of worker count and scheduling because chunk sizes and shifts are fixed
+    by (samples, seed, chunk index).  With workers > 1, workers - 1 threads
     and the calling thread take chunk indices from one shared counter and
     store each result at its index; the first exception that any of them
     raises is re-raised here once all have stopped.
     """
     sizes = _chunk_sizes(samples)
-    seeds = np.random.SeedSequence(seed).spawn(len(sizes))
+    stream = random.Random(seed)
+    shifts = [tuple(stream.random() for _ in range(dims)) for _ in sizes]
     results = [None] * len(sizes)
     errors = []
     lock = threading.Lock()
@@ -828,7 +843,7 @@ def _run_chunks(chunk_fn, samples, seed, workers=1):
             if i is None:
                 return
             try:
-                results[i] = chunk_fn(np.random.default_rng(seeds[i]), sizes[i])
+                results[i] = chunk_fn(shifts[i], sizes[i])
             except BaseException as exc:  # re-raised by the calling thread
                 errors.append(exc)
 
@@ -842,6 +857,12 @@ def _run_chunks(chunk_fn, samples, seed, workers=1):
     if errors:
         raise errors[0]
     return results
+
+
+def _weighted_sum(v, w):
+    """The sum of v_i w_i, in one pass that calls no BLAS: np.dot's digits
+    can change with OpenBLAS's thread count."""
+    return float(np.einsum("i,i->", v, w))
 
 
 def _zero_estimate(seed, samples):
@@ -859,15 +880,16 @@ def _merge_moments(a, b):
     return na + nb, sa + sb, ma + mb + delta * delta * (na * nb / (na + nb)), ha + hb
 
 
-def _conditional_estimate(ds, samples, seed, workers, measure, draw, values,
-                          log_value_bound=None, resolution=0.0):
+def _conditional_estimate(ds, samples, seed, workers, measure, dims, draw,
+                          values, log_value_bound=None, resolution=0.0):
     """measure times the weighted mean over the chunks' points of a
     closed-form value, one estimate per distance d in ds.
 
-    draw(rng, size) draws a chunk of `size` points and returns what their
-    values share across distances; values(d, shared) returns the sum over
-    the chunk of the measure of the carriers meeting the canonical segment
-    of length d, each point's value times its weight, and the counts
+    draw(shifts, size) forms a chunk of `size` points from its `dims`
+    lattice shifts (_run_chunks) and returns what their values share
+    across distances; values(d, shared) returns the sum over the chunk of
+    the measure of the carriers meeting the canonical segment of length
+    d, each point's value times its weight, and the counts
     (zeros, ones, twos) of points whose drawn carrier crosses it 0, 1 and 2
     times, which the histogram tallies.  Each chunk draws once for every d,
     so the estimates of one call share their points.  Each chunk is one
@@ -894,13 +916,13 @@ def _conditional_estimate(ds, samples, seed, workers, measure, draw, values,
                 f"segment or a lower dimension")
     live = [d for d in ds if d != 0.0]
 
-    def chunk(rng, size):
-        shared = draw(rng, size)
+    def chunk(shifts, size):
+        shared = draw(shifts, size)
         # a chunk's own spread does not enter: it is one replicate
         return [(size, total, 0.0, counts)
                 for total, counts in (values(d, shared) for d in live)]
 
-    chunks = _run_chunks(chunk, samples, seed, workers) if live else []
+    chunks = _run_chunks(chunk, samples, seed, workers, dims) if live else []
     merged = (functools.reduce(_merge_moments, per_d) for per_d in zip(*chunks))
     return [_zero_estimate(seed, samples) if d == 0.0
             else _moment_estimate(d, measure, samples, seed, len(chunks),
@@ -942,7 +964,7 @@ def _line_estimates(ds, samples, seed, workers, measure):
     its carrier meets the segment once: nothing is drawn, and the values do
     not lose bits to a closed form that is d only in exact arithmetic."""
     return _conditional_estimate(
-        ds, samples, seed, workers, measure, lambda rng, size: size,
+        ds, samples, seed, workers, measure, 0, lambda shifts, size: size,
         lambda d, size: (d * size, np.array((0, size, 0))))
 
 
@@ -976,9 +998,9 @@ def hyperplane_crofton_many(n, ds, samples, seed=0, workers=1):
     arrays = _thread_arrays(5)
     theta, _ = CARRIERS["hyperplane"].law(1, n)
 
-    def draw(rng, size):
+    def draw(shifts, size):
         w1, weight, s, c2, f = arrays(size)
-        _graded_lattice([(theta, (s, w1, c2), False)], rng, weight, f)
+        _graded_lattice([(theta, (s, c2, w1), False)], shifts, weight, f)
         return w1, weight
 
     def values(d, shared):
@@ -986,12 +1008,11 @@ def hyperplane_crofton_many(n, ds, samples, seed=0, workers=1):
         _, _, s, c2, f = arrays(w1.size)
         np.multiply(w1, math.tanh(0.5 * d), out=s)
         _doubled_antiderivative_at_artanh(n - 1, s, c2, f)
-        f *= weight
         # a hyperplane meets the segment once
-        return float(f.sum()), np.array((0, f.size, 0))
+        return _weighted_sum(f, weight), np.array((0, f.size, 0))
 
     return _conditional_estimate(
-        ds, samples, seed, workers, sphere_area(n - 1) / 2.0, draw, values,
+        ds, samples, seed, workers, sphere_area(n - 1) / 2.0, 1, draw, values,
         lambda d: math.log(d) + (n - 1) * math.log(math.cosh(0.5 * d)))
 
 
@@ -1019,11 +1040,11 @@ def horosphere_crofton_many(field, n, ds, samples, seed=0, workers=1):
     dr, e = k(n+1) - 3, in closed form on the axis segment of length d,
     where only w's first coordinate w1 and the norm of the others enter.
     Each chunk's points are graded lattice points in the angles of |w1| and
-    Re w1, with the law of the carrier table, read as those statistics
-    (_lattice_statistics); it draws them and the uniforms of the crossing
-    counts once and forms the levels' d-free part, with Phi at G's interior
-    minimum (_horosphere_levels), once for every d, and each value is
-    multiplied by its point's weight.  At k n = 1 every direction carries
+    Re w1, with the law of the carrier table, in their half-angle forms
+    (_lattice_statistics); it forms them, the levels' d-free part with Phi
+    at G's interior minimum (_horosphere_levels) and a third lattice
+    coordinate, the uniforms of the crossing counts, once for every d, and
+    each value is multiplied by its point's weight.  At k n = 1 every direction carries
     exactly d, and nothing is drawn.  Raises ValueError for k n outside [1,
     MAX_HOROSPHERE_DIM], and for a d where a direction's value, at most
     twice Phi(e^{d/2}) = 2 e^{d(e+1)/2} / (e+1) since G >= e^{-d} on the
@@ -1040,37 +1061,45 @@ def horosphere_crofton_many(field, n, ds, samples, seed=0, workers=1):
         # points of H^1_R with log r on the segment: measure d, each met once
         return _line_estimates(ds, samples, seed, workers, 2.0)
     e = k * (n + 1) - 3
+    q = e + 1  # >= 1 once k n >= 2
     arrays = _thread_arrays(9, masks=1)
     law = CARRIERS["horosphere"].law(k, n)
+    # a shift per graded angle, then the crossing coordinate's
+    dims = sum(angle is not None for angle in law) + 1
 
-    def draw(rng, size):
-        x, a, b, rho2, plus, weight, *out = arrays(size)
-        _lattice_statistics(law, rng, (x, a, b, rho2, plus, weight, *out[:3]))
-        # Phi at G's minimum overflows for points near w1 = 1, whose
+    def draw(shifts, size):
+        hav_theta, cos_theta, hav_phi, cross, weight, u, *out = arrays(size)
+        stats = _lattice_statistics(law, shifts, (hav_theta, cos_theta, hav_phi,
+                                                  cross, weight, *out[:3]))
+        # q Phi at G's minimum overflows for points near w1 = 1, whose
         # minimum lies outside every segment the value bound admits (there
-        # G >= e^{-d} and Phi <= e^LOG_VALUE_LIMIT): capped, their masked
-        # excess is a finite 0
+        # G >= e^{-d} and Phi <= e^LOG_VALUE_LIMIT): capped at q times
+        # that, finite for every admitted k n, their masked excess is a
+        # finite 0
         with np.errstate(over="ignore"):
-            levels = _horosphere_levels(x, a, b, rho2, plus, e)
-        np.minimum(levels[3], math.exp(LOG_VALUE_LIMIT), out=levels[3])
-        return levels, rng.random(out=a), weight, out
+            levels = _horosphere_levels(*stats[:4], cross, e)
+        np.minimum(levels[3], q * math.exp(LOG_VALUE_LIMIT), out=levels[3])
+        # the crossing tally's uniforms: a third coordinate of the lattice
+        _shifted(_crossing_step(size), shifts[-1], u, out[0])
+        return levels, u, weight, out
 
     def values(d, shared):
         levels, u, weight, out = shared
         v, twice = _horosphere_values(d, levels, u, e, out)
         doubles = int(np.count_nonzero(twice))
-        if d * (e + 1) <= SHORT_SEGMENT:
+        scale = 1.0 / q
+        if d * q <= SHORT_SEGMENT:
             # the d -> 0 limit d |Re w1| = d (high - low) / 2, free of the
             # kernel's difference of two Phi values that agree up to d
             low, high = levels[:2]
             np.subtract(high, low, out=v)
-            v *= 0.5 * d
-        v *= weight
-        return float(v.sum()), np.array((0, v.size - doubles, doubles))
+            scale = 0.5 * d
+        return scale * _weighted_sum(v, weight), \
+            np.array((0, v.size - doubles, doubles))
 
     return _conditional_estimate(
-        ds, samples, seed, workers, sphere_area(k * n - 1), draw, values,
-        lambda d: 0.5 * d * (e + 1) + math.log(2.0 / (e + 1)))
+        ds, samples, seed, workers, sphere_area(k * n - 1), dims, draw, values,
+        lambda d: 0.5 * d * q + math.log(2.0 / q))
 
 
 def horosphere_crofton(field, n, d, samples, seed=0, workers=1):
@@ -1108,15 +1137,15 @@ def _arc_crofton_many(ds, samples, seed, workers, diameter, note):
     ds = [0.0 if d < MIN_ARC_DISTANCE else d for d in ds]
     arrays = _thread_arrays(2, masks=1)
 
-    def draw(rng, size):
+    def draw(shifts, size):
         t, spare, _ = arrays(size)
-        return _shifted(_lattice_steps(size)[0], rng.random(), t, spare)
+        return _shifted(_lattice_steps(size)[0], shifts[0], t, spare)
 
     def values(d, t):
         hits = int(np.count_nonzero(np.less(t, d / math.pi, out=arrays(t.size)[2])))
         return float(hits), np.array((t.size - hits, hits, 0))
 
-    estimates = _conditional_estimate(ds, samples, seed, workers, 1.0, draw,
+    estimates = _conditional_estimate(ds, samples, seed, workers, 1.0, 1, draw,
                                       values, resolution=1.0)
     return [replace(e, note=note) if e.d > diameter - 1e-12 else e
             for e in estimates]

@@ -261,6 +261,9 @@ def random_coords(space, radius, rng, count):
     direction, redrawn while its norm is below 1e-12, then one uniform
     radius; radius 0 draws nothing.  `HPoint(space, c)` of row i is the
     point the i-th of `count` successive `random_point` calls returns.
+    The n k normals are drawn flat and the radius as radius * random(),
+    which take the same values from the stream as an (n, k) draw and
+    uniform(0, radius), with two generator calls per point.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -269,15 +272,16 @@ def random_coords(space, radius, rng, count):
         coords[:, 0, 0] = 1.0
         return coords
     k = FIELD_DIM[space.field]
+    size = space.n * k
     normals, radii = [], []
     for _ in range(count):
-        v = rng.standard_normal((space.n, k))
-        while math.hypot(*v.flat) < 1e-12:
-            v = rng.standard_normal((space.n, k))
+        v = rng.standard_normal(size)
+        while math.hypot(*v.tolist()) < 1e-12:
+            v = rng.standard_normal(size)
         normals.append(v)
-        radii.append(rng.uniform(0.0, radius))
+        radii.append(radius * rng.random())
     dirs = np.zeros((count, space.n, 4))
-    dirs[:, :, :k] = normals
+    dirs[:, :, :k] = np.reshape(normals, (count, space.n, k))
     norm = np.sqrt(np.sum(dirs**2, axis=(-2, -1)))
     s = np.array(radii)
     coords[:, 0, 0] = np.cosh(s)

@@ -292,6 +292,35 @@ class TestCrofton:
         assert r1["estimate"] == r3["estimate"]
         assert r1["count_histogram"] == r3["count_histogram"]
 
+    @pytest.mark.parametrize("carrier", ["hyperplane", "horosphere", "projective",
+                                         "sphere"])
+    def test_negative_seed_rejected(self, capsys, carrier):
+        # random.Random would take a negative seed as its absolute value
+        code, out, err = run_cli(capsys, "crofton", carrier, "--pairs", "0.5",
+                                 "--samples", "20000", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert "expected non-negative integer" in err
+
+    @pytest.mark.parametrize("carrier,args", [
+        ("hyperplane", ("--dim", "3")),
+        ("horosphere", ("--field", "h", "--dim", "2")),
+        ("projective", ("--dim", "2")),
+        ("sphere", ("--dim", "2")),
+    ], ids=["hyperplane", "horosphere", "projective", "sphere"])
+    def test_every_carrier_worker_invariant(self, capsys, carrier, args):
+        # the whole report, every estimate, stderr and histogram, is the same
+        # at any worker count, apart from the workers option it echoes
+        reports = []
+        for workers in ("1", "2", "3"):
+            code, out, _ = run_cli(capsys, "crofton", carrier, *args,
+                                   "--pairs", "0.5,1.2", "--samples", "100000",
+                                   "--seed", "4", "--workers", workers)
+            assert code in (0, 1)
+            report = json.loads(out)
+            assert report["config"].pop("workers") == int(workers)
+            reports.append(report)
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
     def test_emit_csv(self, capsys, tmp_path):
         out_path = tmp_path / "est.csv"
         code, _, _ = run_cli(capsys, "crofton", "sphere", "--pairs", "0.5,1.5",

@@ -136,6 +136,8 @@ class TestSubcommandImports:
         assert "hypcrofton.spaces" not in modules
         # the chunk pool is plain threads: no run loads concurrent.futures
         assert "concurrent.futures" not in modules
+        # the lattice shifts come from the standard library's random
+        assert "numpy.random" not in modules
 
     def test_package_loads_a_submodule_on_first_lookup(self, tmp_path):
         script = ("import json, sys, hypcrofton\n"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -370,6 +372,37 @@ class TestRandomPoint:
         point = random_point(space, 2.5, rng)
         assert np.array_equal(point.coords,
                               HPoint(space, random_coords(space, 2.5, replay, 1)[0]).coords)
+
+    @pytest.mark.parametrize("field,n", [(REAL, 2), (COMPLEX, 3), (QUATERNION, 2),
+                                         (REAL, 5)])
+    def test_per_point_draws_replayed_bit_for_bit(self, field, n):
+        # the per-point calls random_coords made before it drew flat normals
+        # and radius * random(): an (n, k) normal, its norm from v.flat,
+        # then uniform(0, radius); the same stream gives the same
+        # coordinates bit for bit, and leaves the generator where they did
+        space = HermitianSpace(field, n)
+        k = {REAL: 1, COMPLEX: 2, QUATERNION: 4}[field]
+        count = 40
+        for seed in range(5):
+            for radius in (0.3, 2.0, 16.0):
+                rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+                coords = random_coords(space, radius, rng, count)
+                normals, radii = [], []
+                for _ in range(count):
+                    v = replay.standard_normal((n, k))
+                    while math.hypot(*v.flat) < 1e-12:
+                        v = replay.standard_normal((n, k))
+                    normals.append(v)
+                    radii.append(replay.uniform(0.0, radius))
+                dirs = np.zeros((count, n, 4))
+                dirs[:, :, :k] = normals
+                norm = np.sqrt(np.sum(dirs**2, axis=(-2, -1)))
+                s = np.array(radii)
+                want = np.zeros((count, n + 1, 4))
+                want[:, 0, 0] = np.cosh(s)
+                want[:, 1:] = dirs / norm[:, None, None] * np.sinh(s)[:, None, None]
+                assert np.array_equal(coords, want)
+                assert rng.bit_generator.state == replay.bit_generator.state
 
     def test_zero_radius_draws_nothing(self):
         space = HermitianSpace(QUATERNION, 2)
