@@ -25,13 +25,10 @@ _EXPORTS = {
         "quaternionic_cluster_points",
     ),
     "crofton": (
-        "CroftonEstimate", "Horosphere", "Hyperplane", "OrientedHalfSpace",
-        "count_cosh_roots", "count_horosphere_intersections",
-        "estimate_horosphere_crofton", "estimate_m", "halfspace_contains",
-        "halfspace_side", "horosphere_crofton", "horosphere_crofton_many",
-        "hyperplane_crofton", "hyperplane_crofton_many", "hyperplane_meets_segment",
-        "projective_crofton_estimate", "projective_crofton_many",
-        "sample_horosphere", "sample_hyperplane", "sphere_halfspace_crofton",
+        "CroftonEstimate", "estimate_horosphere_crofton", "estimate_m",
+        "horosphere_crofton", "horosphere_crofton_many", "hyperplane_crofton",
+        "hyperplane_crofton_many", "projective_crofton_estimate",
+        "projective_crofton_many", "sphere_halfspace_crofton",
         "sphere_halfspace_crofton_many",
     ),
     "kernels": (
@@ -40,9 +37,8 @@ _EXPORTS = {
         "violation_search",
     ),
     "spaces": (
-        "GeodesicSegment", "HPoint", "Isometry", "PPoint", "base_point",
-        "geodesic_between", "hyperbolic_distance", "jordan_trace_distance",
-        "projective_distance", "random_isometry", "random_point", "sphere_distance",
+        "HPoint", "PPoint", "base_point", "hyperbolic_distance",
+        "projective_distance", "random_point", "sphere_distance",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -112,7 +112,6 @@ class Quaternion:
         return abs(self - other) <= tol * scale
 
 
-QUAT_ONE = Quaternion(1.0)
 QUAT_I = Quaternion(0.0, 1.0)
 QUAT_J = Quaternion(0.0, 0.0, 1.0)
 QUAT_K = Quaternion(0.0, 0.0, 0.0, 1.0)

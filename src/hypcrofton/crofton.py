@@ -1,4 +1,4 @@
-"""Invariant samplers, intersection predicates and Crofton estimators.
+"""Crofton estimators: the measure of the carriers that meet a segment.
 
 Hyperplanes of H^n_R are spacelike unit vectors u = (sinh p, cosh p * w)
 with w on S^{n-1}; the invariant measure has density cosh^{n-1}(p) dp dw,
@@ -6,8 +6,9 @@ identified under (p, w) ~ (-p, -w).  Horospheres of H^n_F are forward null
 vectors xi = r (1, w) modulo right unit-scalar phase, with radial density
 r^{k(n+1)-3} dr (k = real dimension of F); the horosphere itself is the
 level set {x : |<x, xi>| = 1} and |log r| is its distance from the base
-point.  The samplers draw carriers from a ball around the base point; the
-tests use them, with the scalar predicates, as the reference.
+point.  No estimator draws a whole carrier or tests one against a segment:
+the brute-force reference that does, carriers drawn from a ball around the
+base point with their intersection predicates, is tests/reference.py.
 
 The hyperbolic estimators sample only a carrier's direction and integrate
 its depth or radius in closed form (Rao-Blackwellisation of the Crofton
@@ -17,7 +18,7 @@ congruent to the axis segment from -d/2 to d/2 through the base point, and
 the base point's stabiliser (O(n), U(n), Sp(n)) keeps the uniform law of
 directions, so a direction's value depends on d, its first coordinate w1
 and |w_rest|^2 alone: on the angles theta, with |w1| = cos theta, and phi,
-with |Re w1| = |w1| cos phi, whose laws each Carrier records.  The points
+with |Re w1| = |w1| cos phi, whose laws _sphere_law gives.  The points
 are not uniform directions but graded lattice points in these angles
 (_graded_lattice): a randomly shifted rank-1 lattice whose coordinates t
 stand for the angles at tan(angle/2) = t^GRADE, which crowds them towards
@@ -30,8 +31,8 @@ projective and sphere estimators do the same on the canonical arc from e1
 to (cos d, sin d, 0, ...): O(n+1) is transitive on arcs of length d, and a
 hypersurface u-perp meets that arc according to the angle of u's
 projection onto the arc's plane alone, which is uniform, so their points
-are a shifted grid in that angle, of equal weight.  estimate_m and
-estimate_horosphere_crofton take a pair of points and pass d(x, y).
+are a shifted grid in that angle, of equal weight.  The point-pair entry
+points estimate_m and estimate_horosphere_crofton pass d(x, y) on.
 
 The vector entry points hyperplane_crofton_many, horosphere_crofton_many,
 projective_crofton_many and sphere_halfspace_crofton_many estimate many
@@ -74,10 +75,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (
-    FIELD_DIM, FIELDS, MAX_DISTANCE, REAL, form_coeffs, qconj, qmul, qnorm)
+from .algebra import FIELD_DIM, FIELDS, MAX_DISTANCE, REAL
 
-BOUNDARY_TOL = 1e-12
 #: the most points per chunk: 2^14 float64 values are a 128 KiB array, so a
 #: worker's working set, the nine such arrays and a bool mask that every
 #: horosphere chunk of a thread reuses, stays in a 2 MiB L2 cache
@@ -93,10 +92,6 @@ MAX_HOROSPHERE_DIM = 438
 MIN_ARC_DISTANCE = 1e-12
 
 
-class SegmentInHyperplaneError(ValueError):
-    """The whole segment lies inside the hyperplane (measure-zero event)."""
-
-
 # -- elementary integrals ------------------------------------------------------
 
 def sphere_area(m):
@@ -108,20 +103,9 @@ def sphere_area(m):
     return 2.0 * math.exp(h * math.log(math.pi) - math.lgamma(h))
 
 
-def cosh_power_antiderivative(m, t):
-    """Antiderivative of cosh^m at t (recurrence, exact for integer m >= 0)."""
-    t = np.asarray(t, dtype=float)
-    if m == 0:
-        return t + 0.0
-    if m == 1:
-        return np.sinh(t)
-    return (np.cosh(t) ** (m - 1) * np.sinh(t)
-            + (m - 1) * cosh_power_antiderivative(m - 2, t)) / m
-
-
 def _doubled_antiderivative_at_artanh(m, s, c2, f):
-    """2 F_m(artanh s), F_m = cosh_power_antiderivative(m, .), for s in [0, 1),
-    written into f; s and c2 are overwritten.
+    """2 F_m(artanh s), F_m the antiderivative of cosh^m that is 0 at 0, for
+    s in [0, 1), written into f; s and c2 are overwritten.
 
     At t = artanh s, cosh t = c with c^2 = 1 / ((1 - s)(1 + s)), formed as
     that product so that nothing cancels near s = 1, and sinh t = s c, so
@@ -151,37 +135,6 @@ def _doubled_antiderivative_at_artanh(m, s, c2, f):
     if last != 1.0:
         f /= last
     return f
-
-
-def cosh_power_integral(m, a, b):
-    """Integral of cosh^m over [a, b]."""
-    return float(cosh_power_antiderivative(m, b) - cosh_power_antiderivative(m, a))
-
-
-def _sample_depths(n, R, u):
-    """Inverse-CDF samples of the density cosh^{n-1}(p) on [-R, R].
-
-    Closed form for n = 2; vectorized bisection to 1e-12 otherwise.
-    """
-    if n == 2:
-        return np.arcsinh(np.sinh(R) * (2.0 * u - 1.0))
-    lo_val = cosh_power_antiderivative(n - 1, -R)
-    total = cosh_power_antiderivative(n - 1, R) - lo_val
-    target = lo_val + u * total
-    lo = np.full_like(u, -R)
-    hi = np.full_like(u, R)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        below = cosh_power_antiderivative(n - 1, mid) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def _uniform_sphere(m, size, rng):
-    """Uniform samples on S^{m-1} embedded in R^m, shape (size, m)."""
-    v = rng.standard_normal((size, m))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def _thread_arrays(count, masks=0):
@@ -417,82 +370,7 @@ def _lattice_statistics(law, shifts, arrays):
     return hav_theta, sin_theta, cos_theta, hav_phi, weight
 
 
-# -- carriers ------------------------------------------------------------------
-
-class Hyperplane:
-    """Totally geodesic hypersurface of H^n_R: {x : <x, u> = 0}, <u, u> = 1."""
-
-    __slots__ = ("u",)
-
-    def __init__(self, u):
-        u = np.asarray(u, dtype=float)
-        q = -u[0] ** 2 + np.sum(u[1:] ** 2)
-        if abs(q - 1.0) > 1e-8:
-            raise ValueError("hyperplane normal must be a spacelike unit vector")
-        u = u / np.sqrt(q)
-        u.flags.writeable = False
-        object.__setattr__(self, "u", u)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Hyperplane is immutable")
-
-
-class OrientedHalfSpace:
-    """Half-space {x : <x, u> > 0}; flipping u complements membership."""
-
-    __slots__ = ("u",)
-
-    def __init__(self, u):
-        hp = Hyperplane(u)
-        object.__setattr__(self, "u", hp.u)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OrientedHalfSpace is immutable")
-
-    def flipped(self):
-        return OrientedHalfSpace(-self.u)
-
-
-class Horosphere:
-    """Level set {x : |<x, xi>| = 1} of a forward null vector xi.
-
-    The representative's phase is fixed so the leading component is a
-    positive real; log|<x0, xi>| is the signed distance of the base point
-    from the horosphere.
-    """
-
-    __slots__ = ("space", "xi")
-
-    def __init__(self, space, xi_coeffs):
-        xi = np.asarray(xi_coeffs, dtype=float)
-        if xi.shape != (space.dim, 4):
-            raise ValueError(f"expected coefficients of shape {(space.dim, 4)}")
-        norm2 = float(np.sum(xi ** 2))
-        if norm2 == 0.0:
-            raise ValueError("null vector must be nonzero")
-        q = form_coeffs(xi, xi)[0]
-        if abs(q) > 1e-10 * norm2:
-            raise ValueError("horosphere parameter must be a null vector")
-        lead = qnorm(xi[0])
-        if lead <= 0.0:
-            raise ValueError("leading component must be nonzero")
-        lam = qconj(xi[0]) / lead
-        xi = qmul(xi, lam[None, :])
-        xi.flags.writeable = False
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "xi", xi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Horosphere is immutable")
-
-    def level(self, x):
-        """|<x, xi>| -- the horosphere is its level-1 set."""
-        return float(qnorm(form_coeffs(x.coords, self.xi)))
-
-    def busemann_distance(self):
-        """Distance of the base point from the horosphere, |log r|."""
-        return abs(math.log(float(qnorm(self.xi[0]))))
-
+# -- estimates -----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CroftonEstimate:
@@ -520,147 +398,7 @@ class CroftonEstimate:
     note: str = ""
 
 
-# -- sampling ------------------------------------------------------------------
-
-def sample_hyperplane(n, R, rng):
-    """One hyperplane with distance |p| <= R from the base point."""
-    u = _sample_hyperplane_normals(n, R, 1, rng)[0]
-    return Hyperplane(u)
-
-
-def _sample_hyperplane_normals(n, R, size, rng):
-    p = _sample_depths(n, R, rng.random(size))
-    omega = _uniform_sphere(n, size, rng)
-    u = np.empty((size, n + 1))
-    u[:, 0] = np.sinh(p)
-    u[:, 1:] = np.cosh(p)[:, None] * omega
-    return u
-
-
-def sample_horosphere(space, R, rng):
-    """One horosphere whose distance from the base point is <= R."""
-    xi = _sample_horosphere_params(space, R, 1, rng)[0]
-    return Horosphere(space, xi)
-
-
-def _sample_horosphere_params(space, R, size, rng):
-    k = FIELD_DIM[space.field]
-    n = space.n
-    e = k * (n + 1) - 3
-    lo, hi = math.exp(-R), math.exp(R)
-    u = rng.random(size)
-    if e == -1:
-        r = lo * np.exp(u * math.log(hi / lo))
-    else:
-        r = (lo ** (e + 1) + u * (hi ** (e + 1) - lo ** (e + 1))) ** (1.0 / (e + 1))
-    omega = _uniform_sphere(k * n, size, rng)
-    xi = np.zeros((size, n + 1, 4))
-    xi[:, 0, 0] = r
-    xi[:, 1:, :k] = r[:, None, None] * omega.reshape(size, n, k)
-    return xi
-
-
-# -- intersection predicates ---------------------------------------------------
-
-def hyperplane_meets_segment(hp, seg):
-    """True iff the hyperplane meets the segment (endpoint touching counts).
-
-    A totally geodesic hyperplane meets a geodesic segment at most once, so
-    the test reduces to a sign change of <., u> between the endpoints.
-    Raises SegmentInHyperplaneError when both endpoints lie on the
-    hyperplane (the segment is contained; a measure-zero configuration).
-    """
-    if seg.space.field != REAL:
-        raise ValueError("hyperplanes are defined over the real field only")
-    xr = seg.base[:, 0]
-    yr = seg.endpoint_coords()[:, 0]
-    fa = -xr[0] * hp.u[0] + xr[1:] @ hp.u[1:]
-    fb = -yr[0] * hp.u[0] + yr[1:] @ hp.u[1:]
-    tol = BOUNDARY_TOL * np.linalg.norm(hp.u) \
-        * max(np.linalg.norm(xr), np.linalg.norm(yr))
-    a_on, b_on = abs(fa) <= tol, abs(fb) <= tol
-    if a_on and b_on:
-        raise SegmentInHyperplaneError("segment lies inside the hyperplane")
-    if a_on or b_on:
-        return True
-    return bool(fa * fb < 0)
-
-
-def halfspace_side(u, x):
-    """+1 if x is in {<x, u> > 0}, -1 in the complement, 0 on the boundary.
-
-    The representative sign of x is fixed by a positive leading coordinate.
-    """
-    from .spaces import HPoint
-
-    u = np.asarray(u, dtype=float)
-    xr = x.coords[:, 0] if isinstance(x, HPoint) else np.asarray(x, dtype=float)
-    if xr[0] < 0:
-        xr = -xr
-    v = -xr[0] * u[0] + xr[1:] @ u[1:]
-    tol = BOUNDARY_TOL * np.linalg.norm(u) * np.linalg.norm(xr)
-    if abs(v) <= tol:
-        return 0
-    return 1 if v > 0 else -1
-
-
-def halfspace_contains(half, x):
-    """Strict membership; boundary points are reported as not contained."""
-    return halfspace_side(half.u, x) > 0
-
-
-def count_cosh_roots(alpha, beta, gamma, interval):
-    """Roots of alpha*cosh t + beta*sinh t = gamma in a closed interval.
-
-    Returns (count, roots) with count in {0, 1, 2}; tangency (double root)
-    is counted once.  Raises on the degenerate (alpha, beta) = (0, 0).
-    """
-    s0, s1 = interval
-    if alpha == 0.0 and beta == 0.0:
-        raise ValueError("degenerate equation: alpha = beta = 0")
-    tol = 1e-12 * max(abs(alpha), abs(beta))
-    roots = []
-    if abs(abs(alpha) - abs(beta)) <= tol:
-        # pure exponential: alpha e^{+-t}
-        sign = 1.0 if beta * alpha >= 0 else -1.0
-        ratio = gamma / alpha
-        if ratio > 0:
-            roots = [sign * math.log(ratio)]
-    elif abs(alpha) > abs(beta):
-        r = math.sqrt(alpha * alpha - beta * beta)
-        phi = math.atanh(beta / alpha)
-        c = gamma / (math.copysign(r, alpha))
-        if abs(c - 1.0) <= 1e-14 * max(abs(c), 1.0):
-            roots = [-phi]
-        elif c > 1.0:
-            h = math.acosh(c)
-            roots = [-phi - h, -phi + h]
-    else:
-        r = math.sqrt(beta * beta - alpha * alpha)
-        phi = math.atanh(alpha / beta)
-        roots = [math.asinh(gamma / math.copysign(r, beta)) - phi]
-    etol = 1e-12 * max(abs(s0), abs(s1), 1.0)
-    inside = [t for t in roots if s0 - etol <= t <= s1 + etol]
-    return len(inside), inside
-
-
-def count_horosphere_intersections(h, seg):
-    """Number of times the horosphere meets the segment, in {0, 1, 2}.
-
-    With a = <x, xi> and b = <w, xi> for the segment's base x and tangent w,
-    the level condition |a cosh s + b sinh s|^2 = 1 along the segment
-    becomes alpha cosh 2s + beta sinh 2s = 1 - gamma on [0, 2L], where
-    alpha = (|a|^2 + |b|^2) / 2, beta = a.b and gamma = (|a|^2 - |b|^2) / 2.
-    """
-    if h.space != seg.space:
-        raise ValueError("horosphere and segment live in different spaces")
-    a, b = form_coeffs(seg.base, h.xi), form_coeffs(seg.tangent, h.xi)
-    if not (a.any() or b.any()):
-        raise ArithmeticError("degenerate pairing; invalid horosphere or segment")
-    count, _ = count_cosh_roots(0.5 * (a @ a + b @ b), a @ b,
-                                1.0 - 0.5 * (a @ a - b @ b), (0.0, 2.0 * seg.length))
-    return count
-
+# -- closed-form values --------------------------------------------------------
 
 def _radial_potential(G, e, spare):
     """q Phi(G^{-1/2}) = G^{-q/2} in place of G, where Phi(r) = r^q / q and
@@ -979,8 +717,8 @@ def hyperplane_crofton_many(n, ds, samples, seed=0, workers=1):
     between -+tanh(d/2) w1; F' = cosh^{n-1} is even, so that direction
     carries 2 F(artanh(tanh(d/2) w1)), in closed form in tanh(d/2) w1
     (_doubled_antiderivative_at_artanh), with w1 = |w_1| = cos theta.  Each
-    chunk's points are graded lattice points in theta, with the law of the
-    carrier table (_graded_lattice), shared by every d; each value is
+    chunk's points are graded lattice points in theta, with its law
+    (_sphere_law, _graded_lattice), shared by every d; each value is
     multiplied by its point's weight.  The (p, w) chart double-covers the
     hyperplane space, hence the halved sphere area.  At n = 1 every
     direction carries exactly d, and nothing is drawn.  Raises ValueError
@@ -996,7 +734,7 @@ def hyperplane_crofton_many(n, ds, samples, seed=0, workers=1):
         # area 2, halved): those on the segment, measure d, each met once
         return _line_estimates(ds, samples, seed, workers, 1.0)
     arrays = _thread_arrays(5)
-    theta, _ = CARRIERS["hyperplane"].law(1, n)
+    theta, _ = _sphere_law(1, n)
 
     def draw(shifts, size):
         w1, weight, s, c2, f = arrays(size)
@@ -1040,7 +778,7 @@ def horosphere_crofton_many(field, n, ds, samples, seed=0, workers=1):
     dr, e = k(n+1) - 3, in closed form on the axis segment of length d,
     where only w's first coordinate w1 and the norm of the others enter.
     Each chunk's points are graded lattice points in the angles of |w1| and
-    Re w1, with the law of the carrier table, in their half-angle forms
+    Re w1, with their laws (_sphere_law), in their half-angle forms
     (_lattice_statistics); it forms them, the levels' d-free part with Phi
     at G's interior minimum (_horosphere_levels) and a third lattice
     coordinate, the uniforms of the crossing counts, once for every d, and
@@ -1063,7 +801,7 @@ def horosphere_crofton_many(field, n, ds, samples, seed=0, workers=1):
     e = k * (n + 1) - 3
     q = e + 1  # >= 1 once k n >= 2
     arrays = _thread_arrays(9, masks=1)
-    law = CARRIERS["horosphere"].law(k, n)
+    law = _sphere_law(k, n)
     # a shift per graded angle, then the crossing coordinate's
     dims = sum(angle is not None for angle in law) + 1
 
@@ -1196,14 +934,7 @@ def sphere_halfspace_crofton(x, y, samples, seed=0, workers=1):
 class Carrier:
     """A family's Crofton formula: estimate(field, n, ds, samples, seed,
     workers) -> a CroftonEstimate per d in ds, for low <= d <= high (high_name,
-    bounded for the reason why); constant(k, n) = estimate / d, k = dim F.
-
-    law(k, n) -> (theta, phi) is the law of the angles that a direction's
-    value depends on, each as the exponents (alpha, beta) of the density
-    cos^(alpha-1) a sin^(beta-1) a on [0, pi/2], or None for an angle that
-    is fixed or not graded (_sphere_law): the estimator's lattice points
-    are graded in these angles and weighted by their density.  An arc's
-    angle is uniform and needs neither grading nor weights."""
+    bounded for the reason why); constant(k, n) = estimate / d, k = dim F."""
 
     estimate: Callable
     fields: tuple
@@ -1212,15 +943,13 @@ class Carrier:
     high_name: str
     why: str
     constant: Callable
-    law: Callable
 
 
 def _arc_carrier(diameter, name, space, note):
     """An arc family: past its diameter d reads 2 pi - d (S^n) or pi - d (P^n_R)."""
     return Carrier(lambda field, n, *rest: _arc_crofton_many(*rest, diameter, note),
                    FIELDS, MIN_ARC_DISTANCE, diameter, name,
-                   f"the diameter of {space}", lambda k, n: 1.0 / math.pi,
-                   lambda k, n: (None, None))
+                   f"the diameter of {space}", lambda k, n: 1.0 / math.pi)
 
 
 _H_RANGE = (0.0, MAX_DISTANCE, f"{MAX_DISTANCE:g}", "the largest supported in H^n")
@@ -1229,12 +958,10 @@ _H_RANGE = (0.0, MAX_DISTANCE, f"{MAX_DISTANCE:g}", "the largest supported in H^
 CARRIERS = {
     "hyperplane": Carrier(lambda field, *rest: hyperplane_crofton_many(*rest),
                           (REAL,), *_H_RANGE,
-                          lambda k, n: sphere_area(n - 2) / (n - 1) if n > 1 else 1.0,
-                          _sphere_law),
+                          lambda k, n: sphere_area(n - 2) / (n - 1) if n > 1 else 1.0),
     # 2 vol(B^m) = vol(S^{m+1}) / pi, m = k n - 1
     "horosphere": Carrier(lambda *args: horosphere_crofton_many(*args), FIELDS,
-                          *_H_RANGE, lambda k, n: sphere_area(k * n) / math.pi,
-                          _sphere_law),
+                          *_H_RANGE, lambda k, n: sphere_area(k * n) / math.pi),
     "projective": _arc_carrier(
         0.5 * math.pi, "pi/2", "P^n_R", "pair at distance pi/2, the diameter: "
         "both short segments give the same fraction"),

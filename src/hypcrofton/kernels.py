@@ -203,23 +203,15 @@ def sqrt_embed(D, tol=1e-9, basepoint=0):
                            max_radius_residual=max_rad_res)
 
 
-def build_distance_matrix(points, metric=None):
+def build_distance_matrix(points):
     """Pairwise distance matrix; the metric is inferred from the point type.
 
     HPoint -> hyperbolic, PPoint -> projective, plain unit vectors ->
-    spherical, each from one batched kernel over all pairs.  A callable
-    `metric` overrides the dispatch and is called once per pair.
+    spherical, each from one batched kernel over all pairs.
     """
     points = list(points)
-    m = len(points)
-    if m == 0:
+    if not points:
         raise ValueError("no points to measure")
-    if metric is not None:
-        D = np.zeros((m, m))
-        for i in range(m):
-            for j in range(i + 1, m):
-                D[i, j] = D[j, i] = metric(points[i], points[j])
-        return D
     kind = type(points[0])
     if any(not isinstance(p, kind) for p in points):
         raise ValueError("mixed point types in one configuration")

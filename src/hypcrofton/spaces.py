@@ -1,4 +1,4 @@
-"""Points, geodesics, distances and isometries in linear-model coordinates.
+"""Points, distances and random points in linear-model coordinates.
 
 Hyperbolic points are projective classes of negative vectors of the
 signature-(1,n) form, stored as normalized representatives with
@@ -9,7 +9,6 @@ canonicalized; every public operation is phase invariant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,26 +16,10 @@ from .algebra import (
     CONJ_MUL,
     CONJ_SIGNS,
     FIELD_DIM,
-    REAL,
     DimensionMismatchError,
-    HermitianSpace,
     form_coeffs,
-    qconj,
-    qmul,
-    qnorm,
     to_coeffs,
 )
-
-NORMALIZATION_TOL = 1e-10
-
-
-class DegenerateSegmentError(ValueError):
-    """Geodesic requested between projectively equal points."""
-
-
-def _rmul(coords, lam):
-    """Right-multiply every coordinate of an (m, 4) vector by the scalar lam."""
-    return qmul(coords, np.asarray(lam, dtype=float)[None, :])
 
 
 class HPoint:
@@ -56,10 +39,6 @@ class HPoint:
 
     def __setattr__(self, name, value):
         raise AttributeError("HPoint is immutable")
-
-    def phase_shifted(self, lam):
-        """The same projective point represented by x * lam, |lam| = 1."""
-        return HPoint(self.space, _rmul(self.coords, lam))
 
     def __repr__(self):
         return f"HPoint({self.space.field!r}, n={self.space.n})"
@@ -199,60 +178,6 @@ def sphere_distance(x, y):
     return float(sphere_distance_matrix(np.stack([x, y]))[0, 1])
 
 
-def jordan_trace_distance(x, y):
-    """Trace-form distance between the rank-one projections of x and y.
-
-    Equals sqrt(2 - 2 cos^2 t) where cos t is the normalized |(x, y)|.
-    """
-    if x.n != y.n:
-        raise DimensionMismatchError("projective points of different dimension")
-    c = abs(float(x.coords @ y.coords))
-    c = min(c, 1.0)
-    return float(np.sqrt(max(2.0 - 2.0 * c * c, 0.0)))
-
-
-@dataclass(frozen=True)
-class GeodesicSegment:
-    """Unit-speed geodesic s -> x cosh s + w sinh s, restricted to [0, length].
-
-    base and tangent are (n+1, 4) coefficient arrays with <x, w> = 0 and
-    <w, w> = 1, so <point(s), point(s)> = -1 for all s.
-    """
-
-    space: HermitianSpace
-    base: np.ndarray
-    tangent: np.ndarray
-    length: float
-
-    def point_coords(self, s):
-        return self.base * np.cosh(s) + self.tangent * np.sinh(s)
-
-    def point(self, s):
-        return HPoint(self.space, self.point_coords(s))
-
-    def endpoint_coords(self):
-        return self.point_coords(self.length)
-
-
-def geodesic_between(x, y):
-    """The unit-speed segment from x to y.
-
-    The representative of y is phase-aligned (right multiplication by the
-    unit scalar lam = -conj(<x,y>)/|<x,y>|) so that <x, y_hat> is real and
-    negative, which makes the real-span construction valid over all fields.
-    """
-    _check_same_space(x, y)
-    f = form_coeffs(x.coords, y.coords)
-    mod = float(qnorm(f))
-    d = float(np.arccosh(max(mod, 1.0)))
-    if d < 1e-12:
-        raise DegenerateSegmentError("endpoints are projectively equal")
-    lam = -qconj(f) / mod
-    yhat = _rmul(y.coords, lam)
-    w = (yhat - x.coords * np.cosh(d)) / np.sinh(d)
-    return GeodesicSegment(x.space, x.coords, w, d)
-
-
 def random_coords(space, radius, rng, count):
     """Coordinates (count, n+1, 4) of `count` points at geodesic distance
     <= radius from the base point, not yet normalized.
@@ -298,88 +223,3 @@ def random_point(space, radius, rng):
     return HPoint(space, random_coords(space, radius, rng, 1)[0])
 
 
-class Isometry:
-    """Linear map of F^{n+1} preserving the hermitian form.
-
-    The matrix is stored as an (n+1, n+1, 4) coefficient array; it acts on
-    the left of coordinate columns, (g z)_i = sum_j g_ij z_j, compatible
-    with the right-module structure.
-    """
-
-    __slots__ = ("space", "matrix")
-
-    def __init__(self, space, matrix):
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.shape != (space.dim, space.dim, 4):
-            raise DimensionMismatchError(
-                f"expected matrix of shape {(space.dim, space.dim, 4)}")
-        k = FIELD_DIM[space.field]
-        if np.any(np.abs(matrix[..., k:]) > 0):
-            raise ValueError(f"matrix entries outside field {space.field!r}")
-        matrix = matrix.copy()
-        matrix.flags.writeable = False
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Isometry is immutable")
-
-    def apply_coords(self, coords):
-        return qmul(self.matrix, coords[None, :, :]).sum(axis=1)
-
-    def apply(self, x):
-        _check_same_space(self, x)
-        return HPoint(self.space, self.apply_coords(x.coords))
-
-    def __matmul__(self, x):
-        return self.apply(x)
-
-    @classmethod
-    def identity(cls, space):
-        m = np.zeros((space.dim, space.dim, 4))
-        for i in range(space.dim):
-            m[i, i, 0] = 1.0
-        return cls(space, m)
-
-
-def _form_gram_schmidt(space, columns):
-    """Orthonormalize columns against the form; returns None on degeneracy.
-
-    Column 0 is normalized to <c, c> = -1, the rest to +1, with earlier
-    columns projected out (right-module projections, coefficients applied
-    on the right).
-    """
-    d = space.dim
-    cols = [np.array(columns[:, j, :]) for j in range(d)]
-    signs = [-1.0] + [1.0] * (d - 1)
-    for j in range(d):
-        c = cols[j]
-        for i in range(j):
-            lam = form_coeffs(cols[i], c) / signs[i]
-            c = c - _rmul(cols[i], lam)
-        q = form_coeffs(c, c)[0]
-        if signs[j] * q < 1e-6:
-            return None
-        cols[j] = c / np.sqrt(abs(q))
-    return np.stack(cols, axis=1)
-
-
-def random_isometry(space, rng, scale=0.4, max_retries=20):
-    """A random form-preserving matrix mixing boost and rotation parts.
-
-    Built by form-orthonormalizing identity + scale * gaussian noise in the
-    field's coefficient slots; scale = 0 returns the identity.
-    """
-    if scale == 0:
-        return Isometry.identity(space)
-    k = FIELD_DIM[space.field]
-    d = space.dim
-    for _ in range(max_retries):
-        m = np.zeros((d, d, 4))
-        for i in range(d):
-            m[i, i, 0] = 1.0
-        m[..., :k] += scale * rng.standard_normal((d, d, k))
-        ortho = _form_gram_schmidt(space, m)
-        if ortho is not None:
-            return Isometry(space, ortho)
-    raise RuntimeError("failed to orthonormalize a random perturbation")

