@@ -27,12 +27,12 @@ def _read_distances(path):
     kind r/c/h -> hyperbolic points over that field ((dim+1) * field-width
     reals per row), p -> projective points, s -> unit sphere vectors
     (dim+1 reals per row).  Lines starting with '#' are comments.  A row of
-    another width, a non-finite coordinate, a zero p or s row and a
-    hyperbolic row whose form overflows are rejected.  The rows are
-    stacked, normalized and measured by one batched distance kernel of
-    spaces; the matrix is the one kernels.build_distance_matrix gives for
-    the points built one by one, exactly for hyperbolic points and to
-    rounding for p and s.
+    another width is rejected here; spaces rejects a non-finite coordinate,
+    a zero p or s row and a hyperbolic row that is not a negative vector.
+    The rows are stacked, normalized by spaces, which takes every row as
+    scale-free, and measured by one batched distance kernel; the matrix is,
+    bit for bit, the one kernels.build_distance_matrix gives for the points
+    built one by one from the same rows.
     """
     from . import spaces
 
@@ -61,33 +61,17 @@ def _read_distances(path):
             raise ValueError(f"expected {width} reals per row for kind "
                              f"{kind!r}, dim {dim}; got {len(row)}")
     vals = np.array(rows[1:], dtype=float)  # parses as float() does
-    if not np.isfinite(vals).all():
-        raise ValueError("point coordinates must be finite")
     if kind in FIELDS:
         HermitianSpace(kind, dim)  # checks the dimension
         coeffs = np.zeros((len(vals), dim + 1, 4))
         coeffs[..., :k] = vals.reshape(len(vals), dim + 1, k)
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                return kind, dim, spaces.hyperbolic_distance_matrix(
-                    spaces.normalized_coords(coeffs))
-        except FloatingPointError:
-            raise ValueError("point coordinates overflow the Hermitian form") from None
-    if kind == "p" and width < 2:
-        raise ValueError("expected a real vector of length >= 2")
-    # unit rows, as PPoint keeps them and as sphere points were kept.  The
-    # rows are scale-free: scaled first by the power of two that puts their
-    # largest entry in [0.5, 1), exactly, their norms neither overflow nor
-    # underflow, and the unit vector is the x / |x| of every row whose norm
-    # is a normal float
-    top = np.abs(vals).max(axis=1, keepdims=True)
-    if np.any(top == 0.0):
-        raise ValueError("zero vector does not define a "
-                         f"{'projective' if kind == 'p' else 'sphere'} point")
-    vals = np.ldexp(vals, -np.frexp(top)[1])
-    vals /= np.linalg.norm(vals, axis=1, keepdims=True)
+        return kind, dim, spaces.hyperbolic_distance_matrix(
+            spaces.normalized_coords(coeffs))
     if kind == "p":
-        return kind, dim, spaces.projective_distance_matrix(vals)
+        if width < 2:
+            raise ValueError("expected a real vector of length >= 2")
+        return kind, dim, spaces.projective_distance_matrix(
+            spaces.unit_rows(vals, "projective"))
     return kind, dim, spaces.sphere_distance_matrix(vals)
 
 
@@ -160,7 +144,7 @@ def _radius(text):
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and 0.0 <= value <= MAX_DISTANCE):
+    if not 0.0 <= value <= MAX_DISTANCE:  # false for nan and inf too
         raise argparse.ArgumentTypeError(
             f"must be finite and in [0, {MAX_DISTANCE:g}], got {text}")
     return value
@@ -174,7 +158,7 @@ def _distances(text):
             d = float(item)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not a number: {item!r}") from None
-        if not (math.isfinite(d) and d > 0):
+        if not 0.0 < d < math.inf:  # false for nan too
             raise argparse.ArgumentTypeError(
                 f"distances must be finite and > 0, got {item.strip()}")
     return text
@@ -272,7 +256,7 @@ def cmd_crofton(args):
                                  args.seed, args.workers)
     results = [dataclasses.asdict(e) for e in estimates]
     c = carrier.constant(FIELD_DIM[args.field], args.dim)
-    finite = all(math.isfinite(r[key]) for r in results
+    finite = all(abs(r[key]) < math.inf for r in results  # false for nan
                  for key in ("estimate", "stderr", "ratio"))
     # every ratio is held to the closed form; the slack forgives estimates
     # that are exact up to rounding

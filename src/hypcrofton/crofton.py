@@ -402,10 +402,11 @@ class CroftonEstimate:
 
 def _radial_potential(G, e, spare):
     """q Phi(G^{-1/2}) = G^{-q/2} in place of G, where Phi(r) = r^q / q and
-    q = e + 1, or Phi(G^{-1/2}) = -log(G) / 2 when e = -1; spare may be
-    overwritten.  The estimator scales a chunk's sum by 1 / q once.
+    q = e + 1 >= 1 (k n >= 2: H^1_R, the one space with e = -1, takes exact
+    lines instead); spare may be overwritten.  The estimator scales a
+    chunk's sum by 1 / q once.
 
-    For q >= 1, G^{-q/2} = y^m with y = 1 / G and m = q / 2 when q is even,
+    G^{-q/2} = y^m with y = 1 / G and m = q / 2 when q is even,
     y = 1 / sqrt(G) and m = q when q is odd.  y^m is formed by binary
     exponentiation from the left, so every partial power lies between y and
     y^m and none overflows or underflows where y^m does not: one reciprocal
@@ -414,10 +415,6 @@ def _radial_potential(G, e, spare):
     np.power costs a pow() call per entry whatever the exponent.  At m = 1
     y is formed in G itself and spare is not touched.
     """
-    if e == -1:
-        np.log(G, out=G)
-        G *= -0.5
-        return G
     q = e + 1
     m = q if q % 2 else q // 2
     y = G if m == 1 else spare
@@ -468,10 +465,9 @@ def _horosphere_levels(hav_theta, sin_theta, cos_theta, hav_phi, cross, e):
 
 
 def _horosphere_values(d, levels, u, e, out):
-    """Per direction w: q = e + 1 times the measure of crossing horospheres
-    (the measure itself when e = -1), and whether the one drawn is met
-    twice, in the first float array and the bool array of out (three
-    float arrays and a bool one).
+    """Per direction w: q = e + 1 times the measure of crossing horospheres,
+    and whether the one drawn is met twice, in the first float array and
+    the bool array of out (three float arrays and a bool one).
 
     The horospheres of direction w are xi = r (1, w), with radial density
     r^e dr, and their measure is the total variation of Phi(G^{-1/2}) on the
@@ -535,17 +531,8 @@ LOG_VALUE_LIMIT = 600.0
 
 
 def _resolve_seed(seed):
-    """The master seed as an int: seed itself, or one that a numpy
-    Generator passed in its place draws.
-
-    numpy.random is looked up in sys.modules, not imported: a Generator
-    exists only once it is loaded, so an integer seed never loads it.
-    Raises ValueError for a negative seed, which random.Random would take
-    as its absolute value.
-    """
-    numpy_random = sys.modules.get("numpy.random")
-    if numpy_random is not None and isinstance(seed, numpy_random.Generator):
-        return int(seed.integers(0, 2 ** 63 - 1))
+    """The master seed as an int.  Raises ValueError for a negative seed,
+    which random.Random would take as its absolute value."""
     seed = int(seed)
     if seed < 0:
         raise ValueError(f"expected non-negative integer seed, got {seed}")

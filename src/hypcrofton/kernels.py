@@ -22,6 +22,7 @@ from .spaces import (
     projective_distance_matrix,
     random_coords,
     sphere_distance_matrix,
+    unit_rows,
 )
 
 #: bytes of the stacked (trials, m, 4, m) Gram array of one block of
@@ -206,8 +207,9 @@ def sqrt_embed(D, tol=1e-9, basepoint=0):
 def build_distance_matrix(points):
     """Pairwise distance matrix; the metric is inferred from the point type.
 
-    HPoint -> hyperbolic, PPoint -> projective, plain unit vectors ->
-    spherical, each from one batched kernel over all pairs.
+    HPoint -> hyperbolic, PPoint -> projective, plain nonzero vectors ->
+    spherical (spaces.unit_rows normalizes them, scale-free), each from one
+    batched kernel over all pairs.
     """
     points = list(points)
     if not points:
@@ -261,8 +263,7 @@ def _configuration_sampler(space, radius):
 
         def draw(rng, trials, m):
             normals = rng.standard_normal((trials, m, n + 1))
-            D = projective_distance_matrix(
-                normals / np.linalg.norm(normals, axis=-1, keepdims=True))
+            D = projective_distance_matrix(unit_rows(normals, "projective"))
             return D, lambda b: [PPoint(v) for v in normals[b]]
         return draw
     raise ValueError(f"unknown space selector {space!r}")

@@ -3,7 +3,10 @@
 Hyperbolic points are projective classes of negative vectors of the
 signature-(1,n) form, stored as normalized representatives with
 <x, x> = -1.  The representative's unit-scalar phase is deliberately not
-canonicalized; every public operation is phase invariant.
+canonicalized; every public operation is phase invariant.  Projective
+points and sphere vectors are unit rows.  Every point row is scale-free:
+unit_rows and normalized_coords, the only normalizations, check it and
+scale it by a power of two before any square is formed.
 """
 
 from __future__ import annotations
@@ -53,10 +56,7 @@ class PPoint:
         coords = np.asarray(coords, dtype=float)
         if coords.ndim != 1 or coords.shape[0] < 2:
             raise ValueError("expected a real vector of length >= 2")
-        norm = np.linalg.norm(coords)
-        if norm == 0.0:
-            raise ValueError("zero vector does not define a projective point")
-        coords = coords / norm
+        coords = unit_rows(coords, "projective")
         coords.flags.writeable = False
         object.__setattr__(self, "n", coords.shape[0] - 1)
         object.__setattr__(self, "coords", coords)
@@ -68,13 +68,38 @@ class PPoint:
         return f"PPoint({np.round(self.coords, 6).tolist()})"
 
 
+def _power_of_two_scaled(coords, axes):
+    """Finite coords scaled, exactly, by the power of two that puts the
+    largest entry over `axes` in [0.5, 1); all-zero blocks stay zero."""
+    coords = np.asarray(coords, dtype=float)
+    if not np.isfinite(coords).all():
+        raise ValueError("point coordinates must be finite")
+    top = np.abs(coords).max(axis=axes, keepdims=True)
+    return np.ldexp(coords, -np.frexp(top)[1])
+
+
+def unit_rows(coords, name):
+    """Stacked (..., n+1) rows of finite reals scaled to unit length, as
+    `PPoint` and sphere distances take them; a zero row defines no `name`
+    point.  The exact prescale keeps the norm from overflowing or
+    underflowing, and changes no bit of x / |x| where |x| is a normal float.
+    """
+    coords = _power_of_two_scaled(coords, -1)
+    norm = np.linalg.norm(coords, axis=-1, keepdims=True)
+    if np.any(norm == 0.0):
+        raise ValueError(f"zero vector does not define a {name} point")
+    return coords / norm
+
+
 def normalized_coords(coords):
     """Stacked (..., n+1, 4) coordinates of negative vectors scaled to
-    <x, x> = -1; the scaling `HPoint` applies to its coordinates."""
-    coords = np.asarray(coords, dtype=float)
+    <x, x> = -1; the scaling `HPoint` applies to its coordinates.  Each
+    point is first scaled by a power of two, as in unit_rows, so that its
+    form neither overflows nor underflows for scale alone."""
+    coords = _power_of_two_scaled(coords, (-2, -1))
     lead = np.moveaxis(coords, -2, 0)  # form_coeffs wants coordinates first
     q = form_coeffs(lead, lead)[..., 0]
-    if not np.all(q < -1e-14 * np.sum(coords**2, axis=(-2, -1))):  # NaN too
+    if not np.all(q < -1e-14 * np.sum(coords**2, axis=(-2, -1))):
         raise ValueError("not a negative vector of the form")
     return coords / np.sqrt(-q)[..., None, None]
 
@@ -151,11 +176,10 @@ def projective_distance_matrix(coords):
 
 
 def sphere_distance_matrix(coords):
-    """Distances between stacked vectors on the unit sphere after
-    normalization: (..., m, n+1) -> (..., m, m), cos d_ij = x_i . x_j, in
-    [0, pi]."""
-    X = np.asarray(coords, dtype=float)
-    X = X / np.linalg.norm(X, axis=-1, keepdims=True)
+    """Distances between stacked nonzero vectors, as points of the unit
+    sphere (unit_rows): (..., m, n+1) -> (..., m, m), cos d_ij = x_i . x_j,
+    in [0, pi]."""
+    X = unit_rows(coords, "sphere")
     sin, cos = _pair_angle_parts(X)
     return _pairs_to_matrix(np.arctan2(sin, cos), X.shape[-2])
 

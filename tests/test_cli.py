@@ -97,8 +97,8 @@ class TestDist:
     @pytest.mark.parametrize("kind", ["r", "c", "h", "p", "s"])
     def test_stacked_read_matches_points_one_by_one(self, tmp_path, kind):
         # the file's rows are measured in one batch; the matrix is the one
-        # of the points built and measured one by one, exactly for
-        # hyperbolic points and to rounding for the unit rows of p and s
+        # of the points built from the same rows and measured one by one,
+        # bit for bit, as spaces normalizes both
         rng = np.random.default_rng(len(kind) + ord(kind))
         n, m = 3, 9
         k = FIELD_DIM.get(kind, 1)
@@ -116,14 +116,11 @@ class TestDist:
         elif kind == "p":
             points = [spaces.PPoint(row) for row in rows]
         else:
-            points = [row / np.linalg.norm(row) for row in rows]
+            points = list(rows)
         got_kind, dim, D = cli._read_distances(str(path))
         want = kernels.build_distance_matrix(points)
         assert (got_kind, dim) == (kind, n)
-        if kind in FIELD_DIM:
-            assert np.array_equal(D, want)
-        else:
-            assert np.allclose(D, want, rtol=0.0, atol=1e-15)
+        assert np.array_equal(D, want)
 
     @pytest.mark.parametrize("text,message", [
         ("r,1\n1,0\n0,1\n", "not a negative vector of the form"),
@@ -135,12 +132,10 @@ class TestDist:
         ("p,1\nnan,0\n0,1\n", "point coordinates must be finite"),
         # exited 2 only after numpy RuntimeWarnings
         ("r,1\ninf,0\n1,0\n", "point coordinates must be finite"),
-        ("r,1\n1e200,1e200\n1,0\n", "point coordinates overflow the Hermitian form"),
-        ("h,1\n1e200,0,0,0,0,0,0,1e100\n1,0,0,0,0,0,0,0\n",
-         "point coordinates overflow the Hermitian form"),
+        # a null vector at any scale; its form overflowed at this one
+        ("r,1\n1e200,1e200\n1,0\n", "not a negative vector of the form"),
     ], ids=["not-negative", "projective-zero", "projective-dim-0", "dim-0",
-            "sphere-zero", "projective-nan", "hyperbolic-inf", "hyperbolic-overflow",
-            "quaternionic-overflow"])
+            "sphere-zero", "projective-nan", "hyperbolic-inf", "hyperbolic-overflow"])
     @pytest.mark.filterwarnings("error")
     def test_bad_point_rows_exit_2(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.csv"
@@ -165,6 +160,19 @@ class TestDist:
         D = json.loads(out)["results"][0]["matrix"]
         assert D[0][1] == pytest.approx(math.pi / 4, rel=1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_quaternionic_row_is_measured(self, capsys, tmp_path):
+        # a point of H^1_H at distance 1 from the base point, scaled by 1e200:
+        # its form overflowed (exit 2, "point coordinates overflow")
+        row = 1e200 * np.array([math.cosh(1), 0, 0, 0, 0, 0, 0, math.sinh(1)])
+        path = tmp_path / "huge.csv"
+        path.write_text("h,1\n" + ",".join(map(repr, row.tolist()))
+                        + "\n1,0,0,0,0,0,0,0\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "dist", "--points", str(path))
+        assert (code, err) == (0, "")
+        D = json.loads(out)["results"][0]["matrix"]
+        assert D[0][1] == pytest.approx(1.0, rel=1e-15)
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "dist", "--points",
                                str(tmp_path / "nope.csv"))
@@ -177,6 +185,104 @@ class TestDist:
         code, _, err = run_cli(capsys, "dist", "--points", str(path))
         assert code == 2
         assert "unknown point kind" in err
+
+
+#: per point kind, (dim, rows) of three points at distances of order 1;
+#: the r rows are those of write_real_hyperbolic_csv
+SCALE_FREE_POINTS = {
+    "r": (2, [[1, 0, 0], [math.cosh(1), math.sinh(1), 0],
+              [math.cosh(0.5), 0, math.sinh(0.5)]]),
+    "c": (2, [[1, 0, 0, 0, 0, 0],
+              [0.6 * math.cosh(1), 0.8 * math.cosh(1), 0, math.sinh(1), 0, 0],
+              [math.cosh(0.7), 0, 0, 0, 0.8 * math.sinh(0.7), 0.6 * math.sinh(0.7)]]),
+    "h": (1, [[1, 0, 0, 0, 0, 0, 0, 0],
+              [math.cosh(1), 0, 0, 0, 0, 0.6 * math.sinh(1), 0, 0.8 * math.sinh(1)],
+              [0.6 * math.cosh(0.5), 0, 0.8 * math.cosh(0.5), 0,
+               math.sinh(0.5), 0, 0, 0]]),
+    "p": (2, [[1, 1, 0], [1, -1, 0.5], [0.3, 0, 1]]),
+    "s": (2, [[1, 1, 0], [-1, 0.2, 0.5], [0.3, 0, -1]]),
+}
+
+
+class TestScaleFreeRows:
+    """Every point row is scale-free, through the Python API and through a
+    point file: one normalization per kind, in spaces."""
+
+    @staticmethod
+    def api_distances(kind, dim, rows):
+        """The distance matrix of build_distance_matrix and the scalar
+        distance of the first pair, from points built one by one."""
+        if kind in FIELD_DIM:
+            space, k = HermitianSpace(kind, dim), FIELD_DIM[kind]
+            points = []
+            for row in rows:
+                coeffs = np.zeros((dim + 1, 4))
+                coeffs[:, :k] = np.reshape(row, (dim + 1, k))
+                points.append(spaces.HPoint(space, coeffs))
+            pair = spaces.hyperbolic_distance(*points[:2])
+        elif kind == "p":
+            points = [spaces.PPoint(row) for row in rows]
+            pair = spaces.projective_distance(*points[:2])
+        else:
+            points = list(rows)
+            pair = spaces.sphere_distance(*points[:2])
+        return kernels.build_distance_matrix(points), pair
+
+    @staticmethod
+    def cli_distances(capsys, path, kind, dim, rows):
+        """(exit code, stderr, matrix) of `dist` on the rows written to path."""
+        path.write_text(f"{kind},{dim}\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in rows.tolist()),
+            encoding="utf-8")
+        code, out, err = run_cli(capsys, "dist", "--points", str(path))
+        D = np.array(json.loads(out)["results"][0]["matrix"]) if code == 0 else None
+        return code, err, D
+
+    @pytest.mark.parametrize("kind", list(SCALE_FREE_POINTS))
+    @pytest.mark.filterwarnings("error")
+    def test_rows_are_scale_free(self, capsys, tmp_path, kind):
+        # a power-of-two scale changes no bit of any distance, a decimal one
+        # (inexact) no more than rounding; every form and norm of these rows
+        # overflowed or underflowed before the prescale
+        dim, rows = SCALE_FREE_POINTS[kind]
+        rows = np.array(rows, dtype=float)
+        path = tmp_path / "points.csv"
+        want_D, want_pair = self.api_distances(kind, dim, rows)
+        code, err, want_cli = self.cli_distances(capsys, path, kind, dim, rows)
+        assert (code, err) == (0, "")
+        for scale, rel in [(2.0 ** 600, 0.0), (2.0 ** -600, 0.0),
+                           (1e200, 1e-15), (1e-200, 1e-15)]:
+            D, pair = self.api_distances(kind, dim, scale * rows)
+            code, err, cli_D = self.cli_distances(capsys, path, kind, dim,
+                                                  scale * rows)
+            assert (code, err) == (0, "")
+            assert abs(pair - want_pair) <= rel * want_pair
+            assert np.all(np.abs(D - want_D) <= rel * want_D)
+            assert np.all(np.abs(cli_D - want_cli) <= rel * want_cli)
+
+    @pytest.mark.parametrize("kind", list(SCALE_FREE_POINTS))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0],
+                             ids=["nan", "inf", "zero"])
+    @pytest.mark.filterwarnings("error")
+    def test_bad_row_raises_the_cli_message(self, capsys, tmp_path, kind, bad):
+        dim, rows = SCALE_FREE_POINTS[kind]
+        rows = np.array(rows, dtype=float)
+        if bad == 0.0:
+            rows[1] = 0.0
+            message = {"p": "zero vector does not define a projective point",
+                       "s": "zero vector does not define a sphere point"
+                       }.get(kind, "not a negative vector of the form")
+        else:
+            rows[1, 0] = bad
+            message = "point coordinates must be finite"
+        code, err, _ = self.cli_distances(capsys, tmp_path / "bad.csv", kind,
+                                          dim, rows)
+        assert (code, err.strip()) == (2, f"error: {message}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            self.api_distances(kind, dim, rows)
+        if kind == "s":  # the vectors themselves reach build_distance_matrix
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                kernels.build_distance_matrix(list(rows))
 
 
 class TestCheckNegtype:

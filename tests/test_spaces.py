@@ -145,6 +145,29 @@ class TestSphereDistance:
         assert sphere_distance(e1, [0, 1, 0]) == pytest.approx(np.pi / 2)
 
 
+class TestScaleFreeRows:
+    """Rows at extreme scale, which plain norms and forms mishandled; the
+    scale-free contract over every kind, and rows that are not finite, are
+    tested with the CLI's point files in test_cli.TestScaleFreeRows."""
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.filterwarnings("error")
+    def test_distances_at_extreme_scale(self, scale):
+        # at 1e200 the norms overflowed: PPoint coords read [0, 0] and both
+        # distances 0.0, and the form overflowed with a RuntimeWarning; at
+        # 1e-200 PPoint was a "zero vector", the sphere distance nan and the
+        # hyperbolic point "not a negative vector"
+        x, y = PPoint([scale, scale]), PPoint([scale, -scale])
+        assert np.allclose(x.coords, [math.sqrt(0.5)] * 2, rtol=1e-15, atol=0)
+        assert projective_distance(x, y) == pytest.approx(np.pi / 2, rel=1e-15)
+        assert sphere_distance([scale, scale], [scale, 0.0]) == pytest.approx(
+            np.pi / 4, rel=1e-15)
+        space = HermitianSpace(REAL, 2)
+        z = HPoint(space, scale * np.array([math.cosh(1), math.sinh(1), 0.0]))
+        assert hyperbolic_distance(base_point(space), z) == pytest.approx(
+            1.0, rel=1e-15)
+
+
 class TestDistanceMatrixKernels:
     """The batched kernels against the scalar formulas, pair by pair.
 
