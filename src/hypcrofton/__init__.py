@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "algebra": (
         "COMPLEX", "FIELD_DIM", "FIELDS", "QUATERNION", "REAL", "HermitianSpace",
-        "Quaternion", "hermitian_form", "quat_mul", "scalar_modulus",
     ),
     "configurations": (
         "SPLIT_COEFFICIENTS", "cluster_sums", "projective_six_points",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import QUATERNION, HermitianSpace, Quaternion
+from .algebra import QUATERNION, HermitianSpace
 from .kernels import build_distance_matrix
 from .spaces import HPoint, PPoint
 
@@ -29,26 +29,28 @@ def quaternionic_cluster_points():
     """24 points of H^2_H violating the negative-type condition.
 
     Two clusters of twelve: (3, 2s + 2e, 0) and (3, 0, 2s + 2e) for
-    s in {+1, -1} and e ranging over the six unit imaginary quaternions.
-    With +1 on the first cluster and -1 on the second, the within-cluster
-    distance sums exceed the cross-cluster sum.
+    s in {+1, -1} and e ranging over the six unit imaginary quaternions
+    +i, -i, +j, -j, +k, -k, in this order.  With +1 on the first cluster and
+    -1 on the second, the within-cluster distance sums exceed the
+    cross-cluster sum.
     """
     space = HermitianSpace(QUATERNION, 2)
-    units = [Quaternion(0, 1, 0, 0), Quaternion(0, -1, 0, 0),
-             Quaternion(0, 0, 1, 0), Quaternion(0, 0, -1, 0),
-             Quaternion(0, 0, 0, 1), Quaternion(0, 0, 0, -1)]
-    zero = Quaternion()
     xs, ys = [], []
     for s in (1.0, -1.0):
-        for e in units:
-            middle = Quaternion(2 * s) + e * 2
-            xs.append(HPoint(space, [Quaternion(3.0), middle, zero]))
-            ys.append(HPoint(space, [Quaternion(3.0), zero, middle]))
+        for unit in (1, 2, 3):
+            for sign in (1.0, -1.0):
+                x = np.zeros((3, 4))
+                x[0, 0] = 3.0
+                x[1, 0] = 2 * s
+                x[1, unit] = 2 * sign
+                xs.append(HPoint(space, x))
+                ys.append(HPoint(space, x[[0, 2, 1]]))
     return xs + ys
 
 
-def cluster_sums(points, split=12):
-    """(within_sum, cross_sum) for a two-cluster configuration.
+def cluster_sums(points):
+    """(within_sum, cross_sum) for a two-cluster configuration whose first
+    cluster is the first half of `points`.
 
     Within-cluster distances are summed over unordered pairs of each
     cluster; cross distances over all ordered (i in first, j in second)
@@ -56,6 +58,7 @@ def cluster_sums(points, split=12):
     """
     D = build_distance_matrix(points)
     m = D.shape[0]
+    split = m // 2
     first = np.arange(split)
     second = np.arange(split, m)
     iu = np.triu_indices(split, k=1)

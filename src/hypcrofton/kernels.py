@@ -29,6 +29,12 @@ from .spaces import (
 #: violation_search; with the kernel's other stacked arrays, a block holds
 #: about 1 MB (each stacked trial of 24 points adds ~50 kB to peak RSS)
 SEARCH_BLOCK_BYTES = 1 << 18
+#: tolerance, relative to the scale of the matrix, below which a quadratic
+#: form or an eigenvalue counts as zero: the default of
+#: negative_type_witness, and the one the other checks use
+REL_TOL = 1e-9
+#: largest enumeration, m (2 bound + 1)^m vectors, hypermetric_scan takes
+MAX_CANDIDATES = 20_000_000
 
 
 class NotNegativeTypeError(ValueError):
@@ -40,11 +46,15 @@ class NotNegativeTypeError(ValueError):
 
 
 def validate_distance_matrix(D):
-    """Check symmetry, zero diagonal and nonnegativity; return as float array."""
+    """Check finiteness, symmetry, zero diagonal and nonnegativity; return
+    as float array."""
     D = np.asarray(D, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise ValueError("distance matrix must be square")
-    if not np.allclose(D, D.T, atol=1e-12 * max(1.0, np.abs(D).max())):
+    top = np.abs(D).max()  # inf or nan if any entry is
+    if not np.isfinite(top):
+        raise ValueError("distances must be finite")
+    if not np.allclose(D, D.T, atol=1e-12 * max(1.0, top)):
         raise ValueError("distance matrix must be symmetric")
     if np.any(np.diag(D) != 0.0):
         raise ValueError("distance matrix must have zero diagonal")
@@ -63,7 +73,7 @@ def quadratic_form(D, t):
     return float(t @ D @ t)
 
 
-def negative_type_witness(D, tol=1e-9):
+def negative_type_witness(D, tol=REL_TOL):
     """Return a sum-zero witness (t, Q) with Q > 0, or None.
 
     The matrix is double-centered with P = I - J/m and its top eigenvalue
@@ -122,24 +132,25 @@ def _sum_constrained_vectors(m, bound, total):
     return arr
 
 
-def hypermetric_scan(D, bound=2, tol=1e-9, max_candidates=20_000_000):
-    """All integer t with |t_i| <= bound, sum t_i = 1 and Q(t) > tol.
+def hypermetric_scan(D, bound=2):
+    """All integer t with |t_i| <= bound, sum t_i = 1 and
+    Q(t) > REL_TOL * max(max|D|, 1).
 
     Returns a list of (t, Q) sorted by decreasing Q.  The enumeration size
-    m * (2*bound+1)^m is guarded by max_candidates.
+    m * (2*bound+1)^m is guarded by MAX_CANDIDATES.
     """
     D = validate_distance_matrix(D)
     m = D.shape[0]
     budget = m * (2 * bound + 1) ** m
-    if budget > max_candidates:
+    if budget > MAX_CANDIDATES:
         raise ValueError(
-            f"enumeration budget {budget} exceeds {max_candidates}; "
+            f"enumeration budget {budget} exceeds {MAX_CANDIDATES}; "
             f"reduce bound (<= 3) or point count (<= 8)")
     T = _sum_constrained_vectors(m, bound, 1)
     Tf = T.astype(float)
     qs = np.einsum("ki,ij,kj->k", Tf, D, Tf)
     scale = max(np.abs(D).max(), 1.0)
-    hits = np.nonzero(qs > tol * scale)[0]
+    hits = np.nonzero(qs > REL_TOL * scale)[0]
     violations = [(T[i].copy(), float(qs[i])) for i in hits]
     violations.sort(key=lambda v: -v[1])
     return violations
@@ -157,27 +168,27 @@ class EmbeddingResult:
     max_radius_residual: float
 
 
-def sqrt_embed(D, tol=1e-9, basepoint=0):
+def sqrt_embed(D):
     """Classical scaling of the metric sqrt(d) with circumsphere fit.
 
-    Gram matrix G_ij = (d(x_i, b) + d(x_j, b) - d(x_i, x_j)) / 2 is factored
-    by eigendecomposition; eigenvalues below -tol * max|D| raise
-    NotNegativeTypeError, small negatives are clamped to zero.
+    Gram matrix G_ij = (d(x_i, b) + d(x_j, b) - d(x_i, x_j)) / 2, with the
+    first point as b, is factored by eigendecomposition; eigenvalues below
+    -REL_TOL * max|D| raise NotNegativeTypeError, small negatives are
+    clamped to zero.
     """
     D = validate_distance_matrix(D)
     m = D.shape[0]
     scale = max(np.abs(D).max(), 1e-300)
-    db = D[:, basepoint]
+    db = D[:, 0]
     G = 0.5 * (db[:, None] + db[None, :] - D)
     G = 0.5 * (G + G.T)
     eigvals, eigvecs = np.linalg.eigh(G)
-    if eigvals[0] < -tol * scale:
+    if eigvals[0] < -REL_TOL * scale:
         raise NotNegativeTypeError(
             f"Gram matrix has eigenvalue {eigvals[0]}; "
             f"metric is not of negative type", eigenvalue=float(eigvals[0]))
     eigvals = np.clip(eigvals, 0.0, None)
-    rank_tol = max(tol, 1e-12) * scale
-    keep = eigvals > rank_tol
+    keep = eigvals > REL_TOL * scale
     rank = int(keep.sum())
     coords = eigvecs[:, keep] * np.sqrt(eigvals[keep])
     if rank == 0:
@@ -274,7 +285,7 @@ def _block_trials(m):
     return max(1, SEARCH_BLOCK_BYTES // (32 * m * m))
 
 
-def violation_search(space, m, trials, radius, rng, seed_points=None, tol=1e-9):
+def violation_search(space, m, trials, radius, rng, seed_points=None):
     """Randomized search for a negative-type violation.
 
     `space` is a HermitianSpace or a projective selector like 'p2'.  Runs
@@ -297,7 +308,7 @@ def violation_search(space, m, trials, radius, rng, seed_points=None, tol=1e-9):
     def consider(points, trial):
         nonlocal best
         D = build_distance_matrix(points)
-        witness = negative_type_witness(D, tol=tol)
+        witness = negative_type_witness(D)
         if witness is None:
             return
         t, q = witness
@@ -314,7 +325,7 @@ def violation_search(space, m, trials, radius, rng, seed_points=None, tol=1e-9):
         scale = np.maximum(np.abs(D).max(axis=(-2, -1)), 1e-300)
         # half the tolerance: the stacked arithmetic may round differently
         # from negative_type_witness, which makes the decision
-        for b in np.flatnonzero(top > 0.5 * tol * scale):
+        for b in np.flatnonzero(top > 0.5 * REL_TOL * scale):
             consider(points(b), start + int(b))
 
     if best.t is not None and best.q > 0:

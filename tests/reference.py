@@ -24,7 +24,7 @@ import numpy as np
 
 from hypcrofton.algebra import (
     FIELD_DIM, REAL, DimensionMismatchError, HermitianSpace, form_coeffs, qconj,
-    qmul, qnorm)
+    qmul)
 from hypcrofton.spaces import HPoint, _check_same_space
 
 
@@ -96,7 +96,7 @@ def geodesic_between(x, y):
     """
     _check_same_space(x, y)
     f = form_coeffs(x.coords, y.coords)
-    mod = float(qnorm(f))
+    mod = float(np.linalg.norm(f, axis=-1))
     d = float(np.arccosh(max(mod, 1.0)))
     if d < 1e-12:
         raise DegenerateSegmentError("endpoints are projectively equal")
@@ -298,7 +298,7 @@ class Horosphere:
         q = form_coeffs(xi, xi)[0]
         if abs(q) > 1e-10 * norm2:
             raise ValueError("horosphere parameter must be a null vector")
-        lead = qnorm(xi[0])
+        lead = np.linalg.norm(xi[0], axis=-1)
         if lead <= 0.0:
             raise ValueError("leading component must be nonzero")
         lam = qconj(xi[0]) / lead
@@ -312,11 +312,11 @@ class Horosphere:
 
     def level(self, x):
         """|<x, xi>| -- the horosphere is its level-1 set."""
-        return float(qnorm(form_coeffs(x.coords, self.xi)))
+        return float(np.linalg.norm(form_coeffs(x.coords, self.xi), axis=-1))
 
     def busemann_distance(self):
         """Distance of the base point from the horosphere, |log r|."""
-        return abs(math.log(float(qnorm(self.xi[0]))))
+        return abs(math.log(float(np.linalg.norm(self.xi[0], axis=-1))))
 
 
 # -- sampling ------------------------------------------------------------------

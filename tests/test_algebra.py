@@ -3,108 +3,85 @@ import pytest
 
 from hypcrofton.algebra import (
     COMPLEX,
-    QUAT_I,
-    QUAT_J,
-    QUAT_K,
     QUATERNION,
     REAL,
     DimensionMismatchError,
     HermitianSpace,
-    Quaternion,
-    hermitian_form,
-    quat_mul,
-    scalar_modulus,
+    form_coeffs,
+    qconj,
+    qmul,
     to_coeffs,
 )
+from hypcrofton.spaces import HPoint
+
+ONE, QUAT_I, QUAT_J, QUAT_K = np.eye(4)
+
+#: the (3, 4) coefficients of the addendum's points (3, 2 + 2i, 0) and
+#: (3, 0, 2 + 2j), one of each cluster
+CLUSTER_X = np.array([[3.0, 0, 0, 0], [2, 2, 0, 0], [0, 0, 0, 0]])
+CLUSTER_Y = np.array([[3.0, 0, 0, 0], [0, 0, 0, 0], [2, 0, 2, 0]])
 
 
-def random_quaternion(rng):
-    return Quaternion(*rng.standard_normal(4))
+def modulus(c):
+    return np.linalg.norm(c, axis=-1)
+
+
+def isclose(a, b, tol=1e-12):
+    """Coefficient scalars equal up to tol relative to the larger modulus."""
+    return modulus(a - b) <= tol * max(modulus(a), modulus(b), 1.0)
 
 
 class TestQuaternion:
     def test_hamilton_relations(self):
-        assert QUAT_I * QUAT_J == QUAT_K
-        assert QUAT_J * QUAT_K == QUAT_I
-        assert QUAT_K * QUAT_I == QUAT_J
-        assert QUAT_J * QUAT_I == -QUAT_K
-        assert (QUAT_I * QUAT_I) == Quaternion(-1)
+        assert np.array_equal(qmul(QUAT_I, QUAT_J), QUAT_K)
+        assert np.array_equal(qmul(QUAT_J, QUAT_K), QUAT_I)
+        assert np.array_equal(qmul(QUAT_K, QUAT_I), QUAT_J)
+        assert np.array_equal(qmul(QUAT_J, QUAT_I), -QUAT_K)
+        assert np.array_equal(qmul(QUAT_I, QUAT_I), -ONE)
 
     def test_one_plus_i_times_one_minus_i(self):
-        a = Quaternion(1, 1, 0, 0)
-        b = Quaternion(1, -1, 0, 0)
-        assert a * b == Quaternion(2)
-
-    def test_quat_mul_accepts_embeddable_scalars(self):
-        assert quat_mul(2.0, QUAT_I) == Quaternion(0, 2, 0, 0)
-        assert quat_mul(1 + 1j, 1 - 1j) == Quaternion(2)
+        assert np.array_equal(qmul([1, 1, 0, 0], [1, -1, 0, 0]), 2 * ONE)
 
     def test_conjugation_involution(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            q = random_quaternion(rng)
-            assert q.conj().conj() == q
+        q = np.random.default_rng(0).standard_normal((100, 4))
+        assert np.array_equal(qconj(qconj(q)), q)
 
     def test_norm_multiplicative(self):
-        rng = np.random.default_rng(1)
-        for _ in range(1000):
-            p = random_quaternion(rng)
-            q = random_quaternion(rng)
-            assert abs(p * q) == pytest.approx(abs(p) * abs(q), rel=1e-12)
+        p, q = np.random.default_rng(1).standard_normal((2, 1000, 4))
+        np.testing.assert_allclose(modulus(qmul(p, q)), modulus(p) * modulus(q),
+                                   rtol=1e-12)
 
     def test_q_conj_q_is_norm_squared(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            q = random_quaternion(rng)
-            prod = q * q.conj()
-            assert prod.x == pytest.approx(0, abs=1e-12)
-            assert prod.y == pytest.approx(0, abs=1e-12)
-            assert prod.z == pytest.approx(0, abs=1e-12)
-            assert prod.w == pytest.approx(abs(q) ** 2, rel=1e-12)
-
-    def test_inverse(self):
-        q = Quaternion(1, 2, 3, 4)
-        assert (q * q.inverse()).isclose(Quaternion(1))
-        with pytest.raises(ZeroDivisionError):
-            Quaternion().inverse()
+        q = np.random.default_rng(2).standard_normal((100, 4))
+        prod = qmul(q, qconj(q))
+        np.testing.assert_allclose(prod[:, 1:], 0, atol=1e-12)
+        np.testing.assert_allclose(prod[:, 0], modulus(q) ** 2, rtol=1e-12)
 
 
 class TestScalarModulus:
-    def test_zero(self):
-        assert scalar_modulus(Quaternion()) == 0.0
-        assert scalar_modulus(0.0) == 0.0
-
     def test_two_term_quaternion(self):
-        # arises as a within-cluster pairing in the 24-point configuration
-        assert scalar_modulus(Quaternion(-9, 8, 0, 0)) == pytest.approx(
-            np.sqrt(145), rel=1e-12)
-
-    def test_unit_quaternion(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            c = rng.standard_normal(4)
-            c /= np.linalg.norm(c)
-            assert scalar_modulus(Quaternion(*c)) == pytest.approx(1.0, rel=1e-12)
+        # the within-cluster pairing of (3, 2 + 2i, 0) and (3, -2 + 2i, 0)
+        y = np.array([[3.0, 0, 0, 0], [-2, 2, 0, 0], [0, 0, 0, 0]])
+        pairing = form_coeffs(CLUSTER_X, y)
+        assert np.array_equal(pairing, [-9, 8, 0, 0])
+        assert modulus(pairing) == pytest.approx(np.sqrt(145), rel=1e-12)
 
 
 class TestFieldEmbeddings:
     def test_real_complex_quaternion_agree(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            a, b = rng.standard_normal(2)
-            qr = quat_mul(a, b)
-            qc = Quaternion.from_complex(complex(a) * complex(b))
-            assert qr.isclose(qc)
-            assert scalar_modulus(a) == pytest.approx(abs(complex(a)))
-            assert scalar_modulus(Quaternion.from_real(a)) == pytest.approx(abs(a))
+        a, b = np.random.default_rng(4).standard_normal((2, 50))
+        ra = to_coeffs(a, REAL)
+        assert np.array_equal(to_coeffs(a + 0j, COMPLEX), ra)
+        assert np.array_equal(to_coeffs(a, QUATERNION), ra)
+        assert np.array_equal(qmul(ra, to_coeffs(b, REAL)), to_coeffs(a * b, REAL))
+        assert np.array_equal(modulus(ra), np.abs(a))
 
     def test_complex_products_embed(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            z = complex(*rng.standard_normal(2))
-            w = complex(*rng.standard_normal(2))
-            lhs = Quaternion.from_complex(z) * Quaternion.from_complex(w)
-            assert lhs.isclose(Quaternion.from_complex(z * w))
+        re, im = np.random.default_rng(5).standard_normal((2, 2, 50))
+        z, w = re + 1j * im
+        lhs = qmul(to_coeffs(z, COMPLEX), to_coeffs(w, COMPLEX))
+        np.testing.assert_allclose(lhs, to_coeffs(z * w, COMPLEX),
+                                   rtol=1e-12, atol=1e-12)
 
 
 def random_vector(space, rng):
@@ -116,29 +93,23 @@ def random_vector(space, rng):
 
 class TestHermitianForm:
     def test_signature_term_only(self):
-        space = HermitianSpace(REAL, 2)
-        assert hermitian_form([1, 0, 0], [1, 0, 0], space) == -1.0
+        x = to_coeffs([1, 0, 0], REAL)
+        assert np.array_equal(form_coeffs(x, x), -ONE)
 
     def test_cluster_point_norm(self):
-        space = HermitianSpace(QUATERNION, 2)
-        x = [Quaternion(3), Quaternion(2, 2, 0, 0), Quaternion()]
-        assert hermitian_form(x, x, space).isclose(Quaternion(-1))
+        assert isclose(form_coeffs(CLUSTER_X, CLUSTER_X), -ONE)
 
     def test_cluster_cross_pairing(self):
-        space = HermitianSpace(QUATERNION, 2)
-        x = [Quaternion(3), Quaternion(2, 2, 0, 0), Quaternion()]
-        y = [Quaternion(3), Quaternion(), Quaternion(2, 0, 2, 0)]
-        assert hermitian_form(x, y, space).isclose(Quaternion(-9))
+        assert isclose(form_coeffs(CLUSTER_X, CLUSTER_Y), -9 * ONE)
 
     def test_dimension_mismatch(self):
-        space = HermitianSpace(REAL, 2)
+        # a vector of the wrong length is rejected where a point is made
         with pytest.raises(DimensionMismatchError):
-            hermitian_form([1, 0], [1, 0, 0], space)
+            HPoint(HermitianSpace(REAL, 2), [1.0, 0.0])
 
     def test_field_mismatch(self):
-        space = HermitianSpace(REAL, 2)
-        with pytest.raises(ValueError):
-            hermitian_form(np.array([1j, 0, 0]), np.array([1j, 0, 0]), space)
+        with pytest.raises(ValueError, match="outside field 'r'"):
+            to_coeffs(np.array([1j, 0, 0]), REAL)
 
     @pytest.mark.parametrize("field", [REAL, COMPLEX, QUATERNION])
     def test_hermitian_symmetry(self, field):
@@ -147,14 +118,7 @@ class TestHermitianForm:
         for _ in range(50):
             z = random_vector(space, rng)
             w = random_vector(space, rng)
-            zw = hermitian_form(z, w, space)
-            wz = hermitian_form(w, z, space)
-            if field == REAL:
-                assert wz == pytest.approx(zw, rel=1e-12, abs=1e-12)
-            elif field == COMPLEX:
-                assert wz == pytest.approx(zw.conjugate(), rel=1e-12, abs=1e-12)
-            else:
-                assert wz.isclose(zw.conj())
+            assert isclose(form_coeffs(w, z), qconj(form_coeffs(z, w)))
 
     def test_right_linearity_in_second_slot(self):
         # <z, w*lam> = <z, w> * lam, in exactly this order over H
@@ -163,11 +127,10 @@ class TestHermitianForm:
         for _ in range(50):
             z = random_vector(space, rng)
             w = random_vector(space, rng)
-            lam = random_quaternion(rng)
-            wl = np.array([(Quaternion(*row) * lam).coeffs() for row in w])
-            lhs = hermitian_form(z, wl, space)
-            rhs = hermitian_form(z, w, space) * lam
-            assert lhs.isclose(rhs)
+            lam = rng.standard_normal(4)
+            lhs = form_coeffs(z, qmul(w, lam))
+            rhs = qmul(form_coeffs(z, w), lam)
+            assert isclose(lhs, rhs)
 
     @pytest.mark.parametrize("field", [COMPLEX, QUATERNION])
     def test_phase_invariance_of_modulus(self, field):
@@ -183,21 +146,38 @@ class TestHermitianForm:
             mu = np.zeros(4)
             mu[:k] = rng.standard_normal(k)
             mu /= np.linalg.norm(mu)
-            zl = np.array([(Quaternion(*row) * Quaternion(*lam)).coeffs()
-                           for row in z])
-            wm = np.array([(Quaternion(*row) * Quaternion(*mu)).coeffs()
-                           for row in w])
-            base = scalar_modulus(hermitian_form(z, w, space))
-            shifted = scalar_modulus(hermitian_form(zl, wm, space))
+            base = modulus(form_coeffs(z, w))
+            shifted = modulus(form_coeffs(qmul(z, lam), qmul(w, mu)))
             assert shifted == pytest.approx(base, rel=1e-12, abs=1e-12)
 
 
 class TestToCoeffs:
     def test_field_slot_violation(self):
-        with pytest.raises(ValueError):
-            to_coeffs([QUAT_J], COMPLEX)
+        with pytest.raises(ValueError, match="outside field 'c'"):
+            to_coeffs(QUAT_J[None], COMPLEX)
 
     def test_real_roundtrip(self):
         c = to_coeffs(np.array([1.0, -2.0]), REAL)
         assert c.shape == (2, 4)
         assert np.all(c[:, 1:] == 0)
+
+    def test_three_input_shapes(self):
+        assert np.array_equal(to_coeffs([3, -1.5], QUATERNION),
+                              [[3, 0, 0, 0], [-1.5, 0, 0, 0]])
+        assert np.array_equal(to_coeffs(np.array([1 - 2j, 0.5j]), COMPLEX),
+                              [[1, -2, 0, 0], [0, 0.5, 0, 0]])
+        coeffs = [[1.0, 2, 3, 4], [0, 0, 0, -1]]
+        out = to_coeffs(coeffs, QUATERNION)
+        assert out.dtype == float and np.array_equal(out, coeffs)
+
+    @pytest.mark.parametrize("values", [
+        [object(), object()],
+        np.ones((2, 4), dtype=complex),
+        np.ones((2, 3)),
+        np.ones((2, 3, 4)),
+        1.0,
+        ["1", "2"],
+    ], ids=["objects", "complex-coeffs", "width-3", "3-d", "scalar", "strings"])
+    def test_other_inputs_rejected(self, values):
+        with pytest.raises(ValueError, match="expected a real"):
+            to_coeffs(values, QUATERNION)

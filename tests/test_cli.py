@@ -322,6 +322,20 @@ class TestCheckNegtype:
         assert "provide --points or --matrix" in err
 
 
+class TestMatrixFile:
+    @pytest.mark.parametrize("command", ["check-negtype", "scan-hypermetric",
+                                         "embed"])
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_distance_exits_2(self, capsys, tmp_path, command):
+        # scan-hypermetric and embed exited 0, and check-negtype exited 2
+        # only through LAPACK, after RuntimeWarnings
+        path = tmp_path / "inf.csv"
+        path.write_text("0,inf,1\ninf,0,1\n1,1,0\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, command, "--matrix", str(path))
+        assert (code, out) == (2, "")
+        assert err.strip() == "error: distances must be finite"
+
+
 class TestScanHypermetric:
     def test_projective_violations(self, capsys, tmp_path):
         path = write_projective_csv(tmp_path / "pts.csv")

@@ -16,7 +16,6 @@ import hypcrofton
 EXPORTED = {
     "algebra": [
         "COMPLEX", "FIELD_DIM", "FIELDS", "QUATERNION", "REAL", "HermitianSpace",
-        "Quaternion", "hermitian_form", "quat_mul", "scalar_modulus",
     ],
     "configurations": [
         "SPLIT_COEFFICIENTS", "cluster_sums", "projective_six_points",
@@ -42,9 +41,11 @@ EXPORTED = {
 EXPORTED_NAMES = [(module, name) for module, names in EXPORTED.items()
                   for name in names]
 #: names the package once exported and no longer has: translation_to_base
-#: is deleted, and the brute-force reference moved to tests/reference.py
+#: and the scalar quaternion layer are deleted, and the brute-force
+#: reference moved to tests/reference.py
 DROPPED = [
     "translation_to_base",
+    "Quaternion", "hermitian_form", "quat_mul", "scalar_modulus",
     "Horosphere", "Hyperplane", "OrientedHalfSpace", "count_cosh_roots",
     "count_horosphere_intersections", "halfspace_contains", "halfspace_side",
     "hyperplane_meets_segment", "sample_horosphere", "sample_hyperplane",

@@ -22,9 +22,10 @@ from hypcrofton.kernels import (
     negative_type_witness,
     quadratic_form,
     sqrt_embed,
+    validate_distance_matrix,
     violation_search,
 )
-from hypcrofton.spaces import PPoint, random_point
+from hypcrofton.spaces import PPoint, normalized_coords, random_point
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +123,19 @@ class TestNegativeTypeWitness:
             negative_type_witness(projective_D, tol=tol)
 
 
+class TestValidateDistanceMatrix:
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_rejected(self, value):
+        # np.allclose took inf == inf as symmetric, so sqrt_embed and
+        # hypermetric_scan went on with the infinite distances
+        D = np.array([[0.0, value, 1.0], [value, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        for check in (validate_distance_matrix, negative_type_witness,
+                      hypermetric_scan, sqrt_embed):
+            with pytest.raises(ValueError, match="^distances must be finite$"):
+                check(D)
+
+
 class TestHypermetricScan:
     def test_random_hyperbolic_plane_configurations_clean(self):
         space = HermitianSpace(REAL, 2)
@@ -172,12 +186,14 @@ class TestSqrtEmbed:
         assert emb.rank >= 3  # >= ceil(log2(8))
 
     def test_basepoint_independence(self):
+        # the first point is the base point; each order puts point b first
         space = HermitianSpace(REAL, 3)
         rng = np.random.default_rng(7)
         pts = [random_point(space, 2.5, rng) for _ in range(6)]
         D = build_distance_matrix(pts)
         for b in range(6):
-            emb = sqrt_embed(D, basepoint=b)
+            p = [b, *(i for i in range(6) if i != b)]
+            emb = sqrt_embed(D[np.ix_(p, p)])
             assert emb.max_distance_residual <= 1e-9
 
     def test_rejects_non_negative_type(self, projective_D):
@@ -203,6 +219,23 @@ class TestBuildDistanceMatrix:
             [1/4, 1/4, 1/2, 1/2, 1/2, 0],
         ])
         assert np.allclose(projective_D, expected, atol=1e-12)
+
+    def test_cluster_points_in_order(self):
+        # (3, 2s + 2e, 0), then (3, 0, 2s + 2e), for s = +1, -1 and
+        # e = +i, -i, +j, -j, +k, -k: the order search-violations'
+        # --structured-seed reports its witness t in
+        units = [(0, 1, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, -1, 0),
+                 (0, 0, 0, 1), (0, 0, 0, -1)]
+        middles = [np.array([s, 0, 0, 0]) * 2 + np.array(e) * 2
+                   for s in (1, -1) for e in units]
+        lead, zero = [3, 0, 0, 0], [0, 0, 0, 0]
+        expected = [[lead, c, zero] for c in middles] + \
+            [[lead, zero, c] for c in middles]
+        expected = normalized_coords(np.array(expected, dtype=float))
+        points = quaternionic_cluster_points()
+        assert len(points) == 24
+        for point, coords in zip(points, expected):
+            assert np.array_equal(point.coords, coords)
 
     def test_cluster_sums(self):
         within, cross = cluster_sums(quaternionic_cluster_points())
@@ -236,7 +269,7 @@ class TestBuildDistanceMatrix:
             build_distance_matrix(points)
 
 
-def reference_search(space, m, trials, radius, rng, seed_points=None, tol=1e-9):
+def reference_search(space, m, trials, radius, rng, seed_points=None):
     """violation_search one configuration at a time: (trial, q, t, verified)."""
     if isinstance(space, str):
         n = int(space[1:])
@@ -250,7 +283,7 @@ def reference_search(space, m, trials, radius, rng, seed_points=None, tol=1e-9):
     configs = [] if seed_points is None else [(-1, list(seed_points))]
     configs += [(trial, [sample() for _ in range(m)]) for trial in range(trials)]
     for trial, points in configs:
-        witness = negative_type_witness(build_distance_matrix(points), tol=tol)
+        witness = negative_type_witness(build_distance_matrix(points))
         if witness is not None and witness[1] > best[1]:
             best = (trial, witness[1], witness[0], points)
     trial, q, t, points = best
