@@ -1,13 +1,14 @@
 """Distance kernels, Crofton Monte Carlo estimators and negative-type
 analysis on hyperbolic, projective and spherical spaces.
 
-The package namespace is lazy (PEP 562): `import hypcrofton` loads none of
-the submodules, and the first lookup of an exported name, such as
-`hypcrofton.hyperplane_crofton_many` or `from hypcrofton import HPoint`,
-imports the one submodule that defines it.  Each name resolves to the
-submodule's own attribute at lookup time.  The submodules that export
-names (`hypcrofton.crofton`, ...) load the same way.  A short CLI command thus
-pays only for the modules its subcommand runs, not for the whole package.
+The package namespace is lazy (PEP 562): `import hypcrofton` loads none
+of the submodules, and the first lookup of an exported name, such as
+`hypcrofton.hyperplane_crofton_many` or `from hypcrofton import
+build_distance_matrix`, imports the one submodule that defines it.  Each
+name resolves to the submodule's own attribute at lookup time.  The
+submodules that export names (`hypcrofton.crofton`, ...) load the same
+way.  A short CLI command thus pays only for the modules its subcommand
+runs, not for the whole package.
 """
 
 import importlib
@@ -24,21 +25,15 @@ _EXPORTS = {
         "quaternionic_cluster_points",
     ),
     "crofton": (
-        "CroftonEstimate", "estimate_horosphere_crofton", "estimate_m",
-        "horosphere_crofton", "horosphere_crofton_many", "hyperplane_crofton",
-        "hyperplane_crofton_many", "projective_crofton_estimate",
-        "projective_crofton_many", "sphere_halfspace_crofton",
-        "sphere_halfspace_crofton_many",
+        "CARRIERS", "CroftonEstimate", "horosphere_crofton_many",
+        "hyperplane_crofton_many",
     ),
     "kernels": (
         "EmbeddingResult", "NotNegativeTypeError", "build_distance_matrix",
         "hypermetric_scan", "negative_type_witness", "quadratic_form", "sqrt_embed",
         "violation_search",
     ),
-    "spaces": (
-        "HPoint", "PPoint", "base_point", "hyperbolic_distance",
-        "projective_distance", "random_point", "sphere_distance",
-    ),
+    "spaces": ("random_coords",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -30,10 +30,6 @@ FIELD_DIM = {REAL: 1, COMPLEX: 2, QUATERNION: 4}
 MAX_DISTANCE = 16.0
 
 
-class DimensionMismatchError(ValueError):
-    """Operands live in different spaces (length or field disagree)."""
-
-
 # -- vectorized coefficient-array operations ---------------------------------
 
 def qmul(a, b):

@@ -17,8 +17,6 @@ import numpy as np
 
 from .algebra import FIELD_DIM, FIELDS, MAX_DISTANCE, HermitianSpace
 
-POINT_KINDS = ("r", "c", "h", "p", "s")
-
 
 def _read_distances(path):
     """Load a CSV point file and measure its points: (kind, dim, distance matrix).
@@ -27,14 +25,11 @@ def _read_distances(path):
     kind r/c/h -> hyperbolic points over that field ((dim+1) * field-width
     reals per row), p -> projective points, s -> unit sphere vectors
     (dim+1 reals per row).  Lines starting with '#' are comments.  A row of
-    another width is rejected here; spaces rejects a non-finite coordinate,
-    a zero p or s row and a hyperbolic row that is not a negative vector.
-    The rows are stacked, normalized by spaces, which takes every row as
-    scale-free, and measured by one batched distance kernel; the matrix is,
-    bit for bit, the one kernels.build_distance_matrix gives for the points
-    built one by one from the same rows.
+    another width is rejected here; the rows, stacked as coordinate arrays,
+    go to kernels.build_distance_matrix, which takes every row as
+    scale-free and rejects the rest.
     """
-    from . import spaces
+    from . import kernels
 
     rows = []
     with open(path, encoding="utf-8") as fh:
@@ -51,8 +46,9 @@ def _read_distances(path):
     if len(rows) == 1:
         raise ValueError(f"no point rows in {path}")
     kind = rows[0][0].strip().lower()
-    if kind not in POINT_KINDS:
-        raise ValueError(f"unknown point kind {kind!r}; expected one of {POINT_KINDS}")
+    if kind not in kernels.POINT_KINDS:
+        raise ValueError(f"unknown point kind {kind!r}; "
+                         f"expected one of {kernels.POINT_KINDS}")
     dim = int(rows[0][1])
     k = FIELD_DIM.get(kind, 1)
     width = (dim + 1) * k
@@ -60,19 +56,12 @@ def _read_distances(path):
         if len(row) != width:
             raise ValueError(f"expected {width} reals per row for kind "
                              f"{kind!r}, dim {dim}; got {len(row)}")
-    vals = np.array(rows[1:], dtype=float)  # parses as float() does
-    if kind in FIELDS:
-        HermitianSpace(kind, dim)  # checks the dimension
-        coeffs = np.zeros((len(vals), dim + 1, 4))
-        coeffs[..., :k] = vals.reshape(len(vals), dim + 1, k)
-        return kind, dim, spaces.hyperbolic_distance_matrix(
-            spaces.normalized_coords(coeffs))
-    if kind == "p":
-        if width < 2:
-            raise ValueError("expected a real vector of length >= 2")
-        return kind, dim, spaces.projective_distance_matrix(
-            spaces.unit_rows(vals, "projective"))
-    return kind, dim, spaces.sphere_distance_matrix(vals)
+    coords = np.array(rows[1:], dtype=float)  # parses as float() does
+    if kind in FIELD_DIM:
+        coeffs = np.zeros((len(coords), dim + 1, 4))
+        coeffs[..., :k] = coords.reshape(len(coords), dim + 1, k)
+        coords = coeffs
+    return kind, dim, kernels.build_distance_matrix(kind, coords)
 
 
 def _read_matrix(path):
@@ -276,8 +265,8 @@ def cmd_reproduce(args):
     from . import configurations, kernels
 
     if args.case == "projective":
-        points = configurations.projective_six_points()
-        D = kernels.build_distance_matrix(points)
+        D = kernels.build_distance_matrix(
+            "p", configurations.projective_six_points())
         q = kernels.quadratic_form(D, configurations.SPLIT_COEFFICIENTS)
         ok = abs(q - math.pi / 3) <= 1e-12
         witness = kernels.negative_type_witness(D)
@@ -288,11 +277,10 @@ def cmd_reproduce(args):
             "q_expected": math.pi / 3,
             "witness_q": None if witness is None else witness[1],
         }]
-        verdict = "violation confirmed" if ok else "reproduction FAILED"
     else:
-        points = configurations.quaternionic_cluster_points()
-        within, cross = configurations.cluster_sums(points)
-        D = kernels.build_distance_matrix(points)
+        D = kernels.build_distance_matrix(
+            "h", configurations.quaternionic_cluster_points())
+        within, cross = configurations.cluster_sums(D)
         witness = kernels.negative_type_witness(D)
         ok = (abs(within - 417.03) <= 0.02 and abs(cross - 415.77) <= 0.02
               and within > cross and witness is not None)
@@ -302,7 +290,7 @@ def cmd_reproduce(args):
             "difference": within - cross,
             "witness_q": None if witness is None else witness[1],
         }]
-        verdict = "violation confirmed" if ok else "reproduction FAILED"
+    verdict = "violation confirmed" if ok else "reproduction FAILED"
     _emit(_base_report(args, results, verdict), args)
     return 0 if ok else 1
 
@@ -352,6 +340,7 @@ def build_parser():
     p = sub.add_parser("check-negtype", help="spectral negative-type check")
     p.add_argument("--points")
     p.add_argument("--matrix")
+    # kernels.REL_TOL, spelled out so that parsing loads no kernels
     p.add_argument("--tolerance", type=float, default=1e-9)
     common(p, seeded=False)
     p.set_defaults(func=cmd_check_negtype)

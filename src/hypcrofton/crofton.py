@@ -12,7 +12,8 @@ base point with their intersection predicates, is tests/reference.py.
 
 The hyperbolic estimators sample only a carrier's direction and integrate
 its depth or radius in closed form (Rao-Blackwellisation of the Crofton
-integral; see hyperplane_crofton and horosphere_crofton) on one segment:
+integral; see hyperplane_crofton_many and horosphere_crofton_many) on one
+segment:
 the carrier measures are invariant, every segment of length d is
 congruent to the axis segment from -d/2 to d/2 through the base point, and
 the base point's stabiliser (O(n), U(n), Sp(n)) keeps the uniform law of
@@ -31,18 +32,15 @@ projective and sphere estimators do the same on the canonical arc from e1
 to (cos d, sin d, 0, ...): O(n+1) is transitive on arcs of length d, and a
 hypersurface u-perp meets that arc according to the angle of u's
 projection onto the arc's plane alone, which is uniform, so their points
-are a shifted grid in that angle, of equal weight.  The point-pair entry
-points estimate_m and estimate_horosphere_crofton pass d(x, y) on.
+are a shifted grid in that angle, of equal weight.  Every estimator takes
+distances, not points: the distance of a pair of points is an entry of
+kernels.build_distance_matrix.
 
-The vector entry points hyperplane_crofton_many, horosphere_crofton_many,
-projective_crofton_many and sphere_halfspace_crofton_many estimate many
-distances, or many pairs with one base point, in one pass: each chunk
-draws its points once and every distance reads them, and one pool of
-threads serves them all.  hyperplane_crofton, horosphere_crofton,
-projective_crofton_estimate and sphere_halfspace_crofton are their
-one-pair wrappers, and each estimate of a vector call equals the one its
-wrapper gives at the same seed.  So the estimates of one call use common
-random numbers.
+Each estimator estimates many distances in one pass: each chunk draws its
+points once and every distance reads them, and one pool of threads serves
+them all.  So the estimates of one call use common random numbers, and
+the estimate of d in a call is the one that a call with d alone gives at
+the same seed.
 
 Estimators are deterministic given a non-negative integer master seed:
 the samples are split into at least MIN_REPLICATES chunks of near-equal
@@ -59,8 +57,7 @@ same arrays (_thread_arrays), and the kernels work in them in place.
 
 CARRIERS holds one Carrier per family, keyed by the CLI's carrier names:
 its estimator of distances, the fields and distances it takes, and its
-ratio estimate / d.  The geometry layer (spaces) is imported only inside
-the functions that take points, so no run through the table loads it.
+ratio estimate / d.  No estimator loads the geometry layer (spaces).
 """
 
 from __future__ import annotations
@@ -741,21 +738,6 @@ def hyperplane_crofton_many(n, ds, samples, seed=0, workers=1):
         lambda d: math.log(d) + (n - 1) * math.log(math.cosh(0.5 * d)))
 
 
-def hyperplane_crofton(n, d, samples, seed=0, workers=1):
-    """Measure of the hyperplanes of H^n_R meeting a segment of length d."""
-    return hyperplane_crofton_many(n, (d,), samples, seed, workers)[0]
-
-
-def estimate_m(x, y, samples, seed=0, workers=1):
-    """Measure of hyperplanes meeting [xy]: hyperplane_crofton at d(x, y)."""
-    from .spaces import hyperbolic_distance
-
-    if x.space.field != REAL:
-        raise ValueError("hyperplane Crofton estimates require the real field")
-    return hyperplane_crofton(x.space.n, hyperbolic_distance(x, y), samples,
-                              seed, workers)
-
-
 def horosphere_crofton_many(field, n, ds, samples, seed=0, workers=1):
     """Horosphere crossing counts of segments of lengths ds in H^n_F.
 
@@ -827,20 +809,6 @@ def horosphere_crofton_many(field, n, ds, samples, seed=0, workers=1):
         lambda d: 0.5 * d * q + math.log(2.0 / q))
 
 
-def horosphere_crofton(field, n, d, samples, seed=0, workers=1):
-    """Horosphere crossing count of a segment of length d in H^n_F."""
-    return horosphere_crofton_many(field, n, (d,), samples, seed, workers)[0]
-
-
-def estimate_horosphere_crofton(x, y, samples, seed=0, workers=1):
-    """Horosphere crossing count of [xy]: horosphere_crofton at d(x, y)."""
-    from .spaces import hyperbolic_distance
-
-    space = x.space
-    return horosphere_crofton(space.field, space.n, hyperbolic_distance(x, y),
-                              samples, seed, workers)
-
-
 def _arc_crofton_many(ds, samples, seed, workers, diameter, note):
     """Fractions of the hypersurfaces u-perp, u uniform on S^n, meeting arcs
     of lengths ds; the expected fraction is d / pi.
@@ -876,45 +844,6 @@ def _arc_crofton_many(ds, samples, seed, workers, diameter, note):
             for e in estimates]
 
 
-def projective_crofton_many(x, ys, samples, seed=0, workers=1):
-    """Fractions of hypersurfaces u-perp meeting the short segments [x y], y in ys.
-
-    In P^n_R the hypersurface of a uniform u on S^n meets a short segment
-    iff the sign of (., u) changes along a lift of it to S^n, an arc of
-    length d(x, y); with the sampling measure normalized to 1 the expected
-    fraction is d(x, y) / pi.  No half-space decomposition exists here: a
-    hypersurface does not separate projective space, so only the meet
-    predicate is exposed.  The pairs share each chunk's u.
-    """
-    from .spaces import projective_distance
-
-    return CARRIERS["projective"].estimate(
-        None, None, [projective_distance(x, y) for y in ys], samples, seed, workers)
-
-
-def projective_crofton_estimate(x, y, samples, seed=0, workers=1):
-    """Fraction of hypersurfaces u-perp meeting the short segment in P^n_R."""
-    return projective_crofton_many(x, (y,), samples, seed, workers)[0]
-
-
-def sphere_halfspace_crofton_many(x, ys, samples, seed=0, workers=1):
-    """Fractions of half-spaces of S^n containing exactly one of x, y, y in ys.
-
-    u is uniform on S^n; the half-spaces are the hemispheres {u . z > 0}.
-    Expected fraction is d(x, y) / pi; this is also ||chi_x - chi_y||^2 for
-    the hemisphere indicator feature map.  The pairs share each chunk's u.
-    """
-    from .spaces import sphere_distance
-
-    return CARRIERS["sphere"].estimate(
-        None, None, [sphere_distance(x, y) for y in ys], samples, seed, workers)
-
-
-def sphere_halfspace_crofton(x, y, samples, seed=0, workers=1):
-    """Fraction of half-spaces of S^n containing exactly one of x, y."""
-    return sphere_halfspace_crofton_many(x, (y,), samples, seed, workers)[0]
-
-
 # -- carrier table -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -933,7 +862,11 @@ class Carrier:
 
 
 def _arc_carrier(diameter, name, space, note):
-    """An arc family: past its diameter d reads 2 pi - d (S^n) or pi - d (P^n_R)."""
+    """An arc family: the hypersurfaces u-perp of P^n_R, which meet a short
+    segment iff (., u) changes sign along its lift to S^n, or the
+    hemispheres {u . z > 0} of S^n, of which those u-perp meets hold exactly
+    one end of the arc.  Past its diameter d reads 2 pi - d (S^n) or pi - d
+    (P^n_R)."""
     return Carrier(lambda field, n, *rest: _arc_crofton_many(*rest, diameter, note),
                    FIELDS, MIN_ARC_DISTANCE, diameter, name,
                    f"the diameter of {space}", lambda k, n: 1.0 / math.pi)

@@ -13,10 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import DimensionMismatchError, HermitianSpace
+from .algebra import FIELD_DIM, HermitianSpace
 from .spaces import (
-    HPoint,
-    PPoint,
     hyperbolic_distance_matrix,
     normalized_coords,
     projective_distance_matrix,
@@ -215,38 +213,60 @@ def sqrt_embed(D):
                            max_radius_residual=max_rad_res)
 
 
-def build_distance_matrix(points):
-    """Pairwise distance matrix; the metric is inferred from the point type.
+#: point kind -> (normalization, batched distance kernel): r, c and h are
+#: points of H^n over that field, (..., m, n+1, 4) coefficient arrays of
+#: negative vectors; p points of P^n_R and s points of S^n, (..., m, n+1)
+#: nonzero rows.  The kinds are the CLI's point-file letters.
+_METRICS = {
+    **dict.fromkeys(FIELD_DIM, (normalized_coords, hyperbolic_distance_matrix)),
+    "p": (lambda rows: unit_rows(rows, "projective"), projective_distance_matrix),
+    "s": (lambda rows: unit_rows(rows, "sphere"), sphere_distance_matrix),
+}
+POINT_KINDS = tuple(_METRICS)
 
-    HPoint -> hyperbolic, PPoint -> projective, plain nonzero vectors ->
-    spherical (spaces.unit_rows normalizes them, scale-free), each from one
-    batched kernel over all pairs.
+
+def build_distance_matrix(kind, coords):
+    """Pairwise distance matrix of m points of one kind (POINT_KINDS).
+
+    coords holds the points' coordinates: (m, n+1, 4) coefficient arrays
+    for kinds r, c and h, (m, n+1) rows for p and s.  Every point is
+    scale-free: spaces normalizes it (normalized_coords, unit_rows), and
+    one batched kernel measures all pairs.  Raises ValueError for an
+    unknown kind, no points, coordinates of another shape, coefficients
+    outside the kind's field, a non-finite coordinate, a zero p or s row
+    and a hyperbolic row that is not a negative vector.
     """
-    points = list(points)
-    if not points:
+    if kind not in _METRICS:
+        raise ValueError(f"unknown point kind {kind!r}; expected one of {POINT_KINDS}")
+    normalize, kernel = _METRICS[kind]
+    coords = np.asarray(coords)
+    if coords.dtype.kind not in "biuf":
+        raise ValueError(f"expected real coordinates, got dtype {coords.dtype}")
+    coords = coords.astype(float)
+    if coords.ndim == 0 or len(coords) == 0:
         raise ValueError("no points to measure")
-    kind = type(points[0])
-    if any(not isinstance(p, kind) for p in points):
-        raise ValueError("mixed point types in one configuration")
-    if isinstance(points[0], HPoint):
-        if any(p.space != points[0].space for p in points):
-            raise DimensionMismatchError("points live in different spaces")
-        return hyperbolic_distance_matrix(np.stack([p.coords for p in points]))
-    if isinstance(points[0], PPoint):
-        if any(p.n != points[0].n for p in points):
-            raise DimensionMismatchError("projective points of different dimension")
-        return projective_distance_matrix(np.stack([p.coords for p in points]))
-    vectors = [np.asarray(p, dtype=float) for p in points]
-    if any(v.shape != vectors[0].shape for v in vectors):
-        raise DimensionMismatchError("sphere points of different dimension")
-    return sphere_distance_matrix(np.stack(vectors))
+    if kind in FIELD_DIM:
+        if coords.ndim != 3 or coords.shape[-1] != 4:
+            raise ValueError(f"expected (m, n+1, 4) coefficient arrays for kind "
+                             f"{kind!r}, got shape {coords.shape}")
+        if coords.shape[1] < 2:
+            raise ValueError("dimension must be at least 1")
+        if np.any(np.abs(coords[..., FIELD_DIM[kind]:]) > 0):
+            raise ValueError(f"coefficients outside field {kind!r}")
+    elif coords.ndim != 2 or coords.shape[1] == 0:
+        raise ValueError(f"expected (m, n+1) rows for kind {kind!r}, "
+                         f"got shape {coords.shape}")
+    elif kind == "p" and coords.shape[1] < 2:
+        raise ValueError("expected a real vector of length >= 2")
+    return kernel(normalize(coords))
 
 
 @dataclass
 class ViolationSearchResult:
-    """Best configuration found by randomized negative-type violation search."""
+    """Best configuration found by randomized negative-type violation search:
+    the raw coordinates of its points, which build_distance_matrix measures."""
 
-    points: list
+    points: np.ndarray | None
     t: np.ndarray | None
     q: float
     trial: int
@@ -254,29 +274,21 @@ class ViolationSearchResult:
 
 
 def _configuration_sampler(space, radius):
-    """Sampler for a space selector: a HermitianSpace (hyperbolic) or a
+    """(kind, draw) for a space selector: a HermitianSpace (hyperbolic) or a
     string like 'p2' (real projective of that dimension).
 
-    Returns draw(rng, trials, m) -> (D, points): the stacked (trials, m, m)
-    distance matrices of `trials` random m-point configurations, and
-    points(b), the points of configuration b.  Points are drawn in the
-    generator order of `trials * m` successive per-point samples.
+    draw(rng, trials, m) returns the raw coordinates, (trials, m, ...), of
+    `trials` random m-point configurations of that kind.  Points are drawn
+    in the generator order of `trials * m` successive per-point samples.
     """
     if isinstance(space, HermitianSpace):
         def draw(rng, trials, m):
             raw = random_coords(space, radius, rng, trials * m)
-            raw = raw.reshape(trials, m, space.dim, 4)
-            D = hyperbolic_distance_matrix(normalized_coords(raw))
-            return D, lambda b: [HPoint(space, c) for c in raw[b]]
-        return draw
+            return raw.reshape(trials, m, space.dim, 4)
+        return space.field, draw
     if isinstance(space, str) and space.startswith("p"):
         n = int(space[1:])
-
-        def draw(rng, trials, m):
-            normals = rng.standard_normal((trials, m, n + 1))
-            D = projective_distance_matrix(unit_rows(normals, "projective"))
-            return D, lambda b: [PPoint(v) for v in normals[b]]
-        return draw
+        return "p", lambda rng, trials, m: rng.standard_normal((trials, m, n + 1))
     raise ValueError(f"unknown space selector {space!r}")
 
 
@@ -290,9 +302,11 @@ def violation_search(space, m, trials, radius, rng, seed_points=None):
 
     `space` is a HermitianSpace or a projective selector like 'p2'.  Runs
     negative_type_witness over `trials` random m-point configurations
-    (optionally preceded by an explicit seed configuration) and returns the
-    best Q found.  Any positive Q is re-verified by a direct quadratic-form
-    evaluation before being reported as a violation.
+    (optionally preceded by an explicit seed configuration, the coordinate
+    array of its points, of the space's kind) and returns the best Q found,
+    with the raw coordinates of its points.  Any positive Q is re-verified
+    by a direct quadratic-form evaluation before being reported as a
+    violation.
 
     Trials are drawn and screened in stacked blocks: one distance kernel,
     one double centering and one eigvalsh per block.  The configurations
@@ -302,34 +316,34 @@ def violation_search(space, m, trials, radius, rng, seed_points=None):
     """
     if m < 3 and seed_points is None:
         raise ValueError("need at least 3 points")
-    draw = _configuration_sampler(space, radius)
-    best = ViolationSearchResult(points=[], t=None, q=-np.inf, trial=-1)
+    kind, draw = _configuration_sampler(space, radius)
+    normalize, kernel = _METRICS[kind]
+    best = ViolationSearchResult(points=None, t=None, q=-np.inf, trial=-1)
 
     def consider(points, trial):
         nonlocal best
-        D = build_distance_matrix(points)
-        witness = negative_type_witness(D)
+        witness = negative_type_witness(build_distance_matrix(kind, points))
         if witness is None:
             return
         t, q = witness
         if q > best.q:
-            best = ViolationSearchResult(points=list(points), t=t, q=q,
-                                         trial=trial)
+            best = ViolationSearchResult(points=points, t=t, q=q, trial=trial)
 
     if seed_points is not None:
-        consider(list(seed_points), -1)
+        consider(np.asarray(seed_points), -1)
     block = _block_trials(m)
     for start in range(0, trials, block):
-        D, points = draw(rng, min(block, trials - start), m)
+        raw = draw(rng, min(block, trials - start), m)
+        D = kernel(normalize(raw))
         top = np.linalg.eigvalsh(_double_centered(D))[:, -1]
         scale = np.maximum(np.abs(D).max(axis=(-2, -1)), 1e-300)
         # half the tolerance: the stacked arithmetic may round differently
         # from negative_type_witness, which makes the decision
         for b in np.flatnonzero(top > 0.5 * REL_TOL * scale):
-            consider(points(b), start + int(b))
+            consider(raw[b], start + int(b))
 
     if best.t is not None and best.q > 0:
-        D = build_distance_matrix(best.points)
+        D = build_distance_matrix(kind, best.points)
         direct = quadratic_form(D, best.t)
         best.verified = abs(direct - best.q) <= 1e-9 * max(abs(best.q), 1.0)
     return best

@@ -1,12 +1,16 @@
-"""Points, distances and random points in linear-model coordinates.
+"""Coordinates, normalizations, distance kernels and random points in the
+linear model.
 
-Hyperbolic points are projective classes of negative vectors of the
-signature-(1,n) form, stored as normalized representatives with
-<x, x> = -1.  The representative's unit-scalar phase is deliberately not
-canonicalized; every public operation is phase invariant.  Projective
-points and sphere vectors are unit rows.  Every point row is scale-free:
-unit_rows and normalized_coords, the only normalizations, check it and
-scale it by a power of two before any square is formed.
+A point is a row of a stacked coordinate array.  Hyperbolic points are
+projective classes of negative vectors of the signature-(1,n) form,
+(..., n+1, 4) coefficient arrays that normalized_coords scales to
+representatives with <x, x> = -1.  The representative's unit-scalar phase
+is deliberately not canonicalized; every distance is phase invariant.
+Projective points and sphere vectors are (..., n+1) rows that unit_rows
+scales to unit length.  Every point row is scale-free: the two
+normalizations check it and scale it by a power of two before any square
+is formed.  kernels.build_distance_matrix pairs each point kind with its
+normalization and kernel.
 """
 
 from __future__ import annotations
@@ -15,57 +19,7 @@ import math
 
 import numpy as np
 
-from .algebra import (
-    CONJ_MUL,
-    CONJ_SIGNS,
-    FIELD_DIM,
-    DimensionMismatchError,
-    form_coeffs,
-    to_coeffs,
-)
-
-
-class HPoint:
-    """A point of H^n_F: normalized representative with <x, x> = -1."""
-
-    __slots__ = ("space", "coords")
-
-    def __init__(self, space, coords):
-        coords = to_coeffs(coords, space.field)
-        if coords.shape[0] != space.dim:
-            raise DimensionMismatchError(
-                f"expected {space.dim} coordinates, got {coords.shape[0]}")
-        coords = normalized_coords(coords)
-        coords.flags.writeable = False
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HPoint is immutable")
-
-    def __repr__(self):
-        return f"HPoint({self.space.field!r}, n={self.space.n})"
-
-
-class PPoint:
-    """A point of P^n_R: unit representative, defined up to sign."""
-
-    __slots__ = ("n", "coords")
-
-    def __init__(self, coords):
-        coords = np.asarray(coords, dtype=float)
-        if coords.ndim != 1 or coords.shape[0] < 2:
-            raise ValueError("expected a real vector of length >= 2")
-        coords = unit_rows(coords, "projective")
-        coords.flags.writeable = False
-        object.__setattr__(self, "n", coords.shape[0] - 1)
-        object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PPoint is immutable")
-
-    def __repr__(self):
-        return f"PPoint({np.round(self.coords, 6).tolist()})"
+from .algebra import CONJ_MUL, CONJ_SIGNS, FIELD_DIM, form_coeffs
 
 
 def _power_of_two_scaled(coords, axes):
@@ -80,8 +34,8 @@ def _power_of_two_scaled(coords, axes):
 
 def unit_rows(coords, name):
     """Stacked (..., n+1) rows of finite reals scaled to unit length, as
-    `PPoint` and sphere distances take them; a zero row defines no `name`
-    point.  The exact prescale keeps the norm from overflowing or
+    the projective and sphere kernels take them; a zero row defines no
+    `name` point.  The exact prescale keeps the norm from overflowing or
     underflowing, and changes no bit of x / |x| where |x| is a normal float.
     """
     coords = _power_of_two_scaled(coords, -1)
@@ -93,7 +47,7 @@ def unit_rows(coords, name):
 
 def normalized_coords(coords):
     """Stacked (..., n+1, 4) coordinates of negative vectors scaled to
-    <x, x> = -1; the scaling `HPoint` applies to its coordinates.  Each
+    <x, x> = -1, as hyperbolic_distance_matrix takes them.  Each
     point is first scaled by a power of two, as in unit_rows, so that its
     form neither overflows nor underflows for scale alone."""
     coords = _power_of_two_scaled(coords, (-2, -1))
@@ -102,19 +56,6 @@ def normalized_coords(coords):
     if not np.all(q < -1e-14 * np.sum(coords**2, axis=(-2, -1))):
         raise ValueError("not a negative vector of the form")
     return coords / np.sqrt(-q)[..., None, None]
-
-
-def base_point(space):
-    """The origin x0 = (1, 0, ..., 0)."""
-    c = np.zeros((space.dim, 4))
-    c[0, 0] = 1.0
-    return HPoint(space, c)
-
-
-def _check_same_space(x, y):
-    if x.space != y.space:
-        raise DimensionMismatchError(
-            f"points live in different spaces: {x.space} vs {y.space}")
 
 
 def _pairs_to_matrix(values, m):
@@ -176,43 +117,25 @@ def projective_distance_matrix(coords):
 
 
 def sphere_distance_matrix(coords):
-    """Distances between stacked nonzero vectors, as points of the unit
-    sphere (unit_rows): (..., m, n+1) -> (..., m, m), cos d_ij = x_i . x_j,
-    in [0, pi]."""
-    X = unit_rows(coords, "sphere")
+    """Distances between stacked points of the unit sphere S^n: (..., m, n+1)
+    unit vectors -> (..., m, m), cos d_ij = x_i . x_j, in [0, pi]."""
+    X = np.asarray(coords, dtype=float)
     sin, cos = _pair_angle_parts(X)
     return _pairs_to_matrix(np.arctan2(sin, cos), X.shape[-2])
-
-
-def hyperbolic_distance(x, y):
-    """Geodesic distance: cosh d = |<x, y>| for normalized representatives."""
-    _check_same_space(x, y)
-    return float(hyperbolic_distance_matrix(np.stack([x.coords, y.coords]))[0, 1])
-
-
-def projective_distance(x, y):
-    """Geodesic distance on P^n_R: cos d = |(x, y)|, in [0, pi/2]."""
-    if x.n != y.n:
-        raise DimensionMismatchError("projective points of different dimension")
-    return float(projective_distance_matrix(np.stack([x.coords, y.coords]))[0, 1])
-
-
-def sphere_distance(x, y):
-    """Geodesic distance on the unit sphere: cos d = x . y, in [0, pi]."""
-    return float(sphere_distance_matrix(np.stack([x, y]))[0, 1])
 
 
 def random_coords(space, radius, rng, count):
     """Coordinates (count, n+1, 4) of `count` points at geodesic distance
     <= radius from the base point, not yet normalized.
 
-    Each point takes, in order, an (n, k) normal draw for its tangent
-    direction, redrawn while its norm is below 1e-12, then one uniform
-    radius; radius 0 draws nothing.  `HPoint(space, c)` of row i is the
-    point the i-th of `count` successive `random_point` calls returns.
-    The n k normals are drawn flat and the radius as radius * random(),
-    which take the same values from the stream as an (n, k) draw and
-    uniform(0, radius), with two generator calls per point.
+    Distribution: uniform tangent direction at the base point times
+    uniform radius on [0, radius] (not uniform in hyperbolic volume).
+    Each point takes, in order, n k normals for its tangent direction,
+    redrawn while their norm is below 1e-12, then its radius as radius *
+    random(); radius 0 draws nothing.  So the points are drawn one after
+    another, and the first rows of a larger count are the same points from
+    the same stream.  The draws take the same values from the stream as an
+    (n, k) normal draw and uniform(0, radius).
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -236,14 +159,3 @@ def random_coords(space, radius, rng, count):
     coords[:, 0, 0] = np.cosh(s)
     coords[:, 1:] = dirs / norm[:, None, None] * np.sinh(s)[:, None, None]
     return coords
-
-
-def random_point(space, radius, rng):
-    """A point at geodesic distance <= radius from the base point.
-
-    Distribution: uniform tangent direction at x0 times uniform radius on
-    [0, radius] (not uniform in hyperbolic volume).
-    """
-    return HPoint(space, random_coords(space, radius, rng, 1)[0])
-
-

@@ -3,16 +3,22 @@
 Carriers drawn one at a time from a ball around the base point, with the
 predicates that decide whether one meets a segment, and the geometry they
 need: unit-speed geodesic segments, random form-preserving isometries and
-phase-shifted representatives.  Hyperplanes of H^n_R are spacelike unit
-vectors u = (sinh p, cosh p * w) with w on S^{n-1}; the invariant measure
-has density cosh^{n-1}(p) dp dw, identified under (p, w) ~ (-p, -w).
-Horospheres of H^n_F are forward null vectors xi = r (1, w) modulo right
-unit-scalar phase, with radial density r^{k(n+1)-3} dr (k = real dimension
-of F); the horosphere itself is the level set {x : |<x, xi>| = 1} and
-|log r| is its distance from the base point.
+phase-shifted representatives.  Points are coordinate arrays, as the
+package takes them: (n+1, 4) coefficients of a hyperbolic point, which
+every function here normalizes, and (n+1,) rows of a projective point.
+
+Hyperplanes of H^n_R are spacelike unit vectors u = (sinh p, cosh p * w)
+with w on S^{n-1}; the invariant measure has density cosh^{n-1}(p) dp dw,
+identified under (p, w) ~ (-p, -w).  Horospheres of H^n_F are forward
+null vectors xi = r (1, w) modulo right unit-scalar phase, with radial
+density r^{k(n+1)-3} dr (k = real dimension of F); the horosphere itself
+is the level set {x : |<x, xi>| = 1} and |log r| is its distance from the
+base point.
 
 The package's estimators integrate these carriers in closed form and run
-none of this; the tests import it as `reference` (tests/ is on sys.path).
+none of this; pair_distance measures two points with the package's
+build_distance_matrix.  The tests import it as `reference` (tests/ is on
+sys.path).
 """
 
 from __future__ import annotations
@@ -23,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from hypcrofton.algebra import (
-    FIELD_DIM, REAL, DimensionMismatchError, HermitianSpace, form_coeffs, qconj,
-    qmul)
-from hypcrofton.spaces import HPoint, _check_same_space
+    FIELD_DIM, REAL, HermitianSpace, form_coeffs, qconj, qmul)
+from hypcrofton.kernels import build_distance_matrix
+from hypcrofton.spaces import normalized_coords, unit_rows
 
 
 # -- geometry ------------------------------------------------------------------
@@ -39,27 +45,43 @@ def _rmul(coords, lam):
     return qmul(coords, np.asarray(lam, dtype=float)[None, :])
 
 
+def pair_distance(kind, x, y):
+    """d(x, y) for two points of a kind (kernels.POINT_KINDS), as the
+    package measures them: an entry of build_distance_matrix."""
+    return float(build_distance_matrix(kind, np.stack([x, y]))[0, 1])
+
+
+def real_coords(values):
+    """(n+1, 4) coefficients of the point of H^n_R given by n+1 reals."""
+    c = np.zeros((len(values), 4))
+    c[:, 0] = values
+    return c
+
+
 def phase_shifted(x, lam):
     """The same projective point represented by x * lam, |lam| = 1."""
-    return HPoint(x.space, _rmul(x.coords, lam))
+    return _rmul(np.asarray(x, dtype=float), lam)
 
 
 def axis_point(space, d):
-    """The point at distance d from the base point along the first axis."""
+    """The normalized coordinates of the point at distance d from the base
+    point along the first axis; d = 0 is the base point (1, 0, ..., 0)."""
     c = np.zeros((space.dim, 4))
     c[0, 0] = math.cosh(d)
     c[1, 0] = math.sinh(d)
-    return HPoint(space, c)
+    return normalized_coords(c)
 
 
 def jordan_trace_distance(x, y):
-    """Trace-form distance between the rank-one projections of x and y.
+    """Trace-form distance between the rank-one projections of the
+    projective points x and y.
 
     Equals sqrt(2 - 2 cos^2 t) where cos t is the normalized |(x, y)|.
     """
-    if x.n != y.n:
-        raise DimensionMismatchError("projective points of different dimension")
-    c = abs(float(x.coords @ y.coords))
+    x, y = unit_rows(x, "projective"), unit_rows(y, "projective")
+    if x.shape != y.shape:
+        raise ValueError("projective points of different dimension")
+    c = abs(float(x @ y))
     c = min(c, 1.0)
     return float(np.sqrt(max(2.0 - 2.0 * c * c, 0.0)))
 
@@ -81,29 +103,31 @@ class GeodesicSegment:
         return self.base * np.cosh(s) + self.tangent * np.sinh(s)
 
     def point(self, s):
-        return HPoint(self.space, self.point_coords(s))
+        return normalized_coords(self.point_coords(s))
 
     def endpoint_coords(self):
         return self.point_coords(self.length)
 
 
-def geodesic_between(x, y):
-    """The unit-speed segment from x to y.
+def geodesic_between(space, x, y):
+    """The unit-speed segment of `space` from x to y.
 
     The representative of y is phase-aligned (right multiplication by the
     unit scalar lam = -conj(<x,y>)/|<x,y>|) so that <x, y_hat> is real and
     negative, which makes the real-span construction valid over all fields.
     """
-    _check_same_space(x, y)
-    f = form_coeffs(x.coords, y.coords)
+    x, y = normalized_coords(x), normalized_coords(y)
+    if x.shape != (space.dim, 4) or y.shape != (space.dim, 4):
+        raise ValueError(f"expected coordinates of shape {(space.dim, 4)}")
+    f = form_coeffs(x, y)
     mod = float(np.linalg.norm(f, axis=-1))
     d = float(np.arccosh(max(mod, 1.0)))
     if d < 1e-12:
         raise DegenerateSegmentError("endpoints are projectively equal")
     lam = -qconj(f) / mod
-    yhat = _rmul(y.coords, lam)
-    w = (yhat - x.coords * np.cosh(d)) / np.sinh(d)
-    return GeodesicSegment(x.space, x.coords, w, d)
+    yhat = _rmul(y, lam)
+    w = (yhat - x * np.cosh(d)) / np.sinh(d)
+    return GeodesicSegment(space, x, w, d)
 
 
 class Isometry:
@@ -119,7 +143,7 @@ class Isometry:
     def __init__(self, space, matrix):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.shape != (space.dim, space.dim, 4):
-            raise DimensionMismatchError(
+            raise ValueError(
                 f"expected matrix of shape {(space.dim, space.dim, 4)}")
         k = FIELD_DIM[space.field]
         if np.any(np.abs(matrix[..., k:]) > 0):
@@ -136,8 +160,10 @@ class Isometry:
         return qmul(self.matrix, coords[None, :, :]).sum(axis=1)
 
     def apply(self, x):
-        _check_same_space(self, x)
-        return HPoint(self.space, self.apply_coords(x.coords))
+        x = normalized_coords(x)
+        if x.shape != (self.space.dim, 4):
+            raise ValueError(f"expected coordinates of shape {(self.space.dim, 4)}")
+        return normalized_coords(self.apply_coords(x))
 
     def __matmul__(self, x):
         return self.apply(x)
@@ -312,7 +338,8 @@ class Horosphere:
 
     def level(self, x):
         """|<x, xi>| -- the horosphere is its level-1 set."""
-        return float(np.linalg.norm(form_coeffs(x.coords, self.xi), axis=-1))
+        return float(np.linalg.norm(form_coeffs(normalized_coords(x), self.xi),
+                                    axis=-1))
 
     def busemann_distance(self):
         """Distance of the base point from the horosphere, |log r|."""
@@ -388,10 +415,12 @@ def hyperplane_meets_segment(hp, seg):
 def halfspace_side(u, x):
     """+1 if x is in {<x, u> > 0}, -1 in the complement, 0 on the boundary.
 
-    The representative sign of x is fixed by a positive leading coordinate.
+    x is a point's (n+1, 4) coefficients or its (n+1,) real coordinates;
+    the representative sign of x is fixed by a positive leading coordinate.
     """
     u = np.asarray(u, dtype=float)
-    xr = x.coords[:, 0] if isinstance(x, HPoint) else np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
+    xr = x[:, 0] if x.ndim == 2 else x
     if xr[0] < 0:
         xr = -xr
     v = -xr[0] * u[0] + xr[1:] @ u[1:]

@@ -19,10 +19,9 @@ from hypcrofton.configurations import (
     quaternionic_cluster_points,
 )
 from hypcrofton.crofton import (
-    estimate_horosphere_crofton,
-    estimate_m,
-    projective_crofton_estimate,
-    sphere_halfspace_crofton,
+    CARRIERS,
+    horosphere_crofton_many,
+    hyperplane_crofton_many,
 )
 from hypcrofton.kernels import (
     build_distance_matrix,
@@ -32,12 +31,7 @@ from hypcrofton.kernels import (
     sqrt_embed,
     violation_search,
 )
-from hypcrofton.spaces import (
-    PPoint,
-    base_point,
-    hyperbolic_distance,
-    random_point,
-)
+from hypcrofton.spaces import random_coords
 
 import reference
 from reference import (
@@ -45,6 +39,7 @@ from reference import (
     geodesic_between,
     halfspace_side,
     hyperplane_meets_segment,
+    pair_distance,
     random_isometry,
 )
 
@@ -65,9 +60,9 @@ def ratios_pairwise_consistent(estimates):
 
 def test_criterion_1_quaternionic_cluster_reproduction():
     start = time.perf_counter()
-    points = quaternionic_cluster_points()
-    within, cross = cluster_sums(points)
-    witness = negative_type_witness(build_distance_matrix(points))
+    D = build_distance_matrix(QUATERNION, quaternionic_cluster_points())
+    within, cross = cluster_sums(D)
+    witness = negative_type_witness(D)
     elapsed = time.perf_counter() - start
     ok = (abs(within - 417.03) <= 0.02
           and abs(cross - 415.77) <= 0.02
@@ -79,7 +74,7 @@ def test_criterion_1_quaternionic_cluster_reproduction():
 
 
 def test_criterion_2_projective_six_point_reproduction():
-    D = build_distance_matrix(projective_six_points())
+    D = build_distance_matrix("p", projective_six_points())
     expected = np.pi * np.array([
         [0, 1/2, 1/2, 1/3, 1/3, 1/4],
         [1/2, 0, 1/2, 1/3, 1/3, 1/4],
@@ -102,8 +97,7 @@ def test_criterion_3_negative_type_holds_real_and_complex():
         for n in (2, 3):
             space = HermitianSpace(field, n)
             for _ in range(200):
-                pts = [random_point(space, 3.0, rng) for _ in range(10)]
-                D = build_distance_matrix(pts)
+                D = build_distance_matrix(field, random_coords(space, 3.0, rng, 10))
                 if negative_type_witness(D, tol=1e-9) is not None:
                     failures += 1
     ok = failures == 0
@@ -116,8 +110,8 @@ def test_criterion_4_hypermetric_scan_empty_on_real_hyperbolic():
     violations = 0
     for i in range(50):
         space = HermitianSpace(REAL, 2 + i % 2)
-        pts = [random_point(space, 3.0, rng) for _ in range(6)]
-        violations += len(hypermetric_scan(build_distance_matrix(pts), bound=3))
+        D = build_distance_matrix(REAL, random_coords(space, 3.0, rng, 6))
+        violations += len(hypermetric_scan(D, bound=3))
     ok = violations == 0
     report(4, "50 random 6-point real hyperbolic configurations, bound 3: "
               f"{violations} hypermetric violations", ok)
@@ -128,9 +122,10 @@ def test_criterion_5_hyperplane_measure_linear_in_distance():
     details = []
     for n in (2, 3, 5):
         space = HermitianSpace(REAL, n)
-        ests = [estimate_m(base_point(space), axis_point(space, d),
-                           1_000_000, seed=103 + n)
-                for d in (0.5, 1.0, 2.0)]
+        x0 = axis_point(space, 0.0)
+        ests = [hyperplane_crofton_many(
+            n, (pair_distance(REAL, x0, axis_point(space, d)),), 1_000_000,
+            seed=103 + n)[0] for d in (0.5, 1.0, 2.0)]
         consistent = ratios_pairwise_consistent(ests)
         ok = ok and consistent
         details.append(f"n={n}: ratios {[round(e.ratio, 4) for e in ests]}")
@@ -141,11 +136,10 @@ def test_criterion_5_hyperplane_measure_linear_in_distance():
 def test_criterion_6_halfspace_sign_matches_segment_crossing():
     space = HermitianSpace(REAL, 2)
     rng = np.random.default_rng(104)
-    x = random_point(space, 1.5, rng)
-    y = random_point(space, 1.5, rng)
-    seg = geodesic_between(x, y)
-    x0 = base_point(space)
-    R = max(hyperbolic_distance(x0, x), hyperbolic_distance(x0, y)) + 0.5
+    x, y = random_coords(space, 1.5, rng, 2)
+    seg = geodesic_between(space, x, y)
+    x0 = axis_point(space, 0.0)
+    R = max(pair_distance(REAL, x0, x), pair_distance(REAL, x0, y)) + 0.5
     u = reference._sample_hyperplane_normals(2, R, 100_000, rng)
 
     xr = seg.base[:, 0].copy()
@@ -183,9 +177,10 @@ def test_criterion_7_horosphere_measure_linear_in_distance():
     details = []
     for field, label in ((REAL, "H2_R"), (COMPLEX, "H2_C"), (QUATERNION, "H2_H")):
         space = HermitianSpace(field, 2)
-        ests = [estimate_horosphere_crofton(
-            base_point(space), axis_point(space, d), 1_000_000, seed=105)
-            for d in (0.5, 1.0, 2.0)]
+        x0 = axis_point(space, 0.0)
+        ests = [horosphere_crofton_many(
+            field, 2, (pair_distance(field, x0, axis_point(space, d)),),
+            1_000_000, seed=105)[0] for d in (0.5, 1.0, 2.0)]
         consistent = ratios_pairwise_consistent(ests)
         doubles = all(e.count_histogram.get(2, 0) > 0 for e in ests)
         ok = ok and consistent and doubles
@@ -194,19 +189,22 @@ def test_criterion_7_horosphere_measure_linear_in_distance():
               f"observed ({'; '.join(details)})", ok)
 
 
+def arc_estimate(kind, x, y, samples, seed):
+    """The projective (kind p) or sphere (kind s) hit fraction of [x y]."""
+    carrier = CARRIERS["projective" if kind == "p" else "sphere"]
+    return carrier.estimate(None, None, (pair_distance(kind, x, y),), samples,
+                            seed, 1)[0]
+
+
 def test_criterion_8_projective_and_sphere_hit_fractions():
     rng = np.random.default_rng(106)
     ok = True
-    for i in range(5):
-        x = PPoint(rng.standard_normal(3))
-        y = PPoint(rng.standard_normal(3))
-        est = projective_crofton_estimate(x, y, 1_000_000, seed=107 + i)
-        ok = ok and abs(est.estimate - est.d / math.pi) <= 3 * est.stderr
-    for i in range(5):
-        x = rng.standard_normal(3)
-        y = rng.standard_normal(3)
-        est = sphere_halfspace_crofton(x, y, 1_000_000, seed=112 + i)
-        ok = ok and abs(est.estimate - est.d / math.pi) <= 3 * est.stderr
+    for kind, seed in (("p", 107), ("s", 112)):
+        for i in range(5):
+            x = rng.standard_normal(3)
+            y = rng.standard_normal(3)
+            est = arc_estimate(kind, x, y, 1_000_000, seed + i)
+            ok = ok and abs(est.estimate - est.d / math.pi) <= 3 * est.stderr
     report(8, "hit fraction equals d/pi within 3 stderr for 5 random pairs "
               "each on P2_R and S2", ok)
 
@@ -217,39 +215,45 @@ def test_criterion_9_isometry_invariance_of_estimators():
 
     space = HermitianSpace(REAL, 2)
     rng = np.random.default_rng(120)
-    x = random_point(space, 1.5, rng)
-    y = random_point(space, 1.5, rng)
-    e0 = estimate_m(x, y, samples, seed=121)
+    x, y = random_coords(space, 1.5, rng, 2)
+
+    def hyperplane(x, y, seed):
+        d = pair_distance(REAL, x, y)
+        return hyperplane_crofton_many(2, (d,), samples, seed=seed)[0]
+
+    e0 = hyperplane(x, y, 121)
     for i in range(10):
         g = random_isometry(space, rng)
-        e1 = estimate_m(g @ x, g @ y, samples, seed=122 + i)
+        e1 = hyperplane(g @ x, g @ y, 122 + i)
         if abs(e1.estimate - e0.estimate) > 3 * math.hypot(e0.stderr, e1.stderr):
             failures.append("hyperplane")
 
     cspace = HermitianSpace(COMPLEX, 2)
     crng = np.random.default_rng(130)
-    cx = random_point(cspace, 1.5, crng)
-    cy = random_point(cspace, 1.5, crng)
-    e0 = estimate_horosphere_crofton(cx, cy, samples, seed=131)
+    cx, cy = random_coords(cspace, 1.5, crng, 2)
+
+    def horosphere(x, y, seed):
+        d = pair_distance(COMPLEX, x, y)
+        return horosphere_crofton_many(COMPLEX, 2, (d,), samples, seed=seed)[0]
+
+    e0 = horosphere(cx, cy, 131)
     for i in range(10):
         g = random_isometry(cspace, crng)
-        e1 = estimate_horosphere_crofton(g @ cx, g @ cy, samples, seed=132 + i)
+        e1 = horosphere(g @ cx, g @ cy, 132 + i)
         if abs(e1.estimate - e0.estimate) > 3 * math.hypot(e0.stderr, e1.stderr):
             failures.append("horosphere")
 
     orng = np.random.default_rng(140)
-    px = PPoint(orng.standard_normal(3))
-    py = PPoint(orng.standard_normal(3))
+    px = orng.standard_normal(3)
+    py = orng.standard_normal(3)
     sx = orng.standard_normal(3)
     sy = orng.standard_normal(3)
-    ep0 = projective_crofton_estimate(px, py, samples, seed=141)
-    es0 = sphere_halfspace_crofton(sx, sy, samples, seed=142)
+    ep0 = arc_estimate("p", px, py, samples, 141)
+    es0 = arc_estimate("s", sx, sy, samples, 142)
     for i in range(10):
         Q, _ = np.linalg.qr(orng.standard_normal((3, 3)))
-        ep1 = projective_crofton_estimate(PPoint(Q @ px.coords),
-                                          PPoint(Q @ py.coords),
-                                          samples, seed=143 + i)
-        es1 = sphere_halfspace_crofton(Q @ sx, Q @ sy, samples, seed=153 + i)
+        ep1 = arc_estimate("p", Q @ px, Q @ py, samples, 143 + i)
+        es1 = arc_estimate("s", Q @ sx, Q @ sy, samples, 153 + i)
         if abs(ep1.estimate - ep0.estimate) > \
                 3 * math.hypot(ep0.stderr, ep1.stderr):
             failures.append("projective")
@@ -265,8 +269,7 @@ def test_criterion_9_isometry_invariance_of_estimators():
 def test_criterion_10_sqrt_distance_spherical_embedding():
     space = HermitianSpace(REAL, 3)
     rng = np.random.default_rng(160)
-    pts = [random_point(space, 2.5, rng) for _ in range(8)]
-    D = build_distance_matrix(pts)
+    D = build_distance_matrix(REAL, random_coords(space, 2.5, rng, 8))
     emb = sqrt_embed(D)
     ok = (emb.max_distance_residual <= 1e-9
           and emb.max_radius_residual < 1e-8 * emb.radius

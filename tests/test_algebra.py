@@ -5,14 +5,13 @@ from hypcrofton.algebra import (
     COMPLEX,
     QUATERNION,
     REAL,
-    DimensionMismatchError,
     HermitianSpace,
     form_coeffs,
     qconj,
     qmul,
     to_coeffs,
 )
-from hypcrofton.spaces import HPoint
+from hypcrofton.kernels import build_distance_matrix
 
 ONE, QUAT_I, QUAT_J, QUAT_K = np.eye(4)
 
@@ -103,9 +102,9 @@ class TestHermitianForm:
         assert isclose(form_coeffs(CLUSTER_X, CLUSTER_Y), -9 * ONE)
 
     def test_dimension_mismatch(self):
-        # a vector of the wrong length is rejected where a point is made
-        with pytest.raises(DimensionMismatchError):
-            HPoint(HermitianSpace(REAL, 2), [1.0, 0.0])
+        # a point of one coordinate is rejected where points are measured
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            build_distance_matrix(REAL, [[[1.0, 0.0, 0.0, 0.0]]])
 
     def test_field_mismatch(self):
         with pytest.raises(ValueError, match="outside field 'r'"):

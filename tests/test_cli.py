@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import hypcrofton
-from hypcrofton import cli, crofton, kernels, spaces
-from hypcrofton.algebra import FIELD_DIM, HermitianSpace
+from hypcrofton import cli, crofton, kernels
+from hypcrofton.algebra import FIELD_DIM
 from hypcrofton.cli import main
 
 #: point files named in argv by test_invalid_argument_exits_2
@@ -95,10 +95,9 @@ class TestDist:
         assert D[0, 2] == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["r", "c", "h", "p", "s"])
-    def test_stacked_read_matches_points_one_by_one(self, tmp_path, kind):
-        # the file's rows are measured in one batch; the matrix is the one
-        # of the points built from the same rows and measured one by one,
-        # bit for bit, as spaces normalizes both
+    def test_stacked_read_matches_points_one_by_one(self, capsys, tmp_path, kind):
+        # the matrix dist prints is, bit for bit, the one
+        # build_distance_matrix gives for the same rows as coordinate arrays
         rng = np.random.default_rng(len(kind) + ord(kind))
         n, m = 3, 9
         k = FIELD_DIM.get(kind, 1)
@@ -109,18 +108,16 @@ class TestDist:
         path.write_text(f"{kind},{n}\n" + "".join(
             ",".join(repr(float(v)) for v in row) + "\n" for row in rows),
             encoding="utf-8")
+        coords = rows
         if kind in FIELD_DIM:
-            coeffs = np.zeros((m, n + 1, 4))
-            coeffs[..., :k] = rows.reshape(m, n + 1, k)
-            points = [spaces.HPoint(HermitianSpace(kind, n), c) for c in coeffs]
-        elif kind == "p":
-            points = [spaces.PPoint(row) for row in rows]
-        else:
-            points = list(rows)
-        got_kind, dim, D = cli._read_distances(str(path))
-        want = kernels.build_distance_matrix(points)
-        assert (got_kind, dim) == (kind, n)
-        assert np.array_equal(D, want)
+            coords = np.zeros((m, n + 1, 4))
+            coords[..., :k] = rows.reshape(m, n + 1, k)
+        code, out, err = run_cli(capsys, "dist", "--points", str(path))
+        assert (code, err) == (0, "")
+        result = json.loads(out)["results"][0]
+        assert (result["kind"], result["dim"]) == (kind, n)
+        want = kernels.build_distance_matrix(kind, coords)
+        assert np.array_equal(np.array(result["matrix"]), want)
 
     @pytest.mark.parametrize("text,message", [
         ("r,1\n1,0\n0,1\n", "not a negative vector of the form"),
@@ -210,23 +207,15 @@ class TestScaleFreeRows:
 
     @staticmethod
     def api_distances(kind, dim, rows):
-        """The distance matrix of build_distance_matrix and the scalar
-        distance of the first pair, from points built one by one."""
+        """The distance matrix of build_distance_matrix, from the rows as
+        coordinate arrays, and the distance of the first pair alone."""
+        coords = rows
         if kind in FIELD_DIM:
-            space, k = HermitianSpace(kind, dim), FIELD_DIM[kind]
-            points = []
-            for row in rows:
-                coeffs = np.zeros((dim + 1, 4))
-                coeffs[:, :k] = np.reshape(row, (dim + 1, k))
-                points.append(spaces.HPoint(space, coeffs))
-            pair = spaces.hyperbolic_distance(*points[:2])
-        elif kind == "p":
-            points = [spaces.PPoint(row) for row in rows]
-            pair = spaces.projective_distance(*points[:2])
-        else:
-            points = list(rows)
-            pair = spaces.sphere_distance(*points[:2])
-        return kernels.build_distance_matrix(points), pair
+            k = FIELD_DIM[kind]
+            coords = np.zeros((len(rows), dim + 1, 4))
+            coords[..., :k] = np.reshape(rows, (len(rows), dim + 1, k))
+        pair = kernels.build_distance_matrix(kind, coords[:2])[0, 1]
+        return kernels.build_distance_matrix(kind, coords), pair
 
     @staticmethod
     def cli_distances(capsys, path, kind, dim, rows):
@@ -280,9 +269,6 @@ class TestScaleFreeRows:
         assert (code, err.strip()) == (2, f"error: {message}")
         with pytest.raises(ValueError, match=f"^{message}$"):
             self.api_distances(kind, dim, rows)
-        if kind == "s":  # the vectors themselves reach build_distance_matrix
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                kernels.build_distance_matrix(list(rows))
 
 
 class TestCheckNegtype:
@@ -320,6 +306,11 @@ class TestCheckNegtype:
         code, _, err = run_cli(capsys, "check-negtype")
         assert code == 2
         assert "provide --points or --matrix" in err
+
+    def test_default_tolerance_is_rel_tol(self):
+        # the parser spells the default out, so that parsing loads no kernels
+        args = cli.build_parser().parse_args(["check-negtype"])
+        assert args.tolerance == kernels.REL_TOL
 
 
 class TestMatrixFile:

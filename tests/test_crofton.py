@@ -20,19 +20,7 @@ from hypcrofton.algebra import (
     form_coeffs,
     qmul,
 )
-from hypcrofton.crofton import (
-    estimate_horosphere_crofton,
-    estimate_m,
-    projective_crofton_estimate,
-    sphere_halfspace_crofton,
-)
-from hypcrofton.spaces import (
-    HPoint,
-    PPoint,
-    base_point,
-    hyperbolic_distance,
-    random_point,
-)
+from hypcrofton.spaces import random_coords
 
 import reference
 from reference import (
@@ -48,21 +36,22 @@ from reference import (
     halfspace_contains,
     halfspace_side,
     hyperplane_meets_segment,
+    pair_distance,
     random_isometry,
+    real_coords,
     sample_horosphere,
     sample_hyperplane,
 )
 
 
-def brute_force_horosphere_measure(x, y, R, samples, rng):
+def brute_force_horosphere_measure(space, x, y, R, samples, rng):
     """Measure of the horospheres crossing [xy], each counted per crossing.
 
     The mean crossing count of horospheres drawn by sample_horosphere from
     the ball of radius R around the base point, which must hold the
     segment, times that ball's measure; returns (value, stderr).
     """
-    space = x.space
-    seg = geodesic_between(x, y)
+    seg = geodesic_between(space, x, y)
     counts = np.array([count_horosphere_intersections(
         sample_horosphere(space, R, rng), seg) for _ in range(samples)])
     k = FIELD_DIM[space.field]
@@ -165,27 +154,27 @@ class TestHyperplanePredicates:
 
     def test_transversal_crossing(self):
         eps = 0.1
-        x = HPoint(self.space, [1.0, 0.0, 0.0, eps])
-        y = HPoint(self.space, [1.0, 0.0, 0.0, -eps])
-        seg = geodesic_between(x, y)
+        x = real_coords([1.0, 0.0, 0.0, eps])
+        y = real_coords([1.0, 0.0, 0.0, -eps])
+        seg = geodesic_between(self.space, x, y)
         assert hyperplane_meets_segment(self.s0, seg)
 
     def test_strictly_inside_halfspace(self):
-        x = HPoint(self.space, [1.2, 0.0, 0.0, 0.3])
-        y = HPoint(self.space, [1.5, 0.5, 0.0, 0.7])
-        seg = geodesic_between(x, y)
+        x = real_coords([1.2, 0.0, 0.0, 0.3])
+        y = real_coords([1.5, 0.5, 0.0, 0.7])
+        seg = geodesic_between(self.space, x, y)
         assert not hyperplane_meets_segment(self.s0, seg)
 
     def test_endpoint_on_hyperplane_counts(self):
-        x = HPoint(self.space, [1.2, 0.0, 0.0, 0.3])
-        y = base_point(self.space)  # last coordinate exactly zero
-        seg = geodesic_between(x, y)
+        x = real_coords([1.2, 0.0, 0.0, 0.3])
+        y = axis_point(self.space, 0.0)  # last coordinate exactly zero
+        seg = geodesic_between(self.space, x, y)
         assert hyperplane_meets_segment(self.s0, seg)
 
     def test_contained_segment_flagged(self):
-        x = base_point(self.space)
+        x = axis_point(self.space, 0.0)
         y = axis_point(self.space, 1.0)  # both have last coordinate zero
-        seg = geodesic_between(x, y)
+        seg = geodesic_between(self.space, x, y)
         with pytest.raises(SegmentInHyperplaneError):
             hyperplane_meets_segment(self.s0, seg)
 
@@ -194,17 +183,15 @@ class TestHyperplanePredicates:
         for _ in range(100):
             hp = sample_hyperplane(3, 2.5, rng)
             flipped = Hyperplane(-hp.u)
-            x = random_point(self.space, 2.0, rng)
-            y = random_point(self.space, 2.0, rng)
-            seg = geodesic_between(x, y)
+            x, y = random_coords(self.space, 2.0, rng, 2)
+            seg = geodesic_between(self.space, x, y)
             assert hyperplane_meets_segment(hp, seg) == \
                 hyperplane_meets_segment(flipped, seg)
 
     def test_rejects_complex_field(self):
         space = HermitianSpace(COMPLEX, 2)
         rng = np.random.default_rng(5)
-        seg = geodesic_between(random_point(space, 1, rng),
-                               random_point(space, 1, rng))
+        seg = geodesic_between(space, *random_coords(space, 1, rng, 2))
         with pytest.raises(ValueError):
             hyperplane_meets_segment(Hyperplane([0, 0, 1]), seg)
 
@@ -213,12 +200,12 @@ class TestHalfSpace:
     def test_base_point_on_boundary(self):
         space = HermitianSpace(REAL, 3)
         u = np.array([0.0, 0.0, 0.0, 1.0])
-        assert halfspace_side(u, base_point(space)) == 0
+        assert halfspace_side(u, axis_point(space, 0.0)) == 0
 
     def test_positive_last_coordinate(self):
         space = HermitianSpace(REAL, 3)
         h = OrientedHalfSpace([0.0, 0.0, 0.0, 1.0])
-        x = HPoint(space, [math.sqrt(2), 0.0, 0.0, 1.0])
+        x = real_coords([math.sqrt(2), 0.0, 0.0, 1.0])
         assert halfspace_contains(h, x)
         assert not halfspace_contains(h.flipped(), x)
 
@@ -227,7 +214,7 @@ class TestHalfSpace:
         rng = np.random.default_rng(6)
         for _ in range(100):
             hp = sample_hyperplane(2, 2.0, rng)
-            x = random_point(space, 1.5, rng)
+            x = random_coords(space, 1.5, rng, 1)[0]
             side = halfspace_side(hp.u, x)
             assert halfspace_side(-hp.u, x) == -side
 
@@ -235,9 +222,8 @@ class TestHalfSpace:
         space = HermitianSpace(REAL, 2)
         rng = np.random.default_rng(7)
         hp = sample_hyperplane(2, 2.0, rng)
-        x = random_point(space, 1.5, rng)
-        assert halfspace_side(hp.u, x.coords[:, 0]) == \
-            halfspace_side(hp.u, -x.coords[:, 0])
+        x = random_coords(space, 1.5, rng, 1)[0]
+        assert halfspace_side(hp.u, x[:, 0]) == halfspace_side(hp.u, -x[:, 0])
 
 
 class TestCountCoshRoots:
@@ -300,7 +286,7 @@ class TestHorosphere:
                 assert np.abs(q).max() <= 1e-10 * np.sum(h.xi**2)
                 assert h.busemann_distance() <= 1.5 + 1e-12
                 # |<x0, xi>| = r exactly, r = leading component
-                assert h.level(base_point(space)) == pytest.approx(
+                assert h.level(axis_point(space, 0.0)) == pytest.approx(
                     float(np.linalg.norm(h.xi[0], axis=-1)), rel=1e-12)
 
     def test_phase_normalization(self):
@@ -340,7 +326,7 @@ class TestHorosphere:
         g = random_isometry(space, rng)
         h = sample_horosphere(space, 1.0, rng)
         gh = Horosphere(space, g.apply_coords(h.xi))
-        x = random_point(space, 1.5, rng)
+        x = random_coords(space, 1.5, rng, 1)[0]
         gx = g @ x
         assert gh.level(gx) == pytest.approx(h.level(x), rel=1e-9)
 
@@ -353,8 +339,8 @@ class TestHorosphereIntersections:
         xi[0, 0] = math.exp(2.0)
         xi[1, 0] = math.exp(2.0)
         h = Horosphere(space, xi)
-        seg = geodesic_between(axis_point(space, 0.05),
-                               HPoint(space, [1.0, 0.0, 0.05]))
+        seg = geodesic_between(space, axis_point(space, 0.05),
+                               real_coords([1.0, 0.0, 0.05]))
         assert count_horosphere_intersections(h, seg) == 0
 
     def test_double_crossing_through_center_direction(self):
@@ -365,9 +351,9 @@ class TestHorosphereIntersections:
         xi[0, 0] = math.exp(-0.5)
         xi[1, 0] = math.exp(-0.5)
         h = Horosphere(space, xi)
-        x = HPoint(space, [math.cosh(2.0), 0.0, -math.sinh(2.0)])
-        y = HPoint(space, [math.cosh(2.0), 0.0, math.sinh(2.0)])
-        seg = geodesic_between(x, y)
+        x = real_coords([math.cosh(2.0), 0.0, -math.sinh(2.0)])
+        y = real_coords([math.cosh(2.0), 0.0, math.sinh(2.0)])
+        seg = geodesic_between(space, x, y)
         # check against a dense scan of the level function
         ts = np.linspace(0, seg.length, 20_000)
         levels = np.array([h.level(seg.point(t)) for t in ts[:: 40]])
@@ -377,7 +363,8 @@ class TestHorosphereIntersections:
     def test_count_two_occurs_randomly(self):
         space = HermitianSpace(REAL, 2)
         rng = np.random.default_rng(14)
-        seg = geodesic_between(axis_point(space, -1.2), axis_point(space, 1.2))
+        seg = geodesic_between(space, axis_point(space, -1.2),
+                               axis_point(space, 1.2))
         counts = [count_horosphere_intersections(
             sample_horosphere(space, 2.0, rng), seg) for _ in range(2000)]
         assert counts.count(2) > 0
@@ -389,9 +376,8 @@ class TestHorosphereIntersections:
         rng = np.random.default_rng(15)
         k = {COMPLEX: 2, QUATERNION: 4}[field]
         for _ in range(50):
-            x = random_point(space, 1.5, rng)
-            y = random_point(space, 1.5, rng)
-            seg = geodesic_between(x, y)
+            x, y = random_coords(space, 1.5, rng, 2)
+            seg = geodesic_between(space, x, y)
             h = sample_horosphere(space, 2.0, rng)
             lam = np.zeros(4)
             lam[:k] = rng.standard_normal(k)
@@ -409,9 +395,9 @@ class TestHorosphereIntersections:
         # estimator histogrammed.
         space = HermitianSpace(COMPLEX, 2)
         k, e, samples, seed, d = 2, 3, 400, 16, 1.2
-        x, y = axis_point(space, -0.5 * d), axis_point(space, 0.5 * d)
-        seg = geodesic_between(x, y)
-        est = estimate_horosphere_crofton(x, y, samples, seed=seed)
+        seg = geodesic_between(space, axis_point(space, -0.5 * d),
+                               axis_point(space, 0.5 * d))
+        est = crofton.horosphere_crofton_many(COMPLEX, 2, (d,), samples, seed)[0]
         sizes = crofton._chunk_sizes(samples)
         stream = random.Random(seed)
         draws = []
@@ -678,9 +664,9 @@ class TestDistanceEstimators:
         # both estimators over R, C and H, from d at rounding level to the
         # CLI's largest distance
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            ests = [crofton.hyperplane_crofton(n, d, 20_000, seed=1)
+            ests = [crofton.hyperplane_crofton_many(n, (d,), 20_000, seed=1)[0]
                     for n in (1, 2, 3, 5)]
-            ests += [crofton.horosphere_crofton(field, n, d, 20_000, seed=2)
+            ests += [crofton.horosphere_crofton_many(field, n, (d,), 20_000, seed=2)[0]
                      for field in (REAL, COMPLEX, QUATERNION) for n in (1, 2, 3)]
         for est in ests:
             assert est.d == d
@@ -692,21 +678,18 @@ class TestDistanceEstimators:
         # integrands read, never a full unit vector per sample: the
         # package has no sampler of unit vectors
         assert not hasattr(crofton, "_uniform_sphere")
-        space = HermitianSpace(REAL, 3)
-        assert estimate_m(base_point(space), axis_point(space, 1.0), 1000).estimate > 0
+        assert crofton.hyperplane_crofton_many(3, (1.0,), 1000)[0].estimate > 0
         for field in (REAL, COMPLEX, QUATERNION):
-            space = HermitianSpace(field, 2)
-            est = estimate_horosphere_crofton(base_point(space),
-                                              axis_point(space, 1.0), 1000)
+            est, = crofton.horosphere_crofton_many(field, 2, (1.0,), 1000)
             assert est.estimate > 0
 
     @pytest.mark.parametrize("call", [
-        lambda: crofton.hyperplane_crofton(3, -1.0, 10),
-        lambda: crofton.hyperplane_crofton(3, math.inf, 10),
-        lambda: crofton.horosphere_crofton(COMPLEX, 2, math.nan, 10),
-        lambda: crofton.hyperplane_crofton(0, 1.0, 10),
-        lambda: crofton.hyperplane_crofton(438, 1.0, 10),
-        lambda: crofton.horosphere_crofton(QUATERNION, 110, 1.0, 10),
+        lambda: crofton.hyperplane_crofton_many(3, (-1.0,), 10)[0],
+        lambda: crofton.hyperplane_crofton_many(3, (math.inf,), 10)[0],
+        lambda: crofton.horosphere_crofton_many(COMPLEX, 2, (math.nan,), 10)[0],
+        lambda: crofton.hyperplane_crofton_many(0, (1.0,), 10)[0],
+        lambda: crofton.hyperplane_crofton_many(438, (1.0,), 10)[0],
+        lambda: crofton.horosphere_crofton_many(QUATERNION, 110, (1.0,), 10)[0],
     ], ids=["d-negative", "d-inf", "d-nan", "n-zero", "n-beyond-measure",
             "kn-beyond-measure"])
     def test_invalid_input_rejected(self, call):
@@ -750,7 +733,8 @@ class TestGradedLattice:
         if size > 6:
             assert g2 != round(crofton._lattice_steps(size)[1] * size)
         for samples in (size, 16 * size):
-            est = crofton.horosphere_crofton(QUATERNION, 2, 1.0, samples, seed=2)
+            est, = crofton.horosphere_crofton_many(QUATERNION, 2, (1.0,), samples,
+                                                   seed=2)
             assert sum(est.count_histogram.values()) == samples
 
     @pytest.mark.parametrize("workers", [1, 3])
@@ -775,8 +759,8 @@ class TestGradedLattice:
     def test_seed_is_a_non_negative_integer(self):
         # a negative seed, which random.Random would take as its absolute
         # value, is rejected, also when no chunk runs
-        for call in (lambda: crofton.hyperplane_crofton(3, 1.0, 1000, seed=-1),
-                     lambda: crofton.hyperplane_crofton(3, 0.0, 1000, seed=-5)):
+        for call in (lambda: crofton.hyperplane_crofton_many(3, (1.0,), 1000, seed=-1),
+                     lambda: crofton.hyperplane_crofton_many(3, (0.0,), 1000, seed=-5)):
             with pytest.raises(ValueError, match="non-negative integer seed"):
                 call()
 
@@ -839,8 +823,8 @@ class TestGradedLattice:
             assert abs(est.ratio - constant) <= 3 * est.stderr / est.d
 
     @pytest.mark.parametrize("call", [
-        lambda: crofton.hyperplane_crofton(100, 16.0, 1000),
-        lambda: crofton.horosphere_crofton(REAL, 300, 16.0, 1000),
+        lambda: crofton.hyperplane_crofton_many(100, (16.0,), 1000)[0],
+        lambda: crofton.horosphere_crofton_many(REAL, 300, (16.0,), 1000)[0],
     ], ids=["hyperplane", "horosphere"])
     def test_value_past_float_range_rejected(self, call):
         # a direction's value would reach e^726 and e^2387, where its
@@ -854,7 +838,7 @@ class TestGradedLattice:
         # i.i.d. directions read 8.23e-188 +- 2.2e-189 against 9.05e-188
         constant = crofton.CARRIERS["horosphere"].constant(1, 300)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            est = crofton.horosphere_crofton(REAL, 300, 0.5, 400_000, seed=3)
+            est = crofton.horosphere_crofton_many(REAL, 300, (0.5,), 400_000, seed=3)[0]
         assert abs(est.ratio - constant) <= 3 * est.stderr / est.d
 
 
@@ -876,8 +860,7 @@ class TestChunkMoments:
     def test_constant_values_have_zero_spread(self):
         # every direction of H^1_R carries d, so any spread is rounding; a
         # one-pass total_sq / n - mean^2 cancels to 7.7e-11 here
-        space = HermitianSpace(REAL, 1)
-        est = estimate_m(base_point(space), axis_point(space, 2.0), 300_000, seed=1)
+        est, = crofton.hyperplane_crofton_many(1, (2.0,), 300_000, seed=1)
         assert est.estimate == pytest.approx(2.0, rel=1e-14)
         assert est.stderr <= 1e-14 * est.estimate
 
@@ -952,13 +935,11 @@ def fields(estimates):
             for e in estimates]
 
 
-def sign_change_pairs(carrier, ds):
-    """(x, ys) for the projective or sphere estimator, as the CLI builds them."""
-    x = np.array([1.0, 0.0, 0.0])
-    ys = [np.array([math.cos(d), math.sin(d), 0.0]) for d in ds]
-    if carrier == "projective":
-        return PPoint(x), [PPoint(y) for y in ys]
-    return x, ys
+def arc_estimates(carrier, ds, samples, seed=0, workers=1):
+    """The estimates of crofton.CARRIERS[carrier], the projective or the
+    sphere family, for arcs of lengths ds."""
+    return crofton.CARRIERS[carrier].estimate(None, None, ds, samples, seed,
+                                              workers)
 
 
 class TestSharedDraws:
@@ -974,36 +955,32 @@ class TestSharedDraws:
         # a call for its d alone makes, field for field; d = 0 is the
         # coincident-points estimate wherever it sits
         many = getattr(crofton, f"{carrier}_crofton_many")
-        one = getattr(crofton, f"{carrier}_crofton")
         got = many(*args, SHARED_DS, SHARED_SAMPLES, seed=7, workers=workers)
-        assert fields(got) == fields(one(*args, d, SHARED_SAMPLES, seed=7)
+        assert fields(got) == fields(many(*args, (d,), SHARED_SAMPLES, seed=7)[0]
                                      for d in SHARED_DS)
         assert got[3].note == "coincident points"
 
     @pytest.mark.parametrize("workers", [1, 3])
-    @pytest.mark.parametrize("carrier", ["projective", "sphere_halfspace"])
+    @pytest.mark.parametrize("carrier", ["projective", "sphere"],
+                             ids=["projective", "sphere_halfspace"])
     def test_sign_change_vector_equals_scalar(self, carrier, workers):
         # includes a coincident pair and the pair at the diameter, whose
-        # representative alignment and note are per pair
+        # note is per pair
         ds = (0.3, 0.0, 1.2, math.pi / 2, 3.0, math.pi)
         if carrier == "projective":
             ds = ds[:4]
-        many = getattr(crofton, f"{carrier}_crofton_many")
-        one = {"projective": projective_crofton_estimate,
-               "sphere_halfspace": sphere_halfspace_crofton}[carrier]
-        x, ys = sign_change_pairs(carrier, ds)
-        got = many(x, ys, SHARED_SAMPLES, seed=9, workers=workers)
-        assert fields(got) == fields(one(x, y, SHARED_SAMPLES, seed=9)
-                                     for y in ys)
+        got = arc_estimates(carrier, ds, SHARED_SAMPLES, seed=9, workers=workers)
+        assert fields(got) == fields(arc_estimates(carrier, (d,), SHARED_SAMPLES,
+                                                   seed=9)[0] for d in ds)
         assert got[1].note == "coincident points"
         assert got[-1].note != ""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("carrier,args,sampler", [
-        ("hyperplane", (3,), "_graded_lattice"),
+        ("hyperplane", (REAL, 3), "_graded_lattice"),
         ("horosphere", (QUATERNION, 2), "_graded_lattice"),
-        ("projective", (), "_shifted"),
-        ("sphere_halfspace", (), "_shifted"),
+        ("projective", (REAL, 2), "_shifted"),
+        ("sphere", (REAL, 2), "_shifted"),
     ], ids=["hyperplane", "horosphere", "projective", "sphere"])
     def test_one_draw_per_chunk(self, monkeypatch, carrier, args, sampler,
                                 workers):
@@ -1017,14 +994,10 @@ class TestSharedDraws:
             return real(*a)
 
         monkeypatch.setattr(crofton, sampler, counted)
-        many = getattr(crofton, f"{carrier}_crofton_many")
+        estimate = crofton.CARRIERS[carrier].estimate
         for ds in ((0.5,), (0.5, 1.0, 1.5, 0.25)):
             calls.clear()
-            if args:
-                many(*args, ds, SHARED_SAMPLES, seed=3, workers=workers)
-            else:
-                many(*sign_change_pairs(carrier, ds), SHARED_SAMPLES,
-                     seed=3, workers=workers)
+            estimate(*args, ds, SHARED_SAMPLES, 3, workers)
             assert len(calls) == len(crofton._chunk_sizes(SHARED_SAMPLES))
 
     def test_no_draw_without_a_positive_distance(self, monkeypatch):
@@ -1034,19 +1007,19 @@ class TestSharedDraws:
         monkeypatch.setattr(crofton, "_graded_lattice", refuse)
         monkeypatch.setattr(crofton, "_shifted", refuse)
         ests = crofton.horosphere_crofton_many(REAL, 2, (0.0, 0.0), 100)
-        ests += crofton.sphere_halfspace_crofton_many([1, 0], [[2, 0]], 100)
+        ests += arc_estimates("sphere", (0.0,), 100)
         assert [e.estimate for e in ests] == [0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("call", [
         # estimate 5.04e-322 with stderr 0: a subnormal ratio passed on as
         # a number
-        lambda: crofton.hyperplane_crofton(437, 1e-13, 100_000, seed=3),
+        lambda: crofton.hyperplane_crofton_many(437, (1e-13,), 100_000, seed=3)[0],
         lambda: crofton.hyperplane_crofton_many(437, (1.0, 1e-13), 20_000, seed=3),
-        lambda: crofton.horosphere_crofton(REAL, 438, 1e-13, 20_000, seed=3),
+        lambda: crofton.horosphere_crofton_many(REAL, 438, (1e-13,), 20_000, seed=3)[0],
         # estimate 4.2e-308 is normal, its stderr 2.5e-310 is not
-        lambda: crofton.hyperplane_crofton(436, 1.0, 20_000, seed=3),
+        lambda: crofton.hyperplane_crofton_many(436, (1.0,), 20_000, seed=3)[0],
         # a positive mean whose estimate rounds to 0: 0 +- 0
-        lambda: crofton.hyperplane_crofton(437, 1e-300, 1000, seed=3),
+        lambda: crofton.hyperplane_crofton_many(437, (1e-300,), 1000, seed=3)[0],
     ], ids=["hyperplane", "hyperplane-second-pair", "horosphere",
             "hyperplane-stderr", "hyperplane-zero"])
     def test_underflow_rejected(self, call):
@@ -1055,13 +1028,14 @@ class TestSharedDraws:
 
     def test_normal_estimates_near_the_limit(self):
         # a little below the limit, d = 1 has a normal estimate and stderr
-        est = crofton.hyperplane_crofton(430, 1.0, 20_000, seed=3)
+        est = crofton.hyperplane_crofton_many(430, (1.0,), 20_000, seed=3)[0]
         assert est.estimate >= sys.float_info.min
         assert est.stderr >= sys.float_info.min
 
 
 class TestSignChangeEstimates:
-    @pytest.mark.parametrize("carrier", ["projective", "sphere_halfspace"])
+    @pytest.mark.parametrize("carrier", ["projective", "sphere"],
+                             ids=["projective", "sphere_halfspace"])
     def test_binomial_histogram_and_stderr(self, carrier):
         # a hypersurface crosses an arc 0 or 1 times: the histogram counts
         # the misses and hits, the hit fraction is hits / N, and the stderr
@@ -1069,11 +1043,10 @@ class TestSignChangeEstimates:
         # their shifted grids, or at least the largest spread of two-valued
         # fractions 1 / n apart, n the smaller chunk size
         ds = (0.3, 1.2, math.pi / 2, 3.0)[:3 if carrier == "projective" else 4]
-        many = getattr(crofton, f"{carrier}_crofton_many")
         sizes = crofton._chunk_sizes(SHARED_SAMPLES)
         replay = random.Random(5)
         shifts = [replay.random() for _ in sizes]
-        for est in many(*sign_change_pairs(carrier, ds), SHARED_SAMPLES, seed=5):
+        for est in arc_estimates(carrier, ds, SHARED_SAMPLES, seed=5):
             hits = est.count_histogram[1]
             assert est.count_histogram == {0: SHARED_SAMPLES - hits, 1: hits}
             assert est.mean_count == hits / SHARED_SAMPLES
@@ -1089,37 +1062,33 @@ class TestSignChangeEstimates:
     @pytest.mark.parametrize("d", [0.3, 1.2, math.pi / 2])
     def test_projective_equals_sphere(self, d):
         # both estimate on the canonical arc of length d from the same draws
-        px, (py,) = sign_change_pairs("projective", (d,))
-        sx, (sy,) = sign_change_pairs("sphere_halfspace", (d,))
-        p = projective_crofton_estimate(px, py, SHARED_SAMPLES, seed=6)
-        s = sphere_halfspace_crofton(sx, sy, SHARED_SAMPLES, seed=6)
-        assert p.d == pytest.approx(s.d, rel=1e-15)
+        p, = arc_estimates("projective", (d,), SHARED_SAMPLES, seed=6)
+        s, = arc_estimates("sphere", (d,), SHARED_SAMPLES, seed=6)
+        assert p.d == s.d
         assert (p.estimate, p.stderr, p.count_histogram) == \
             (s.estimate, s.stderr, s.count_histogram)
 
 
 class TestEstimateM:
     def test_coincident_points(self):
-        space = HermitianSpace(REAL, 2)
-        x = base_point(space)
-        est = estimate_m(x, x, 100, seed=0)
+        x = axis_point(HermitianSpace(REAL, 2), 0.0)
+        est, = crofton.hyperplane_crofton_many(2, (pair_distance(REAL, x, x),),
+                                               100, seed=0)
         assert est.estimate == 0.0 and est.stderr == 0.0
 
     def test_linearity(self):
-        space = HermitianSpace(REAL, 2)
-        e1 = estimate_m(axis_point(space, 0.0), axis_point(space, 1.0),
-                        300_000, seed=1)
-        e2 = estimate_m(axis_point(space, 0.0), axis_point(space, 2.0),
-                        300_000, seed=2)
+        e1, = crofton.hyperplane_crofton_many(2, (1.0,), 300_000, seed=1)
+        e2, = crofton.hyperplane_crofton_many(2, (2.0,), 300_000, seed=2)
         assert abs(e2.estimate - 2 * e1.estimate) <= \
             3 * math.hypot(2 * e1.stderr, e2.stderr)
 
     def test_additivity_collinear(self):
         space = HermitianSpace(REAL, 3)
         a, b, c = (axis_point(space, d) for d in (0.0, 0.8, 1.9))
-        eab = estimate_m(a, b, 200_000, seed=3)
-        ebc = estimate_m(b, c, 200_000, seed=4)
-        eac = estimate_m(a, c, 200_000, seed=5)
+        eab, ebc, eac = (
+            crofton.hyperplane_crofton_many(3, (pair_distance(REAL, x, y),),
+                                            200_000, seed=seed)[0]
+            for x, y, seed in ((a, b, 3), (b, c, 4), (a, c, 5)))
         z = abs(eab.estimate + ebc.estimate - eac.estimate) / \
             math.sqrt(eab.stderr**2 + ebc.stderr**2 + eac.stderr**2)
         assert z <= 3.0
@@ -1127,9 +1096,7 @@ class TestEstimateM:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_ratio_is_crofton_constant(self, n):
         # vol(S^{n-2}) / (n - 1): 2 in H^2_R, pi in H^3_R
-        space = HermitianSpace(REAL, n)
-        est = estimate_m(base_point(space), axis_point(space, 1.0), 200_000,
-                         seed=6)
+        est, = crofton.hyperplane_crofton_many(n, (1.0,), 200_000, seed=6)
         constant = crofton.sphere_area(n - 2) / (n - 1)
         assert abs(est.ratio - constant) <= 4 * est.stderr / est.d
 
@@ -1140,10 +1107,10 @@ class TestEstimateM:
         # estimator sees only d
         space = HermitianSpace(REAL, 3)
         rng = np.random.default_rng(42)
-        x, y = random_point(space, 0.6, rng), random_point(space, 0.6, rng)
-        x0 = base_point(space)
-        R = max(hyperbolic_distance(x0, x), hyperbolic_distance(x0, y))
-        seg = geodesic_between(x, y)
+        x, y = random_coords(space, 0.6, rng, 2)
+        x0 = axis_point(space, 0.0)
+        R = max(pair_distance(REAL, x0, x), pair_distance(REAL, x0, y))
+        seg = geodesic_between(space, x, y)
         samples = 20_000
         # sample_hyperplane's draws, in one batch
         normals = reference._sample_hyperplane_normals(3, R, samples, rng)
@@ -1151,25 +1118,23 @@ class TestEstimateM:
         ball = crofton.sphere_area(2) / 2 * cosh_power_integral(2, -R, R)
         p = hits / samples
         brute, brute_err = ball * p, ball * math.sqrt(p * (1 - p) / samples)
-        est = estimate_m(x, y, 200_000, seed=43)
+        est, = crofton.hyperplane_crofton_many(3, (pair_distance(REAL, x, y),),
+                                               200_000, seed=43)
         assert abs(est.estimate - brute) <= 4 * math.hypot(est.stderr, brute_err)
 
     def test_off_centre_unit_segment(self):
-        # both endpoints far from the base point: neither the value nor its
-        # precision may depend on where the segment sits
+        # both endpoints far from the base point: neither the measured
+        # distance nor the estimate's precision may depend on where the
+        # segment sits
         space = HermitianSpace(REAL, 2)
-        est = estimate_m(axis_point(space, 8.0), axis_point(space, 9.0),
-                         200_000, seed=7)
-        near = estimate_m(base_point(space), axis_point(space, 1.0),
-                          200_000, seed=7)
+        d = pair_distance(REAL, axis_point(space, 8.0), axis_point(space, 9.0))
+        est, near = crofton.hyperplane_crofton_many(2, (d, 1.0), 200_000, seed=7)
         assert 0 < est.stderr <= 2 * near.stderr
         assert abs(est.estimate - 2.0) <= 4 * est.stderr
 
     def test_worker_count_invariance(self):
-        space = HermitianSpace(REAL, 2)
-        x, y = axis_point(space, 0.0), axis_point(space, 1.0)
-        e1 = estimate_m(x, y, 300_000, seed=8, workers=1)
-        e4 = estimate_m(x, y, 300_000, seed=8, workers=4)
+        e1, = crofton.hyperplane_crofton_many(2, (1.0,), 300_000, seed=8, workers=1)
+        e4, = crofton.hyperplane_crofton_many(2, (1.0,), 300_000, seed=8, workers=4)
         assert e1.estimate == e4.estimate
         assert e1.stderr == e4.stderr
 
@@ -1180,11 +1145,8 @@ class TestEstimateM:
         assert [e.count_histogram for e in ests] == [{1: SHARED_SAMPLES}] * 2
 
     def test_complex_field_rejected(self):
-        space = HermitianSpace(COMPLEX, 2)
-        rng = np.random.default_rng(17)
-        with pytest.raises(ValueError):
-            estimate_m(random_point(space, 1, rng),
-                       random_point(space, 1, rng), 100)
+        # hyperplanes are real: the carrier takes the real field alone
+        assert crofton.CARRIERS["hyperplane"].fields == (REAL,)
 
 
 class TestSymmetricDifference:
@@ -1192,9 +1154,8 @@ class TestSymmetricDifference:
         # half-space sign disagreement == transversal segment crossing
         space = HermitianSpace(REAL, 2)
         rng = np.random.default_rng(19)
-        x = random_point(space, 1.5, rng)
-        y = random_point(space, 1.5, rng)
-        seg = geodesic_between(x, y)
+        x, y = random_coords(space, 1.5, rng, 2)
+        seg = geodesic_between(space, x, y)
         disagreements = 0
         boundary = 0
         for _ in range(2000):
@@ -1217,17 +1178,15 @@ class TestSymmetricDifference:
 
 class TestHorosphereEstimator:
     def test_coincident_points(self):
-        space = HermitianSpace(COMPLEX, 2)
-        x = base_point(space)
-        est = estimate_horosphere_crofton(x, x, 100, seed=0)
+        x = axis_point(HermitianSpace(COMPLEX, 2), 0.0)
+        est, = crofton.horosphere_crofton_many(
+            COMPLEX, 2, (pair_distance(COMPLEX, x, x),), 100, seed=0)
         assert est.estimate == 0.0
 
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     def test_linearity(self, field):
-        space = HermitianSpace(field, 2)
-        ests = [estimate_horosphere_crofton(
-            axis_point(space, 0.0), axis_point(space, d), 200_000, seed=21)
-            for d in (0.5, 1.0, 2.0)]
+        ests = crofton.horosphere_crofton_many(field, 2, (0.5, 1.0, 2.0), 200_000,
+                                               seed=21)
         for i in range(3):
             for j in range(i + 1, 3):
                 ri, rj = ests[i].ratio, ests[j].ratio
@@ -1236,10 +1195,7 @@ class TestHorosphereEstimator:
                 assert abs(ri - rj) <= 3 * math.hypot(si, sj)
 
     def test_histogram_has_double_crossings(self):
-        space = HermitianSpace(REAL, 2)
-        est = estimate_horosphere_crofton(axis_point(space, -0.5),
-                                          axis_point(space, 0.5),
-                                          100_000, seed=22)
+        est, = crofton.horosphere_crofton_many(REAL, 2, (1.0,), 100_000, seed=22)
         assert est.count_histogram.get(2, 0) > 0
 
     def test_histogram_pinned(self):
@@ -1251,17 +1207,16 @@ class TestHorosphereEstimator:
         # horosphere is met twice less often than over uniform directions;
         # the estimate's float may change in its last digits, the crossing
         # counts may not
-        space = HermitianSpace(QUATERNION, 2)
-        est = estimate_horosphere_crofton(axis_point(space, 0.0),
-                                          axis_point(space, 1.0), 300_000, seed=1)
+        est, = crofton.horosphere_crofton_many(QUATERNION, 2, (1.0,), 300_000,
+                                               seed=1)
         assert est.count_histogram == {1: 255916, 2: 44084}
         assert est.estimate == pytest.approx(9.44954438135052, rel=1e-14)
 
     def test_worker_count_invariance(self):
-        space = HermitianSpace(COMPLEX, 2)
-        x, y = axis_point(space, 0.0), axis_point(space, 1.0)
-        e1 = estimate_horosphere_crofton(x, y, 300_000, seed=23, workers=1)
-        e3 = estimate_horosphere_crofton(x, y, 300_000, seed=23, workers=3)
+        e1, = crofton.horosphere_crofton_many(COMPLEX, 2, (1.0,), 300_000, seed=23,
+                                              workers=1)
+        e3, = crofton.horosphere_crofton_many(COMPLEX, 2, (1.0,), 300_000, seed=23,
+                                              workers=3)
         assert e1.estimate == e3.estimate
 
     @pytest.mark.parametrize("field", [REAL, COMPLEX, QUATERNION])
@@ -1274,10 +1229,11 @@ class TestHorosphereEstimator:
         d = 0.25
         x, y = axis_point(space, -0.5 * d), axis_point(space, 0.5 * d)
         brute, brute_err = brute_force_horosphere_measure(
-            x, y, 0.5 * d, 4000, np.random.default_rng(40))
+            space, x, y, 0.5 * d, 4000, np.random.default_rng(40))
         k = FIELD_DIM[field]
         with np.errstate(all="raise"):
-            est = estimate_horosphere_crofton(x, y, 200_000, seed=41)
+            est, = crofton.horosphere_crofton_many(
+                field, 2, (pair_distance(field, x, y),), 200_000, seed=41)
         assert abs(est.estimate - brute) <= 4 * math.hypot(est.stderr, brute_err)
         # the ratio is its d -> 0 limit: a direction w carries d |Re <v, w>|
         # for the unit tangent v at the base point, and vol(S^{m-1}) times
@@ -1293,12 +1249,13 @@ class TestHorosphereEstimator:
         space = HermitianSpace(field, 2)
         k = FIELD_DIM[field]
         rng = np.random.default_rng(44 + k)
-        x, y = random_point(space, 0.3, rng), random_point(space, 0.3, rng)
-        x0 = base_point(space)
-        R = max(hyperbolic_distance(x0, x), hyperbolic_distance(x0, y))
-        brute, brute_err = brute_force_horosphere_measure(x, y, R, 8000, rng)
+        x, y = random_coords(space, 0.3, rng, 2)
+        x0 = axis_point(space, 0.0)
+        R = max(pair_distance(field, x0, x), pair_distance(field, x0, y))
+        brute, brute_err = brute_force_horosphere_measure(space, x, y, R, 8000, rng)
         with np.errstate(all="raise"):
-            est = estimate_horosphere_crofton(x, y, 200_000, seed=49 + k)
+            est, = crofton.horosphere_crofton_many(
+                field, 2, (pair_distance(field, x, y),), 200_000, seed=49 + k)
         assert abs(est.estimate - brute) <= 4 * math.hypot(est.stderr, brute_err)
 
     def test_degenerate_directions(self):
@@ -1325,43 +1282,45 @@ class TestProjectiveEstimator:
         rho = np.sqrt(1.0 - z**2)
         phi = i * math.pi * (3.0 - math.sqrt(5.0))
         u = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
-        xr = x.coords
-        yr = y.coords if xr @ y.coords >= 0 else -y.coords
-        return float(np.mean((u @ xr) * (u @ yr) < 0))
+        yr = y if x @ y >= 0 else -y
+        return float(np.mean((u @ x) * (u @ yr) < 0))
 
     def test_fraction_matches_distance_over_pi(self):
         rng = np.random.default_rng(24)
         for _ in range(3):
-            x = PPoint(rng.standard_normal(3))
-            y = PPoint(rng.standard_normal(3))
-            est = projective_crofton_estimate(x, y, 200_000, seed=25)
+            x = rng.standard_normal(3)
+            y = rng.standard_normal(3)
+            est, = arc_estimates("projective", (pair_distance("p", x, y),),
+                                 200_000, seed=25)
             assert abs(est.estimate - est.d / math.pi) <= 3 * est.stderr
 
     def test_fraction_matches_quadrature_oracle(self):
         rng = np.random.default_rng(26)
-        x = PPoint(rng.standard_normal(3))
-        y = PPoint(rng.standard_normal(3))
+        x = rng.standard_normal(3)
+        y = rng.standard_normal(3)
         oracle = self.brute_force_fraction(x, y)
-        est = projective_crofton_estimate(x, y, 300_000, seed=27)
+        est, = arc_estimates("projective", (pair_distance("p", x, y),), 300_000,
+                             seed=27)
         assert abs(est.estimate - oracle) <= 3 * est.stderr + 1e-3
 
     def test_coincident(self):
-        x = PPoint([1, 2, 3])
-        assert projective_crofton_estimate(x, x, 100, seed=0).estimate == 0.0
+        x = [1, 2, 3]
+        d = pair_distance("p", x, x)
+        assert arc_estimates("projective", (d,), 100, seed=0)[0].estimate == 0.0
         # a pair closer than 1e-12 counts as coincident too
-        x, (y,) = sign_change_pairs("projective", (1e-13,))
-        est = projective_crofton_estimate(x, y, 100, seed=0)
+        est, = arc_estimates("projective", (1e-13,), 100, seed=0)
         assert (est.d, est.estimate, est.note) == (0.0, 0.0, "coincident points")
 
     def test_cut_locus_note(self):
-        est = projective_crofton_estimate(PPoint([1, 0, 0]), PPoint([0, 1, 0]),
-                                          10_000, seed=28)
+        d = pair_distance("p", [1, 0, 0], [0, 1, 0])
+        est, = arc_estimates("projective", (d,), 10_000, seed=28)
         assert "pi/2" in est.note
 
 
 class TestSphereEstimator:
     def test_orthogonal_pair(self):
-        est = sphere_halfspace_crofton([1, 0, 0], [0, 1, 0], 200_000, seed=29)
+        d = pair_distance("s", [1, 0, 0], [0, 1, 0])
+        est, = arc_estimates("sphere", (d,), 200_000, seed=29)
         assert abs(est.estimate - 0.5) <= 3 * est.stderr
 
     def test_random_pairs(self):
@@ -1369,15 +1328,17 @@ class TestSphereEstimator:
         for _ in range(5):
             x = rng.standard_normal(3)
             y = rng.standard_normal(3)
-            est = sphere_halfspace_crofton(x, y, 200_000, seed=31)
+            est, = arc_estimates("sphere", (pair_distance("s", x, y),), 200_000,
+                                 seed=31)
             assert abs(est.estimate - est.d / math.pi) <= 3 * est.stderr
 
     def test_coincident(self):
-        assert sphere_halfspace_crofton([0, 0, 1], [0, 0, 1], 100,
-                                        seed=0).estimate == 0.0
+        d = pair_distance("s", [0, 0, 1], [0, 0, 1])
+        assert arc_estimates("sphere", (d,), 100, seed=0)[0].estimate == 0.0
 
     def test_antipodal_flagged(self):
-        est = sphere_halfspace_crofton([0, 0, 1.0], [0, 0, -1.0], 50_000, seed=32)
+        d = pair_distance("s", [0, 0, 1.0], [0, 0, -1.0])
+        est, = arc_estimates("sphere", (d,), 50_000, seed=32)
         assert "antipodal" in est.note
         assert est.estimate == pytest.approx(1.0, abs=0.01)
 
@@ -1386,21 +1347,30 @@ class TestIsometryInvariance:
     def test_estimate_m_invariant(self):
         space = HermitianSpace(REAL, 2)
         rng = np.random.default_rng(33)
-        x = random_point(space, 1.5, rng)
-        y = random_point(space, 1.5, rng)
-        e0 = estimate_m(x, y, 150_000, seed=34)
+        x, y = random_coords(space, 1.5, rng, 2)
+
+        def estimate(x, y, seed):
+            d = pair_distance(REAL, x, y)
+            return crofton.hyperplane_crofton_many(2, (d,), 150_000, seed=seed)[0]
+
+        e0 = estimate(x, y, 34)
         for i in range(3):
             g = random_isometry(space, rng)
-            e1 = estimate_m(g @ x, g @ y, 150_000, seed=35 + i)
+            e1 = estimate(g @ x, g @ y, 35 + i)
             assert combined_z(e0, e1) <= 3.0
 
     def test_horosphere_invariant(self):
         space = HermitianSpace(COMPLEX, 2)
         rng = np.random.default_rng(36)
-        x = random_point(space, 1.5, rng)
-        y = random_point(space, 1.5, rng)
-        e0 = estimate_horosphere_crofton(x, y, 150_000, seed=37)
+        x, y = random_coords(space, 1.5, rng, 2)
+
+        def estimate(x, y, seed):
+            d = pair_distance(COMPLEX, x, y)
+            return crofton.horosphere_crofton_many(COMPLEX, 2, (d,), 150_000,
+                                                   seed=seed)[0]
+
+        e0 = estimate(x, y, 37)
         for i in range(3):
             g = random_isometry(space, rng)
-            e1 = estimate_horosphere_crofton(g @ x, g @ y, 150_000, seed=38 + i)
+            e1 = estimate(g @ x, g @ y, 38 + i)
             assert combined_z(e0, e1) <= 3.0

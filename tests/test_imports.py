@@ -22,28 +22,29 @@ EXPORTED = {
         "quaternionic_cluster_points",
     ],
     "crofton": [
-        "CroftonEstimate", "estimate_horosphere_crofton", "estimate_m",
-        "horosphere_crofton", "horosphere_crofton_many", "hyperplane_crofton",
-        "hyperplane_crofton_many", "projective_crofton_estimate",
-        "projective_crofton_many", "sphere_halfspace_crofton",
-        "sphere_halfspace_crofton_many",
+        "CARRIERS", "CroftonEstimate", "horosphere_crofton_many",
+        "hyperplane_crofton_many",
     ],
     "kernels": [
         "EmbeddingResult", "NotNegativeTypeError", "build_distance_matrix",
         "hypermetric_scan", "negative_type_witness", "quadratic_form",
         "sqrt_embed", "violation_search",
     ],
-    "spaces": [
-        "HPoint", "PPoint", "base_point", "hyperbolic_distance",
-        "projective_distance", "random_point", "sphere_distance",
-    ],
+    "spaces": ["random_coords"],
 }
 EXPORTED_NAMES = [(module, name) for module, names in EXPORTED.items()
                   for name in names]
-#: names the package once exported and no longer has: translation_to_base
-#: and the scalar quaternion layer are deleted, and the brute-force
-#: reference moved to tests/reference.py
+#: names the package once exported and no longer has: translation_to_base,
+#: the scalar quaternion layer, the point classes with their scalar
+#: distances and the one-pair Crofton wrappers are deleted, and the
+#: brute-force reference moved to tests/reference.py
 DROPPED = [
+    "HPoint", "PPoint", "base_point", "hyperbolic_distance",
+    "projective_distance", "random_point", "sphere_distance",
+    "estimate_horosphere_crofton", "estimate_m", "horosphere_crofton",
+    "hyperplane_crofton", "projective_crofton_estimate",
+    "projective_crofton_many", "sphere_halfspace_crofton",
+    "sphere_halfspace_crofton_many",
     "translation_to_base",
     "Quaternion", "hermitian_form", "quat_mul", "scalar_modulus",
     "Horosphere", "Hyperplane", "OrientedHalfSpace", "count_cosh_roots",
@@ -119,8 +120,8 @@ class TestSubcommandImports:
         code, modules = loaded_modules(argv, points_file.parent)
         assert code == 0
         assert "hypcrofton.spaces" in modules
-        # dist measures its point file with the distance kernels of spaces
-        assert ("hypcrofton.kernels" in modules) == (argv[0] != "dist")
+        # every one measures its points through kernels.build_distance_matrix
+        assert "hypcrofton.kernels" in modules
         assert "hypcrofton.crofton" not in modules
         assert "concurrent.futures" not in modules
 
@@ -150,7 +151,7 @@ class TestSubcommandImports:
                   "    print(json.dumps(sorted(m for m in sys.modules\n"
                   "                            if m.startswith('hypcrofton.'))))\n"
                   "loaded()\n"
-                  "hypcrofton.HPoint\n"
+                  "hypcrofton.random_coords\n"
                   "loaded()\n"
                   "hypcrofton.kernels\n"
                   "loaded()\n")

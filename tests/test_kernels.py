@@ -5,7 +5,6 @@ from hypcrofton.algebra import (
     COMPLEX,
     QUATERNION,
     REAL,
-    DimensionMismatchError,
     HermitianSpace,
 )
 from hypcrofton.configurations import (
@@ -25,17 +24,18 @@ from hypcrofton.kernels import (
     validate_distance_matrix,
     violation_search,
 )
-from hypcrofton.spaces import PPoint, normalized_coords, random_point
+from hypcrofton.cli import main
+from hypcrofton.spaces import random_coords
 
 
 @pytest.fixture(scope="module")
 def projective_D():
-    return build_distance_matrix(projective_six_points())
+    return build_distance_matrix("p", projective_six_points())
 
 
 @pytest.fixture(scope="module")
 def cluster_D():
-    return build_distance_matrix(quaternionic_cluster_points())
+    return build_distance_matrix(QUATERNION, quaternionic_cluster_points())
 
 
 def euclidean_D(points):
@@ -141,8 +141,7 @@ class TestHypermetricScan:
         space = HermitianSpace(REAL, 2)
         rng = np.random.default_rng(4)
         for _ in range(10):
-            pts = [random_point(space, 3.0, rng) for _ in range(6)]
-            D = build_distance_matrix(pts)
+            D = build_distance_matrix(REAL, random_coords(space, 3.0, rng, 6))
             assert hypermetric_scan(D, bound=2) == []
 
     def test_projective_violations_found(self, projective_D):
@@ -170,8 +169,7 @@ class TestSqrtEmbed:
     def test_triangle_from_hyperbolic_plane(self):
         space = HermitianSpace(REAL, 2)
         rng = np.random.default_rng(5)
-        pts = [random_point(space, 2.0, rng) for _ in range(3)]
-        D = build_distance_matrix(pts)
+        D = build_distance_matrix(REAL, random_coords(space, 2.0, rng, 3))
         emb = sqrt_embed(D)
         assert emb.max_distance_residual <= 1e-9
         assert emb.max_radius_residual <= 1e-8 * emb.radius
@@ -179,8 +177,7 @@ class TestSqrtEmbed:
     def test_eight_points_h3(self):
         space = HermitianSpace(REAL, 3)
         rng = np.random.default_rng(6)
-        pts = [random_point(space, 3.0, rng) for _ in range(8)]
-        D = build_distance_matrix(pts)
+        D = build_distance_matrix(REAL, random_coords(space, 3.0, rng, 8))
         emb = sqrt_embed(D)
         assert emb.max_distance_residual <= 1e-9
         assert emb.rank >= 3  # >= ceil(log2(8))
@@ -189,8 +186,7 @@ class TestSqrtEmbed:
         # the first point is the base point; each order puts point b first
         space = HermitianSpace(REAL, 3)
         rng = np.random.default_rng(7)
-        pts = [random_point(space, 2.5, rng) for _ in range(6)]
-        D = build_distance_matrix(pts)
+        D = build_distance_matrix(REAL, random_coords(space, 2.5, rng, 6))
         for b in range(6):
             p = [b, *(i for i in range(6) if i != b)]
             emb = sqrt_embed(D[np.ix_(p, p)])
@@ -205,8 +201,8 @@ class TestSqrtEmbed:
 class TestBuildDistanceMatrix:
     def test_single_point(self):
         space = HermitianSpace(COMPLEX, 2)
-        pts = [random_point(space, 1.0, np.random.default_rng(8))]
-        D = build_distance_matrix(pts)
+        coords = random_coords(space, 1.0, np.random.default_rng(8), 1)
+        D = build_distance_matrix(COMPLEX, coords)
         assert D.shape == (1, 1) and D[0, 0] == 0.0
 
     def test_projective_table(self, projective_D):
@@ -231,14 +227,12 @@ class TestBuildDistanceMatrix:
         lead, zero = [3, 0, 0, 0], [0, 0, 0, 0]
         expected = [[lead, c, zero] for c in middles] + \
             [[lead, zero, c] for c in middles]
-        expected = normalized_coords(np.array(expected, dtype=float))
         points = quaternionic_cluster_points()
-        assert len(points) == 24
-        for point, coords in zip(points, expected):
-            assert np.array_equal(point.coords, coords)
+        assert points.shape == (24, 3, 4)
+        assert np.array_equal(points, expected)
 
-    def test_cluster_sums(self):
-        within, cross = cluster_sums(quaternionic_cluster_points())
+    def test_cluster_sums(self, cluster_D):
+        within, cross = cluster_sums(cluster_D)
         assert within == pytest.approx(417.03, abs=0.02)
         assert cross == pytest.approx(415.77, abs=0.02)
         assert cross == pytest.approx(144 * np.arccosh(9), rel=1e-12)
@@ -246,50 +240,91 @@ class TestBuildDistanceMatrix:
     def test_empty_rejected(self):
         # points[0] raised IndexError, which the CLI reported as a traceback
         with pytest.raises(ValueError, match="no points"):
-            build_distance_matrix([])
+            build_distance_matrix("p", [])
 
     def test_mixed_point_types_rejected(self):
+        # a hyperbolic point and a projective row make no array
         space = HermitianSpace(REAL, 2)
-        pts = [random_point(space, 1.0, np.random.default_rng(9)),
-               PPoint([1, 0, 0])]
-        with pytest.raises(ValueError):
-            build_distance_matrix(pts)
+        pts = [random_coords(space, 1.0, np.random.default_rng(9), 1)[0],
+               [1.0, 0.0, 0.0]]
+        for kind in (REAL, "p"):
+            with pytest.raises(ValueError):
+                build_distance_matrix(kind, pts)
 
-
-    @pytest.mark.parametrize("points", [
-        [random_point(HermitianSpace(REAL, 2), 1.0, np.random.default_rng(9)),
-         random_point(HermitianSpace(REAL, 3), 1.0, np.random.default_rng(9))],
-        [random_point(HermitianSpace(REAL, 2), 1.0, np.random.default_rng(9)),
-         random_point(HermitianSpace(COMPLEX, 2), 1.0, np.random.default_rng(9))],
-        [PPoint([1, 0, 0]), PPoint([1, 0, 0, 1])],
-        [np.array([1.0, 0, 0]), np.array([0, 1.0, 0, 0])],
+    @pytest.mark.parametrize("kind,points", [
+        (REAL, [np.eye(3, 4), np.eye(4)]),
+        (REAL, [np.eye(3, 4), [[2, 0, 0, 0], [0, 0.5, 0, 0], [0, 0, 0, 0]]]),
+        ("p", [[1, 0, 0], [1, 0, 0, 1]]),
+        ("s", [[1.0, 0, 0], [0, 1.0, 0, 0]]),
     ], ids=["hyperbolic-dim", "hyperbolic-field", "projective", "sphere"])
-    def test_mixed_spaces_rejected(self, points):
-        with pytest.raises(DimensionMismatchError):
-            build_distance_matrix(points)
+    def test_mixed_spaces_rejected(self, kind, points):
+        # rows of two dimensions make no array, and a point of H^2_C is no
+        # point of H^2_R
+        with pytest.raises(ValueError):
+            build_distance_matrix(kind, points)
+
+    @pytest.mark.parametrize("kind,coords,message,point_file", [
+        ("x", [[1.0, 0.0]], "unknown point kind 'x'", "x,1\n1,0\n"),
+        (REAL, [[1.0, 0.0, 0.0]], r"expected \(m, n\+1, 4\) coefficient arrays",
+         "r,2\n1,0\n"),
+        ("s", [[[1.0, 0.0]]], r"expected \(m, n\+1\) rows", "s,1\n1,0,0,0\n"),
+        ("p", [[1.0], [2.0]], "expected a real vector of length >= 2",
+         "p,0\n1\n2\n"),
+        (QUATERNION, [[[1.0, 0, 0, 0]]], "dimension must be at least 1",
+         "h,0\n1,0,0,0\n"),
+        (COMPLEX, [[[np.nan, 0, 0, 0], [0, 0, 0, 0]]],
+         "point coordinates must be finite", "c,1\nnan,0,0,0\n"),
+        ("p", [[1.0, 0.0], [0.0, 0.0]],
+         "zero vector does not define a projective point", "p,1\n1,0\n0,0\n"),
+        ("s", [[1.0, 0.0], [0.0, 0.0]],
+         "zero vector does not define a sphere point", "s,1\n1,0\n0,0\n"),
+        (QUATERNION, [[[0.5, 0, 0, 0], [1, 0, 0, 0]]],
+         "not a negative vector of the form", "h,1\n0.5,0,0,0,1,0,0,0\n"),
+        (REAL, [[[1.0, 0, 0, 0], [0, 0.5, 0, 0]]], "coefficients outside field 'r'",
+         "r,1\n1,0,0,0,0,0.5,0,0\n"),
+        (COMPLEX, [[[1.0, 0, 0, 0], [0, 0, 0.5, 0]]],
+         "coefficients outside field 'c'", "c,1\n1,0,0,0,0,0,0.5,0\n"),
+    ], ids=["unknown-kind", "hyperbolic-width", "sphere-width", "projective-width",
+            "dim-0", "non-finite", "projective-zero", "sphere-zero",
+            "not-negative", "outside-r", "outside-c"])
+    @pytest.mark.filterwarnings("error")
+    def test_rejections(self, capsys, tmp_path, kind, coords, message, point_file):
+        # every input the point classes rejected; a point file says the
+        # same in its own terms, where a slot outside the field is a row of
+        # the wrong width, and the CLI exits 2 with its message
+        with pytest.raises(ValueError, match=f"^{message}"):
+            build_distance_matrix(kind, coords)
+        path = tmp_path / "bad.csv"
+        path.write_text(point_file, encoding="utf-8")
+        assert main(["dist", "--points", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def reference_search(space, m, trials, radius, rng, seed_points=None):
     """violation_search one configuration at a time: (trial, q, t, verified)."""
     if isinstance(space, str):
-        n = int(space[1:])
+        kind, n = "p", int(space[1:])
 
         def sample():
-            return PPoint(rng.standard_normal(n + 1))
+            return rng.standard_normal((m, n + 1))
     else:
+        kind = space.field
+
         def sample():
-            return random_point(space, radius, rng)
-    best = (-1, -np.inf, None, [])
-    configs = [] if seed_points is None else [(-1, list(seed_points))]
-    configs += [(trial, [sample() for _ in range(m)]) for trial in range(trials)]
+            return random_coords(space, radius, rng, m)
+    best = (-1, -np.inf, None, None)
+    configs = [] if seed_points is None else [(-1, seed_points)]
+    configs += [(trial, sample()) for trial in range(trials)]
     for trial, points in configs:
-        witness = negative_type_witness(build_distance_matrix(points))
+        witness = negative_type_witness(build_distance_matrix(kind, points))
         if witness is not None and witness[1] > best[1]:
             best = (trial, witness[1], witness[0], points)
     trial, q, t, points = best
     verified = False
     if t is not None and q > 0:
-        direct = quadratic_form(build_distance_matrix(points), t)
+        direct = quadratic_form(build_distance_matrix(kind, points), t)
         verified = abs(direct - q) <= 1e-9 * max(abs(q), 1.0)
     return trial, q, t, verified
 
@@ -315,6 +350,27 @@ class TestViolationSearch:
                                 seed_points=quaternionic_cluster_points())
         assert best.q > 0
         assert best.verified
+
+    @pytest.mark.parametrize("space,trials,radius,seed_points", [
+        (HermitianSpace(QUATERNION, 2), 5, 2.0, quaternionic_cluster_points()),
+        ("p2", 1000, 0.0, None),
+    ], ids=["h2-structured", "p2"])
+    def test_points_remeasure_to_q(self, space, trials, radius, seed_points):
+        # the returned points are the raw coordinates of the best
+        # configuration: measured again, they give its q
+        kind = "p" if space == "p2" else space.field
+        m = 24 if seed_points is not None else 6
+        best = violation_search(space, m, trials, radius,
+                                np.random.default_rng(0), seed_points=seed_points)
+        assert best.verified and best.q > 0
+        D = build_distance_matrix(kind, best.points)
+        assert quadratic_form(D, best.t) == pytest.approx(best.q, rel=1e-9)
+        if seed_points is None:
+            drawn = np.random.default_rng(0).standard_normal((trials, m, 3))
+            assert np.array_equal(best.points, drawn[best.trial])
+        else:
+            assert best.trial == -1
+            assert np.array_equal(best.points, seed_points)
 
     def test_unknown_selector(self):
         with pytest.raises(ValueError):
