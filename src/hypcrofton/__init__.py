@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 #: submodule -> the names the package exports from it
 _EXPORTS = {
     "algebra": (
-        "COMPLEX", "FIELD_DIM", "FIELDS", "QUATERNION", "REAL", "HermitianSpace",
+        "COMPLEX", "FIELD_DIM", "FIELDS", "QUATERNION", "REAL",
     ),
     "configurations": (
         "SPLIT_COEFFICIENTS", "cluster_sums", "projective_six_points",

@@ -4,14 +4,11 @@ Scalars of all three fields have one representation: a length-4 real
 coefficient vector (1, i, j, k).  Reals occupy the first slot, complex
 numbers the first two, quaternions all four.  Vectors over a field are
 ``(m, 4)`` float arrays, which lets the form and all distance code run
-vectorized regardless of field.  `to_coeffs` builds them from one of
-three inputs: a real (m,) vector, a complex (m,) vector or a real (m, 4)
-coefficient array.
+vectorized regardless of field.  A space is named by a field letter
+(FIELDS) and its dimension n, as in a point file's `kind,dim` header.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,52 +58,7 @@ CONJ_MUL = qmul(qconj(np.eye(4))[:, None, :], np.eye(4)[None, :, :])
 CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def to_coeffs(values, field):
-    """Coerce a vector over `field` to an (m, 4) float coefficient array.
-
-    Takes a real (m,) vector, whose entries fill the first slot, a complex
-    (m,) vector, whose entries fill the first two, or a real (m, 4)
-    coefficient array as it is.  Any other input, and coefficients outside
-    `field`, raise ValueError.
-    """
-    if field not in FIELDS:
-        raise ValueError(f"unknown field {field!r}")
-    v = np.asarray(values)
-    if v.ndim == 2 and v.shape[1] == 4 and v.dtype.kind in "iuf":
-        out = v.astype(float)
-    elif v.ndim == 1 and v.dtype.kind in "iufc":
-        out = np.zeros((v.shape[0], 4))
-        out[:, 0] = v.real
-        out[:, 1] = v.imag
-    else:
-        raise ValueError("expected a real (m,) vector, a complex (m,) vector "
-                         "or a real (m, 4) coefficient array")
-    k = FIELD_DIM[field]
-    if np.any(np.abs(out[:, k:]) > 0):
-        raise ValueError(f"coefficients outside field {field!r}")
-    return out
-
-
 # -- hermitian form -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class HermitianSpace:
-    """Hyperbolic model space: F^{n+1} with form diag(-1, +1, ..., +1)."""
-
-    field: str
-    n: int
-
-    def __post_init__(self):
-        if self.field not in FIELDS:
-            raise ValueError(f"unknown field {self.field!r}")
-        if self.n < 1:
-            raise ValueError("dimension must be at least 1")
-
-    @property
-    def dim(self):
-        """Number of homogeneous coordinates, n + 1."""
-        return self.n + 1
-
 
 def form_coeffs(zc, wc):
     """Signature-(1,n) hermitian form on coefficient arrays, as coefficients.

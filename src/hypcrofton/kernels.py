@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import FIELD_DIM, HermitianSpace
+from .algebra import FIELD_DIM
 from .spaces import (
     hyperbolic_distance_matrix,
     normalized_coords,
@@ -273,38 +273,22 @@ class ViolationSearchResult:
     verified: bool = field(default=False)
 
 
-def _configuration_sampler(space, radius):
-    """(kind, draw) for a space selector: a HermitianSpace (hyperbolic) or a
-    string like 'p2' (real projective of that dimension).
-
-    draw(rng, trials, m) returns the raw coordinates, (trials, m, ...), of
-    `trials` random m-point configurations of that kind.  Points are drawn
-    in the generator order of `trials * m` successive per-point samples.
-    """
-    if isinstance(space, HermitianSpace):
-        def draw(rng, trials, m):
-            raw = random_coords(space, radius, rng, trials * m)
-            return raw.reshape(trials, m, space.dim, 4)
-        return space.field, draw
-    if isinstance(space, str) and space.startswith("p"):
-        n = int(space[1:])
-        return "p", lambda rng, trials, m: rng.standard_normal((trials, m, n + 1))
-    raise ValueError(f"unknown space selector {space!r}")
-
-
 def _block_trials(m):
     """Trials stacked per block of violation_search for m-point configurations."""
     return max(1, SEARCH_BLOCK_BYTES // (32 * m * m))
 
 
-def violation_search(space, m, trials, radius, rng, seed_points=None):
+def violation_search(kind, n, m, trials, radius, rng, seed_points=None):
     """Randomized search for a negative-type violation.
 
-    `space` is a HermitianSpace or a projective selector like 'p2'.  Runs
+    The space is named as in a point file's `kind,dim` header: kind r, c
+    or h is H^n over that field, whose points random_coords draws within
+    `radius` of the base point, and kind p is P^n_R, whose points are
+    standard normal (n+1)-rows (radius is unused).  Runs
     negative_type_witness over `trials` random m-point configurations
     (optionally preceded by an explicit seed configuration, the coordinate
-    array of its points, of the space's kind) and returns the best Q found,
-    with the raw coordinates of its points.  Any positive Q is re-verified
+    array of its points, of that kind) and returns the best Q found, with
+    the raw coordinates of its points.  Any positive Q is re-verified
     by a direct quadratic-form evaluation before being reported as a
     violation.
 
@@ -312,11 +296,17 @@ def violation_search(space, m, trials, radius, rng, seed_points=None):
     one double centering and one eigvalsh per block.  The configurations
     that pass the screen go through build_distance_matrix and
     negative_type_witness one by one, in trial order, so the result is that
-    of running both on every configuration.
+    of running both on every configuration.  Each block's points are drawn
+    in the generator order of its trials * m successive points.  Raises
+    ValueError for another kind and for n < 1.
     """
     if m < 3 and seed_points is None:
         raise ValueError("need at least 3 points")
-    kind, draw = _configuration_sampler(space, radius)
+    if kind not in (*FIELD_DIM, "p"):
+        raise ValueError(f"no random configurations of kind {kind!r}; "
+                         f"expected one of r, c, h, p")
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
     normalize, kernel = _METRICS[kind]
     best = ViolationSearchResult(points=None, t=None, q=-np.inf, trial=-1)
 
@@ -333,7 +323,12 @@ def violation_search(space, m, trials, radius, rng, seed_points=None):
         consider(np.asarray(seed_points), -1)
     block = _block_trials(m)
     for start in range(0, trials, block):
-        raw = draw(rng, min(block, trials - start), m)
+        count = min(block, trials - start)
+        if kind == "p":
+            raw = rng.standard_normal((count, m, n + 1))
+        else:
+            raw = random_coords(kind, n, radius, rng, count * m).reshape(
+                count, m, n + 1, 4)
         D = kernel(normalize(raw))
         top = np.linalg.eigvalsh(_double_centered(D))[:, -1]
         scale = np.maximum(np.abs(D).max(axis=(-2, -1)), 1e-300)

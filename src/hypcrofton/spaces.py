@@ -124,9 +124,10 @@ def sphere_distance_matrix(coords):
     return _pairs_to_matrix(np.arctan2(sin, cos), X.shape[-2])
 
 
-def random_coords(space, radius, rng, count):
-    """Coordinates (count, n+1, 4) of `count` points at geodesic distance
-    <= radius from the base point, not yet normalized.
+def random_coords(field, n, radius, rng, count):
+    """Coordinates (count, n+1, 4) of `count` points of H^n over `field`
+    (r, c or h) at geodesic distance <= radius from the base point, not yet
+    normalized.
 
     Distribution: uniform tangent direction at the base point times
     uniform radius on [0, radius] (not uniform in hyperbolic volume).
@@ -135,16 +136,21 @@ def random_coords(space, radius, rng, count):
     random(); radius 0 draws nothing.  So the points are drawn one after
     another, and the first rows of a larger count are the same points from
     the same stream.  The draws take the same values from the stream as an
-    (n, k) normal draw and uniform(0, radius).
+    (n, k) normal draw and uniform(0, radius).  Raises ValueError for an
+    unknown field, n < 1 and a negative radius.
     """
+    if field not in FIELD_DIM:
+        raise ValueError(f"unknown field {field!r}")
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    coords = np.zeros((count, space.dim, 4))
+    coords = np.zeros((count, n + 1, 4))
     if radius == 0:
         coords[:, 0, 0] = 1.0
         return coords
-    k = FIELD_DIM[space.field]
-    size = space.n * k
+    k = FIELD_DIM[field]
+    size = n * k
     normals, radii = [], []
     for _ in range(count):
         v = rng.standard_normal(size)
@@ -152,8 +158,8 @@ def random_coords(space, radius, rng, count):
             v = rng.standard_normal(size)
         normals.append(v)
         radii.append(radius * rng.random())
-    dirs = np.zeros((count, space.n, 4))
-    dirs[:, :, :k] = np.reshape(normals, (count, space.n, k))
+    dirs = np.zeros((count, n, 4))
+    dirs[:, :, :k] = np.reshape(normals, (count, n, k))
     norm = np.sqrt(np.sum(dirs**2, axis=(-2, -1)))
     s = np.array(radii)
     coords[:, 0, 0] = np.cosh(s)

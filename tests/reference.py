@@ -6,6 +6,8 @@ need: unit-speed geodesic segments, random form-preserving isometries and
 phase-shifted representatives.  Points are coordinate arrays, as the
 package takes them: (n+1, 4) coefficients of a hyperbolic point, which
 every function here normalizes, and (n+1,) rows of a projective point.
+A space is named as the package names it, by its field letter and its
+dimension n, and a function that is given coordinates reads n from them.
 
 Hyperplanes of H^n_R are spacelike unit vectors u = (sinh p, cosh p * w)
 with w on S^{n-1}; the invariant measure has density cosh^{n-1}(p) dp dw,
@@ -28,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hypcrofton.algebra import (
-    FIELD_DIM, REAL, HermitianSpace, form_coeffs, qconj, qmul)
+from hypcrofton.algebra import FIELD_DIM, REAL, form_coeffs, qconj, qmul
 from hypcrofton.kernels import build_distance_matrix
 from hypcrofton.spaces import normalized_coords, unit_rows
 
@@ -63,10 +64,10 @@ def phase_shifted(x, lam):
     return _rmul(np.asarray(x, dtype=float), lam)
 
 
-def axis_point(space, d):
-    """The normalized coordinates of the point at distance d from the base
-    point along the first axis; d = 0 is the base point (1, 0, ..., 0)."""
-    c = np.zeros((space.dim, 4))
+def axis_point(n, d):
+    """The normalized coordinates of the point of H^n at distance d from the
+    base point along the first axis; d = 0 is the base point (1, 0, ..., 0)."""
+    c = np.zeros((n + 1, 4))
     c[0, 0] = math.cosh(d)
     c[1, 0] = math.sinh(d)
     return normalized_coords(c)
@@ -90,11 +91,11 @@ def jordan_trace_distance(x, y):
 class GeodesicSegment:
     """Unit-speed geodesic s -> x cosh s + w sinh s, restricted to [0, length].
 
-    base and tangent are (n+1, 4) coefficient arrays with <x, w> = 0 and
-    <w, w> = 1, so <point(s), point(s)> = -1 for all s.
+    base and tangent are (n+1, 4) coefficient arrays over `field` with
+    <x, w> = 0 and <w, w> = 1, so <point(s), point(s)> = -1 for all s.
     """
 
-    space: HermitianSpace
+    field: str
     base: np.ndarray
     tangent: np.ndarray
     length: float
@@ -109,16 +110,16 @@ class GeodesicSegment:
         return self.point_coords(self.length)
 
 
-def geodesic_between(space, x, y):
-    """The unit-speed segment of `space` from x to y.
+def geodesic_between(field, x, y):
+    """The unit-speed segment from x to y, two points of H^n over `field`.
 
     The representative of y is phase-aligned (right multiplication by the
     unit scalar lam = -conj(<x,y>)/|<x,y>|) so that <x, y_hat> is real and
     negative, which makes the real-span construction valid over all fields.
     """
     x, y = normalized_coords(x), normalized_coords(y)
-    if x.shape != (space.dim, 4) or y.shape != (space.dim, 4):
-        raise ValueError(f"expected coordinates of shape {(space.dim, 4)}")
+    if x.shape != y.shape:
+        raise ValueError("points of different dimension")
     f = form_coeffs(x, y)
     mod = float(np.linalg.norm(f, axis=-1))
     d = float(np.arccosh(max(mod, 1.0)))
@@ -127,30 +128,29 @@ def geodesic_between(space, x, y):
     lam = -qconj(f) / mod
     yhat = _rmul(y, lam)
     w = (yhat - x * np.cosh(d)) / np.sinh(d)
-    return GeodesicSegment(space, x, w, d)
+    return GeodesicSegment(field, x, w, d)
 
 
 class Isometry:
-    """Linear map of F^{n+1} preserving the hermitian form.
+    """Linear map of F^{n+1} preserving the hermitian form, F = `field`.
 
     The matrix is stored as an (n+1, n+1, 4) coefficient array; it acts on
     the left of coordinate columns, (g z)_i = sum_j g_ij z_j, compatible
     with the right-module structure.
     """
 
-    __slots__ = ("space", "matrix")
+    __slots__ = ("field", "matrix")
 
-    def __init__(self, space, matrix):
+    def __init__(self, field, matrix):
         matrix = np.asarray(matrix, dtype=float)
-        if matrix.shape != (space.dim, space.dim, 4):
-            raise ValueError(
-                f"expected matrix of shape {(space.dim, space.dim, 4)}")
-        k = FIELD_DIM[space.field]
-        if np.any(np.abs(matrix[..., k:]) > 0):
-            raise ValueError(f"matrix entries outside field {space.field!r}")
+        if matrix.ndim != 3 or matrix.shape[0] != matrix.shape[1] \
+                or matrix.shape[2] != 4:
+            raise ValueError(f"expected an (n+1, n+1, 4) matrix, got {matrix.shape}")
+        if np.any(np.abs(matrix[..., FIELD_DIM[field]:]) > 0):
+            raise ValueError(f"matrix entries outside field {field!r}")
         matrix = matrix.copy()
         matrix.flags.writeable = False
-        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "field", field)
         object.__setattr__(self, "matrix", matrix)
 
     def __setattr__(self, name, value):
@@ -161,29 +161,29 @@ class Isometry:
 
     def apply(self, x):
         x = normalized_coords(x)
-        if x.shape != (self.space.dim, 4):
-            raise ValueError(f"expected coordinates of shape {(self.space.dim, 4)}")
+        if x.shape != self.matrix.shape[1:]:
+            raise ValueError(f"expected coordinates of shape {self.matrix.shape[1:]}")
         return normalized_coords(self.apply_coords(x))
 
     def __matmul__(self, x):
         return self.apply(x)
 
     @classmethod
-    def identity(cls, space):
-        m = np.zeros((space.dim, space.dim, 4))
-        for i in range(space.dim):
+    def identity(cls, field, n):
+        m = np.zeros((n + 1, n + 1, 4))
+        for i in range(n + 1):
             m[i, i, 0] = 1.0
-        return cls(space, m)
+        return cls(field, m)
 
 
-def _form_gram_schmidt(space, columns):
+def _form_gram_schmidt(columns):
     """Orthonormalize columns against the form; returns None on degeneracy.
 
     Column 0 is normalized to <c, c> = -1, the rest to +1, with earlier
     columns projected out (right-module projections, coefficients applied
     on the right).
     """
-    d = space.dim
+    d = columns.shape[1]
     cols = [np.array(columns[:, j, :]) for j in range(d)]
     signs = [-1.0] + [1.0] * (d - 1)
     for j in range(d):
@@ -198,24 +198,25 @@ def _form_gram_schmidt(space, columns):
     return np.stack(cols, axis=1)
 
 
-def random_isometry(space, rng, scale=0.4, max_retries=20):
-    """A random form-preserving matrix mixing boost and rotation parts.
+def random_isometry(field, n, rng, scale=0.4, max_retries=20):
+    """A random form-preserving matrix of F^{n+1}, F = `field`, mixing boost
+    and rotation parts.
 
     Built by form-orthonormalizing identity + scale * gaussian noise in the
     field's coefficient slots; scale = 0 returns the identity.
     """
     if scale == 0:
-        return Isometry.identity(space)
-    k = FIELD_DIM[space.field]
-    d = space.dim
+        return Isometry.identity(field, n)
+    k = FIELD_DIM[field]
+    d = n + 1
     for _ in range(max_retries):
         m = np.zeros((d, d, 4))
         for i in range(d):
             m[i, i, 0] = 1.0
         m[..., :k] += scale * rng.standard_normal((d, d, k))
-        ortho = _form_gram_schmidt(space, m)
+        ortho = _form_gram_schmidt(m)
         if ortho is not None:
-            return Isometry(space, ortho)
+            return Isometry(field, ortho)
     raise RuntimeError("failed to orthonormalize a random perturbation")
 
 
@@ -312,12 +313,12 @@ class Horosphere:
     from the horosphere.
     """
 
-    __slots__ = ("space", "xi")
+    __slots__ = ("field", "xi")
 
-    def __init__(self, space, xi_coeffs):
+    def __init__(self, field, xi_coeffs):
         xi = np.asarray(xi_coeffs, dtype=float)
-        if xi.shape != (space.dim, 4):
-            raise ValueError(f"expected coefficients of shape {(space.dim, 4)}")
+        if xi.ndim != 2 or xi.shape[1] != 4:
+            raise ValueError(f"expected (n+1, 4) coefficients, got {xi.shape}")
         norm2 = float(np.sum(xi ** 2))
         if norm2 == 0.0:
             raise ValueError("null vector must be nonzero")
@@ -330,7 +331,7 @@ class Horosphere:
         lam = qconj(xi[0]) / lead
         xi = qmul(xi, lam[None, :])
         xi.flags.writeable = False
-        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "field", field)
         object.__setattr__(self, "xi", xi)
 
     def __setattr__(self, name, value):
@@ -363,15 +364,15 @@ def _sample_hyperplane_normals(n, R, size, rng):
     return u
 
 
-def sample_horosphere(space, R, rng):
-    """One horosphere whose distance from the base point is <= R."""
-    xi = _sample_horosphere_params(space, R, 1, rng)[0]
-    return Horosphere(space, xi)
+def sample_horosphere(field, n, R, rng):
+    """One horosphere of H^n over `field` whose distance from the base point
+    is <= R."""
+    xi = _sample_horosphere_params(field, n, R, 1, rng)[0]
+    return Horosphere(field, xi)
 
 
-def _sample_horosphere_params(space, R, size, rng):
-    k = FIELD_DIM[space.field]
-    n = space.n
+def _sample_horosphere_params(field, n, R, size, rng):
+    k = FIELD_DIM[field]
     e = k * (n + 1) - 3
     lo, hi = math.exp(-R), math.exp(R)
     u = rng.random(size)
@@ -396,7 +397,7 @@ def hyperplane_meets_segment(hp, seg):
     Raises SegmentInHyperplaneError when both endpoints lie on the
     hyperplane (the segment is contained; a measure-zero configuration).
     """
-    if seg.space.field != REAL:
+    if seg.field != REAL:
         raise ValueError("hyperplanes are defined over the real field only")
     xr = seg.base[:, 0]
     yr = seg.endpoint_coords()[:, 0]
@@ -478,7 +479,7 @@ def count_horosphere_intersections(h, seg):
     becomes alpha cosh 2s + beta sinh 2s = 1 - gamma on [0, 2L], where
     alpha = (|a|^2 + |b|^2) / 2, beta = a.b and gamma = (|a|^2 - |b|^2) / 2.
     """
-    if h.space != seg.space:
+    if h.field != seg.field or h.xi.shape != seg.base.shape:
         raise ValueError("horosphere and segment live in different spaces")
     a, b = form_coeffs(seg.base, h.xi), form_coeffs(seg.tangent, h.xi)
     if not (a.any() or b.any()):

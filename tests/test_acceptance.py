@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from hypcrofton.algebra import COMPLEX, QUATERNION, REAL, HermitianSpace
+from hypcrofton.algebra import COMPLEX, QUATERNION, REAL
 from hypcrofton.configurations import (
     SPLIT_COEFFICIENTS,
     cluster_sums,
@@ -95,9 +95,8 @@ def test_criterion_3_negative_type_holds_real_and_complex():
     failures = 0
     for field in (REAL, COMPLEX):
         for n in (2, 3):
-            space = HermitianSpace(field, n)
             for _ in range(200):
-                D = build_distance_matrix(field, random_coords(space, 3.0, rng, 10))
+                D = build_distance_matrix(field, random_coords(field, n, 3.0, rng, 10))
                 if negative_type_witness(D, tol=1e-9) is not None:
                     failures += 1
     ok = failures == 0
@@ -109,8 +108,7 @@ def test_criterion_4_hypermetric_scan_empty_on_real_hyperbolic():
     rng = np.random.default_rng(102)
     violations = 0
     for i in range(50):
-        space = HermitianSpace(REAL, 2 + i % 2)
-        D = build_distance_matrix(REAL, random_coords(space, 3.0, rng, 6))
+        D = build_distance_matrix(REAL, random_coords(REAL, 2 + i % 2, 3.0, rng, 6))
         violations += len(hypermetric_scan(D, bound=3))
     ok = violations == 0
     report(4, "50 random 6-point real hyperbolic configurations, bound 3: "
@@ -121,10 +119,9 @@ def test_criterion_5_hyperplane_measure_linear_in_distance():
     ok = True
     details = []
     for n in (2, 3, 5):
-        space = HermitianSpace(REAL, n)
-        x0 = axis_point(space, 0.0)
+        x0 = axis_point(n, 0.0)
         ests = [hyperplane_crofton_many(
-            n, (pair_distance(REAL, x0, axis_point(space, d)),), 1_000_000,
+            n, (pair_distance(REAL, x0, axis_point(n, d)),), 1_000_000,
             seed=103 + n)[0] for d in (0.5, 1.0, 2.0)]
         consistent = ratios_pairwise_consistent(ests)
         ok = ok and consistent
@@ -134,11 +131,10 @@ def test_criterion_5_hyperplane_measure_linear_in_distance():
 
 
 def test_criterion_6_halfspace_sign_matches_segment_crossing():
-    space = HermitianSpace(REAL, 2)
     rng = np.random.default_rng(104)
-    x, y = random_coords(space, 1.5, rng, 2)
-    seg = geodesic_between(space, x, y)
-    x0 = axis_point(space, 0.0)
+    x, y = random_coords(REAL, 2, 1.5, rng, 2)
+    seg = geodesic_between(REAL, x, y)
+    x0 = axis_point(2, 0.0)
     R = max(pair_distance(REAL, x0, x), pair_distance(REAL, x0, y)) + 0.5
     u = reference._sample_hyperplane_normals(2, R, 100_000, rng)
 
@@ -176,10 +172,9 @@ def test_criterion_7_horosphere_measure_linear_in_distance():
     ok = True
     details = []
     for field, label in ((REAL, "H2_R"), (COMPLEX, "H2_C"), (QUATERNION, "H2_H")):
-        space = HermitianSpace(field, 2)
-        x0 = axis_point(space, 0.0)
+        x0 = axis_point(2, 0.0)
         ests = [horosphere_crofton_many(
-            field, 2, (pair_distance(field, x0, axis_point(space, d)),),
+            field, 2, (pair_distance(field, x0, axis_point(2, d)),),
             1_000_000, seed=105)[0] for d in (0.5, 1.0, 2.0)]
         consistent = ratios_pairwise_consistent(ests)
         doubles = all(e.count_histogram.get(2, 0) > 0 for e in ests)
@@ -213,9 +208,8 @@ def test_criterion_9_isometry_invariance_of_estimators():
     samples = 200_000
     failures = []
 
-    space = HermitianSpace(REAL, 2)
     rng = np.random.default_rng(120)
-    x, y = random_coords(space, 1.5, rng, 2)
+    x, y = random_coords(REAL, 2, 1.5, rng, 2)
 
     def hyperplane(x, y, seed):
         d = pair_distance(REAL, x, y)
@@ -223,14 +217,13 @@ def test_criterion_9_isometry_invariance_of_estimators():
 
     e0 = hyperplane(x, y, 121)
     for i in range(10):
-        g = random_isometry(space, rng)
+        g = random_isometry(REAL, 2, rng)
         e1 = hyperplane(g @ x, g @ y, 122 + i)
         if abs(e1.estimate - e0.estimate) > 3 * math.hypot(e0.stderr, e1.stderr):
             failures.append("hyperplane")
 
-    cspace = HermitianSpace(COMPLEX, 2)
     crng = np.random.default_rng(130)
-    cx, cy = random_coords(cspace, 1.5, crng, 2)
+    cx, cy = random_coords(COMPLEX, 2, 1.5, crng, 2)
 
     def horosphere(x, y, seed):
         d = pair_distance(COMPLEX, x, y)
@@ -238,7 +231,7 @@ def test_criterion_9_isometry_invariance_of_estimators():
 
     e0 = horosphere(cx, cy, 131)
     for i in range(10):
-        g = random_isometry(cspace, crng)
+        g = random_isometry(COMPLEX, 2, crng)
         e1 = horosphere(g @ cx, g @ cy, 132 + i)
         if abs(e1.estimate - e0.estimate) > 3 * math.hypot(e0.stderr, e1.stderr):
             failures.append("horosphere")
@@ -267,9 +260,8 @@ def test_criterion_9_isometry_invariance_of_estimators():
 
 
 def test_criterion_10_sqrt_distance_spherical_embedding():
-    space = HermitianSpace(REAL, 3)
     rng = np.random.default_rng(160)
-    D = build_distance_matrix(REAL, random_coords(space, 2.5, rng, 8))
+    D = build_distance_matrix(REAL, random_coords(REAL, 3, 2.5, rng, 8))
     emb = sqrt_embed(D)
     ok = (emb.max_distance_residual <= 1e-9
           and emb.max_radius_residual < 1e-8 * emb.radius
@@ -284,13 +276,13 @@ def test_criterion_11_violation_search_soundness():
     # every reported positive Q must re-verify; the structured 24-point
     # quaternionic seed must yield a confirmed violation
     results = []
-    results.append(violation_search("p2", m=6, trials=1000, radius=0.0,
+    results.append(violation_search("p", 2, m=6, trials=1000, radius=0.0,
                                     rng=np.random.default_rng(0)))
     results.append(violation_search(
-        HermitianSpace(QUATERNION, 2), m=24, trials=5, radius=2.0,
+        QUATERNION, 2, m=24, trials=5, radius=2.0,
         rng=np.random.default_rng(161),
         seed_points=quaternionic_cluster_points()))
-    results.append(violation_search(HermitianSpace(REAL, 2), m=6, trials=100,
+    results.append(violation_search(REAL, 2, m=6, trials=100,
                                     radius=2.5, rng=np.random.default_rng(162)))
     sound = all(r.verified for r in results if r.t is not None and r.q > 0)
     structured = results[1].q > 0 and results[1].verified

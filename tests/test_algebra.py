@@ -5,11 +5,9 @@ from hypcrofton.algebra import (
     COMPLEX,
     QUATERNION,
     REAL,
-    HermitianSpace,
     form_coeffs,
     qconj,
     qmul,
-    to_coeffs,
 )
 from hypcrofton.kernels import build_distance_matrix
 
@@ -23,6 +21,11 @@ CLUSTER_Y = np.array([[3.0, 0, 0, 0], [0, 0, 0, 0], [2, 0, 2, 0]])
 
 def modulus(c):
     return np.linalg.norm(c, axis=-1)
+
+
+def complex_coeffs(z):
+    """(..., 4) coefficients of complex numbers, in the first two slots."""
+    return np.stack([z.real, z.imag, 0 * z.real, 0 * z.real], -1)
 
 
 def isclose(a, b, tol=1e-12):
@@ -68,31 +71,31 @@ class TestScalarModulus:
 
 class TestFieldEmbeddings:
     def test_real_complex_quaternion_agree(self):
+        # a real is the same coefficient vector over R, C and H, and its
+        # products stay in the first slot
         a, b = np.random.default_rng(4).standard_normal((2, 50))
-        ra = to_coeffs(a, REAL)
-        assert np.array_equal(to_coeffs(a + 0j, COMPLEX), ra)
-        assert np.array_equal(to_coeffs(a, QUATERNION), ra)
-        assert np.array_equal(qmul(ra, to_coeffs(b, REAL)), to_coeffs(a * b, REAL))
+        ra, rb = complex_coeffs(a + 0j), complex_coeffs(b + 0j)
+        assert np.array_equal(qmul(ra, rb), complex_coeffs(a * b + 0j))
         assert np.array_equal(modulus(ra), np.abs(a))
 
     def test_complex_products_embed(self):
         re, im = np.random.default_rng(5).standard_normal((2, 2, 50))
         z, w = re + 1j * im
-        lhs = qmul(to_coeffs(z, COMPLEX), to_coeffs(w, COMPLEX))
-        np.testing.assert_allclose(lhs, to_coeffs(z * w, COMPLEX),
+        lhs = qmul(complex_coeffs(z), complex_coeffs(w))
+        np.testing.assert_allclose(lhs, complex_coeffs(z * w),
                                    rtol=1e-12, atol=1e-12)
 
 
-def random_vector(space, rng):
-    k = {REAL: 1, COMPLEX: 2, QUATERNION: 4}[space.field]
-    c = np.zeros((space.dim, 4))
-    c[:, :k] = rng.standard_normal((space.dim, k))
+def random_vector(field, n, rng):
+    k = {REAL: 1, COMPLEX: 2, QUATERNION: 4}[field]
+    c = np.zeros((n + 1, 4))
+    c[:, :k] = rng.standard_normal((n + 1, k))
     return c
 
 
 class TestHermitianForm:
     def test_signature_term_only(self):
-        x = to_coeffs([1, 0, 0], REAL)
+        x = np.array([ONE, 0 * ONE, 0 * ONE])  # the base point (1, 0, 0)
         assert np.array_equal(form_coeffs(x, x), -ONE)
 
     def test_cluster_point_norm(self):
@@ -106,26 +109,20 @@ class TestHermitianForm:
         with pytest.raises(ValueError, match="dimension must be at least 1"):
             build_distance_matrix(REAL, [[[1.0, 0.0, 0.0, 0.0]]])
 
-    def test_field_mismatch(self):
-        with pytest.raises(ValueError, match="outside field 'r'"):
-            to_coeffs(np.array([1j, 0, 0]), REAL)
-
     @pytest.mark.parametrize("field", [REAL, COMPLEX, QUATERNION])
     def test_hermitian_symmetry(self, field):
-        space = HermitianSpace(field, 3)
         rng = np.random.default_rng(6)
         for _ in range(50):
-            z = random_vector(space, rng)
-            w = random_vector(space, rng)
+            z = random_vector(field, 3, rng)
+            w = random_vector(field, 3, rng)
             assert isclose(form_coeffs(w, z), qconj(form_coeffs(z, w)))
 
     def test_right_linearity_in_second_slot(self):
         # <z, w*lam> = <z, w> * lam, in exactly this order over H
-        space = HermitianSpace(QUATERNION, 2)
         rng = np.random.default_rng(7)
         for _ in range(50):
-            z = random_vector(space, rng)
-            w = random_vector(space, rng)
+            z = random_vector(QUATERNION, 2, rng)
+            w = random_vector(QUATERNION, 2, rng)
             lam = rng.standard_normal(4)
             lhs = form_coeffs(z, qmul(w, lam))
             rhs = qmul(form_coeffs(z, w), lam)
@@ -133,11 +130,10 @@ class TestHermitianForm:
 
     @pytest.mark.parametrize("field", [COMPLEX, QUATERNION])
     def test_phase_invariance_of_modulus(self, field):
-        space = HermitianSpace(field, 2)
         rng = np.random.default_rng(8)
         for _ in range(50):
-            z = random_vector(space, rng)
-            w = random_vector(space, rng)
+            z = random_vector(field, 2, rng)
+            w = random_vector(field, 2, rng)
             k = {COMPLEX: 2, QUATERNION: 4}[field]
             lam = np.zeros(4)
             lam[:k] = rng.standard_normal(k)
@@ -149,34 +145,3 @@ class TestHermitianForm:
             shifted = modulus(form_coeffs(qmul(z, lam), qmul(w, mu)))
             assert shifted == pytest.approx(base, rel=1e-12, abs=1e-12)
 
-
-class TestToCoeffs:
-    def test_field_slot_violation(self):
-        with pytest.raises(ValueError, match="outside field 'c'"):
-            to_coeffs(QUAT_J[None], COMPLEX)
-
-    def test_real_roundtrip(self):
-        c = to_coeffs(np.array([1.0, -2.0]), REAL)
-        assert c.shape == (2, 4)
-        assert np.all(c[:, 1:] == 0)
-
-    def test_three_input_shapes(self):
-        assert np.array_equal(to_coeffs([3, -1.5], QUATERNION),
-                              [[3, 0, 0, 0], [-1.5, 0, 0, 0]])
-        assert np.array_equal(to_coeffs(np.array([1 - 2j, 0.5j]), COMPLEX),
-                              [[1, -2, 0, 0], [0, 0.5, 0, 0]])
-        coeffs = [[1.0, 2, 3, 4], [0, 0, 0, -1]]
-        out = to_coeffs(coeffs, QUATERNION)
-        assert out.dtype == float and np.array_equal(out, coeffs)
-
-    @pytest.mark.parametrize("values", [
-        [object(), object()],
-        np.ones((2, 4), dtype=complex),
-        np.ones((2, 3)),
-        np.ones((2, 3, 4)),
-        1.0,
-        ["1", "2"],
-    ], ids=["objects", "complex-coeffs", "width-3", "3-d", "scalar", "strings"])
-    def test_other_inputs_rejected(self, values):
-        with pytest.raises(ValueError, match="expected a real"):
-            to_coeffs(values, QUATERNION)

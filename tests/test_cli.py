@@ -486,6 +486,8 @@ class TestCrofton:
         (("search-violations", "--radius", "-1"), "--radius: must be finite and in [0, 16]"),
         (("search-violations", "--radius", "nan"), "--radius: must be finite and in [0, 16]"),
         (("search-violations", "--radius", "17"), "--radius: must be finite and in [0, 16]"),
+        # H^0 has no points to draw; the search rejected it with its own message
+        (("search-violations", "--dim", "0"), "--dim: must be at least 1"),
         # the scan had no vectors to try and printed "hypermetric within bound"
         (("scan-hypermetric", "--bound", "-1"), "--bound: must be at least 1"),
         (("scan-hypermetric", "--bound", "0"), "--bound: must be at least 1"),
@@ -528,7 +530,7 @@ class TestCrofton:
             "workers-zero", "dim-zero", "horosphere-beyond-domain",
             "hyperplane-beyond-domain", "pair-beyond-domain", "trials-negative",
             "m-below-3", "m-not-integer", "radius-negative", "radius-nan",
-            "radius-beyond-domain", "bound-negative", "bound-zero",
+            "radius-beyond-domain", "search-dim-zero", "bound-negative", "bound-zero",
             "points-no-dim", "points-no-rows-dist", "points-no-rows-check-negtype",
             "points-no-rows-embed", "points-no-rows-scan-hypermetric",
             "points-p-wrong-width", "points-s-wrong-width",

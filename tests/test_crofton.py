@@ -16,7 +16,6 @@ from hypcrofton.algebra import (
     FIELD_DIM,
     QUATERNION,
     REAL,
-    HermitianSpace,
     form_coeffs,
     qmul,
 )
@@ -44,19 +43,21 @@ from reference import (
 )
 
 
-def brute_force_horosphere_measure(space, x, y, R, samples, rng):
-    """Measure of the horospheres crossing [xy], each counted per crossing.
+def brute_force_horosphere_measure(field, x, y, R, samples, rng):
+    """Measure of the horospheres crossing [xy], each counted per crossing,
+    for two points of H^n over `field`.
 
     The mean crossing count of horospheres drawn by sample_horosphere from
     the ball of radius R around the base point, which must hold the
     segment, times that ball's measure; returns (value, stderr).
     """
-    seg = geodesic_between(space, x, y)
+    n = len(x) - 1
+    seg = geodesic_between(field, x, y)
     counts = np.array([count_horosphere_intersections(
-        sample_horosphere(space, R, rng), seg) for _ in range(samples)])
-    k = FIELD_DIM[space.field]
-    e = k * (space.n + 1) - 3
-    ball = crofton.sphere_area(k * space.n - 1) \
+        sample_horosphere(field, n, R, rng), seg) for _ in range(samples)])
+    k = FIELD_DIM[field]
+    e = k * (n + 1) - 3
+    ball = crofton.sphere_area(k * n - 1) \
         * (math.exp(R * (e + 1)) - math.exp(-R * (e + 1))) / (e + 1)
     return ball * counts.mean(), ball * counts.std() / math.sqrt(samples)
 
@@ -149,32 +150,31 @@ class TestHyperplaneSampler:
 
 class TestHyperplanePredicates:
     def setup_method(self):
-        self.space = HermitianSpace(REAL, 3)
         self.s0 = Hyperplane([0.0, 0.0, 0.0, 1.0])  # last coordinate zero
 
     def test_transversal_crossing(self):
         eps = 0.1
         x = real_coords([1.0, 0.0, 0.0, eps])
         y = real_coords([1.0, 0.0, 0.0, -eps])
-        seg = geodesic_between(self.space, x, y)
+        seg = geodesic_between(REAL, x, y)
         assert hyperplane_meets_segment(self.s0, seg)
 
     def test_strictly_inside_halfspace(self):
         x = real_coords([1.2, 0.0, 0.0, 0.3])
         y = real_coords([1.5, 0.5, 0.0, 0.7])
-        seg = geodesic_between(self.space, x, y)
+        seg = geodesic_between(REAL, x, y)
         assert not hyperplane_meets_segment(self.s0, seg)
 
     def test_endpoint_on_hyperplane_counts(self):
         x = real_coords([1.2, 0.0, 0.0, 0.3])
-        y = axis_point(self.space, 0.0)  # last coordinate exactly zero
-        seg = geodesic_between(self.space, x, y)
+        y = axis_point(3, 0.0)  # last coordinate exactly zero
+        seg = geodesic_between(REAL, x, y)
         assert hyperplane_meets_segment(self.s0, seg)
 
     def test_contained_segment_flagged(self):
-        x = axis_point(self.space, 0.0)
-        y = axis_point(self.space, 1.0)  # both have last coordinate zero
-        seg = geodesic_between(self.space, x, y)
+        x = axis_point(3, 0.0)
+        y = axis_point(3, 1.0)  # both have last coordinate zero
+        seg = geodesic_between(REAL, x, y)
         with pytest.raises(SegmentInHyperplaneError):
             hyperplane_meets_segment(self.s0, seg)
 
@@ -183,46 +183,41 @@ class TestHyperplanePredicates:
         for _ in range(100):
             hp = sample_hyperplane(3, 2.5, rng)
             flipped = Hyperplane(-hp.u)
-            x, y = random_coords(self.space, 2.0, rng, 2)
-            seg = geodesic_between(self.space, x, y)
+            x, y = random_coords(REAL, 3, 2.0, rng, 2)
+            seg = geodesic_between(REAL, x, y)
             assert hyperplane_meets_segment(hp, seg) == \
                 hyperplane_meets_segment(flipped, seg)
 
     def test_rejects_complex_field(self):
-        space = HermitianSpace(COMPLEX, 2)
         rng = np.random.default_rng(5)
-        seg = geodesic_between(space, *random_coords(space, 1, rng, 2))
+        seg = geodesic_between(COMPLEX, *random_coords(COMPLEX, 2, 1, rng, 2))
         with pytest.raises(ValueError):
             hyperplane_meets_segment(Hyperplane([0, 0, 1]), seg)
 
 
 class TestHalfSpace:
     def test_base_point_on_boundary(self):
-        space = HermitianSpace(REAL, 3)
         u = np.array([0.0, 0.0, 0.0, 1.0])
-        assert halfspace_side(u, axis_point(space, 0.0)) == 0
+        assert halfspace_side(u, axis_point(3, 0.0)) == 0
 
     def test_positive_last_coordinate(self):
-        space = HermitianSpace(REAL, 3)
         h = OrientedHalfSpace([0.0, 0.0, 0.0, 1.0])
         x = real_coords([math.sqrt(2), 0.0, 0.0, 1.0])
         assert halfspace_contains(h, x)
         assert not halfspace_contains(h.flipped(), x)
 
     def test_flip_complements(self):
-        space = HermitianSpace(REAL, 2)
         rng = np.random.default_rng(6)
         for _ in range(100):
             hp = sample_hyperplane(2, 2.0, rng)
-            x = random_coords(space, 1.5, rng, 1)[0]
+            x = random_coords(REAL, 2, 1.5, rng, 1)[0]
             side = halfspace_side(hp.u, x)
             assert halfspace_side(-hp.u, x) == -side
 
     def test_representative_sign_independent(self):
-        space = HermitianSpace(REAL, 2)
         rng = np.random.default_rng(7)
         hp = sample_hyperplane(2, 2.0, rng)
-        x = random_coords(space, 1.5, rng, 1)[0]
+        x = random_coords(REAL, 2, 1.5, rng, 1)[0]
         assert halfspace_side(hp.u, x[:, 0]) == halfspace_side(hp.u, -x[:, 0])
 
 
@@ -279,28 +274,25 @@ class TestHorosphere:
     def test_sampler_null_and_level(self):
         rng = np.random.default_rng(9)
         for field in (REAL, COMPLEX, QUATERNION):
-            space = HermitianSpace(field, 2)
             for _ in range(50):
-                h = sample_horosphere(space, 1.5, rng)
+                h = sample_horosphere(field, 2, 1.5, rng)
                 q = form_coeffs(h.xi, h.xi)
                 assert np.abs(q).max() <= 1e-10 * np.sum(h.xi**2)
                 assert h.busemann_distance() <= 1.5 + 1e-12
                 # |<x0, xi>| = r exactly, r = leading component
-                assert h.level(axis_point(space, 0.0)) == pytest.approx(
+                assert h.level(axis_point(2, 0.0)) == pytest.approx(
                     float(np.linalg.norm(h.xi[0], axis=-1)), rel=1e-12)
 
     def test_phase_normalization(self):
-        space = HermitianSpace(COMPLEX, 2)
         rng = np.random.default_rng(10)
-        h = sample_horosphere(space, 1.0, rng)
+        h = sample_horosphere(COMPLEX, 2, 1.0, rng)
         assert h.xi[0, 0] > 0
         assert np.allclose(h.xi[0, 1:], 0, atol=1e-14)
 
     def test_real_radial_density_flat(self):
         # for H^2_R the radial exponent k(n+1)-3 = 0: flat in r
-        space = HermitianSpace(REAL, 2)
         rng = np.random.default_rng(11)
-        xi = reference._sample_horosphere_params(space, 1.0, 100_000, rng)
+        xi = reference._sample_horosphere_params(REAL, 2, 1.0, 100_000, rng)
         r = xi[:, 0, 0]
         lo, hi = math.exp(-1.0), math.exp(1.0)
         observed, _ = np.histogram(r, bins=np.linspace(lo, hi, 21))
@@ -309,9 +301,8 @@ class TestHorosphere:
 
     def test_complex_radial_density_cubic(self):
         # H^2_C: exponent k(n+1)-3 = 3
-        space = HermitianSpace(COMPLEX, 2)
         rng = np.random.default_rng(12)
-        xi = reference._sample_horosphere_params(space, 1.0, 100_000, rng)
+        xi = reference._sample_horosphere_params(COMPLEX, 2, 1.0, 100_000, rng)
         r = xi[:, 0, 0]
         lo, hi = math.exp(-1.0), math.exp(1.0)
         edges = np.linspace(lo, hi, 21)
@@ -321,39 +312,36 @@ class TestHorosphere:
         assert pvalue > 0.05
 
     def test_isometry_moves_parameter(self):
-        space = HermitianSpace(COMPLEX, 2)
         rng = np.random.default_rng(13)
-        g = random_isometry(space, rng)
-        h = sample_horosphere(space, 1.0, rng)
-        gh = Horosphere(space, g.apply_coords(h.xi))
-        x = random_coords(space, 1.5, rng, 1)[0]
+        g = random_isometry(COMPLEX, 2, rng)
+        h = sample_horosphere(COMPLEX, 2, 1.0, rng)
+        gh = Horosphere(COMPLEX, g.apply_coords(h.xi))
+        x = random_coords(COMPLEX, 2, 1.5, rng, 1)[0]
         gx = g @ x
         assert gh.level(gx) == pytest.approx(h.level(x), rel=1e-9)
 
 
 class TestHorosphereIntersections:
     def test_far_segment_misses(self):
-        space = HermitianSpace(REAL, 2)
         # horosphere at busemann distance ~2 from x0; segment near x0
         xi = np.zeros((3, 4))
         xi[0, 0] = math.exp(2.0)
         xi[1, 0] = math.exp(2.0)
-        h = Horosphere(space, xi)
-        seg = geodesic_between(space, axis_point(space, 0.05),
+        h = Horosphere(REAL, xi)
+        seg = geodesic_between(REAL, axis_point(2, 0.05),
                                real_coords([1.0, 0.0, 0.05]))
         assert count_horosphere_intersections(h, seg) == 0
 
     def test_double_crossing_through_center_direction(self):
         # the base point lies inside the horoball (r < 1) and both segment
         # endpoints lie outside, so the segment enters and exits once each
-        space = HermitianSpace(REAL, 2)
         xi = np.zeros((3, 4))
         xi[0, 0] = math.exp(-0.5)
         xi[1, 0] = math.exp(-0.5)
-        h = Horosphere(space, xi)
+        h = Horosphere(REAL, xi)
         x = real_coords([math.cosh(2.0), 0.0, -math.sinh(2.0)])
         y = real_coords([math.cosh(2.0), 0.0, math.sinh(2.0)])
-        seg = geodesic_between(space, x, y)
+        seg = geodesic_between(REAL, x, y)
         # check against a dense scan of the level function
         ts = np.linspace(0, seg.length, 20_000)
         levels = np.array([h.level(seg.point(t)) for t in ts[:: 40]])
@@ -361,28 +349,26 @@ class TestHorosphereIntersections:
         assert count_horosphere_intersections(h, seg) == crossings == 2
 
     def test_count_two_occurs_randomly(self):
-        space = HermitianSpace(REAL, 2)
         rng = np.random.default_rng(14)
-        seg = geodesic_between(space, axis_point(space, -1.2),
-                               axis_point(space, 1.2))
+        seg = geodesic_between(REAL, axis_point(2, -1.2),
+                               axis_point(2, 1.2))
         counts = [count_horosphere_intersections(
-            sample_horosphere(space, 2.0, rng), seg) for _ in range(2000)]
+            sample_horosphere(REAL, 2, 2.0, rng), seg) for _ in range(2000)]
         assert counts.count(2) > 0
         assert max(counts) <= 2
 
     @pytest.mark.parametrize("field", [COMPLEX, QUATERNION])
     def test_phase_invariance(self, field):
-        space = HermitianSpace(field, 2)
         rng = np.random.default_rng(15)
         k = {COMPLEX: 2, QUATERNION: 4}[field]
         for _ in range(50):
-            x, y = random_coords(space, 1.5, rng, 2)
-            seg = geodesic_between(space, x, y)
-            h = sample_horosphere(space, 2.0, rng)
+            x, y = random_coords(field, 2, 1.5, rng, 2)
+            seg = geodesic_between(field, x, y)
+            h = sample_horosphere(field, 2, 2.0, rng)
             lam = np.zeros(4)
             lam[:k] = rng.standard_normal(k)
             lam /= np.linalg.norm(lam)
-            shifted = Horosphere(space, qmul(h.xi, lam[None, :]))
+            shifted = Horosphere(field, qmul(h.xi, lam[None, :]))
             assert count_horosphere_intersections(shifted, seg) == \
                 count_horosphere_intersections(h, seg)
 
@@ -393,10 +379,9 @@ class TestHorosphereIntersections:
         # 1 / |<p(s), (1, w)>| met along the segment, found here by a dense
         # scan.  The scalar count of that horosphere is the one the
         # estimator histogrammed.
-        space = HermitianSpace(COMPLEX, 2)
         k, e, samples, seed, d = 2, 3, 400, 16, 1.2
-        seg = geodesic_between(space, axis_point(space, -0.5 * d),
-                               axis_point(space, 0.5 * d))
+        seg = geodesic_between(COMPLEX, axis_point(2, -0.5 * d),
+                               axis_point(2, 0.5 * d))
         est = crofton.horosphere_crofton_many(COMPLEX, 2, (d,), samples, seed)[0]
         sizes = crofton._chunk_sizes(samples)
         stream = random.Random(seed)
@@ -427,7 +412,7 @@ class TestHorosphereIntersections:
                 unclear += 1
                 continue
             r = ((e + 1) * target) ** (1 / (e + 1))
-            tally[count_horosphere_intersections(Horosphere(space, r * xi), seg)] += 1
+            tally[count_horosphere_intersections(Horosphere(COMPLEX, r * xi), seg)] += 1
         assert unclear <= 2
         assert tally[2] > 0
         for c in (1, 2):
@@ -505,7 +490,6 @@ class TestLevelMatrix:
         # against a = <x, xi> and b = <v, xi> from form_coeffs,
         # one direction at a time, on the explicit axis segment from -d/2 to
         # d/2 (base x, tangent v) for d up to 12; w = g / |g| with Re w1 >= 0
-        space = HermitianSpace(field, n)
         k = FIELD_DIM[field]
         rng = np.random.default_rng(50 + 3 * n + k)
         one = np.array([1.0, 0.0, 0.0, 0.0])
@@ -1071,7 +1055,7 @@ class TestSignChangeEstimates:
 
 class TestEstimateM:
     def test_coincident_points(self):
-        x = axis_point(HermitianSpace(REAL, 2), 0.0)
+        x = axis_point(2, 0.0)
         est, = crofton.hyperplane_crofton_many(2, (pair_distance(REAL, x, x),),
                                                100, seed=0)
         assert est.estimate == 0.0 and est.stderr == 0.0
@@ -1083,8 +1067,7 @@ class TestEstimateM:
             3 * math.hypot(2 * e1.stderr, e2.stderr)
 
     def test_additivity_collinear(self):
-        space = HermitianSpace(REAL, 3)
-        a, b, c = (axis_point(space, d) for d in (0.0, 0.8, 1.9))
+        a, b, c = (axis_point(3, d) for d in (0.0, 0.8, 1.9))
         eab, ebc, eac = (
             crofton.hyperplane_crofton_many(3, (pair_distance(REAL, x, y),),
                                             200_000, seed=seed)[0]
@@ -1105,12 +1088,11 @@ class TestEstimateM:
         # draws hyperplanes from the ball of radius R = max d(x0, .), which
         # holds the segment, and tests each against the real segment; the
         # estimator sees only d
-        space = HermitianSpace(REAL, 3)
         rng = np.random.default_rng(42)
-        x, y = random_coords(space, 0.6, rng, 2)
-        x0 = axis_point(space, 0.0)
+        x, y = random_coords(REAL, 3, 0.6, rng, 2)
+        x0 = axis_point(3, 0.0)
         R = max(pair_distance(REAL, x0, x), pair_distance(REAL, x0, y))
-        seg = geodesic_between(space, x, y)
+        seg = geodesic_between(REAL, x, y)
         samples = 20_000
         # sample_hyperplane's draws, in one batch
         normals = reference._sample_hyperplane_normals(3, R, samples, rng)
@@ -1126,8 +1108,7 @@ class TestEstimateM:
         # both endpoints far from the base point: neither the measured
         # distance nor the estimate's precision may depend on where the
         # segment sits
-        space = HermitianSpace(REAL, 2)
-        d = pair_distance(REAL, axis_point(space, 8.0), axis_point(space, 9.0))
+        d = pair_distance(REAL, axis_point(2, 8.0), axis_point(2, 9.0))
         est, near = crofton.hyperplane_crofton_many(2, (d, 1.0), 200_000, seed=7)
         assert 0 < est.stderr <= 2 * near.stderr
         assert abs(est.estimate - 2.0) <= 4 * est.stderr
@@ -1152,10 +1133,9 @@ class TestEstimateM:
 class TestSymmetricDifference:
     def test_per_sample_identity(self):
         # half-space sign disagreement == transversal segment crossing
-        space = HermitianSpace(REAL, 2)
         rng = np.random.default_rng(19)
-        x, y = random_coords(space, 1.5, rng, 2)
-        seg = geodesic_between(space, x, y)
+        x, y = random_coords(REAL, 2, 1.5, rng, 2)
+        seg = geodesic_between(REAL, x, y)
         disagreements = 0
         boundary = 0
         for _ in range(2000):
@@ -1178,7 +1158,7 @@ class TestSymmetricDifference:
 
 class TestHorosphereEstimator:
     def test_coincident_points(self):
-        x = axis_point(HermitianSpace(COMPLEX, 2), 0.0)
+        x = axis_point(2, 0.0)
         est, = crofton.horosphere_crofton_many(
             COMPLEX, 2, (pair_distance(COMPLEX, x, x),), 100, seed=0)
         assert est.estimate == 0.0
@@ -1225,11 +1205,10 @@ class TestHorosphereEstimator:
         # d/2, which holds every horosphere meeting a segment centred at the
         # base point, times that ball's measure; a short segment keeps the
         # hit rate of the r^e radial density workable over H
-        space = HermitianSpace(field, 2)
         d = 0.25
-        x, y = axis_point(space, -0.5 * d), axis_point(space, 0.5 * d)
+        x, y = axis_point(2, -0.5 * d), axis_point(2, 0.5 * d)
         brute, brute_err = brute_force_horosphere_measure(
-            space, x, y, 0.5 * d, 4000, np.random.default_rng(40))
+            field, x, y, 0.5 * d, 4000, np.random.default_rng(40))
         k = FIELD_DIM[field]
         with np.errstate(all="raise"):
             est, = crofton.horosphere_crofton_many(
@@ -1246,13 +1225,12 @@ class TestHorosphereEstimator:
         # a segment off the axis and off the base point: the reference counts
         # crossings of the real segment by horospheres from the ball of
         # radius R = max d(x0, .); the estimator sees only d
-        space = HermitianSpace(field, 2)
         k = FIELD_DIM[field]
         rng = np.random.default_rng(44 + k)
-        x, y = random_coords(space, 0.3, rng, 2)
-        x0 = axis_point(space, 0.0)
+        x, y = random_coords(field, 2, 0.3, rng, 2)
+        x0 = axis_point(2, 0.0)
         R = max(pair_distance(field, x0, x), pair_distance(field, x0, y))
-        brute, brute_err = brute_force_horosphere_measure(space, x, y, R, 8000, rng)
+        brute, brute_err = brute_force_horosphere_measure(field, x, y, R, 8000, rng)
         with np.errstate(all="raise"):
             est, = crofton.horosphere_crofton_many(
                 field, 2, (pair_distance(field, x, y),), 200_000, seed=49 + k)
@@ -1345,9 +1323,8 @@ class TestSphereEstimator:
 
 class TestIsometryInvariance:
     def test_estimate_m_invariant(self):
-        space = HermitianSpace(REAL, 2)
         rng = np.random.default_rng(33)
-        x, y = random_coords(space, 1.5, rng, 2)
+        x, y = random_coords(REAL, 2, 1.5, rng, 2)
 
         def estimate(x, y, seed):
             d = pair_distance(REAL, x, y)
@@ -1355,14 +1332,13 @@ class TestIsometryInvariance:
 
         e0 = estimate(x, y, 34)
         for i in range(3):
-            g = random_isometry(space, rng)
+            g = random_isometry(REAL, 2, rng)
             e1 = estimate(g @ x, g @ y, 35 + i)
             assert combined_z(e0, e1) <= 3.0
 
     def test_horosphere_invariant(self):
-        space = HermitianSpace(COMPLEX, 2)
         rng = np.random.default_rng(36)
-        x, y = random_coords(space, 1.5, rng, 2)
+        x, y = random_coords(COMPLEX, 2, 1.5, rng, 2)
 
         def estimate(x, y, seed):
             d = pair_distance(COMPLEX, x, y)
@@ -1371,6 +1347,6 @@ class TestIsometryInvariance:
 
         e0 = estimate(x, y, 37)
         for i in range(3):
-            g = random_isometry(space, rng)
+            g = random_isometry(COMPLEX, 2, rng)
             e1 = estimate(g @ x, g @ y, 38 + i)
             assert combined_z(e0, e1) <= 3.0

@@ -15,7 +15,7 @@ import hypcrofton
 #: the names `hypcrofton` exports, by submodule
 EXPORTED = {
     "algebra": [
-        "COMPLEX", "FIELD_DIM", "FIELDS", "QUATERNION", "REAL", "HermitianSpace",
+        "COMPLEX", "FIELD_DIM", "FIELDS", "QUATERNION", "REAL",
     ],
     "configurations": [
         "SPLIT_COEFFICIENTS", "cluster_sums", "projective_six_points",
@@ -36,8 +36,9 @@ EXPORTED_NAMES = [(module, name) for module, names in EXPORTED.items()
                   for name in names]
 #: names the package once exported and no longer has: translation_to_base,
 #: the scalar quaternion layer, the point classes with their scalar
-#: distances and the one-pair Crofton wrappers are deleted, and the
-#: brute-force reference moved to tests/reference.py
+#: distances, the one-pair Crofton wrappers and the space class (a space
+#: is a field letter and n) are deleted, and the brute-force reference
+#: moved to tests/reference.py
 DROPPED = [
     "HPoint", "PPoint", "base_point", "hyperbolic_distance",
     "projective_distance", "random_point", "sphere_distance",
@@ -51,7 +52,7 @@ DROPPED = [
     "count_horosphere_intersections", "halfspace_contains", "halfspace_side",
     "hyperplane_meets_segment", "sample_horosphere", "sample_hyperplane",
     "GeodesicSegment", "Isometry", "geodesic_between", "jordan_trace_distance",
-    "random_isometry",
+    "random_isometry", "HermitianSpace",
 ]
 
 #: runs the CLI as `python -m hypcrofton.cli` does, then prints the loaded

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from hypcrofton.algebra import (
-    COMPLEX,
-    QUATERNION,
-    REAL,
-    HermitianSpace,
-)
+from hypcrofton.algebra import COMPLEX, QUATERNION, REAL
 from hypcrofton.configurations import (
     SPLIT_COEFFICIENTS,
     cluster_sums,
@@ -138,10 +133,9 @@ class TestValidateDistanceMatrix:
 
 class TestHypermetricScan:
     def test_random_hyperbolic_plane_configurations_clean(self):
-        space = HermitianSpace(REAL, 2)
         rng = np.random.default_rng(4)
         for _ in range(10):
-            D = build_distance_matrix(REAL, random_coords(space, 3.0, rng, 6))
+            D = build_distance_matrix(REAL, random_coords(REAL, 2, 3.0, rng, 6))
             assert hypermetric_scan(D, bound=2) == []
 
     def test_projective_violations_found(self, projective_D):
@@ -167,26 +161,23 @@ class TestSqrtEmbed:
         assert emb.max_radius_residual <= 1e-10
 
     def test_triangle_from_hyperbolic_plane(self):
-        space = HermitianSpace(REAL, 2)
         rng = np.random.default_rng(5)
-        D = build_distance_matrix(REAL, random_coords(space, 2.0, rng, 3))
+        D = build_distance_matrix(REAL, random_coords(REAL, 2, 2.0, rng, 3))
         emb = sqrt_embed(D)
         assert emb.max_distance_residual <= 1e-9
         assert emb.max_radius_residual <= 1e-8 * emb.radius
 
     def test_eight_points_h3(self):
-        space = HermitianSpace(REAL, 3)
         rng = np.random.default_rng(6)
-        D = build_distance_matrix(REAL, random_coords(space, 3.0, rng, 8))
+        D = build_distance_matrix(REAL, random_coords(REAL, 3, 3.0, rng, 8))
         emb = sqrt_embed(D)
         assert emb.max_distance_residual <= 1e-9
         assert emb.rank >= 3  # >= ceil(log2(8))
 
     def test_basepoint_independence(self):
         # the first point is the base point; each order puts point b first
-        space = HermitianSpace(REAL, 3)
         rng = np.random.default_rng(7)
-        D = build_distance_matrix(REAL, random_coords(space, 2.5, rng, 6))
+        D = build_distance_matrix(REAL, random_coords(REAL, 3, 2.5, rng, 6))
         for b in range(6):
             p = [b, *(i for i in range(6) if i != b)]
             emb = sqrt_embed(D[np.ix_(p, p)])
@@ -200,8 +191,7 @@ class TestSqrtEmbed:
 
 class TestBuildDistanceMatrix:
     def test_single_point(self):
-        space = HermitianSpace(COMPLEX, 2)
-        coords = random_coords(space, 1.0, np.random.default_rng(8), 1)
+        coords = random_coords(COMPLEX, 2, 1.0, np.random.default_rng(8), 1)
         D = build_distance_matrix(COMPLEX, coords)
         assert D.shape == (1, 1) and D[0, 0] == 0.0
 
@@ -244,8 +234,7 @@ class TestBuildDistanceMatrix:
 
     def test_mixed_point_types_rejected(self):
         # a hyperbolic point and a projective row make no array
-        space = HermitianSpace(REAL, 2)
-        pts = [random_coords(space, 1.0, np.random.default_rng(9), 1)[0],
+        pts = [random_coords(REAL, 2, 1.0, np.random.default_rng(9), 1)[0],
                [1.0, 0.0, 0.0]]
         for kind in (REAL, "p"):
             with pytest.raises(ValueError):
@@ -302,18 +291,12 @@ class TestBuildDistanceMatrix:
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def reference_search(space, m, trials, radius, rng, seed_points=None):
+def reference_search(kind, n, m, trials, radius, rng, seed_points=None):
     """violation_search one configuration at a time: (trial, q, t, verified)."""
-    if isinstance(space, str):
-        kind, n = "p", int(space[1:])
-
-        def sample():
+    def sample():
+        if kind == "p":
             return rng.standard_normal((m, n + 1))
-    else:
-        kind = space.field
-
-        def sample():
-            return random_coords(space, radius, rng, m)
+        return random_coords(kind, n, radius, rng, m)
     best = (-1, -np.inf, None, None)
     configs = [] if seed_points is None else [(-1, seed_points)]
     configs += [(trial, sample()) for trial in range(trials)]
@@ -331,36 +314,33 @@ def reference_search(space, m, trials, radius, rng, seed_points=None):
 
 class TestViolationSearch:
     def test_real_hyperbolic_plane_clean(self):
-        space = HermitianSpace(REAL, 2)
         rng = np.random.default_rng(10)
-        best = violation_search(space, m=6, trials=100, radius=2.5, rng=rng)
+        best = violation_search(REAL, 2, m=6, trials=100, radius=2.5, rng=rng)
         assert best.q <= 1e-9 or best.t is None
 
     def test_projective_violation_found(self):
         # violating configurations are rare; this seed hits one within 1000
         rng = np.random.default_rng(0)
-        best = violation_search("p2", m=6, trials=1000, radius=0.0, rng=rng)
+        best = violation_search("p", 2, m=6, trials=1000, radius=0.0, rng=rng)
         assert best.q > 0
         assert best.verified
 
     def test_structured_quaternionic_seed(self):
-        space = HermitianSpace(QUATERNION, 2)
         rng = np.random.default_rng(12)
-        best = violation_search(space, m=24, trials=5, radius=2.0, rng=rng,
+        best = violation_search(QUATERNION, 2, m=24, trials=5, radius=2.0, rng=rng,
                                 seed_points=quaternionic_cluster_points())
         assert best.q > 0
         assert best.verified
 
-    @pytest.mark.parametrize("space,trials,radius,seed_points", [
-        (HermitianSpace(QUATERNION, 2), 5, 2.0, quaternionic_cluster_points()),
-        ("p2", 1000, 0.0, None),
+    @pytest.mark.parametrize("kind,n,trials,radius,seed_points", [
+        (QUATERNION, 2, 5, 2.0, quaternionic_cluster_points()),
+        ("p", 2, 1000, 0.0, None),
     ], ids=["h2-structured", "p2"])
-    def test_points_remeasure_to_q(self, space, trials, radius, seed_points):
+    def test_points_remeasure_to_q(self, kind, n, trials, radius, seed_points):
         # the returned points are the raw coordinates of the best
         # configuration: measured again, they give its q
-        kind = "p" if space == "p2" else space.field
         m = 24 if seed_points is not None else 6
-        best = violation_search(space, m, trials, radius,
+        best = violation_search(kind, n, m, trials, radius,
                                 np.random.default_rng(0), seed_points=seed_points)
         assert best.verified and best.q > 0
         D = build_distance_matrix(kind, best.points)
@@ -372,28 +352,35 @@ class TestViolationSearch:
             assert best.trial == -1
             assert np.array_equal(best.points, seed_points)
 
-    def test_unknown_selector(self):
-        with pytest.raises(ValueError):
-            violation_search("x9", m=4, trials=1, radius=1.0,
-                             rng=np.random.default_rng(0))
+    @pytest.mark.parametrize("kind,n", [("s", 2), ("x", 2), (REAL, 0), ("p", 0)],
+                             ids=["sphere", "unknown", "r-dim-0", "p-dim-0"])
+    def test_unknown_space(self, kind, n):
+        # only r, c, h and p have a sampler, and every space has n >= 1;
+        # the check comes before any draw, even of no trials
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for trials in (0, 1):
+            with pytest.raises(ValueError):
+                violation_search(kind, n, m=4, trials=trials, radius=1.0, rng=rng)
+        assert rng.bit_generator.state == state
 
-    @pytest.mark.parametrize("space,m,radius,seeds,structured", [
-        (HermitianSpace(QUATERNION, 2), 24, 2.0, (1,), True),
-        (HermitianSpace(COMPLEX, 3), 8, 3.0, (2,), False),
-        (HermitianSpace(REAL, 2), 8, 0.0, (3,), False),
-        ("p2", 6, 0.0, (0, 6), False),
+    @pytest.mark.parametrize("kind,n,m,radius,seeds,structured", [
+        (QUATERNION, 2, 24, 2.0, (1,), True),
+        (COMPLEX, 3, 8, 3.0, (2,), False),
+        (REAL, 2, 8, 0.0, (3,), False),
+        ("p", 2, 6, 0.0, (0, 6), False),
     ], ids=["h2-structured", "c3", "radius-0", "p2"])
-    def test_blocks_match_per_trial_search(self, space, m, radius, seeds,
+    def test_blocks_match_per_trial_search(self, kind, n, m, radius, seeds,
                                            structured):
         block = _block_trials(m)
         seed_points = quaternionic_cluster_points() if structured else None
         for seed in seeds:
             for trials in (0, 1, block - 1, block, block + 1, 3 * block + 2):
                 rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
-                best = violation_search(space, m, trials, radius, rng,
+                best = violation_search(kind, n, m, trials, radius, rng,
                                         seed_points=seed_points)
                 trial, q, t, verified = reference_search(
-                    space, m, trials, radius, ref_rng, seed_points=seed_points)
+                    kind, n, m, trials, radius, ref_rng, seed_points=seed_points)
                 assert (best.trial, best.q, best.verified) == (trial, q, verified)
                 assert (best.t is None) == (t is None)
                 if t is not None:
@@ -404,6 +391,6 @@ class TestViolationSearch:
     def test_p2_hits_in_two_blocks(self):
         # seed 6 violates at trials 127 and 168, seed 0 at 527 (block 2)
         for seed, trial in ((6, 168), (0, 527)):
-            best = violation_search("p2", m=6, trials=3 * _block_trials(6) + 2,
+            best = violation_search("p", 2, m=6, trials=3 * _block_trials(6) + 2,
                                     radius=0.0, rng=np.random.default_rng(seed))
             assert best.trial == trial and best.verified
