@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import math
+import random
 import sys
 
 import numpy as np
@@ -295,14 +296,16 @@ def cmd_reproduce(args):
 def cmd_search_violations(args):
     from . import configurations, kernels
 
-    rng = np.random.default_rng(args.seed)
+    if args.seed < 0:  # random.Random would take its absolute value
+        raise ValueError(f"expected non-negative integer seed, got {args.seed}")
     seed_points = None
     if args.structured_seed:
         if (args.field, args.dim) != ("h", 2):
             raise ValueError("--structured-seed requires --field h --dim 2")
         seed_points = configurations.quaternionic_cluster_points()
     best = kernels.violation_search(args.field, args.dim, args.m, args.trials,
-                                    args.radius, rng, seed_points=seed_points)
+                                    args.radius, random.Random(args.seed),
+                                    seed_points=seed_points)
     found = best.t is not None and best.q > 0 and best.verified
     results = [{
         "best_q": None if best.q == -math.inf else best.q,

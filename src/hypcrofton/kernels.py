@@ -19,6 +19,7 @@ from .spaces import (
     normalized_coords,
     projective_distance_matrix,
     random_coords,
+    random_normals,
     sphere_distance_matrix,
     unit_rows,
 )
@@ -278,13 +279,14 @@ def _block_trials(m):
     return max(1, SEARCH_BLOCK_BYTES // (32 * m * m))
 
 
-def violation_search(kind, n, m, trials, radius, rng, seed_points=None):
+def violation_search(kind, n, m, trials, radius, stream, seed_points=None):
     """Randomized search for a negative-type violation.
 
     The space is named as in a point file's `kind,dim` header: kind r, c
     or h is H^n over that field, whose points random_coords draws within
     `radius` of the base point, and kind p is P^n_R, whose points are
-    standard normal (n+1)-rows (radius is unused).  Runs
+    standard normal (n+1)-rows from random_normals (radius is unused).
+    Both draw from the random.Random `stream`.  Runs
     negative_type_witness over `trials` random m-point configurations
     (optionally preceded by an explicit seed configuration, the coordinate
     array of its points, of that kind) and returns the best Q found, with
@@ -296,9 +298,10 @@ def violation_search(kind, n, m, trials, radius, rng, seed_points=None):
     one double centering and one eigvalsh per block.  The configurations
     that pass the screen go through build_distance_matrix and
     negative_type_witness one by one, in trial order, so the result is that
-    of running both on every configuration.  Each block's points are drawn
-    in the generator order of its trials * m successive points.  Raises
-    ValueError for another kind and for n < 1.
+    of running both on every configuration.  Each block draws its trials *
+    m points in one pass, which gives the same points, from the same calls
+    to the stream, as one draw of m points per trial.  Raises ValueError
+    for another kind and for n < 1, before any draw.
     """
     if m < 3 and seed_points is None:
         raise ValueError("need at least 3 points")
@@ -325,9 +328,10 @@ def violation_search(kind, n, m, trials, radius, rng, seed_points=None):
     for start in range(0, trials, block):
         count = min(block, trials - start)
         if kind == "p":
-            raw = rng.standard_normal((count, m, n + 1))
+            raw = random_normals(stream, count * m, n + 1).reshape(
+                count, m, n + 1)
         else:
-            raw = random_coords(kind, n, radius, rng, count * m).reshape(
+            raw = random_coords(kind, n, radius, stream, count * m).reshape(
                 count, m, n + 1, 4)
         D = kernel(normalize(raw))
         top = np.linalg.eigvalsh(_double_centered(D))[:, -1]

@@ -67,6 +67,18 @@ def _pairs_to_matrix(values, m):
     return D + np.swapaxes(D, -1, -2)
 
 
+def _form_rows(X):
+    """The real matrices of <x_i, .>: (..., m, n+1, 4) coordinates ->
+    (..., m, 4, n+1, 4), whose entry [..., i, c, k, q] is signs[k] times
+    entry [c, q] of the matrix of conj(x_i^k), with the form's signs.  One
+    matrix product with CONJ_MUL builds it; each of its entries is a
+    single +-x term."""
+    signs = np.ones(X.shape[-2])
+    signs[0] = -1.0
+    left = (X * signs[:, None]) @ CONJ_MUL.reshape(4, 16)  # [..., i, k, (q, c)]
+    return np.moveaxis(left.reshape(*X.shape, 4), -1, -3)
+
+
 def hyperbolic_distance_matrix(coords):
     """Distances between stacked points of H^n_F: (..., m, n+1, 4) normalized
     coordinates -> (..., m, m), cosh d_ij = |<x_i, x_j>|.
@@ -79,10 +91,7 @@ def hyperbolic_distance_matrix(coords):
     """
     X = np.asarray(coords, dtype=float)
     *batch, m, dim, _ = X.shape
-    signs = np.ones(dim)
-    signs[0] = -1.0
-    # left[..., i, c, k, q] = signs[k] * (matrix of conj(x_i^k))[c, q]
-    left = np.einsum("...ikp,k,pqc->...ickq", X, signs, CONJ_MUL, order="C")
+    left = _form_rows(X)
     gram = left.reshape(*batch, m * 4, dim * 4) @ np.swapaxes(
         X.reshape(*batch, m, dim * 4), -1, -2)
     del left  # not needed past the product; freeing it lowers peak memory
@@ -124,20 +133,52 @@ def sphere_distance_matrix(coords):
     return _pairs_to_matrix(np.arctan2(sin, cos), X.shape[-2])
 
 
-def random_coords(field, n, radius, rng, count):
+def _uniform_rows(stream, rows, width):
+    """(rows, width) uniforms on [0, 1) from rows * width calls to
+    stream.random(), taken row after row."""
+    draw = stream.random
+    return np.array([draw() for _ in range(rows * width)]).reshape(rows, width)
+
+
+def _box_muller(uniforms, width):
+    """Normal rows (..., width) from (..., width + width % 2) uniforms on
+    [0, 1): each consecutive pair (u, v) gives the two normals
+    sqrt(-2 log1p(-u)) times cos(2 pi v) and sin(2 pi v), and an odd width
+    drops the last sine.  A row whose normals are all zero, which takes
+    u = 0 in each of its pairs, is given the first axis instead, so that
+    every row has a direction."""
+    u, v = uniforms[..., 0::2], uniforms[..., 1::2]
+    r = np.sqrt(-2.0 * np.log1p(-u))
+    angle = 2.0 * math.pi * v
+    z = np.stack((r * np.cos(angle), r * np.sin(angle)), axis=-1)
+    z = z.reshape(uniforms.shape)[..., :width]
+    z[~z.any(axis=-1), 0] = 1.0
+    return z
+
+
+def random_normals(stream, rows, width):
+    """(rows, width) standard normals drawn from the random.Random `stream`
+    in one pass, as _box_muller makes them from rows * (width + width % 2)
+    calls to stream.random(), row after row.  So the first rows of a
+    larger draw are the rows of a smaller one from the same stream."""
+    return _box_muller(_uniform_rows(stream, rows, width + width % 2), width)
+
+
+def random_coords(field, n, radius, stream, count):
     """Coordinates (count, n+1, 4) of `count` points of H^n over `field`
     (r, c or h) at geodesic distance <= radius from the base point, not yet
-    normalized.
+    normalized, drawn from the random.Random `stream` in one pass.
 
     Distribution: uniform tangent direction at the base point times
     uniform radius on [0, radius] (not uniform in hyperbolic volume).
-    Each point takes, in order, n k normals for its tangent direction,
-    redrawn while their norm is below 1e-12, then its radius as radius *
-    random(); radius 0 draws nothing.  So the points are drawn one after
-    another, and the first rows of a larger count are the same points from
-    the same stream.  The draws take the same values from the stream as an
-    (n, k) normal draw and uniform(0, radius).  Raises ValueError for an
-    unknown field, n < 1 and a negative radius.
+    Each point takes 2 ceil(nk/2) + 1 calls to stream.random(), one point
+    after another: first the uniforms that _box_muller turns into its n k
+    normals, whose direction is the point's (all-zero normals, a chance of
+    2^-53 per pair, give the first tangent axis), then the uniform u of its
+    radius, radius * u.  Radius 0 draws nothing.  So the first rows of a
+    larger count are the same points from the same stream.  numpy's
+    log1p, cos and sin may round an ulp differently on another CPU.
+    Raises ValueError for an unknown field, n < 1 and a negative radius.
     """
     if field not in FIELD_DIM:
         raise ValueError(f"unknown field {field!r}")
@@ -151,17 +192,11 @@ def random_coords(field, n, radius, rng, count):
         return coords
     k = FIELD_DIM[field]
     size = n * k
-    normals, radii = [], []
-    for _ in range(count):
-        v = rng.standard_normal(size)
-        while math.hypot(*v.tolist()) < 1e-12:
-            v = rng.standard_normal(size)
-        normals.append(v)
-        radii.append(radius * rng.random())
+    uniforms = _uniform_rows(stream, count, size + size % 2 + 1)
     dirs = np.zeros((count, n, 4))
-    dirs[:, :, :k] = np.reshape(normals, (count, n, k))
+    dirs[:, :, :k] = _box_muller(uniforms[:, :-1], size).reshape(count, n, k)
     norm = np.sqrt(np.sum(dirs**2, axis=(-2, -1)))
-    s = np.array(radii)
+    s = radius * uniforms[:, -1]
     coords[:, 0, 0] = np.cosh(s)
     coords[:, 1:] = dirs / norm[:, None, None] * np.sinh(s)[:, None, None]
     return coords

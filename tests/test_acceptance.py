@@ -6,6 +6,7 @@ condition, so a failing criterion is both reported and red.
 """
 
 import math
+import random
 import time
 
 import numpy as np
@@ -277,13 +278,12 @@ def test_criterion_11_violation_search_soundness():
     # quaternionic seed must yield a confirmed violation
     results = []
     results.append(violation_search("p", 2, m=6, trials=1000, radius=0.0,
-                                    rng=np.random.default_rng(0)))
+                                    stream=random.Random(3)))
     results.append(violation_search(
-        QUATERNION, 2, m=24, trials=5, radius=2.0,
-        rng=np.random.default_rng(161),
+        QUATERNION, 2, m=24, trials=5, radius=2.0, stream=random.Random(161),
         seed_points=quaternionic_cluster_points()))
     results.append(violation_search(REAL, 2, m=6, trials=100,
-                                    radius=2.5, rng=np.random.default_rng(162)))
+                                    radius=2.5, stream=random.Random(162)))
     sound = all(r.verified for r in results if r.t is not None and r.q > 0)
     structured = results[1].q > 0 and results[1].verified
     ok = sound and structured

@@ -412,6 +412,13 @@ class TestCrofton:
         assert code == 2 and out == ""
         assert "expected non-negative integer" in err
 
+    def test_negative_search_seed_rejected(self, capsys):
+        # search-violations draws from random.Random too
+        code, out, err = run_cli(capsys, "search-violations", "--trials", "3",
+                                 "--seed", "-1")
+        assert code == 2 and out == ""
+        assert "expected non-negative integer" in err
+
     @pytest.mark.parametrize("carrier,args", [
         ("hyperplane", ("--dim", "3")),
         ("horosphere", ("--field", "h", "--dim", "2")),

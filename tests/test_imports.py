@@ -125,6 +125,9 @@ class TestSubcommandImports:
         assert "hypcrofton.kernels" in modules
         assert "hypcrofton.crofton" not in modules
         assert "concurrent.futures" not in modules
+        # search-violations draws its points from the standard library's
+        # random, so no command loads numpy.random
+        assert "numpy.random" not in modules
 
     @pytest.mark.parametrize("workers,samples", [
         ("1", "40000"), ("2", "40000"), ("2", "1000"),

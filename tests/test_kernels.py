@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from hypcrofton.kernels import (
     violation_search,
 )
 from hypcrofton.cli import main
-from hypcrofton.spaces import random_coords
+from hypcrofton.spaces import random_coords, random_normals
 
 
 @pytest.fixture(scope="module")
@@ -133,9 +135,9 @@ class TestValidateDistanceMatrix:
 
 class TestHypermetricScan:
     def test_random_hyperbolic_plane_configurations_clean(self):
-        rng = np.random.default_rng(4)
+        stream = random.Random(4)
         for _ in range(10):
-            D = build_distance_matrix(REAL, random_coords(REAL, 2, 3.0, rng, 6))
+            D = build_distance_matrix(REAL, random_coords(REAL, 2, 3.0, stream, 6))
             assert hypermetric_scan(D, bound=2) == []
 
     def test_projective_violations_found(self, projective_D):
@@ -161,23 +163,23 @@ class TestSqrtEmbed:
         assert emb.max_radius_residual <= 1e-10
 
     def test_triangle_from_hyperbolic_plane(self):
-        rng = np.random.default_rng(5)
-        D = build_distance_matrix(REAL, random_coords(REAL, 2, 2.0, rng, 3))
+        stream = random.Random(5)
+        D = build_distance_matrix(REAL, random_coords(REAL, 2, 2.0, stream, 3))
         emb = sqrt_embed(D)
         assert emb.max_distance_residual <= 1e-9
         assert emb.max_radius_residual <= 1e-8 * emb.radius
 
     def test_eight_points_h3(self):
-        rng = np.random.default_rng(6)
-        D = build_distance_matrix(REAL, random_coords(REAL, 3, 3.0, rng, 8))
+        stream = random.Random(6)
+        D = build_distance_matrix(REAL, random_coords(REAL, 3, 3.0, stream, 8))
         emb = sqrt_embed(D)
         assert emb.max_distance_residual <= 1e-9
         assert emb.rank >= 3  # >= ceil(log2(8))
 
     def test_basepoint_independence(self):
         # the first point is the base point; each order puts point b first
-        rng = np.random.default_rng(7)
-        D = build_distance_matrix(REAL, random_coords(REAL, 3, 2.5, rng, 6))
+        stream = random.Random(7)
+        D = build_distance_matrix(REAL, random_coords(REAL, 3, 2.5, stream, 6))
         for b in range(6):
             p = [b, *(i for i in range(6) if i != b)]
             emb = sqrt_embed(D[np.ix_(p, p)])
@@ -191,7 +193,7 @@ class TestSqrtEmbed:
 
 class TestBuildDistanceMatrix:
     def test_single_point(self):
-        coords = random_coords(COMPLEX, 2, 1.0, np.random.default_rng(8), 1)
+        coords = random_coords(COMPLEX, 2, 1.0, random.Random(8), 1)
         D = build_distance_matrix(COMPLEX, coords)
         assert D.shape == (1, 1) and D[0, 0] == 0.0
 
@@ -234,7 +236,7 @@ class TestBuildDistanceMatrix:
 
     def test_mixed_point_types_rejected(self):
         # a hyperbolic point and a projective row make no array
-        pts = [random_coords(REAL, 2, 1.0, np.random.default_rng(9), 1)[0],
+        pts = [random_coords(REAL, 2, 1.0, random.Random(9), 1)[0],
                [1.0, 0.0, 0.0]]
         for kind in (REAL, "p"):
             with pytest.raises(ValueError):
@@ -291,12 +293,12 @@ class TestBuildDistanceMatrix:
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def reference_search(kind, n, m, trials, radius, rng, seed_points=None):
+def reference_search(kind, n, m, trials, radius, stream, seed_points=None):
     """violation_search one configuration at a time: (trial, q, t, verified)."""
     def sample():
         if kind == "p":
-            return rng.standard_normal((m, n + 1))
-        return random_coords(kind, n, radius, rng, m)
+            return random_normals(stream, m, n + 1)
+        return random_coords(kind, n, radius, stream, m)
     best = (-1, -np.inf, None, None)
     configs = [] if seed_points is None else [(-1, seed_points)]
     configs += [(trial, sample()) for trial in range(trials)]
@@ -314,20 +316,21 @@ def reference_search(kind, n, m, trials, radius, rng, seed_points=None):
 
 class TestViolationSearch:
     def test_real_hyperbolic_plane_clean(self):
-        rng = np.random.default_rng(10)
-        best = violation_search(REAL, 2, m=6, trials=100, radius=2.5, rng=rng)
+        best = violation_search(REAL, 2, m=6, trials=100, radius=2.5,
+                                stream=random.Random(10))
         assert best.q <= 1e-9 or best.t is None
 
     def test_projective_violation_found(self):
         # violating configurations are rare; this seed hits one within 1000
-        rng = np.random.default_rng(0)
-        best = violation_search("p", 2, m=6, trials=1000, radius=0.0, rng=rng)
+        # (trial 480), seeds 0 and 1 none
+        best = violation_search("p", 2, m=6, trials=1000, radius=0.0,
+                                stream=random.Random(3))
         assert best.q > 0
         assert best.verified
 
     def test_structured_quaternionic_seed(self):
-        rng = np.random.default_rng(12)
-        best = violation_search(QUATERNION, 2, m=24, trials=5, radius=2.0, rng=rng,
+        best = violation_search(QUATERNION, 2, m=24, trials=5, radius=2.0,
+                                stream=random.Random(12),
                                 seed_points=quaternionic_cluster_points())
         assert best.q > 0
         assert best.verified
@@ -340,13 +343,14 @@ class TestViolationSearch:
         # the returned points are the raw coordinates of the best
         # configuration: measured again, they give its q
         m = 24 if seed_points is not None else 6
-        best = violation_search(kind, n, m, trials, radius,
-                                np.random.default_rng(0), seed_points=seed_points)
+        best = violation_search(kind, n, m, trials, radius, random.Random(3),
+                                seed_points=seed_points)
         assert best.verified and best.q > 0
         D = build_distance_matrix(kind, best.points)
         assert quadratic_form(D, best.t) == pytest.approx(best.q, rel=1e-9)
         if seed_points is None:
-            drawn = np.random.default_rng(0).standard_normal((trials, m, 3))
+            drawn = random_normals(random.Random(3), trials * m, 3).reshape(
+                trials, m, 3)
             assert np.array_equal(best.points, drawn[best.trial])
         else:
             assert best.trial == -1
@@ -357,18 +361,19 @@ class TestViolationSearch:
     def test_unknown_space(self, kind, n):
         # only r, c, h and p have a sampler, and every space has n >= 1;
         # the check comes before any draw, even of no trials
-        rng = np.random.default_rng(0)
-        state = rng.bit_generator.state
+        stream = random.Random(0)
+        state = stream.getstate()
         for trials in (0, 1):
             with pytest.raises(ValueError):
-                violation_search(kind, n, m=4, trials=trials, radius=1.0, rng=rng)
-        assert rng.bit_generator.state == state
+                violation_search(kind, n, m=4, trials=trials, radius=1.0,
+                                 stream=stream)
+        assert stream.getstate() == state
 
     @pytest.mark.parametrize("kind,n,m,radius,seeds,structured", [
         (QUATERNION, 2, 24, 2.0, (1,), True),
         (COMPLEX, 3, 8, 3.0, (2,), False),
         (REAL, 2, 8, 0.0, (3,), False),
-        ("p", 2, 6, 0.0, (0, 6), False),
+        ("p", 2, 6, 0.0, (25, 2), False),
     ], ids=["h2-structured", "c3", "radius-0", "p2"])
     def test_blocks_match_per_trial_search(self, kind, n, m, radius, seeds,
                                            structured):
@@ -376,21 +381,23 @@ class TestViolationSearch:
         seed_points = quaternionic_cluster_points() if structured else None
         for seed in seeds:
             for trials in (0, 1, block - 1, block, block + 1, 3 * block + 2):
-                rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
-                best = violation_search(kind, n, m, trials, radius, rng,
+                stream, ref_stream = random.Random(seed), random.Random(seed)
+                best = violation_search(kind, n, m, trials, radius, stream,
                                         seed_points=seed_points)
                 trial, q, t, verified = reference_search(
-                    kind, n, m, trials, radius, ref_rng, seed_points=seed_points)
+                    kind, n, m, trials, radius, ref_stream, seed_points=seed_points)
                 assert (best.trial, best.q, best.verified) == (trial, q, verified)
                 assert (best.t is None) == (t is None)
                 if t is not None:
                     assert np.array_equal(best.t, t)
-                # the same generator calls, in the same order
-                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                # the same calls to the stream, in the same order
+                assert stream.getstate() == ref_stream.getstate()
 
     def test_p2_hits_in_two_blocks(self):
-        # seed 6 violates at trials 127 and 168, seed 0 at 527 (block 2)
-        for seed, trial in ((6, 168), (0, 527)):
+        # blocks of 227 trials: seed 25 violates at trials 126 and 127
+        # (block 0) and, most, at 387 (block 1); seed 2 at 338 (block 1)
+        # and, most, at 654 (block 2)
+        for seed, trial in ((25, 387), (2, 654)):
             best = violation_search("p", 2, m=6, trials=3 * _block_trials(6) + 2,
-                                    radius=0.0, rng=np.random.default_rng(seed))
+                                    radius=0.0, stream=random.Random(seed))
             assert best.trial == trial and best.verified

@@ -1,19 +1,24 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 from hypcrofton.algebra import (
     COMPLEX,
+    CONJ_MUL,
+    FIELD_DIM,
     QUATERNION,
     REAL,
     form_coeffs,
 )
 from hypcrofton.spaces import (
+    _form_rows,
     hyperbolic_distance_matrix,
     normalized_coords,
     projective_distance_matrix,
     random_coords,
+    random_normals,
     sphere_distance_matrix,
     unit_rows,
 )
@@ -71,9 +76,9 @@ class TestHyperbolicDistance:
 
     @pytest.mark.parametrize("field", ALL_FIELDS)
     def test_metric_axioms_random_triples(self, field):
-        rng = np.random.default_rng(10)
+        stream = random.Random(10)
         for _ in range(50):
-            a, b, c = random_coords(field, 3, 2.5, rng, 3)
+            a, b, c = random_coords(field, 3, 2.5, stream, 3)
             dab = pair_distance(field, a, b)
             dba = pair_distance(field, b, a)
             assert dab == dba
@@ -158,9 +163,9 @@ class TestDistanceMatrixKernels:
 
     @pytest.mark.parametrize("field", ALL_FIELDS)
     def test_hyperbolic_matches_form_pair_by_pair(self, field):
-        rng = np.random.default_rng(20)
+        stream = random.Random(20)
         pts = normalized_coords(np.concatenate(
-            [random_coords(field, 2, r, rng, 1) for r in np.linspace(0.0, 5.0, 12)]))
+            [random_coords(field, 2, r, stream, 1) for r in np.linspace(0.0, 5.0, 12)]))
         D = hyperbolic_distance_matrix(pts)
         for i, x in enumerate(pts):
             for j, y in enumerate(pts):
@@ -224,6 +229,18 @@ class TestDistanceMatrixKernels:
                 assert np.allclose(np.cos(D[b]), np.cos(kernel(coords[b])),
                                    rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("field", ALL_FIELDS)
+    def test_form_rows_match_the_einsum(self, field):
+        # the one matrix product with CONJ_MUL gives the three-operand
+        # einsum's entries bit for bit, stacked or not: each entry is a
+        # single +-x term
+        coords = random_coords(field, 3, 3.0, random.Random(29), 5 * 7)
+        X = normalized_coords(coords).reshape(5, 7, 4, 4)
+        signs = np.array([-1.0, 1.0, 1.0, 1.0])
+        for block in (X, X[0]):
+            einsum = np.einsum("...ikp,k,pqc->...ickq", block, signs, CONJ_MUL)
+            assert np.array_equal(_form_rows(block), einsum)
+
     def test_inconsistent_coordinates_raise(self):
         x0 = axis_point(2, 0.0)
         with pytest.raises(ArithmeticError):
@@ -267,9 +284,9 @@ class TestJordanTraceDistance:
 class TestGeodesics:
     @pytest.mark.parametrize("field", ALL_FIELDS)
     def test_endpoints_and_midpoint(self, field):
-        rng = np.random.default_rng(15)
+        stream = random.Random(15)
         for _ in range(20):
-            x, y = random_coords(field, 2, 2.0, rng, 2)
+            x, y = random_coords(field, 2, 2.0, stream, 2)
             seg = geodesic_between(field, x, y)
             assert seg.length == pytest.approx(pair_distance(field, x, y), abs=1e-10)
             assert pair_distance(field, seg.point(0.0), x) == pytest.approx(0, abs=1e-7)
@@ -317,83 +334,173 @@ class TestGeodesics:
         assert np.allclose(aligned[1:], 0, atol=1e-10)
 
 
+class Uniforms:
+    """A stream whose random() returns the given uniforms in order."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+def box_muller_by_hand(stream, size):
+    """`size` normals from ceil(size/2) (u, v) pairs of stream.random()."""
+    normals = []
+    for _ in range(-(-size // 2)):
+        u, v = stream.random(), stream.random()
+        r = math.sqrt(-2.0 * math.log1p(-u))
+        normals += [r * math.cos(2.0 * math.pi * v), r * math.sin(2.0 * math.pi * v)]
+    return normals[:size]
+
+
 class TestRandomPoint:
     def test_radius_bound(self):
-        rng = np.random.default_rng(18)
         x0 = axis_point(2, 0.0)
-        for p in random_coords(QUATERNION, 2, 1.7, rng, 100):
+        for p in random_coords(QUATERNION, 2, 1.7, random.Random(18), 100):
             assert pair_distance(QUATERNION, x0, p) <= 1.7 + 1e-9
 
     def test_zero_radius(self):
-        p = random_coords(REAL, 2, 0.0, np.random.default_rng(0), 1)[0]
+        p = random_coords(REAL, 2, 0.0, random.Random(0), 1)[0]
         assert pair_distance(REAL, p, axis_point(2, 0.0)) == 0.0
 
     def test_seed_determinism(self):
-        a = random_coords(COMPLEX, 3, 2.0, np.random.default_rng(99), 1)
-        b = random_coords(COMPLEX, 3, 2.0, np.random.default_rng(99), 1)
+        a = random_coords(COMPLEX, 3, 2.0, random.Random(99), 1)
+        b = random_coords(COMPLEX, 3, 2.0, random.Random(99), 1)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("field", ALL_FIELDS)
     def test_generator_calls_replayed_by_hand(self, field):
-        # per point: an (n, k) normal for the direction, then one uniform;
-        # the first rows of a longer draw are the points of a shorter one
-        k = {REAL: 1, COMPLEX: 2, QUATERNION: 4}[field]
-        rng, replay = np.random.default_rng(24), np.random.default_rng(24)
-        coords = random_coords(field, 3, 2.5, rng, 6)
+        # per point: a (u, v) pair of uniforms for each two of its n k
+        # normals, then one uniform for its radius; math's log1p, cos and
+        # sin may round an ulp away from numpy's
+        k = FIELD_DIM[field]
+        stream, replay = random.Random(24), random.Random(24)
+        coords = random_coords(field, 3, 2.5, stream, 6)
         for c in coords:
-            v = replay.standard_normal((3, k))
-            s = replay.uniform(0.0, 2.5)
+            v = np.reshape(box_muller_by_hand(replay, 3 * k), (3, k))
+            s = 2.5 * replay.random()
             expected = np.zeros((4, 4))
             expected[0, 0] = np.cosh(s)
             expected[1:, :k] = v / np.linalg.norm(v) * np.sinh(s)
             assert np.allclose(c, expected, rtol=1e-14, atol=0.0)
-        assert rng.bit_generator.state == replay.bit_generator.state
-        longer = random_coords(field, 3, 2.5, np.random.default_rng(24), 9)
-        assert np.array_equal(longer[:6], coords)
+        assert stream.getstate() == replay.getstate()
 
     @pytest.mark.parametrize("field,n", [(REAL, 2), (COMPLEX, 3), (QUATERNION, 2),
                                          (REAL, 5)])
     def test_per_point_draws_replayed_bit_for_bit(self, field, n):
-        # the per-point calls random_coords made before it drew flat normals
-        # and radius * random(): an (n, k) normal, its norm from v.flat,
-        # then uniform(0, radius); the same stream gives the same
-        # coordinates bit for bit, and leaves the generator where they did
-        k = {REAL: 1, COMPLEX: 2, QUATERNION: 4}[field]
+        # each point's uniforms, taken from the stream by hand and turned
+        # into its coordinates on their own, give the one-pass draw's
+        # coordinates bit for bit, and leave the stream where it did
+        k = FIELD_DIM[field]
+        width = 2 * -(-n * k // 2) + 1
         count = 40
         for seed in range(5):
             for radius in (0.3, 2.0, 16.0):
-                rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
-                coords = random_coords(field, n, radius, rng, count)
-                normals, radii = [], []
-                for _ in range(count):
-                    v = replay.standard_normal((n, k))
-                    while math.hypot(*v.flat) < 1e-12:
-                        v = replay.standard_normal((n, k))
-                    normals.append(v)
-                    radii.append(replay.uniform(0.0, radius))
-                dirs = np.zeros((count, n, 4))
-                dirs[:, :, :k] = normals
-                norm = np.sqrt(np.sum(dirs**2, axis=(-2, -1)))
-                s = np.array(radii)
-                want = np.zeros((count, n + 1, 4))
-                want[:, 0, 0] = np.cosh(s)
-                want[:, 1:] = dirs / norm[:, None, None] * np.sinh(s)[:, None, None]
-                assert np.array_equal(coords, want)
-                assert rng.bit_generator.state == replay.bit_generator.state
+                stream, replay = random.Random(seed), random.Random(seed)
+                coords = random_coords(field, n, radius, stream, count)
+                for c in coords:
+                    u = np.array([replay.random() for _ in range(width)])
+                    r = np.sqrt(-2.0 * np.log1p(-u[0:-1:2]))
+                    angle = 2.0 * math.pi * u[1:-1:2]
+                    normals = np.stack((r * np.cos(angle), r * np.sin(angle)), axis=-1)
+                    v = np.zeros((n, 4))
+                    v[:, :k] = normals.reshape(-1)[:n * k].reshape(n, k)
+                    s = radius * u[-1]
+                    want = np.zeros((n + 1, 4))
+                    want[0, 0] = np.cosh(s)
+                    want[1:] = v / np.sqrt(np.sum(v**2)) * np.sinh(s)
+                    assert np.array_equal(c, want)
+                assert stream.getstate() == replay.getstate()
+
+    @pytest.mark.parametrize("field,n", [(REAL, 1), (COMPLEX, 1), (QUATERNION, 3)])
+    def test_first_rows_of_a_larger_count(self, field, n):
+        # a block is drawn in one pass, and its first rows are the points
+        # a smaller count draws from the same stream, with the stream left
+        # after the smaller count's calls
+        width = 2 * -(-n * FIELD_DIM[field] // 2) + 1
+        longer = random_coords(field, n, 3.0, random.Random(5), 97)
+        for count in (0, 1, 2, 31, 96):
+            stream, replay = random.Random(5), random.Random(5)
+            assert np.array_equal(random_coords(field, n, 3.0, stream, count),
+                                  longer[:count])
+            for _ in range(count * width):
+                replay.random()
+            assert stream.getstate() == replay.getstate()
+
+    @pytest.mark.parametrize("field,n", [(REAL, 1), (REAL, 3), (COMPLEX, 2),
+                                         (QUATERNION, 2)])
+    def test_direction_and_radius_law(self, field, n):
+        # directions uniform on the unit sphere of R^(n k): mean 0 and
+        # second moment I / (n k), here within 5 sigma; radii uniform on
+        # [0, radius]
+        from scipy import stats
+
+        size, count, radius = n * FIELD_DIM[field], 20_000, 2.0
+        coords = random_coords(field, n, radius, random.Random(26), count)
+        tangent = coords[:, 1:, :FIELD_DIM[field]].reshape(count, size)
+        s = np.arcsinh(np.linalg.norm(tangent, axis=-1))
+        dirs = tangent / np.sinh(s)[:, None]
+        assert np.abs(dirs.mean(axis=0)).max() < 5.0 / math.sqrt(size * count)
+        second = dirs.T @ dirs / count
+        sigma = math.sqrt(3.0 / (size * (size + 2)) / count)
+        assert np.abs(second - np.eye(size) / size).max() < 5.0 * sigma
+        assert stats.kstest(s, "uniform", args=(0.0, radius)).pvalue > 1e-3
+
+    def test_one_normal_per_point(self):
+        # n k = 1: the direction is the sign of one normal, from a (u, v)
+        # pair whose sine is dropped
+        coords = random_coords(REAL, 1, 1.5, random.Random(27), 4000)
+        s = np.arcsinh(np.abs(coords[:, 1, 0]))
+        assert np.array_equal(coords[:, 1, 1:], np.zeros((4000, 3)))
+        assert np.allclose(coords[:, 0, 0], np.cosh(s), rtol=1e-15)
+        assert abs(np.mean(coords[:, 1, 0] > 0) - 0.5) < 5 * 0.5 / math.sqrt(4000)
+        replay = random.Random(27)
+        for c in coords[:3]:
+            z = box_muller_by_hand(replay, 1)[0]
+            r = 1.5 * replay.random()
+            assert c[1, 0] == pytest.approx(math.copysign(math.sinh(r), z), rel=1e-15)
+
+    @pytest.mark.parametrize("field,n", [(REAL, 1), (QUATERNION, 1), (COMPLEX, 3)])
+    def test_zero_normals_give_first_axis(self, field, n):
+        # all-zero normals (u = 0 in every pair) have no direction: the
+        # point goes along the first tangent axis; v and the radius's
+        # uniform still count
+        pairs = -(-n * FIELD_DIM[field] // 2)
+        uniforms = [value for _ in range(pairs) for value in (0.0, 0.3)]
+        coords = random_coords(field, n, 2.0, Uniforms(uniforms + [0.25]), 1)
+        want = np.zeros((1, n + 1, 4))
+        want[0, 0, 0], want[0, 1, 0] = np.cosh(0.5), np.sinh(0.5)
+        assert np.array_equal(coords, want)
+
+    def test_normal_rows_law(self):
+        # the rows kind p draws: standard normal columns, here within 5
+        # sigma in mean and second moment, and by a KS test; an odd width
+        # drops each row's last sine
+        from scipy import stats
+
+        count = 20_000
+        z = random_normals(random.Random(28), count, 3)
+        assert np.abs(z.mean(axis=0)).max() < 5.0 / math.sqrt(count)
+        assert np.abs(z.T @ z / count - np.eye(3)).max() < 5.0 * math.sqrt(2.0 / count)
+        for column in z.T:
+            assert stats.kstest(column, "norm").pvalue > 1e-3
+        replay = random.Random(28)
+        assert np.allclose(z[0], box_muller_by_hand(replay, 3), rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("field,n,radius", [("p", 2, 1.0), ("x", 2, 1.0),
                                                 (REAL, 0, 1.0), (REAL, 0, 0.0)])
     def test_unknown_space_rejected(self, field, n, radius):
         # only r, c and h are hyperbolic fields, and H^0 has no tangent
-        # direction: its empty normal draw would be redrawn forever
+        # direction
         with pytest.raises(ValueError):
-            random_coords(field, n, radius, np.random.default_rng(0), 1)
+            random_coords(field, n, radius, random.Random(0), 1)
 
     def test_zero_radius_draws_nothing(self):
-        rng = np.random.default_rng(25)
-        state = rng.bit_generator.state
-        coords = random_coords(QUATERNION, 2, 0.0, rng, 3)
-        assert rng.bit_generator.state == state
+        stream = random.Random(25)
+        state = stream.getstate()
+        coords = random_coords(QUATERNION, 2, 0.0, stream, 3)
+        assert stream.getstate() == state
         assert np.array_equal(coords, np.broadcast_to(axis_point(2, 0.0),
                                                       coords.shape))
 
