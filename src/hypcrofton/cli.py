@@ -366,7 +366,9 @@ def build_parser():
     p.add_argument("--pairs", type=_distances, default="0.5,1.0,2.0",
                    help="comma-separated geodesic distances from the base point")
     p.add_argument("--samples", type=_int_at_least(1), default=1_000_000)
-    p.add_argument("--workers", type=_int_at_least(1), default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1,
+                   help="worker processes, at most the CPUs available; the "
+                        "output does not depend on it")
     p.add_argument("--emit-csv", dest="emit_csv", default=None,
                    help="write (d, estimate, stderr) rows to PATH")
     common(p)

@@ -37,10 +37,10 @@ distances, not points: the distance of a pair of points is an entry of
 kernels.build_distance_matrix.
 
 Each estimator estimates many distances in one pass: each chunk draws its
-points once and every distance reads them, and one pool of threads serves
-them all.  So the estimates of one call use common random numbers, and
-the estimate of d in a call is the one that a call with d alone gives at
-the same seed.
+points once and every distance reads them, and one set of worker
+processes (_run_chunks) serves them all.  So the estimates of one call use
+common random numbers, and the estimate of d in a call is the one that a
+call with d alone gives at the same seed.
 
 Estimators are deterministic given a non-negative integer master seed:
 the samples are split into at least MIN_REPLICATES chunks of near-equal
@@ -52,8 +52,8 @@ estimate's stderr is the spread of the chunk means over the square root
 of their count.  A chunk holds at most CHUNK_SIZE = 2^14 points, so each
 of its arrays is at most 128 KiB and a worker's working set, nine of
 them and a bool mask for horospheres and five for hyperplanes, stays in
-a 2 MiB L2 cache.  The chunks that one thread runs in one call reuse the
-same arrays (_thread_arrays), and the kernels work in them in place.
+a 2 MiB L2 cache.  The chunks that one process runs in one call reuse
+the same arrays (_chunk_arrays), and the kernels work in them in place.
 
 CARRIERS holds one Carrier per family, keyed by the CLI's carrier names:
 its estimator of distances, the fields and distances it takes, and its
@@ -62,8 +62,11 @@ ratio estimate / d.  No estimator loads the geometry layer (spaces).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
+import pickle
 import random
 import sys
 import threading
@@ -76,7 +79,7 @@ from .algebra import FIELD_DIM, FIELDS, MAX_DISTANCE, REAL
 
 #: the most points per chunk: 2^14 float64 values are a 128 KiB array, so a
 #: worker's working set, the nine such arrays and a bool mask that every
-#: horosphere chunk of a thread reuses, stays in a 2 MiB L2 cache
+#: horosphere chunk of a process reuses, stays in a 2 MiB L2 cache
 CHUNK_SIZE = 1 << 14
 #: largest n, and largest k n, whose carrier measure is a positive normal
 #: float: vol(S^{n-1}) / 2 for the hyperplanes of H^n_R, vol(S^{kn-1}) for
@@ -134,10 +137,10 @@ def _doubled_antiderivative_at_artanh(m, s, c2, f):
     return f
 
 
-def _thread_arrays(count, masks=0):
+def _chunk_arrays(count, masks=0):
     """arrays(size) -> `count` float arrays, then `masks` bool arrays, of
-    `size` <= CHUNK_SIZE entries, the calling thread's own, which every
-    chunk the thread runs reuses.
+    `size` <= CHUNK_SIZE entries, which every chunk that one process runs
+    reuses: each worker process allocates its own at its first chunk.
 
     A chunk's fresh 128 KiB arrays cost a minor page fault per 4 KiB page
     whenever malloc has handed the freed top of the heap back to the system
@@ -146,13 +149,12 @@ def _thread_arrays(count, masks=0):
     that malloc can place each in heap pages already resident.  They hold
     one chunk's data at a time, so nothing may keep them past the chunk.
     """
-    local = threading.local()
+    held = []
 
     def arrays(size):
-        held = getattr(local, "arrays", None)
-        if held is None:
-            held = local.arrays = [np.empty(CHUNK_SIZE, dtype) for dtype in
-                                   [float] * count + [bool] * masks]
+        if not held:
+            held.extend(np.empty(CHUNK_SIZE, dtype)
+                        for dtype in [float] * count + [bool] * masks)
         return [a[:size] for a in held]
 
     return arrays
@@ -536,49 +538,127 @@ def _resolve_seed(seed):
     return seed
 
 
+def _usable_cpus():
+    """The CPUs this process may run on, or all of the machine's where the
+    platform keeps no affinity mask; 1 where it cannot fork, and while
+    other threads run: a forked child holds only the calling thread, so a
+    lock that another thread held at the fork would never be released in
+    it."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _run_chunks(chunk_fn, samples, seed, workers=1, dims=1):
     """Run chunk_fn(shifts, size) over the chunks of _chunk_sizes(samples),
     shifts being the chunk's `dims` uniform lattice shifts.
 
     One random.Random(seed) stream draws every chunk's shifts with
     random(), whose sequence for an integer seed Python keeps across
-    versions, in chunk order and in the calling thread before any chunk
+    versions, in chunk order and in the calling process before any chunk
     runs.  Returns the chunks' results in chunk order; they are independent
-    of worker count and scheduling because chunk sizes and shifts are fixed
-    by (samples, seed, chunk index).  With workers > 1, workers - 1 threads
-    and the calling thread take chunk indices from one shared counter and
-    store each result at its index; the first exception that any of them
-    raises is re-raised here once all have stopped.
+    of the worker count because chunk sizes and shifts are fixed by
+    (samples, seed, chunk index).  The worker count is capped at the CPUs
+    this process may use (_usable_cpus) and at the chunk count.  With w > 1
+    workers, w - 1 children forked with os.fork run the chunks i = j mod w,
+    j = 1, ..., w - 1, and the calling process runs those with j = 0:
+    numpy's short calls on a chunk's arrays hand the interpreter lock over
+    about as often as they compute, so threads would not overlap.  Each child sends its
+    results, or the first exception of its chunks, as one pickle over a
+    pipe and leaves through os._exit, so it flushes none of the caller's
+    buffers and runs none of its code.  Of the chunks that raise, the
+    lowest index's exception is re-raised here; a child that ends without
+    sending its outcome raises ChildProcessError.  Every child is reaped
+    before the call returns or raises, and killed first if the calling
+    process raises (KeyboardInterrupt included).
     """
     sizes = _chunk_sizes(samples)
     stream = random.Random(seed)
     shifts = [tuple(stream.random() for _ in range(dims)) for _ in sizes]
-    results = [None] * len(sizes)
-    errors = []
-    lock = threading.Lock()
-    indices = iter(range(len(sizes)))
+    workers = min(workers, len(sizes), _usable_cpus())
+    if workers == 1:
+        return [chunk_fn(s, size) for s, size in zip(shifts, sizes)]
 
-    def work():
-        while not errors:
-            with lock:
-                i = next(indices, None)
-            if i is None:
-                return
+    def share(j):
+        """({index: result}, None) for the chunks i = j mod workers, or
+        with (index, exception) of the first that raises."""
+        done = {}
+        for i in range(j, len(sizes), workers):
             try:
-                results[i] = chunk_fn(shifts[i], sizes[i])
-            except BaseException as exc:  # re-raised by the calling thread
-                errors.append(exc)
+                done[i] = chunk_fn(shifts[i], sizes[i])
+            except Exception as exc:  # re-raised by the calling process
+                return done, (i, exc)
+        return done, None
 
-    threads = [threading.Thread(target=work, daemon=True)
-               for _ in range(min(workers, len(sizes)) - 1)]
-    for thread in threads:
-        thread.start()
-    work()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    pipes = {}  # child pid -> the read end of its pipe
+    try:
+        for j in range(1, workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _serve_share(share, j, write)
+            pipes[pid] = open(read, "rb")
+            os.close(write)
+        outcomes = [share(0)]
+        for pid, pipe in list(pipes.items()):
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del pipes[pid]
+            pipe.close()
+            if code:
+                raise ChildProcessError(
+                    f"a chunk worker (pid {pid}) ended without its results: "
+                    f"{_exit_status(code)}")
+            outcomes.append(pickle.loads(data))
+    finally:
+        _kill_and_reap(pipes)
+    failures = [failure for _, failure in outcomes if failure]
+    if failures:
+        raise min(failures)[1]  # (index, exception): indices are distinct
+    results = [None] * len(sizes)
+    for done, _ in outcomes:
+        for i, result in done.items():
+            results[i] = result
     return results
+
+
+def _serve_share(share, j, write):
+    """A forked chunk worker: writes the pickle of share(j) to the file
+    descriptor `write` and exits, with status 0 only once all of it is
+    written."""
+    status = 1
+    try:
+        with open(write, "wb") as pipe:
+            pipe.write(pickle.dumps(share(j), pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _exit_status(code):
+    """A child's exit code (os.waitstatus_to_exitcode) in words."""
+    if code < 0:
+        import signal  # only a child killed by a signal needs its name
+
+        return f"killed by {signal.Signals(-code).name}"
+    return f"exit status {code}"
+
+
+def _kill_and_reap(pipes):
+    """Close each pipe of `pipes`, {pid: read end}, and kill and reap its
+    child."""
+    if not pipes:
+        return
+    import signal  # only a call that fails with children running needs it
+
+    for pid, pipe in pipes.items():
+        pipe.close()
+        with contextlib.suppress(ProcessLookupError, ChildProcessError):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _weighted_sum(v, w):
@@ -717,7 +797,7 @@ def hyperplane_crofton_many(n, ds, samples, seed=0, workers=1):
         # the hyperplanes of H^1_R are its points, of measure dp (S^0's
         # area 2, halved): those on the segment, measure d, each met once
         return _line_estimates(ds, samples, seed, workers, 1.0)
-    arrays = _thread_arrays(5)
+    arrays = _chunk_arrays(5)
     theta, _ = _sphere_law(1, n)
 
     def draw(shifts, size):
@@ -769,7 +849,7 @@ def horosphere_crofton_many(field, n, ds, samples, seed=0, workers=1):
         return _line_estimates(ds, samples, seed, workers, 2.0)
     e = k * (n + 1) - 3
     q = e + 1  # >= 1 once k n >= 2
-    arrays = _thread_arrays(9, masks=1)
+    arrays = _chunk_arrays(9, masks=1)
     law = _sphere_law(k, n)
     # a shift per graded angle, then the crossing coordinate's
     dims = sum(angle is not None for angle in law) + 1
@@ -828,7 +908,7 @@ def _arc_crofton_many(ds, samples, seed, workers, diameter, note):
     the diameter carries the note.
     """
     ds = [0.0 if d < MIN_ARC_DISTANCE else d for d in ds]
-    arrays = _thread_arrays(2, masks=1)
+    arrays = _chunk_arrays(2, masks=1)
 
     def draw(shifts, size):
         t, spare, _ = arrays(size)

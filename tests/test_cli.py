@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -425,9 +426,12 @@ class TestCrofton:
         ("projective", ("--dim", "2")),
         ("sphere", ("--dim", "2")),
     ], ids=["hyperplane", "horosphere", "projective", "sphere"])
-    def test_every_carrier_worker_invariant(self, capsys, carrier, args):
+    def test_every_carrier_worker_invariant(self, capsys, monkeypatch, carrier,
+                                            args):
         # the whole report, every estimate, stderr and histogram, is the same
-        # at any worker count, apart from the workers option it echoes
+        # at any worker count, apart from the workers option it echoes; three
+        # CPUs are visible, so --workers 3 runs three processes on any host
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         reports = []
         for workers in ("1", "2", "3"):
             code, out, _ = run_cli(capsys, "crofton", carrier, *args,
@@ -438,6 +442,26 @@ class TestCrofton:
             assert report["config"].pop("workers") == int(workers)
             reports.append(report)
         assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    def test_dead_worker_is_an_error(self, capsys, monkeypatch):
+        # a worker process killed mid-run is exit 2 with an error line that
+        # names its signal, not a traceback, and no child remains
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        caller, draw = os.getpid(), crofton._graded_lattice
+
+        def killed(*args):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return draw(*args)
+
+        monkeypatch.setattr(crofton, "_graded_lattice", killed)
+        code, out, err = run_cli(capsys, "crofton", "horosphere", "--field", "h",
+                                 "--pairs", "1", "--samples", "40000",
+                                 "--workers", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "killed by SIGKILL" in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_emit_csv(self, capsys, tmp_path):
         out_path = tmp_path / "est.csv"

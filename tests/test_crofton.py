@@ -1,9 +1,12 @@
 import dataclasses
 import functools
 import math
+import os
 import random
+import signal
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -60,6 +63,11 @@ def brute_force_horosphere_measure(field, x, y, R, samples, rng):
     ball = crofton.sphere_area(k * n - 1) \
         * (math.exp(R * (e + 1)) - math.exp(-R * (e + 1))) / (e + 1)
     return ball * counts.mean(), ball * counts.std() / math.sqrt(samples)
+
+
+def use_cpus(monkeypatch, count):
+    """Let the chunk pool see `count` usable CPUs, whatever this host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
 def combined_z(e1, e2):
@@ -722,9 +730,10 @@ class TestGradedLattice:
             assert sum(est.count_histogram.values()) == samples
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_pool_reraises_and_keeps_order(self, workers):
-        # results come back by chunk index whatever thread ran them, and an
+    def test_pool_reraises_and_keeps_order(self, monkeypatch, workers):
+        # results come back by chunk index whatever process ran them, and an
         # exception in any chunk reaches the caller
+        use_cpus(monkeypatch, workers)
         sizes = crofton._chunk_sizes(40_000)
         got = crofton._run_chunks(lambda shifts, size: (size, shifts),
                                   40_000, 7, workers, 2)
@@ -748,30 +757,174 @@ class TestGradedLattice:
             with pytest.raises(ValueError, match="non-negative integer seed"):
                 call()
 
-    def test_pool_runs_each_chunk_once_under_contention(self):
-        # more threads than cores and a short switch interval: every chunk
-        # index is taken exactly once, and its result lands at its index
-        samples = 300 * crofton.CHUNK_SIZE
-        runs = []
+    def test_pool_runs_each_chunk_once_across_processes(self, monkeypatch,
+                                                        tmp_path):
+        # three processes, whatever this host's CPUs: chunk i runs once, in
+        # the process of share i mod 3, the caller's for share 0, and its
+        # result lands at its index
+        use_cpus(monkeypatch, 3)
+        log = tmp_path / "runs"
 
         def chunk(shifts, size):
-            runs.append(size)
-            return shifts[0]
+            with open(log, "a", encoding="utf-8") as runs:
+                runs.write(f"{shifts[0]!r}\n")
+            return os.getpid(), shifts[0]
 
-        interval = sys.getswitchinterval()
-        done = []
-        sys.setswitchinterval(1e-6)
-        try:
-            worker = threading.Thread(target=lambda: done.append(
-                crofton._run_chunks(chunk, samples, 11, workers=8)))
-            worker.start()
-            worker.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not worker.is_alive()
-        assert len(runs) == 300
+        got = crofton._run_chunks(chunk, 40 * crofton.CHUNK_SIZE, 11, workers=3)
         replay = random.Random(11)
-        assert done == [[replay.random() for _ in range(300)]]
+        want = [replay.random() for _ in range(40)]
+        assert [shift for _, shift in got] == want
+        assert sorted(map(float, log.read_text().split())) == sorted(want)
+        pids = [pid for pid, _ in got]
+        assert set(pids[0::3]) == {os.getpid()}
+        assert all(len(set(pids[j::3])) == 1 for j in (1, 2))
+        assert len(set(pids)) == 3
+
+    @pytest.mark.parametrize("cpus,samples", [(2, 10**9), (1000, 2), (None, 10**9)],
+                             ids=["two-cpus", "two-chunks", "no-affinity"])
+    def test_workers_capped_at_cpus_and_chunks(self, monkeypatch, cpus, samples):
+        # --workers 100000 forks one child when the process may use two CPUs
+        # (os.cpu_count where there is no affinity mask) or there are two
+        # chunks, and the results are those of one worker
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity")
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        else:
+            use_cpus(monkeypatch, cpus)
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        got = crofton._run_chunks(lambda shifts, size: size, samples, 1,
+                                  workers=100_000)
+        assert len(forks) == 1
+        assert got == crofton._chunk_sizes(samples)
+
+    @pytest.mark.parametrize("why", ["no-fork", "threads"])
+    def test_one_process_where_forking_is_unsafe(self, monkeypatch, why):
+        # without os.fork, or while another thread runs, every chunk runs in
+        # the calling process
+        use_cpus(monkeypatch, 2)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        if why == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            other.start()
+        try:
+            got = crofton._run_chunks(lambda shifts, size: os.getpid(), 40_000,
+                                      1, workers=2)
+        finally:
+            stop.set()
+            if other.is_alive():
+                other.join()
+        assert got == [os.getpid()] * len(crofton._chunk_sizes(40_000))
+
+    def test_child_exception_reaches_the_caller(self, monkeypatch):
+        # the exception that a chunk raises in a child is re-raised in the
+        # caller with its type and message
+        use_cpus(monkeypatch, 2)
+        caller = os.getpid()
+
+        def chunk(shifts, size):
+            if os.getpid() != caller:
+                raise ArithmeticError(f"chunk failed in {os.getpid()}")
+            return size
+
+        with pytest.raises(ArithmeticError, match="chunk failed in") as caught:
+            crofton._run_chunks(chunk, 40_000, 7, workers=2)
+        assert int(str(caught.value).split()[-1]) != caller
+
+    @pytest.mark.parametrize("failing", [{2, 3, 5}, {3, 4, 5}, {1, 6}, {4, 2},
+                                         {9, 15}],
+                             ids=["child-2", "caller", "child-1-before-caller",
+                                  "child-2-before-child-1", "caller-twice"])
+    def test_lowest_failing_chunk_wins(self, monkeypatch, failing):
+        # chunk i runs in share i mod 3: of the chunks that raise, in any
+        # of the processes, the lowest index's exception reaches the caller
+        use_cpus(monkeypatch, 3)
+        replay = random.Random(7)
+        index = {(replay.random(),): i
+                 for i in range(len(crofton._chunk_sizes(40_000)))}
+
+        def chunk(shifts, size):
+            if index[shifts] in failing:
+                raise LookupError(f"chunk {index[shifts]}")
+            return size
+
+        with pytest.raises(LookupError, match=f"^chunk {min(failing)}$"):
+            crofton._run_chunks(chunk, 40_000, 7, workers=3)
+
+    @pytest.mark.parametrize("fails_in", [None, "child", "caller", "interrupt"])
+    def test_no_child_outlives_the_call(self, monkeypatch, fails_in):
+        # after a success, a child's exception, the caller's and an
+        # interrupt of the caller, this process has no child left: an
+        # interrupted call kills its children, which would otherwise sleep
+        # for a minute
+        use_cpus(monkeypatch, 3)
+        caller = os.getpid()
+
+        def chunk(shifts, size):
+            if os.getpid() == caller:
+                if fails_in == "caller":
+                    raise ArithmeticError("caller failed")
+                if fails_in == "interrupt":
+                    raise KeyboardInterrupt
+            elif fails_in == "child":
+                raise ArithmeticError("child failed")
+            elif fails_in == "interrupt":
+                time.sleep(60)
+            return size
+
+        start = time.perf_counter()
+        if fails_in is None:
+            crofton._run_chunks(chunk, 40_000, 7, workers=3)
+        else:
+            with pytest.raises(KeyboardInterrupt if fails_in == "interrupt"
+                               else ArithmeticError):
+                crofton._run_chunks(chunk, 40_000, 7, workers=3)
+        assert time.perf_counter() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("how", ["killed", "killed-mid-write", "unpicklable"])
+    def test_child_without_result(self, monkeypatch, tmp_path, how):
+        # a child that ends without sending all of its outcome, killed
+        # before or while it writes or unable to pickle its results, is a
+        # ChildProcessError that names its exit status, not an unpickling
+        # error, and no child remains
+        use_cpus(monkeypatch, 2)
+        caller = os.getpid()
+        ready = tmp_path / "child"
+
+        def chunk(shifts, size):
+            if os.getpid() == caller:
+                if how == "killed-mid-write" and shifts == last:
+                    # the child's outcome outgrows the pipe's buffer, so it
+                    # is still writing when it is killed
+                    while not ready.exists():
+                        time.sleep(0.01)
+                    time.sleep(0.2)
+                    os.kill(int(ready.read_text()), signal.SIGKILL)
+                return size
+            if how == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            if how == "unpicklable":
+                return lambda: size
+            ready.write_text(str(os.getpid()))
+            return bytes(1 << 20)
+
+        replay = random.Random(7)
+        last = [(replay.random(),) for _ in crofton._chunk_sizes(40_000)][-2]
+        status = "exit status 1" if how == "unpicklable" else "killed by SIGKILL"
+        with pytest.raises(ChildProcessError, match=status):
+            crofton._run_chunks(chunk, 40_000, 7, workers=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("field,n", [(REAL, 2), (REAL, 3), (COMPLEX, 2),
                                          (COMPLEX, 3), (QUATERNION, 2),
@@ -966,23 +1119,28 @@ class TestSharedDraws:
         ("projective", (REAL, 2), "_shifted"),
         ("sphere", (REAL, 2), "_shifted"),
     ], ids=["hyperplane", "horosphere", "projective", "sphere"])
-    def test_one_draw_per_chunk(self, monkeypatch, carrier, args, sampler,
-                                workers):
+    def test_one_draw_per_chunk(self, monkeypatch, tmp_path, carrier, args,
+                                sampler, workers):
         # the lattice points are drawn once per chunk, however many
-        # distances read them
-        calls = []
+        # distances read them; every worker process appends the pid of each
+        # draw to one file
+        use_cpus(monkeypatch, workers)
+        log = tmp_path / "draws"
         real = getattr(crofton, sampler)
 
         def counted(*a):
-            calls.append(a)
+            with open(log, "a", encoding="utf-8") as draws:
+                draws.write(f"{os.getpid()}\n")
             return real(*a)
 
         monkeypatch.setattr(crofton, sampler, counted)
         estimate = crofton.CARRIERS[carrier].estimate
         for ds in ((0.5,), (0.5, 1.0, 1.5, 0.25)):
-            calls.clear()
+            log.write_text("")
             estimate(*args, ds, SHARED_SAMPLES, 3, workers)
-            assert len(calls) == len(crofton._chunk_sizes(SHARED_SAMPLES))
+            pids = log.read_text().split()
+            assert len(pids) == len(crofton._chunk_sizes(SHARED_SAMPLES))
+            assert len(set(pids)) == workers
 
     def test_no_draw_without_a_positive_distance(self, monkeypatch):
         def refuse(*args):

@@ -74,7 +74,7 @@ POINTS = "\n".join([
 ]) + "\n"
 
 #: 40000 and 1000 samples are each 16 replicate chunks (crofton.MIN_REPLICATES),
-#: which --workers 2 runs on the calling thread and one more
+#: which --workers 2 runs in the calling process and one forked child
 CROFTON_ARGS = {
     "hyperplane": ("--dim", "3"),
     "horosphere": ("--field", "h", "--dim", "2"),
@@ -144,8 +144,10 @@ class TestSubcommandImports:
         # every carrier's estimator takes distances, not points, so no run
         # loads the geometry layer
         assert "hypcrofton.spaces" not in modules
-        # the chunk pool is plain threads: no run loads concurrent.futures
+        # the chunk pool forks with os.fork: no run loads concurrent.futures
+        # or multiprocessing
         assert "concurrent.futures" not in modules
+        assert "multiprocessing" not in modules
         # the lattice shifts come from the standard library's random
         assert "numpy.random" not in modules
 
