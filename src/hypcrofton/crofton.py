@@ -19,22 +19,38 @@ congruent to the axis segment from -d/2 to d/2 through the base point, and
 the base point's stabiliser (O(n), U(n), Sp(n)) keeps the uniform law of
 directions, so a direction's value depends on d, its first coordinate w1
 and |w_rest|^2 alone: on the angles theta, with |w1| = cos theta, and phi,
-with |Re w1| = |w1| cos phi, whose laws _sphere_law gives.  The points
-are not uniform directions but graded lattice points in these angles
-(_graded_lattice): a randomly shifted rank-1 lattice whose coordinates t
-stand for the angles at tan(angle/2) = t^GRADE, which crowds them towards
-w1 = 1, where long segments concentrate their values, and each point
-carries its angle law's density times the derivative of the angle in t
-as its weight.  All of it is formed without a trigonometric call, and
-the horosphere levels come from the angles' half-angle forms (1 - cos)/2
-and sin/2, so that nothing cancels near w1 = 1.  The
+with |Re w1| = |w1| cos phi, whose laws _sphere_law gives.  The
 projective and sphere estimators do the same on the canonical arc from e1
 to (cos d, sin d, 0, ...): O(n+1) is transitive on arcs of length d, and a
 hypersurface u-perp meets that arc according to the angle of u's
-projection onto the arc's plane alone, which is uniform, so their points
-are a shifted grid in that angle, of equal weight.  Every estimator takes
-distances, not points: the distance of a pair of points is an entry of
-kernels.build_distance_matrix.
+projection onto the arc's plane alone, which is uniform.  Every estimator
+takes distances, not points: the distance of a pair of points is an entry
+of kernels.build_distance_matrix.
+
+Every estimator's points come from one sampler, _lattice: a randomly
+shifted rank-1 lattice whose coordinates each carrier declares once, as
+(fraction, law, fold) triples.  A coordinate steps by g / N, g the
+integer prime to the chunk size N nearest N times the fraction
+(_generator), and stands for a graded angle with its law, or is a plain
+uniform.  A graded coordinate t stands for its angle at tan(angle/2) =
+t^GRADE, which crowds the points towards w1 = 1, where long segments
+concentrate their values, and each point carries its angle laws' density
+times the derivative of the angles in t as its weight.  The carriers'
+coordinates:
+
+- hyperplanes: theta, on the step 1 / N;
+- horospheres: the angles that _sphere_law does not fix, theta's first,
+  on 1 / N and then the golden ratio's step, with phi's coordinate folded;
+  an angle the law fixes (theta at n = 1, phi over R, so that H^1_C and
+  H^1_H have phi alone, on 1 / N) reads sin = (1 - cos)/2 = 0 and cos = 1.
+  A last plain coordinate on sqrt(2)'s step gives each point's uniform
+  for the crossing tally;
+- arcs: one plain coordinate, the grid t = frac(i / N + shift) in the
+  projected angle, of equal weight.
+
+All of it is formed without a trigonometric call, and the horosphere
+levels come from the angles' half-angle forms (1 - cos)/2 and sin/2, so
+that nothing cancels near w1 = 1.
 
 Each estimator estimates many distances in one pass: each chunk draws its
 points once and every distance reads them, and one set of worker
@@ -64,7 +80,9 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
+import operator
 import os
 import pickle
 import random
@@ -81,12 +99,6 @@ from .algebra import FIELD_DIM, FIELDS, MAX_DISTANCE, REAL
 #: worker's working set, the nine such arrays and a bool mask that every
 #: horosphere chunk of a process reuses, stays in a 2 MiB L2 cache
 CHUNK_SIZE = 1 << 14
-#: largest n, and largest k n, whose carrier measure is a positive normal
-#: float: vol(S^{n-1}) / 2 for the hyperplanes of H^n_R, vol(S^{kn-1}) for
-#: the horospheres of H^n_F (k = dim F); vol(S^m) falls below 2.2e-308 past
-#: m = 437
-MAX_HYPERPLANE_DIM = 437
-MAX_HOROSPHERE_DIM = 438
 #: the projective and sphere estimators take a pair at a shorter distance as
 #: coincident, with estimate 0
 MIN_ARC_DISTANCE = 1e-12
@@ -170,8 +182,8 @@ GRADE = 4
 #: estimate's stderr is taken from
 MIN_REPLICATES = 16
 #: the golden ratio's fractional part, which sets the lattice generator of
-#: the angles' second coordinate, and sqrt(2)'s, which sets that of the
-#: horospheres' crossing coordinate
+#: the second graded angle, and sqrt(2)'s, which sets that of the
+#: horospheres' crossing coordinate (_generator)
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 _SILVER = math.sqrt(2.0) - 1.0
 #: the lattice index i as a float, shared read-only by every chunk
@@ -194,37 +206,22 @@ def _chunk_sizes(samples):
 
 @functools.lru_cache(maxsize=128)
 def _generator(size, fraction):
-    """The integer prime to size nearest size * fraction, at least 1."""
+    """The integer prime to size nearest size * fraction, at least 1: the
+    generator g of a lattice coordinate (_lattice), whose points i g / size
+    mod 1, i < size, are then a permutation of i / size.
+
+    Fraction 0 gives g = 1, the plain grid.  The golden ratio's fractional
+    part makes (1, g) a Fibonacci lattice when size is a Fibonacci number,
+    and close to one otherwise.  sqrt(2)'s gives a third coordinate that is
+    neither g nor g^2 mod size, which is +-1 for a Fibonacci size and would
+    repeat the first.
+    """
     g = max(1, round(fraction * size))
     for step in range(size):
         for candidate in (g - step, g + step):
             if candidate >= 1 and math.gcd(candidate, size) == 1:
                 return candidate
     raise AssertionError("1 is prime to every size")
-
-
-def _lattice_steps(size):
-    """(1 / size, g / size): the steps of the rank-1 lattice of the points
-    (i, i g) / size mod 1, i < size.
-
-    The generator g is the integer prime to size nearest size times the
-    golden ratio's fractional part, so the lattice is a Fibonacci lattice
-    when size is a Fibonacci number, and close to one otherwise.
-    """
-    return 1.0 / size, _generator(size, _GOLDEN) / size
-
-
-def _crossing_step(size):
-    """g2 / size: the step of the horospheres' third lattice coordinate,
-    i g2 / size mod 1, with g2 the integer prime to size nearest size
-    times sqrt(2)'s fractional part.
-
-    Its own shift keeps each point's coordinate uniform and independent of
-    its angles, which is all the crossing tally needs; g2 is not g, nor
-    g^2 mod size, which is +-1 for a Fibonacci size and would repeat the
-    first coordinate.
-    """
-    return _generator(size, _SILVER) / size
 
 
 def _shifted(step, shift, t, spare):
@@ -295,30 +292,38 @@ def _graded_angle(law, t, hav, cos, weight, spare):
     return hav, t, cos
 
 
-def _graded_lattice(angles, shifts, weight, spare):
-    """One chunk's points of a randomly shifted rank-1 lattice, one
-    coordinate per graded angle, and their weights, written into arrays.
+def _lattice(lattice, arrays, shifts, weight, spare):
+    """One chunk's points of a randomly shifted rank-1 lattice, and their
+    weights, written into arrays.
 
-    angles holds a (law, (t, hav, cos), fold) per angle: its law and the
-    arrays its coordinate, (1 - cos)/2 and cosine are written into, sin/2
-    in t (_graded_angle), and whether its coordinate is folded by the tent
-    map t -> 1 - |2t - 1| = 2 min(t, 1 - t), which keeps it uniform and
-    makes an integrand that differs at t = 0 and t = 1 continuous where
-    the lattice wraps.  shifts holds the chunk's uniform shift of each
-    angle's coordinate; the weights, the product of the angles' weights
-    with their constants, are written into weight, and spare is
-    overwritten.  Every point's weighted value has the law's mean as its
+    lattice declares a carrier's coordinates, a (fraction, law, fold) each:
+    the coordinate frac(i g / size + shift), i < size, has the generator g
+    = _generator(size, fraction), 1 at fraction 0; law is the law of the
+    angle it stands for (_graded_angle), or None for a plain uniform
+    coordinate; fold says whether it is folded by the tent map t -> 1 -
+    |2t - 1| = 2 min(t, 1 - t), which keeps it uniform and makes an
+    integrand that differs at t = 0 and t = 1 continuous where the lattice
+    wraps.  arrays holds each coordinate's arrays, (t,) for a plain one
+    and (t, hav, cos) for an angle, which get its sin/2 in t, (1 - cos)/2
+    and cos; shifts holds the chunk's uniform shift of each coordinate.
+    The weights, the product of the angles' weights with their constants,
+    are written into weight, None when no coordinate is an angle; spare is
+    overwritten.  Every point's weighted value has the laws' mean as its
     expectation, so each chunk is an independent, unbiased replicate.
+    Raises ValueError when arrays or shifts do not hold one entry per
+    coordinate.
     """
-    steps = _lattice_steps(weight.size)
-    weight.fill(math.prod(_law_constant(law) for law, *_ in angles))
-    for (law, (t, hav, cos), fold), step, shift in zip(angles, steps, shifts):
-        _shifted(step, shift, t, spare)
+    if weight is not None:
+        weight.fill(math.prod(_law_constant(law) for _, law, _ in lattice if law))
+    for (fraction, law, fold), (t, *angle), shift in zip(lattice, arrays, shifts,
+                                                         strict=True):
+        _shifted(_generator(t.size, fraction) / t.size, shift, t, spare)
         if fold:
             np.subtract(1.0, t, out=spare)
             np.minimum(t, spare, out=t)
             t *= 2.0
-        _graded_angle(law, t, hav, cos, weight, spare)
+        if law:
+            _graded_angle(law, t, *angle, weight, spare)
 
 
 def _sphere_law(k, n):
@@ -333,40 +338,6 @@ def _sphere_law(k, n):
     """
     return ((k, k * (n - 1)) if n > 1 else None,
             (1, k - 1) if k > 1 else None)
-
-
-def _lattice_statistics(law, shifts, arrays):
-    """(hav_theta, sin_theta, cos_theta, hav_phi, w): one chunk's graded
-    lattice points as the angles theta, with |w1| = cos theta, and phi,
-    with |Re w1| = |w1| cos phi, of unit directions w, in the half-angle
-    forms (1 - cos theta) / 2, sin(theta) / 2, cos theta and (1 - cos phi)
-    / 2, with their weights w.
-
-    law = (theta, phi) as _sphere_law gives it and shifts the chunk's shift
-    of each of its angles, theta's first; arrays are eight float arrays of
-    the chunk's size, in the order (hav_theta, cos_theta, hav_phi, spare,
-    w, sin_theta and two more spares).  An angle the law fixes at 0 reads
-    hav = sin = 0 and cos = 1.  phi's coordinate is folded
-    (_graded_lattice): its weight vanishes at phi = 0 but not at pi/2,
-    where Re w1 = 0 and a horosphere direction's value is not 0.  theta's
-    weight vanishes at both ends when k > 1.
-    """
-    (hav_theta, cos_theta, hav_phi, spare, weight,
-     sin_theta, t_phi, cos_phi) = arrays
-    theta, phi = law
-    angles = []
-    if theta:
-        angles.append((theta, (sin_theta, hav_theta, cos_theta), False))
-    else:
-        hav_theta.fill(0.0)
-        sin_theta.fill(0.0)
-        cos_theta.fill(1.0)
-    if phi:
-        angles.append((phi, (t_phi, hav_phi, cos_phi), True))
-    else:
-        hav_phi.fill(0.0)
-    _graded_lattice(angles, shifts, weight, spare)
-    return hav_theta, sin_theta, cos_theta, hav_phi, weight
 
 
 # -- estimates -----------------------------------------------------------------
@@ -428,7 +399,7 @@ def _radial_potential(G, e, spare):
 def _horosphere_levels(hav_theta, sin_theta, cos_theta, hav_phi, cross, e):
     """(low, high, gamma, peak): the part of a direction's values free of d,
     in hav_theta, cos_theta, hav_phi and cross, from the direction's
-    half-angle statistics (_lattice_statistics); sin_theta is overwritten.
+    half-angle statistics (_lattice); sin_theta is overwritten.
 
     On the axis segment of length d, p(s) = x0 cosh s + v sinh s, s in
     [0, d], runs along the first axis from -d/2 to d/2.  For xi = (1, w),
@@ -536,6 +507,18 @@ def _resolve_seed(seed):
     if seed < 0:
         raise ValueError(f"expected non-negative integer seed, got {seed}")
     return seed
+
+
+def _resolve_count(name, count):
+    """A call's samples or workers as an int.  Raises ValueError for one
+    that is not an integer >= 1."""
+    try:
+        value = operator.index(count)
+    except TypeError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+    return value
 
 
 def _usable_cpus():
@@ -682,30 +665,38 @@ def _merge_moments(a, b):
     return na + nb, sa + sb, ma + mb + delta * delta * (na * nb / (na + nb)), ha + hb
 
 
-def _conditional_estimate(ds, samples, seed, workers, measure, dims, draw,
+def _conditional_estimate(ds, samples, seed, workers, measure, lattice, draw,
                           values, log_value_bound=None, resolution=0.0):
     """measure times the weighted mean over the chunks' points of a
     closed-form value, one estimate per distance d in ds.
 
-    draw(shifts, size) forms a chunk of `size` points from its `dims`
-    lattice shifts (_run_chunks) and returns what their values share
-    across distances; values(d, shared) returns the sum over the chunk of
-    the measure of the carriers meeting the canonical segment of length
-    d, each point's value times its weight, and the counts
-    (zeros, ones, twos) of points whose drawn carrier crosses it 0, 1 and 2
-    times, which the histogram tallies.  Each chunk draws once for every d,
+    draw(shifts, size) forms a chunk of `size` points from its shifts, one
+    per coordinate that `lattice` declares (_lattice, _run_chunks), and
+    returns what their values share across distances; values(d, shared)
+    returns the sum over the chunk of the measure of the carriers meeting
+    the canonical segment of length d, each point's value times its
+    weight, and the counts (zeros, ones, twos) of points whose drawn
+    carrier crosses it 0, 1 and 2 times, which the histogram tallies.  Each chunk draws once for every d,
     so the estimates of one call share their points.  Each chunk is one
     replicate: per d, the chunks' sums are merged in chunk order with
     Chan's update, each chunk counted as its size with no spread of its
     own, so the merged centred sum of squares is the spread of the chunk
     means, and the stderr is that spread over the square root of the chunk
     count (_moment_estimate), or the bound that `resolution` sets, whichever
-    is larger.  Raises ValueError for a d that is not finite
-    and >= 0, for one whose log_value_bound(d), the log of the largest
-    value one direction can carry, exceeds LOG_VALUE_LIMIT, and for an
-    estimate or stderr that underflows below the smallest normal float.
+    is larger.  Raises ValueError, before any chunk runs, for samples or
+    workers that are not an integer >= 1, for a measure that is not a
+    positive normal float (past some dimension the carrier measure
+    underflows), for a d that is not finite and >= 0 and for one whose
+    log_value_bound(d), the log of the largest value one direction can
+    carry, exceeds LOG_VALUE_LIMIT; and for an estimate or stderr that
+    underflows below the smallest normal float.
     """
     seed = _resolve_seed(seed)
+    samples = _resolve_count("samples", samples)
+    workers = _resolve_count("workers", workers)
+    if not sys.float_info.min <= measure < math.inf:
+        raise ValueError(f"the carrier measure {measure:.3g} is not a positive "
+                         f"normal float: take a lower dimension")
     ds = tuple(ds)
     for d in ds:
         if not (math.isfinite(d) and d >= 0.0):
@@ -724,7 +715,8 @@ def _conditional_estimate(ds, samples, seed, workers, measure, dims, draw,
         return [(size, total, 0.0, counts)
                 for total, counts in (values(d, shared) for d in live)]
 
-    chunks = _run_chunks(chunk, samples, seed, workers, dims) if live else []
+    chunks = _run_chunks(chunk, samples, seed, workers, len(lattice)) \
+        if live else []
     merged = (functools.reduce(_merge_moments, per_d) for per_d in zip(*chunks))
     return [_zero_estimate(seed, samples) if d == 0.0
             else _moment_estimate(d, measure, samples, seed, len(chunks),
@@ -766,7 +758,7 @@ def _line_estimates(ds, samples, seed, workers, measure):
     its carrier meets the segment once: nothing is drawn, and the values do
     not lose bits to a closed form that is d only in exact arithmetic."""
     return _conditional_estimate(
-        ds, samples, seed, workers, measure, 0, lambda shifts, size: size,
+        ds, samples, seed, workers, measure, (), lambda shifts, size: size,
         lambda d, size: (d * size, np.array((0, size, 0))))
 
 
@@ -781,28 +773,28 @@ def hyperplane_crofton_many(n, ds, samples, seed=0, workers=1):
     between -+tanh(d/2) w1; F' = cosh^{n-1} is even, so that direction
     carries 2 F(artanh(tanh(d/2) w1)), in closed form in tanh(d/2) w1
     (_doubled_antiderivative_at_artanh), with w1 = |w_1| = cos theta.  Each
-    chunk's points are graded lattice points in theta, with its law
-    (_sphere_law, _graded_lattice), shared by every d; each value is
-    multiplied by its point's weight.  The (p, w) chart double-covers the
-    hyperplane space, hence the halved sphere area.  At n = 1 every
-    direction carries exactly d, and nothing is drawn.  Raises ValueError
-    for n outside [1, MAX_HYPERPLANE_DIM], and for a d where a direction's
-    value 2 F(d/2) <= d cosh^{n-1}(d/2) can pass e^LOG_VALUE_LIMIT.
+    chunk's points are graded lattice points in theta, the lattice's one
+    coordinate, with its law (_sphere_law, _lattice), shared by every d;
+    each value is multiplied by its point's weight.  The (p, w) chart
+    double-covers the hyperplane space, hence the halved sphere area.  At
+    n = 1 every direction carries exactly d, and nothing is drawn.  Raises
+    ValueError for n < 1, for an n past 437, where the measure vol(S^(n-1))
+    / 2 is not a positive normal float (_conditional_estimate), and for a
+    d where a direction's value 2 F(d/2) <= d cosh^{n-1}(d/2) can pass
+    e^LOG_VALUE_LIMIT.
     """
-    if not 1 <= n <= MAX_HYPERPLANE_DIM:
-        raise ValueError(f"hyperplane estimates support dimensions 1 to "
-                         f"{MAX_HYPERPLANE_DIM}, where the carrier measure "
-                         f"vol(S^(n-1)) / 2 is a positive normal float; got {n}")
+    if n < 1:
+        raise ValueError(f"hyperplane estimates need a dimension n >= 1, got {n}")
     if n == 1:
         # the hyperplanes of H^1_R are its points, of measure dp (S^0's
         # area 2, halved): those on the segment, measure d, each met once
         return _line_estimates(ds, samples, seed, workers, 1.0)
     arrays = _chunk_arrays(5)
-    theta, _ = _sphere_law(1, n)
+    lattice = ((0.0, _sphere_law(1, n)[0], False),)  # theta, on 1 / N
 
     def draw(shifts, size):
         w1, weight, s, c2, f = arrays(size)
-        _graded_lattice([(theta, (s, c2, w1), False)], shifts, weight, f)
+        _lattice(lattice, [(s, c2, w1)], shifts, weight, f)
         return w1, weight
 
     def values(d, shared):
@@ -814,7 +806,8 @@ def hyperplane_crofton_many(n, ds, samples, seed=0, workers=1):
         return _weighted_sum(f, weight), np.array((0, f.size, 0))
 
     return _conditional_estimate(
-        ds, samples, seed, workers, sphere_area(n - 1) / 2.0, 1, draw, values,
+        ds, samples, seed, workers, sphere_area(n - 1) / 2.0, lattice, draw,
+        values,
         lambda d: math.log(d) + (n - 1) * math.log(math.cosh(0.5 * d)))
 
 
@@ -826,23 +819,26 @@ def horosphere_crofton_many(field, n, ds, samples, seed=0, workers=1):
     range over S^{kn-1}; the radius of (1, w) is integrated against r^e
     dr, e = k(n+1) - 3, in closed form on the axis segment of length d,
     where only w's first coordinate w1 and the norm of the others enter.
-    Each chunk's points are graded lattice points in the angles of |w1| and
-    Re w1, with their laws (_sphere_law), in their half-angle forms
-    (_lattice_statistics); it forms them, the levels' d-free part with Phi
-    at G's interior minimum (_horosphere_levels) and a third lattice
-    coordinate, the uniforms of the crossing counts, once for every d, and
-    each value is multiplied by its point's weight.  At k n = 1 every direction carries
-    exactly d, and nothing is drawn.  Raises ValueError for k n outside [1,
-    MAX_HOROSPHERE_DIM], and for a d where a direction's value, at most
-    twice Phi(e^{d/2}) = 2 e^{d(e+1)/2} / (e+1) since G >= e^{-d} on the
-    segment, can pass e^LOG_VALUE_LIMIT.
+    Each chunk's points are graded lattice points in the angles theta of
+    |w1| and phi of Re w1, with their laws (_sphere_law), in their
+    half-angle forms (_lattice), plus a plain coordinate, the uniforms of
+    the crossing counts; it forms them and the levels' d-free part with
+    Phi at G's interior minimum (_horosphere_levels) once for every d, and
+    each value is multiplied by its point's weight.  At k n = 1 every
+    direction carries exactly d, and nothing is drawn.  Raises ValueError
+    for a field other than r, c and h, for k n < 1, for a k n past 438,
+    where the measure vol(S^(kn-1)) is not a positive normal float
+    (_conditional_estimate), and for a d where a direction's value, at
+    most twice Phi(e^{d/2}) = 2 e^{d(e+1)/2} / (e+1) since G >= e^{-d} on
+    the segment, can pass e^LOG_VALUE_LIMIT.
     """
+    if field not in FIELD_DIM:
+        raise ValueError(f"horosphere estimates take the fields "
+                         f"{', '.join(FIELDS)}, got {field!r}")
     k = FIELD_DIM[field]
-    if not 1 <= k * n <= MAX_HOROSPHERE_DIM:
-        raise ValueError(f"horosphere estimates support k n from 1 to "
-                         f"{MAX_HOROSPHERE_DIM} (k = {k} for field {field!r}), "
-                         f"where the carrier measure vol(S^(kn-1)) is a positive "
-                         f"normal float; got k n = {k * n}")
+    if k * n < 1:
+        raise ValueError(f"horosphere estimates need k n >= 1 (k = {k} for "
+                         f"field {field!r}), got k n = {k * n}")
     if k * n == 1:
         # S^0's two directions, w1 = 1 once its sign is dropped, carry the
         # points of H^1_R with log r on the segment: measure d, each met once
@@ -851,24 +847,38 @@ def horosphere_crofton_many(field, n, ds, samples, seed=0, workers=1):
     q = e + 1  # >= 1 once k n >= 2
     arrays = _chunk_arrays(9, masks=1)
     law = _sphere_law(k, n)
-    # a shift per graded angle, then the crossing coordinate's
-    dims = sum(angle is not None for angle in law) + 1
+    # the angles the law does not fix, theta's first, step by 1 / N, then by
+    # the golden ratio's g / N; phi's coordinate is folded: its weight
+    # vanishes at phi = 0 but not at pi/2, where Re w1 = 0 and a direction's
+    # value is not 0 (theta's vanishes at both ends when k > 1); the
+    # crossing coordinate steps by sqrt(2)'s g / N, so each point's uniform
+    # is independent of its angles
+    graded = [(angle, fold) for angle, fold in zip(law, (False, True)) if angle]
+    lattice = (*((fraction, *angle)
+                 for fraction, angle in zip((0.0, _GOLDEN), graded)),
+               (_SILVER, None, False))
 
     def draw(shifts, size):
-        hav_theta, cos_theta, hav_phi, cross, weight, u, *out = arrays(size)
-        stats = _lattice_statistics(law, shifts, (hav_theta, cos_theta, hav_phi,
-                                                  cross, weight, *out[:3]))
+        (hav_theta, cos_theta, hav_phi, cross, weight, u,
+         sin_theta, t_phi, cos_phi, mask) = arrays(size)
+        angles = ((sin_theta, hav_theta, cos_theta), (t_phi, hav_phi, cos_phi))
+        for angle, (sin, hav, cos) in zip(law, angles):
+            if not angle:  # fixed at 0
+                sin.fill(0.0)
+                hav.fill(0.0)
+                cos.fill(1.0)
+        _lattice(lattice, [*itertools.compress(angles, law), (u,)], shifts,
+                 weight, cross)
         # q Phi at G's minimum overflows for points near w1 = 1, whose
         # minimum lies outside every segment the value bound admits (there
         # G >= e^{-d} and Phi <= e^LOG_VALUE_LIMIT): capped at q times
         # that, finite for every admitted k n, their masked excess is a
         # finite 0
         with np.errstate(over="ignore"):
-            levels = _horosphere_levels(*stats[:4], cross, e)
+            levels = _horosphere_levels(hav_theta, sin_theta, cos_theta,
+                                        hav_phi, cross, e)
         np.minimum(levels[3], q * math.exp(LOG_VALUE_LIMIT), out=levels[3])
-        # the crossing tally's uniforms: a third coordinate of the lattice
-        _shifted(_crossing_step(size), shifts[-1], u, out[0])
-        return levels, u, weight, out
+        return levels, u, weight, (sin_theta, t_phi, cos_phi, mask)
 
     def values(d, shared):
         levels, u, weight, out = shared
@@ -885,7 +895,8 @@ def horosphere_crofton_many(field, n, ds, samples, seed=0, workers=1):
             np.array((0, v.size - doubles, doubles))
 
     return _conditional_estimate(
-        ds, samples, seed, workers, sphere_area(k * n - 1), dims, draw, values,
+        ds, samples, seed, workers, sphere_area(k * n - 1), lattice, draw,
+        values,
         lambda d: 0.5 * d * q + math.log(2.0 / q))
 
 
@@ -898,7 +909,7 @@ def _arc_crofton_many(ds, samples, seed, workers, diameter, note):
     phi cos(phi - d) < 0 for the angle phi of u's projection onto the arc's
     plane.  phi is uniform, and the test does not change under phi -> phi +
     pi, so each chunk's points are the shifted grid t = frac(i / N +
-    shift), i < N, at phi = pi (t + 1/2): there cos phi cos(phi - d) =
+    shift), i < N, the lattice's one plain coordinate, at phi = pi (t + 1/2): there cos phi cos(phi - d) =
     sin(pi t) sin(pi t - d), which is negative exactly when 0 < t < d / pi.
     Every point weighs alike, and a chunk's hit fraction is m / N or (m +
     1) / N, m = floor(N d / pi): two values, whose spread over the chunks
@@ -909,17 +920,19 @@ def _arc_crofton_many(ds, samples, seed, workers, diameter, note):
     """
     ds = [0.0 if d < MIN_ARC_DISTANCE else d for d in ds]
     arrays = _chunk_arrays(2, masks=1)
+    lattice = ((0.0, None, False),)  # the plain grid on 1 / N
 
     def draw(shifts, size):
         t, spare, _ = arrays(size)
-        return _shifted(_lattice_steps(size)[0], shifts[0], t, spare)
+        _lattice(lattice, [(t,)], shifts, None, spare)
+        return t
 
     def values(d, t):
         hits = int(np.count_nonzero(np.less(t, d / math.pi, out=arrays(t.size)[2])))
         return float(hits), np.array((t.size - hits, hits, 0))
 
-    estimates = _conditional_estimate(ds, samples, seed, workers, 1.0, 1, draw,
-                                      values, resolution=1.0)
+    estimates = _conditional_estimate(ds, samples, seed, workers, 1.0, lattice,
+                                      draw, values, resolution=1.0)
     return [replace(e, note=note) if e.d > diameter - 1e-12 else e
             for e in estimates]
 

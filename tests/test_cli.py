@@ -447,14 +447,14 @@ class TestCrofton:
         # a worker process killed mid-run is exit 2 with an error line that
         # names its signal, not a traceback, and no child remains
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        caller, draw = os.getpid(), crofton._graded_lattice
+        caller, draw = os.getpid(), crofton._lattice
 
         def killed(*args):
             if os.getpid() != caller:
                 os.kill(os.getpid(), signal.SIGKILL)
             return draw(*args)
 
-        monkeypatch.setattr(crofton, "_graded_lattice", killed)
+        monkeypatch.setattr(crofton, "_lattice", killed)
         code, out, err = run_cli(capsys, "crofton", "horosphere", "--field", "h",
                                  "--pairs", "1", "--samples", "40000",
                                  "--workers", "2")
@@ -533,11 +533,12 @@ class TestCrofton:
          "error: expected 6 reals per row for kind 'p', dim 5; got 2"),
         (("dist", "--points", "s-long-rows.csv"),
          "error: expected 2 reals per row for kind 's', dim 1; got 3"),
-        # math.gamma raised OverflowError (exit 1, traceback)
+        # math.gamma raised OverflowError (exit 1, traceback); vol(S^799)
+        # underflows to 0, and vol(S^437) / 2 is subnormal
         (("crofton", "horosphere", "--field", "h", "--dim", "200"),
-         "error: horosphere estimates support k n from 1 to 438"),
+         "error: the carrier measure 0 is not a positive normal float"),
         (("crofton", "hyperplane", "--dim", "438"),
-         "error: hyperplane estimates support dimensions 1 to 437"),
+         "error: the carrier measure 1.58e-308 is not a positive normal float"),
         # printed estimate 5.04e-322 with stderr 0.0 and exit 1
         (("crofton", "hyperplane", "--dim", "437", "--pairs", "1e-13",
           "--samples", "100000", "--seed", "3"),
@@ -770,11 +771,15 @@ class TestCrofton:
 
     def test_horosphere_constant_is_twice_ball_volume(self):
         # 2 vol(B^m) = 2 pi^(m/2) / Gamma(m/2 + 1), m = k n - 1, for every k n
-        # the horosphere estimator takes, well inside the verdict's 1e-12
+        # the horosphere estimator takes, those whose carrier measure
+        # vol(S^(kn-1)) is a normal float, well inside the verdict's 1e-12
         # slack
         constant = crofton.CARRIERS["horosphere"].constant
+        limit = max(kn for kn in range(1, 1000)
+                    if crofton.sphere_area(kn - 1) >= sys.float_info.min)
+        assert limit == 438
         for k in (1, 2, 4):
-            for n in range(1, crofton.MAX_HOROSPHERE_DIM // k + 1):
+            for n in range(1, limit // k + 1):
                 m = k * n - 1
                 ball = 2.0 * math.exp(0.5 * m * math.log(math.pi)
                                       - math.lgamma(0.5 * m + 1.0))

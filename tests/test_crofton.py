@@ -107,13 +107,27 @@ class TestIntegrals:
             assert crofton.sphere_area(m) == pytest.approx(area[m], rel=1e-12)
         assert crofton.sphere_area(799) == 0.0
 
-    def test_dimension_limits(self):
-        # the largest dimensions whose carrier measures are normal floats
+    def test_dimension_limits(self, monkeypatch):
+        # the estimators take every dimension whose carrier measure is a
+        # normal float, vol(S^(n-1)) / 2 for hyperplanes and vol(S^(kn-1))
+        # for horospheres, and refuse the next before any chunk runs
         tiny = sys.float_info.min
-        n = crofton.MAX_HYPERPLANE_DIM
-        assert crofton.sphere_area(n - 1) / 2 >= tiny > crofton.sphere_area(n) / 2
-        kn = crofton.MAX_HOROSPHERE_DIM
-        assert crofton.sphere_area(kn - 1) >= tiny > crofton.sphere_area(kn)
+        n = max(m for m in range(1, 1000) if crofton.sphere_area(m - 1) / 2 >= tiny)
+        kn = max(m for m in range(1, 1000) if crofton.sphere_area(m - 1) >= tiny)
+        assert (n, kn) == (437, 438)
+
+        def refuse(*args):
+            raise AssertionError("ran a chunk")
+
+        monkeypatch.setattr(crofton, "_run_chunks", refuse)
+        # at d = 0 no chunk runs
+        assert crofton.hyperplane_crofton_many(n, (0.0,), 10)[0].estimate == 0.0
+        assert crofton.horosphere_crofton_many(REAL, kn, (0.0,), 10)[0].estimate == 0.0
+        for call in (lambda: crofton.hyperplane_crofton_many(n + 1, (1.0,), 10),
+                     lambda: crofton.horosphere_crofton_many(REAL, kn + 1, (1.0,), 10),
+                     lambda: crofton.horosphere_crofton_many(COMPLEX, 220, (1.0,), 10)):
+            with pytest.raises(ValueError, match="not a positive normal float"):
+                call()
 
 
 class TestHyperplaneSampler:
@@ -396,9 +410,9 @@ class TestHorosphereIntersections:
         draws = []
         for size in sizes:
             shifts = [stream.random() for _ in range(3)]
-            stats = crofton._lattice_statistics(crofton._sphere_law(k, 2), shifts,
-                                                spare(size, 8))
-            u = (np.arange(size) * crofton._crossing_step(size) + shifts[2]) % 1.0
+            stats = horosphere_statistics(crofton._sphere_law(k, 2), shifts, size)
+            g2 = crofton._generator(size, crofton._SILVER)
+            u = (np.arange(size) * g2 / size + shifts[2]) % 1.0
             draws.append(first_coordinate(*stats[:4]) + [u])
         x1, a, b, u = (np.concatenate(c) for c in zip(*draws))
         # a direction with these statistics: ((x, sqrt a), (sqrt b, 0)) / rho
@@ -432,9 +446,34 @@ def spare(size, count):
     return [np.empty(size) for _ in range(count)]
 
 
+def angle_lattice(law):
+    """The horosphere lattice's angle coordinates for law = _sphere_law(k,
+    n), as _lattice takes them: the angles the law does not fix, theta's
+    first, on the steps 1 / N and then the golden ratio's g / N, phi's
+    coordinate folded."""
+    graded = [(angle, i == 1) for i, angle in enumerate(law) if angle]
+    return tuple((fraction, angle, fold) for fraction, (angle, fold)
+                 in zip((0.0, crofton._GOLDEN), graded))
+
+
+def horosphere_statistics(law, shifts, size):
+    """[hav_theta, sin_theta, cos_theta, hav_phi, w]: a horosphere chunk's
+    `size` graded lattice points in the angles of law = _sphere_law(k, n),
+    in half-angle form, and their weights w, drawn by _lattice over
+    angle_lattice(law) from the first shifts, one per angle.  An angle the
+    law fixes at 0 reads (1 - cos)/2 = sin/2 = 0 and cos = 1."""
+    hav, sin, cos = np.zeros((2, size)), np.zeros((2, size)), np.ones((2, size))
+    lattice = angle_lattice(law)
+    weight = np.empty(size)
+    crofton._lattice(lattice, [(sin[i], hav[i], cos[i])
+                               for i, angle in enumerate(law) if angle],
+                     shifts[:len(lattice)], weight, np.empty(size))
+    return [hav[0], sin[0], cos[0], hav[1], weight]
+
+
 def first_coordinate(hav_theta, sin_theta, cos_theta, hav_phi):
     """[x, a, b]: |Re w1|, |Im w1|^2 and |w_rest|^2 of the directions whose
-    half-angle statistics _lattice_statistics gives, (1 - cos theta) / 2,
+    half-angle statistics horosphere_statistics gives, (1 - cos theta) / 2,
     sin(theta) / 2, cos theta and (1 - cos phi) / 2, where |w1| = cos theta
     and |Re w1| = |w1| cos phi."""
     return [cos_theta * (1.0 - 2.0 * hav_phi),
@@ -554,8 +593,8 @@ class TestHorosphereKernel:
         edges = [half_angles(1.0, 1.0),
                  half_angles(math.sqrt((k - 1) / (k * n - 1)),
                              0.0 if k > 1 else 1.0)]
-        drawn = crofton._lattice_statistics(crofton._sphere_law(k, n),
-                                            rng.random(2), spare(2000, 8))
+        drawn = horosphere_statistics(crofton._sphere_law(k, n), rng.random(2),
+                                      2000)
         stats = [np.concatenate(c) for c in zip(drawn[:4], *edges)]
         size = stats[0].size
         u = rng.random(size)
@@ -583,9 +622,9 @@ class TestFirstCoordinate:
         stream = random.Random(70 + big)
         means = []
         for size in sizes:
-            *stats, w = crofton._lattice_statistics(
+            *stats, w = horosphere_statistics(
                 crofton._sphere_law(k, m), [stream.random(), stream.random()],
-                spare(size, 8))
+                size)
             means.append([np.mean(w * s) for s in first_coordinate(*stats)])
         means = np.array(means)
         want = (math.exp(math.lgamma(0.5 * big) - math.lgamma(0.5 * (big + 1)))
@@ -595,37 +634,58 @@ class TestFirstCoordinate:
             assert abs(got.mean() - value) <= 5 * sigma + 1e-15
 
     def test_generator_calls(self, monkeypatch):
-        # per chunk: one uniform shift per graded angle, theta's then phi's,
-        # then the crossing coordinate's, from one random.Random(seed)
-        # stream in chunk order, and no other draw; the points are the
-        # shifted rank-1 lattice (i, i g) / size with phi's coordinate
-        # folded, at tan(angle / 2) = t^GRADE, and each weighs its law's
-        # density times the angle's derivative in t, over the density's
-        # integral
+        # per chunk: one uniform shift per coordinate that the carrier's
+        # lattice declares, from one random.Random(seed) stream in chunk
+        # order, and no other draw; a horosphere lattice holds the angles
+        # _sphere_law does not fix, theta's then phi's, on the steps 1 /
+        # size and then the golden ratio's, phi folded, and then the
+        # crossing coordinate on sqrt(2)'s, so over C^1 and H^1, where phi
+        # is the only angle, phi steps by 1 / size.  The angle points are
+        # the shifted rank-1 lattice (i, i g) / size at tan(angle / 2) =
+        # t^GRADE, and each weighs its law's density times the angle's
+        # derivative in t, over the density's integral
         size = 7
-        step = crofton._lattice_steps(size)
+        step = (1.0 / size, crofton._generator(size, crofton._GOLDEN) / size)
         t = np.arange(size)
         grade = crofton.GRADE
         seen = []
-        real = crofton._lattice_statistics
+        real = crofton._lattice
 
-        def recorded(law, shifts, arrays):
-            seen.append(shifts)
-            return real(law, shifts, arrays)
+        def recorded(lattice, arrays, shifts, weight, spare):
+            seen.append((lattice, shifts))
+            return real(lattice, arrays, shifts, weight, spare)
 
-        monkeypatch.setattr(crofton, "_lattice_statistics", recorded)
-        for k, m in ((1, 1), (1, 3), (4, 1), (4, 2)):
+        def drawn(estimate, *args):
+            seen.clear()
+            estimate(*args, (1.0,), 16 * size, 5, 1)
+            lattices = {lattice for lattice, _ in seen}
+            replay = random.Random(5)
+            width = len(next(iter(lattices))) if lattices else 0
+            assert [shifts for _, shifts in seen] == \
+                [tuple(replay.random() for _ in range(width))
+                 for _ in range(16 if lattices else 0)]
+            return lattices
+
+        monkeypatch.setattr(crofton, "_lattice", recorded)
+        plain = (0.0, None, False)
+        assert drawn(crofton.hyperplane_crofton_many, 3) == \
+            {((0.0, crofton._sphere_law(1, 3)[0], False),)}
+        for carrier in ("projective", "sphere"):
+            assert drawn(crofton.CARRIERS[carrier].estimate, REAL, 2) == {(plain,)}
+        for k, m in ((1, 1), (1, 3), (2, 1), (4, 1), (4, 2)):
+            field = {1: REAL, 2: COMPLEX, 4: QUATERNION}[k]
             law = crofton._sphere_law(k, m)
             laws = [angle for angle in law if angle]
-            seen.clear()
-            crofton.horosphere_crofton_many(
-                {1: REAL, 4: QUATERNION}[k], m, (1.0,), 16 * size, seed=5)
-            replay = random.Random(5)
             # H^1_R draws nothing
-            assert seen == [tuple(replay.random() for _ in range(len(laws) + 1))
-                            for _ in range(16 if laws else 0)]
-            shifts = seen[0][:len(laws)] if laws else ()
-            *stats, w = real(law, shifts, spare(size, 8))
+            want = {(*angle_lattice(law), (crofton._SILVER, None, False))} \
+                if laws else set()
+            assert drawn(crofton.horosphere_crofton_many, field, m) == want
+            if m == 1 and laws:
+                assert angle_lattice(law) == ((0.0, law[1], True),)
+            if not laws:
+                continue
+            shifts = seen[0][1][:len(laws)]
+            *stats, w = horosphere_statistics(law, shifts, size)
             x, a, b = first_coordinate(*stats)
             cos = {0: np.ones(size), 1: np.ones(size)}
             sin = {0: np.zeros(size), 1: np.zeros(size)}
@@ -648,6 +708,18 @@ class TestFirstCoordinate:
             for got, value in zip((x, a, b), want):
                 assert np.allclose(got, value, rtol=0.0, atol=1e-15)
             assert np.allclose(w, weight, rtol=1e-13, atol=0.0)
+
+    def test_too_few_arrays_rejected(self):
+        # a draw must pass one array tuple per declared coordinate: a
+        # horosphere lattice of two angles and the crossing coordinate
+        # given the angles' arrays alone raises
+        size = 5
+        law = crofton._sphere_law(4, 2)
+        lattice = (*angle_lattice(law), (crofton._SILVER, None, False))
+        arrays = [tuple(np.empty(size) for _ in range(3)) for _ in law]
+        with pytest.raises(ValueError, match="zip"):
+            crofton._lattice(lattice, arrays, (0.1, 0.2, 0.3), np.empty(size),
+                             np.empty(size))
 
 
 class TestDistanceEstimators:
@@ -682,8 +754,21 @@ class TestDistanceEstimators:
         lambda: crofton.hyperplane_crofton_many(0, (1.0,), 10)[0],
         lambda: crofton.hyperplane_crofton_many(438, (1.0,), 10)[0],
         lambda: crofton.horosphere_crofton_many(QUATERNION, 110, (1.0,), 10)[0],
+        # these raised ZeroDivisionError, "range() arg 3 must not be zero",
+        # TypeError and KeyError
+        lambda: crofton.hyperplane_crofton_many(3, (1.0,), 0)[0],
+        lambda: crofton.hyperplane_crofton_many(3, (1.0,), -5)[0],
+        lambda: crofton.horosphere_crofton_many(COMPLEX, 2, (1.0,), 100,
+                                                workers=-1)[0],
+        lambda: crofton.horosphere_crofton_many("x", 2, (1.0,), 100)[0],
+        # and these are not integers >= 1 either
+        lambda: crofton.hyperplane_crofton_many(3, (1.0,), 100.0)[0],
+        lambda: crofton.CARRIERS["sphere"].estimate(REAL, 2, (1.0,), 100, 0, 0)[0],
+        lambda: crofton.hyperplane_crofton_many(1, (0.0,), 0)[0],
     ], ids=["d-negative", "d-inf", "d-nan", "n-zero", "n-beyond-measure",
-            "kn-beyond-measure"])
+            "kn-beyond-measure", "samples-zero", "samples-negative",
+            "workers-negative", "field-unknown", "samples-float", "workers-zero",
+            "samples-zero-exact-line"])
     def test_invalid_input_rejected(self, call):
         with pytest.raises(ValueError):
             call()
@@ -705,11 +790,12 @@ class TestGradedLattice:
 
     @pytest.mark.parametrize("size", [1, 2, 6, 987, 1250, 16129, 16384])
     def test_lattice_generator(self, size):
-        # g prime to size, so the second coordinates are a permutation of
-        # i / size; g = F_{k-1} for size = F_k (the Fibonacci lattice)
-        first, second = crofton._lattice_steps(size)
-        g = round(second * size)
-        assert first == 1.0 / size and math.gcd(g, size) == 1
+        # fraction 0 gives the plain grid's g = 1; the golden ratio's g is
+        # prime to size, so the second coordinates are a permutation of i /
+        # size, and g = F_{k-1} for size = F_k (the Fibonacci lattice)
+        assert crofton._generator(size, 0.0) == 1
+        g = crofton._generator(size, crofton._GOLDEN)
+        assert 1 <= g <= max(size - 1, 1) and math.gcd(g, size) == 1
         points = np.sort(np.round((np.arange(size) * g) % size))
         assert np.array_equal(points, np.arange(size))
         if size == 987:
@@ -720,10 +806,10 @@ class TestGradedLattice:
         # g2 prime to size, so the crossing coordinates are a permutation of
         # i / size, down to one-point chunks (size * (sqrt(2) - 1) rounds to
         # 0 at size 1), and not the angles' generator past tiny sizes
-        g2 = round(crofton._crossing_step(size) * size)
+        g2 = crofton._generator(size, crofton._SILVER)
         assert 1 <= g2 <= max(size - 1, 1) and math.gcd(g2, size) == 1
         if size > 6:
-            assert g2 != round(crofton._lattice_steps(size)[1] * size)
+            assert g2 != crofton._generator(size, crofton._GOLDEN)
         for samples in (size, 16 * size):
             est, = crofton.horosphere_crofton_many(QUATERNION, 2, (1.0,), samples,
                                                    seed=2)
@@ -1113,27 +1199,27 @@ class TestSharedDraws:
         assert got[-1].note != ""
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("carrier,args,sampler", [
-        ("hyperplane", (REAL, 3), "_graded_lattice"),
-        ("horosphere", (QUATERNION, 2), "_graded_lattice"),
-        ("projective", (REAL, 2), "_shifted"),
-        ("sphere", (REAL, 2), "_shifted"),
+    @pytest.mark.parametrize("carrier,args", [
+        ("hyperplane", (REAL, 3)),
+        ("horosphere", (QUATERNION, 2)),
+        ("projective", (REAL, 2)),
+        ("sphere", (REAL, 2)),
     ], ids=["hyperplane", "horosphere", "projective", "sphere"])
     def test_one_draw_per_chunk(self, monkeypatch, tmp_path, carrier, args,
-                                sampler, workers):
+                                workers):
         # the lattice points are drawn once per chunk, however many
         # distances read them; every worker process appends the pid of each
         # draw to one file
         use_cpus(monkeypatch, workers)
         log = tmp_path / "draws"
-        real = getattr(crofton, sampler)
+        real = crofton._lattice
 
         def counted(*a):
             with open(log, "a", encoding="utf-8") as draws:
                 draws.write(f"{os.getpid()}\n")
             return real(*a)
 
-        monkeypatch.setattr(crofton, sampler, counted)
+        monkeypatch.setattr(crofton, "_lattice", counted)
         estimate = crofton.CARRIERS[carrier].estimate
         for ds in ((0.5,), (0.5, 1.0, 1.5, 0.25)):
             log.write_text("")
@@ -1146,8 +1232,7 @@ class TestSharedDraws:
         def refuse(*args):
             raise AssertionError("drew directions for coincident points")
 
-        monkeypatch.setattr(crofton, "_graded_lattice", refuse)
-        monkeypatch.setattr(crofton, "_shifted", refuse)
+        monkeypatch.setattr(crofton, "_lattice", refuse)
         ests = crofton.horosphere_crofton_many(REAL, 2, (0.0, 0.0), 100)
         ests += arc_estimates("sphere", (0.0,), 100)
         assert [e.estimate for e in ests] == [0.0, 0.0, 0.0]
