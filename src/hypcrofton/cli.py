@@ -3,14 +3,21 @@
 Exit codes: 0 = success / verified, 1 = property check failed,
 2 = usage error.  Output is JSON (stable key order) or an aligned table;
 `crofton --emit-csv` additionally writes its (d, estimate, stderr) rows.
+
+A process pays for the interpreter with `site`, numpy and the modules its
+subcommand imports, but not for the interpreter's teardown: `python -m
+hypcrofton.cli` and the `hypcrofton` script enter through `run`, which
+ends the process through os._exit.  `main` returns and never exits.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
+import os
 import random
 import sys
 
@@ -73,7 +80,11 @@ def _emit(report, args):
     if args.output == "table":
         _print_table(report)
     else:
-        json.dump(report, sys.stdout, indent=2, default=_jsonify)
+        # json.dump writes token by token, a system call each when stdout
+        # is unbuffered; join them in batches, never the whole report
+        tokens = json.JSONEncoder(indent=2, default=_jsonify).iterencode(report)
+        while batch := "".join(itertools.islice(tokens, 4096)):
+            sys.stdout.write(batch)
         print()
     if getattr(args, "emit_csv", None):  # only crofton has estimate rows
         with open(args.emit_csv, "w", encoding="utf-8") as fh:
@@ -407,5 +418,27 @@ def main(argv=None):
         return 2
 
 
+def run(argv=None):
+    """Run main(argv), flush stdout and stderr, and end the process with
+    main's code through os._exit.
+
+    That skips the interpreter's teardown, its last garbage collections and
+    module teardown over numpy's heap.  Nothing it would do is lost: the
+    chunk pool reaps every child before it returns, --emit-csv closes its
+    file, and the package registers no atexit handler.  An exception from
+    main leaves the normal way.  So does a failed flush (a closed pipe): run
+    then returns main's code, and sys.exit reports the pipe as it would
+    without run.
+    """
+    code = main(argv)
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the interpreter's fd was closed
+                stream.flush()
+    except OSError:
+        return code
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -100,8 +100,11 @@ def hyperbolic_distance_matrix(coords):
     iu = np.triu_indices(m, k=1)
     mod = np.sqrt(mod2[..., iu[0], iu[1]])
     if np.any(mod < 1.0 - 1e-9):
-        raise ArithmeticError(
-            f"|<x, y>| = {mod.min()} < 1 for negative vectors; inconsistent state")
+        # the rounding of <x, y> grows like |x_0| |y_0|, about e^{2r}/4 at
+        # radius r, so near points far out can read a modulus below 1
+        raise ValueError(
+            f"|<x, y>| = {mod.min()} < 1: points this close together cannot "
+            f"be resolved this far from the base point, or are not normalized")
     return _pairs_to_matrix(np.arccosh(np.maximum(mod, 1.0)), m)
 
 

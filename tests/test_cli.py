@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -44,6 +45,21 @@ def write_real_hyperbolic_csv(path):
             "1,0,0",
             f"{math.cosh(1)},{math.sinh(1)},0",
             f"{math.cosh(0.5)},0,{math.sinh(0.5)}"]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def write_close_far_csv(path):
+    rows = ["r,2", *(f"{math.cosh(10)},{math.sinh(10)},{1e-6 * i}"
+                     for i in range(6))]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def write_random_real_csv(path, m):
+    """m random points of H^2_R within radius 2, as an r,2 point file."""
+    coords = hypcrofton.random_coords("r", 2, 2.0, random.Random(1), m)[..., 0]
+    rows = ["r,2", *(",".join(map(repr, row)) for row in coords.tolist())]
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     return str(path)
 
@@ -183,6 +199,22 @@ class TestDist:
         code, _, err = run_cli(capsys, "dist", "--points", str(path))
         assert code == 2
         assert "unknown point kind" in err
+
+    @pytest.mark.parametrize("command", ["dist", "check-negtype", "embed"])
+    def test_close_points_far_out_exit_2(self, capsys, tmp_path, command):
+        # six points 1e-6 apart at distance 10 from the base point: rounding
+        # in <x, y> reads |<x, y>| < 1 there, a usage error, not a traceback
+        path = write_close_far_csv(tmp_path / "far.csv")
+        code, out, err = run_cli(capsys, command, "--points", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "cannot be resolved" in err
+
+    def test_large_report_is_json_dump_text(self, capsys, tmp_path):
+        # about 60,000 tokens, written in batches: the text is json.dump's
+        path = write_random_real_csv(tmp_path / "points240.csv", 240)
+        code, out, _ = run_cli(capsys, "dist", "--points", path)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 #: per point kind, (dim, rows) of three points at distances of order 1;
@@ -816,14 +848,120 @@ class TestCrofton:
         assert "real field" in err
 
 
+def process_env(**overrides):
+    """A child interpreter's environment: this package's sources first."""
+    return dict(os.environ, PYTHONPATH=str(Path(hypcrofton.__file__).parents[1]),
+                **overrides)
+
+
+#: the CLI as a process, through cli.run, and as a plain sys.exit(main())
+MODULE = [sys.executable, "-m", "hypcrofton.cli"]
+PLAIN_EXIT = [sys.executable, "-c",
+              "import sys; from hypcrofton.cli import main; "
+              "sys.exit(main(sys.argv[1:]))"]
+
+
 def run_cli_process(argv, openblas_threads):
     """The CLI in a fresh interpreter with OpenBLAS held to a thread count."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(openblas_threads),
-               PYTHONPATH=str(Path(hypcrofton.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-m", "hypcrofton.cli", *argv],
-                          capture_output=True, text=True, env=env, check=False)
+    done = subprocess.run([*MODULE, *argv], capture_output=True, text=True,
+                          env=process_env(OPENBLAS_NUM_THREADS=str(openblas_threads)),
+                          check=False)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def closed_stdout_run(command, env):
+    """(exit status, stderr) of `command` whose stdout is a pipe nobody reads."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(command, stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=env, check=False, timeout=120)
+    finally:
+        os.close(write_end)
+    return done.returncode, done.stderr
+
+
+class TestProcessExit:
+    """`python -m hypcrofton.cli` ends through cli.run: flush, then os._exit."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (("reproduce", "projective"), 0),
+        (("dist", "--points", "points240.csv"), 0),
+        (("search-violations", "--dim", "0"), 2),
+        (("dist", "--points", "missing.csv"), 2),
+        (("dist", "--points", "far.csv"), 2),
+    ], ids=["reproduce", "dist-240-points", "usage-error", "missing-file",
+            "close-points-far-out"])
+    def test_process_prints_what_main_returns(self, capsys, tmp_path, argv, code):
+        # the same exit status and bytes as main in process; the 240-point
+        # report is larger than a pipe buffer and must arrive whole.  stdout
+        # is buffered, so what cli.run does not flush is lost
+        write_random_real_csv(tmp_path / "points240.csv", 240)
+        write_close_far_csv(tmp_path / "far.csv")
+        argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+        done = subprocess.run([*MODULE, *argv], capture_output=True, text=True,
+                              env=process_env(PYTHONUNBUFFERED=""), check=False,
+                              timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == \
+            (code, *run_cli(capsys, *argv)[1:])
+        if code == 2:
+            assert done.stdout == "" and "error: " in done.stderr.splitlines()[-1]
+        elif argv[0] == "dist":
+            assert len(done.stdout) > 1 << 16
+            matrix = json.loads(done.stdout)["results"][0]["matrix"]
+            assert np.array(matrix).shape == (240, 240)
+
+    def test_emit_csv_file_is_complete(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        done = subprocess.run([*MODULE, "crofton", "hyperplane", "--dim", "3",
+                               "--samples", "20000", "--emit-csv", str(path)],
+                              capture_output=True, text=True, env=process_env(),
+                              check=False, timeout=120)
+        assert done.returncode == 0, done.stderr
+        results = json.loads(done.stdout)["results"]
+        assert path.read_text(encoding="utf-8").splitlines() == [
+            "d,estimate,stderr",
+            *(f"{r['d']},{r['estimate']},{r['stderr']}" for r in results)]
+        assert len(results) == 3
+
+    def test_no_child_left_after_workers_3(self):
+        # the run is its own process group, which every forked worker joins;
+        # once the run has exited, no process of that group is left
+        argv = ("crofton", "horosphere", "--field", "h", "--dim", "2",
+                "--pairs", "0.5,1,2", "--samples", "300000", "--seed", "1",
+                "--workers", "3")
+        with subprocess.Popen([*MODULE, *argv], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True,
+                              env=process_env(), start_new_session=True) as proc:
+            out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert json.loads(out)["verdict"] == "ratios consistent"
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [
+        ("reproduce", "projective"), ("dist", "--points", "points240.csv"),
+    ], ids=["small-report", "large-report"])
+    def test_closed_stdout_exits_as_plain_exit(self, tmp_path, argv, unbuffered):
+        # a write or flush to a closed pipe raises; the process then leaves
+        # the normal way, with the status and stderr of sys.exit(main())
+        write_random_real_csv(tmp_path / "points240.csv", 240)
+        argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+        env = process_env(PYTHONUNBUFFERED=unbuffered)
+        status, err = closed_stdout_run([*MODULE, *argv], env)
+        assert (status, err) == closed_stdout_run([*PLAIN_EXIT, *argv], env)
+        assert status != 0 and "Broken pipe" in err
+
+    def test_main_returns_in_process(self, capsys, monkeypatch):
+        def refuse(code):
+            raise AssertionError(f"os._exit({code}) called in process")
+
+        monkeypatch.setattr(os, "_exit", refuse)
+        assert main(["reproduce", "projective"]) == 0
+        assert main(["search-violations", "--dim", "0"]) == 2
+        capsys.readouterr()
 
 
 class TestDeterminism:

@@ -55,14 +55,19 @@ DROPPED = [
     "random_isometry", "HermitianSpace",
 ]
 
-#: runs the CLI as `python -m hypcrofton.cli` does, then prints the loaded
-#: modules as the last line of standard output
+#: runs the CLI as `python -m hypcrofton.cli` does, and prints the loaded
+#: modules as the last line of standard output when cli.run ends the
+#: process through os._exit; the chunk pool's forked children leave
+#: through os._exit too, and print nothing
 DRIVER = """\
-import json, runpy, sys
-try:
-    runpy.run_module("hypcrofton.cli", run_name="__main__", alter_sys=True)
-finally:
-    print(json.dumps(sorted(sys.modules)))
+import json, os, runpy, sys
+caller, exit_now = os.getpid(), os._exit
+def list_modules_then_exit(code):
+    if os.getpid() == caller:
+        print(json.dumps(sorted(sys.modules)), flush=True)
+    exit_now(code)
+os._exit = list_modules_then_exit
+runpy.run_module("hypcrofton.cli", run_name="__main__", alter_sys=True)
 """
 
 POINTS = "\n".join([
