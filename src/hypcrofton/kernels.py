@@ -2,8 +2,11 @@
 
 A distance d is of negative type when sum_{i,j} t_i t_j d_ij <= 0 for all
 real t with sum t_i = 0, and hypermetric when the same holds for integer t
-with sum t_i = 1.  Negative type is decided spectrally (top eigenvalue of
-the double-centered matrix); hypermetric violations by bounded enumeration.
+with sum t_i = 1.  Negative type is decided by a Cholesky factorization
+of the matrix's Gram form, and where that fails spectrally (top eigenvalue
+of the double-centered matrix), which also gives the witness; hypermetric
+violations by bounded enumeration.  The negative-type checks hold O(m^2)
+floats.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import numpy as np
 
 from .algebra import FIELD_DIM
 from .spaces import (
+    BLOCK_BYTES,
     hyperbolic_distance_matrix,
     normalized_coords,
     projective_distance_matrix,
@@ -46,20 +50,33 @@ class NotNegativeTypeError(ValueError):
 
 def validate_distance_matrix(D):
     """Check finiteness, symmetry, zero diagonal and nonnegativity; return
-    as float array."""
+    as float array, exactly symmetric.  Symmetry is np.allclose's rule,
+    checked in blocks of rows, so that its temporaries stay within
+    BLOCK_BYTES; a matrix symmetric only within it is replaced by its
+    symmetric part, which has the same quadratic forms, and which the
+    checks that read one triangle of a matrix then see whole."""
     D = np.asarray(D, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise ValueError("distance matrix must be square")
-    top = np.abs(D).max()  # inf or nan if any entry is
-    if not np.isfinite(top):
+    top, low = D.max(), D.min()  # inf or nan if any entry is
+    if not (np.isfinite(top) and np.isfinite(low)):
         raise ValueError("distances must be finite")
-    if not np.allclose(D, D.T, atol=1e-12 * max(1.0, top)):
-        raise ValueError("distance matrix must be symmetric")
+    m = D.shape[0]
+    atol = 1e-12 * max(1.0, top, -low)
+    rows = max(1, BLOCK_BYTES // (64 * m))  # np.allclose takes a few copies
+    exact = True
+    for start in range(0, m, rows):
+        block, mirror = D[start:start + rows], D[:, start:start + rows].T
+        if np.array_equal(block, mirror):
+            continue
+        if not np.allclose(block, mirror, atol=atol):
+            raise ValueError("distance matrix must be symmetric")
+        exact = False
     if np.any(np.diag(D) != 0.0):
         raise ValueError("distance matrix must have zero diagonal")
-    if np.any(D < 0.0):
+    if low < 0.0:
         raise ValueError("distances must be nonnegative")
-    return D
+    return D if exact else 0.5 * (D + D.T)
 
 
 def quadratic_form(D, t):
@@ -75,11 +92,14 @@ def quadratic_form(D, t):
 def negative_type_witness(D, tol=REL_TOL):
     """Return a sum-zero witness (t, Q) with Q > 0, or None.
 
-    The matrix is double-centered with P = I - J/m and its top eigenvalue
-    compared against tol * max|D|.  A returned witness is the corresponding
-    eigenvector, automatically sum-zero, scaled to |t|^2 = m so that its Q
-    is at least the Q of any +-1 split vector; Q is its quadratic form.
-    Raises ValueError for a tolerance that is negative or not finite.
+    The rule: the matrix double-centered with P = I - J/m has its top
+    eigenvalue compared against tol * max|D|.  A Cholesky factor of the
+    Gram form shifted by tol * max|D| / 2 (_gram_has_cholesky) proves the
+    top eigenvalue below the bound, which returns None with no eigensolve.
+    Otherwise a returned witness is the top eigenvector, automatically
+    sum-zero, scaled to |t|^2 = m so that its Q is at least the Q of any
+    +-1 split vector; Q is its quadratic form.  Raises ValueError for a
+    tolerance that is negative or not finite.
     """
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
@@ -87,8 +107,10 @@ def negative_type_witness(D, tol=REL_TOL):
     m = D.shape[0]
     if m < 2:
         raise ValueError("need at least two points")
-    scale = max(np.abs(D).max(), 1e-300)
-    eigvals, eigvecs = np.linalg.eigh(_double_centered(D))
+    scale = max(D.max(), 1e-300)
+    if _gram_has_cholesky(D, 0.5 * tol * scale):
+        return None
+    eigvals, eigvecs = np.linalg.eigh(_double_centered(D.copy()))
     top = eigvals[-1]
     if top <= tol * scale:
         return None
@@ -100,11 +122,35 @@ def negative_type_witness(D, tol=REL_TOL):
 
 
 def _double_centered(D):
-    """P D P with P = I - J/m over the last two axes, symmetrized."""
-    m = D.shape[-1]
-    P = np.eye(m) - np.full((m, m), 1.0 / m)
-    centered = P @ D @ P
-    return 0.5 * (centered + np.swapaxes(centered, -1, -2))
+    """D overwritten by P D P, P = I - J/m, over the last two axes: its row
+    and column means subtracted and its grand mean added.  For a symmetric
+    D the result is symmetric up to rounding; eigh reads one triangle."""
+    rows = D.mean(axis=-1, keepdims=True)
+    cols = D.mean(axis=-2, keepdims=True)
+    D -= rows
+    D -= cols
+    D += rows.mean(axis=-2, keepdims=True)
+    return D
+
+
+def _gram_has_cholesky(D, shift):
+    """Whether G + shift I has a Cholesky factor for every stacked distance
+    matrix D, (..., m, m), with G its Gram form at the last point,
+    G_ij = (d_im + d_jm - d_ij) / 2 for i, j < m, and shift a scalar or one
+    per matrix.  For sum-zero t, t^T D t = -2 t'^T G t' with t' = t[:-1]
+    and |t'| <= |t|, so a factor proves the top eigenvalue of P D P below
+    2 shift.  numpy factors a whole stack or raises."""
+    base = D[..., :-1, -1:]
+    G = base - D[..., :-1, :-1]
+    G += np.swapaxes(base, -1, -2)
+    G *= 0.5
+    k = G.shape[-1]
+    G.reshape(*G.shape[:-2], k * k)[..., ::k + 1] += np.asarray(shift)[..., None]
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @lru_cache(maxsize=32)
@@ -148,7 +194,7 @@ def hypermetric_scan(D, bound=2):
     T = _sum_constrained_vectors(m, bound, 1)
     Tf = T.astype(float)
     qs = np.einsum("ki,ij,kj->k", Tf, D, Tf)
-    scale = max(np.abs(D).max(), 1.0)
+    scale = max(D.max(), 1.0)
     hits = np.nonzero(qs > REL_TOL * scale)[0]
     violations = [(T[i].copy(), float(qs[i])) for i in hits]
     violations.sort(key=lambda v: -v[1])
@@ -177,7 +223,7 @@ def sqrt_embed(D):
     """
     D = validate_distance_matrix(D)
     m = D.shape[0]
-    scale = max(np.abs(D).max(), 1e-300)
+    scale = max(D.max(), 1e-300)
     db = D[:, 0]
     G = 0.5 * (db[:, None] + db[None, :] - D)
     G = 0.5 * (G + G.T)
@@ -193,12 +239,22 @@ def sqrt_embed(D):
     if rank == 0:
         coords = np.zeros((m, 1))
 
+    # |p_i - p_j| from |p_i|^2 + |p_j|^2 - 2 p_i . p_j, clamped at 0,
+    # against sqrt(d_ij), relative where d_ij > 0, off the diagonal
     sq = np.sqrt(D)
-    diff = coords[:, None, :] - coords[None, :, :]
-    dists = np.linalg.norm(diff, axis=-1)
-    off = ~np.eye(m, dtype=bool)
-    denom = np.where(sq > 0, sq, 1.0)
-    max_dist_res = float(np.abs((dists - sq) / denom)[off].max()) if m > 1 else 0.0
+    norms = np.sum(coords**2, axis=1)
+    res = coords @ coords.T
+    res *= -2.0
+    res += norms[:, None]
+    res += norms
+    np.maximum(res, 0.0, out=res)
+    np.sqrt(res, out=res)
+    res -= sq
+    np.abs(res, out=res)
+    np.copyto(sq, 1.0, where=sq == 0)
+    res /= sq
+    res.reshape(-1)[::m + 1] = 0.0
+    max_dist_res = float(res.max())
 
     # circumcenter: linearized equidistance, 2 p_i . c + gamma = |p_i|^2
     A = np.hstack([2.0 * coords, np.ones((m, 1))])
@@ -294,14 +350,16 @@ def violation_search(kind, n, m, trials, radius, stream, seed_points=None):
     by a direct quadratic-form evaluation before being reported as a
     violation.
 
-    Trials are drawn and screened in stacked blocks: one distance kernel,
-    one double centering and one eigvalsh per block.  The configurations
-    that pass the screen go through build_distance_matrix and
-    negative_type_witness one by one, in trial order, so the result is that
-    of running both on every configuration.  Each block draws its trials *
-    m points in one pass, which gives the same points, from the same calls
-    to the stream, as one draw of m points per trial.  Raises ValueError
-    for another kind and for n < 1, before any draw.
+    Trials are drawn and screened in stacked blocks: one distance kernel
+    and one batched Cholesky of the Gram forms per block, which clears the
+    block when it factors every one, and otherwise one double centering
+    and one eigvalsh.  The configurations that pass the screen go through
+    build_distance_matrix and negative_type_witness one by one, in trial
+    order, so the result is that of running both on every configuration.
+    Each block draws its trials * m points in one pass, which gives the
+    same points, from the same calls to the stream, as one draw of m
+    points per trial.  Raises ValueError for another kind and for n < 1,
+    before any draw.
     """
     if m < 3 and seed_points is None:
         raise ValueError("need at least 3 points")
@@ -334,10 +392,12 @@ def violation_search(kind, n, m, trials, radius, stream, seed_points=None):
             raw = random_coords(kind, n, radius, stream, count * m).reshape(
                 count, m, n + 1, 4)
         D = kernel(normalize(raw))
-        top = np.linalg.eigvalsh(_double_centered(D))[:, -1]
-        scale = np.maximum(np.abs(D).max(axis=(-2, -1)), 1e-300)
+        scale = np.maximum(D.max(axis=(-2, -1)), 1e-300)
         # half the tolerance: the stacked arithmetic may round differently
         # from negative_type_witness, which makes the decision
+        if _gram_has_cholesky(D, 0.25 * REL_TOL * scale):
+            continue
+        top = np.linalg.eigvalsh(_double_centered(D))[:, -1]
         for b in np.flatnonzero(top > 0.5 * REL_TOL * scale):
             consider(raw[b], start + int(b))
 

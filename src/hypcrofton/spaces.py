@@ -19,7 +19,11 @@ import math
 
 import numpy as np
 
-from .algebra import CONJ_MUL, CONJ_SIGNS, FIELD_DIM, form_coeffs
+from .algebra import CONJ_MUL, CONJ_SIGNS, FIELD_DIM
+
+#: bytes of the temporaries one row block of hyperbolic_distance_matrix
+#: holds besides its (..., m, m) result
+BLOCK_BYTES = 1 << 20
 
 
 def _power_of_two_scaled(coords, axes):
@@ -51,8 +55,9 @@ def normalized_coords(coords):
     point is first scaled by a power of two, as in unit_rows, so that its
     form neither overflows nor underflows for scale alone."""
     coords = _power_of_two_scaled(coords, (-2, -1))
-    lead = np.moveaxis(coords, -2, 0)  # form_coeffs wants coordinates first
-    q = form_coeffs(lead, lead)[..., 0]
+    sq = np.sum(coords * coords, -1)  # |x_k|^2
+    # the real part of <x, x>, summed coordinate after coordinate
+    q = np.add.accumulate(sq[..., 1:], axis=-1)[..., -1] - sq[..., 0]
     if not np.all(q < -1e-14 * np.sum(coords**2, axis=(-2, -1))):
         raise ValueError("not a negative vector of the form")
     return coords / np.sqrt(-q)[..., None, None]
@@ -79,33 +84,63 @@ def _form_rows(X):
     return np.moveaxis(left.reshape(*X.shape, 4), -1, -3)
 
 
+def _block_rows(count, m):
+    """Rows per block of hyperbolic_distance_matrix over `count` stacked
+    m-point configurations: a block's two pairing arrays, (count, rows, 4,
+    m) at most, and its (count, rows, m) moduli fit in BLOCK_BYTES, unless
+    one block of 16 rows does not.  Blocks start at multiples of 16 rows,
+    a multiple of the register tiles of common BLAS kernels, so that their
+    products tend to round each <x_i, x_j> as one product over all rows
+    does; the distances do not depend on it beyond rounding."""
+    return max(16, BLOCK_BYTES // max(1, 72 * count * m) // 16 * 16)
+
+
 def hyperbolic_distance_matrix(coords):
     """Distances between stacked points of H^n_F: (..., m, n+1, 4) normalized
     coordinates -> (..., m, m), cosh d_ij = |<x_i, x_j>|.
 
-    Every <x_i, x_j> comes from one real matrix product: the rows of x_i are
+    Every <x_i, x_j> comes from a real matrix product: the rows of x_i are
     the real 4x4 matrices of "conjugate, then multiply" by its coordinates,
     with the form's signs, the columns the coefficients of x_j.
-    |<x_i, x_j>|^2 is taken as Re(<x_i, x_j> <x_j, x_i>), which is exactly
-    symmetric in i and j.
+    |<x_i, x_j>|^2 is taken as Re(<x_i, x_j> <x_j, x_i>).  The products run
+    in blocks of rows, each over the pairs j >= i of its rows, whose values
+    it also writes at (j, i), so the result is exactly symmetric and no
+    temporary grows with m^2.  The square root, the resolution check, the
+    clamp and arccosh then run in place on the one (..., m, m) array, whose
+    diagonal is exactly 0.
     """
     X = np.asarray(coords, dtype=float)
     *batch, m, dim, _ = X.shape
-    left = _form_rows(X)
-    gram = left.reshape(*batch, m * 4, dim * 4) @ np.swapaxes(
-        X.reshape(*batch, m, dim * 4), -1, -2)
-    del left  # not needed past the product; freeing it lowers peak memory
-    gram = gram.reshape(*batch, m, 4, m)  # gram[..., i, :, j] = <x_i, x_j>
-    mod2 = np.einsum("...icj,c,...jci->...ij", gram, CONJ_SIGNS, gram)
-    iu = np.triu_indices(m, k=1)
-    mod = np.sqrt(mod2[..., iu[0], iu[1]])
-    if np.any(mod < 1.0 - 1e-9):
+    left = _form_rows(X).reshape(*batch, m * 4, dim * 4)
+    cols = np.swapaxes(X.reshape(*batch, m, dim * 4), -1, -2)
+    D = np.empty((*batch, m, m))
+    rows = _block_rows(math.prod(batch), m)
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        # ahead[..., i, :, j] = <x_i, x_j> and behind[..., j, :, i] =
+        # <x_j, x_i> for the block's rows i and every j >= start
+        ahead = (left[..., 4 * start:4 * stop, :] @ cols[..., start:]).reshape(
+            *batch, stop - start, 4, m - start)
+        behind = (left[..., 4 * start:, :] @ cols[..., start:stop]).reshape(
+            *batch, m - start, 4, stop - start)
+        mod2 = np.einsum("...icj,c,...jci->...ij", ahead, CONJ_SIGNS, behind)
+        del ahead, behind
+        square = mod2[..., :stop - start]
+        np.copyto(square, np.swapaxes(square, -1, -2),
+                  where=np.tri(stop - start, k=-1, dtype=bool))
+        D[..., start:stop, start:] = mod2
+        D[..., stop:, start:stop] = np.swapaxes(mod2[..., stop - start:], -1, -2)
+    np.sqrt(D, out=D)
+    D.reshape(*batch, m * m)[..., ::m + 1] = 1.0  # the check skips the diagonal
+    low = D.min(initial=1.0)
+    if low < 1.0 - 1e-9:
         # the rounding of <x, y> grows like |x_0| |y_0|, about e^{2r}/4 at
         # radius r, so near points far out can read a modulus below 1
         raise ValueError(
-            f"|<x, y>| = {mod.min()} < 1: points this close together cannot "
+            f"|<x, y>| = {low} < 1: points this close together cannot "
             f"be resolved this far from the base point, or are not normalized")
-    return _pairs_to_matrix(np.arccosh(np.maximum(mod, 1.0)), m)
+    np.maximum(D, 1.0, out=D)
+    return np.arccosh(D, out=D)
 
 
 def _pair_angle_parts(X):

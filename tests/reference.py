@@ -19,8 +19,10 @@ base point.
 
 The package's estimators integrate these carriers in closed form and run
 none of this; pair_distance measures two points with the package's
-build_distance_matrix.  The tests import it as `reference` (tests/ is on
-sys.path).
+build_distance_matrix.  unblocked_hyperbolic_distances is the hyperbolic
+kernel as one product over all rows, and sum_zero_top_eigenvalue the
+spectral rule of negative type, without the package's Cholesky.  The
+tests import it as `reference` (tests/ is on sys.path).
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hypcrofton.algebra import FIELD_DIM, REAL, form_coeffs, qconj, qmul
+from hypcrofton.algebra import CONJ_SIGNS, FIELD_DIM, REAL, form_coeffs, qconj, qmul
 from hypcrofton.kernels import build_distance_matrix
-from hypcrofton.spaces import normalized_coords, unit_rows
+from hypcrofton.spaces import _form_rows, normalized_coords, unit_rows
 
 
 # -- geometry ------------------------------------------------------------------
@@ -50,6 +52,34 @@ def pair_distance(kind, x, y):
     """d(x, y) for two points of a kind (kernels.POINT_KINDS), as the
     package measures them: an entry of build_distance_matrix."""
     return float(build_distance_matrix(kind, np.stack([x, y]))[0, 1])
+
+
+def unblocked_hyperbolic_distances(coords):
+    """(..., m, n+1, 4) normalized coordinates -> (..., m, m) distances from
+    the whole (..., m, 4, m) array of <x_i, x_j>, one matrix product over
+    all rows: |<x_i, x_j>|^2 = Re(<x_i, x_j> <x_j, x_i>), every modulus
+    clamped at 1 before arccosh, the diagonal set to 0."""
+    X = np.asarray(coords, dtype=float)
+    *batch, m, dim, _ = X.shape
+    gram = (_form_rows(X).reshape(*batch, m * 4, dim * 4)
+            @ np.swapaxes(X.reshape(*batch, m, dim * 4), -1, -2))
+    gram = gram.reshape(*batch, m, 4, m)
+    mod2 = np.einsum("...icj,c,...jci->...ij", gram, CONJ_SIGNS, gram)
+    D = np.arccosh(np.maximum(np.sqrt(mod2), 1.0))
+    D[..., np.arange(m), np.arange(m)] = 0.0
+    return D
+
+
+def sum_zero_top_eigenvalue(D):
+    """The largest t^T D t over unit t with sum t_i = 0: the top eigenvalue
+    of D on an orthonormal basis of the sum-zero vectors, from the QR
+    factorization of the differences e_i - e_m.  Unlike the top eigenvalue
+    of P D P it leaves out the all-ones direction, whose eigenvalue 0 reads
+    as rounding noise of either sign."""
+    D = np.asarray(D, dtype=float)
+    m = len(D)
+    basis = np.linalg.qr(np.vstack([np.eye(m - 1), -np.ones((1, m - 1))]))[0]
+    return float(np.linalg.eigvalsh(basis.T @ D @ basis)[-1])
 
 
 def real_coords(values):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from hypcrofton.configurations import (
     quaternionic_cluster_points,
 )
 from hypcrofton.kernels import (
+    REL_TOL,
     NotNegativeTypeError,
     _block_trials,
+    _double_centered,
     build_distance_matrix,
     hypermetric_scan,
     negative_type_witness,
@@ -23,6 +26,7 @@ from hypcrofton.kernels import (
 )
 from hypcrofton.cli import main
 from hypcrofton.spaces import random_coords, random_normals
+from reference import sum_zero_top_eigenvalue
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +124,112 @@ class TestNegativeTypeWitness:
             negative_type_witness(projective_D, tol=tol)
 
 
+def random_D(kind, n, m, radius, seed):
+    return build_distance_matrix(
+        kind, random_coords(kind, n, radius, random.Random(seed), m))
+
+
+def counted(monkeypatch, name):
+    """Count the calls of np.linalg.`name` while the test runs."""
+    calls = []
+    solve = getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name,
+                        lambda a, *args: calls.append(a.shape) or solve(a, *args))
+    return calls
+
+
+class TestCholeskyDecision:
+    """negative_type_witness tries a Cholesky of the Gram form before any
+    eigensolve; the top eigenvalue on the sum-zero vectors is the rule."""
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    @pytest.mark.parametrize("m,radius,seed", [(8, 0.5, 1), (40, 2.0, 2), (120, 8.0, 3)])
+    def test_negative_type_without_eigensolve(self, kind, m, radius, seed, monkeypatch):
+        D = random_D(kind, 2, m, radius, seed)
+        assert sum_zero_top_eigenvalue(D) < 0.0
+        calls = counted(monkeypatch, "eigh")
+        for tol in (0.0, REL_TOL):
+            assert negative_type_witness(D, tol=tol) is None
+        assert calls == []
+
+    @pytest.mark.parametrize("m,seed", [(160, 1), (240, 2)])
+    def test_quaternionic_witness(self, m, seed):
+        # H^2_H fails negative type from about 160 random points at radius 2
+        D = random_D(QUATERNION, 2, m, 2.0, seed)
+        top, scale = sum_zero_top_eigenvalue(D), D.max()
+        assert top > REL_TOL * scale
+        for tol in (0.0, REL_TOL):
+            t, q = negative_type_witness(D, tol=tol)
+            assert abs(t.sum()) <= 1e-12 * m
+            assert q == pytest.approx(m * top, rel=1e-9)
+        # the top eigenvalue within 1e-3 of the threshold, on either side
+        assert negative_type_witness(D, tol=top / scale * (1 - 1e-3)) is not None
+        assert negative_type_witness(D, tol=top / scale * (1 + 1e-3)) is None
+
+    def test_double_centering_is_pdp(self):
+        # in place over a stack, with no P formed
+        D = np.stack([random_D(REAL, 2, 12, 2.0, 4), random_D(QUATERNION, 2, 12, 2.0, 5)])
+        P = np.eye(12) - np.full((12, 12), 1.0 / 12)
+        centered = D.copy()
+        assert _double_centered(centered) is centered
+        np.testing.assert_allclose(centered, P @ D @ P, rtol=0.0, atol=1e-14 * D.max())
+
+    @pytest.mark.parametrize("kind,n,m,trials,fallbacks", [
+        (REAL, 3, 40, 20, 0), (COMPLEX, 2, 24, 30, 0), (QUATERNION, 2, 160, 5, 5),
+    ], ids=["r3", "c2", "h2-160"])
+    def test_search_eigensolves_only_failing_blocks(self, kind, n, m, trials,
+                                                     fallbacks, monkeypatch):
+        calls = counted(monkeypatch, "eigvalsh")
+        best = violation_search(kind, n, m, trials, 2.0, random.Random(1))
+        assert len(calls) == fallbacks
+        assert best.verified == (fallbacks > 0)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes of the allocations tracemalloc sees while fn(*args) runs,
+    numpy's arrays among them."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """The negative-type path holds O(m^2) floats, counted at m = 600."""
+
+    M = 600
+    FLOATS = 8 * M * M  # bytes of one m x m matrix
+
+    def test_build_distance_matrix(self):
+        coords = random_coords(QUATERNION, 2, 2.0, random.Random(1), self.M)
+        peak = traced_peak(build_distance_matrix, QUATERNION, coords)
+        assert peak <= 2.0 * self.FLOATS
+
+    @pytest.mark.parametrize("kind", [REAL, QUATERNION])
+    def test_negative_type_witness(self, kind):
+        # over R the Cholesky decides; over H the eigensolve gives a witness
+        D = random_D(kind, 2, self.M, 2.0, 1)
+        peak = traced_peak(negative_type_witness, D)
+        assert D.nbytes + peak <= 3.5 * self.FLOATS
+
+
 class TestValidateDistanceMatrix:
+    def test_nearly_symmetric_taken_as_its_symmetric_part(self, projective_D):
+        # symmetric within np.allclose's rule only: every check sees the
+        # symmetric part, as the quadratic form does, whichever triangle
+        # it reads
+        D = projective_D.copy()
+        D[0, 3] *= 1.0 + 1e-7
+        sym = 0.5 * (D + D.T)
+        assert np.array_equal(validate_distance_matrix(D), sym)
+        assert validate_distance_matrix(projective_D) is projective_D
+        (t, q), (t_sym, q_sym) = negative_type_witness(D), negative_type_witness(sym)
+        assert np.array_equal(t, t_sym) and q == q_sym
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     @pytest.mark.filterwarnings("error")
     def test_non_finite_rejected(self, value):
@@ -374,7 +483,8 @@ class TestViolationSearch:
         (COMPLEX, 3, 8, 3.0, (2,), False),
         (REAL, 2, 8, 0.0, (3,), False),
         ("p", 2, 6, 0.0, (25, 2), False),
-    ], ids=["h2-structured", "c3", "radius-0", "p2"])
+        (QUATERNION, 2, 160, 2.0, (1,), False),
+    ], ids=["h2-structured", "c3", "radius-0", "p2", "h2-160"])
     def test_blocks_match_per_trial_search(self, kind, n, m, radius, seeds,
                                            structured):
         block = _block_trials(m)

@@ -7,12 +7,15 @@ import pytest
 from hypcrofton.algebra import (
     COMPLEX,
     CONJ_MUL,
+    CONJ_SIGNS,
     FIELD_DIM,
     QUATERNION,
     REAL,
     form_coeffs,
 )
+from hypcrofton import spaces
 from hypcrofton.spaces import (
+    _block_rows,
     _form_rows,
     hyperbolic_distance_matrix,
     normalized_coords,
@@ -31,6 +34,7 @@ from reference import (
     phase_shifted,
     random_isometry,
     real_coords,
+    unblocked_hyperbolic_distances,
 )
 
 ALL_FIELDS = [REAL, COMPLEX, QUATERNION]
@@ -255,6 +259,66 @@ class TestDistanceMatrixKernels:
             mod = float(np.linalg.norm(form_coeffs(x0, y), axis=-1))
             D = hyperbolic_distance_matrix(np.stack([x0, y]))
             assert D[0, 1] == float(np.arccosh(max(mod, 1.0)))
+
+
+class TestBlockedHyperbolicKernel:
+    """hyperbolic_distance_matrix runs in blocks of rows; the unblocked
+    formula of the reference is its oracle."""
+
+    @staticmethod
+    def points(field, m, radius=3.0, seed=30, shape=None):
+        coords = normalized_coords(
+            random_coords(field, 2, radius, random.Random(seed), m))
+        return coords if shape is None else coords.reshape(*shape, 3, 4)
+
+    @staticmethod
+    def check(coords):
+        D = hyperbolic_distance_matrix(coords)
+        assert np.array_equal(D, np.swapaxes(D, -1, -2))
+        assert np.all(np.diagonal(D, axis1=-2, axis2=-1) == 0.0)
+        ref = unblocked_hyperbolic_distances(coords)
+        # compared in cosh d, whose summed terms are about |x| |y| <= 100
+        np.testing.assert_allclose(np.cosh(D), np.cosh(ref), rtol=1e-13)
+        return D
+
+    @pytest.mark.parametrize("field", ALL_FIELDS)
+    def test_block_edges(self, field, monkeypatch):
+        monkeypatch.setattr(spaces, "BLOCK_BYTES", 1)
+        rows = _block_rows(1, 64)
+        assert rows == 16
+        for m in (1, 2, rows - 1, rows, rows + 1, 3 * rows + 5):
+            D = self.check(self.points(field, m))
+            assert D.shape == (m, m)
+
+    def test_stacked_batch_in_blocks(self, monkeypatch):
+        monkeypatch.setattr(spaces, "BLOCK_BYTES", 72 * 3 * 40 * 16)
+        assert _block_rows(3, 40) == 16
+        coords = self.points(QUATERNION, 3 * 40, shape=(3, 40))
+        D = self.check(coords)
+        for b in range(3):
+            np.testing.assert_allclose(np.cosh(D[b]), np.cosh(
+                hyperbolic_distance_matrix(coords[b])), rtol=1e-13)
+
+    def test_default_budget(self):
+        rows = _block_rows(1, 200)
+        assert 16 <= rows < 200 and rows % 16 == 0
+        self.check(self.points(COMPLEX, 200))
+
+    @pytest.mark.parametrize("field", ALL_FIELDS)
+    def test_points_at_radius_16(self, field):
+        # out there |<x, x>|^2 rounds far from 1, to 0.996 for one of these
+        # points over R: the resolution check skips the diagonal
+        stream = random.Random(31)
+        coords = normalized_coords(np.concatenate(
+            [random_coords(field, 2, 16.0, stream, 40), axis_point(2, 16.0)[None]]))
+        m = len(coords)
+        gram = (_form_rows(coords).reshape(m * 4, 12) @ coords.reshape(m, 12).T)
+        gram = gram.reshape(m, 4, m)
+        own = np.einsum("ici,c,ici->i", gram, CONJ_SIGNS, gram)
+        assert own.min() < 1.0 - 1e-4
+        D = hyperbolic_distance_matrix(coords)
+        assert np.all(np.diagonal(D) == 0.0)
+        assert np.all(np.isfinite(D))
 
 
 class TestJordanTraceDistance:
