@@ -4,9 +4,12 @@ A distance d is of negative type when sum_{i,j} t_i t_j d_ij <= 0 for all
 real t with sum t_i = 0, and hypermetric when the same holds for integer t
 with sum t_i = 1.  Negative type is decided by a Cholesky factorization
 of the matrix's Gram form, and where that fails spectrally (top eigenvalue
-of the double-centered matrix), which also gives the witness; hypermetric
-violations by bounded enumeration.  The negative-type checks hold O(m^2)
-floats.
+of the double-centered matrix), which also gives the witness: one rule,
+over a stack of matrices (_witnesses), for negative_type_witness and
+violation_search alike.  Hypermetric violations are found by bounded
+enumeration.  Every check takes D scaled exactly by a power of two to
+max d near 1, so none overflows or underflows for scale alone.  The
+negative-type checks hold O(m^2) floats.
 """
 
 from __future__ import annotations
@@ -92,33 +95,48 @@ def quadratic_form(D, t):
 def negative_type_witness(D, tol=REL_TOL):
     """Return a sum-zero witness (t, Q) with Q > 0, or None.
 
-    The rule: the matrix double-centered with P = I - J/m has its top
-    eigenvalue compared against tol * max|D|.  A Cholesky factor of the
-    Gram form shifted by tol * max|D| / 2 (_gram_has_cholesky) proves the
-    top eigenvalue below the bound, which returns None with no eigensolve.
-    Otherwise a returned witness is the top eigenvector, automatically
-    sum-zero, scaled to |t|^2 = m so that its Q is at least the Q of any
-    +-1 split vector; Q is its quadratic form.  Raises ValueError for a
-    tolerance that is negative or not finite.
+    The rule (_witnesses): the matrix double-centered with P = I - J/m has
+    its top eigenvalue compared against tol * max|D|.  A Cholesky factor
+    of the Gram form shifted by tol * max|D| / 2 proves the top eigenvalue
+    below the bound, which returns None with no eigensolve.  Otherwise a
+    returned witness is the top eigenvector, automatically sum-zero,
+    scaled to |t|^2 = m so that its Q is at least the Q of any +-1 split
+    vector; Q is its quadratic form.  Neither the verdict nor t changes
+    under D -> 2^k D.  Raises ValueError for a tolerance that is negative
+    or not finite.
     """
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
     D = validate_distance_matrix(D)
-    m = D.shape[0]
-    if m < 2:
+    if D.shape[0] < 2:
         raise ValueError("need at least two points")
-    scale = max(D.max(), 1e-300)
-    if _gram_has_cholesky(D, 0.5 * tol * scale):
-        return None
-    eigvals, eigvecs = np.linalg.eigh(_double_centered(D.copy()))
-    top = eigvals[-1]
-    if top <= tol * scale:
-        return None
-    t = eigvecs[:, -1]
-    t = t - t.mean()  # kill centering round-off
-    t = t * (np.sqrt(m) / np.linalg.norm(t))
-    q = quadratic_form(D, t)
-    return t, q
+    return _witnesses(D[None], tol)[0]
+
+
+def _witnesses(D, tol=REL_TOL):
+    """negative_type_witness's rule over a stack (k, m, m) of valid
+    distance matrices: a list of k witnesses (t, Q) or None.  Each matrix
+    is decided as its copy scaled, exactly, by the power of two 2^-e that
+    puts its largest distance in [0.5, 1), so that no form overflows or
+    underflows for scale alone, and its Q is scaled back by 2^e.  numpy
+    factors a whole stack or raises, so one matrix that fails the
+    Cholesky sends the stack to eigh."""
+    out = [None] * len(D)
+    top = D.max(axis=(-2, -1))
+    e = np.frexp(top)[1][:, None, None]
+    bound = tol * np.ldexp(top, -e[:, 0, 0])
+    if _gram_has_cholesky(D, e, 0.5 * bound):
+        return out
+    eigvals, eigvecs = np.linalg.eigh(_double_centered(np.ldexp(D, -e)))
+    m = D.shape[-1]
+    for b in np.flatnonzero(eigvals[:, -1] > bound):
+        t = eigvecs[b, :, -1]
+        t = t - t.mean()  # kill centering round-off
+        t = t * (np.sqrt(m) / np.linalg.norm(t))
+        q = quadratic_form(np.ldexp(D[b], -e[b]), t)
+        with np.errstate(over="ignore"):  # a Q past the largest float reads inf
+            out[b] = (t, float(np.ldexp(q, e[b, 0, 0])))
+    return out
 
 
 def _double_centered(D):
@@ -133,19 +151,27 @@ def _double_centered(D):
     return D
 
 
-def _gram_has_cholesky(D, shift):
-    """Whether G + shift I has a Cholesky factor for every stacked distance
-    matrix D, (..., m, m), with G its Gram form at the last point,
-    G_ij = (d_im + d_jm - d_ij) / 2 for i, j < m, and shift a scalar or one
-    per matrix.  For sum-zero t, t^T D t = -2 t'^T G t' with t' = t[:-1]
-    and |t'| <= |t|, so a factor proves the top eigenvalue of P D P below
-    2 shift.  numpy factors a whole stack or raises."""
-    base = D[..., :-1, -1:]
-    G = base - D[..., :-1, :-1]
-    G += np.swapaxes(base, -1, -2)
+def _gram(D, e):
+    """The Gram form at the first point of stacked distance matrices D,
+    (..., m, m), scaled exactly by 2^-e (e broadcast over the last two
+    axes): G_ij = (d_i0 + d_j0 - d_ij) / 2, a new (..., m, m) array and
+    one temporary of its size."""
+    base = np.ldexp(D[..., :, :1], -e)
+    G = base + np.swapaxes(base, -1, -2)
+    G -= np.ldexp(D, -e)
     G *= 0.5
-    k = G.shape[-1]
-    G.reshape(*G.shape[:-2], k * k)[..., ::k + 1] += np.asarray(shift)[..., None]
+    return G
+
+
+def _gram_has_cholesky(D, e, shift):
+    """Whether G + shift I has a Cholesky factor for every stacked distance
+    matrix D, (..., m, m), with G its Gram form _gram(D, e) restricted to
+    i, j >= 1 and one shift per matrix.  For sum-zero t,
+    t^T D t = -2^(e+1) t'^T G t' with t' = t[1:] and |t'| <= |t|, so a
+    factor proves the top eigenvalue of P D P 2^-e below 2 shift."""
+    G = _gram(D, e)[..., 1:, 1:]
+    i = np.arange(G.shape[-1])  # a reshape of the strided view would copy
+    G[..., i, i] += shift[..., None]
     try:
         np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
@@ -179,9 +205,12 @@ def _sum_constrained_vectors(m, bound, total):
 
 def hypermetric_scan(D, bound=2):
     """All integer t with |t_i| <= bound, sum t_i = 1 and
-    Q(t) > REL_TOL * max(max|D|, 1).
+    Q(t) > REL_TOL * max|D|.
 
-    Returns a list of (t, Q) sorted by decreasing Q.  The enumeration size
+    Returns a list of (t, Q) sorted by decreasing Q.  The forms are taken
+    on the copy of D scaled, exactly, by the power of two that puts its
+    largest distance in [0.5, 1), as negative_type_witness decides, so the
+    vectors do not change under D -> cD.  The enumeration size
     m * (2*bound+1)^m is guarded by MAX_CANDIDATES.
     """
     D = validate_distance_matrix(D)
@@ -193,12 +222,13 @@ def hypermetric_scan(D, bound=2):
             f"reduce bound (<= 3) or point count (<= 8)")
     T = _sum_constrained_vectors(m, bound, 1)
     Tf = T.astype(float)
+    e = np.frexp(D.max())[1]
+    D = np.ldexp(D, -e)
     qs = np.einsum("ki,ij,kj->k", Tf, D, Tf)
-    scale = max(D.max(), 1.0)
-    hits = np.nonzero(qs > REL_TOL * scale)[0]
-    violations = [(T[i].copy(), float(qs[i])) for i in hits]
-    violations.sort(key=lambda v: -v[1])
-    return violations
+    hits = np.nonzero(qs > REL_TOL * D.max())[0]
+    hits = hits[np.argsort(-qs[hits], kind="stable")]
+    with np.errstate(over="ignore"):  # a Q past the largest float reads inf
+        return [(T[i].copy(), float(np.ldexp(qs[i], e))) for i in hits]
 
 
 @dataclass
@@ -219,19 +249,20 @@ def sqrt_embed(D):
     Gram matrix G_ij = (d(x_i, b) + d(x_j, b) - d(x_i, x_j)) / 2, with the
     first point as b, is factored by eigendecomposition; eigenvalues below
     -REL_TOL * max|D| raise NotNegativeTypeError, small negatives are
-    clamped to zero.
+    clamped to zero.  G and the distance residuals are taken on the copy
+    of D scaled, exactly, by the power of four 4^-k that puts its largest
+    distance in [0.25, 1), and the coordinates scaled back by 2^k.
     """
     D = validate_distance_matrix(D)
     m = D.shape[0]
-    scale = max(D.max(), 1e-300)
-    db = D[:, 0]
-    G = 0.5 * (db[:, None] + db[None, :] - D)
-    G = 0.5 * (G + G.T)
-    eigvals, eigvecs = np.linalg.eigh(G)
+    k = (np.frexp(D.max())[1] + 1) // 2
+    scale = np.ldexp(D.max(), -2 * k)
+    eigvals, eigvecs = np.linalg.eigh(_gram(D, 2 * k))
     if eigvals[0] < -REL_TOL * scale:
+        low = float(np.ldexp(eigvals[0], 2 * k))
         raise NotNegativeTypeError(
-            f"Gram matrix has eigenvalue {eigvals[0]}; "
-            f"metric is not of negative type", eigenvalue=float(eigvals[0]))
+            f"Gram matrix has eigenvalue {low}; "
+            f"metric is not of negative type", eigenvalue=low)
     eigvals = np.clip(eigvals, 0.0, None)
     keep = eigvals > REL_TOL * scale
     rank = int(keep.sum())
@@ -241,7 +272,7 @@ def sqrt_embed(D):
 
     # |p_i - p_j| from |p_i|^2 + |p_j|^2 - 2 p_i . p_j, clamped at 0,
     # against sqrt(d_ij), relative where d_ij > 0, off the diagonal
-    sq = np.sqrt(D)
+    sq = np.sqrt(np.ldexp(D, -2 * k))
     norms = np.sum(coords**2, axis=1)
     res = coords @ coords.T
     res *= -2.0
@@ -255,6 +286,7 @@ def sqrt_embed(D):
     res /= sq
     res.reshape(-1)[::m + 1] = 0.0
     max_dist_res = float(res.max())
+    coords = np.ldexp(coords, k)
 
     # circumcenter: linearized equidistance, 2 p_i . c + gamma = |p_i|^2
     A = np.hstack([2.0 * coords, np.ones((m, 1))])
@@ -346,20 +378,16 @@ def violation_search(kind, n, m, trials, radius, stream, seed_points=None):
     negative_type_witness over `trials` random m-point configurations
     (optionally preceded by an explicit seed configuration, the coordinate
     array of its points, of that kind) and returns the best Q found, with
-    the raw coordinates of its points.  Any positive Q is re-verified
-    by a direct quadratic-form evaluation before being reported as a
-    violation.
+    the raw coordinates of its points.  Any positive Q is re-verified by
+    measuring those points again and evaluating its quadratic form.
 
-    Trials are drawn and screened in stacked blocks: one distance kernel
-    and one batched Cholesky of the Gram forms per block, which clears the
-    block when it factors every one, and otherwise one double centering
-    and one eigvalsh.  The configurations that pass the screen go through
-    build_distance_matrix and negative_type_witness one by one, in trial
-    order, so the result is that of running both on every configuration.
-    Each block draws its trials * m points in one pass, which gives the
-    same points, from the same calls to the stream, as one draw of m
-    points per trial.  Raises ValueError for another kind and for n < 1,
-    before any draw.
+    Trials are drawn and decided in stacked blocks: one distance kernel
+    and one call of negative_type_witness's rule (_witnesses) per block.
+    The stacked kernel measures each configuration as
+    build_distance_matrix does.  Each block draws its trials * m points in
+    one pass, which gives the same points, from the same calls to the
+    stream, as one draw of m points per trial.  Raises ValueError for
+    another kind and for n < 1, before any draw.
     """
     if m < 3 and seed_points is None:
         raise ValueError("need at least 3 points")
@@ -371,17 +399,15 @@ def violation_search(kind, n, m, trials, radius, stream, seed_points=None):
     normalize, kernel = _METRICS[kind]
     best = ViolationSearchResult(points=None, t=None, q=-np.inf, trial=-1)
 
-    def consider(points, trial):
+    def consider(points, trial, witness):
         nonlocal best
-        witness = negative_type_witness(build_distance_matrix(kind, points))
-        if witness is None:
-            return
-        t, q = witness
-        if q > best.q:
-            best = ViolationSearchResult(points=points, t=t, q=q, trial=trial)
+        if witness is not None and witness[1] > best.q:
+            best = ViolationSearchResult(points, *witness, trial)
 
     if seed_points is not None:
-        consider(np.asarray(seed_points), -1)
+        seed_points = np.asarray(seed_points)
+        consider(seed_points, -1,
+                 negative_type_witness(build_distance_matrix(kind, seed_points)))
     block = _block_trials(m)
     for start in range(0, trials, block):
         count = min(block, trials - start)
@@ -391,15 +417,8 @@ def violation_search(kind, n, m, trials, radius, stream, seed_points=None):
         else:
             raw = random_coords(kind, n, radius, stream, count * m).reshape(
                 count, m, n + 1, 4)
-        D = kernel(normalize(raw))
-        scale = np.maximum(D.max(axis=(-2, -1)), 1e-300)
-        # half the tolerance: the stacked arithmetic may round differently
-        # from negative_type_witness, which makes the decision
-        if _gram_has_cholesky(D, 0.25 * REL_TOL * scale):
-            continue
-        top = np.linalg.eigvalsh(_double_centered(D))[:, -1]
-        for b in np.flatnonzero(top > 0.5 * REL_TOL * scale):
-            consider(raw[b], start + int(b))
+        for b, witness in enumerate(_witnesses(kernel(normalize(raw)))):
+            consider(raw[b], start + b, witness)
 
     if best.t is not None and best.q > 0:
         D = build_distance_matrix(kind, best.points)

@@ -17,6 +17,10 @@ density r^{k(n+1)-3} dr (k = real dimension of F); the horosphere itself
 is the level set {x : |<x, xi>| = 1} and |log r| is its distance from the
 base point.
 
+Quaternion products and the hermitian form are here as coefficient
+arithmetic (qmul, qconj, form_coeffs): the package needs only the
+constant table algebra.CONJ_MUL, which they check.
+
 The package's estimators integrate these carriers in closed form and run
 none of this; pair_distance measures two points with the package's
 build_distance_matrix.  unblocked_hyperbolic_distances is the hyperbolic
@@ -32,9 +36,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hypcrofton.algebra import CONJ_SIGNS, FIELD_DIM, REAL, form_coeffs, qconj, qmul
+from hypcrofton.algebra import CONJ_SIGNS, FIELD_DIM, REAL
 from hypcrofton.kernels import build_distance_matrix
 from hypcrofton.spaces import _form_rows, normalized_coords, unit_rows
+
+
+# -- coefficient arithmetic ------------------------------------------------------
+
+def qmul(a, b):
+    """Hamilton product on (..., 4) coefficient arrays, broadcasting."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack([
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    ], axis=-1)
+
+
+def qconj(a):
+    a = np.asarray(a, dtype=float)
+    out = a.copy()
+    out[..., 1:] = -out[..., 1:]
+    return out
+
+
+def form_coeffs(zc, wc):
+    """Signature-(1,n) hermitian form on coefficient arrays, as coefficients.
+
+    <z, w> = -conj(z^0) w^0 + sum_k conj(z^k) w^k.  Conjugation acts on the
+    first slot, so the form is right-linear in the second.
+    """
+    prod = qmul(qconj(zc), wc)
+    return prod[1:].sum(axis=0) - prod[0]
 
 
 # -- geometry ------------------------------------------------------------------

@@ -3,13 +3,12 @@ import pytest
 
 from hypcrofton.algebra import (
     COMPLEX,
+    CONJ_MUL,
     QUATERNION,
     REAL,
-    form_coeffs,
-    qconj,
-    qmul,
 )
 from hypcrofton.kernels import build_distance_matrix
+from reference import form_coeffs, qconj, qmul
 
 ONE, QUAT_I, QUAT_J, QUAT_K = np.eye(4)
 
@@ -58,6 +57,14 @@ class TestQuaternion:
         prod = qmul(q, qconj(q))
         np.testing.assert_allclose(prod[:, 1:], 0, atol=1e-12)
         np.testing.assert_allclose(prod[:, 0], modulus(q) ** 2, rtol=1e-12)
+
+
+class TestConjMul:
+    def test_table_is_the_conjugated_unit_products(self):
+        # conj(e_p) e_q from the Hamilton product, with the signs of its zeros
+        table = qmul(qconj(np.eye(4))[:, None, :], np.eye(4)[None, :, :])
+        assert np.array_equal(CONJ_MUL, table)
+        assert np.array_equal(np.signbit(CONJ_MUL), np.signbit(table))
 
 
 class TestScalarModulus:

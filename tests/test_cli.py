@@ -56,6 +56,14 @@ def write_close_far_csv(path):
     return str(path)
 
 
+def write_scaled_projective_matrix(path, k):
+    """The projective six points' distance matrix times 2^k, as a --matrix
+    file that reads back exactly."""
+    D = kernels.build_distance_matrix("p", hypcrofton.projective_six_points())
+    np.savetxt(path, np.ldexp(D, k), delimiter=",", fmt="%.17g")
+    return str(path)
+
+
 def write_random_real_csv(path, m):
     """m random points of H^2_R within radius 2, as an r,2 point file."""
     coords = hypcrofton.random_coords("r", 2, 2.0, random.Random(1), m)[..., 0]
@@ -335,6 +343,15 @@ class TestCheckNegtype:
         assert out == ""
         assert "tolerance must be finite and >= 0" in err
 
+    @pytest.mark.parametrize("k", [-40, 1022, 1023])
+    def test_scaled_projective_matrix_violates(self, capsys, tmp_path, k):
+        # 2^1022 exited 2 when eigh did not converge, and 2^1023 read
+        # "negative type" from a Gram form overflowed to inf
+        path = write_scaled_projective_matrix(tmp_path / "D.csv", k)
+        code, out, _ = run_cli(capsys, "check-negtype", "--matrix", path)
+        assert code == 0
+        assert json.loads(out)["verdict"] == "violation found"
+
     def test_no_input_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "check-negtype")
         assert code == 2
@@ -371,6 +388,15 @@ class TestScanHypermetric:
         for r in report["results"]:
             assert sum(r["t"]) == 1
             assert r["q"] > 0
+
+    @pytest.mark.parametrize("k", [-40, 0, 1023])
+    def test_scaled_projective_matrix(self, capsys, tmp_path, k):
+        # the cut was absolute below max d = 1: 2^-40 read "hypermetric
+        # within bound", and 2^1023 gave 18 violations from overflowed forms
+        path = write_scaled_projective_matrix(tmp_path / "D.csv", k)
+        code, out, _ = run_cli(capsys, "scan-hypermetric", "--matrix", path)
+        assert code == 0
+        assert json.loads(out)["verdict"] == "32 violations"
 
     def test_clean_metric(self, capsys, tmp_path):
         path = write_real_hyperbolic_csv(tmp_path / "pts.csv")

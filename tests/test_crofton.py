@@ -19,8 +19,6 @@ from hypcrofton.algebra import (
     FIELD_DIM,
     QUATERNION,
     REAL,
-    form_coeffs,
-    qmul,
 )
 from hypcrofton.spaces import random_coords
 
@@ -34,11 +32,13 @@ from reference import (
     cosh_power_integral,
     count_cosh_roots,
     count_horosphere_intersections,
+    form_coeffs,
     geodesic_between,
     halfspace_contains,
     halfspace_side,
     hyperplane_meets_segment,
     pair_distance,
+    qmul,
     random_isometry,
     real_coords,
     sample_horosphere,

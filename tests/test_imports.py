@@ -37,8 +37,9 @@ EXPORTED_NAMES = [(module, name) for module, names in EXPORTED.items()
 #: names the package once exported and no longer has: translation_to_base,
 #: the scalar quaternion layer, the point classes with their scalar
 #: distances, the one-pair Crofton wrappers and the space class (a space
-#: is a field letter and n) are deleted, and the brute-force reference
-#: moved to tests/reference.py
+#: is a field letter and n) are deleted, and the brute-force reference and
+#: the quaternion product with the hermitian form on coefficients moved to
+#: tests/reference.py
 DROPPED = [
     "HPoint", "PPoint", "base_point", "hyperbolic_distance",
     "projective_distance", "random_point", "sphere_distance",
@@ -52,7 +53,7 @@ DROPPED = [
     "count_horosphere_intersections", "halfspace_contains", "halfspace_side",
     "hyperplane_meets_segment", "sample_horosphere", "sample_hyperplane",
     "GeodesicSegment", "Isometry", "geodesic_between", "jordan_trace_distance",
-    "random_isometry", "HermitianSpace",
+    "random_isometry", "HermitianSpace", "qmul", "qconj", "form_coeffs",
 ]
 
 #: runs the CLI as `python -m hypcrofton.cli` does, and prints the loaded

@@ -16,6 +16,7 @@ from hypcrofton.kernels import (
     NotNegativeTypeError,
     _block_trials,
     _double_centered,
+    _witnesses,
     build_distance_matrix,
     hypermetric_scan,
     negative_type_witness,
@@ -179,10 +180,71 @@ class TestCholeskyDecision:
     ], ids=["r3", "c2", "h2-160"])
     def test_search_eigensolves_only_failing_blocks(self, kind, n, m, trials,
                                                      fallbacks, monkeypatch):
-        calls = counted(monkeypatch, "eigvalsh")
+        calls = counted(monkeypatch, "eigh")
         best = violation_search(kind, n, m, trials, 2.0, random.Random(1))
         assert len(calls) == fallbacks
         assert best.verified == (fallbacks > 0)
+
+
+#: powers of two that scale a distance matrix from tiny to the float maximum
+SCALE_EXPONENTS = (-40, 0, 1020, 1022, 1023)
+
+
+class TestScaleFree:
+    """Negative type and the hypermetric inequalities do not change under
+    D -> cD: each check works on the copy of D scaled, exactly, by a power
+    of two into [0.5, 1), up to the largest floats."""
+
+    @pytest.mark.parametrize("k", SCALE_EXPONENTS)
+    def test_witness(self, projective_D, k):
+        # at k = 1022 eigh did not converge, and at 1023 the Gram form
+        # overflowed to inf, which the Cholesky accepted as negative type
+        t0, q0 = negative_type_witness(projective_D)
+        t, q = negative_type_witness(np.ldexp(projective_D, k))
+        assert np.array_equal(t, t0)
+        assert q == np.ldexp(q0, k)
+
+    @pytest.mark.parametrize("k", SCALE_EXPONENTS)
+    def test_hypermetric_scan(self, projective_D, k):
+        # the cut was REL_TOL * max(max D, 1), absolute below 1: 24
+        # violations at k = -30 and none at -40; overflow gave 71 at 1022
+        expected = hypermetric_scan(projective_D)
+        found = hypermetric_scan(np.ldexp(projective_D, k))
+        assert len(found) == len(expected) == 32
+        with np.errstate(over="ignore"):  # Q past the largest float is inf
+            for (t, q), (t0, q0) in zip(found, expected):
+                assert np.array_equal(t, t0)
+                assert q == np.ldexp(q0, k)
+
+    @pytest.mark.parametrize("k", SCALE_EXPONENTS)
+    def test_embedding(self, k):
+        # at k = 1023 the Gram form overflowed and eigh raised LinAlgError
+        D = random_D(REAL, 3, 40, 2.0, 1)
+        D = np.ldexp(D, -np.frexp(D.max())[1])  # max d in [0.5, 1)
+        base, emb = sqrt_embed(D), sqrt_embed(np.ldexp(D, k))
+        assert emb.rank == base.rank
+        assert emb.max_distance_residual <= 1e-9
+        if k % 2 == 0:  # sqrt(d) scales by the power of two 2^(k/2)
+            assert np.array_equal(emb.coords, np.ldexp(base.coords, k // 2))
+        assert emb.radius == pytest.approx(base.radius * 2.0 ** (k / 2), rel=1e-9)
+
+
+class TestStackedRule:
+    def test_mixed_stack_matches_one_matrix_at_a_time(self, monkeypatch):
+        # the H^2_H matrix fails the batched Cholesky for the whole stack,
+        # so eigh decides the H^2_R matrices too, as they would not be alone
+        stack = np.stack([random_D(REAL, 2, 160, 2.0, 1),
+                          random_D(QUATERNION, 2, 160, 2.0, 1),
+                          random_D(REAL, 2, 160, 2.0, 2)])
+        expected = [negative_type_witness(D) for D in stack]
+        calls = counted(monkeypatch, "eigh")
+        found = _witnesses(stack)
+        assert calls == [stack.shape]
+        assert [w is None for w in found] == [w is None for w in expected] \
+            == [True, False, True]
+        t, q = found[1]
+        assert np.array_equal(t, expected[1][0])
+        assert q == expected[1][1]
 
 
 def traced_peak(fn, *args):

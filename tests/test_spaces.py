@@ -11,7 +11,6 @@ from hypcrofton.algebra import (
     FIELD_DIM,
     QUATERNION,
     REAL,
-    form_coeffs,
 )
 from hypcrofton import spaces
 from hypcrofton.spaces import (
@@ -28,6 +27,7 @@ from hypcrofton.spaces import (
 from reference import (
     DegenerateSegmentError,
     axis_point,
+    form_coeffs,
     geodesic_between,
     jordan_trace_distance,
     pair_distance,
@@ -572,7 +572,6 @@ class TestRandomPoint:
 class TestRandomIsometry:
     @pytest.mark.parametrize("field", ALL_FIELDS)
     def test_preserves_form(self, field):
-        from hypcrofton.algebra import form_coeffs
         rng = np.random.default_rng(19)
         g = random_isometry(field, 2, rng)
         k = {REAL: 1, COMPLEX: 2, QUATERNION: 4}[field]
