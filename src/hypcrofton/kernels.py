@@ -5,17 +5,16 @@ real t with sum t_i = 0, and hypermetric when the same holds for integer t
 with sum t_i = 1.  Negative type is decided by a Cholesky factorization
 of the matrix's Gram form, and where that fails spectrally (top eigenvalue
 of the double-centered matrix), which also gives the witness: one rule,
-over a stack of matrices (_witnesses), for negative_type_witness and
-violation_search alike.  Hypermetric violations are found by bounded
-enumeration.  Every check takes D scaled exactly by a power of two to
-max d near 1, so none overflows or underflows for scale alone.  The
-negative-type checks hold O(m^2) floats.
+over a stack of matrices (_witnesses), for negative_type_witness,
+violation_search and sqrt_embed alike.  Hypermetric violations are found
+by bounded enumeration, in one numpy pass.  Every check takes D scaled
+exactly by a power of two to max d near 1, so none overflows or
+underflows for scale alone.  The negative-type checks hold O(m^2) floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -46,9 +45,11 @@ MAX_CANDIDATES = 20_000_000
 class NotNegativeTypeError(ValueError):
     """Embedding requested for a matrix that is not of negative type."""
 
-    def __init__(self, message, eigenvalue=None):
+    def __init__(self, message, witness=None):
         super().__init__(message)
-        self.eigenvalue = eigenvalue
+        #: the sum-zero witness (t, Q), Q > 0, that negative_type_witness
+        #: returns for the same matrix
+        self.witness = witness
 
 
 def validate_distance_matrix(D):
@@ -65,7 +66,7 @@ def validate_distance_matrix(D):
     if not (np.isfinite(top) and np.isfinite(low)):
         raise ValueError("distances must be finite")
     m = D.shape[0]
-    atol = 1e-12 * max(1.0, top, -low)
+    atol = 1e-12 * max(top, -low)
     rows = max(1, BLOCK_BYTES // (64 * m))  # np.allclose takes a few copies
     exact = True
     for start in range(0, m, rows):
@@ -179,28 +180,16 @@ def _gram_has_cholesky(D, e, shift):
     return True
 
 
-@lru_cache(maxsize=32)
 def _sum_constrained_vectors(m, bound, total):
     """All integer vectors of length m with entries in [-bound, bound] summing
-    to `total`, with branch-and-bound pruning."""
-    out = []
-    t = np.zeros(m, dtype=int)
-
-    def rec(i, remaining):
-        slots = m - i
-        if remaining > bound * slots or remaining < -bound * slots:
-            return
-        if i == m:
-            out.append(t.copy())
-            return
-        for v in range(-bound, bound + 1):
-            t[i] = v
-            rec(i + 1, remaining - v)
-
-    rec(0, total)
-    arr = np.array(out, dtype=int).reshape(-1, m)
-    arr.flags.writeable = False  # cached; callers must not mutate
-    return arr
+    to `total`, in lexicographic order: every head of m - 1 entries, from
+    np.indices, completed by the last entry where that lies in range."""
+    side = 2 * bound + 1  # m = 1 has one head, of no entries
+    heads = np.indices((side,) * (m - 1)).reshape(m - 1, side ** (m - 1)).T
+    heads -= bound
+    last = total - heads.sum(axis=1)
+    keep = np.abs(last) <= bound
+    return np.column_stack([heads[keep], last[keep]])
 
 
 def hypermetric_scan(D, bound=2):
@@ -217,9 +206,12 @@ def hypermetric_scan(D, bound=2):
     m = D.shape[0]
     budget = m * (2 * bound + 1) ** m
     if budget > MAX_CANDIDATES:
+        fit = m - 1
+        while fit * (2 * bound + 1) ** fit > MAX_CANDIDATES:
+            fit -= 1
         raise ValueError(
             f"enumeration budget {budget} exceeds {MAX_CANDIDATES}; "
-            f"reduce bound (<= 3) or point count (<= 8)")
+            f"reduce bound, or point count (<= {fit} at bound {bound})")
     T = _sum_constrained_vectors(m, bound, 1)
     Tf = T.astype(float)
     e = np.frexp(D.max())[1]
@@ -246,23 +238,25 @@ class EmbeddingResult:
 def sqrt_embed(D):
     """Classical scaling of the metric sqrt(d) with circumsphere fit.
 
-    Gram matrix G_ij = (d(x_i, b) + d(x_j, b) - d(x_i, x_j)) / 2, with the
-    first point as b, is factored by eigendecomposition; eigenvalues below
-    -REL_TOL * max|D| raise NotNegativeTypeError, small negatives are
-    clamped to zero.  G and the distance residuals are taken on the copy
-    of D scaled, exactly, by the power of four 4^-k that puts its largest
-    distance in [0.25, 1), and the coordinates scaled back by 2^k.
+    A matrix in which negative_type_witness finds a witness (t, Q) raises
+    NotNegativeTypeError carrying it, by the same rule (_witnesses).
+    Otherwise the Gram matrix G_ij = (d(x_i, b) + d(x_j, b) - d(x_i, x_j))
+    / 2, with the first point as b, is factored by eigendecomposition, and
+    its small negative eigenvalues are clamped to zero.  G and the
+    distance residuals are taken on the copy of D scaled, exactly, by the
+    power of four 4^-k that puts its largest distance in [0.25, 1), and
+    the coordinates scaled back by 2^k.
     """
     D = validate_distance_matrix(D)
+    witness = _witnesses(D[None])[0]
+    if witness is not None:
+        raise NotNegativeTypeError(
+            f"metric is not of negative type: a sum-zero t has "
+            f"Q(t) = {witness[1]}", witness=witness)
     m = D.shape[0]
     k = (np.frexp(D.max())[1] + 1) // 2
     scale = np.ldexp(D.max(), -2 * k)
     eigvals, eigvecs = np.linalg.eigh(_gram(D, 2 * k))
-    if eigvals[0] < -REL_TOL * scale:
-        low = float(np.ldexp(eigvals[0], 2 * k))
-        raise NotNegativeTypeError(
-            f"Gram matrix has eigenvalue {low}; "
-            f"metric is not of negative type", eigenvalue=low)
     eigvals = np.clip(eigvals, 0.0, None)
     keep = eigvals > REL_TOL * scale
     rank = int(keep.sum())
@@ -423,5 +417,5 @@ def violation_search(kind, n, m, trials, radius, stream, seed_points=None):
     if best.t is not None and best.q > 0:
         D = build_distance_matrix(kind, best.points)
         direct = quadratic_form(D, best.t)
-        best.verified = abs(direct - best.q) <= 1e-9 * max(abs(best.q), 1.0)
+        best.verified = abs(direct - best.q) <= 1e-9 * abs(best.q)
     return best

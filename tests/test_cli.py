@@ -404,6 +404,14 @@ class TestScanHypermetric:
         assert code == 0
         assert json.loads(out)["verdict"] == "hypermetric within bound"
 
+    def test_one_point_matrix(self, capsys, tmp_path):
+        # one point has one candidate, t = [1], with Q = 0
+        path = tmp_path / "one.csv"
+        path.write_text("0\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "scan-hypermetric", "--matrix", str(path))
+        assert code == 0
+        assert json.loads(out)["verdict"] == "hypermetric within bound"
+
 
 class TestEmbed:
     def test_hyperbolic_triangle(self, capsys, tmp_path):

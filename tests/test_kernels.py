@@ -1,9 +1,11 @@
+import itertools
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from hypcrofton import kernels
 from hypcrofton.algebra import COMPLEX, QUATERNION, REAL
 from hypcrofton.configurations import (
     SPLIT_COEFFICIENTS,
@@ -12,10 +14,12 @@ from hypcrofton.configurations import (
     quaternionic_cluster_points,
 )
 from hypcrofton.kernels import (
+    MAX_CANDIDATES,
     REL_TOL,
     NotNegativeTypeError,
     _block_trials,
     _double_centered,
+    _sum_constrained_vectors,
     _witnesses,
     build_distance_matrix,
     hypermetric_scan,
@@ -292,6 +296,22 @@ class TestValidateDistanceMatrix:
         (t, q), (t_sym, q_sym) = negative_type_witness(D), negative_type_witness(sym)
         assert np.array_equal(t, t_sym) and q == q_sym
 
+    @pytest.mark.parametrize("scale", [1.0, 1e13, 2.0 ** -1000])
+    def test_asymmetry_refused_at_every_scale(self, scale):
+        # d_01 and d_10 differ threefold; the tolerance was absolute below
+        # max d = 1, so this matrix was taken as symmetric at scale 1
+        D = scale * np.array([[0, 1e-13, 5e-14], [3e-13, 0, 1e-13],
+                              [5e-14, 1e-13, 0]])
+        with pytest.raises(ValueError, match="must be symmetric"):
+            validate_distance_matrix(D)
+
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+    def test_rounding_asymmetry_accepted_at_every_scale(self, scale):
+        # one pair off by 5e-13 of max d, where np.allclose's rtol gives
+        # nothing: within the tolerance at every scale
+        D = scale * np.array([[0, 1, 1], [1, 0, 0], [1, 5e-13, 0]])
+        assert np.array_equal(validate_distance_matrix(D), 0.5 * (D + D.T))
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     @pytest.mark.filterwarnings("error")
     def test_non_finite_rejected(self, value):
@@ -322,6 +342,27 @@ class TestHypermetricScan:
     def test_budget_guard(self):
         with pytest.raises(ValueError):
             hypermetric_scan(np.zeros((12, 12)), bound=3)
+
+    @pytest.mark.parametrize("bound,largest", [(1, 12), (2, 9), (3, 7)])
+    def test_budget_guard_names_largest_point_count(self, bound, largest):
+        # the message read "(<= 3)" and "(<= 8)" at every bound, which an
+        # 8-point scan at bound 3 already met
+        assert hypermetric_scan(np.zeros((largest, largest)), bound=bound) == []
+        with pytest.raises(ValueError,
+                           match=rf"point count \(<= {largest} at bound {bound}\)"):
+            hypermetric_scan(np.zeros((largest + 1, largest + 1)), bound=bound)
+
+    @pytest.mark.parametrize("m,bound", [
+        (m, bound) for bound in (1, 2, 3) for m in range(1, 9)
+        if m * (2 * bound + 1) ** m <= MAX_CANDIDATES])
+    def test_enumeration_is_filtered_product(self, m, bound):
+        # every vector with entries in [-bound, bound] summing to 1, in
+        # lexicographic order; m = 1 is the one vector [1]
+        expected = [t for t in itertools.product(range(-bound, bound + 1), repeat=m)
+                    if sum(t) == 1]
+        T = _sum_constrained_vectors(m, bound, 1)
+        assert T.shape == (len(expected), m)
+        assert T.tolist() == [list(t) for t in expected]
 
 
 class TestSqrtEmbed:
@@ -356,10 +397,42 @@ class TestSqrtEmbed:
             emb = sqrt_embed(D[np.ix_(p, p)])
             assert emb.max_distance_residual <= 1e-9
 
+    @staticmethod
+    def perturbed_D(seed, delta):
+        """12 random points of H^2_R within radius 3, their distances moved
+        by delta u u^T (diagonal zeroed) along a sum-zero unit u."""
+        D = build_distance_matrix(REAL, random_coords(REAL, 2, 3.0, random.Random(seed), 12))
+        u = np.random.default_rng(seed).standard_normal(12)
+        u -= u.mean()
+        u /= np.linalg.norm(u)
+        B = np.outer(u, u)
+        np.fill_diagonal(B, 0.0)
+        return D + delta * B
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_refuses_where_negative_type_witness_finds_one(self, seed):
+        # embed had its own threshold on the Gram form's least eigenvalue,
+        # which let it embed matrices just past negative_type_witness's
+        # threshold (seed 0: from delta = 0.4377217053 to 0.4377217129)
+        below, above = 0.0, 1.0
+        assert negative_type_witness(self.perturbed_D(seed, above)) is not None
+        while (mid := 0.5 * (below + above)) not in (below, above):
+            if negative_type_witness(self.perturbed_D(seed, mid)) is None:
+                below = mid
+            else:
+                above = mid
+        D = self.perturbed_D(seed, above)
+        with pytest.raises(NotNegativeTypeError) as exc:
+            sqrt_embed(D)
+        t, q = exc.value.witness
+        t0, q0 = negative_type_witness(D)
+        assert np.array_equal(t, t0) and q == q0
+        assert sqrt_embed(self.perturbed_D(seed, below)).max_distance_residual <= 1e-6
+
     def test_rejects_non_negative_type(self, projective_D):
         with pytest.raises(NotNegativeTypeError) as exc:
             sqrt_embed(projective_D)
-        assert exc.value.eigenvalue < 0
+        assert exc.value.witness[1] > 0
 
 
 class TestBuildDistanceMatrix:
@@ -526,6 +599,21 @@ class TestViolationSearch:
         else:
             assert best.trial == -1
             assert np.array_equal(best.points, seed_points)
+
+    @pytest.mark.parametrize("off,verified", [(0.0, True), (1e-6, False)])
+    def test_verified_is_relative_below_one(self, projective_D, monkeypatch,
+                                            off, verified):
+        # the seed configuration measured at 1e-8 times its distances, Q
+        # about 1e-8, and the re-measure off by `off` relative: against
+        # 1e-9 * max(|Q|, 1) an error of 1e-6 relative passed as verified
+        scales = iter([1e-8, 1e-8 * (1 + off)])
+        monkeypatch.setattr(kernels, "build_distance_matrix",
+                            lambda kind, points: next(scales) * projective_D)
+        best = violation_search("p", 2, m=6, trials=0, radius=0.0,
+                                stream=random.Random(0),
+                                seed_points=projective_six_points())
+        assert 1e-9 < best.q < 1e-7
+        assert best.verified == verified
 
     @pytest.mark.parametrize("kind,n", [("s", 2), ("x", 2), (REAL, 0), ("p", 0)],
                              ids=["sphere", "unknown", "r-dim-0", "p-dim-0"])
