@@ -4,12 +4,14 @@ A distance d is of negative type when sum_{i,j} t_i t_j d_ij <= 0 for all
 real t with sum t_i = 0, and hypermetric when the same holds for integer t
 with sum t_i = 1.  Negative type is decided by a Cholesky factorization
 of the matrix's Gram form, and where that fails spectrally (top eigenvalue
-of the double-centered matrix), which also gives the witness: one rule,
-over a stack of matrices (_witnesses), for negative_type_witness,
-violation_search and sqrt_embed alike.  Hypermetric violations are found
-by bounded enumeration, in one numpy pass.  Every check takes D scaled
-exactly by a power of two to max d near 1, so none overflows or
-underflows for scale alone.  The negative-type checks hold O(m^2) floats.
+of the double-centered matrix, from its eigenvalues alone); a violating
+matrix's witness is its top eigenvector, from two steps of inverse
+iteration: one rule, over a stack of matrices (_witnesses), for
+negative_type_witness, violation_search and sqrt_embed alike.
+Hypermetric violations are found by bounded enumeration, in one numpy
+pass.  Every check takes D scaled exactly by a power of two to max d
+near 1, so none overflows or underflows for scale alone.  The
+negative-type checks hold O(m^2) floats.
 """
 
 from __future__ import annotations
@@ -99,12 +101,14 @@ def negative_type_witness(D, tol=REL_TOL):
     The rule (_witnesses): the matrix double-centered with P = I - J/m has
     its top eigenvalue compared against tol * max|D|.  A Cholesky factor
     of the Gram form shifted by tol * max|D| / 2 proves the top eigenvalue
-    below the bound, which returns None with no eigensolve.  Otherwise a
-    returned witness is the top eigenvector, automatically sum-zero,
+    below the bound, which returns None with no eigensolve.  Otherwise the
+    top eigenvalue comes from the eigenvalues alone, and a returned
+    witness is the top eigenvector, from inverse iteration, sum-zero,
     scaled to |t|^2 = m so that its Q is at least the Q of any +-1 split
-    vector; Q is its quadratic form.  Neither the verdict nor t changes
-    under D -> 2^k D.  Raises ValueError for a tolerance that is negative
-    or not finite.
+    vector; Q is its quadratic form.  Its sign: t_j > 0 at the row j of
+    P D P of largest norm.  Neither the verdict nor t changes under
+    D -> 2^k D.  Raises ValueError for a tolerance that is negative or
+    not finite.
     """
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
@@ -121,29 +125,50 @@ def _witnesses(D, tol=REL_TOL):
     puts its largest distance in [0.5, 1), so that no form overflows or
     underflows for scale alone, and its Q is scaled back by 2^e.  numpy
     factors a whole stack or raises, so one matrix that fails the
-    Cholesky sends the stack to eigh."""
+    Cholesky sends the stack to eigvalsh, which returns eigenvalues only;
+    only a matrix whose top eigenvalue passes the bound has its top
+    eigenvector computed (_top_eigenvector)."""
     out = [None] * len(D)
     top = D.max(axis=(-2, -1))
     e = np.frexp(top)[1][:, None, None]
     bound = tol * np.ldexp(top, -e[:, 0, 0])
     if _gram_has_cholesky(D, e, 0.5 * bound):
         return out
-    eigvals, eigvecs = np.linalg.eigh(_double_centered(np.ldexp(D, -e)))
+    B = _double_centered(np.ldexp(D, -e))
+    eigvals = np.linalg.eigvalsh(B)
     m = D.shape[-1]
     for b in np.flatnonzero(eigvals[:, -1] > bound):
-        t = eigvecs[b, :, -1]
-        t = t - t.mean()  # kill centering round-off
-        t = t * (np.sqrt(m) / np.linalg.norm(t))
+        t = _top_eigenvector(B[b], eigvals[b, -1], np.abs(eigvals[b]).max())
+        t -= t.mean()  # kill centering round-off
+        t *= np.sqrt(m) / np.linalg.norm(t)
         q = quadratic_form(np.ldexp(D[b], -e[b]), t)
         with np.errstate(over="ignore"):  # a Q past the largest float reads inf
             out[b] = (t, float(np.ldexp(q, e[b, 0, 0])))
     return out
 
 
+def _top_eigenvector(B, top, norm):
+    """An eigenvector of the symmetric (m, m) matrix B for its top
+    eigenvalue `top`, by two steps of inverse iteration: x <- (B - s I)^-1 x
+    with s = top + 8 ulps of norm, B's 2-norm, so that B - s I is
+    nonsingular and the top eigenpair dominates it.  B is overwritten with
+    B - s I.  The start is B's row of largest norm, B e_j, whose part
+    along an eigenvector v is top v_j; the constant vector, an exact
+    eigenvector of P D P, would start orthogonal to the witness.  Each
+    step multiplies that part by 1 / (top - s), so after two the result
+    has x_j > 0.  Returned unnormalized."""
+    j = np.argmax(np.einsum("ij,ij->i", B, B))
+    x = B[j].copy()
+    B.reshape(-1)[::len(B) + 1] -= top + 8 * np.finfo(float).eps * norm
+    for _ in range(2):
+        x = np.linalg.solve(B, x)
+    return x
+
+
 def _double_centered(D):
     """D overwritten by P D P, P = I - J/m, over the last two axes: its row
     and column means subtracted and its grand mean added.  For a symmetric
-    D the result is symmetric up to rounding; eigh reads one triangle."""
+    D the result is symmetric up to rounding; eigvalsh reads one triangle."""
     rows = D.mean(axis=-1, keepdims=True)
     cols = D.mean(axis=-2, keepdims=True)
     D -= rows

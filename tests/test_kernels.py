@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,7 +156,7 @@ class TestCholeskyDecision:
     def test_negative_type_without_eigensolve(self, kind, m, radius, seed, monkeypatch):
         D = random_D(kind, 2, m, radius, seed)
         assert sum_zero_top_eigenvalue(D) < 0.0
-        calls = counted(monkeypatch, "eigh")
+        calls = counted(monkeypatch, "eigvalsh")
         for tol in (0.0, REL_TOL):
             assert negative_type_witness(D, tol=tol) is None
         assert calls == []
@@ -184,7 +188,7 @@ class TestCholeskyDecision:
     ], ids=["r3", "c2", "h2-160"])
     def test_search_eigensolves_only_failing_blocks(self, kind, n, m, trials,
                                                      fallbacks, monkeypatch):
-        calls = counted(monkeypatch, "eigh")
+        calls = counted(monkeypatch, "eigvalsh")
         best = violation_search(kind, n, m, trials, 2.0, random.Random(1))
         assert len(calls) == fallbacks
         assert best.verified == (fallbacks > 0)
@@ -236,12 +240,20 @@ class TestScaleFree:
 class TestStackedRule:
     def test_mixed_stack_matches_one_matrix_at_a_time(self, monkeypatch):
         # the H^2_H matrix fails the batched Cholesky for the whole stack,
-        # so eigh decides the H^2_R matrices too, as they would not be alone
+        # so eigvalsh decides the H^2_R matrices too, as they would not be
+        # alone; only the H^2_H matrix, above the bound, is solved with,
+        # twice: its centered copy, the diagonal shifted
         stack = np.stack([random_D(REAL, 2, 160, 2.0, 1),
                           random_D(QUATERNION, 2, 160, 2.0, 1),
                           random_D(REAL, 2, 160, 2.0, 2)])
         expected = [negative_type_witness(D) for D in stack]
-        calls = counted(monkeypatch, "eigh")
+        centered = _double_centered(
+            np.ldexp(stack, -np.frexp(stack.max(axis=(1, 2)))[1][:, None, None]))
+        calls = counted(monkeypatch, "eigvalsh")
+        solved = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: solved.append(a.copy()) or solve(a, b))
         found = _witnesses(stack)
         assert calls == [stack.shape]
         assert [w is None for w in found] == [w is None for w in expected] \
@@ -249,6 +261,75 @@ class TestStackedRule:
         t, q = found[1]
         assert np.array_equal(t, expected[1][0])
         assert q == expected[1][1]
+        off = ~np.eye(160, dtype=bool)
+        assert len(solved) == 2
+        for a in solved:
+            assert np.array_equal(a[off], centered[1][off])
+
+
+def witness_cases():
+    """Violating matrices by name: the projective six points, the addendum,
+    H^2_H at m = 160, 240 and 600 (seeds 1-3), and the false H^2_R
+    violations that the search reports at radius 1e-6 (seeds 1-3), where
+    the top eigenvalue lies just above the bound."""
+    yield "projective", lambda: build_distance_matrix("p", projective_six_points())
+    yield "addendum", lambda: build_distance_matrix(
+        QUATERNION, quaternionic_cluster_points())
+    for m in (160, 240, 600):
+        for seed in (1, 2, 3):
+            yield f"h2-{m}-{seed}", lambda m=m, seed=seed: random_D(
+                QUATERNION, 2, m, 2.0, seed)
+    for seed in (1, 2, 3):
+        yield f"r2-radius-1e-6-{seed}", lambda seed=seed: build_distance_matrix(
+            REAL, violation_search(REAL, 2, 24, 50, 1e-6,
+                                   random.Random(seed)).points)
+
+
+class TestTopEigenvector:
+    """A witness is the top eigenvector of P D P from eigvalsh's top
+    eigenvalue and two steps of inverse iteration, not from eigh."""
+
+    @pytest.mark.parametrize("case", [pytest.param(make, id=name)
+                                      for name, make in witness_cases()])
+    def test_matches_eigh(self, case):
+        D = case()
+        m = len(D)
+        e = np.frexp(D.max())[1]
+        centered = _double_centered(np.ldexp(D, -e))
+        eigvals, eigvecs = np.linalg.eigh(centered)
+        t, q = negative_type_witness(D)
+        v = eigvecs[:, -1] * (np.sqrt(m) / np.linalg.norm(eigvecs[:, -1]))
+        v *= np.sign(v @ t)
+        assert np.abs(t - v).max() <= 1e-11 * np.abs(t).max()
+        assert q == pytest.approx(np.ldexp(m * eigvals[-1], e), rel=1e-12)
+        assert abs(t.sum()) <= 1e-12 * m
+        # the sign rule: positive at the row of P D P of largest norm
+        assert t[np.argmax(np.einsum("ij,ij->i", centered, centered))] > 0
+
+    def test_double_top_eigenvalue(self):
+        # a circulant distance matrix, d_ij = 2 + cos(2 pi (i - j) / m) off
+        # the diagonal: on the sum-zero vectors P D P has eigenvalue m/2 - 3
+        # twice (the cosine and sine of frequency one) and -3 otherwise
+        m = 12
+        angle = 2 * np.pi * np.subtract.outer(np.arange(m), np.arange(m)) / m
+        D = 2.0 + np.cos(angle)
+        np.fill_diagonal(D, 0.0)
+        top = sum_zero_top_eigenvalue(D)
+        assert top == pytest.approx(m / 2 - 3, rel=1e-12)
+        t, q = negative_type_witness(D)
+        assert q >= (1 - 1e-12) * m * top
+        assert abs(t.sum()) <= 1e-12 * m
+
+    def test_runs_without_eigh(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        assert negative_type_witness(build_distance_matrix(
+            "p", projective_six_points())) is not None
+        best = violation_search(QUATERNION, 2, 160, 5, 2.0, random.Random(1))
+        assert best.trial == 4 and best.verified
+        for case in ("addendum", "projective"):
+            assert main(["reproduce", case]) == 0
 
 
 def traced_peak(fn, *args):
@@ -262,6 +343,17 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+#: runs its arguments as a command and prints the exit code and the peak
+#: RSS in kB (Linux) that os.wait4 reads: Linux starts a child's ru_maxrss
+#: at the peak of the process that spawned it, so the command is spawned
+#: from this small interpreter, not from the test process
+PEAK_HELPER = (
+    "import os, subprocess, sys\n"
+    "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(child.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
 
 
 class TestMemory:
@@ -281,6 +373,28 @@ class TestMemory:
         D = random_D(kind, 2, self.M, 2.0, 1)
         peak = traced_peak(negative_type_witness, D)
         assert D.nbytes + peak <= 3.5 * self.FLOATS
+
+    def test_witness_process_peak(self, tmp_path):
+        # check-negtype as a process, on an h,2 file, which needs the
+        # eigenvalues and a witness, and an r,2 file, which the Cholesky
+        # decides: the witness may cost at most one m x m array of peak RSS
+        # beyond the Cholesky (eigh's eigenvectors and workspace cost three)
+        peaks = {}
+        for kind, width in ((QUATERNION, 4), (REAL, 1)):
+            coords = random_coords(kind, 2, 2.0, random.Random(1), self.M)
+            rows = [f"{kind},2", *(",".join(map(repr, row)) for row in
+                                   coords[..., :width].reshape(self.M, -1).tolist())]
+            path = tmp_path / f"{kind}.csv"
+            path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+            done = subprocess.run(
+                [sys.executable, "-c", PEAK_HELPER, sys.executable, "-m",
+                 "hypcrofton.cli", "check-negtype", "--points", str(path)],
+                capture_output=True, text=True, check=True,
+                env=dict(os.environ,
+                         PYTHONPATH=str(Path(kernels.__file__).parents[1])))
+            code, peaks[kind] = map(int, done.stdout.split())
+            assert code == 0
+        assert 1024 * peaks[QUATERNION] <= 1024 * peaks[REAL] + self.FLOATS
 
 
 class TestValidateDistanceMatrix:
