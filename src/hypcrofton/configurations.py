@@ -46,17 +46,11 @@ def cluster_sums(D):
     """(within_sum, cross_sum) of the distance matrix D of a two-cluster
     configuration whose first cluster is the first half of its points.
 
-    Within-cluster distances are summed over unordered pairs of each
-    cluster; cross distances over all ordered (i in first, j in second)
+    within sums each cluster's unordered pairs, as half its diagonal block
+    of the symmetric D; cross sums all ordered (i in first, j in second)
     pairs.  The negative-type condition fails iff within > cross.
     """
     D = np.asarray(D, dtype=float)
-    m = D.shape[0]
-    split = m // 2
-    first = np.arange(split)
-    second = np.arange(split, m)
-    iu = np.triu_indices(split, k=1)
-    within = D[np.ix_(first, first)][iu].sum() + D[np.ix_(second, second)][
-        np.triu_indices(m - split, k=1)].sum()
-    cross = D[np.ix_(first, second)].sum()
-    return float(within), float(cross)
+    split = len(D) // 2
+    within = 0.5 * (D[:split, :split].sum() + D[split:, split:].sum())
+    return float(within), float(D[:split, split:].sum())

@@ -9,8 +9,9 @@ is deliberately not canonicalized; every distance is phase invariant.
 Projective points and sphere vectors are (..., n+1) rows that unit_rows
 scales to unit length.  Every point row is scale-free: the two
 normalizations check it and scale it by a power of two before any square
-is formed.  kernels.build_distance_matrix pairs each point kind with its
-normalization and kernel.
+is formed.  One row-block driver, _symmetric_blocks, builds every
+distance matrix in O(m^2) memory.  kernels.build_distance_matrix pairs
+each point kind with its normalization and kernel.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 
 from .algebra import CONJ_MUL, CONJ_SIGNS, FIELD_DIM
 
-#: bytes of the temporaries one row block of hyperbolic_distance_matrix
-#: holds besides its (..., m, m) result
+#: bytes of the temporaries one row block of a distance kernel holds
+#: besides its (..., m, m) result
 BLOCK_BYTES = 1 << 20
 
 
@@ -63,15 +64,6 @@ def normalized_coords(coords):
     return coords / np.sqrt(-q)[..., None, None]
 
 
-def _pairs_to_matrix(values, m):
-    """(..., m, m) matrix with the upper-triangle pair values mirrored below
-    an exact zero diagonal."""
-    D = np.zeros(values.shape[:-1] + (m, m))
-    iu = np.triu_indices(m, k=1)
-    D[..., iu[0], iu[1]] = values
-    return D + np.swapaxes(D, -1, -2)
-
-
 def _form_rows(X):
     """The real matrices of <x_i, .>: (..., m, n+1, 4) coordinates ->
     (..., m, 4, n+1, 4), whose entry [..., i, c, k, q] is signs[k] times
@@ -84,15 +76,31 @@ def _form_rows(X):
     return np.moveaxis(left.reshape(*X.shape, 4), -1, -3)
 
 
-def _block_rows(count, m):
-    """Rows per block of hyperbolic_distance_matrix over `count` stacked
-    m-point configurations: a block's two pairing arrays, (count, rows, 4,
-    m) at most, and its (count, rows, m) moduli fit in BLOCK_BYTES, unless
-    one block of 16 rows does not.  Blocks start at multiples of 16 rows,
-    a multiple of the register tiles of common BLAS kernels, so that their
-    products tend to round each <x_i, x_j> as one product over all rows
-    does; the distances do not depend on it beyond rounding."""
-    return max(16, BLOCK_BYTES // max(1, 72 * count * m) // 16 * 16)
+def _block_rows(count, m, width):
+    """Rows per block of _symmetric_blocks over `count` stacked m-point
+    configurations: a block's (count, rows, m) pairs, `width` floats of
+    temporaries each, fit in BLOCK_BYTES, unless 16 rows do not.  Blocks
+    start at multiples of 16 rows, a multiple of the register tiles of
+    common BLAS kernels, so that their products tend to round each entry as
+    one product over all rows does; no distance depends on it otherwise."""
+    return max(16, BLOCK_BYTES // max(1, 8 * width * count * m) // 16 * 16)
+
+
+def _symmetric_blocks(D, pairs, width):
+    """D, (..., m, m), filled with the exactly symmetric matrix whose row
+    block start:stop at columns j >= start is pairs(start, stop), which may
+    read that part of D (no earlier block writes it); no temporary is m^2."""
+    *batch, m, _ = D.shape
+    rows = _block_rows(math.prod(batch), m, width)
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        values = pairs(start, stop)
+        square = values[..., :stop - start]
+        np.copyto(square, np.swapaxes(square, -1, -2),
+                  where=np.tri(stop - start, k=-1, dtype=bool))
+        D[..., start:stop, start:] = values
+        D[..., stop:, start:stop] = np.swapaxes(values[..., stop - start:], -1, -2)
+    return D
 
 
 def hyperbolic_distance_matrix(coords):
@@ -102,34 +110,28 @@ def hyperbolic_distance_matrix(coords):
     Every <x_i, x_j> comes from a real matrix product: the rows of x_i are
     the real 4x4 matrices of "conjugate, then multiply" by its coordinates,
     with the form's signs, the columns the coefficients of x_j.
-    |<x_i, x_j>|^2 is taken as Re(<x_i, x_j> <x_j, x_i>).  The products run
-    in blocks of rows, each over the pairs j >= i of its rows, whose values
-    it also writes at (j, i), so the result is exactly symmetric and no
-    temporary grows with m^2.  The square root, the resolution check, the
-    clamp and arccosh then run in place on the one (..., m, m) array, whose
-    diagonal is exactly 0.
+    |<x_i, x_j>|^2 is taken as Re(<x_i, x_j> <x_j, x_i>), symmetric in i
+    and j term by term, so that d(a, b) is bit-equal to d(b, a) in any block
+    (the squared coefficients of <x_i, x_j> alone would halve the products,
+    but not that).  The products run in the row blocks of _symmetric_blocks;
+    the square root, the resolution check, the clamp and arccosh then run in
+    place on the one (..., m, m) array, whose diagonal is exactly 0.
     """
     X = np.asarray(coords, dtype=float)
     *batch, m, dim, _ = X.shape
     left = _form_rows(X).reshape(*batch, m * 4, dim * 4)
     cols = np.swapaxes(X.reshape(*batch, m, dim * 4), -1, -2)
-    D = np.empty((*batch, m, m))
-    rows = _block_rows(math.prod(batch), m)
-    for start in range(0, m, rows):
-        stop = min(start + rows, m)
+
+    def pairs(start, stop):
         # ahead[..., i, :, j] = <x_i, x_j> and behind[..., j, :, i] =
         # <x_j, x_i> for the block's rows i and every j >= start
         ahead = (left[..., 4 * start:4 * stop, :] @ cols[..., start:]).reshape(
             *batch, stop - start, 4, m - start)
         behind = (left[..., 4 * start:, :] @ cols[..., start:stop]).reshape(
             *batch, m - start, 4, stop - start)
-        mod2 = np.einsum("...icj,c,...jci->...ij", ahead, CONJ_SIGNS, behind)
-        del ahead, behind
-        square = mod2[..., :stop - start]
-        np.copyto(square, np.swapaxes(square, -1, -2),
-                  where=np.tri(stop - start, k=-1, dtype=bool))
-        D[..., start:stop, start:] = mod2
-        D[..., stop:, start:stop] = np.swapaxes(mod2[..., stop - start:], -1, -2)
+        return np.einsum("...icj,c,...jci->...ij", ahead, CONJ_SIGNS, behind)
+
+    D = _symmetric_blocks(np.empty((*batch, m, m)), pairs, 9)
     np.sqrt(D, out=D)
     D.reshape(*batch, m * m)[..., ::m + 1] = 1.0  # the check skips the diagonal
     low = D.min(initial=1.0)
@@ -143,32 +145,36 @@ def hyperbolic_distance_matrix(coords):
     return np.arccosh(D, out=D)
 
 
-def _pair_angle_parts(X):
-    """For the pairs i < j of stacked unit vectors X, (..., m, n+1): the norm
-    of x_j's component orthogonal to x_i, |sin| of their angle, and x_i . x_j,
-    its cosine.  arctan2 of the two is stable near coincident, orthogonal
-    and antipodal vectors, where arccos of the cosine loses small angles."""
-    m = X.shape[-2]
-    iu = np.triu_indices(m, k=1)
-    inner = (X @ np.swapaxes(X, -1, -2))[..., iu[0], iu[1]]
-    perp = X[..., iu[1], :] - X[..., iu[0], :] * inner[..., None]
-    return np.linalg.norm(perp, axis=-1), inner
+def _angle_distance_matrix(coords, fold):
+    """Angles between stacked unit vectors, (..., m, n+1) -> (..., m, m):
+    arctan2 of |x_j - x_i cos| and cos = x_i . x_j, or |cos| if `fold`,
+    stable near coincident, orthogonal and antipodal vectors, as arccos is
+    not.  The blocks of _symmetric_blocks overwrite the cosines with them."""
+    X = np.asarray(coords, dtype=float)
+    *batch, m, dim = X.shape
+    D = X @ np.swapaxes(X, -1, -2)
+
+    def pairs(start, stop):
+        cos = D[..., start:stop, start:]
+        perp = X[..., None, start:, :] - X[..., start:stop, None, :] * cos[..., None]
+        return np.arctan2(np.linalg.norm(perp, axis=-1),
+                          np.abs(cos) if fold else cos)
+
+    _symmetric_blocks(D, pairs, 2 * dim + 3)
+    D.reshape(*batch, m * m)[..., ::m + 1] = 0.0
+    return D
 
 
 def projective_distance_matrix(coords):
     """Distances between stacked points of P^n_R: (..., m, n+1) unit
     representatives -> (..., m, m), cos d_ij = |(x_i, x_j)|, in [0, pi/2]."""
-    X = np.asarray(coords, dtype=float)
-    sin, cos = _pair_angle_parts(X)
-    return _pairs_to_matrix(np.arctan2(sin, np.abs(cos)), X.shape[-2])
+    return _angle_distance_matrix(coords, True)
 
 
 def sphere_distance_matrix(coords):
     """Distances between stacked points of the unit sphere S^n: (..., m, n+1)
     unit vectors -> (..., m, m), cos d_ij = x_i . x_j, in [0, pi]."""
-    X = np.asarray(coords, dtype=float)
-    sin, cos = _pair_angle_parts(X)
-    return _pairs_to_matrix(np.arctan2(sin, cos), X.shape[-2])
+    return _angle_distance_matrix(coords, False)
 
 
 def _uniform_rows(stream, rows, width):

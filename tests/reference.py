@@ -24,9 +24,11 @@ constant table algebra.CONJ_MUL, which they check.
 The package's estimators integrate these carriers in closed form and run
 none of this; pair_distance measures two points with the package's
 build_distance_matrix.  unblocked_hyperbolic_distances is the hyperbolic
-kernel as one product over all rows, and sum_zero_top_eigenvalue the
-spectral rule of negative type, without the package's Cholesky.  The
-tests import it as `reference` (tests/ is on sys.path).
+kernel as one product over all rows, unblocked_angle_distances the
+projective and sphere kernels over every pair at once, and
+sum_zero_top_eigenvalue the spectral rule of negative type, without the
+package's Cholesky.  The tests import it as `reference` (tests/ is on
+sys.path).
 """
 
 from __future__ import annotations
@@ -105,6 +107,22 @@ def unblocked_hyperbolic_distances(coords):
     D = np.arccosh(np.maximum(np.sqrt(mod2), 1.0))
     D[..., np.arange(m), np.arange(m)] = 0.0
     return D
+
+
+def unblocked_angle_distances(coords, fold):
+    """(..., m, n+1) unit vectors -> (..., m, m) angles from the pairs i < j
+    gathered into one array: arctan2 of |x_j - x_i cos|, with cos = x_i . x_j
+    from one product over all rows, and of cos, or |cos| if `fold`, the
+    values scattered above an exact zero diagonal and mirrored below it."""
+    X = np.asarray(coords, dtype=float)
+    m = X.shape[-2]
+    iu = np.triu_indices(m, k=1)
+    cos = (X @ np.swapaxes(X, -1, -2))[..., iu[0], iu[1]]
+    perp = X[..., iu[1], :] - X[..., iu[0], :] * cos[..., None]
+    D = np.zeros(X.shape[:-1] + (m,))
+    D[..., iu[0], iu[1]] = np.arctan2(np.linalg.norm(perp, axis=-1),
+                                      np.abs(cos) if fold else cos)
+    return D + np.swapaxes(D, -1, -2)
 
 
 def sum_zero_top_eigenvalue(D):

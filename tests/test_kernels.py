@@ -34,7 +34,14 @@ from hypcrofton.kernels import (
     violation_search,
 )
 from hypcrofton.cli import main
-from hypcrofton.spaces import random_coords, random_normals
+from hypcrofton.spaces import (
+    BLOCK_BYTES,
+    projective_distance_matrix,
+    random_coords,
+    random_normals,
+    sphere_distance_matrix,
+    unit_rows,
+)
 from reference import sum_zero_top_eigenvalue
 
 
@@ -366,6 +373,14 @@ class TestMemory:
         coords = random_coords(QUATERNION, 2, 2.0, random.Random(1), self.M)
         peak = traced_peak(build_distance_matrix, QUATERNION, coords)
         assert peak <= 2.0 * self.FLOATS
+
+    @pytest.mark.parametrize("kernel", [projective_distance_matrix,
+                                        sphere_distance_matrix])
+    def test_angle_kernels(self, kernel):
+        # the pairs i < j gathered into (pairs, n+1) arrays held about 7.5 D
+        rows = unit_rows(random_normals(random.Random(1), self.M, 4), "s")
+        peak = traced_peak(kernel, rows)
+        assert peak <= self.FLOATS + 2 * BLOCK_BYTES
 
     @pytest.mark.parametrize("kind", [REAL, QUATERNION])
     def test_negative_type_witness(self, kind):

@@ -34,6 +34,7 @@ from reference import (
     phase_shifted,
     random_isometry,
     real_coords,
+    unblocked_angle_distances,
     unblocked_hyperbolic_distances,
 )
 
@@ -284,7 +285,7 @@ class TestBlockedHyperbolicKernel:
     @pytest.mark.parametrize("field", ALL_FIELDS)
     def test_block_edges(self, field, monkeypatch):
         monkeypatch.setattr(spaces, "BLOCK_BYTES", 1)
-        rows = _block_rows(1, 64)
+        rows = _block_rows(1, 64, 9)
         assert rows == 16
         for m in (1, 2, rows - 1, rows, rows + 1, 3 * rows + 5):
             D = self.check(self.points(field, m))
@@ -292,7 +293,7 @@ class TestBlockedHyperbolicKernel:
 
     def test_stacked_batch_in_blocks(self, monkeypatch):
         monkeypatch.setattr(spaces, "BLOCK_BYTES", 72 * 3 * 40 * 16)
-        assert _block_rows(3, 40) == 16
+        assert _block_rows(3, 40, 9) == 16
         coords = self.points(QUATERNION, 3 * 40, shape=(3, 40))
         D = self.check(coords)
         for b in range(3):
@@ -300,7 +301,7 @@ class TestBlockedHyperbolicKernel:
                 hyperbolic_distance_matrix(coords[b])), rtol=1e-13)
 
     def test_default_budget(self):
-        rows = _block_rows(1, 200)
+        rows = _block_rows(1, 200, 9)
         assert 16 <= rows < 200 and rows % 16 == 0
         self.check(self.points(COMPLEX, 200))
 
@@ -319,6 +320,42 @@ class TestBlockedHyperbolicKernel:
         D = hyperbolic_distance_matrix(coords)
         assert np.all(np.diagonal(D) == 0.0)
         assert np.all(np.isfinite(D))
+
+
+class TestBlockedAngleKernels:
+    """projective_distance_matrix and sphere_distance_matrix run in blocks
+    of rows; the pair-gathering formula of the reference is their oracle,
+    to the bit."""
+
+    KERNELS = [(projective_distance_matrix, True), (sphere_distance_matrix, False)]
+
+    @staticmethod
+    def rows(count, n, seed=32):
+        return unit_rows(random_normals(random.Random(seed), count, n + 1), "s")
+
+    @staticmethod
+    def check(kernel, fold, X):
+        D = kernel(X)
+        assert np.array_equal(D, unblocked_angle_distances(X, fold))
+        assert np.array_equal(D, np.swapaxes(D, -1, -2))
+        assert np.all(np.diagonal(D, axis1=-2, axis2=-1) == 0.0)
+        return D
+
+    @pytest.mark.parametrize("kernel, fold", KERNELS)
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_block_edges(self, kernel, fold, n, monkeypatch):
+        monkeypatch.setattr(spaces, "BLOCK_BYTES", 1)
+        assert _block_rows(1, 53, 2 * (n + 1) + 3) == 16
+        for m in (1, 2, 15, 16, 17, 53):
+            self.check(kernel, fold, self.rows(m, n))
+
+    @pytest.mark.parametrize("kernel, fold", KERNELS)
+    def test_stacked_batch_in_blocks(self, kernel, fold, monkeypatch):
+        monkeypatch.setattr(spaces, "BLOCK_BYTES", 1)
+        X = self.rows(5 * 30, 3).reshape(5, 30, 4)
+        D = self.check(kernel, fold, X)
+        for b in range(5):
+            assert np.array_equal(D[b], kernel(X[b]))
 
 
 class TestJordanTraceDistance:
