@@ -80,9 +80,16 @@ def _emit(report, args):
     if args.output == "table":
         _print_table(report)
     else:
+        # JSON has no inf or nan: each is written as null, and a note says where
+        missing = []
+        written = _finite(report, "", missing)
+        if missing:
+            written["note"] = ("not finite, written as null: "
+                               + ", ".join(missing))
         # json.dump writes token by token, a system call each when stdout
         # is unbuffered; join them in batches, never the whole report
-        tokens = json.JSONEncoder(indent=2, default=_jsonify).iterencode(report)
+        tokens = json.JSONEncoder(indent=2, default=_jsonify,
+                                  allow_nan=False).iterencode(written)
         while batch := "".join(itertools.islice(tokens, 4096)):
             sys.stdout.write(batch)
         print()
@@ -91,6 +98,28 @@ def _emit(report, args):
             fh.write("d,estimate,stderr\n")
             for r in report["results"]:
                 fh.write(f"{r['d']},{r['estimate']},{r['stderr']}\n")
+
+
+def _finite(obj, path, missing):
+    """obj with None for each float that is not finite; appends the path of
+    each, such as results[0].q, to `missing`."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _finite(value, f"{path}.{key}" if path else key, missing)
+                for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        try:
+            if math.isfinite(sum(obj)):  # a list of finite numbers, in one call
+                return obj
+        except (TypeError, OverflowError):
+            pass
+        return [_finite(value, f"{path}[{i}]", missing)
+                for i, value in enumerate(obj)]
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        missing.append(path)
+        return None
+    return obj
 
 
 def _jsonify(obj):

@@ -78,16 +78,12 @@ ratio estimate / d.  No estimator loads the geometry layer (spaces).
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
 import operator
-import os
-import pickle
 import random
 import sys
-import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -521,20 +517,6 @@ def _resolve_count(name, count):
     return value
 
 
-def _usable_cpus():
-    """The CPUs this process may run on, or all of the machine's where the
-    platform keeps no affinity mask; 1 where it cannot fork, and while
-    other threads run: a forked child holds only the calling thread, so a
-    lock that another thread held at the fork would never be released in
-    it."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _run_chunks(chunk_fn, samples, seed, workers=1, dims=1):
     """Run chunk_fn(shifts, size) over the chunks of _chunk_sizes(samples),
     shifts being the chunk's `dims` uniform lattice shifts.
@@ -545,103 +527,20 @@ def _run_chunks(chunk_fn, samples, seed, workers=1, dims=1):
     runs.  Returns the chunks' results in chunk order; they are independent
     of the worker count because chunk sizes and shifts are fixed by
     (samples, seed, chunk index).  The worker count is capped at the CPUs
-    this process may use (_usable_cpus) and at the chunk count.  With w > 1
-    workers, w - 1 children forked with os.fork run the chunks i = j mod w,
-    j = 1, ..., w - 1, and the calling process runs those with j = 0:
-    numpy's short calls on a chunk's arrays hand the interpreter lock over
-    about as often as they compute, so threads would not overlap.  Each child sends its
-    results, or the first exception of its chunks, as one pickle over a
-    pipe and leaves through os._exit, so it flushes none of the caller's
-    buffers and runs none of its code.  Of the chunks that raise, the
-    lowest index's exception is re-raised here; a child that ends without
-    sending its outcome raises ChildProcessError.  Every child is reaped
-    before the call returns or raises, and killed first if the calling
-    process raises (KeyboardInterrupt included).
+    this process may use (pool.usable_cpus) and at the chunk count; more
+    than one worker runs the chunks in forked processes (pool.run), and
+    only such a call loads the pool's module.
     """
     sizes = _chunk_sizes(samples)
     stream = random.Random(seed)
     shifts = [tuple(stream.random() for _ in range(dims)) for _ in sizes]
-    workers = min(workers, len(sizes), _usable_cpus())
+    if workers > 1:
+        from . import pool
+
+        workers = min(workers, len(sizes), pool.usable_cpus())
     if workers == 1:
         return [chunk_fn(s, size) for s, size in zip(shifts, sizes)]
-
-    def share(j):
-        """({index: result}, None) for the chunks i = j mod workers, or
-        with (index, exception) of the first that raises."""
-        done = {}
-        for i in range(j, len(sizes), workers):
-            try:
-                done[i] = chunk_fn(shifts[i], sizes[i])
-            except Exception as exc:  # re-raised by the calling process
-                return done, (i, exc)
-        return done, None
-
-    pipes = {}  # child pid -> the read end of its pipe
-    try:
-        for j in range(1, workers):
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _serve_share(share, j, write)
-            pipes[pid] = open(read, "rb")
-            os.close(write)
-        outcomes = [share(0)]
-        for pid, pipe in list(pipes.items()):
-            data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del pipes[pid]
-            pipe.close()
-            if code:
-                raise ChildProcessError(
-                    f"a chunk worker (pid {pid}) ended without its results: "
-                    f"{_exit_status(code)}")
-            outcomes.append(pickle.loads(data))
-    finally:
-        _kill_and_reap(pipes)
-    failures = [failure for _, failure in outcomes if failure]
-    if failures:
-        raise min(failures)[1]  # (index, exception): indices are distinct
-    results = [None] * len(sizes)
-    for done, _ in outcomes:
-        for i, result in done.items():
-            results[i] = result
-    return results
-
-
-def _serve_share(share, j, write):
-    """A forked chunk worker: writes the pickle of share(j) to the file
-    descriptor `write` and exits, with status 0 only once all of it is
-    written."""
-    status = 1
-    try:
-        with open(write, "wb") as pipe:
-            pipe.write(pickle.dumps(share(j), pickle.HIGHEST_PROTOCOL))
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _exit_status(code):
-    """A child's exit code (os.waitstatus_to_exitcode) in words."""
-    if code < 0:
-        import signal  # only a child killed by a signal needs its name
-
-        return f"killed by {signal.Signals(-code).name}"
-    return f"exit status {code}"
-
-
-def _kill_and_reap(pipes):
-    """Close each pipe of `pipes`, {pid: read end}, and kill and reap its
-    child."""
-    if not pipes:
-        return
-    import signal  # only a call that fails with children running needs it
-
-    for pid, pipe in pipes.items():
-        pipe.close()
-        with contextlib.suppress(ProcessLookupError, ChildProcessError):
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    return pool.run(chunk_fn, shifts, sizes, workers)
 
 
 def _weighted_sum(v, w):

@@ -178,10 +178,18 @@ def sphere_distance_matrix(coords):
 
 
 def _uniform_rows(stream, rows, width):
-    """(rows, width) uniforms on [0, 1) from rows * width calls to
-    stream.random(), taken row after row."""
-    draw = stream.random
-    return np.array([draw() for _ in range(rows * width)]).reshape(rows, width)
+    """(rows, width) uniforms on [0, 1), bit for bit the rows * width values
+    that stream.random() would return, taken row after row, and leaving the
+    stream in the same state.  A random.Random's randbytes gives its
+    Mersenne Twister's 32-bit words in order, and random() makes each
+    double from two of them, a and b, as (a >> 5, b >> 6) * 2^-53 does
+    here; a stream without randbytes (numpy's Generator) is called."""
+    if not hasattr(stream, "randbytes"):
+        draw = stream.random
+        return np.array([draw() for _ in range(rows * width)]).reshape(rows, width)
+    words = np.frombuffer(stream.randbytes(8 * rows * width), dtype="<u4")
+    a, b = words[0::2] >> 5, words[1::2] >> 6
+    return ((a * 67108864.0 + b) * 2.0**-53).reshape(rows, width)
 
 
 def _box_muller(uniforms, width):

@@ -32,6 +32,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """json.loads that refuses the non-JSON tokens NaN, Infinity and
+    -Infinity, which json.loads takes by default."""
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def write_projective_csv(path):
     rows = ["p,2",
             "1,0,1", "1,0,-1", "0,1,0", "0,1,1", "0,1,-1", "1,0,0"]
@@ -398,6 +407,18 @@ class TestScanHypermetric:
         assert code == 0
         assert json.loads(out)["verdict"] == "32 violations"
 
+    def test_overflowed_q_is_null(self, capsys, tmp_path):
+        # at 2^1023 the largest violations' Q passes the largest float:
+        # their q was written as the bare token Infinity, which is not JSON
+        path = write_scaled_projective_matrix(tmp_path / "D.csv", 1023)
+        code, out, _ = run_cli(capsys, "scan-hypermetric", "--matrix", path)
+        report = strict_json(out)
+        assert (code, report["verdict"]) == (0, "32 violations")
+        nulls = [f"results[{i}].q" for i, r in enumerate(report["results"])
+                 if r["q"] is None]
+        assert len(nulls) == 8
+        assert report["note"] == "not finite, written as null: " + ", ".join(nulls)
+
     def test_clean_metric(self, capsys, tmp_path):
         path = write_real_hyperbolic_csv(tmp_path / "pts.csv")
         code, out, _ = run_cli(capsys, "scan-hypermetric", "--points", path)
@@ -496,8 +517,10 @@ class TestCrofton:
                                             args):
         # the whole report, every estimate, stderr and histogram, is the same
         # at any worker count, apart from the workers option it echoes; three
-        # CPUs are visible, so --workers 3 runs three processes on any host
+        # CPUs are visible, so --workers 3 runs three processes on any host,
+        # and placing them on those CPUs changes no real mask
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None)
         reports = []
         for workers in ("1", "2", "3"):
             code, out, _ = run_cli(capsys, "crofton", carrier, *args,
@@ -513,6 +536,7 @@ class TestCrofton:
         # a worker process killed mid-run is exit 2 with an error line that
         # names its signal, not a traceback, and no child remains
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None)
         caller, draw = os.getpid(), crofton._lattice
 
         def killed(*args):
@@ -741,7 +765,8 @@ class TestCrofton:
                                  "--samples", "20000", "--seed", "1")
         assert (code, json.loads(out)["verdict"], err) == (0, "ratios consistent", "")
 
-    def test_non_finite_estimate_is_not_consistent(self, capsys, monkeypatch):
+    def test_non_finite_estimate_is_not_consistent(self, capsys, monkeypatch,
+                                                   tmp_path):
         real = crofton.hyperplane_crofton_many
 
         def nan_estimate(*args, **kwargs):
@@ -749,10 +774,16 @@ class TestCrofton:
                     for e in real(*args, **kwargs)]
 
         monkeypatch.setattr(crofton, "hyperplane_crofton_many", nan_estimate)
+        path = tmp_path / "rows.csv"
         code, out, _ = run_cli(capsys, "crofton", "hyperplane", "--pairs", "1",
-                               "--samples", "1000")
+                               "--samples", "1000", "--emit-csv", str(path))
         assert code == 1
-        assert json.loads(out)["verdict"] == "non-finite estimate"
+        report = strict_json(out)
+        assert report["verdict"] == "non-finite estimate"
+        assert report["results"][0]["estimate"] is None
+        assert report["note"] == ("not finite, written as null: "
+                                  "results[0].estimate, results[0].ratio")
+        assert path.read_text(encoding="utf-8").splitlines()[1].split(",")[1] == "nan"
 
     @pytest.mark.parametrize("argv", [
         ("hyperplane", "--dim", "1"),

@@ -65,9 +65,20 @@ def brute_force_horosphere_measure(field, x, y, R, samples, rng):
     return ball * counts.mean(), ball * counts.std() / math.sqrt(samples)
 
 
+TWO_CPUS = len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) >= 2
+
+
 def use_cpus(monkeypatch, count):
-    """Let the chunk pool see `count` usable CPUs, whatever this host has."""
+    """Let the chunk pool see `count` usable CPUs, whatever this host has.
+    Placement on them (pool._place) then changes no real mask."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None)
+
+
+def running_cpu():
+    """The CPU this process last ran on: field 39 of /proc/self/stat."""
+    with open("/proc/self/stat", encoding="ascii") as stat:
+        return int(stat.read().rsplit(")", 1)[1].split()[36])
 
 
 def combined_z(e1, e2):
@@ -889,6 +900,64 @@ class TestGradedLattice:
                                   workers=100_000)
         assert len(forks) == 1
         assert got == crofton._chunk_sizes(samples)
+
+    @pytest.mark.skipif(not (TWO_CPUS and os.path.exists("/proc/self/stat")),
+                        reason="needs Linux and two CPUs in the affinity mask")
+    def test_pool_places_each_share_on_its_own_cpu(self):
+        # the caller and its forked child run their shares on two different
+        # CPUs of a mask that need not start at CPU 0 (a forked child stays
+        # on its parent's CPU where the host balances no load), and the
+        # caller gets its mask back
+        allowed = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, sorted(allowed)[-2:])
+        try:
+            got = crofton._run_chunks(lambda shifts, size: running_cpu(),
+                                      6 * crofton.CHUNK_SIZE, 1, workers=2)
+            assert os.sched_getaffinity(0) == set(sorted(allowed)[-2:])
+        finally:
+            os.sched_setaffinity(0, allowed)
+        shares = [set(got[0::2]), set(got[1::2])]
+        assert all(len(cpus) == 1 for cpus in shares)
+        assert shares[0] != shares[1] and shares[0] | shares[1] <= allowed
+
+    @pytest.mark.skipif(not TWO_CPUS, reason="needs two CPUs in the affinity mask")
+    @pytest.mark.parametrize("fails_in", [None, "caller", "child"])
+    def test_pool_keeps_the_callers_mask(self, fails_in):
+        # placement narrows no mask for good, also when a chunk raises
+        before = os.sched_getaffinity(0)
+        caller = os.getpid()
+
+        def chunk(shifts, size):
+            if fails_in and (os.getpid() == caller) == (fails_in == "caller"):
+                raise ArithmeticError("chunk failed")
+            return os.sched_getaffinity(0)
+
+        if fails_in is None:
+            assert crofton._run_chunks(chunk, 40_000, 7, workers=2) \
+                == [before] * len(crofton._chunk_sizes(40_000))
+        else:
+            with pytest.raises(ArithmeticError):
+                crofton._run_chunks(chunk, 40_000, 7, workers=2)
+        assert os.sched_getaffinity(0) == before
+
+    @pytest.mark.parametrize("move", ["refused", "unavailable"])
+    def test_placement_is_best_effort(self, monkeypatch, move):
+        # a move that raises OSError (EINVAL for a CPU outside the cpuset),
+        # or an os without affinity calls, leaves each process where it is,
+        # and the estimates are one worker's
+        want = crofton.horosphere_crofton_many(QUATERNION, 2, (0.5, 1.0),
+                                               100_000, seed=4)
+        use_cpus(monkeypatch, 2)
+        if move == "refused":
+            def refuse(pid, mask):
+                raise OSError(22, "Invalid argument")
+
+            monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        else:
+            monkeypatch.delattr(os, "sched_setaffinity")
+        got = crofton.horosphere_crofton_many(QUATERNION, 2, (0.5, 1.0),
+                                              100_000, seed=4, workers=2)
+        assert got == want
 
     @pytest.mark.parametrize("why", ["no-fork", "threads"])
     def test_one_process_where_forking_is_unsafe(self, monkeypatch, why):

@@ -154,6 +154,8 @@ class TestSubcommandImports:
         # or multiprocessing
         assert "concurrent.futures" not in modules
         assert "multiprocessing" not in modules
+        # only a call that asks for more than one worker loads the pool
+        assert ("hypcrofton.pool" in modules) == (workers != "1")
         # the lattice shifts come from the standard library's random
         assert "numpy.random" not in modules
 

@@ -465,6 +465,19 @@ class TestRandomPoint:
         p = random_coords(REAL, 2, 0.0, random.Random(0), 1)[0]
         assert pair_distance(REAL, p, axis_point(2, 0.0)) == 0.0
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
+    @pytest.mark.parametrize("rows,width", [(0, 3), (3, 0), (1, 1), (1, 2),
+                                            (7, 1), (5, 13), (3600, 12)])
+    def test_uniforms_are_random_bit_for_bit(self, seed, rows, width):
+        # the bulk draw is random()'s values, row after row, bit for bit,
+        # and leaves the stream where those calls would
+        stream, replay = random.Random(seed), random.Random(seed)
+        got = spaces._uniform_rows(stream, rows, width)
+        want = np.array([replay.random() for _ in range(rows * width)],
+                        dtype=float).reshape(rows, width)
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+        assert stream.getstate() == replay.getstate()
+
     def test_seed_determinism(self):
         a = random_coords(COMPLEX, 3, 2.0, random.Random(99), 1)
         b = random_coords(COMPLEX, 3, 2.0, random.Random(99), 1)
