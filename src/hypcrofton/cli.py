@@ -13,7 +13,6 @@ ends the process through os._exit.  `main` returns and never exits.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import math
@@ -281,7 +280,7 @@ def cmd_crofton(args):
     # one call for all pairs, so they share the seed's draws
     estimates = carrier.estimate(args.field, args.dim, pairs, args.samples,
                                  args.seed, args.workers)
-    results = [dataclasses.asdict(e) for e in estimates]
+    results = [e._asdict() for e in estimates]
     c = carrier.constant(FIELD_DIM[args.field], args.dim)
     finite = all(abs(r[key]) < math.inf for r in results  # false for nan
                  for key in ("estimate", "stderr", "ratio"))

@@ -27,9 +27,9 @@ projection onto the arc's plane alone, which is uniform.  Every estimator
 takes distances, not points: the distance of a pair of points is an entry
 of kernels.build_distance_matrix.
 
-Every estimator's points come from one sampler, _lattice: a randomly
-shifted rank-1 lattice whose coordinates each carrier declares once, as
-(fraction, law, fold) triples.  A coordinate steps by g / N, g the
+Every hyperbolic estimator's points come from one sampler, _lattice: a
+randomly shifted rank-1 lattice whose coordinates each carrier declares
+once, as (fraction, law, fold) triples.  A coordinate steps by g / N, g the
 integer prime to the chunk size N nearest N times the fraction
 (_generator), and stands for a graded angle with its law, or is a plain
 uniform.  A graded coordinate t stands for its angle at tan(angle/2) =
@@ -46,7 +46,8 @@ coordinates:
   A last plain coordinate on sqrt(2)'s step gives each point's uniform
   for the crossing tally;
 - arcs: one plain coordinate, the grid t = frac(i / N + shift) in the
-  projected angle, of equal weight.
+  projected angle, of equal weight, whose hits each chunk counts in
+  closed form without forming the grid.
 
 All of it is formed without a trigonometric call, and the horosphere
 levels come from the angles' half-angle forms (1 - cos)/2 and sin/2, so
@@ -84,8 +85,7 @@ import math
 import operator
 import random
 import sys
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -338,8 +338,7 @@ def _sphere_law(k, n):
 
 # -- estimates -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CroftonEstimate:
+class CroftonEstimate(NamedTuple):
     """Monte Carlo estimate of a Crofton integral: total_measure * mean_count.
 
     For the hyperbolic estimators mean_count is the weighted mean over the
@@ -348,7 +347,8 @@ class CroftonEstimate:
     point (1 or 2); for the projective and sphere estimators mean_count is
     the hit fraction, and count_histogram tallies the points whose
     hypersurface crosses the segment 0 and 1 times.  stderr is the spread
-    of the chunks' means (_moment_estimate).
+    of the chunks' means (_moment_estimate).  Every estimator passes its
+    own count_histogram: the default is one dict, shared.
     """
 
     d: float
@@ -360,7 +360,7 @@ class CroftonEstimate:
     seed: int
     ratio: float
     boundary_count: int = 0
-    count_histogram: dict = field(default_factory=dict)
+    count_histogram: dict = {}
     note: str = ""
 
 
@@ -552,7 +552,7 @@ def _weighted_sum(v, w):
 def _zero_estimate(seed, samples):
     return CroftonEstimate(d=0.0, total_measure=0.0, mean_count=0.0,
                            estimate=0.0, stderr=0.0, samples=samples,
-                           seed=seed, ratio=float("nan"),
+                           seed=seed, ratio=float("nan"), count_histogram={},
                            note="coincident points")
 
 
@@ -808,38 +808,37 @@ def _arc_crofton_many(ds, samples, seed, workers, diameter, note):
     phi cos(phi - d) < 0 for the angle phi of u's projection onto the arc's
     plane.  phi is uniform, and the test does not change under phi -> phi +
     pi, so each chunk's points are the shifted grid t = frac(i / N +
-    shift), i < N, the lattice's one plain coordinate, at phi = pi (t + 1/2): there cos phi cos(phi - d) =
-    sin(pi t) sin(pi t - d), which is negative exactly when 0 < t < d / pi.
-    Every point weighs alike, and a chunk's hit fraction is m / N or (m +
-    1) / N, m = floor(N d / pi): two values, whose spread over the chunks
-    can read 0, so the stderr is at least the largest spread such chunks
-    can have (resolution 1 in _moment_estimate).  A d below
-    MIN_ARC_DISTANCE is a coincident pair, and an estimate within 1e-12 of
-    the diameter carries the note.
+    shift), i < N, the lattice's one plain coordinate, at phi = pi (t +
+    1/2): there cos phi cos(phi - d) = sin(pi t) sin(pi t - d), which is
+    negative exactly when 0 < t < d / pi.  The grid is the points (j +
+    frac(N shift)) / N, j < N, so a chunk hits ceil(N d / pi - frac(N
+    shift)) times, clipped to [0, N]: no chunk forms its points, and none
+    runs in a worker process (workers is only checked).  Every point weighs
+    alike, and a chunk's hit fraction is m / N or (m + 1) / N, m = floor(N
+    d / pi): two values, whose spread over the chunks can read 0, so the
+    stderr is at least the largest spread such chunks can have (resolution
+    1 in _moment_estimate).  A d below MIN_ARC_DISTANCE is a coincident
+    pair, and an estimate within 1e-12 of the diameter carries the note.
     """
     ds = [0.0 if d < MIN_ARC_DISTANCE else d for d in ds]
-    arrays = _chunk_arrays(2, masks=1)
-    lattice = ((0.0, None, False),)  # the plain grid on 1 / N
+    _resolve_count("workers", workers)
 
-    def draw(shifts, size):
-        t, spare, _ = arrays(size)
-        _lattice(lattice, [(t,)], shifts, None, spare)
-        return t
+    def values(d, chunk):
+        (shift,), size = chunk
+        hits = math.ceil(size * (d / math.pi) - (size * shift) % 1.0)
+        hits = min(max(hits, 0), size)
+        return float(hits), np.array((size - hits, hits, 0))
 
-    def values(d, t):
-        hits = int(np.count_nonzero(np.less(t, d / math.pi, out=arrays(t.size)[2])))
-        return float(hits), np.array((t.size - hits, hits, 0))
-
-    estimates = _conditional_estimate(ds, samples, seed, workers, 1.0, lattice,
-                                      draw, values, resolution=1.0)
-    return [replace(e, note=note) if e.d > diameter - 1e-12 else e
+    estimates = _conditional_estimate(
+        ds, samples, seed, 1, 1.0, ((0.0, None, False),),
+        lambda shifts, size: (shifts, size), values, resolution=1.0)
+    return [e._replace(note=note) if e.d > diameter - 1e-12 else e
             for e in estimates]
 
 
 # -- carrier table -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Carrier:
+class Carrier(NamedTuple):
     """A family's Crofton formula: estimate(field, n, ds, samples, seed,
     workers) -> a CroftonEstimate per d in ds, for low <= d <= high (high_name,
     bounded for the reason why); constant(k, n) = estimate / d, k = dim F."""

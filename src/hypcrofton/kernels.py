@@ -16,7 +16,7 @@ negative-type checks hold O(m^2) floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -248,8 +248,7 @@ def hypermetric_scan(D, bound=2):
         return [(T[i].copy(), float(np.ldexp(qs[i], e))) for i in hits]
 
 
-@dataclass
-class EmbeddingResult:
+class EmbeddingResult(NamedTuple):
     """Euclidean embedding of (X, sqrt d) with circumsphere diagnostics."""
 
     coords: np.ndarray
@@ -369,8 +368,7 @@ def build_distance_matrix(kind, coords):
     return kernel(normalize(coords))
 
 
-@dataclass
-class ViolationSearchResult:
+class ViolationSearchResult(NamedTuple):
     """Best configuration found by randomized negative-type violation search:
     the raw coordinates of its points, which build_distance_matrix measures."""
 
@@ -378,7 +376,7 @@ class ViolationSearchResult:
     t: np.ndarray | None
     q: float
     trial: int
-    verified: bool = field(default=False)
+    verified: bool = False
 
 
 def _block_trials(m):
@@ -442,5 +440,6 @@ def violation_search(kind, n, m, trials, radius, stream, seed_points=None):
     if best.t is not None and best.q > 0:
         D = build_distance_matrix(kind, best.points)
         direct = quadratic_form(D, best.t)
-        best.verified = abs(direct - best.q) <= 1e-9 * abs(best.q)
+        best = best._replace(
+            verified=abs(direct - best.q) <= 1e-9 * abs(best.q))
     return best

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -770,7 +769,7 @@ class TestCrofton:
         real = crofton.hyperplane_crofton_many
 
         def nan_estimate(*args, **kwargs):
-            return [dataclasses.replace(e, estimate=math.nan, ratio=math.nan)
+            return [e._replace(estimate=math.nan, ratio=math.nan)
                     for e in real(*args, **kwargs)]
 
         monkeypatch.setattr(crofton, "hyperplane_crofton_many", nan_estimate)
@@ -823,13 +822,13 @@ class TestCrofton:
 
         def move(est):
             moved = constant * est.d + 4.0 * est.stderr + 1e-11 * est.estimate
-            return dataclasses.replace(est, estimate=moved, ratio=moved / est.d)
+            return est._replace(estimate=moved, ratio=moved / est.d)
 
         def shifted(*a, **kw):
             return [move(est) for est in carrier.estimate(*a, **kw)]
 
         monkeypatch.setitem(crofton.CARRIERS, argv[0],
-                            dataclasses.replace(carrier, estimate=shifted))
+                            carrier._replace(estimate=shifted))
         code, out, _ = run_cli(capsys, *args)
         assert (code, json.loads(out)["verdict"]) == (1, "ratios inconsistent")
 

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import os
@@ -8,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +108,14 @@ class TestIntegrals:
         assert crofton.sphere_area(1) == pytest.approx(2 * math.pi)
         assert crofton.sphere_area(2) == pytest.approx(4 * math.pi)
 
+    def test_readme_states_the_dimension_limits(self):
+        # README types the --dim limits; they are the measure's
+        n, kn = self.dimension_limits()
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        text = " ".join(readme.split())
+        assert f"n <= {n} for hyperplanes of H^n_R" in text
+        assert f"k n <= {kn} for horospheres of H^n_F" in text
+
     def test_sphere_area_large(self):
         # vol(S^m) = vol(S^{m-2}) 2 pi / (m - 1) from S^0 and S^1, as far as
         # it stays a normal float; math.gamma overflowed from m = 343
@@ -118,13 +126,19 @@ class TestIntegrals:
             assert crofton.sphere_area(m) == pytest.approx(area[m], rel=1e-12)
         assert crofton.sphere_area(799) == 0.0
 
-    def test_dimension_limits(self, monkeypatch):
-        # the estimators take every dimension whose carrier measure is a
-        # normal float, vol(S^(n-1)) / 2 for hyperplanes and vol(S^(kn-1))
-        # for horospheres, and refuse the next before any chunk runs
+    @staticmethod
+    def dimension_limits():
+        """The largest n and k n whose carrier measure is a normal float,
+        vol(S^(n-1)) / 2 for hyperplanes and vol(S^(kn-1)) for horospheres."""
         tiny = sys.float_info.min
         n = max(m for m in range(1, 1000) if crofton.sphere_area(m - 1) / 2 >= tiny)
         kn = max(m for m in range(1, 1000) if crofton.sphere_area(m - 1) >= tiny)
+        return n, kn
+
+    def test_dimension_limits(self, monkeypatch):
+        # the estimators take every dimension whose carrier measure is a
+        # normal float and refuse the next before any chunk runs
+        n, kn = self.dimension_limits()
         assert (n, kn) == (437, 438)
 
         def refuse(*args):
@@ -678,11 +692,12 @@ class TestFirstCoordinate:
             return lattices
 
         monkeypatch.setattr(crofton, "_lattice", recorded)
-        plain = (0.0, None, False)
         assert drawn(crofton.hyperplane_crofton_many, 3) == \
             {((0.0, crofton._sphere_law(1, 3)[0], False),)}
+        # an arc chunk counts its grid's hits in closed form, from its shift
+        # alone, and forms no lattice points
         for carrier in ("projective", "sphere"):
-            assert drawn(crofton.CARRIERS[carrier].estimate, REAL, 2) == {(plain,)}
+            assert drawn(crofton.CARRIERS[carrier].estimate, REAL, 2) == set()
         for k, m in ((1, 1), (1, 3), (2, 1), (4, 1), (4, 2)):
             field = {1: REAL, 2: COMPLEX, 4: QUATERNION}[k]
             law = crofton._sphere_law(k, m)
@@ -783,6 +798,28 @@ class TestDistanceEstimators:
     def test_invalid_input_rejected(self, call):
         with pytest.raises(ValueError):
             call()
+
+
+class TestRecords:
+    def test_records_are_immutable(self):
+        est, = crofton.hyperplane_crofton_many(3, (1.0,), 1000)
+        for record, name in ((est, "estimate"), (est, "count_histogram"),
+                             (crofton.CARRIERS["sphere"], "high")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0.0)
+
+    def test_estimates_never_share_a_histogram(self):
+        # each estimate has its own count_histogram, the coincident ones
+        # too: a histogram changed in one estimate changes no other
+        ests = [*crofton.hyperplane_crofton_many(3, (1.0, 0.0, 0.0, 2.0), 1000),
+                *crofton.hyperplane_crofton_many(1, (0.0, 1.0), 100),
+                *crofton.horosphere_crofton_many(COMPLEX, 2, (0.0, 1.0), 1000),
+                *arc_estimates("sphere", (0.0, 0.5, math.pi, 0.0), 1000),
+                *arc_estimates("projective", (0.0, math.pi / 2), 1000)]
+        assert len({id(e.count_histogram) for e in ests}) == len(ests)
+        ests[1].count_histogram[7] = 1
+        assert [7 in e.count_histogram for e in ests] == \
+            [i == 1 for i in range(len(ests))]
 
 
 class TestGradedLattice:
@@ -1223,7 +1260,7 @@ SHARED_DS = (0.5, 1e-13, 12.0, 0.0, 2.0)
 
 def fields(estimates):
     """The estimates' fields; the NaN ratio of coincident points as a string."""
-    return [[v if v == v else "nan" for v in dataclasses.astuple(e)]
+    return [[v if v == v else "nan" for v in tuple(e)]
             for e in estimates]
 
 
@@ -1278,7 +1315,9 @@ class TestSharedDraws:
                                 workers):
         # the lattice points are drawn once per chunk, however many
         # distances read them; every worker process appends the pid of each
-        # draw to one file
+        # draw to one file.  The arcs count each chunk's hits in closed form
+        # and draw no points, in no worker process
+        arcs = carrier in ("projective", "sphere")
         use_cpus(monkeypatch, workers)
         log = tmp_path / "draws"
         real = crofton._lattice
@@ -1294,8 +1333,9 @@ class TestSharedDraws:
             log.write_text("")
             estimate(*args, ds, SHARED_SAMPLES, 3, workers)
             pids = log.read_text().split()
-            assert len(pids) == len(crofton._chunk_sizes(SHARED_SAMPLES))
-            assert len(set(pids)) == workers
+            assert len(pids) == \
+                (0 if arcs else len(crofton._chunk_sizes(SHARED_SAMPLES)))
+            assert len(set(pids)) == (0 if arcs else workers)
 
     def test_no_draw_without_a_positive_distance(self, monkeypatch):
         def refuse(*args):
@@ -1354,6 +1394,57 @@ class TestSignChangeEstimates:
             stderr = max(math.sqrt(spread / (SHARED_SAMPLES * (len(sizes) - 1))),
                          0.5 / (min(sizes) * math.sqrt(len(sizes))))
             assert est.stderr == pytest.approx(stderr, rel=1e-12)
+
+    @pytest.mark.parametrize("carrier", ["projective", "sphere"],
+                             ids=["projective", "sphere_halfspace"])
+    def test_closed_form_counts_the_float_grid(self, monkeypatch, carrier):
+        # each chunk's closed-form hit count, ceil(N d / pi - frac(N shift))
+        # clipped to [0, N], equals the count of its float grid frac(i / N +
+        # shift) below d / pi, as _lattice forms the grid, at 12 distances
+        # up to the diameter, for 6 sample counts and seeds 1 to 40: 69,600
+        # chunks
+        seen = []
+        real = crofton._conditional_estimate
+
+        def recorded(*args, **kwargs):
+            seen.append(args[6:8])  # draw, values
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(crofton, "_conditional_estimate", recorded)
+        diameter = crofton.CARRIERS[carrier].high
+        ds = np.linspace(diameter / 12, diameter, 12)
+        arc_estimates(carrier, (1.0,), 1)
+        draw, values = seen[0]
+        grid = ((0.0, None, False),)
+        t, spare = np.empty(crofton.CHUNK_SIZE), np.empty(crofton.CHUNK_SIZE)
+        chunks = 0
+        for samples in (1_000, 5_000, 20_000, 100_000, 300_000, 1_000_000):
+            sizes = crofton._chunk_sizes(samples)
+            for seed in range(1, 41):
+                replay = random.Random(seed)
+                for size in sizes:
+                    shifts = (replay.random(),)
+                    crofton._lattice(grid, [(t[:size],)], shifts, None,
+                                     spare[:size])
+                    want = np.count_nonzero(t[:size] < ds[:, None] / math.pi,
+                                            axis=1)
+                    chunk = draw(shifts, size)
+                    got = [values(d, chunk)[0] for d in ds]
+                    assert got == want.tolist(), (samples, seed, size, shifts)
+                    chunks += len(ds)
+        assert chunks == 69_600
+
+    def test_arcs_hold_no_chunk_array(self):
+        # numpy reports its buffers to tracemalloc: an arc estimate of 62
+        # chunks holds less than one chunk's 128 KiB array at its peak
+        arc_estimates("sphere", (0.5, 1.0, 2.0), 1000)
+        tracemalloc.start()
+        try:
+            arc_estimates("sphere", (0.5, 1.0, 2.0), 1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * crofton.CHUNK_SIZE
 
     @pytest.mark.parametrize("d", [0.3, 1.2, math.pi / 2])
     def test_projective_equals_sphere(self, d):

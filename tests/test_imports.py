@@ -154,10 +154,24 @@ class TestSubcommandImports:
         # or multiprocessing
         assert "concurrent.futures" not in modules
         assert "multiprocessing" not in modules
-        # only a call that asks for more than one worker loads the pool
-        assert ("hypcrofton.pool" in modules) == (workers != "1")
+        # only a call that asks for more than one worker loads the pool, and
+        # only a hyperbolic one: an arc chunk's hits are in closed form
+        assert ("hypcrofton.pool" in modules) == \
+            (workers != "1" and carrier in ("hyperplane", "horosphere"))
         # the lattice shifts come from the standard library's random
         assert "numpy.random" not in modules
+
+    @pytest.mark.parametrize("argv", [
+        ("crofton", "horosphere", "--samples", "16", "--workers", "2"),
+        ("check-negtype", "--points", "points.csv"),
+        ("reproduce", "addendum"),
+        ("search-violations", "--trials", "2"),
+    ], ids=["crofton", "check-negtype", "reproduce-addendum", "search-violations"])
+    def test_no_run_loads_dataclasses(self, points_file, argv):
+        # the records are NamedTuples, so no run generates their methods
+        code, modules = loaded_modules(argv, points_file.parent)
+        assert code in (0, 1)
+        assert "dataclasses" not in modules
 
     def test_package_loads_a_submodule_on_first_lookup(self, tmp_path):
         script = ("import json, sys, hypcrofton\n"

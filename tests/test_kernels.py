@@ -517,6 +517,13 @@ class TestSqrtEmbed:
         assert emb.max_distance_residual <= 1e-9
         assert emb.rank >= 3  # >= ceil(log2(8))
 
+    def test_result_is_immutable(self):
+        emb = sqrt_embed(np.array([[0.0, 4.0], [4.0, 0.0]]))
+        with pytest.raises(AttributeError):
+            emb.rank = 2
+        assert emb._fields == ("coords", "rank", "center", "radius",
+                               "max_distance_residual", "max_radius_residual")
+
     def test_basepoint_independence(self):
         # the first point is the base point; each order puts point b first
         stream = random.Random(7)
@@ -692,6 +699,14 @@ class TestViolationSearch:
         best = violation_search(REAL, 2, m=6, trials=100, radius=2.5,
                                 stream=random.Random(10))
         assert best.q <= 1e-9 or best.t is None
+
+    def test_result_is_immutable(self):
+        best = violation_search("p", 2, m=6, trials=2, radius=0.0,
+                                stream=random.Random(3))
+        with pytest.raises(AttributeError):
+            best.verified = True
+        assert best._fields == ("points", "t", "q", "trial", "verified")
+        assert best.verified is False
 
     def test_projective_violation_found(self):
         # violating configurations are rare; this seed hits one within 1000
