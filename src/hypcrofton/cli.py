@@ -290,10 +290,10 @@ def cmd_crofton(args):
         abs(r["ratio"] - c)
         <= 3.0 * r["stderr"] / r["d"] + 1e-12 * max(abs(r["ratio"]), c)
         for r in results)
-    if not finite:
-        verdict = "non-finite estimate"
-    else:
-        verdict = "ratios consistent" if consistent else "ratios inconsistent"
+    verdict = ("ratios consistent" if consistent else "ratios inconsistent") \
+        if finite else "non-finite estimate"
+    if any(r["note"].startswith("underpowered") for r in results):
+        verdict = f"underpowered: {verdict}"
     _emit(_base_report(args, results, verdict), args)
     return 0 if consistent else 1
 

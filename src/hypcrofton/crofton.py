@@ -13,8 +13,7 @@ base point with their intersection predicates, is tests/reference.py.
 The hyperbolic estimators sample only a carrier's direction and integrate
 its depth or radius in closed form (Rao-Blackwellisation of the Crofton
 integral; see hyperplane_crofton_many and horosphere_crofton_many) on one
-segment:
-the carrier measures are invariant, every segment of length d is
+segment: the carrier measures are invariant, every segment of length d is
 congruent to the axis segment from -d/2 to d/2 through the base point, and
 the base point's stabiliser (O(n), U(n), Sp(n)) keeps the uniform law of
 directions, so a direction's value depends on d, its first coordinate w1
@@ -45,32 +44,32 @@ coordinates:
   H^1_H have phi alone, on 1 / N) reads sin = (1 - cos)/2 = 0 and cos = 1.
   A last plain coordinate on sqrt(2)'s step gives each point's uniform
   for the crossing tally;
-- arcs: one plain coordinate, the grid t = frac(i / N + shift) in the
-  projected angle, of equal weight, whose hits each chunk counts in
-  closed form without forming the grid.
+- arcs: none.  A chunk's grid t = frac(i / N + shift) in the projected
+  angle is never formed: its hits are a closed form of N and the shift,
+  which one numpy expression takes for every chunk (_arc_moments).
 
 All of it is formed without a trigonometric call, and the horosphere
 levels come from the angles' half-angle forms (1 - cos)/2 and sin/2, so
 that nothing cancels near w1 = 1.
 
-Each estimator estimates many distances in one pass: each chunk draws its
-points once and every distance reads them, and one set of worker
-processes (_run_chunks) serves them all.  So the estimates of one call use
-common random numbers, and the estimate of d in a call is the one that a
-call with d alone gives at the same seed.
+Each estimator estimates many distances in one pass, from one draw per
+chunk that every distance reads, so the estimates of one call use common
+random numbers, and the estimate of d in a call is the one that a call
+with d alone gives at the same seed.  Only the two lattice estimators
+run chunks, in one set of worker processes (_run_chunks); on H^1_R,
+where every direction carries exactly d, they draw nothing
+(_line_estimates).
 
 Estimators are deterministic given a non-negative integer master seed:
 the samples are split into at least MIN_REPLICATES chunks of near-equal
-size (_chunk_sizes), and one random.Random(seed) stream draws every
-chunk's lattice shifts, in chunk order and before any chunk runs, so the
-result does not depend on the worker count or schedule; no estimator
-loads numpy.random.  Each chunk is an unbiased replicate, and an
-estimate's stderr is the spread of the chunk means over the square root
-of their count.  A chunk holds at most CHUNK_SIZE = 2^14 points, so each
-of its arrays is at most 128 KiB and a worker's working set, nine of
-them and a bool mask for horospheres and five for hyperplanes, stays in
-a 2 MiB L2 cache.  The chunks that one process runs in one call reuse
-the same arrays (_chunk_arrays), and the kernels work in them in place.
+size, and one random.Random(seed) stream draws every chunk's shifts, in
+chunk order and before any chunk runs (_chunk_shifts), so the result
+does not depend on the worker count or schedule; no estimator loads
+numpy.random.  Each chunk is an unbiased replicate, and an estimate's
+stderr is the spread of the chunk means over the square root of their
+count.  The chunks that one process runs in one call reuse the same
+arrays of at most CHUNK_SIZE entries (_chunk_arrays), and the kernels
+work in them in place.
 
 CARRIERS holds one Carrier per family, keyed by the CLI's carrier names:
 its estimator of distances, the fields and distances it takes, and its
@@ -82,7 +81,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import random
 import sys
 from typing import Callable, NamedTuple
@@ -496,44 +494,45 @@ SHORT_SEGMENT = 1e-5
 LOG_VALUE_LIMIT = 600.0
 
 
-def _resolve_seed(seed):
-    """The master seed as an int.  Raises ValueError for a negative seed,
-    which random.Random would take as its absolute value."""
-    seed = int(seed)
+def _checked(ds, samples, seed, workers, measure):
+    """Every estimator's (ds, samples, seed, workers), ds as a tuple.
+    Raises ValueError for a negative seed, which random.Random would take
+    as its absolute value, for samples or workers that are not an integer
+    >= 1, for a measure that is not a positive normal float (past some
+    dimension the carrier measure underflows) and for a d that is not
+    finite and >= 0."""
+    ds, seed = tuple(ds), int(seed)
     if seed < 0:
         raise ValueError(f"expected non-negative integer seed, got {seed}")
-    return seed
+    for name, count in ("samples", samples), ("workers", workers):
+        if not (hasattr(count, "__index__") and count >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+    if not sys.float_info.min <= measure < math.inf:
+        raise ValueError(f"the carrier measure {measure:.3g} is not a positive "
+                         f"normal float: take a lower dimension")
+    for d in ds:
+        if not (math.isfinite(d) and d >= 0.0):
+            raise ValueError(f"the distance must be finite and >= 0, got {d}")
+    return ds, int(samples), seed, int(workers)
 
 
-def _resolve_count(name, count):
-    """A call's samples or workers as an int.  Raises ValueError for one
-    that is not an integer >= 1."""
-    try:
-        value = operator.index(count)
-    except TypeError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
-    return value
+def _chunk_shifts(samples, seed, dims):
+    """The chunk sizes (_chunk_sizes) and each chunk's tuple of `dims`
+    lattice shifts, which one random.Random(seed) stream draws in chunk
+    order with random(), whose sequence Python keeps across versions."""
+    sizes = _chunk_sizes(samples)
+    stream = random.Random(seed)
+    return sizes, [tuple(stream.random() for _ in range(dims)) for _ in sizes]
 
 
 def _run_chunks(chunk_fn, samples, seed, workers=1, dims=1):
-    """Run chunk_fn(shifts, size) over the chunks of _chunk_sizes(samples),
-    shifts being the chunk's `dims` uniform lattice shifts.
-
-    One random.Random(seed) stream draws every chunk's shifts with
-    random(), whose sequence for an integer seed Python keeps across
-    versions, in chunk order and in the calling process before any chunk
-    runs.  Returns the chunks' results in chunk order; they are independent
-    of the worker count because chunk sizes and shifts are fixed by
-    (samples, seed, chunk index).  The worker count is capped at the CPUs
-    this process may use (pool.usable_cpus) and at the chunk count; more
-    than one worker runs the chunks in forked processes (pool.run), and
-    only such a call loads the pool's module.
-    """
-    sizes = _chunk_sizes(samples)
-    stream = random.Random(seed)
-    shifts = [tuple(stream.random() for _ in range(dims)) for _ in sizes]
+    """chunk_fn(shifts, size) of each chunk of _chunk_shifts(samples, seed,
+    dims), all drawn before any chunk runs, in chunk order at every worker
+    count.  That is capped at the CPUs this process may use
+    (pool.usable_cpus) and at the chunk count; more than one worker runs
+    the chunks in forked processes (pool.run), and only such a call loads
+    the pool's module."""
+    sizes, shifts = _chunk_shifts(samples, seed, dims)
     if workers > 1:
         from . import pool
 
@@ -550,10 +549,10 @@ def _weighted_sum(v, w):
 
 
 def _zero_estimate(seed, samples):
-    return CroftonEstimate(d=0.0, total_measure=0.0, mean_count=0.0,
-                           estimate=0.0, stderr=0.0, samples=samples,
-                           seed=seed, ratio=float("nan"), count_histogram={},
-                           note="coincident points")
+    # CroftonEstimate(d, total_measure, mean_count, estimate, stderr, samples,
+    # seed, ratio, ...)
+    return CroftonEstimate(0.0, 0.0, 0.0, 0.0, 0.0, samples, seed, math.nan,
+                           count_histogram={}, note="coincident points")
 
 
 def _merge_moments(a, b):
@@ -565,9 +564,9 @@ def _merge_moments(a, b):
 
 
 def _conditional_estimate(ds, samples, seed, workers, measure, lattice, draw,
-                          values, log_value_bound=None, resolution=0.0):
-    """measure times the weighted mean over the chunks' points of a
-    closed-form value, one estimate per distance d in ds.
+                          values, log_value_bound):
+    """The lattice estimators' driver: measure times the weighted mean over
+    the chunks' points of a closed-form value, per distance d in ds.
 
     draw(shifts, size) forms a chunk of `size` points from its shifts, one
     per coordinate that `lattice` declares (_lattice, _run_chunks), and
@@ -575,38 +574,26 @@ def _conditional_estimate(ds, samples, seed, workers, measure, lattice, draw,
     returns the sum over the chunk of the measure of the carriers meeting
     the canonical segment of length d, each point's value times its
     weight, and the counts (zeros, ones, twos) of points whose drawn
-    carrier crosses it 0, 1 and 2 times, which the histogram tallies.  Each chunk draws once for every d,
-    so the estimates of one call share their points.  Each chunk is one
-    replicate: per d, the chunks' sums are merged in chunk order with
-    Chan's update, each chunk counted as its size with no spread of its
-    own, so the merged centred sum of squares is the spread of the chunk
-    means, and the stderr is that spread over the square root of the chunk
-    count (_moment_estimate), or the bound that `resolution` sets, whichever
-    is larger.  Raises ValueError, before any chunk runs, for samples or
-    workers that are not an integer >= 1, for a measure that is not a
-    positive normal float (past some dimension the carrier measure
-    underflows), for a d that is not finite and >= 0 and for one whose
+    carrier crosses it 0, 1 and 2 times, which the histogram tallies.
+    Each chunk draws once for every d, and no chunk runs when every d is
+    0.  Each chunk is one replicate: per d, the chunks' sums are merged in
+    chunk order with Chan's update, each chunk counted as its size with no
+    spread of its own, so the merged centred sum of squares is the spread
+    of the chunk means (_moment_estimate).  Raises ValueError, before any
+    chunk runs, for what _checked refuses and for a d whose
     log_value_bound(d), the log of the largest value one direction can
     carry, exceeds LOG_VALUE_LIMIT; and for an estimate or stderr that
     underflows below the smallest normal float.
     """
-    seed = _resolve_seed(seed)
-    samples = _resolve_count("samples", samples)
-    workers = _resolve_count("workers", workers)
-    if not sys.float_info.min <= measure < math.inf:
-        raise ValueError(f"the carrier measure {measure:.3g} is not a positive "
-                         f"normal float: take a lower dimension")
-    ds = tuple(ds)
-    for d in ds:
-        if not (math.isfinite(d) and d >= 0.0):
-            raise ValueError(f"the distance must be finite and >= 0, got {d}")
-        if d and log_value_bound and log_value_bound(d) > LOG_VALUE_LIMIT:
+    ds, samples, seed, workers = _checked(ds, samples, seed, workers, measure)
+    live = [d for d in ds if d]
+    for d in live:
+        if (bound := log_value_bound(d)) > LOG_VALUE_LIMIT:
             raise ValueError(
                 f"at d = {d:g} one direction's value can reach "
-                f"e^{log_value_bound(d):.0f}, past e^{LOG_VALUE_LIMIT:g}, where "
+                f"e^{bound:.0f}, past e^{LOG_VALUE_LIMIT:g}, where "
                 f"its lattice weight underflows beside it: take a shorter "
                 f"segment or a lower dimension")
-    live = [d for d in ds if d != 0.0]
 
     def chunk(shifts, size):
         shared = draw(shifts, size)
@@ -617,48 +604,41 @@ def _conditional_estimate(ds, samples, seed, workers, measure, lattice, draw,
     chunks = _run_chunks(chunk, samples, seed, workers, len(lattice)) \
         if live else []
     merged = (functools.reduce(_merge_moments, per_d) for per_d in zip(*chunks))
-    return [_zero_estimate(seed, samples) if d == 0.0
-            else _moment_estimate(d, measure, samples, seed, len(chunks),
-                                  next(merged), resolution)
-            for d in ds]
+    return [_moment_estimate(d, measure, samples, seed, len(chunks), next(merged))
+            if d else _zero_estimate(seed, samples) for d in ds]
 
 
-def _moment_estimate(d, measure, samples, seed, replicates, moments,
-                     resolution=0.0):
-    """The estimate at d from the merged chunk moments.
-
-    stderr^2 is the spread of the chunk means, sum_i n_i (m_i - m)^2 /
-    (samples (replicates - 1)), about s^2 / replicates for their sample
-    variance s^2 since the sizes n_i differ by at most one; one replicate
-    has no spread, and its stderr is infinite.  When each chunk's mean
-    takes one of two values `resolution` / n apart (n the smaller chunk
-    size), its variance is at most (resolution / 2n)^2, and the stderr is
-    at least that bound's over the square root of the chunk count.
-    """
+def _moment_estimate(d, measure, samples, seed, replicates, moments):
+    """The estimate at d from the merged chunk moments: stderr^2 is the
+    spread of the chunk means, sum_i n_i (m_i - m)^2 / (samples (replicates
+    - 1)), about s^2 / replicates for their sample variance s^2 since the
+    sizes n_i differ by at most one, and infinite for one replicate."""
     _, total, m2, hist = moments
     mean = total / samples
     est = measure * mean
     stderr = measure * math.sqrt(m2 / (samples * (replicates - 1))) \
         if replicates > 1 else math.inf
-    stderr = max(stderr, measure * resolution
-                 / (2.0 * (samples // replicates) * math.sqrt(replicates)))
     if (mean > 0.0 and est < sys.float_info.min) or \
             (m2 > 0.0 and stderr < sys.float_info.min):
         raise ValueError(f"the estimate at d = {d:g} underflows: {est:g} +- "
                          f"{stderr:g} is below the smallest normal float")
-    histogram = {c: int(k) for c, k in enumerate(hist) if k}
-    return CroftonEstimate(d=d, total_measure=measure, mean_count=mean,
-                           estimate=est, stderr=stderr, samples=samples,
-                           seed=seed, ratio=est / d, count_histogram=histogram)
+    # CroftonEstimate(d, total_measure, mean_count, estimate, stderr, samples,
+    # seed, ratio, ...)
+    return CroftonEstimate(d, measure, mean, est, stderr, samples, seed, est / d,
+                           count_histogram={c: int(k) for c, k in enumerate(hist)
+                                            if k})
 
 
 def _line_estimates(ds, samples, seed, workers, measure):
     """The estimates of H^1_R, where every direction carries exactly d and
-    its carrier meets the segment once: nothing is drawn, and the values do
-    not lose bits to a closed form that is d only in exact arithmetic."""
-    return _conditional_estimate(
-        ds, samples, seed, workers, measure, (), lambda shifts, size: size,
-        lambda d, size: (d * size, np.array((0, size, 0))))
+    its carrier meets the segment once: measure d, exact as the measure is 1
+    or 2, with stderr 0.  No chunk runs, and nothing is drawn."""
+    ds, samples, seed, _ = _checked(ds, samples, seed, workers, measure)
+    # CroftonEstimate(d, total_measure, mean_count, estimate, stderr, samples,
+    # seed, ratio, ...)
+    return [CroftonEstimate(d, measure, d, measure * d, 0.0, samples, seed,
+                            measure, count_histogram={1: samples})
+            if d else _zero_estimate(seed, samples) for d in ds]
 
 
 # -- estimators ----------------------------------------------------------------
@@ -678,7 +658,7 @@ def hyperplane_crofton_many(n, ds, samples, seed=0, workers=1):
     double-covers the hyperplane space, hence the halved sphere area.  At
     n = 1 every direction carries exactly d, and nothing is drawn.  Raises
     ValueError for n < 1, for an n past 437, where the measure vol(S^(n-1))
-    / 2 is not a positive normal float (_conditional_estimate), and for a
+    / 2 is not a positive normal float (_checked), and for a
     d where a direction's value 2 F(d/2) <= d cosh^{n-1}(d/2) can pass
     e^LOG_VALUE_LIMIT.
     """
@@ -706,8 +686,7 @@ def hyperplane_crofton_many(n, ds, samples, seed=0, workers=1):
 
     return _conditional_estimate(
         ds, samples, seed, workers, sphere_area(n - 1) / 2.0, lattice, draw,
-        values,
-        lambda d: math.log(d) + (n - 1) * math.log(math.cosh(0.5 * d)))
+        values, lambda d: math.log(d) + (n - 1) * math.log(math.cosh(0.5 * d)))
 
 
 def horosphere_crofton_many(field, n, ds, samples, seed=0, workers=1):
@@ -727,7 +706,7 @@ def horosphere_crofton_many(field, n, ds, samples, seed=0, workers=1):
     direction carries exactly d, and nothing is drawn.  Raises ValueError
     for a field other than r, c and h, for k n < 1, for a k n past 438,
     where the measure vol(S^(kn-1)) is not a positive normal float
-    (_conditional_estimate), and for a d where a direction's value, at
+    (_checked), and for a d where a direction's value, at
     most twice Phi(e^{d/2}) = 2 e^{d(e+1)/2} / (e+1) since G >= e^{-d} on
     the segment, can pass e^LOG_VALUE_LIMIT.
     """
@@ -795,8 +774,18 @@ def horosphere_crofton_many(field, n, ds, samples, seed=0, workers=1):
 
     return _conditional_estimate(
         ds, samples, seed, workers, sphere_area(k * n - 1), lattice, draw,
-        values,
-        lambda d: 0.5 * d * q + math.log(2.0 / q))
+        values, lambda d: 0.5 * d * q + math.log(2.0 / q))
+
+
+def _arc_moments(sizes, shifts, d):
+    """Each chunk's moments (size, hits, 0, (misses, hits)) for the arc of
+    length d, from the chunk sizes N and shifts of _chunk_shifts: a chunk
+    hits the arc ceil(N d / pi - frac(N shift)) times, clipped to [0, N]."""
+    n = np.array(sizes)
+    hits = np.clip(np.ceil(n * (d / math.pi) - n * np.ravel(shifts) % 1.0),
+                   0, n)
+    return zip(sizes, hits.tolist(), [0.0] * n.size,
+               np.stack((n - hits, hits), 1))
 
 
 def _arc_crofton_many(ds, samples, seed, workers, diameter, note):
@@ -807,33 +796,37 @@ def _arc_crofton_many(ds, samples, seed, workers, diameter, note):
     which u-perp meets exactly when (u . e1)(u . y) < 0, that is when cos
     phi cos(phi - d) < 0 for the angle phi of u's projection onto the arc's
     plane.  phi is uniform, and the test does not change under phi -> phi +
-    pi, so each chunk's points are the shifted grid t = frac(i / N +
-    shift), i < N, the lattice's one plain coordinate, at phi = pi (t +
-    1/2): there cos phi cos(phi - d) = sin(pi t) sin(pi t - d), which is
-    negative exactly when 0 < t < d / pi.  The grid is the points (j +
-    frac(N shift)) / N, j < N, so a chunk hits ceil(N d / pi - frac(N
-    shift)) times, clipped to [0, N]: no chunk forms its points, and none
-    runs in a worker process (workers is only checked).  Every point weighs
-    alike, and a chunk's hit fraction is m / N or (m + 1) / N, m = floor(N
-    d / pi): two values, whose spread over the chunks can read 0, so the
-    stderr is at least the largest spread such chunks can have (resolution
-    1 in _moment_estimate).  A d below MIN_ARC_DISTANCE is a coincident
-    pair, and an estimate within 1e-12 of the diameter carries the note.
+    pi, so a chunk of N points, with its shift from _chunk_shifts, is the
+    shifted grid t = frac(i / N + shift), i < N, at phi = pi (t + 1/2):
+    there cos phi cos(phi - d) = sin(pi t) sin(pi t - d), which is negative
+    exactly when 0 < t < d / pi.  The grid is the points (j + frac(N
+    shift)) / N, j < N, so a chunk hits ceil(N d / pi - frac(N shift))
+    times, clipped to [0, N] (_arc_moments): no chunk forms its points or
+    runs through _run_chunks, and workers is only checked.  The hit counts are
+    merged in chunk order as the lattice sums are.  A chunk's hit fraction
+    takes two values 1 / N apart, whose spread over the chunks can read 0,
+    so the stderr is at least the largest such spread, 1 / (2 N
+    sqrt(chunks)) for the smallest chunk size N.  Where N d < pi no chunk
+    hits the arc twice, and the estimate's note says it is underpowered;
+    otherwise an estimate within 1e-12 of the diameter carries `note`.  A
+    d below MIN_ARC_DISTANCE is a coincident pair.
     """
-    ds = [0.0 if d < MIN_ARC_DISTANCE else d for d in ds]
-    _resolve_count("workers", workers)
+    ds, samples, seed, _ = _checked(
+        [0.0 if d < MIN_ARC_DISTANCE else d for d in ds], samples, seed,
+        workers, 1.0)
+    sizes, shifts = _chunk_shifts(samples, seed, 1)
+    smallest = sizes[-1]
+    floor = 1.0 / (2.0 * smallest * math.sqrt(len(sizes)))
 
-    def values(d, chunk):
-        (shift,), size = chunk
-        hits = math.ceil(size * (d / math.pi) - (size * shift) % 1.0)
-        hits = min(max(hits, 0), size)
-        return float(hits), np.array((size - hits, hits, 0))
+    def estimate(d):
+        moments = functools.reduce(_merge_moments, _arc_moments(sizes, shifts, d))
+        est = _moment_estimate(d, 1.0, samples, seed, len(sizes), moments)
+        return est._replace(stderr=max(est.stderr, floor), note=(
+            f"underpowered: d is below pi / {smallest}, the grid step of the "
+            f"smallest chunk" if smallest * d < math.pi
+            else note if d > diameter - 1e-12 else ""))
 
-    estimates = _conditional_estimate(
-        ds, samples, seed, 1, 1.0, ((0.0, None, False),),
-        lambda shifts, size: (shifts, size), values, resolution=1.0)
-    return [e._replace(note=note) if e.d > diameter - 1e-12 else e
-            for e in estimates]
+    return [estimate(d) if d else _zero_estimate(seed, samples) for d in ds]
 
 
 # -- carrier table -------------------------------------------------------------

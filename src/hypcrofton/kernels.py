@@ -16,6 +16,7 @@ negative-type checks hold O(m^2) floats.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -235,8 +236,9 @@ def hypermetric_scan(D, bound=2):
         while fit * (2 * bound + 1) ** fit > MAX_CANDIDATES:
             fit -= 1
         raise ValueError(
-            f"enumeration budget {budget} exceeds {MAX_CANDIDATES}; "
-            f"reduce bound, or point count (<= {fit} at bound {bound})")
+            f"enumeration budget 10^{math.log10(budget):.1f} exceeds "
+            f"{MAX_CANDIDATES}; reduce bound, or point count (<= {fit} at "
+            f"bound {bound})")
     T = _sum_constrained_vectors(m, bound, 1)
     Tf = T.astype(float)
     e = np.frexp(D.max())[1]

@@ -183,10 +183,7 @@ def _uniform_rows(stream, rows, width):
     stream in the same state.  A random.Random's randbytes gives its
     Mersenne Twister's 32-bit words in order, and random() makes each
     double from two of them, a and b, as (a >> 5, b >> 6) * 2^-53 does
-    here; a stream without randbytes (numpy's Generator) is called."""
-    if not hasattr(stream, "randbytes"):
-        draw = stream.random
-        return np.array([draw() for _ in range(rows * width)]).reshape(rows, width)
+    here."""
     words = np.frombuffer(stream.randbytes(8 * rows * width), dtype="<u4")
     a, b = words[0::2] >> 5, words[1::2] >> 6
     return ((a * 67108864.0 + b) * 2.0**-53).reshape(rows, width)

@@ -92,7 +92,7 @@ def test_criterion_2_projective_six_point_reproduction():
 
 
 def test_criterion_3_negative_type_holds_real_and_complex():
-    rng = np.random.default_rng(101)
+    rng = random.Random(101)
     failures = 0
     for field in (REAL, COMPLEX):
         for n in (2, 3):
@@ -106,7 +106,7 @@ def test_criterion_3_negative_type_holds_real_and_complex():
 
 
 def test_criterion_4_hypermetric_scan_empty_on_real_hyperbolic():
-    rng = np.random.default_rng(102)
+    rng = random.Random(102)
     violations = 0
     for i in range(50):
         D = build_distance_matrix(REAL, random_coords(REAL, 2 + i % 2, 3.0, rng, 6))
@@ -133,7 +133,8 @@ def test_criterion_5_hyperplane_measure_linear_in_distance():
 
 def test_criterion_6_halfspace_sign_matches_segment_crossing():
     rng = np.random.default_rng(104)
-    x, y = random_coords(REAL, 2, 1.5, rng, 2)
+    stream = random.Random(104)
+    x, y = random_coords(REAL, 2, 1.5, stream, 2)
     seg = geodesic_between(REAL, x, y)
     x0 = axis_point(2, 0.0)
     R = max(pair_distance(REAL, x0, x), pair_distance(REAL, x0, y)) + 0.5
@@ -210,7 +211,8 @@ def test_criterion_9_isometry_invariance_of_estimators():
     failures = []
 
     rng = np.random.default_rng(120)
-    x, y = random_coords(REAL, 2, 1.5, rng, 2)
+    stream = random.Random(120)
+    x, y = random_coords(REAL, 2, 1.5, stream, 2)
 
     def hyperplane(x, y, seed):
         d = pair_distance(REAL, x, y)
@@ -224,7 +226,8 @@ def test_criterion_9_isometry_invariance_of_estimators():
             failures.append("hyperplane")
 
     crng = np.random.default_rng(130)
-    cx, cy = random_coords(COMPLEX, 2, 1.5, crng, 2)
+    stream = random.Random(130)
+    cx, cy = random_coords(COMPLEX, 2, 1.5, stream, 2)
 
     def horosphere(x, y, seed):
         d = pair_distance(COMPLEX, x, y)
@@ -261,7 +264,7 @@ def test_criterion_9_isometry_invariance_of_estimators():
 
 
 def test_criterion_10_sqrt_distance_spherical_embedding():
-    rng = np.random.default_rng(160)
+    rng = random.Random(160)
     D = build_distance_matrix(REAL, random_coords(REAL, 3, 2.5, rng, 8))
     emb = sqrt_embed(D)
     ok = (emb.max_distance_residual <= 1e-9

@@ -465,6 +465,27 @@ class TestCrofton:
             assert r["estimate"] == pytest.approx(r["d"] / math.pi,
                                                   abs=4 * r["stderr"])
 
+    @pytest.mark.parametrize("carrier", ["projective", "sphere"])
+    def test_sub_grid_arc_is_underpowered(self, capsys, carrier):
+        # at 100000 samples the smallest chunk holds N = 6250 points, and an
+        # arc shorter than pi / N reads 0 +- 2e-05, which passed as "ratios
+        # consistent"; the 0.5 arc beside it is not flagged
+        code, out, _ = run_cli(capsys, "crofton", carrier, "--dim", "2",
+                               "--pairs", "1e-9,0.5", "--samples", "100000",
+                               "--seed", "1")
+        assert code == 0
+        report = json.loads(out)
+        short, long_arc = report["results"]
+        assert (short["estimate"], short["stderr"]) == (0.0, 2e-05)
+        assert short["note"].startswith("underpowered")
+        assert "pi / 6250" in short["note"]
+        assert long_arc["note"] == ""
+        assert report["verdict"] == "underpowered: ratios consistent"
+        code, out, _ = run_cli(capsys, "crofton", carrier, "--dim", "2",
+                               "--pairs", "0.5", "--samples", "100000",
+                               "--seed", "1")
+        assert (code, json.loads(out)["verdict"]) == (0, "ratios consistent")
+
     def test_hyperplane_ratio_near_two(self, capsys):
         code, out, _ = run_cli(capsys, "crofton", "hyperplane",
                                "--dim", "2", "--pairs", "1.0",

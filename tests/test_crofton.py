@@ -227,16 +227,17 @@ class TestHyperplanePredicates:
 
     def test_sign_symmetry(self):
         rng = np.random.default_rng(4)
+        stream = random.Random(4)
         for _ in range(100):
             hp = sample_hyperplane(3, 2.5, rng)
             flipped = Hyperplane(-hp.u)
-            x, y = random_coords(REAL, 3, 2.0, rng, 2)
+            x, y = random_coords(REAL, 3, 2.0, stream, 2)
             seg = geodesic_between(REAL, x, y)
             assert hyperplane_meets_segment(hp, seg) == \
                 hyperplane_meets_segment(flipped, seg)
 
     def test_rejects_complex_field(self):
-        rng = np.random.default_rng(5)
+        rng = random.Random(5)
         seg = geodesic_between(COMPLEX, *random_coords(COMPLEX, 2, 1, rng, 2))
         with pytest.raises(ValueError):
             hyperplane_meets_segment(Hyperplane([0, 0, 1]), seg)
@@ -255,16 +256,18 @@ class TestHalfSpace:
 
     def test_flip_complements(self):
         rng = np.random.default_rng(6)
+        stream = random.Random(6)
         for _ in range(100):
             hp = sample_hyperplane(2, 2.0, rng)
-            x = random_coords(REAL, 2, 1.5, rng, 1)[0]
+            x = random_coords(REAL, 2, 1.5, stream, 1)[0]
             side = halfspace_side(hp.u, x)
             assert halfspace_side(-hp.u, x) == -side
 
     def test_representative_sign_independent(self):
         rng = np.random.default_rng(7)
+        stream = random.Random(7)
         hp = sample_hyperplane(2, 2.0, rng)
-        x = random_coords(REAL, 2, 1.5, rng, 1)[0]
+        x = random_coords(REAL, 2, 1.5, stream, 1)[0]
         assert halfspace_side(hp.u, x[:, 0]) == halfspace_side(hp.u, -x[:, 0])
 
 
@@ -360,10 +363,11 @@ class TestHorosphere:
 
     def test_isometry_moves_parameter(self):
         rng = np.random.default_rng(13)
+        stream = random.Random(13)
         g = random_isometry(COMPLEX, 2, rng)
         h = sample_horosphere(COMPLEX, 2, 1.0, rng)
         gh = Horosphere(COMPLEX, g.apply_coords(h.xi))
-        x = random_coords(COMPLEX, 2, 1.5, rng, 1)[0]
+        x = random_coords(COMPLEX, 2, 1.5, stream, 1)[0]
         gx = g @ x
         assert gh.level(gx) == pytest.approx(h.level(x), rel=1e-9)
 
@@ -407,9 +411,10 @@ class TestHorosphereIntersections:
     @pytest.mark.parametrize("field", [COMPLEX, QUATERNION])
     def test_phase_invariance(self, field):
         rng = np.random.default_rng(15)
+        stream = random.Random(15)
         k = {COMPLEX: 2, QUATERNION: 4}[field]
         for _ in range(50):
-            x, y = random_coords(field, 2, 1.5, rng, 2)
+            x, y = random_coords(field, 2, 1.5, stream, 2)
             seg = geodesic_between(field, x, y)
             h = sample_horosphere(field, 2, 2.0, rng)
             lam = np.zeros(4)
@@ -1187,11 +1192,33 @@ class TestChunkMoments:
         assert m2 == pytest.approx(np.sum((values - values.mean()) ** 2), rel=1e-12)
 
     def test_constant_values_have_zero_spread(self):
-        # every direction of H^1_R carries d, so any spread is rounding; a
-        # one-pass total_sq / n - mean^2 cancels to 7.7e-11 here
-        est, = crofton.hyperplane_crofton_many(1, (2.0,), 300_000, seed=1)
-        assert est.estimate == pytest.approx(2.0, rel=1e-14)
-        assert est.stderr <= 1e-14 * est.estimate
+        # every direction of H^1_R carries d, so the estimate is d exactly,
+        # with no spread; a one-pass total_sq / n - mean^2 once cancelled
+        # to 7.7e-11 at d = 2, and chunk sums of 0.3 read 0.3000000000000003
+        # +- 2.2e-17
+        for est in crofton.hyperplane_crofton_many(1, (2.0, 0.3), 300_000, seed=1):
+            assert est.estimate == est.mean_count == est.d
+            assert est.stderr == 0.0
+            assert est.ratio == crofton.CARRIERS["hyperplane"].constant(1, 1)
+
+    @pytest.mark.parametrize("call", [
+        lambda ds: crofton.hyperplane_crofton_many(1, ds, 300_000, workers=2),
+        lambda ds: crofton.horosphere_crofton_many(REAL, 1, ds, 300_000, workers=2),
+        lambda ds: arc_estimates("projective", ds[:3], 300_000, workers=2),
+        lambda ds: arc_estimates("sphere", ds, 300_000, workers=2),
+    ], ids=["hyperplane-R1", "horosphere-R1", "projective", "sphere"])
+    def test_lines_and_arcs_run_no_chunk(self, monkeypatch, call):
+        # only the lattice estimators go through the chunk driver: a line
+        # is measure d with stderr 0, and an arc counts its hits in closed
+        # form
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran the chunk driver")
+
+        monkeypatch.setattr(crofton, "_conditional_estimate", refuse)
+        monkeypatch.setattr(crofton, "_run_chunks", refuse)
+        ests = call((0.5, 0.0, 1.0, 3.0))
+        assert ests[1].note == "coincident points"
+        assert all(e.estimate > 0.0 for e in ests if e.d)
 
 
 class TestChunkMemory:
@@ -1397,40 +1424,29 @@ class TestSignChangeEstimates:
 
     @pytest.mark.parametrize("carrier", ["projective", "sphere"],
                              ids=["projective", "sphere_halfspace"])
-    def test_closed_form_counts_the_float_grid(self, monkeypatch, carrier):
+    def test_closed_form_counts_the_float_grid(self, carrier):
         # each chunk's closed-form hit count, ceil(N d / pi - frac(N shift))
-        # clipped to [0, N], equals the count of its float grid frac(i / N +
-        # shift) below d / pi, as _lattice forms the grid, at 12 distances
-        # up to the diameter, for 6 sample counts and seeds 1 to 40: 69,600
-        # chunks
-        seen = []
-        real = crofton._conditional_estimate
-
-        def recorded(*args, **kwargs):
-            seen.append(args[6:8])  # draw, values
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(crofton, "_conditional_estimate", recorded)
+        # clipped to [0, N] as _arc_moments takes it over all chunks at once,
+        # equals the count of its float grid frac(i / N + shift) below d /
+        # pi, as _lattice forms the grid, at 12 distances up to the
+        # diameter, for 6 sample counts and seeds 1 to 40: 69,600 chunks
         diameter = crofton.CARRIERS[carrier].high
         ds = np.linspace(diameter / 12, diameter, 12)
-        arc_estimates(carrier, (1.0,), 1)
-        draw, values = seen[0]
         grid = ((0.0, None, False),)
         t, spare = np.empty(crofton.CHUNK_SIZE), np.empty(crofton.CHUNK_SIZE)
         chunks = 0
         for samples in (1_000, 5_000, 20_000, 100_000, 300_000, 1_000_000):
-            sizes = crofton._chunk_sizes(samples)
             for seed in range(1, 41):
-                replay = random.Random(seed)
-                for size in sizes:
-                    shifts = (replay.random(),)
-                    crofton._lattice(grid, [(t[:size],)], shifts, None,
+                sizes, shifts = crofton._chunk_shifts(samples, seed, 1)
+                got = [[hits for _, hits, _, _ in
+                        crofton._arc_moments(sizes, shifts, d)] for d in ds]
+                for i, (size, shift) in enumerate(zip(sizes, shifts)):
+                    crofton._lattice(grid, [(t[:size],)], shift, None,
                                      spare[:size])
                     want = np.count_nonzero(t[:size] < ds[:, None] / math.pi,
                                             axis=1)
-                    chunk = draw(shifts, size)
-                    got = [values(d, chunk)[0] for d in ds]
-                    assert got == want.tolist(), (samples, seed, size, shifts)
+                    assert [hits[i] for hits in got] == want.tolist(), \
+                        (samples, seed, size, shift)
                     chunks += len(ds)
         assert chunks == 69_600
 
@@ -1492,7 +1508,8 @@ class TestEstimateM:
         # holds the segment, and tests each against the real segment; the
         # estimator sees only d
         rng = np.random.default_rng(42)
-        x, y = random_coords(REAL, 3, 0.6, rng, 2)
+        stream = random.Random(42)
+        x, y = random_coords(REAL, 3, 0.6, stream, 2)
         x0 = axis_point(3, 0.0)
         R = max(pair_distance(REAL, x0, x), pair_distance(REAL, x0, y))
         seg = geodesic_between(REAL, x, y)
@@ -1537,7 +1554,8 @@ class TestSymmetricDifference:
     def test_per_sample_identity(self):
         # half-space sign disagreement == transversal segment crossing
         rng = np.random.default_rng(19)
-        x, y = random_coords(REAL, 2, 1.5, rng, 2)
+        stream = random.Random(19)
+        x, y = random_coords(REAL, 2, 1.5, stream, 2)
         seg = geodesic_between(REAL, x, y)
         disagreements = 0
         boundary = 0
@@ -1630,7 +1648,8 @@ class TestHorosphereEstimator:
         # radius R = max d(x0, .); the estimator sees only d
         k = FIELD_DIM[field]
         rng = np.random.default_rng(44 + k)
-        x, y = random_coords(field, 2, 0.3, rng, 2)
+        stream = random.Random(44 + k)
+        x, y = random_coords(field, 2, 0.3, stream, 2)
         x0 = axis_point(2, 0.0)
         R = max(pair_distance(field, x0, x), pair_distance(field, x0, y))
         brute, brute_err = brute_force_horosphere_measure(field, x, y, R, 8000, rng)
@@ -1727,7 +1746,8 @@ class TestSphereEstimator:
 class TestIsometryInvariance:
     def test_estimate_m_invariant(self):
         rng = np.random.default_rng(33)
-        x, y = random_coords(REAL, 2, 1.5, rng, 2)
+        stream = random.Random(33)
+        x, y = random_coords(REAL, 2, 1.5, stream, 2)
 
         def estimate(x, y, seed):
             d = pair_distance(REAL, x, y)
@@ -1741,7 +1761,8 @@ class TestIsometryInvariance:
 
     def test_horosphere_invariant(self):
         rng = np.random.default_rng(36)
-        x, y = random_coords(COMPLEX, 2, 1.5, rng, 2)
+        stream = random.Random(36)
+        x, y = random_coords(COMPLEX, 2, 1.5, stream, 2)
 
         def estimate(x, y, seed):
             d = pair_distance(COMPLEX, x, y)

@@ -80,12 +80,15 @@ POINTS = "\n".join([
 ]) + "\n"
 
 #: 40000 and 1000 samples are each 16 replicate chunks (crofton.MIN_REPLICATES),
-#: which --workers 2 runs in the calling process and one forked child
+#: which --workers 2 runs in the calling process and one forked child; the
+#: H^1_R lines and the arcs run no chunk
 CROFTON_ARGS = {
-    "hyperplane": ("--dim", "3"),
-    "horosphere": ("--field", "h", "--dim", "2"),
-    "projective": ("--dim", "2"),
-    "sphere": ("--dim", "2"),
+    "hyperplane": ("hyperplane", "--dim", "3"),
+    "horosphere": ("horosphere", "--field", "h", "--dim", "2"),
+    "hyperplane-line": ("hyperplane", "--dim", "1"),
+    "horosphere-line": ("horosphere", "--field", "r", "--dim", "1"),
+    "projective": ("projective", "--dim", "2"),
+    "sphere": ("sphere", "--dim", "2"),
 }
 
 
@@ -140,7 +143,7 @@ class TestSubcommandImports:
     ], ids=["workers-1", "workers-2", "workers-2-one-chunk"])
     @pytest.mark.parametrize("carrier", list(CROFTON_ARGS))
     def test_crofton_loads_no_kernels(self, tmp_path, carrier, workers, samples):
-        argv = ("crofton", carrier, *CROFTON_ARGS[carrier], "--pairs", "0.5,1",
+        argv = ("crofton", *CROFTON_ARGS[carrier], "--pairs", "0.5,1",
                 "--samples", samples, "--workers", workers, "--seed", "1")
         code, modules = loaded_modules(argv, tmp_path)
         assert code in (0, 1)
@@ -155,7 +158,8 @@ class TestSubcommandImports:
         assert "concurrent.futures" not in modules
         assert "multiprocessing" not in modules
         # only a call that asks for more than one worker loads the pool, and
-        # only a hyperbolic one: an arc chunk's hits are in closed form
+        # only a lattice one: an arc chunk's hits are in closed form, and a
+        # line is measure d
         assert ("hypcrofton.pool" in modules) == \
             (workers != "1" and carrier in ("hyperplane", "horosphere"))
         # the lattice shifts come from the standard library's random

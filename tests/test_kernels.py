@@ -481,6 +481,16 @@ class TestHypermetricScan:
                            match=rf"point count \(<= {largest} at bound {bound}\)"):
             hypermetric_scan(np.zeros((largest + 1, largest + 1)), bound=bound)
 
+    def test_budget_guard_states_a_power_of_ten(self):
+        # 240 points, as many as the benchmark's h,2 file, have the budget
+        # 240 * 5^240, which the message printed as a 171-digit integer
+        with pytest.raises(ValueError) as refused:
+            hypermetric_scan(np.zeros((240, 240)), bound=2)
+        message = str(refused.value)
+        assert "10^170.1" in message
+        assert "(<= 9 at bound 2)" in message
+        assert len(message) < 100
+
     @pytest.mark.parametrize("m,bound", [
         (m, bound) for bound in (1, 2, 3) for m in range(1, 9)
         if m * (2 * bound + 1) ** m <= MAX_CANDIDATES])

@@ -93,8 +93,9 @@ class TestHyperbolicDistance:
     @pytest.mark.parametrize("field", [COMPLEX, QUATERNION])
     def test_phase_invariance(self, field):
         rng = np.random.default_rng(11)
+        stream = random.Random(11)
         for _ in range(30):
-            x, y = random_coords(field, 2, 2.0, rng, 2)
+            x, y = random_coords(field, 2, 2.0, stream, 2)
             xs = phase_shifted(x, unit_phase(field, rng))
             ys = phase_shifted(y, unit_phase(field, rng))
             assert pair_distance(field, xs, ys) == pytest.approx(
@@ -218,7 +219,8 @@ class TestDistanceMatrixKernels:
 
     def test_zero_diagonal_symmetry_and_stacking(self):
         rng = np.random.default_rng(23)
-        hyper = normalized_coords(random_coords(QUATERNION, 3, 3.0, rng, 28)).reshape(
+        stream = random.Random(23)
+        hyper = normalized_coords(random_coords(QUATERNION, 3, 3.0, stream, 28)).reshape(
             4, 7, 4, 4)
         proj = unit_rows(rng.standard_normal((4, 7, 3)), "projective")
         sphere = unit_rows(rng.standard_normal((4, 7, 3)), "sphere")
@@ -404,8 +406,9 @@ class TestGeodesics:
 
     def test_unit_speed_additivity(self):
         rng = np.random.default_rng(16)
+        stream = random.Random(16)
         for _ in range(20):
-            x, y = random_coords(COMPLEX, 3, 2.0, rng, 2)
+            x, y = random_coords(COMPLEX, 3, 2.0, stream, 2)
             seg = geodesic_between(COMPLEX, x, y)
             s, t = sorted(rng.uniform(0, seg.length, 2))
             assert pair_distance(COMPLEX, seg.point(s), seg.point(t)) == \
@@ -413,7 +416,8 @@ class TestGeodesics:
 
     def test_pairing_with_base(self):
         rng = np.random.default_rng(17)
-        x, y = random_coords(QUATERNION, 2, 1.5, rng, 2)
+        stream = random.Random(17)
+        x, y = random_coords(QUATERNION, 2, 1.5, stream, 2)
         seg = geodesic_between(QUATERNION, x, y)
         for s in rng.uniform(0, 3, 5):
             pairing = form_coeffs(seg.point(s), seg.base)
@@ -436,13 +440,21 @@ class TestGeodesics:
 
 
 class Uniforms:
-    """A stream whose random() returns the given uniforms in order."""
+    """A stream whose draws are the given uniforms in order, each a value
+    random() can return, j 2^-53 for an integer j < 2^53: randbytes gives
+    the two 32-bit words of each, a = (j >> 26) << 5 and b = (j mod 2^26)
+    << 6, from which random.Random makes its doubles."""
 
     def __init__(self, values):
         self.values = iter(values)
 
-    def random(self):
-        return next(self.values)
+    def randbytes(self, size):
+        words = []
+        for _ in range(size // 8):
+            j = next(self.values) * 2.0**53
+            assert j == int(j), "not a value random() returns"
+            words += [(int(j) >> 26) << 5, (int(j) % 2**26) << 6]
+        return np.array(words, dtype="<u4").tobytes()
 
 
 def box_muller_by_hand(stream, size):
@@ -581,7 +593,7 @@ class TestRandomPoint:
         # point goes along the first tangent axis; v and the radius's
         # uniform still count
         pairs = -(-n * FIELD_DIM[field] // 2)
-        uniforms = [value for _ in range(pairs) for value in (0.0, 0.3)]
+        uniforms = [value for _ in range(pairs) for value in (0.0, 0.375)]
         coords = random_coords(field, n, 2.0, Uniforms(uniforms + [0.25]), 1)
         want = np.zeros((1, n + 1, 4))
         want[0, 0, 0], want[0, 1, 0] = np.cosh(0.5), np.sinh(0.5)
@@ -642,9 +654,10 @@ class TestRandomIsometry:
     @pytest.mark.parametrize("field", ALL_FIELDS)
     def test_distance_invariance(self, field):
         rng = np.random.default_rng(20)
+        stream = random.Random(20)
         for _ in range(10):
             g = random_isometry(field, 2, rng)
-            x, y = random_coords(field, 2, 2.0, rng, 2)
+            x, y = random_coords(field, 2, 2.0, stream, 2)
             assert abs(pair_distance(field, g @ x, g @ y)
                        - pair_distance(field, x, y)) <= 1e-8
 
